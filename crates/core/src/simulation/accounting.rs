@@ -24,6 +24,9 @@ impl GridModel {
         };
         self.collector
             .record_transition(now.as_secs(), job_id, state, site_index, avail, queued);
+        if let (JobState::Finished, Some(s)) = (state, site_index) {
+            self.view.sites[s].finished_jobs = self.collector.site_counters(s).finished;
+        }
         if let Some(t) = self.tracer.as_mut() {
             if t.wants(TraceCategory::Job) {
                 let site = site_index.map(|s| self.platform.sites()[s].name.as_str());
@@ -95,9 +98,9 @@ impl GridModel {
         };
         self.collector.record_outcome(outcome);
 
-        let view = self.grid_view(now, idx);
-        let record = self.jobs[idx].record.clone();
-        self.policy.on_job_completed(&record, site, &view);
+        self.consult_policy(now, idx, |policy, job, view| {
+            policy.on_job_completed(job, site, view)
+        });
 
         // Once the whole workload is terminal, stop the fault-event chain so
         // an attached fault plan cannot keep the engine (and the makespan)
@@ -130,17 +133,16 @@ impl GridModel {
                         .saturating_sub(state.available_cores)
                         .saturating_sub(self.availability.cores_lost(s.id)),
                     queued_jobs: state.queue.len() as u64,
-                    running_jobs: state.running.len() as u64,
+                    running_jobs: state.running_jobs(),
                     finished_jobs: counters.finished,
                     interrupted_jobs: counters.interrupted,
                     checkpoints: counters.checkpoints,
                     repairs: counters.repairs,
                     up: self.availability.site_up(s.id),
-                    running_sample: state
-                        .running
-                        .iter()
+                    running_sample: self
+                        .running_at(s.id)
                         .take(10)
-                        .map(|&j| (self.jobs[j].record.id.0, self.jobs[j].record.cores))
+                        .map(|j| (self.jobs[j].record.id.0, self.jobs[j].record.cores))
                         .collect(),
                 }
             })

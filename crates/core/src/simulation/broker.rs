@@ -3,49 +3,210 @@
 
 use std::collections::VecDeque;
 
+use cgsim_data::DatasetId;
 use cgsim_des::{Context, SimTime};
-use cgsim_obs::{SpanPhase, TraceCategory};
+use cgsim_obs::{SpanPhase, Subsystem, TraceCategory};
 use cgsim_platform::{NodeId, SiteId};
-use cgsim_policies::{GridView, SiteLoad};
-use cgsim_workload::JobState;
+use cgsim_policies::{AllocationPolicy, GridView, SiteLoad};
+use cgsim_workload::{JobRecord, JobState};
 
 use super::events::GridEvent;
 use super::GridModel;
 
-/// Mutable per-site simulation state (the receiver actor).
-#[derive(Debug, Clone, Default)]
+/// "No job" link of the intrusive running lists.
+pub(super) const NO_JOB: u32 = u32::MAX;
+
+/// Mutable per-site simulation state (the receiver actor). Whoever changes
+/// it calls [`GridModel::mirror_site`] before returning, which keeps the
+/// policy-facing [`GridView`] current — see [`GridModel::consult_policy`].
+#[derive(Debug, Clone)]
 pub(super) struct SiteState {
     pub(super) available_cores: u64,
     pub(super) queue: VecDeque<usize>,
-    pub(super) running: Vec<usize>,
+    /// Jobs holding cores, oldest start first: a doubly linked list threaded
+    /// through `JobRuntime::{run_prev, run_next}`, so a release unlinks in
+    /// O(1) while outages still kill in start order and node loss still
+    /// takes the most recent start.
+    running_head: u32,
+    running_tail: u32,
+    running_len: u64,
+}
+
+impl SiteState {
+    /// An idle site with `cores` free cores.
+    pub(super) fn new(cores: u64) -> Self {
+        SiteState {
+            available_cores: cores,
+            queue: VecDeque::new(),
+            running_head: NO_JOB,
+            running_tail: NO_JOB,
+            running_len: 0,
+        }
+    }
+
+    /// Number of jobs holding cores at the site.
+    pub(super) fn running_jobs(&self) -> u64 {
+        self.running_len
+    }
 }
 
 impl GridModel {
-    /// The dynamic grid snapshot handed to the allocation policy for `idx`.
-    pub(super) fn grid_view(&mut self, now: SimTime, idx: usize) -> GridView {
+    /// Mirrors `site`'s [`SiteState`] and availability into the policy-facing
+    /// view: the one writer of those four fields.
+    pub(super) fn mirror_site(&mut self, site: SiteId) {
+        let state = &self.sites[site.index()];
+        let load = &mut self.view.sites[site.index()];
+        load.available_cores = state.available_cores;
+        load.queued_jobs = state.queue.len() as u64;
+        load.running_jobs = state.running_len;
+        load.up = self.availability.site_up(site);
+    }
+
+    /// Moves the queue front `idx` onto the running list, reserving its
+    /// `cores`.
+    pub(super) fn admit_front(&mut self, site: SiteId, idx: usize, cores: u64) {
+        let state = &mut self.sites[site.index()];
+        state.queue.pop_front();
+        state.available_cores -= cores;
+        let tail = std::mem::replace(&mut state.running_tail, idx as u32);
+        match tail {
+            NO_JOB => state.running_head = idx as u32,
+            tail => self.jobs[tail as usize].run_next = idx as u32,
+        }
+        state.running_len += 1;
+        self.jobs[idx].run_prev = tail;
+        self.jobs[idx].run_next = NO_JOB;
+        self.jobs[idx].holds_cores = true;
+        self.mirror_site(site);
+    }
+
+    /// Returns a job's cores to its site. Idempotent: a job that does not
+    /// currently hold cores (already released, or interrupted before its
+    /// queue pop) is a no-op, so the fault-injection paths and the normal
+    /// lifecycle cannot double-release.
+    pub(super) fn release_cores(&mut self, idx: usize, site: SiteId) {
+        if !self.jobs[idx].holds_cores {
+            return;
+        }
+        self.jobs[idx].holds_cores = false;
+        let (prev, next) = (self.jobs[idx].run_prev, self.jobs[idx].run_next);
+        let state = &mut self.sites[site.index()];
+        state.available_cores += self.jobs[idx].record.cores as u64;
+        state.running_len -= 1;
+        match prev {
+            NO_JOB => state.running_head = next,
+            prev => self.jobs[prev as usize].run_next = next,
+        }
+        match next {
+            NO_JOB => state.running_tail = prev,
+            next => self.jobs[next as usize].run_prev = prev,
+        }
+        self.mirror_site(site);
+    }
+
+    /// Jobs holding cores at `site`, oldest start first.
+    pub(super) fn running_at(&self, site: SiteId) -> impl Iterator<Item = usize> + '_ {
+        let mut cursor = self.sites[site.index()].running_head;
+        std::iter::from_fn(move || {
+            (cursor != NO_JOB).then(|| {
+                let idx = cursor as usize;
+                cursor = self.jobs[idx].run_next;
+                idx
+            })
+        })
+    }
+
+    /// The most recently started job still holding cores at `site`.
+    pub(super) fn last_running_at(&self, site: SiteId) -> Option<usize> {
+        let tail = self.sites[site.index()].running_tail;
+        (tail != NO_JOB).then_some(tail as usize)
+    }
+
+    /// Sets (or clears) `has_input_replica` at every site holding a replica
+    /// of `dataset`: O(holders), no per-site probe. The site LRU needs no
+    /// separate look — it only ever holds what the catalog also lists
+    /// (inserted together in `begin_execution`, wiped together on outage and
+    /// disk loss), which the reference twin re-proves at every call.
+    fn flag_input_replicas(&mut self, dataset: DatasetId, flag: bool) {
+        for node in self.catalog.replicas(dataset) {
+            if let NodeId::Site(site) = node {
+                self.view.sites[site.index()].has_input_replica = flag;
+            }
+        }
+    }
+
+    /// The single funnel through which the allocation policy sees the grid:
+    /// lends it job `idx`'s record and the model's persistent [`GridView`].
+    ///
+    /// The view is not rebuilt per call. **Maintenance contract** — who
+    /// writes which field:
+    ///
+    /// | field | mirrors | written by |
+    /// |---|---|---|
+    /// | `available_cores`, `queued_jobs`, `running_jobs`, `up` | [`SiteState`], `GridAvailability::site_up` | [`mirror_site`](Self::mirror_site), called by whoever changed them |
+    /// | `finished_jobs` | the collector's per-site counter | `record`, on a `Finished` transition |
+    /// | `active_repairs` | in-flight repairs into the site (the view holds the only counter) | `admit_repair` / `retire_repair_slot` |
+    /// | `now_s`, `pending_jobs`, `has_input_replica` | the call itself | stamped here; the replica flags are cleared again after the call |
+    ///
+    /// so a call costs O(replica holders) plus the policy's own work, with
+    /// no allocation. Debug builds rebuild the view from scratch
+    /// ([`reference_view`](Self::reference_view)) and compare at every call.
+    pub(super) fn consult_policy<R>(
+        &mut self,
+        now: SimTime,
+        idx: usize,
+        ask: impl FnOnce(&mut dyn AllocationPolicy, &JobRecord, &GridView) -> R,
+    ) -> R {
+        let timer = self.profiler.start();
         let dataset = self.task_dataset(idx);
+        self.view.now_s = now.as_secs();
+        self.view.pending_jobs = self.pending.len() as u64;
+        self.flag_input_replicas(dataset, true);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.view,
+            self.reference_view(self.view.now_s, Some(dataset)),
+            "maintained grid view diverged from the from-scratch rebuild"
+        );
+        let answer = ask(self.policy.as_mut(), &self.jobs[idx].record, &self.view);
+        self.flag_input_replicas(dataset, false);
+        self.profiler.stop(Subsystem::Broker, timer);
+        answer
+    }
+
+    /// The view built from scratch out of the state it mirrors — what every
+    /// policy call used to cost. Builds the initial view; after that it is
+    /// only the reference twin of the maintained one (debug builds, tests).
+    pub(super) fn reference_view(&self, now_s: f64, dataset: Option<DatasetId>) -> GridView {
         let sites = self
             .platform
             .sites()
             .iter()
             .map(|s| {
                 let state = &self.sites[s.id.index()];
-                let has_replica = self.catalog.has_replica(dataset, NodeId::Site(s.id))
-                    || self.caches[s.id.index()].contains(dataset);
+                let node = NodeId::Site(s.id);
                 SiteLoad {
                     site: s.id,
                     available_cores: state.available_cores,
                     queued_jobs: state.queue.len() as u64,
-                    running_jobs: state.running.len() as u64,
+                    running_jobs: state.running_len,
                     finished_jobs: self.collector.site_counters(s.id.index()).finished,
-                    has_input_replica: has_replica,
+                    has_input_replica: dataset.is_some_and(|d| {
+                        self.catalog.has_replica(d, node) || self.caches[s.id.index()].contains(d)
+                    }),
                     up: self.availability.site_up(s.id),
-                    active_repairs: self.repair.site_active[s.id.index()],
+                    active_repairs: self
+                        .repair
+                        .active
+                        .iter()
+                        .flatten()
+                        .filter(|t| t.dest == s.id)
+                        .count() as u64,
                 }
             })
             .collect();
         GridView {
-            now_s: now.as_secs(),
+            now_s,
             sites,
             pending_jobs: self.pending.len() as u64,
         }
@@ -54,8 +215,8 @@ impl GridModel {
     /// Asks the allocation policy for a site; dispatches or parks the job.
     pub(super) fn dispatch(&mut self, idx: usize, ctx: &mut Context<'_, GridEvent>) {
         let now = ctx.now();
-        let view = self.grid_view(now, idx);
-        let decision = self.policy.assign_job(&self.jobs[idx].record, &view);
+        let decision =
+            self.consult_policy(now, idx, |policy, job, view| policy.assign_job(job, view));
         match decision {
             Some(site) if site.index() < self.sites.len() && self.availability.site_up(site) => {
                 if let Some(t) = self.tracer.as_mut() {
@@ -74,6 +235,7 @@ impl GridModel {
                 self.jobs[idx].state = JobState::Assigned;
                 self.record(now, idx, JobState::Assigned);
                 self.sites[site.index()].queue.push_back(idx);
+                self.mirror_site(site);
                 self.try_start_site(site, ctx);
             }
             decision => {
@@ -125,10 +287,16 @@ impl GridModel {
         if self.pending.is_empty() {
             return;
         }
-        let waiting: Vec<usize> = self.pending.drain(..).collect();
-        for idx in waiting {
+        // Swap the list against the (empty) scratch deque instead of
+        // collecting it. `dispatch` can re-enter this function through a
+        // fluid completion; the inner call then finds the scratch slot empty
+        // and falls back to a fresh deque.
+        let spare = std::mem::take(&mut self.pending_scratch);
+        let mut waiting = std::mem::replace(&mut self.pending, spare);
+        while let Some(idx) = waiting.pop_front() {
             self.dispatch(idx, ctx);
         }
+        self.pending_scratch = waiting;
     }
 
     /// Starts queued jobs at `site` while cores are available (FIFO). Each
@@ -144,10 +312,7 @@ impl GridModel {
             if self.sites[site.index()].available_cores < needed {
                 break;
             }
-            self.sites[site.index()].queue.pop_front();
-            self.sites[site.index()].available_cores -= needed;
-            self.sites[site.index()].running.push(front);
-            self.jobs[front].holds_cores = true;
+            self.admit_front(site, front, needed);
 
             // Busy fraction over the cores the site *currently* has (total
             // minus partial node losses).

@@ -108,6 +108,7 @@ impl GridModel {
                 // Overlapping outage processes nest; only the up -> down
                 // transition kills work.
                 if self.availability.site_down_begin(site) {
+                    self.mirror_site(site);
                     self.collector.record_site_outage();
                     self.take_site_down(site, ctx);
                 }
@@ -115,6 +116,7 @@ impl GridModel {
             FaultAction::SiteUp { site } if site < self.sites.len() => {
                 let site = SiteId::new(site);
                 if self.availability.site_down_end(site) {
+                    self.mirror_site(site);
                     // Back up: reconsider parked work, and give the repair
                     // planner its restored source/destination candidates.
                     self.after_release(site, ctx);
@@ -195,6 +197,7 @@ impl GridModel {
         // Queued jobs hold no cores; they go back to the main server without
         // consuming a fault retry.
         let queued: Vec<usize> = self.sites[site.index()].queue.drain(..).collect();
+        self.mirror_site(site);
         for idx in queued {
             self.jobs[idx].site = None;
             self.jobs[idx].state = JobState::Pending;
@@ -203,7 +206,7 @@ impl GridModel {
         }
         // Kill every job holding cores (pilot wait, staging, executing,
         // shipping output), in start order — deterministic.
-        let victims: Vec<usize> = self.sites[site.index()].running.clone();
+        let victims: Vec<usize> = self.running_at(site).collect();
         for idx in victims {
             self.interrupt_job(idx, ctx);
         }
@@ -465,13 +468,14 @@ impl GridModel {
             let available = self.sites[site.index()].available_cores;
             let take = need.min(available);
             self.sites[site.index()].available_cores -= take;
+            self.mirror_site(site);
             need -= take;
             if need == 0 {
                 break;
             }
             // Free cores cannot cover the loss: kill the most recently
             // started job (LIFO — deterministic) and reclaim its cores.
-            let Some(&victim) = self.sites[site.index()].running.last() else {
+            let Some(victim) = self.last_running_at(site) else {
                 break;
             };
             self.interrupt_job(victim, ctx);
@@ -486,6 +490,7 @@ impl GridModel {
     fn apply_node_restore(&mut self, site: SiteId, ctx: &mut Context<'_, GridEvent>) {
         let restored = self.availability.node_loss_end(site);
         self.sites[site.index()].available_cores += restored;
+        self.mirror_site(site);
         self.update_cpu_capacity(site);
         self.after_release(site, ctx);
     }
@@ -595,25 +600,27 @@ impl GridModel {
             }
         }
 
-        let view = self.grid_view(now, idx);
-        let record = self.jobs[idx].record.clone();
-        self.policy.on_job_interrupted(&record, site, &view);
+        let resubmit = self.jobs[idx].fault_retries < self.execution.fault_max_retries;
+        // A resubmission that will resume from a durable checkpoint: the
+        // policy also hears where it lives so it can steer the job back to
+        // the data (`Some(None)` = the main server holds it).
+        let restore_from = (resubmit && self.execution.checkpoint.enabled())
+            .then(|| self.best_durable_checkpoint(idx))
+            .flatten()
+            .map(|ck| match ck.node {
+                NodeId::Site(s) => Some(s),
+                NodeId::MainServer => None,
+            });
+        self.consult_policy(now, idx, |policy, job, view| {
+            policy.on_job_interrupted(job, site, view);
+            if let Some(checkpoint_site) = restore_from {
+                policy.on_job_restored(job, checkpoint_site, view);
+            }
+        });
 
-        if self.jobs[idx].fault_retries < self.execution.fault_max_retries {
+        if resubmit {
             self.jobs[idx].fault_retries += 1;
             self.collector.record_fault_retry();
-            // The resubmission will resume from a durable checkpoint: tell
-            // the policy where it lives so it can steer the job back to the
-            // data (`None` = the main server holds it).
-            if self.execution.checkpoint.enabled() {
-                if let Some(ck) = self.best_durable_checkpoint(idx) {
-                    let checkpoint_site = match ck.node {
-                        NodeId::Site(s) => Some(s),
-                        NodeId::MainServer => None,
-                    };
-                    self.policy.on_job_restored(&record, checkpoint_site, &view);
-                }
-            }
             self.jobs[idx].site = None;
             self.jobs[idx].state = JobState::Pending;
             self.record(now, idx, JobState::Pending);

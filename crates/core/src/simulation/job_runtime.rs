@@ -8,6 +8,7 @@ use cgsim_platform::{NodeId, SiteId};
 use cgsim_policies::CachePolicy;
 use cgsim_workload::{ideal_walltime, JobRecord, JobState};
 
+use super::broker::NO_JOB;
 use super::checkpoint::JobCheckpoint;
 use super::events::GridEvent;
 use super::GridModel;
@@ -84,6 +85,10 @@ pub(super) struct JobRuntime {
     /// True while the job holds reserved cores at its site (from the queue
     /// pop in `try_start_site` until release).
     pub(super) holds_cores: bool,
+    /// Neighbours (job indices, `NO_JOB` at the ends) in the site's
+    /// start-ordered running list; meaningful only while `holds_cores`.
+    pub(super) run_prev: u32,
+    pub(super) run_next: u32,
     /// The *remote* endpoint of the in-flight transfer, if any: the source
     /// of an input-staging or checkpoint-restore transfer, or the target of
     /// a checkpoint write. Fault injection uses it to find transfers whose
@@ -154,6 +159,8 @@ impl JobRuntime {
             timer: None,
             activity: None,
             holds_cores: false,
+            run_prev: NO_JOB,
+            run_next: NO_JOB,
             transfer_peer: None,
             touches: [None; 2],
             frac_done: 0.0,
@@ -337,21 +344,6 @@ impl GridModel {
         } else {
             self.finalize(idx, JobState::Finished, ctx);
         }
-    }
-
-    /// Returns a job's cores to its site. Idempotent: a job that does not
-    /// currently hold cores (already released, or interrupted before its
-    /// queue pop) is a no-op, so the fault-injection paths and the normal
-    /// lifecycle cannot double-release.
-    pub(super) fn release_cores(&mut self, idx: usize, site: SiteId) {
-        if !self.jobs[idx].holds_cores {
-            return;
-        }
-        self.jobs[idx].holds_cores = false;
-        let cores = self.jobs[idx].record.cores as u64;
-        let state = &mut self.sites[site.index()];
-        state.available_cores += cores;
-        state.running.retain(|&j| j != idx);
     }
 
     /// Routes finished fluid activities to the next phase of their job.

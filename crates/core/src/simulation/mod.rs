@@ -38,9 +38,9 @@ use cgsim_des::{Engine, EventKey, SimTime};
 use cgsim_faults::{FaultEvent, FaultPlan};
 use cgsim_monitor::{MetricsReport, MonitoringCollector};
 use cgsim_obs::{Profiler, SpanPhase, Subsystem, TraceSink, Tracer};
-use cgsim_platform::{GridAvailability, Platform, PlatformSpec};
+use cgsim_platform::{GridAvailability, NodeId, Platform, PlatformSpec};
 use cgsim_policies::{
-    AllocationPolicy, DataMovementPolicy, DataPolicyRegistry, GridInfo, PolicyRegistry,
+    AllocationPolicy, DataMovementPolicy, DataPolicyRegistry, GridInfo, GridView, PolicyRegistry,
 };
 use cgsim_workload::{JobRecord, Trace};
 
@@ -100,6 +100,14 @@ struct GridModel {
     jobs: Vec<JobRuntime>,
     sites: Vec<SiteState>,
     pending: VecDeque<usize>,
+    /// The policy-facing mirror of site state, maintained where the state
+    /// changes and lent to the policy by [`GridModel::consult_policy`]
+    /// (which documents who writes which field).
+    view: GridView,
+    /// Spare deque `drain_pending` swaps the pending list against.
+    pending_scratch: VecDeque<usize>,
+    /// Reused buffer for `stage_input`'s replica-source candidates.
+    source_scratch: Vec<NodeId>,
     rng: Rng,
     // Fluid model state. The per-activity bookkeeping is slab-parallel to
     // the fluid model's slots (see `cgsim_des::fluid::ActivityMap`): lookups
@@ -188,11 +196,7 @@ impl GridModel {
         let sites = platform
             .sites()
             .iter()
-            .map(|s| SiteState {
-                available_cores: s.total_cores,
-                queue: VecDeque::new(),
-                running: Vec::new(),
-            })
+            .map(|s| SiteState::new(s.total_cores))
             .collect();
         let caches = platform
             .sites()
@@ -210,9 +214,9 @@ impl GridModel {
         let availability = GridAvailability::all_up(&platform);
         // One slot per site plus the main server (see `node_index`).
         let node_count = platform.sites().len() + 1;
-        let repair = RepairState::new(&execution.repair, execution.seed, platform.sites().len());
+        let repair = RepairState::new(&execution.repair, execution.seed);
 
-        GridModel {
+        let mut model = GridModel {
             rng: Rng::new(execution.seed),
             platform,
             execution,
@@ -221,6 +225,9 @@ impl GridModel {
             jobs,
             sites,
             pending: VecDeque::new(),
+            view: GridView::default(),
+            pending_scratch: VecDeque::new(),
+            source_scratch: Vec::new(),
             fluid,
             link_resources,
             cpu_resources,
@@ -244,7 +251,9 @@ impl GridModel {
             repair,
             tracer,
             profiler,
-        }
+        };
+        model.view = model.reference_view(0.0, None);
+        model
     }
 
     /// Emits one edge (begin/end) of a job-phase span. A single branch when
@@ -492,11 +501,9 @@ impl Simulation {
         SimulationBuilder::default()
     }
 
-    /// Executes the simulation to completion and returns the results.
-    pub fn run(mut self) -> SimulationResults {
-        let started = std::time::Instant::now();
-        let policy_name = self.policy.name().to_string();
-
+    /// Ingests the workload and builds the engine (submissions and the head
+    /// of the fault chain scheduled) and the model it will drive.
+    fn start(mut self) -> (Engine<GridEvent>, GridModel) {
         // Hand the static grid description to the policy (the paper's
         // getResourceInformation hook).
         let info = GridInfo::from_platform(&self.platform);
@@ -536,7 +543,7 @@ impl Simulation {
         let tracer = self.trace_sink.map(|(sink, mask)| Tracer::new(sink, mask));
         let profiler = Profiler::new(self.profile);
 
-        let mut model = GridModel::new(
+        let model = GridModel::new(
             self.platform,
             jobs,
             self.policy,
@@ -547,6 +554,14 @@ impl Simulation {
             tracer,
             profiler,
         );
+        (engine, model)
+    }
+
+    /// Executes the simulation to completion and returns the results.
+    pub fn run(self) -> SimulationResults {
+        let started = std::time::Instant::now();
+        let (mut engine, mut model) = self.start();
+        let policy_name = model.policy.name().to_string();
         let loop_timer = model.profiler.start();
         let report = engine.run(&mut model);
         model.profiler.stop(Subsystem::EventLoop, loop_timer);

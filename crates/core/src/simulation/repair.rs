@@ -96,19 +96,14 @@ pub(super) struct RepairState {
     /// `jobs.len() + slot`.
     pub(super) active: Vec<Option<RepairTransfer>>,
     active_count: usize,
-    /// In-flight repairs *into* each site (the `active_repairs` signal of
-    /// the policy grid view).
-    pub(super) site_active: Vec<u64>,
     /// Re-entrancy guard: `pump` can reach itself through fluid-completion
     /// routing; the outer loop picks up anything an inner call would have.
     pumping: bool,
 }
 
 impl RepairState {
-    /// Builds planner state from the config (`sites` sizes the per-site
-    /// active counts; they exist — zeroed — even when disabled so the grid
-    /// view can read them unconditionally).
-    pub(super) fn new(config: &RepairConfig, seed: u64, sites: usize) -> Self {
+    /// Builds planner state from the config.
+    pub(super) fn new(config: &RepairConfig, seed: u64) -> Self {
         let max_concurrent = (config.max_concurrent as usize).max(1);
         RepairState {
             enabled: config.enabled,
@@ -125,7 +120,6 @@ impl RepairState {
             queue: VecDeque::new(),
             active: vec![None; if config.enabled { max_concurrent } else { 0 }],
             active_count: 0,
-            site_active: vec![0; sites],
             pumping: false,
         }
     }
@@ -340,7 +334,9 @@ impl GridModel {
             bytes,
         });
         self.repair.active_count += 1;
-        self.repair.site_active[dest.index()] += 1;
+        // In-flight repairs *into* each site are counted in the policy view
+        // itself (its `active_repairs` signal has no other reader).
+        self.view.sites[dest.index()].active_repairs += 1;
         self.collector.record_repair_started();
         let dataset_name = self.catalog.dataset(dataset).name.clone();
         let dest_name = self.platform.site(dest).name.clone();
@@ -363,7 +359,7 @@ impl GridModel {
             .take()
             .expect("retiring an occupied repair slot");
         self.repair.active_count -= 1;
-        self.repair.site_active[transfer.dest.index()] -= 1;
+        self.view.sites[transfer.dest.index()].active_repairs -= 1;
         let sentinel = self.jobs.len() + slot;
         for node in transfer.touches.into_iter().flatten() {
             let ni = self.node_index(node);

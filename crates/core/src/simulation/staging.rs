@@ -170,11 +170,14 @@ impl GridModel {
 
         // The data-movement policy may override the replica source; otherwise
         // the configured source-selection strategy plans the transfer.
-        let candidates: Vec<NodeId> = self.catalog.replicas(dataset).collect();
-        let source = match self
+        let mut candidates = std::mem::take(&mut self.source_scratch);
+        candidates.clear();
+        candidates.extend(self.catalog.replicas(dataset));
+        let chosen = self
             .data_policy
-            .select_source(&self.jobs[idx].record, site, &candidates)
-        {
+            .select_source(&self.jobs[idx].record, site, &candidates);
+        self.source_scratch = candidates;
+        let source = match chosen {
             Some(chosen) if chosen == destination => {
                 self.begin_execution(idx, site, ctx);
                 return;

@@ -463,3 +463,219 @@ fn multicore_jobs_use_more_cores_of_the_site() {
     assert_eq!(results.site_panels.len(), 4);
     assert!(results.site_panels.iter().all(|p| p.busy_cores == 0));
 }
+
+// ---------------------------------------------------------------------------
+// White-box tests of the maintained policy view and the state it mirrors:
+// the engine is stepped one event at a time and the model inspected between
+// events.
+// ---------------------------------------------------------------------------
+
+use cgsim_data::DatasetId;
+use cgsim_faults::{parse_fault_spec, FaultAction, FaultEvent, FaultPlan, FaultTopology};
+use cgsim_platform::{NodeId, SiteSpec, Tier};
+use cgsim_workload::TaskId;
+
+use super::GridModel;
+use crate::config::{CheckpointConfig, RepairConfig};
+
+/// Runs `sim` to completion one event at a time, calling `check` with the
+/// model and the current virtual time after every event.
+fn step_through(sim: Simulation, mut check: impl FnMut(&GridModel, f64)) -> GridModel {
+    let (mut engine, mut model) = sim.start();
+    while engine.step(&mut model).is_some() {
+        check(&model, engine.now().as_secs());
+    }
+    model
+}
+
+/// `count` single-core jobs submitted at t = 0, each its own task (so each
+/// stages and caches its own 2 GB dataset), `work_s` seconds on a 10-speed
+/// core.
+fn per_task_trace(count: usize, work_s: f64) -> Trace {
+    let jobs = (0..count)
+        .map(|i| {
+            let mut record = JobRecord::new(i as u64, JobKind::SingleCore, 1, work_s * 10.0);
+            record.task_id = TaskId(i as u64);
+            record.input_bytes = 2_000_000_000;
+            record
+        })
+        .collect();
+    Trace {
+        jobs,
+        ..Trace::default()
+    }
+}
+
+#[test]
+fn maintained_view_follows_outage_recovery_node_loss_and_repairs() {
+    // 40 cores for 100 two-hour jobs dealt round-robin: sites queue. Site 0
+    // goes down and comes back (kills, bounced queue, parked jobs, evicted
+    // replicas -> repairs), then site 1 loses and regains half its nodes.
+    let platform = PlatformSpec::new("mirror")
+        .with_site(SiteSpec::uniform("A", Tier::Tier1, 16, 10.0))
+        .with_site(SiteSpec::uniform("B", Tier::Tier2, 16, 10.0))
+        .with_site(SiteSpec::uniform("C", Tier::Tier2, 8, 10.0));
+    let at = |time_s: f64, action: FaultAction| FaultEvent { time_s, action };
+    let plan = FaultPlan {
+        events: vec![
+            at(1_000.0, FaultAction::SiteDown { site: 0 }),
+            at(2_000.0, FaultAction::SiteUp { site: 0 }),
+            at(
+                3_000.0,
+                FaultAction::NodeLoss {
+                    site: 1,
+                    fraction: 0.5,
+                },
+            ),
+            at(4_000.0, FaultAction::NodeRestore { site: 1 }),
+        ],
+    };
+    let exec = ExecutionConfig {
+        repair: RepairConfig {
+            enabled: true,
+            max_concurrent: 2,
+            ..RepairConfig::default()
+        },
+        ..ExecutionConfig::default()
+    };
+    let sim = Simulation::builder()
+        .platform_spec(&platform)
+        .unwrap()
+        .trace(per_task_trace(100, 7_200.0))
+        .policy_name("round-robin")
+        .execution(exec)
+        .fault_plan(plan)
+        .build()
+        .unwrap();
+
+    let (mut saw_queue, mut saw_down, mut saw_repair, mut saw_loss) = (false, false, false, false);
+    let model = step_through(sim, |model, now| {
+        // Every mirrored per-site field equals its from-scratch rebuild, and
+        // no per-call replica flag outlives its policy call.
+        assert_eq!(
+            model.view.sites,
+            model.reference_view(0.0, None).sites,
+            "view diverged at t = {now}"
+        );
+        let [a, b, _] = &model.view.sites[..] else {
+            panic!("three sites")
+        };
+        saw_queue |= a.queued_jobs > 0 && a.running_jobs == 16 && a.available_cores == 0;
+        if (1_000.0..2_000.0).contains(&now) {
+            assert!(!a.up, "site A is down at t = {now}");
+            assert_eq!(
+                (a.running_jobs, a.queued_jobs, a.available_cores),
+                (0, 0, 16)
+            );
+            saw_down = true;
+        } else {
+            assert!(a.up, "site A is up at t = {now}");
+        }
+        if (3_000.0..4_000.0).contains(&now) {
+            assert_eq!(b.available_cores + b.running_jobs, 8, "half of B is lost");
+            saw_loss = true;
+        } else {
+            assert_eq!(b.available_cores + b.running_jobs, 16);
+        }
+        saw_repair |= model.view.sites.iter().any(|s| s.active_repairs > 0);
+    });
+    assert!(saw_queue && saw_down && saw_loss && saw_repair);
+
+    let finished: u64 = model.view.sites.iter().map(|s| s.finished_jobs).sum();
+    assert_eq!(finished, 100, "every job finishes (fault retries suffice)");
+    assert!(model
+        .view
+        .sites
+        .iter()
+        .all(|s| s.active_repairs == 0 && s.running_jobs == 0 && s.queued_jobs == 0));
+    let counters = model.collector.grid_counters();
+    assert!(counters.repairs_started > 0);
+    assert_eq!(counters.site_outages, 1);
+}
+
+#[test]
+fn site_caches_hold_only_what_the_catalog_lists_under_churn() {
+    // The policy view takes `has_input_replica` from the catalog alone; that
+    // is sound only while every site-LRU entry is also a catalog replica.
+    // Outages and disk losses wipe both, repairs and caching add to both.
+    let platform = example_platform();
+    let trace = TraceGenerator::new(TraceConfig::with_jobs(400, 5)).generate(&platform);
+    let spec = "outage:site=all,mttf=3h,mttr=20m;diskloss:site=all,mttf=4h;kill:rate=2";
+    let topology = FaultTopology::for_platform(&Platform::build(&platform).unwrap(), 400);
+    let plan = FaultPlan::generate(&parse_fault_spec(spec).unwrap(), &topology, 7);
+    let exec = ExecutionConfig {
+        checkpoint: CheckpointConfig {
+            interval_s: 1_800.0,
+            ..CheckpointConfig::default()
+        },
+        repair: RepairConfig {
+            enabled: true,
+            ..RepairConfig::default()
+        },
+        ..ExecutionConfig::default()
+    };
+    let sim = Simulation::builder()
+        .platform_spec(&platform)
+        .unwrap()
+        .trace(trace)
+        .policy_name("data-aware")
+        .execution(exec)
+        .fault_plan(plan)
+        .build()
+        .unwrap();
+    let mut cached_seen = 0usize;
+    let model = step_through(sim, |model, now| {
+        for (s, cache) in model.caches.iter().enumerate() {
+            for d in (0..model.catalog.len()).map(DatasetId::new) {
+                if cache.contains(d) {
+                    cached_seen += 1;
+                    assert!(
+                        model.catalog.has_replica(d, NodeId::Site(SiteId::new(s))),
+                        "site {s} caches {d} without a catalog replica at t = {now}"
+                    );
+                }
+            }
+        }
+    });
+    let counters = model.collector.grid_counters();
+    assert!(cached_seen > 0 && counters.site_outages > 0 && counters.disk_losses > 0);
+}
+
+#[test]
+fn running_list_keeps_start_order_like_the_vec_it_replaced() {
+    // Reference twin of the intrusive running list: a `Vec` with `push` and
+    // `retain`, under a random admit/release interleaving at two sites.
+    let sim = Simulation::builder()
+        .platform_spec(&example_platform())
+        .unwrap()
+        .trace(per_task_trace(200, 1.0))
+        .build()
+        .unwrap();
+    let (_, mut model) = sim.start();
+    let sites = [SiteId::new(0), SiteId::new(1)];
+    let mut reference: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+    let mut rng = cgsim_des::rng::Rng::new(11);
+    let mut next_job = 0;
+    for _ in 0..2_000 {
+        let s = rng.index(2);
+        if next_job < 200 && rng.chance(0.55) {
+            model.sites[s].queue.push_back(next_job);
+            model.admit_front(sites[s], next_job, 1);
+            reference[s].push(next_job);
+            next_job += 1;
+        } else if !reference[s].is_empty() {
+            let victim = reference[s][rng.index(reference[s].len())];
+            model.release_cores(victim, sites[s]);
+            model.release_cores(victim, sites[s]); // idempotent
+            reference[s].retain(|&j| j != victim);
+        }
+        for (site, expected) in sites.iter().zip(&reference) {
+            assert_eq!(&model.running_at(*site).collect::<Vec<_>>(), expected);
+            assert_eq!(model.last_running_at(*site), expected.last().copied());
+            let load = &model.view.sites[site.index()];
+            assert_eq!(load.running_jobs, expected.len() as u64);
+            let total = model.platform.site(*site).total_cores;
+            assert_eq!(load.available_cores + load.running_jobs, total);
+        }
+    }
+}

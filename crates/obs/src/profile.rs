@@ -35,16 +35,21 @@ pub enum Subsystem {
     /// Re-replication repair: deficit bookkeeping, transfer planning and
     /// completion/cancellation handling.
     Repair,
+    /// The main server's broker: stamping the policy-facing grid view and
+    /// the allocation-policy calls themselves (`assign_job` and the
+    /// completion/interruption/restore hooks).
+    Broker,
 }
 
 /// Every subsystem, in report order.
-pub const ALL_SUBSYSTEMS: [Subsystem; 6] = [
+pub const ALL_SUBSYSTEMS: [Subsystem; 7] = [
     Subsystem::EventLoop,
     Subsystem::Fluid,
     Subsystem::FaultReplay,
     Subsystem::Checkpoint,
     Subsystem::CacheLookup,
     Subsystem::Repair,
+    Subsystem::Broker,
 ];
 
 impl Subsystem {
@@ -57,6 +62,7 @@ impl Subsystem {
             Subsystem::Checkpoint => "checkpoint",
             Subsystem::CacheLookup => "cache_lookup",
             Subsystem::Repair => "repair",
+            Subsystem::Broker => "broker",
         }
     }
 }

@@ -4,7 +4,8 @@
 //! to sites, hosts and links, constructs the WAN graph (adding the main
 //! server and, when no links are configured, a default star topology), adds
 //! per-site LAN links, and precomputes lowest-latency routes between every
-//! pair of endpoints. The simulation core only ever works with this resolved
+//! pair of endpoints (one shortest-path tree per source endpoint, stored in
+//! a dense table). The simulation core only ever works with this resolved
 //! form.
 
 use std::collections::HashMap;
@@ -14,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::PlatformError;
 use crate::spec::{gbps_to_bytes_per_sec, ms_to_secs, PlatformSpec, Tier, MAIN_SERVER};
-use crate::topology::{EdgeProps, Graph};
+use crate::topology::{EdgeProps, Graph, Path};
 
 define_id!(
     /// Identifier of a computing site.
@@ -126,12 +127,109 @@ pub struct Platform {
     hosts: Vec<Host>,
     links: Vec<Link>,
     site_names: HashMap<String, SiteId>,
-    routes: HashMap<(NodeId, NodeId), Route>,
+    /// Route of every ordered endpoint pair, row-major by
+    /// [`endpoint_index`]: `routes[from * endpoints + to]`.
+    routes: Vec<Route>,
+}
+
+/// Dense index of an endpoint — its WAN-graph node and its row/column in the
+/// route table: the main server first, then the sites by id.
+fn endpoint_index(node: NodeId) -> usize {
+    match node {
+        NodeId::MainServer => 0,
+        NodeId::Site(site) => site.index() + 1,
+    }
+}
+
+/// A specification resolved up to, but not including, routing.
+struct Resolved {
+    sites: Vec<Site>,
+    hosts: Vec<Host>,
+    links: Vec<Link>,
+    site_names: HashMap<String, SiteId>,
+    /// The WAN graph; node [`endpoint_index`]`(e)` is endpoint `e`.
+    graph: Graph,
+    /// Graph edge index -> WAN link.
+    edge_links: Vec<LinkId>,
+}
+
+impl Resolved {
+    /// Every endpoint, in [`endpoint_index`] order.
+    fn endpoints(&self) -> impl Iterator<Item = NodeId> + Clone + '_ {
+        std::iter::once(NodeId::MainServer).chain(self.sites.iter().map(|s| NodeId::Site(s.id)))
+    }
+
+    /// The route `from -> to` that follows WAN path `path`.
+    fn route_along(&self, from: NodeId, to: NodeId, path: &Path) -> Route {
+        if from == to {
+            return Route {
+                links: Vec::new(),
+                latency_s: 0.0,
+                bottleneck_bps: f64::INFINITY,
+            };
+        }
+        let mut route_links: Vec<LinkId> = Vec::with_capacity(path.edges.len() + 2);
+        // Transfers terminating (or originating) at a site also cross that
+        // site's LAN link.
+        if let NodeId::Site(s) = from {
+            route_links.push(self.sites[s.index()].lan_link);
+        }
+        route_links.extend(path.edges.iter().map(|&e| self.edge_links[e]));
+        if let NodeId::Site(s) = to {
+            route_links.push(self.sites[s.index()].lan_link);
+        }
+        let latency: f64 = route_links
+            .iter()
+            .map(|l| self.links[l.index()].latency_s)
+            .sum();
+        let bottleneck = route_links
+            .iter()
+            .map(|l| self.links[l.index()].bandwidth_bps)
+            .fold(f64::INFINITY, f64::min);
+        Route {
+            links: route_links,
+            latency_s: latency,
+            bottleneck_bps: bottleneck,
+        }
+    }
 }
 
 impl Platform {
     /// Builds a platform from its specification.
+    ///
+    /// Routing runs one O(V²) shortest-path tree per source endpoint
+    /// ([`Graph::shortest_paths_from`]) — O(V³) for V = sites + 1, against
+    /// the O(V⁴) of one Dijkstra per endpoint pair — and stores the V² routes
+    /// in a dense table, so [`route`](Self::route) is an index, not a hash
+    /// probe. The routes are link for link the ones per-pair
+    /// [`Graph::shortest_path`] yields.
     pub fn build(spec: &PlatformSpec) -> Result<Self, PlatformError> {
+        let resolved = Self::resolve(spec)?;
+        let mut routes = Vec::with_capacity((resolved.sites.len() + 1).pow(2));
+        for from in resolved.endpoints() {
+            let paths = resolved.graph.shortest_paths_from(endpoint_index(from));
+            for to in resolved.endpoints() {
+                let path = paths[endpoint_index(to)].as_ref().ok_or_else(|| {
+                    PlatformError::Unreachable {
+                        from: from.to_string(),
+                        to: to.to_string(),
+                    }
+                })?;
+                routes.push(resolved.route_along(from, to, path));
+            }
+        }
+        Ok(Platform {
+            name: spec.name.clone(),
+            sites: resolved.sites,
+            hosts: resolved.hosts,
+            links: resolved.links,
+            site_names: resolved.site_names,
+            routes,
+        })
+    }
+
+    /// Validates `spec` and resolves its sites, hosts, links and WAN graph.
+    fn resolve(spec: &PlatformSpec) -> Result<Resolved, PlatformError> {
         spec.validate()?;
 
         let mut sites = Vec::with_capacity(spec.sites.len());
@@ -178,10 +276,12 @@ impl Platform {
             site_names.insert(s.name.clone(), site_id);
         }
 
-        // Build the WAN graph: node 0 = main server, node i+1 = site i.
+        // Build the WAN graph: node 0 = main server, node i+1 = site i
+        // (`endpoint_index`).
         let mut graph = Graph::new();
-        let server_node = graph.add_node();
-        let site_nodes: Vec<usize> = sites.iter().map(|_| graph.add_node()).collect();
+        for _ in 0..=sites.len() {
+            graph.add_node();
+        }
         // edge index -> LinkId
         let mut edge_links: Vec<LinkId> = Vec::new();
 
@@ -210,11 +310,11 @@ impl Platform {
             });
             let node_of = |endpoint: &str| -> Result<usize, PlatformError> {
                 if endpoint == MAIN_SERVER {
-                    Ok(server_node)
+                    Ok(endpoint_index(NodeId::MainServer))
                 } else {
                     site_names
                         .get(endpoint)
-                        .map(|id| site_nodes[id.index()])
+                        .map(|&id| endpoint_index(NodeId::Site(id)))
                         .ok_or_else(|| PlatformError::UnknownEndpoint(endpoint.to_string()))
                 }
             };
@@ -231,69 +331,13 @@ impl Platform {
             edge_links.push(link_id);
         }
 
-        // Precompute routes between every pair of endpoints.
-        let node_ids: Vec<NodeId> = std::iter::once(NodeId::MainServer)
-            .chain(sites.iter().map(|s| NodeId::Site(s.id)))
-            .collect();
-        let graph_node = |n: NodeId| -> usize {
-            match n {
-                NodeId::MainServer => server_node,
-                NodeId::Site(s) => site_nodes[s.index()],
-            }
-        };
-        let mut routes = HashMap::new();
-        for &from in &node_ids {
-            for &to in &node_ids {
-                if from == to {
-                    routes.insert(
-                        (from, to),
-                        Route {
-                            links: Vec::new(),
-                            latency_s: 0.0,
-                            bottleneck_bps: f64::INFINITY,
-                        },
-                    );
-                    continue;
-                }
-                let path = graph
-                    .shortest_path(graph_node(from), graph_node(to))
-                    .ok_or(PlatformError::Unreachable {
-                        from: from.to_string(),
-                        to: to.to_string(),
-                    })?;
-                let mut route_links: Vec<LinkId> =
-                    path.edges.iter().map(|&e| edge_links[e]).collect();
-                // Transfers terminating (or originating) at a site also cross
-                // that site's LAN link.
-                if let NodeId::Site(s) = from {
-                    route_links.insert(0, sites[s.index()].lan_link);
-                }
-                if let NodeId::Site(s) = to {
-                    route_links.push(sites[s.index()].lan_link);
-                }
-                let latency: f64 = route_links.iter().map(|l| links[l.index()].latency_s).sum();
-                let bottleneck = route_links
-                    .iter()
-                    .map(|l| links[l.index()].bandwidth_bps)
-                    .fold(f64::INFINITY, f64::min);
-                routes.insert(
-                    (from, to),
-                    Route {
-                        links: route_links,
-                        latency_s: latency,
-                        bottleneck_bps: bottleneck,
-                    },
-                );
-            }
-        }
-
-        Ok(Platform {
-            name: spec.name.clone(),
+        Ok(Resolved {
             sites,
             hosts,
             links,
             site_names,
-            routes,
+            graph,
+            edge_links,
         })
     }
 
@@ -350,11 +394,18 @@ impl Platform {
         &self.links[id.index()]
     }
 
-    /// The precomputed route between two endpoints.
+    /// The precomputed route between two endpoints (a table index).
+    ///
+    /// # Panics
+    /// If either endpoint is not part of this platform.
     pub fn route(&self, from: NodeId, to: NodeId) -> &Route {
-        self.routes
-            .get(&(from, to))
-            .expect("routes are precomputed for all endpoint pairs")
+        let endpoints = self.sites.len() + 1;
+        let (from, to) = (endpoint_index(from), endpoint_index(to));
+        assert!(
+            from < endpoints && to < endpoints,
+            "route endpoint outside the platform"
+        );
+        &self.routes[from * endpoints + to]
     }
 
     /// Effective per-core speed of a site: the core-weighted average of its
@@ -496,6 +547,62 @@ mod tests {
             .with_link(LinkSpec::new("A", MAIN_SERVER, 10.0, 10.0));
         let err = Platform::build(&spec).unwrap_err();
         assert!(matches!(err, PlatformError::Unreachable { .. }));
+    }
+
+    /// The reference the route table replaced: one early-exit Dijkstra per
+    /// endpoint pair. Every route must match it link for link and bit for
+    /// bit (same tie-breaks, same summation order).
+    fn assert_routes_match_per_pair_dijkstra(spec: &PlatformSpec) {
+        let platform = Platform::build(spec).unwrap();
+        let resolved = Platform::resolve(spec).unwrap();
+        for from in resolved.endpoints() {
+            for to in resolved.endpoints() {
+                let path = resolved
+                    .graph
+                    .shortest_path(endpoint_index(from), endpoint_index(to))
+                    .unwrap();
+                let expected = resolved.route_along(from, to, &path);
+                let route = platform.route(from, to);
+                assert_eq!(route.links, expected.links, "{from} -> {to}");
+                assert_eq!(route.latency_s.to_bits(), expected.latency_s.to_bits());
+                assert_eq!(
+                    route.bottleneck_bps.to_bits(),
+                    expected.bottleneck_bps.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn route_table_equals_per_pair_shortest_paths() {
+        use crate::presets::{example_platform, single_site_platform, wlcg_platform};
+        assert_routes_match_per_pair_dijkstra(&wlcg_platform(200, 42));
+        assert_routes_match_per_pair_dijkstra(&wlcg_platform(12, 42));
+        assert_routes_match_per_pair_dijkstra(&example_platform());
+        assert_routes_match_per_pair_dijkstra(&single_site_platform(40, 10.0));
+        assert_routes_match_per_pair_dijkstra(&three_site_spec());
+        // A mesh where every WAN link has the same latency: equal-cost
+        // routes everywhere, so only identical tie-breaking passes.
+        let names = ["A", "B", "C", "D", "E", "F"];
+        let mut mesh = PlatformSpec::new("mesh");
+        for name in names {
+            mesh = mesh.with_site(SiteSpec::uniform(name, Tier::Tier2, 100, 10.0));
+        }
+        mesh = mesh.with_link(LinkSpec::new("A", MAIN_SERVER, 10.0, 10.0));
+        for i in 0..names.len() {
+            for step in [1, 2] {
+                let (a, b) = (names[i], names[(i + step) % names.len()]);
+                mesh = mesh.with_link(LinkSpec::new(a, b, 10.0 * step as f64, 10.0));
+            }
+        }
+        assert_routes_match_per_pair_dijkstra(&mesh);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the platform")]
+    fn route_to_a_foreign_site_panics() {
+        let platform = Platform::build(&three_site_spec()).unwrap();
+        platform.route(NodeId::MainServer, NodeId::Site(SiteId::new(3)));
     }
 
     #[test]

@@ -72,25 +72,42 @@ impl Graph {
         self.edges[idx].2
     }
 
-    /// Lowest-latency path from `from` to `to` (Dijkstra). Returns `None`
-    /// when the nodes are disconnected. A path from a node to itself is the
-    /// empty path.
+    /// Lowest-latency path from `from` to `to` (Dijkstra, stopping as soon as
+    /// `to` is settled). Returns `None` when the nodes are disconnected. A
+    /// path from a node to itself is the empty path.
     pub fn shortest_path(&self, from: usize, to: usize) -> Option<Path> {
-        if from == to {
-            return Some(Path {
-                edges: Vec::new(),
-                latency_s: 0.0,
-                min_bandwidth_bps: f64::INFINITY,
-            });
-        }
+        let (dist, prev) = self.dijkstra(from, Some(to));
+        self.trace_back(from, to, &dist, &prev)
+    }
+
+    /// Lowest-latency paths from `from` to every node, indexed by
+    /// destination: one Dijkstra run (O(V²)) instead of one per destination.
+    /// Entry `to` equals [`shortest_path(from, to)`](Self::shortest_path)
+    /// edge for edge — a node's predecessor is final once the node is
+    /// settled, so running past it changes nothing — which is what lets
+    /// `Platform::build` route all V² endpoint pairs in O(V³).
+    pub fn shortest_paths_from(&self, from: usize) -> Vec<Option<Path>> {
+        let (dist, prev) = self.dijkstra(from, None);
+        (0..self.adjacency.len())
+            .map(|to| self.trace_back(from, to, &dist, &prev))
+            .collect()
+    }
+
+    /// Dijkstra from `from` over latency (+1 ns per hop, so zero-latency
+    /// edges still count and fewer hops win ties), settling the
+    /// lowest-indexed node among equals. Stops once `stop_at` is settled.
+    /// Returns the distance and `(parent, edge)` predecessor of every node.
+    fn dijkstra(
+        &self,
+        from: usize,
+        stop_at: Option<usize>,
+    ) -> (Vec<f64>, Vec<Option<(usize, usize)>>) {
         let n = self.adjacency.len();
         let mut dist = vec![f64::INFINITY; n];
         let mut prev: Vec<Option<(usize, usize)>> = vec![None; n];
         let mut visited = vec![false; n];
         dist[from] = 0.0;
 
-        // Simple O(V^2) Dijkstra: platform graphs have at most a few hundred
-        // nodes, so this is never the bottleneck.
         for _ in 0..n {
             let mut u = None;
             let mut best = f64::INFINITY;
@@ -101,7 +118,7 @@ impl Graph {
                 }
             }
             let Some(u) = u else { break };
-            if u == to {
+            if Some(u) == stop_at {
                 break;
             }
             visited[u] = true;
@@ -113,7 +130,17 @@ impl Graph {
                 }
             }
         }
+        (dist, prev)
+    }
 
+    /// Walks the predecessor chain of `to` back to `from`.
+    fn trace_back(
+        &self,
+        from: usize,
+        to: usize,
+        dist: &[f64],
+        prev: &[Option<(usize, usize)>],
+    ) -> Option<Path> {
         if dist[to].is_infinite() {
             return None;
         }
@@ -228,6 +255,27 @@ mod tests {
         assert!(g.is_connected());
         let path = g.shortest_path(leaves[0], leaves[9]).unwrap();
         assert_eq!(path.edges.len(), 2);
+    }
+
+    /// A ring with chords where every edge has the same latency: many
+    /// equal-cost paths, so any drift in tie-breaking between the early-exit
+    /// and the run-to-completion Dijkstra would show.
+    #[test]
+    fn single_source_paths_equal_per_pair_paths_under_ties() {
+        let mut g = Graph::new();
+        let nodes: Vec<_> = (0..9).map(|_| g.add_node()).collect();
+        for i in 0..9 {
+            g.add_edge(nodes[i], nodes[(i + 1) % 9], props(10.0, 1e9));
+            g.add_edge(nodes[i], nodes[(i + 3) % 9], props(10.0, 5e8));
+        }
+        let island = g.add_node();
+        for &from in &nodes {
+            let tree = g.shortest_paths_from(from);
+            for &to in &nodes {
+                assert_eq!(tree[to], g.shortest_path(from, to), "{from}->{to}");
+            }
+            assert_eq!(tree[island], None);
+        }
     }
 
     #[test]
