@@ -1,10 +1,12 @@
 //! Simulation results and derived analyses.
 
 use std::collections::BTreeMap;
+use std::io::{BufWriter, Write};
+use std::path::Path;
 
 use cgsim_des::stats::relative_mae;
 use cgsim_monitor::dashboard::SitePanel;
-use cgsim_monitor::{EventRecord, JobOutcome, MetricsReport, TableStore};
+use cgsim_monitor::{mldataset, EventRecord, JobOutcome, MetricsReport, TableStore};
 use cgsim_workload::JobKind;
 use serde::{Deserialize, Serialize};
 
@@ -109,94 +111,11 @@ impl SimulationResults {
         }
     }
 
-    /// Exports the run into the table store (the paper's SQLite/CSV output
-    /// layer): `events`, `jobs` and `site_summary` tables.
-    pub fn to_table_store(&self) -> TableStore {
-        let mut store = TableStore::new();
-        {
-            let t = store.table(
-                "events",
-                &[
-                    "event_id",
-                    "time_s",
-                    "job_id",
-                    "state",
-                    "site",
-                    "available_cores",
-                    "pending_jobs",
-                    "assigned_jobs",
-                    "finished_jobs",
-                ],
-            );
-            for e in &self.events {
-                t.push_row(vec![
-                    e.event_id.into(),
-                    e.time_s.into(),
-                    e.job_id.0.into(),
-                    e.state.label().into(),
-                    e.site.clone().into(),
-                    e.available_cores.into(),
-                    e.pending_jobs.into(),
-                    e.assigned_jobs.into(),
-                    e.finished_jobs.into(),
-                ]);
-            }
-        }
-        {
-            let t = store.table(
-                "jobs",
-                &[
-                    "job_id",
-                    "kind",
-                    "cores",
-                    "site",
-                    "submit_time",
-                    "queue_time",
-                    "walltime",
-                    "final_state",
-                    "staged_bytes",
-                ],
-            );
-            for o in &self.outcomes {
-                t.push_row(vec![
-                    o.id.0.into(),
-                    o.kind.label().into(),
-                    (o.cores as u64).into(),
-                    o.site.clone().into(),
-                    o.submit_time.into(),
-                    o.queue_time.into(),
-                    o.walltime.into(),
-                    o.final_state.label().into(),
-                    o.staged_bytes.into(),
-                ]);
-            }
-        }
-        {
-            let t = store.table(
-                "site_summary",
-                &[
-                    "site",
-                    "finished_jobs",
-                    "failed_jobs",
-                    "failure_rate",
-                    "mean_queue_time",
-                    "mean_walltime",
-                    "core_seconds",
-                ],
-            );
-            for (name, m) in &self.metrics.per_site {
-                t.push_row(vec![
-                    name.clone().into(),
-                    m.finished_jobs.into(),
-                    m.failed_jobs.into(),
-                    m.failure_rate.into(),
-                    m.queue_time.as_ref().map(|s| s.mean).unwrap_or(0.0).into(),
-                    m.walltime.as_ref().map(|s| s.mean).unwrap_or(0.0).into(),
-                    m.core_seconds.into(),
-                ]);
-            }
-        }
-        store
+    /// The run's output tables (the paper's SQLite/CSV output layer):
+    /// `events`, `jobs` and `site_summary`, as a view that streams rows from
+    /// the records held here — nothing is copied.
+    pub fn to_table_store(&self) -> TableStore<'_> {
+        TableStore::new(&self.events, &self.outcomes, &self.metrics)
     }
 
     /// Serialises the deterministic subset of the results — everything except
@@ -204,22 +123,52 @@ impl SimulationResults {
     /// same scenario must produce byte-identical output here; the CI
     /// determinism gate runs the CLI twice and diffs this file.
     pub fn deterministic_json(&self) -> String {
+        serde_json::to_string_pretty(&self.deterministic()).expect("simulation results serialise")
+    }
+
+    /// [`SimulationResults::deterministic_json`] without whitespace: the
+    /// `results` member of a `cgsim serve` reply.
+    pub fn deterministic_json_compact(&self) -> String {
+        serde_json::to_string(&self.deterministic()).expect("simulation results serialise")
+    }
+
+    fn deterministic(&self) -> impl Serialize + '_ {
         #[derive(Serialize)]
-        struct Deterministic {
-            policy: String,
+        struct Deterministic<'a> {
+            policy: &'a str,
             makespan_s: f64,
             engine_events: u64,
-            grid_counters: cgsim_monitor::GridCounters,
-            metrics: MetricsReport,
+            grid_counters: &'a cgsim_monitor::GridCounters,
+            metrics: &'a MetricsReport,
         }
-        serde_json::to_string_pretty(&Deterministic {
-            policy: self.policy.clone(),
+        Deterministic {
+            policy: &self.policy,
             makespan_s: self.makespan_s,
             engine_events: self.engine_events,
-            grid_counters: self.grid_counters,
-            metrics: self.metrics.clone(),
-        })
-        .expect("simulation results serialise")
+            grid_counters: &self.grid_counters,
+            metrics: &self.metrics,
+        }
+    }
+
+    /// Writes everything `cgsim simulate --output <dir>` leaves behind: the
+    /// CSV tables, `dashboard.html`, `results.json` (the deterministic
+    /// subset — no wall-clock, so two runs diff clean), `windows.csv` when
+    /// windowed metrics were collected, and `ml_dataset.csv`. The per-row
+    /// files are streamed through a buffered writer, never built in memory.
+    pub fn save_output_dir(&self, dir: &Path) -> std::io::Result<()> {
+        self.to_table_store().save_csv_dir(dir)?;
+        std::fs::write(dir.join("dashboard.html"), self.html_dashboard())?;
+        std::fs::write(dir.join("results.json"), self.deterministic_json())?;
+        if !self.windows.is_empty() {
+            std::fs::write(
+                dir.join("windows.csv"),
+                cgsim_monitor::windows_csv(&self.windows),
+            )?;
+        }
+        let examples = mldataset::build_examples(&self.outcomes, &self.events);
+        let mut out = BufWriter::new(std::fs::File::create(dir.join("ml_dataset.csv"))?);
+        mldataset::write_csv(&examples, &mut out)?;
+        out.flush()
     }
 
     /// Renders the final dashboard as ASCII.
@@ -309,7 +258,7 @@ mod tests {
     fn table_store_export_contains_all_tables() {
         let r = results(vec![outcome(1, "A", JobKind::SingleCore, 10.0, 10.0)]);
         let store = r.to_table_store();
-        assert_eq!(store.table_names(), vec!["events", "jobs", "site_summary"]);
+        assert_eq!(store.table_names(), ["events", "jobs", "site_summary"]);
         assert_eq!(store.get("jobs").unwrap().len(), 1);
         assert_eq!(store.get("site_summary").unwrap().len(), 1);
     }

@@ -4,9 +4,11 @@
 //! determinism gates), so the full [`SimulationResults`] of a scenario is a
 //! pure function of its canonical hash — which makes memoisation *exact*: a
 //! cached response is indistinguishable from rerunning the simulation.
-//! The cache stores `Arc<SimulationResults>` so a hit costs one pointer
-//! clone, evicts least-recently-used entries beyond its capacity, and keeps
-//! the [`CacheCounters`] surfaced through `cgsim-monitor`.
+//! The cache stores a [`Response`] — `Arc`-shared results plus the reply body
+//! `cgsim serve` sends for them, encoded once when the run finished — so a
+//! hit costs two pointer clones and no encoding. It evicts
+//! least-recently-used entries beyond its capacity and keeps the
+//! [`CacheCounters`] surfaced through `cgsim-monitor`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -15,12 +17,22 @@ use cgsim_monitor::CacheCounters;
 
 use crate::results::SimulationResults;
 
+/// The memoised answer to one scenario.
+#[derive(Debug, Clone)]
+pub struct Response {
+    /// The simulation results.
+    pub results: Arc<SimulationResults>,
+    /// [`SimulationResults::deterministic_json_compact`] of `results`: the
+    /// `results` member of every serve reply for this scenario.
+    pub body: Arc<str>,
+}
+
 /// An LRU map from canonical scenario hash to the simulation response.
 #[derive(Debug, Default)]
 pub struct ResponseCache {
     capacity: usize,
     /// hash → (recency tick, response).
-    entries: HashMap<u64, (u64, Arc<SimulationResults>)>,
+    entries: HashMap<u64, (u64, Response)>,
     /// recency tick → hash; the smallest tick is the eviction victim. Ticks
     /// are unique (bumped on every touch), so this is a faithful LRU order.
     recency: BTreeMap<u64, u64>,
@@ -40,14 +52,14 @@ impl ResponseCache {
     /// Looks up a scenario. A present entry counts as a hit and is marked
     /// most-recently-used; an absent one counts nothing (the engine decides
     /// whether the lookup becomes a miss or shares another request's run).
-    pub fn lookup(&mut self, hash: u64) -> Option<Arc<SimulationResults>> {
+    pub fn lookup(&mut self, hash: u64) -> Option<Response> {
         let tick = self.next_tick();
-        let (old_tick, results) = self.entries.get_mut(&hash)?;
+        let (old_tick, response) = self.entries.get_mut(&hash)?;
         self.recency.remove(old_tick);
         self.recency.insert(tick, hash);
         *old_tick = tick;
         self.counters.hits += 1;
-        Some(results.clone())
+        Some(response.clone())
     }
 
     /// Records a lookup that will run a fresh simulation.
@@ -63,13 +75,13 @@ impl ResponseCache {
 
     /// Inserts (or refreshes) a response, evicting least-recently-used
     /// entries beyond the capacity.
-    pub fn insert(&mut self, hash: u64, results: Arc<SimulationResults>) {
+    pub fn insert(&mut self, hash: u64, response: Response) {
         let tick = self.next_tick();
         if let Some((old_tick, slot)) = self.entries.get_mut(&hash) {
             self.recency.remove(old_tick);
             self.recency.insert(tick, hash);
             *old_tick = tick;
-            *slot = results;
+            *slot = response;
             return;
         }
         while self.entries.len() >= self.capacity {
@@ -82,7 +94,7 @@ impl ResponseCache {
             self.entries.remove(&victim);
             self.counters.evictions += 1;
         }
-        self.entries.insert(hash, (tick, results));
+        self.entries.insert(hash, (tick, response));
         self.recency.insert(tick, hash);
         self.counters.entries = self.entries.len() as u64;
     }
@@ -116,8 +128,8 @@ mod tests {
     use super::*;
     use cgsim_monitor::MetricsReport;
 
-    fn response(makespan_s: f64) -> Arc<SimulationResults> {
-        Arc::new(SimulationResults {
+    fn response(makespan_s: f64) -> Response {
+        let results = SimulationResults {
             outcomes: Vec::new(),
             events: Vec::new(),
             metrics: MetricsReport::from_outcomes(&[]),
@@ -129,7 +141,11 @@ mod tests {
             policy: "test".into(),
             profile: None,
             windows: Vec::new(),
-        })
+        };
+        Response {
+            body: results.deterministic_json_compact().into(),
+            results: Arc::new(results),
+        }
     }
 
     #[test]
@@ -139,7 +155,8 @@ mod tests {
         cache.record_miss();
         cache.insert(1, response(10.0));
         let hit = cache.lookup(1).expect("cached");
-        assert_eq!(hit.makespan_s, 10.0);
+        assert_eq!(hit.results.makespan_s, 10.0);
+        assert_eq!(*hit.body, *hit.results.deterministic_json_compact());
         let c = cache.counters();
         assert_eq!((c.hits, c.misses, c.evictions, c.entries), (1, 1, 0, 1));
     }
@@ -165,7 +182,7 @@ mod tests {
         cache.insert(1, response(1.0));
         cache.insert(1, response(9.0));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.lookup(1).unwrap().makespan_s, 9.0);
+        assert_eq!(cache.lookup(1).unwrap().results.makespan_s, 9.0);
         assert_eq!(cache.counters().evictions, 0);
     }
 

@@ -15,7 +15,7 @@ use cgsim_obs::{ProfileReport, Profiler, Subsystem, TraceSink};
 use cgsim_policies::PolicyRegistry;
 
 use crate::results::SimulationResults;
-use crate::scenario::cache::ResponseCache;
+use crate::scenario::cache::{Response, ResponseCache};
 use crate::scenario::ScenarioSpec;
 use crate::simulation::{Simulation, SimulationError};
 
@@ -27,6 +27,9 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 pub struct ScenarioOutcome {
     /// The (possibly shared) simulation results.
     pub results: Arc<SimulationResults>,
+    /// The compact deterministic JSON of `results`, encoded once by the run
+    /// that produced them and shared by every later answer.
+    pub body: Arc<str>,
     /// True when the response was served without running a simulation for
     /// this request (cache hit, or a duplicate within the same batch).
     pub cached: bool,
@@ -34,11 +37,23 @@ pub struct ScenarioOutcome {
     pub hash: u64,
 }
 
+impl ScenarioOutcome {
+    fn new(response: Response, cached: bool, hash: u64) -> Self {
+        ScenarioOutcome {
+            results: response.results,
+            body: response.body,
+            cached,
+            hash,
+        }
+    }
+}
+
 /// A shared evaluation engine for scenario batches.
 pub struct ScenarioEngine {
     registry: PolicyRegistry,
     cache: Option<Mutex<ResponseCache>>,
     simulations_run: AtomicU64,
+    bodies_encoded: AtomicU64,
     parallel: bool,
     /// Engine-level self-profiler (`None` unless profiling was requested):
     /// times response-cache probes, the engine's own contribution to a
@@ -67,6 +82,7 @@ impl ScenarioEngine {
             registry,
             cache: Some(Mutex::new(ResponseCache::new(DEFAULT_CACHE_CAPACITY))),
             simulations_run: AtomicU64::new(0),
+            bodies_encoded: AtomicU64::new(0),
             parallel: true,
             profiler: None,
         }
@@ -128,6 +144,12 @@ impl ScenarioEngine {
         self.simulations_run.load(Ordering::Relaxed)
     }
 
+    /// Total reply bodies encoded. One per executed simulation: answers from
+    /// the cache reuse the body their run encoded.
+    pub fn bodies_encoded(&self) -> u64 {
+        self.bodies_encoded.load(Ordering::Relaxed)
+    }
+
     /// Evaluates one scenario (through the cache).
     pub fn evaluate(&self, spec: &ScenarioSpec) -> Result<ScenarioOutcome, SimulationError> {
         self.evaluate_batch(std::slice::from_ref(spec))
@@ -159,12 +181,8 @@ impl ScenarioEngine {
             Some(cache) => {
                 let mut cache = cache.lock().expect("cache mutex poisoned");
                 for (i, &hash) in hashes.iter().enumerate() {
-                    if let Some(results) = cache.lookup(hash) {
-                        slots[i] = Some(Ok(ScenarioOutcome {
-                            results,
-                            cached: true,
-                            hash,
-                        }));
+                    if let Some(response) = cache.lookup(hash) {
+                        slots[i] = Some(Ok(ScenarioOutcome::new(response, true, hash)));
                     } else if let Some(pos) = unique.iter().position(|&j| hashes[j] == hash) {
                         cache.record_shared_hit();
                         followers.push((i, pos));
@@ -184,32 +202,24 @@ impl ScenarioEngine {
         }
 
         let to_run: Vec<&ScenarioSpec> = unique.iter().map(|&i| &specs[i]).collect();
-        let runs: Vec<Result<Arc<SimulationResults>, SimulationError>> =
-            run_self_scheduled(to_run, self.parallel, |spec| {
-                self.run_spec(spec).map(Arc::new)
-            });
+        let runs: Vec<Result<Response, SimulationError>> =
+            run_self_scheduled(to_run, self.parallel, |spec| self.run_spec(spec));
 
         if let Some(cache) = &self.cache {
             let mut cache = cache.lock().expect("cache mutex poisoned");
             for (pos, &i) in unique.iter().enumerate() {
-                if let Ok(results) = &runs[pos] {
-                    cache.insert(hashes[i], results.clone());
+                if let Ok(response) = &runs[pos] {
+                    cache.insert(hashes[i], response.clone());
                 }
             }
         }
         for (pos, &i) in unique.iter().enumerate() {
-            slots[i] = Some(runs[pos].clone().map(|results| ScenarioOutcome {
-                results,
-                cached: false,
-                hash: hashes[i],
-            }));
+            let run = runs[pos].clone();
+            slots[i] = Some(run.map(|r| ScenarioOutcome::new(r, false, hashes[i])));
         }
         for (i, pos) in followers {
-            slots[i] = Some(runs[pos].clone().map(|results| ScenarioOutcome {
-                results,
-                cached: true,
-                hash: hashes[i],
-            }));
+            let run = runs[pos].clone();
+            slots[i] = Some(run.map(|r| ScenarioOutcome::new(r, true, hashes[i])));
         }
         slots
             .into_iter()
@@ -229,24 +239,20 @@ impl ScenarioEngine {
         mask: u32,
     ) -> Result<ScenarioOutcome, SimulationError> {
         let hash = spec.canonical_hash();
-        let results = Arc::new(self.run_spec_with(spec, |b| b.trace_sink(sink, mask))?);
+        let response = self.run_spec_with(spec, |b| b.trace_sink(sink, mask))?;
         if let Some(cache) = &self.cache {
             let mut cache = cache.lock().expect("cache mutex poisoned");
             cache.record_miss();
-            cache.insert(hash, results.clone());
+            cache.insert(hash, response.clone());
         }
-        Ok(ScenarioOutcome {
-            results,
-            cached: false,
-            hash,
-        })
+        Ok(ScenarioOutcome::new(response, false, hash))
     }
 
     /// Runs one scenario unconditionally (no cache involvement), faithfully
     /// reproducing the CLI's `simulate` pipeline: resolve the policy by name,
     /// generate the fault plan from the spec text, build the platform from
     /// the shared spec and run.
-    fn run_spec(&self, spec: &ScenarioSpec) -> Result<SimulationResults, SimulationError> {
+    fn run_spec(&self, spec: &ScenarioSpec) -> Result<Response, SimulationError> {
         self.run_spec_with(spec, |b| b)
     }
 
@@ -258,7 +264,7 @@ impl ScenarioEngine {
         customise: impl FnOnce(
             crate::simulation::SimulationBuilder,
         ) -> crate::simulation::SimulationBuilder,
-    ) -> Result<SimulationResults, SimulationError> {
+    ) -> Result<Response, SimulationError> {
         let policy = self
             .registry
             .create(&spec.execution.allocation_policy, spec.execution.seed)
@@ -276,7 +282,17 @@ impl ScenarioEngine {
         }
         let results = customise(builder).run()?;
         self.simulations_run.fetch_add(1, Ordering::Relaxed);
-        Ok(results)
+        Ok(self.encode(results))
+    }
+
+    /// Wraps fresh results with their reply body — the one place a body is
+    /// encoded, which is what [`ScenarioEngine::bodies_encoded`] counts.
+    fn encode(&self, results: SimulationResults) -> Response {
+        self.bodies_encoded.fetch_add(1, Ordering::Relaxed);
+        Response {
+            body: results.deterministic_json_compact().into(),
+            results: Arc::new(results),
+        }
     }
 }
 

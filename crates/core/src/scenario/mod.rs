@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 use crate::config::{CheckpointConfig, ExecutionConfig, RepairConfig};
 use crate::simulation::SimulationError;
 
-pub use cache::ResponseCache;
+pub use cache::{Response, ResponseCache};
 pub use engine::{ScenarioEngine, ScenarioOutcome, DEFAULT_CACHE_CAPACITY};
 pub use serve::{serve_loop, ServeRequest};
 

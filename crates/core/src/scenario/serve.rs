@@ -32,19 +32,27 @@
 //!
 //! Control commands (single requests only, never inside a batch):
 //! `{"cmd": "stats"}` reports cache counters, the simulation-run counter,
-//! the scenario-requests-served counter and client-observed wall-clock
-//! latency percentiles (per input line, so batch members share a sample);
-//! `{"cmd": "shutdown"}` acknowledges and ends the loop. Latency statistics
-//! are per serve loop (per TCP connection), while cache counters and
-//! `simulations_run` live in the engine and span connections.
+//! the scenario-requests-served counter, client-observed wall-clock
+//! latency percentiles (per input line, so batch members share a sample),
+//! `encodes` (reply bodies encoded — one per simulation run, never per
+//! reply) and `reply_bytes` (bytes written so far);
+//! `{"cmd": "shutdown"}` acknowledges and ends the loop. Latency statistics,
+//! `requests` and `reply_bytes` are per serve loop (per TCP connection),
+//! while cache counters, `simulations_run` and `encodes` live in the engine
+//! and span connections.
 //!
 //! Responses: `{"id": …, "ok": true, "results": {…}}` on success, where
 //! `results` is the deterministic subset (policy, makespan, engine events,
 //! grid counters, metrics) — never wall-clock time — so equal scenarios get
 //! byte-identical response lines whether they were simulated or served from
-//! cache, within one server process or across restarts. Failures reply
+//! cache, within one server process or across restarts. The `results` text
+//! is encoded once, by the run that produced it, and every reply for that
+//! scenario is the envelope written around those bytes. Failures reply
 //! `{"id": …, "ok": false, "error": "…"}` and fail only their own request.
+//! A line nested deeper than the JSON parser's limit (128 levels) is one
+//! such failure (`invalid JSON: …`), not a crash.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
@@ -139,11 +147,13 @@ enum Planned {
     Shutdown,
 }
 
-/// Per-loop service statistics: scenario requests served and client-observed
-/// latency samples (one per request, the wall-clock of its whole input line).
-/// Samples live in a fixed ring so long-lived servers stay bounded.
+/// Per-loop service statistics: scenario requests served, bytes written and
+/// client-observed latency samples (one per request, the wall-clock of its
+/// whole input line). Samples live in a fixed ring so long-lived servers stay
+/// bounded.
 struct ServeStats {
     requests: u64,
+    reply_bytes: u64,
     latencies_ms: Vec<f64>,
 }
 
@@ -153,6 +163,7 @@ impl ServeStats {
     fn new() -> Self {
         ServeStats {
             requests: 0,
+            reply_bytes: 0,
             latencies_ms: Vec::new(),
         }
     }
@@ -204,6 +215,8 @@ pub fn serve_loop<R: BufRead, W: Write>(
     mut output: W,
 ) -> std::io::Result<bool> {
     let mut stats = ServeStats::new();
+    // One reply line at a time is assembled here and written in one call.
+    let mut reply = String::new();
     for line in input.lines() {
         let line = line?;
         let text = line.trim();
@@ -212,10 +225,11 @@ pub fn serve_loop<R: BufRead, W: Write>(
         }
         let (requests, is_batch) = match serde_json::from_str::<Value>(text) {
             Err(e) => {
-                write_line(
-                    &mut output,
+                push_value(
+                    &mut reply,
                     &error_value(&None, &format!("invalid JSON: {e}")),
-                )?;
+                );
+                send(&mut output, &mut stats, &mut reply)?;
                 output.flush()?;
                 continue;
             }
@@ -300,32 +314,31 @@ pub fn serve_loop<R: BufRead, W: Write>(
         }
 
         for (id, save, plan) in planned {
-            let response = match plan {
-                Planned::Error(message) => error_value(&id, &message),
-                Planned::Stats => stats_value(engine, &stats),
+            let answered = match plan {
+                Planned::Error(message) => Err(message),
+                Planned::Stats => {
+                    push_value(&mut reply, &stats_value(engine, &stats));
+                    Ok(())
+                }
                 Planned::Shutdown => {
                     let mut map = Map::new();
                     insert_id(&mut map, &id);
                     map.insert("ok".into(), Value::Bool(true));
                     map.insert("shutdown".into(), Value::Bool(true));
-                    Value::Object(map)
+                    push_value(&mut reply, &Value::Object(map));
+                    Ok(())
                 }
-                Planned::Scenario { index } => match &outcomes[index] {
-                    Err(e) => error_value(&id, &e.to_string()),
-                    Ok(outcome) => match save_results(&save, &outcome.results) {
-                        Err(message) => error_value(&id, &message),
-                        Ok(()) => ok_value(&id, &outcome.results),
-                    },
-                },
-                Planned::Traced { index } => match &traced_outcomes[index] {
-                    Err(message) => error_value(&id, message),
-                    Ok(outcome) => match save_results(&save, &outcome.results) {
-                        Err(message) => error_value(&id, &message),
-                        Ok(()) => ok_value(&id, &outcome.results),
-                    },
-                },
+                Planned::Scenario { index } => {
+                    push_results(&mut reply, &id, &save, &outcomes[index])
+                }
+                Planned::Traced { index } => {
+                    push_results(&mut reply, &id, &save, &traced_outcomes[index])
+                }
             };
-            write_line(&mut output, &response)?;
+            if let Err(message) = answered {
+                push_value(&mut reply, &error_value(&id, &message));
+            }
+            send(&mut output, &mut stats, &mut reply)?;
         }
         output.flush()?;
         if shutdown {
@@ -335,9 +348,67 @@ pub fn serve_loop<R: BufRead, W: Write>(
     Ok(false)
 }
 
-fn write_line<W: Write>(output: &mut W, value: &Value) -> std::io::Result<()> {
-    let text = serde_json::to_string(value).expect("response value serialises");
-    writeln!(output, "{text}")
+/// Terminates the assembled reply line, writes it out and empties `reply`
+/// for the next one.
+fn send<W: Write>(
+    output: &mut W,
+    stats: &mut ServeStats,
+    reply: &mut String,
+) -> std::io::Result<()> {
+    reply.push('\n');
+    stats.reply_bytes += reply.len() as u64;
+    output.write_all(reply.as_bytes())?;
+    reply.clear();
+    Ok(())
+}
+
+/// Appends a reply built as a `Value` tree (errors and control commands).
+fn push_value(reply: &mut String, value: &Value) {
+    reply.push_str(&serde_json::to_string(value).expect("response value serialises"));
+}
+
+/// Appends the reply to a scenario request: `{"id":…,"ok":true,"results":`
+/// around the body its run encoded — nothing is re-encoded here. `Err` (the
+/// run failed, or its `save` did) leaves `reply` untouched.
+fn push_results(
+    reply: &mut String,
+    id: &Option<String>,
+    save: &Option<String>,
+    outcome: &Result<ScenarioOutcome, String>,
+) -> Result<(), String> {
+    let outcome = outcome.as_ref().map_err(String::clone)?;
+    save_results(save, &outcome.results)?;
+    reply.push('{');
+    if let Some(id) = id {
+        reply.push_str("\"id\":");
+        push_json_string(reply, id);
+        reply.push(',');
+    }
+    reply.push_str("\"ok\":true,\"results\":");
+    reply.push_str(&outcome.body);
+    reply.push('}');
+    Ok(())
+}
+
+/// Appends `text` as a JSON string literal, escaped as `serde_json` does.
+fn push_json_string(out: &mut String, text: &str) {
+    out.push('"');
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0c}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 fn insert_id(map: &mut Map, id: &Option<String>) {
@@ -351,16 +422,6 @@ fn error_value(id: &Option<String>, message: &str) -> Value {
     insert_id(&mut map, id);
     map.insert("ok".into(), Value::Bool(false));
     map.insert("error".into(), Value::String(message.to_string()));
-    Value::Object(map)
-}
-
-fn ok_value(id: &Option<String>, results: &SimulationResults) -> Value {
-    let mut map = Map::new();
-    insert_id(&mut map, id);
-    map.insert("ok".into(), Value::Bool(true));
-    let deterministic: Value = serde_json::from_str(&results.deterministic_json())
-        .expect("deterministic results parse back");
-    map.insert("results".into(), deterministic);
     Value::Object(map)
 }
 
@@ -412,20 +473,17 @@ fn evaluate_traced(
 }
 
 fn stats_value(engine: &ScenarioEngine, serve_stats: &ServeStats) -> Value {
+    let count = |n: u64| Value::Number(serde_json::Number::from_u64(n));
     let mut stats = Map::new();
     stats.insert(
         "cache".into(),
         serde_json::to_value(&engine.cache_counters()).expect("counters serialise"),
     );
-    stats.insert(
-        "simulations_run".into(),
-        Value::Number(serde_json::Number::from_u64(engine.simulations_run())),
-    );
-    stats.insert(
-        "requests".into(),
-        Value::Number(serde_json::Number::from_u64(serve_stats.requests)),
-    );
+    stats.insert("simulations_run".into(), count(engine.simulations_run()));
+    stats.insert("requests".into(), count(serve_stats.requests));
     stats.insert("latency_ms".into(), serve_stats.latency_value());
+    stats.insert("encodes".into(), count(engine.bodies_encoded()));
+    stats.insert("reply_bytes".into(), count(serve_stats.reply_bytes));
     let mut map = Map::new();
     map.insert("ok".into(), Value::Bool(true));
     map.insert("stats".into(), Value::Object(stats));
@@ -461,12 +519,28 @@ mod tests {
         )
     }
 
+    /// The reply encoder this module used before bodies were encoded once:
+    /// pretty-print, parse back into a `Value` tree, re-serialise. Kept as
+    /// the reference the direct writer must match byte for byte.
+    fn reference_reply(id: &Option<String>, results: &SimulationResults) -> String {
+        let mut map = Map::new();
+        insert_id(&mut map, id);
+        map.insert("ok".into(), Value::Bool(true));
+        let deterministic: Value = serde_json::from_str(&results.deterministic_json())
+            .expect("deterministic results parse back");
+        map.insert("results".into(), deterministic);
+        serde_json::to_string(&Value::Object(map)).expect("response value serialises")
+    }
+
     fn drive(input: &str) -> (String, bool) {
-        let engine = ScenarioEngine::new();
+        drive_on(&ScenarioEngine::new(), input)
+    }
+
+    fn drive_on(engine: &ScenarioEngine, input: &str) -> (String, bool) {
         let (base, execution) = setup();
         let mut output = Vec::new();
         let shutdown = serve_loop(
-            &engine,
+            engine,
             &base,
             &execution,
             std::io::Cursor::new(input.as_bytes()),
@@ -579,6 +653,122 @@ not json
         assert!(chrome_text.contains("\"cat\":\"fault\""));
         assert!(!chrome_text.contains("\"cat\":\"broker\""), "filtered out");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replies_match_the_value_tree_encoder_byte_for_byte() {
+        // Misses, hits, in-batch duplicates, `save` and traced requests, with
+        // ids that need every kind of JSON escape (and no id at all): each
+        // reply must be exactly what the Value-tree encoder produced.
+        let dir = std::env::temp_dir().join("cgsim-serve-twin-test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let ids: [Option<&str>; 9] = [
+            Some("plain"),
+            Some(""),
+            Some("quote\" back\\slash /"),
+            Some("line\nbreak\r\ttab"),
+            Some("ctl\u{1}\u{8}\u{c}\u{1f}\u{7f}"),
+            Some("unicode é 網 \u{10400}"),
+            None,
+            Some("saved"),
+            Some("traced"),
+        ];
+        let request = |i: usize, extra: &str| match ids[i] {
+            Some(id) => format!("{{\"id\":{}{extra}}}", serde_json::to_string(id).unwrap()),
+            None => format!("{{{}}}", extra.trim_start_matches(',')),
+        };
+        let rr = ",\"policy\":\"round-robin\"";
+        let input = [
+            request(0, ""), // miss
+            request(1, ""), // hit
+            format!("[{},{},{}]", request(2, rr), request(3, rr), request(4, "")),
+            request(5, rr),
+            request(6, rr),
+            request(7, &format!(",\"save\":{:?}", path("results.json"))),
+            request(8, &format!("{rr},\"trace\":{:?}", path("run.jsonl"))),
+        ]
+        .join("\n");
+
+        let engine = ScenarioEngine::new();
+        let (out, _) = drive_on(&engine, &input);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), ids.len());
+
+        let (base, execution) = setup();
+        let results_of = |policy: Option<&str>| {
+            let delta = ScenarioDelta {
+                policy: policy.map(str::to_string),
+                ..ScenarioDelta::default()
+            };
+            ScenarioEngine::new()
+                .evaluate(&delta.resolve(&base, &execution))
+                .unwrap()
+                .results
+        };
+        let (plain, round_robin) = (results_of(None), results_of(Some("round-robin")));
+        let expected = [
+            &plain,
+            &plain,
+            &round_robin,
+            &round_robin,
+            &plain,
+            &round_robin,
+            &round_robin,
+            &plain,
+            &round_robin,
+        ];
+        for ((line, id), results) in lines.iter().zip(ids).zip(expected) {
+            let id = id.map(str::to_string);
+            assert_eq!(*line, reference_reply(&id, results), "id {id:?}");
+        }
+        // 2 simulations + the traced re-run; everything else reused a body.
+        assert_eq!(engine.simulations_run(), 3);
+        assert_eq!(engine.bodies_encoded(), 3);
+        assert_eq!(
+            std::fs::read_to_string(path("results.json")).unwrap(),
+            plain.deterministic_json()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stats_count_one_encode_per_simulation_and_every_reply_byte() {
+        let input = r#"{"id":"a","seed":4}
+{"id":"b","seed":4}
+[{"id":"c","seed":4},{"id":"d","policy":"round-robin"},{"id":"e","policy":"round-robin"}]
+{"id":"bad","policy":"does-not-exist"}
+{"cmd":"stats"}
+"#;
+        let (out, _) = drive(input);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 7);
+        let stats_line = lines[6];
+        assert!(stats_line.starts_with(r#"{"ok":true,"stats":{"cache":"#));
+        let reply: Value = serde_json::from_str(stats_line).unwrap();
+        let stat = |name: &str| reply.get("stats").unwrap().get(name).unwrap().as_u64();
+        assert_eq!(stat("requests"), Some(6));
+        assert_eq!(stat("simulations_run"), Some(2));
+        assert_eq!(stat("encodes"), Some(2), "hits and duplicates reuse a body");
+        let written: usize = lines[..6].iter().map(|l| l.len() + 1).sum();
+        assert_eq!(stat("reply_bytes"), Some(written as u64));
+    }
+
+    #[test]
+    fn a_200k_deep_line_is_refused_and_the_loop_keeps_serving() {
+        // Regression: this line used to overflow the parser's stack, which
+        // aborts the process past any panic isolation.
+        let input = format!("{}\n{{\"id\":\"after\"}}\n", "[".repeat(200_000));
+        let (out, _) = drive(&input);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert!(
+            lines[0].starts_with(r#"{"ok":false,"error":"invalid JSON: nesting deeper than 128"#),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[1].starts_with(r#"{"id":"after","ok":true,"results":{"#));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   event-level dataset,
 //! * [`metrics`] — queue time, walltime, CPU efficiency, throughput and
 //!   failure-rate summaries (the operational metrics listed in §1),
-//! * [`store`] — a lightweight named-table store with CSV/JSONL export (the
-//!   SQLite substitution; see DESIGN.md),
+//! * [`store`] — the run's output tables as a borrowed view that streams
+//!   CSV (the SQLite substitution),
 //! * [`dashboard`] — ASCII and self-contained HTML/SVG renderings of the
 //!   per-site node-pressure view of Fig. 5,
 //! * [`mldataset`] — flattened, ML-ready feature rows generated from the
@@ -42,5 +42,5 @@ pub use collector::{
 };
 pub use event::{EventRecord, JobOutcome};
 pub use metrics::{MetricsReport, SiteMetrics};
-pub use store::{TableStore, Value};
+pub use store::{Table, TableStore};
 pub use window::{windows_csv, WindowSnapshot, WindowedAggregator};

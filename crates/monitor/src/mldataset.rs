@@ -76,13 +76,13 @@ pub fn build_examples(outcomes: &[JobOutcome], events: &[EventRecord]) -> Vec<Ml
 /// CSV header for [`to_csv`].
 pub const CSV_HEADER: &str = "job_id,is_multicore,cores,work_hs23,staged_bytes,site_available_cores_at_assign,site_queue_at_assign,submit_time,target_queue_time,target_walltime";
 
-/// Renders examples as CSV (header + one row per example).
-pub fn to_csv(examples: &[MlExample]) -> String {
-    let mut out = String::from(CSV_HEADER);
-    out.push('\n');
+/// Streams examples as CSV (header + one row per example) into `out`.
+pub fn write_csv<W: std::io::Write>(examples: &[MlExample], out: &mut W) -> std::io::Result<()> {
+    writeln!(out, "{CSV_HEADER}")?;
     for e in examples {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{}\n",
+        writeln!(
+            out,
+            "{},{},{},{},{},{},{},{},{},{}",
             e.job_id,
             e.is_multicore,
             e.cores,
@@ -93,9 +93,17 @@ pub fn to_csv(examples: &[MlExample]) -> String {
             e.submit_time,
             e.target_queue_time,
             e.target_walltime
-        ));
+        )?;
     }
-    out
+    Ok(())
+}
+
+/// Renders examples as one CSV string (see [`write_csv`]).
+pub fn to_csv(examples: &[MlExample]) -> String {
+    // ~80 bytes per row is what a run's examples average.
+    let mut out = Vec::with_capacity(CSV_HEADER.len() + 1 + 96 * examples.len());
+    write_csv(examples, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("CSV built from number formatting is UTF-8")
 }
 
 #[cfg(test)]

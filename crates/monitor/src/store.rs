@@ -1,272 +1,332 @@
-//! Lightweight named-table store (the SQLite substitution).
+//! The run's output tables (the SQLite substitution), as a borrowed view.
 //!
 //! CGSim stores run results in SQLite databases and exports CSV for
-//! statistical analysis. To keep CGSim-RS dependency-free we substitute an
-//! in-memory named-table store with the same role: typed columns, appendable
-//! rows, simple filtering, and CSV / JSON-lines persistence. DESIGN.md
-//! records the substitution.
+//! statistical analysis. CGSim-RS keeps the three tables of that database —
+//! `events`, `jobs` and `site_summary` — but never materialises them:
+//! [`TableStore`] borrows the records a run already holds and each
+//! [`Table`] streams its rows as CSV straight into a writer, so exporting a
+//! dataset costs no per-row allocation and no second copy of the data.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::fmt;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
+use crate::event::{EventRecord, JobOutcome};
+use crate::metrics::{MetricsReport, SiteMetrics};
 
-/// A single cell value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Value {
-    /// Integer cell.
-    Int(i64),
-    /// Floating-point cell.
-    Float(f64),
-    /// Text cell.
-    Text(String),
+/// A text cell: quoted (inner quotes doubled) when it contains a comma, a
+/// quote or a line break (RFC 4180), verbatim otherwise.
+struct Text<'a>(&'a str);
+
+impl fmt::Display for Text<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if !self.0.contains([',', '"', '\n', '\r']) {
+            return f.write_str(self.0);
+        }
+        f.write_str("\"")?;
+        let mut parts = self.0.split('"');
+        f.write_str(parts.next().unwrap_or(""))?;
+        for part in parts {
+            f.write_str("\"\"")?;
+            f.write_str(part)?;
+        }
+        f.write_str("\"")
+    }
 }
 
-impl Value {
-    /// Renders the value for CSV output.
-    pub fn to_csv_field(&self) -> String {
+/// An unsigned counter as the tables have always printed it: through a
+/// signed 64-bit cell, so values above `i64::MAX` (never produced by a run)
+/// keep the bytes they had.
+fn int(v: u64) -> i64 {
+    v as i64
+}
+
+/// One table of the store: a CSV header plus one row per borrowed record.
+#[derive(Debug, Clone, Copy)]
+pub enum Table<'a> {
+    /// The event-level dataset (paper Table 1).
+    Events(&'a [EventRecord]),
+    /// One row per job outcome.
+    Jobs(&'a [JobOutcome]),
+    /// One row per site, in site-name order.
+    SiteSummary(&'a BTreeMap<String, SiteMetrics>),
+}
+
+impl Table<'_> {
+    /// The table's name (its CSV file is `<name>.csv`).
+    pub fn name(&self) -> &'static str {
         match self {
-            Value::Int(v) => v.to_string(),
-            Value::Float(v) => format!("{v}"),
-            Value::Text(v) => {
-                if v.contains(',') || v.contains('"') {
-                    format!("\"{}\"", v.replace('"', "\"\""))
-                } else {
-                    v.clone()
-                }
+            Table::Events(_) => "events",
+            Table::Jobs(_) => "jobs",
+            Table::SiteSummary(_) => "site_summary",
+        }
+    }
+
+    /// The CSV header line (without the line break).
+    fn header(&self) -> &'static str {
+        match self {
+            Table::Events(_) => {
+                "event_id,time_s,job_id,state,site,available_cores,pending_jobs,\
+                 assigned_jobs,finished_jobs"
+            }
+            Table::Jobs(_) => {
+                "job_id,kind,cores,site,submit_time,queue_time,walltime,final_state,staged_bytes"
+            }
+            Table::SiteSummary(_) => {
+                "site,finished_jobs,failed_jobs,failure_rate,mean_queue_time,mean_walltime,\
+                 core_seconds"
             }
         }
     }
 
-    /// The float content, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(v) => Some(*v as f64),
-            Value::Float(v) => Some(*v),
-            Value::Text(_) => None,
-        }
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::Int(v)
-    }
-}
-impl From<u64> for Value {
-    fn from(v: u64) -> Self {
-        Value::Int(v as i64)
-    }
-}
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Float(v)
-    }
-}
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Text(v.to_string())
-    }
-}
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Text(v)
-    }
-}
-
-/// One table: a header plus rows.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Table {
-    /// Column names.
-    pub columns: Vec<String>,
-    /// Rows; every row has `columns.len()` cells.
-    pub rows: Vec<Vec<Value>>,
-}
-
-impl Table {
-    /// Creates an empty table with the given columns.
-    pub fn new(columns: &[&str]) -> Self {
-        Table {
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row.
-    ///
-    /// # Panics
-    /// Panics if the row length does not match the column count.
-    pub fn push_row(&mut self, row: Vec<Value>) {
-        assert_eq!(
-            row.len(),
-            self.columns.len(),
-            "row width does not match table schema"
-        );
-        self.rows.push(row);
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        match self {
+            Table::Events(events) => events.len(),
+            Table::Jobs(outcomes) => outcomes.len(),
+            Table::SiteSummary(per_site) => per_site.len(),
+        }
     }
 
     /// True when the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
-    /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
-    }
-
-    /// Values of a numeric column as f64 (non-numeric cells are skipped).
-    pub fn numeric_column(&self, name: &str) -> Vec<f64> {
-        let Some(idx) = self.column_index(name) else {
-            return Vec::new();
-        };
-        self.rows.iter().filter_map(|r| r[idx].as_f64()).collect()
-    }
-
-    /// Rows for which `predicate` returns true for the value in `column`.
-    pub fn filter_rows<'a>(
-        &'a self,
-        column: &str,
-        predicate: impl Fn(&Value) -> bool + 'a,
-    ) -> Vec<&'a Vec<Value>> {
-        let Some(idx) = self.column_index(column) else {
-            return Vec::new();
-        };
-        self.rows.iter().filter(|r| predicate(&r[idx])).collect()
-    }
-
-    /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = self.columns.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            let fields: Vec<String> = row.iter().map(Value::to_csv_field).collect();
-            out.push_str(&fields.join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// A named collection of tables (one simulation run's output database).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TableStore {
-    tables: BTreeMap<String, Table>,
-}
-
-impl TableStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates (or returns the existing) table `name` with the given schema.
-    pub fn table(&mut self, name: &str, columns: &[&str]) -> &mut Table {
-        self.tables
-            .entry(name.to_string())
-            .or_insert_with(|| Table::new(columns))
-    }
-
-    /// Gets a table by name.
-    pub fn get(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
-    }
-
-    /// Names of all tables, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
-    }
-
-    /// Writes every table as `<dir>/<name>.csv`.
-    pub fn save_csv_dir(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        for (name, table) in &self.tables {
-            let mut file = std::fs::File::create(dir.join(format!("{name}.csv")))?;
-            file.write_all(table.to_csv().as_bytes())?;
+    /// Streams the table as CSV (header + one line per row) into `out`.
+    pub fn write_csv<W: Write>(&self, out: &mut W) -> io::Result<()> {
+        writeln!(out, "{}", self.header())?;
+        match self {
+            Table::Events(events) => {
+                for e in *events {
+                    writeln!(
+                        out,
+                        "{},{},{},{},{},{},{},{},{}",
+                        int(e.event_id),
+                        e.time_s,
+                        int(e.job_id.0),
+                        e.state.label(),
+                        Text(&e.site),
+                        int(e.available_cores),
+                        int(e.pending_jobs),
+                        int(e.assigned_jobs),
+                        int(e.finished_jobs),
+                    )?;
+                }
+            }
+            Table::Jobs(outcomes) => {
+                for o in *outcomes {
+                    writeln!(
+                        out,
+                        "{},{},{},{},{},{},{},{},{}",
+                        int(o.id.0),
+                        o.kind.label(),
+                        o.cores,
+                        Text(&o.site),
+                        o.submit_time,
+                        o.queue_time,
+                        o.walltime,
+                        o.final_state.label(),
+                        int(o.staged_bytes),
+                    )?;
+                }
+            }
+            Table::SiteSummary(per_site) => {
+                for (name, m) in *per_site {
+                    writeln!(
+                        out,
+                        "{},{},{},{},{},{},{}",
+                        Text(name),
+                        int(m.finished_jobs),
+                        int(m.failed_jobs),
+                        m.failure_rate,
+                        m.queue_time.as_ref().map_or(0.0, |s| s.mean),
+                        m.walltime.as_ref().map_or(0.0, |s| s.mean),
+                        m.core_seconds,
+                    )?;
+                }
+            }
         }
         Ok(())
     }
 
-    /// Serialises the whole store as pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("store serialisation cannot fail")
+    /// Renders the table as one CSV string.
+    pub fn to_csv(&self) -> String {
+        // Event rows average ~65 bytes and job rows ~90; reserving past the
+        // end costs nothing, growing a file-sized buffer copies all of it.
+        let mut out = Vec::with_capacity(128 + 96 * self.len());
+        self.write_csv(&mut out)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("CSV built from str and number formatting is UTF-8")
+    }
+}
+
+/// One simulation run's output database: a view over the run's event
+/// records, job outcomes and per-site metrics.
+#[derive(Debug, Clone, Copy)]
+pub struct TableStore<'a> {
+    tables: [Table<'a>; 3],
+}
+
+impl<'a> TableStore<'a> {
+    /// A store over the given records (nothing is copied).
+    pub fn new(
+        events: &'a [EventRecord],
+        outcomes: &'a [JobOutcome],
+        metrics: &'a MetricsReport,
+    ) -> Self {
+        TableStore {
+            tables: [
+                Table::Events(events),
+                Table::Jobs(outcomes),
+                Table::SiteSummary(&metrics.per_site),
+            ],
+        }
+    }
+
+    /// Gets a table by name.
+    pub fn get(&self, name: &str) -> Option<Table<'a>> {
+        self.tables.iter().copied().find(|t| t.name() == name)
+    }
+
+    /// Names of all tables, sorted.
+    pub fn table_names(&self) -> [&'static str; 3] {
+        self.tables.map(|t| t.name())
+    }
+
+    /// Writes every table as `<dir>/<name>.csv`, streaming rows through one
+    /// buffered writer per file.
+    pub fn save_csv_dir(&self, dir: impl AsRef<Path>) -> io::Result<()> {
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        for table in &self.tables {
+            let file = std::fs::File::create(dir.join(format!("{}.csv", table.name())))?;
+            let mut out = BufWriter::with_capacity(1 << 16, file);
+            table.write_csv(&mut out)?;
+            out.flush()?;
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgsim_workload::{JobId, JobKind, JobState};
 
-    fn sample_table() -> Table {
-        let mut t = Table::new(&["site", "jobs", "mean_walltime"]);
-        t.push_row(vec!["CERN".into(), 120u64.into(), 3600.5.into()]);
-        t.push_row(vec!["BNL".into(), 80u64.into(), 2800.0.into()]);
-        t
+    fn event(id: u64, site: &str) -> EventRecord {
+        EventRecord {
+            event_id: id,
+            time_s: 110.5,
+            job_id: JobId(7),
+            state: JobState::Assigned,
+            site: site.into(),
+            available_cores: 420,
+            pending_jobs: 7,
+            assigned_jobs: 1,
+            finished_jobs: 0,
+        }
+    }
+
+    fn outcome(id: u64, site: &str) -> JobOutcome {
+        JobOutcome {
+            id: JobId(id),
+            kind: JobKind::MultiCore,
+            cores: 8,
+            work_hs23: 68_000.0,
+            site: site.into(),
+            submit_time: 100.0,
+            assign_time: 110.0,
+            start_time: 150.0,
+            end_time: 1000.0,
+            final_state: JobState::Finished,
+            staged_bytes: 5_000,
+            walltime: 850.0,
+            queue_time: 50.0,
+            hist_walltime: None,
+            hist_queue_time: None,
+        }
     }
 
     #[test]
-    fn rows_and_columns_are_tracked() {
-        let t = sample_table();
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-        assert_eq!(t.column_index("jobs"), Some(1));
-        assert_eq!(t.column_index("nope"), None);
-        assert_eq!(t.numeric_column("mean_walltime"), vec![3600.5, 2800.0]);
-        assert!(t.numeric_column("site").is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_row_width_panics() {
-        let mut t = Table::new(&["a", "b"]);
-        t.push_row(vec![1i64.into()]);
-    }
-
-    #[test]
-    fn filter_rows_by_predicate() {
-        let t = sample_table();
-        let big = t.filter_rows("jobs", |v| v.as_f64().unwrap_or(0.0) > 100.0);
-        assert_eq!(big.len(), 1);
-        assert_eq!(big[0][0], Value::Text("CERN".into()));
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new(&["name"]);
-        t.push_row(vec!["a,b".into()]);
-        t.push_row(vec!["say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn store_creates_and_persists_tables() {
-        let mut store = TableStore::new();
-        store
-            .table("site_summary", &["site", "jobs", "mean_walltime"])
-            .push_row(vec!["CERN".into(), 1u64.into(), 10.0.into()]);
-        store
-            .table("events", &["event_id", "state"])
-            .push_row(vec![1u64.into(), "finished".into()]);
-        assert_eq!(store.table_names(), vec!["events", "site_summary"]);
-        assert_eq!(store.get("events").unwrap().len(), 1);
+    fn tables_are_named_sized_and_rendered() {
+        let events = [event(1, "CERN"), event(2, "")];
+        let outcomes = [outcome(7, "CERN")];
+        let metrics = MetricsReport::from_outcomes(&outcomes);
+        let store = TableStore::new(&events, &outcomes, &metrics);
+        assert_eq!(store.table_names(), ["events", "jobs", "site_summary"]);
         assert!(store.get("missing").is_none());
+        let table = store.get("events").unwrap();
+        assert_eq!((table.len(), table.is_empty()), (2, false));
+        assert_eq!(
+            table.to_csv(),
+            "event_id,time_s,job_id,state,site,available_cores,pending_jobs,assigned_jobs,\
+             finished_jobs\n\
+             1,110.5,7,assigned,CERN,420,7,1,0\n\
+             2,110.5,7,assigned,,420,7,1,0\n"
+        );
+        assert_eq!(
+            store.get("jobs").unwrap().to_csv(),
+            "job_id,kind,cores,site,submit_time,queue_time,walltime,final_state,staged_bytes\n\
+             7,multi,8,CERN,100,50,850,finished,5000\n"
+        );
+        let summary = store.get("site_summary").unwrap().to_csv();
+        assert!(summary.ends_with("\nCERN,1,0,0,50,850,6800\n"), "{summary}");
+    }
 
+    #[test]
+    fn text_is_quoted_on_commas_quotes_and_line_breaks_only() {
+        for (raw, cell) in [
+            ("CERN", "CERN"),
+            ("", ""),
+            ("a b;c'd", "a b;c'd"),
+            ("a,b", "\"a,b\""),
+            ("say \"hi\"", "\"say \"\"hi\"\"\""),
+            ("\"", "\"\"\"\""),
+            ("two\nlines", "\"two\nlines\""),
+            ("cr\rlf\r\n", "\"cr\rlf\r\n\""),
+        ] {
+            assert_eq!(Text(raw).to_string(), cell, "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn a_site_name_with_a_line_break_stays_one_record() {
+        // Regression: the name used to be written bare, splitting the row.
+        let name = "T2\nrogue,\"site\"";
+        let events = [event(1, name)];
+        let outcomes = [outcome(7, name)];
+        let metrics = MetricsReport::from_outcomes(&outcomes);
+        let store = TableStore::new(&events, &outcomes, &metrics);
+        for table in store.table_names() {
+            let csv = store.get(table).unwrap().to_csv();
+            assert!(csv.contains("\"T2\nrogue,\"\"site\"\"\""), "{table}: {csv}");
+            // Header + one record: outside quotes there are two line ends.
+            let mut quoted = false;
+            let records = csv
+                .chars()
+                .filter(|&c| {
+                    quoted ^= c == '"';
+                    c == '\n' && !quoted
+                })
+                .count();
+            assert_eq!(records, 2, "{table}: {csv}");
+        }
+    }
+
+    #[test]
+    fn save_csv_dir_writes_what_to_csv_renders() {
+        let events = [event(1, "CERN"), event(2, "BNL")];
+        let outcomes = [outcome(7, "CERN"), outcome(8, "BNL")];
+        let metrics = MetricsReport::from_outcomes(&outcomes);
+        let store = TableStore::new(&events, &outcomes, &metrics);
         let dir = std::env::temp_dir().join("cgsim-store-test");
         store.save_csv_dir(&dir).unwrap();
-        let text = std::fs::read_to_string(dir.join("site_summary.csv")).unwrap();
-        assert!(text.starts_with("site,jobs,mean_walltime"));
+        for name in store.table_names() {
+            let text = std::fs::read_to_string(dir.join(format!("{name}.csv"))).unwrap();
+            assert_eq!(text, store.get(name).unwrap().to_csv());
+        }
         std::fs::remove_dir_all(dir).ok();
-
-        let json = store.to_json();
-        assert!(json.contains("site_summary"));
     }
 }

@@ -12,7 +12,9 @@
 //! * field attributes `#[serde(default)]` and `#[serde(default = "path")]`,
 //! * missing `Option<T>` fields deserialize as `None`.
 //!
-//! Generic types are intentionally unsupported (the repo has none).
+//! Lifetime parameters are supported on `Serialize` only (a struct of
+//! borrows, serialised without cloning what it points at); type parameters
+//! are intentionally unsupported (the repo has none).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -36,6 +38,8 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 
 struct Input {
     name: String,
+    /// `<'a, 'b>` when the type has lifetime parameters, empty otherwise.
+    lifetimes: String,
     transparent: bool,
     kind: Kind,
 }
@@ -88,24 +92,25 @@ fn parse_input(input: TokenStream) -> Input {
 
     let keyword = expect_ident(&tokens, &mut pos);
     let name = expect_ident(&tokens, &mut pos);
-    if matches!(peek_punct(&tokens, pos), Some('<')) {
-        panic!("serde shim derive does not support generic type `{name}`");
-    }
+    let lifetimes = parse_lifetimes(&tokens, &mut pos, &name);
 
     match keyword.as_str() {
         "struct" => match tokens.get(pos) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Input {
                 name,
+                lifetimes,
                 transparent: attrs.transparent,
                 kind: Kind::NamedStruct(parse_named_fields(g.stream())),
             },
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => Input {
                 name,
+                lifetimes,
                 transparent: attrs.transparent,
                 kind: Kind::TupleStruct(parse_tuple_fields(g.stream())),
             },
             _ => Input {
                 name,
+                lifetimes,
                 transparent: attrs.transparent,
                 kind: Kind::NamedStruct(Vec::new()),
             },
@@ -117,11 +122,37 @@ fn parse_input(input: TokenStream) -> Input {
             };
             Input {
                 name,
+                lifetimes,
                 transparent: attrs.transparent,
                 kind: Kind::Enum(parse_variants(body)),
             }
         }
         other => panic!("serde shim derive supports struct/enum, found `{other}`"),
+    }
+}
+
+/// Consumes a `<'a, 'b>` parameter list, returning its text (empty when the
+/// type has none). Anything but plain lifetimes is rejected.
+fn parse_lifetimes(tokens: &[TokenTree], pos: &mut usize, name: &str) -> String {
+    if !matches!(peek_punct(tokens, *pos), Some('<')) {
+        return String::new();
+    }
+    let mut text = String::new();
+    loop {
+        let token = tokens
+            .get(*pos)
+            .unwrap_or_else(|| panic!("unterminated parameter list on `{name}`"));
+        *pos += 1;
+        match token {
+            TokenTree::Punct(p) if p.as_char() == '>' => return text + ">",
+            TokenTree::Punct(p) if matches!(p.as_char(), '<' | ',' | '\'') => {
+                text.push(p.as_char());
+            }
+            TokenTree::Ident(lifetime) if text.ends_with('\'') => {
+                text.push_str(&lifetime.to_string());
+            }
+            _ => panic!("serde shim derive supports only lifetime parameters on `{name}`"),
+        }
     }
 }
 
@@ -322,6 +353,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 
 fn gen_serialize(item: &Input) -> String {
     let name = &item.name;
+    let lifetimes = &item.lifetimes;
     let body = match &item.kind {
         Kind::NamedStruct(fields) => {
             let mut out = String::from("let mut map = ::serde::Map::new();\n");
@@ -401,7 +433,7 @@ fn gen_serialize(item: &Input) -> String {
         }
     };
     format!(
-        "impl ::serde::Serialize for {name} {{\n\
+        "impl{lifetimes} ::serde::Serialize for {name}{lifetimes} {{\n\
          fn serialize_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
          }}\n"
     )
@@ -434,6 +466,10 @@ fn named_fields_ctor(ctor: &str, fields: &[Field], obj: &str, context: &str) -> 
 
 fn gen_deserialize(item: &Input) -> String {
     let name = &item.name;
+    assert!(
+        item.lifetimes.is_empty(),
+        "serde shim derive cannot deserialize borrowed type `{name}`"
+    );
     let body = match &item.kind {
         Kind::NamedStruct(fields) => {
             let ctor = named_fields_ctor(name, fields, "obj", name);

@@ -68,6 +68,22 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_limited_to_128_levels() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(128)).is_ok());
+        let err = from_str::<Value>(&nested(129)).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        // Mixed containers count together, siblings do not add up.
+        let mixed = format!("{}1{}", "[{\"k\":".repeat(65), "}]".repeat(65));
+        assert!(from_str::<Value>(&mixed).is_err());
+        let wide = format!("[{}]", vec![nested(100); 50].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
+        // Far past any stack: an error, not an overflow.
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
+        assert!(from_str::<Value>(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
     fn floats_keep_a_decimal_point() {
         assert_eq!(to_string(&1.0f64).unwrap(), "1.0");
         assert_eq!(to_string(&1.5f64).unwrap(), "1.5");

@@ -110,11 +110,17 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts (serde_json's limit).
+/// The parser recurses once per level, so unbounded input nesting would
+/// overflow the stack — an abort no caller can catch.
+const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`].
 pub fn parse(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.parse_value()?;
@@ -131,6 +137,8 @@ pub fn parse(text: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -186,8 +194,8 @@ impl<'a> Parser<'a> {
                 Ok(Value::Bool(false))
             }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             Some(b) => Err(Error::custom(format!(
                 "unexpected character '{}' at offset {}",
@@ -195,6 +203,20 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error::custom("unexpected end of input")),
         }
+    }
+
+    /// Parses one container a level deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {

@@ -635,30 +635,7 @@ fn report(results: &SimulationResults, options: &HashMap<String, String>) -> Res
     println!("\n{}", results.ascii_dashboard());
     if let Some(output) = options.get("output") {
         let dir = PathBuf::from(output);
-        results
-            .to_table_store()
-            .save_csv_dir(&dir)
-            .map_err(|e| e.to_string())?;
-        std::fs::write(dir.join("dashboard.html"), results.html_dashboard())
-            .map_err(|e| e.to_string())?;
-        // Deterministic result summary (no wall-clock): the CI determinism
-        // gate runs the same scenario twice and diffs this file.
-        std::fs::write(dir.join("results.json"), results.deterministic_json())
-            .map_err(|e| e.to_string())?;
-        if !results.windows.is_empty() {
-            std::fs::write(
-                dir.join("windows.csv"),
-                cgsim::monitor::windows_csv(&results.windows),
-            )
-            .map_err(|e| e.to_string())?;
-        }
-        let examples =
-            cgsim::monitor::mldataset::build_examples(&results.outcomes, &results.events);
-        std::fs::write(
-            dir.join("ml_dataset.csv"),
-            cgsim::monitor::mldataset::to_csv(&examples),
-        )
-        .map_err(|e| e.to_string())?;
+        results.save_output_dir(&dir).map_err(|e| e.to_string())?;
         println!("output written to {}", dir.display());
     }
     Ok(())
