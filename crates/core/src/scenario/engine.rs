@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cgsim_monitor::CacheCounters;
-use cgsim_obs::{ProfileReport, Profiler, Subsystem, TraceSink};
+use cgsim_obs::TraceSink;
 use cgsim_policies::PolicyRegistry;
 
 use crate::results::SimulationResults;
@@ -55,10 +55,6 @@ pub struct ScenarioEngine {
     simulations_run: AtomicU64,
     bodies_encoded: AtomicU64,
     parallel: bool,
-    /// Engine-level self-profiler (`None` unless profiling was requested):
-    /// times response-cache probes, the engine's own contribution to a
-    /// request's latency.
-    profiler: Option<Mutex<Profiler>>,
 }
 
 impl Default for ScenarioEngine {
@@ -84,7 +80,6 @@ impl ScenarioEngine {
             simulations_run: AtomicU64::new(0),
             bodies_encoded: AtomicU64::new(0),
             parallel: true,
-            profiler: None,
         }
     }
 
@@ -107,23 +102,6 @@ impl ScenarioEngine {
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
         self
-    }
-
-    /// Enables engine-level self-profiling (cache-lookup timing). Read the
-    /// accumulated report with [`ScenarioEngine::profile_report`].
-    pub fn profiling(mut self, enabled: bool) -> Self {
-        self.profiler = enabled.then(|| Mutex::new(Profiler::new(true)));
-        self
-    }
-
-    /// The accumulated engine self-profile (`None` unless
-    /// [`ScenarioEngine::profiling`] enabled it).
-    pub fn profile_report(&self) -> Option<ProfileReport> {
-        self.profiler.as_ref().map(|p| {
-            p.lock()
-                .expect("profiler mutex poisoned")
-                .report("scenario-engine")
-        })
     }
 
     /// The policy registry the engine resolves names through.
@@ -168,7 +146,6 @@ impl ScenarioEngine {
         &self,
         specs: &[ScenarioSpec],
     ) -> Vec<Result<ScenarioOutcome, SimulationError>> {
-        let probe_started = self.profiler.as_ref().map(|_| std::time::Instant::now());
         let hashes: Vec<u64> = specs.iter().map(ScenarioSpec::canonical_hash).collect();
         let mut slots: Vec<Option<Result<ScenarioOutcome, SimulationError>>> =
             (0..specs.len()).map(|_| None).collect();
@@ -194,11 +171,6 @@ impl ScenarioEngine {
             }
             // Without a cache nothing is deduplicated: every request runs.
             None => unique = (0..specs.len()).collect(),
-        }
-        if let Some(p) = &self.profiler {
-            p.lock()
-                .expect("profiler mutex poisoned")
-                .stop(Subsystem::CacheLookup, probe_started);
         }
 
         let to_run: Vec<&ScenarioSpec> = unique.iter().map(|&i| &specs[i]).collect();

@@ -8,9 +8,11 @@ use super::GridModel;
 /// Discrete events of the grid simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub(super) enum GridEvent {
-    /// A job (by index into the trace) reaches its submission time.
+    /// A job (by index into the trace) reaches its submission time
+    /// (preloaded into the engine's sorted lane; never on the heap).
     Submit(usize),
-    /// The fluid network/CPU model predicts its next activity completion.
+    /// The fluid network/CPU model predicts its next activity completion
+    /// (the engine's timer slot; never on the heap).
     FluidAdvance,
     /// A dedicated-core execution segment finishes (job index). Without
     /// checkpointing one segment is the whole execution; with it, segments
@@ -40,7 +42,6 @@ impl EventHandler<GridEvent> for GridModel {
                 self.dispatch(idx, ctx);
             }
             GridEvent::FluidAdvance => {
-                self.fluid_event = None;
                 let now = ctx.now();
                 let completed = self.advance_fluid(now);
                 self.handle_completed_activities(completed, ctx);

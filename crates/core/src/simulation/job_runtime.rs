@@ -60,6 +60,9 @@ impl Phase {
     }
 }
 
+/// `JobRuntime::dataset` before the job's input dataset has been resolved.
+pub(super) const NO_DATASET: u32 = u32::MAX;
+
 /// Mutable per-job simulation state.
 #[derive(Debug, Clone)]
 pub(super) struct JobRuntime {
@@ -75,6 +78,9 @@ pub(super) struct JobRuntime {
     pub(super) start_time: f64,
     pub(super) end_time: f64,
     pub(super) staged_bytes: u64,
+    /// Index of the task's input dataset in the catalog, resolved at the
+    /// job's first `task_dataset` call (`NO_DATASET` until then).
+    pub(super) dataset: u32,
     /// Pending engine timer (pilot start or dedicated-core completion), kept
     /// so fault injection can cancel the in-flight event when it kills the
     /// job.
@@ -156,6 +162,7 @@ impl JobRuntime {
             start_time: 0.0,
             end_time: 0.0,
             staged_bytes: 0,
+            dataset: NO_DATASET,
             timer: None,
             activity: None,
             holds_cores: false,

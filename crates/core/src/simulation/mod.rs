@@ -118,7 +118,6 @@ struct GridModel {
     cpu_resources: Vec<ResourceId>,
     activity_map: ActivityMap<(usize, Phase)>,
     last_fluid_sync: SimTime,
-    fluid_event: Option<EventKey>,
     /// Reused buffer for `FluidModel::advance_into` (no allocation on the
     /// per-event fluid sync).
     fluid_done_scratch: Vec<ActivityId>,
@@ -233,7 +232,6 @@ impl GridModel {
             cpu_resources,
             activity_map: ActivityMap::new(),
             last_fluid_sync: SimTime::ZERO,
-            fluid_event: None,
             fluid_done_scratch: Vec::new(),
             route_scratch: Vec::new(),
             catalog: ReplicaCatalog::new(),
@@ -520,12 +518,14 @@ impl Simulation {
             Workload::Materialised(trace) => trace.jobs.iter().map(JobRuntime::new).collect(),
             Workload::Stream(stream) => stream.map(JobRuntime::from_record).collect(),
         };
-        for (idx, job) in jobs.iter().enumerate() {
-            engine.schedule_at(
+        // Submissions are known up front: they go through the engine's
+        // sorted lane, never the heap (ties keep job-index order).
+        engine.preload(jobs.iter().enumerate().map(|(idx, job)| {
+            (
                 SimTime::from_secs(job.record.submit_time),
                 GridEvent::Submit(idx),
-            );
-        }
+            )
+        }));
 
         // Kick off the fault chain: only the first plan event is scheduled
         // up front; each fault schedules its successor, and the chain is cut
@@ -578,6 +578,16 @@ impl Simulation {
             let (fast, slow) = model.fluid.solver_stats();
             model.profiler.add_counter("fluid_fast_solves", fast);
             model.profiler.add_counter("fluid_slow_solves", slow);
+            let queue = engine.queue();
+            model
+                .profiler
+                .add_counter("queue_scheduled", queue.scheduled_total());
+            model
+                .profiler
+                .add_counter("queue_cancelled", queue.cancelled_total());
+            model
+                .profiler
+                .add_counter("queue_heap_peak", queue.heap_peak() as u64);
             Some(model.profiler.report(&policy_name))
         } else {
             None

@@ -11,31 +11,38 @@ use cgsim_platform::{NodeId, SiteId};
 use cgsim_workload::JobState;
 
 use super::events::GridEvent;
-use super::job_runtime::Phase;
+use super::job_runtime::{Phase, NO_DATASET};
 use super::GridModel;
 
 impl GridModel {
-    /// The (memoised) input dataset of a job's task.
+    /// The input dataset of a job's task: one map probe per job (the answer
+    /// is kept on the job), one registration per task.
     pub(super) fn task_dataset(&mut self, idx: usize) -> DatasetId {
-        let record = &self.jobs[idx].record;
-        let task = record.task_id.0;
-        let files = record.input_files;
-        let bytes = record.input_bytes;
-        if let Some(&ds) = self.task_datasets.get(&task) {
-            return ds;
+        let job = &self.jobs[idx];
+        if job.dataset != NO_DATASET {
+            return DatasetId::new(job.dataset as usize);
         }
-        let ds = self.catalog.register(
-            &format!("task-{task}-input"),
-            files,
-            bytes,
-            NodeId::MainServer,
-        );
-        self.task_datasets.insert(task, ds);
-        // Task inputs are the re-replication planner's repairable set
-        // (checkpoint datasets have their own lifecycle and stay out of it).
-        if self.repair.enabled {
-            self.repair.mark_repairable(ds);
-        }
+        let task = job.record.task_id.0;
+        let ds = match self.task_datasets.get(&task) {
+            Some(&ds) => ds,
+            None => {
+                let ds = self.catalog.register(
+                    &format!("task-{task}-input"),
+                    job.record.input_files,
+                    job.record.input_bytes,
+                    NodeId::MainServer,
+                );
+                self.task_datasets.insert(task, ds);
+                // Task inputs are the re-replication planner's repairable
+                // set (checkpoint datasets have their own lifecycle and stay
+                // out of it).
+                if self.repair.enabled {
+                    self.repair.mark_repairable(ds);
+                }
+                ds
+            }
+        };
+        self.jobs[idx].dataset = u32::try_from(ds.index()).expect("dataset ids fit in u32");
         ds
     }
 
@@ -59,14 +66,13 @@ impl GridModel {
         completed
     }
 
-    /// (Re)schedules the next fluid completion event.
+    /// Points the engine's timer at the next fluid completion (or disarms
+    /// it when nothing is in flight).
     pub(super) fn reschedule_fluid(&mut self, ctx: &mut Context<'_, GridEvent>) {
         let timer = self.profiler.start();
-        if let Some(key) = self.fluid_event.take() {
-            ctx.cancel(key);
-        }
-        if let Some(dt) = self.fluid.time_to_next_completion() {
-            self.fluid_event = Some(ctx.schedule_in(dt, GridEvent::FluidAdvance));
+        match self.fluid.time_to_next_completion() {
+            Some(dt) => ctx.arm_timer(dt, GridEvent::FluidAdvance),
+            None => ctx.disarm_timer(),
         }
         self.profiler.stop(Subsystem::Fluid, timer);
     }

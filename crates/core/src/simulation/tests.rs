@@ -679,3 +679,57 @@ fn running_list_keeps_start_order_like_the_vec_it_replaced() {
         }
     }
 }
+
+/// FNV-1a over every recorded transition, in delivery order.
+fn transition_fingerprint(results: &SimulationResults) -> u64 {
+    use crate::scenario::hash::fnv1a;
+    results.events.iter().fold(0xcbf2_9ce4_8422_2325, |h, e| {
+        let h = fnv1a(h, &e.time_s.to_bits().to_le_bytes());
+        let h = fnv1a(h, &e.job_id.0.to_le_bytes());
+        let h = fnv1a(h, e.state.to_string().as_bytes());
+        fnv1a(h, e.site.as_bytes())
+    })
+}
+
+#[test]
+fn tied_submissions_deliver_in_the_pinned_order() {
+    // Goldens recorded at the parent of the sorted-lane change, where every
+    // `Submit` went through the heap with seqs 0..n: time ties among
+    // submissions keep job-index order, and a submission beats any dynamic
+    // event of the same time.
+    let platform = example_platform();
+    let mut burst = TraceGenerator::new(TraceConfig::with_jobs(300, 17)).generate(&platform);
+    for job in &mut burst.jobs {
+        job.submit_time = 0.0;
+    }
+    let results = run_on(
+        &platform,
+        burst.clone(),
+        "least-loaded",
+        ExecutionConfig::default(),
+    );
+    assert_eq!(results.events.first().map(|e| e.time_s), Some(0.0));
+    assert_eq!(transition_fingerprint(&results), 0x8f39_69a1_7a25_032e);
+    assert_eq!(results.engine_events, 1200);
+
+    // Submissions every 60 s against a constant 60 s pilot delay: each wave
+    // of `Submit`s (lane) ties with the previous wave's `PilotStart`s (heap).
+    let mut waves = burst;
+    for (i, job) in waves.jobs.iter_mut().enumerate() {
+        job.submit_time = 60.0 * (i / 50) as f64;
+    }
+    let exec = ExecutionConfig {
+        queue_model: QueueModel::constant(60.0),
+        ..ExecutionConfig::default()
+    };
+    let first_wave: Vec<_> = waves.jobs[..50].iter().map(|j| j.id).collect();
+    let results = run_on(&platform, waves, "round-robin", exec);
+    assert!(
+        results.events.iter().any(|e| e.time_s == 60.0
+            && first_wave.contains(&e.job_id)
+            && matches!(e.state, JobState::Staging | JobState::Running)),
+        "no pilot start tied with the second wave's submissions"
+    );
+    assert_eq!(transition_fingerprint(&results), 0xf029_3a19_bd8f_1640);
+    assert_eq!(results.engine_events, 1259);
+}

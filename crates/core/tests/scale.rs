@@ -12,9 +12,13 @@
 //!   retained event set capped while the run completes normally,
 //! * (release-mode, `--ignored`) the per-event cost of a 200-site grid stays
 //!   within 2× that of a 12-site grid running the same jobs — a same-process
-//!   ratio, so it holds on any runner.
+//!   ratio, so it holds on any runner,
+//! * a clean run pushes only genuinely dynamic events onto the engine's heap
+//!   (counted, not timed).
 
-use cgsim_core::{CheckpointConfig, CheckpointTarget, ExecutionConfig, Simulation};
+use cgsim_core::{
+    CheckpointConfig, CheckpointTarget, ExecutionConfig, Simulation, SimulationBuilder,
+};
 use cgsim_faults::{parse_fault_spec, FaultPlan, FaultTopology};
 use cgsim_monitor::MonitoringConfig;
 use cgsim_platform::presets::wlcg_platform;
@@ -102,26 +106,30 @@ fn streamed_faulted_checkpointed_run_is_double_run_identical() {
     assert!(first.makespan_s > 0.0);
 }
 
-/// Best-of-3 host µs per engine event of a clean streamed run in the
-/// benchmark's `grid_clean`/`grid_wide` shape: `jobs` jobs submitted over
-/// 6 h, least-loaded policy, bounded monitoring.
+/// A clean streamed run in the benchmark's `grid_clean`/`grid_wide` shape:
+/// `jobs` jobs submitted over 6 h, least-loaded policy, bounded monitoring.
+fn clean_streamed(platform: Platform, spec: &PlatformSpec, jobs: usize) -> SimulationBuilder {
+    let generator = TraceGenerator::new(TraceConfig {
+        submission_window_s: 6.0 * 3_600.0,
+        ..TraceConfig::with_jobs(jobs, 42)
+    });
+    Simulation::builder()
+        .platform(platform)
+        .trace_stream(generator.stream(spec))
+        .policy_name("least-loaded")
+        .execution(ExecutionConfig {
+            monitoring: scale_exec().monitoring,
+            ..ExecutionConfig::default()
+        })
+}
+
+/// Best-of-3 host µs per engine event of [`clean_streamed`].
 fn us_per_event(sites: usize, jobs: usize) -> f64 {
     let spec = wlcg_platform(sites, 42);
     let platform = Platform::build(&spec).expect("platform builds");
     (0..3)
         .map(|_| {
-            let generator = TraceGenerator::new(TraceConfig {
-                submission_window_s: 6.0 * 3_600.0,
-                ..TraceConfig::with_jobs(jobs, 42)
-            });
-            let simulation = Simulation::builder()
-                .platform(platform.clone())
-                .trace_stream(generator.stream(&spec))
-                .policy_name("least-loaded")
-                .execution(ExecutionConfig {
-                    monitoring: scale_exec().monitoring,
-                    ..ExecutionConfig::default()
-                })
+            let simulation = clean_streamed(platform.clone(), &spec, jobs)
                 .build()
                 .expect("simulation builds");
             let started = std::time::Instant::now();
@@ -151,4 +159,38 @@ fn per_event_cost_at_200_sites_is_within_2x_of_12_sites() {
         wide <= 2.0 * narrow,
         "200 sites cost {wide:.3} us/event against {narrow:.3} at 12 sites"
     );
+}
+
+/// Clock-free gate on what reaches the engine's heap: submissions travel
+/// the preloaded lane and fluid completions the timer slot, so a clean run
+/// pushes at most a pilot start and an execution timer per job, never
+/// cancels, and its heap is as deep as the jobs in flight (each holds a
+/// core), not as the workload (it held every submission before the lane).
+#[test]
+fn clean_run_pushes_only_dynamic_events_onto_the_heap() {
+    const JOBS: usize = 20_000;
+    const SITES: usize = 12;
+    let spec = wlcg_platform(SITES, 42);
+    let platform = Platform::build(&spec).expect("platform builds");
+    let cores: u64 = platform.sites().iter().map(|s| s.total_cores).sum();
+    let results = clean_streamed(platform, &spec, JOBS)
+        .profile(true)
+        .run()
+        .expect("simulation runs");
+    assert_eq!(results.outcomes.len(), JOBS);
+    let profile = results.profile.expect("profiling was requested");
+    let counter = |name: &str| {
+        let found = profile.counters.iter().find(|c| c.name == name);
+        found.unwrap_or_else(|| panic!("no {name} counter")).value
+    };
+    eprintln!(
+        "heap pushes {}, cancels {}, heap peak {} on {cores} cores, engine events {}",
+        counter("queue_scheduled"),
+        counter("queue_cancelled"),
+        counter("queue_heap_peak"),
+        counter("engine_events")
+    );
+    assert!(counter("queue_scheduled") <= (2 * JOBS + SITES) as u64);
+    assert_eq!(counter("queue_cancelled"), 0);
+    assert!(counter("queue_heap_peak") <= cores.min(JOBS as u64 / 2));
 }

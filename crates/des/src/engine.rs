@@ -9,6 +9,22 @@
 //! This mirrors the structure of SimGrid's engine loop: the model never
 //! blocks, it only reacts to events and posts new ones, so the loop is a plain
 //! `while let Some(event) = queue.pop()`.
+//!
+//! Events reach the loop from three sources that the queue merges by one
+//! `(time, sequence number)` key (contract in [`crate::event`]):
+//!
+//! * [`Engine::preload`] — the events known before the run (a workload's
+//!   submissions), sorted once and delivered from a cursor. Call it before
+//!   anything is scheduled; preloaded events win every time tie against
+//!   dynamic ones, as if they had been scheduled first.
+//! * [`Context::arm_timer`] / [`Context::disarm_timer`] — one re-armable
+//!   slot for a model whose single "next completion" prediction moves on
+//!   every mutation. Each arm draws a sequence number from the same counter
+//!   as `schedule`, so it orders exactly like cancel + schedule, at the cost
+//!   of neither.
+//! * `schedule_in` / `schedule_at` — the heap, for everything else.
+//!
+//! `pending_events()` counts all three.
 
 use crate::event::{EventKey, EventQueue};
 use crate::time::SimTime;
@@ -73,6 +89,19 @@ impl<'a, E> Context<'a, E> {
     #[inline]
     pub fn cancel(&mut self, key: EventKey) -> bool {
         self.queue.cancel(key)
+    }
+
+    /// (Re-)arms the engine's timer slot to deliver `event` `delay` after
+    /// the current time, replacing whatever was armed.
+    #[inline]
+    pub fn arm_timer(&mut self, delay: SimTime, event: E) {
+        self.queue.arm_timer(self.now + delay, event);
+    }
+
+    /// Disarms the timer slot (a no-op when nothing is armed).
+    #[inline]
+    pub fn disarm_timer(&mut self) {
+        self.queue.disarm_timer();
     }
 
     /// Number of events still pending.
@@ -140,9 +169,15 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Direct access to the queue (used by setup code before `run`).
-    pub fn queue_mut(&mut self) -> &mut EventQueue<E> {
-        &mut self.queue
+    /// The queue, for its diagnostics counters.
+    pub fn queue(&self) -> &EventQueue<E> {
+        &self.queue
+    }
+
+    /// Loads the events known up front, at absolute virtual times, into the
+    /// queue's preloaded lane. Must come before anything is scheduled.
+    pub fn preload(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
+        self.queue.preload(events);
     }
 
     /// Schedules an event at an absolute virtual time.
@@ -299,6 +334,44 @@ mod tests {
         let report = engine.run(&mut rec);
         assert_eq!(report.stop_reason, StopReason::EventBudgetExhausted);
         assert_eq!(report.events_processed, 2);
+    }
+
+    #[test]
+    fn preloaded_events_and_the_timer_merge_with_scheduled_ones() {
+        /// Every tick re-arms the timer half a second out; only the arm that
+        /// is still in place when its time comes fires.
+        struct Rearm(Vec<(f64, Ev)>);
+        impl EventHandler<Ev> for Rearm {
+            fn handle(&mut self, ctx: &mut Context<'_, Ev>, event: Ev) {
+                self.0.push((ctx.now().as_secs(), event.clone()));
+                match event {
+                    Ev::Tick => ctx.arm_timer(SimTime::from_secs(0.5), Ev::Chain(0)),
+                    Ev::Stop => ctx.disarm_timer(),
+                    Ev::Chain(_) => {}
+                }
+            }
+        }
+        let mut engine = Engine::new();
+        let t = SimTime::from_secs;
+        engine.preload([(t(2.0), Ev::Tick), (t(1.0), Ev::Tick), (t(1.2), Ev::Tick)]);
+        engine.schedule_at(t(2.0), Ev::Tick);
+        engine.schedule_at(t(2.25), Ev::Stop);
+        assert_eq!(engine.pending_events(), 5);
+        let mut rec = Rearm(Vec::new());
+        let report = engine.run(&mut rec);
+        assert_eq!(report.stop_reason, StopReason::QueueExhausted);
+        assert_eq!(
+            rec.0,
+            vec![
+                (1.0, Ev::Tick),
+                (1.2, Ev::Tick), // re-arms 1.5 -> 1.7
+                (1.7, Ev::Chain(0)),
+                (2.0, Ev::Tick),
+                (2.0, Ev::Tick),
+                (2.25, Ev::Stop), // disarms the 2.5 timer
+            ]
+        );
+        assert_eq!(engine.queue().scheduled_total(), 2);
     }
 
     #[test]

@@ -1,33 +1,73 @@
 //! Time-ordered event queue.
 //!
-//! The queue is a binary heap keyed by `(SimTime, sequence number)`. The
+//! Every event is delivered in `(SimTime, sequence number)` order. The
 //! sequence number makes the order of simultaneous events deterministic
 //! (insertion order), which in turn makes whole simulations reproducible —
 //! one of the requirements for the calibration experiments, where the same
 //! trace must produce the same walltimes on every evaluation of a candidate
 //! parameter vector.
 //!
-//! Events can be cancelled through the [`EventKey`] returned by
-//! [`EventQueue::schedule`]; cancellation is lazy (a tombstone in the status
-//! table), so it is O(1) amortised and does not disturb the heap. Two
-//! mechanisms keep memory bounded under heavy cancellation (fault injection
-//! cancels timers constantly):
+//! # Three sources, one order
+//!
+//! [`EventQueue::pop`], [`peek_time`](EventQueue::peek_time),
+//! [`peek_key`](EventQueue::peek_key), [`len`](EventQueue::len) and
+//! [`clear`](EventQueue::clear) merge three sources by that one key, the way
+//! SimGrid's kernel takes the minimum over what each resource model reports
+//! as its next event instead of pushing what it already knows through a
+//! priority queue:
+//!
+//! * **The preloaded lane** ([`EventQueue::preload`]): events known before
+//!   the run starts (a workload's submissions). They are sorted by time once
+//!   — stably, so equal times keep their insertion order — and delivered
+//!   from a cursor. `preload` must come before the first
+//!   [`schedule`](EventQueue::schedule) or
+//!   [`arm_timer`](EventQueue::arm_timer) (asserted): the lane thereby owns
+//!   sequence numbers `0..n` in delivery order, so a lane event wins every
+//!   time tie against a dynamic event — exactly the order `n` up-front
+//!   `schedule` calls would have produced. Lane events carry no
+//!   cancellation handle; `cancel` on a lane event's key (seen through
+//!   `peek_key` or `pop`) reports `false`.
+//! * **The timer slot** ([`EventQueue::arm_timer`] /
+//!   [`EventQueue::disarm_timer`]): one re-armable event for a model that
+//!   only ever has a single "my next completion" prediction pending (the
+//!   fluid solver). Every arm draws a fresh sequence number from the *same*
+//!   counter as `schedule`, so tie-breaks are those of cancel + schedule,
+//!   but the heap and the tombstone machinery are never touched. Re-arming
+//!   replaces the armed event; delivery disarms. The timer is disarmed only
+//!   through `disarm_timer`: `cancel` on its key reports `false`.
+//! * **The heap**: a binary heap for genuinely dynamic events
+//!   ([`EventQueue::schedule`]), cancellable through the returned
+//!   [`EventKey`]. Its depth is the number of in-flight dynamic events, not
+//!   the size of the workload.
+//!
+//! `len()` counts all three: undelivered lane events, the armed timer and
+//! pending heap events.
+//!
+//! # Cancellation and bounded memory
+//!
+//! Cancellation is lazy (a tombstone in the status table), so it is O(1)
+//! amortised and does not disturb the heap. Two mechanisms keep memory
+//! bounded under heavy cancellation (fault injection cancels timers
+//! constantly):
 //!
 //! * **Heap tombstone compaction.** Whenever cancelled tombstones outnumber
 //!   live entries (beyond a small slack), the heap is rebuilt from its live
 //!   entries only. Rebuilding cannot change pop order: the `(time, seq)` key
 //!   is a total order, so the pop sequence is independent of the heap's
 //!   internal layout.
-//! * **Status-table windowing.** Statuses are kept in a `VecDeque` starting
-//!   at sequence `base`; once the oldest events are all delivered or
-//!   cancelled, the front of the window is dropped. When a long-lived
-//!   pending event pins the front (a far-future maintenance timer while
-//!   millions of job events retire behind it), the window is swept instead:
-//!   the still-pending sequence numbers move to a small `stragglers` set and
-//!   the window restarts at the next sequence, keeping resident state O(live)
-//!   rather than O(total scheduled). A key below the window is pending iff it
-//!   is in the straggler set; anything else retired long ago, so `cancel` on
-//!   it is a reported no-op — exactly as before.
+//! * **Status-table windowing.** Statuses are kept in a `VecDeque` indexed by
+//!   `seq - base`, covering every sequence number from `base` up to the next
+//!   one to be drawn (lane events lie below the window and need no slot; a
+//!   timer arm occupies a slot that is retired from the start — skipping it
+//!   would shift every later lookup by one). Once the oldest events are all
+//!   retired, the front of the window is dropped. When a long-lived pending
+//!   event pins the front (a far-future maintenance timer while millions of
+//!   job events retire behind it), the window is swept instead: the
+//!   still-pending sequence numbers move to a small `stragglers` set and the
+//!   window restarts at the next sequence, keeping resident state O(live)
+//!   rather than O(total scheduled). A key below the window is pending iff
+//!   it is in the straggler set; anything else retired long ago, so `cancel`
+//!   on it is a reported no-op.
 //!
 //! The queue additionally maintains the invariant that the heap top is never
 //! a tombstone (skimming happens inside `cancel`/`pop`, the only operations
@@ -64,15 +104,22 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-/// Lifecycle of one scheduled event.
+/// Whether a sequence number still stands for an undelivered heap event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventStatus {
-    /// Scheduled and not yet popped or cancelled.
+    /// Scheduled on the heap and not yet popped or cancelled.
     Pending,
-    /// Popped by [`EventQueue::pop`] and handed to the caller.
-    Delivered,
-    /// Cancelled (or dropped by [`EventQueue::clear`]) before delivery.
-    Cancelled,
+    /// Delivered, cancelled, dropped by [`EventQueue::clear`] — or never on
+    /// the heap at all (the slot of a timer arm).
+    Retired,
+}
+
+/// Which of the three sources holds the next event.
+#[derive(Clone, Copy)]
+enum Source {
+    Lane,
+    Timer,
+    Heap,
 }
 
 /// Internal heap entry ordered so the `BinaryHeap` (a max-heap) pops the
@@ -104,24 +151,35 @@ impl<E> Ord for HeapEntry<E> {
     }
 }
 
-/// A deterministic, cancellable, time-ordered event queue.
+/// A deterministic, cancellable, time-ordered event queue (see the module
+/// docs for the three event sources it merges).
 pub struct EventQueue<E> {
+    /// Undelivered preloaded events, sorted by time (stable). The head's
+    /// sequence number is `lane_total - lane.len()`.
+    lane: std::vec::IntoIter<(SimTime, E)>,
+    /// Number of events handed to [`EventQueue::preload`].
+    lane_total: u64,
+    /// The armed timer: fire time, sequence number of the arm, payload.
+    timer: Option<(SimTime, u64, E)>,
     heap: BinaryHeap<HeapEntry<E>>,
-    /// Status window of recent events, indexed by `seq - base`. Events below
-    /// `base` are all retired (delivered or cancelled) unless they appear in
-    /// `stragglers`.
+    /// Status window of recent sequence numbers, indexed by `seq - base` and
+    /// always reaching up to `next_seq`. Events below `base` are all retired
+    /// unless they appear in `stragglers`.
     status: VecDeque<EventStatus>,
     /// Sequence number of `status.front()`.
     base: u64,
     /// Still-pending events swept out of the window when a long-lived
     /// pending event would otherwise pin `base` (at most `live` entries).
     stragglers: BTreeSet<u64>,
-    /// Total number of events ever scheduled.
-    scheduled_total: u64,
-    /// Number of `Pending` events (the live count; never underflows because
-    /// every decrement is guarded by a `Pending` status check).
+    /// The next sequence number: lane events, `schedule` calls and timer
+    /// arms all draw from this one counter.
+    next_seq: u64,
+    /// Number of `Pending` heap events (never underflows because every
+    /// decrement is guarded by a `Pending` status check).
     live: usize,
+    scheduled_total: u64,
     cancelled_total: u64,
+    heap_peak: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -133,27 +191,25 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            status: VecDeque::new(),
-            base: 0,
-            stragglers: BTreeSet::new(),
-            scheduled_total: 0,
-            live: 0,
-            cancelled_total: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with pre-allocated capacity for `cap` events.
+    /// Creates an empty queue with pre-allocated capacity for `cap`
+    /// dynamic events.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
+            lane: Vec::new().into_iter(),
+            lane_total: 0,
+            timer: None,
             heap: BinaryHeap::with_capacity(cap),
             status: VecDeque::with_capacity(cap),
             base: 0,
             stragglers: BTreeSet::new(),
-            scheduled_total: 0,
+            next_seq: 0,
             live: 0,
+            scheduled_total: 0,
             cancelled_total: 0,
+            heap_peak: 0,
         }
     }
 
@@ -170,7 +226,7 @@ impl<E> EventQueue<E> {
     /// set and restarts the window. Either way the resident status state is
     /// O(live), never O(total scheduled).
     fn compact_status(&mut self) {
-        while matches!(self.status.front(), Some(s) if *s != EventStatus::Pending) {
+        while matches!(self.status.front(), Some(EventStatus::Retired)) {
             self.status.pop_front();
             self.base += 1;
         }
@@ -181,12 +237,15 @@ impl<E> EventQueue<E> {
                 }
             }
             self.status.clear();
-            self.base = self.scheduled_total;
+            self.base = self.next_seq;
         }
     }
 
     /// Restores the invariant that the heap top is not a tombstone.
     fn skim(&mut self) {
+        if self.heap.len() == self.live {
+            return; // every heap entry is pending: nothing to skim
+        }
         while let Some(entry) = self.heap.peek() {
             if self.is_pending(entry.seq) {
                 return;
@@ -206,20 +265,59 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Loads the events known before the run starts into the preloaded lane.
+    /// They are delivered in time order, equal times in iteration order, and
+    /// ahead of any dynamic event of the same time.
+    ///
+    /// # Panics
+    /// Panics unless called on a queue that has drawn no sequence number
+    /// yet, i.e. before any `preload`, `schedule` or `arm_timer`.
+    pub fn preload(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
+        assert_eq!(
+            self.next_seq, 0,
+            "preload must come before the first schedule / arm_timer"
+        );
+        let mut lane: Vec<(SimTime, E)> = events.into_iter().collect();
+        lane.sort_by_key(|&(time, _)| time);
+        self.lane_total = lane.len() as u64;
+        self.next_seq = self.lane_total;
+        self.base = self.lane_total;
+        self.lane = lane.into_iter();
+    }
+
     /// Schedules `event` at absolute time `time` and returns a cancellation key.
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventKey {
-        let seq = self.scheduled_total;
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.scheduled_total += 1;
         self.status.push_back(EventStatus::Pending);
         self.live += 1;
         self.heap.push(HeapEntry { time, seq, event });
+        self.heap_peak = self.heap_peak.max(self.heap.len());
         EventKey(seq)
+    }
+
+    /// Arms the timer slot to deliver `event` at absolute time `time`,
+    /// replacing whatever was armed. Ordered against every other event as if
+    /// it had just been `schedule`d (it draws the next sequence number).
+    pub fn arm_timer(&mut self, time: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.status.push_back(EventStatus::Retired);
+        self.compact_status();
+        self.timer = Some((time, seq, event));
+    }
+
+    /// Disarms the timer slot; returns whether it was armed.
+    pub fn disarm_timer(&mut self) -> bool {
+        self.timer.take().is_some()
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event was
     /// still pending — i.e. had not been popped or cancelled before. A key
     /// whose event was already delivered is a no-op reporting `false` (it
-    /// must not leave a tombstone behind, or the live count would drift).
+    /// must not leave a tombstone behind, or the live count would drift), and
+    /// so is the key of a lane or timer event.
     pub fn cancel(&mut self, key: EventKey) -> bool {
         let Some(offset) = key.0.checked_sub(self.base) else {
             // Below the window: pending only if it survived a sweep.
@@ -234,7 +332,7 @@ impl<E> EventQueue<E> {
         };
         match self.status.get_mut(offset as usize) {
             Some(status @ EventStatus::Pending) => {
-                *status = EventStatus::Cancelled;
+                *status = EventStatus::Retired;
                 self.live -= 1;
                 self.cancelled_total += 1;
                 self.compact_status();
@@ -246,30 +344,69 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Time, sequence number and source of the next event: the minimum
+    /// `(time, seq)` over the heap top (never a tombstone), the armed timer
+    /// and the lane head.
+    fn head(&self) -> Option<(SimTime, u64, Source)> {
+        let mut best = self
+            .heap
+            .peek()
+            .map(|entry| (entry.time, entry.seq, Source::Heap));
+        let mut offer = |time: SimTime, seq: u64, source: Source| {
+            if best.is_none_or(|(t, s, _)| (time, seq) < (t, s)) {
+                best = Some((time, seq, source));
+            }
+        };
+        if let Some((time, seq, _)) = &self.timer {
+            offer(*time, *seq, Source::Timer);
+        }
+        if let Some((time, _)) = self.lane.as_slice().first() {
+            offer(
+                *time,
+                self.lane_total - self.lane.len() as u64,
+                Source::Lane,
+            );
+        }
+        best
+    }
+
     /// Removes and returns the next (earliest) non-cancelled event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        // The skim invariant guarantees the top entry (if any) is pending.
-        let entry = self.heap.pop()?;
-        debug_assert!(self.is_pending(entry.seq), "tombstone surfaced on top");
-        match entry.seq.checked_sub(self.base) {
+        let (time, seq, source) = self.head()?;
+        let event = match source {
+            Source::Lane => self.lane.next().expect("head saw a lane event").1,
+            Source::Timer => self.timer.take().expect("head saw the timer").2,
+            Source::Heap => self.pop_heap(seq),
+        };
+        Some(ScheduledEvent {
+            time,
+            key: EventKey(seq),
+            event,
+        })
+    }
+
+    /// Takes the heap top (pending, by the skim invariant) and retires it.
+    fn pop_heap(&mut self, seq: u64) -> E {
+        let entry = self.heap.pop().expect("head saw a heap event");
+        debug_assert!(
+            entry.seq == seq && self.is_pending(seq),
+            "tombstone surfaced on top"
+        );
+        match seq.checked_sub(self.base) {
             Some(offset) => {
                 if let Some(status) = self.status.get_mut(offset as usize) {
-                    *status = EventStatus::Delivered;
+                    *status = EventStatus::Retired;
                 }
             }
             None => {
-                self.stragglers.remove(&entry.seq);
+                self.stragglers.remove(&seq);
             }
         }
         self.live -= 1;
         self.compact_status();
         self.skim();
         self.maybe_compact_heap();
-        Some(ScheduledEvent {
-            time: entry.time,
-            key: EventKey(entry.seq),
-            event: entry.event,
-        })
+        entry.event
     }
 
     /// Returns the time of the next non-cancelled event without removing it.
@@ -277,30 +414,29 @@ impl<E> EventQueue<E> {
     /// The skim invariant (tombstones never rest on top of the heap) makes
     /// this a plain `&self` read; it is exact, not an upper bound.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|entry| entry.time)
+        self.head().map(|(time, _, _)| time)
     }
 
     /// Returns the time and key of the next non-cancelled event without
     /// removing it (cancellation-safe peek for callers that need to decide
     /// whether to cancel what they are looking at).
     pub fn peek_key(&self) -> Option<(SimTime, EventKey)> {
-        self.heap
-            .peek()
-            .map(|entry| (entry.time, EventKey(entry.seq)))
+        self.head().map(|(time, seq, _)| (time, EventKey(seq)))
     }
 
-    /// Number of events currently pending (scheduled, not yet delivered or
-    /// cancelled).
+    /// Number of events currently pending: undelivered lane events, the
+    /// armed timer, and heap events not yet delivered or cancelled.
     pub fn len(&self) -> usize {
-        self.live
+        self.live + self.lane.len() + usize::from(self.timer.is_some())
     }
 
     /// True when no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
-    /// Total number of events ever scheduled on this queue.
+    /// Total number of `schedule` calls, i.e. heap pushes (preloaded events
+    /// and timer arms never reach the heap and are not counted).
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
     }
@@ -311,34 +447,38 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of entries physically held by the heap, live plus tombstones
-    /// (diagnostics: compaction keeps this within `2·len() + O(1)`).
+    /// (diagnostics: compaction keeps this within `2·live + O(1)`).
     pub fn heap_entries(&self) -> usize {
         self.heap.len()
     }
 
+    /// Largest `heap_entries()` ever reached.
+    pub fn heap_peak(&self) -> usize {
+        self.heap_peak
+    }
+
     /// Width of the status window plus swept stragglers (diagnostics: the
-    /// sweep keeps this within `2·len() + O(1)` even when one early event
+    /// sweep keeps this within `2·live + O(1)` even when one early event
     /// stays pending while millions retire behind it).
     pub fn status_entries(&self) -> usize {
         self.status.len() + self.stragglers.len()
     }
 
-    /// Removes every pending event (their keys then behave like cancelled
-    /// ones: a later `cancel` reports `false`).
+    /// Removes every pending event from all three sources (keys of dropped
+    /// heap events then behave like cancelled ones: a later `cancel` reports
+    /// `false`).
     ///
     /// Sequence numbers keep growing monotonically across a clear, so an
     /// `EventKey` issued before the clear can never alias an event scheduled
     /// after it.
     pub fn clear(&mut self) {
+        self.lane = Vec::new().into_iter();
+        self.timer = None;
         self.heap.clear();
-        for status in self.status.iter_mut() {
-            if *status == EventStatus::Pending {
-                *status = EventStatus::Cancelled;
-            }
-        }
+        self.status.clear();
+        self.base = self.next_seq;
         self.stragglers.clear();
         self.live = 0;
-        self.compact_status();
     }
 }
 
@@ -564,6 +704,101 @@ mod tests {
         assert!(q.pop().is_none());
         assert!(q.is_empty());
         assert_eq!(q.status_entries(), 0);
+    }
+
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<E> {
+        std::iter::from_fn(|| q.pop().map(|e| e.event)).collect()
+    }
+
+    #[test]
+    fn preloaded_lane_sorts_stably_and_wins_time_ties() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs;
+        q.preload([(t(2.0), "lane-2a"), (t(1.0), "lane-1"), (t(2.0), "lane-2b")]);
+        q.schedule(t(2.0), "heap-2");
+        q.schedule(t(1.0), "heap-1");
+        q.arm_timer(t(2.0), "timer-2");
+        assert_eq!(q.len(), 6);
+        assert_eq!(q.scheduled_total(), 2, "only `schedule` reaches the heap");
+        assert_eq!(q.peek_time(), Some(t(1.0)));
+        assert_eq!(
+            drain(&mut q),
+            vec!["lane-1", "heap-1", "lane-2a", "lane-2b", "heap-2", "timer-2"]
+        );
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "preload must come before")]
+    fn preload_after_schedule_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::ZERO, 0);
+        q.preload([(SimTime::ZERO, 1)]);
+    }
+
+    #[test]
+    fn timer_orders_like_cancel_plus_schedule() {
+        // The same script against the heap (cancel + schedule, what the
+        // fluid model used to do) and against the timer slot: every re-arm
+        // lands among equal-time events exactly where a fresh `schedule`
+        // would have, and keys drawn after an arm stay valid (the arm's
+        // sequence number occupies a status slot).
+        let t = SimTime::from_secs;
+        let mut heap = EventQueue::new();
+        let mut slot = EventQueue::new();
+        let mut heap_timer = None;
+        for round in 0..50u32 {
+            let at = t(f64::from(round / 3));
+            if let Some(key) = heap_timer.take() {
+                heap.cancel(key);
+            }
+            heap_timer = Some(heap.schedule(at, u32::MAX - round));
+            slot.arm_timer(at, u32::MAX - round);
+            let a = heap.schedule(at, round);
+            let b = slot.schedule(at, round);
+            assert_eq!(a, b, "same counter, same keys");
+            if round % 4 == 0 {
+                assert_eq!(heap.cancel(a), slot.cancel(b));
+            }
+            if round % 5 == 0 {
+                let popped = heap.pop().unwrap();
+                heap_timer = heap_timer.filter(|&key| key != popped.key);
+                assert_eq!(slot.pop().unwrap().event, popped.event);
+            }
+            assert_eq!(heap.len(), slot.len());
+        }
+        assert_eq!(drain(&mut heap), drain(&mut slot));
+        assert_eq!(slot.cancelled_total(), 13, "arming cancels nothing");
+        assert!(slot.scheduled_total() < heap.scheduled_total());
+    }
+
+    #[test]
+    fn rearming_behind_a_pinned_event_keeps_status_bounded() {
+        let mut q = EventQueue::new();
+        let far = q.schedule(SimTime::from_secs(1e12), 0u64);
+        for i in 1..=100_000u64 {
+            q.arm_timer(SimTime::from_secs(i as f64), i);
+            assert!(q.status_entries() <= 2 * q.len() + COMPACT_SLACK);
+        }
+        assert_eq!((q.len(), q.heap_entries(), q.heap_peak()), (2, 1, 1));
+        assert!(q.disarm_timer());
+        assert!(!q.disarm_timer());
+        assert!(q.cancel(far), "swept behind 100k arms, still cancellable");
+        assert_eq!(q.status_entries(), 0);
+    }
+
+    #[test]
+    fn clear_drops_all_three_sources() {
+        let mut q = EventQueue::new();
+        q.preload([(SimTime::ZERO, 1), (SimTime::ZERO, 2)]);
+        assert_eq!(q.pop().unwrap().key.sequence(), 0);
+        let key = q.schedule(SimTime::ZERO, 3);
+        q.arm_timer(SimTime::ZERO, 4);
+        assert_eq!(q.len(), 3);
+        q.clear();
+        assert!(q.is_empty() && q.pop().is_none() && q.peek_key().is_none());
+        assert!(!q.cancel(key));
+        assert_eq!(q.schedule(SimTime::ZERO, 5).sequence(), 4);
     }
 
     #[test]

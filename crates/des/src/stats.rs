@@ -136,7 +136,9 @@ impl Summary {
             return None;
         }
         let mut sorted: Vec<f64> = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
+        // Unstable is enough: only values enter the summary, and samples
+        // that compare equal are the same value (bar the sign of zero).
+        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
         let mut acc = OnlineStats::new();
         for &v in values {
             acc.push(v);

@@ -89,13 +89,14 @@ impl MetricsReport {
         let walltimes: Vec<f64> = outcomes.iter().map(|o| o.walltime).collect();
         let staged: u64 = outcomes.iter().map(|o| o.staged_bytes).sum();
 
-        let mut per_site_outcomes: BTreeMap<String, Vec<&JobOutcome>> = BTreeMap::new();
+        let mut per_site_outcomes: BTreeMap<&str, Vec<&JobOutcome>> = BTreeMap::new();
         for o in outcomes {
-            per_site_outcomes.entry(o.site.clone()).or_default().push(o);
+            per_site_outcomes.entry(&o.site).or_default().push(o);
         }
         let per_site = per_site_outcomes
             .into_iter()
             .map(|(site, jobs)| {
+                let site = site.to_string();
                 let fin = jobs.iter().filter(|o| o.succeeded()).count() as u64;
                 let fail = jobs.len() as u64 - fin;
                 let qt: Vec<f64> = jobs.iter().map(|o| o.queue_time).collect();

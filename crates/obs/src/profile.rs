@@ -30,8 +30,6 @@ pub enum Subsystem {
     FaultReplay,
     /// Checkpoint segmentation: write, restore and invalidation bookkeeping.
     Checkpoint,
-    /// Scenario-engine response-cache lookups (hash + probe).
-    CacheLookup,
     /// Re-replication repair: deficit bookkeeping, transfer planning and
     /// completion/cancellation handling.
     Repair,
@@ -42,12 +40,11 @@ pub enum Subsystem {
 }
 
 /// Every subsystem, in report order.
-pub const ALL_SUBSYSTEMS: [Subsystem; 7] = [
+pub const ALL_SUBSYSTEMS: [Subsystem; 6] = [
     Subsystem::EventLoop,
     Subsystem::Fluid,
     Subsystem::FaultReplay,
     Subsystem::Checkpoint,
-    Subsystem::CacheLookup,
     Subsystem::Repair,
     Subsystem::Broker,
 ];
@@ -60,7 +57,6 @@ impl Subsystem {
             Subsystem::Fluid => "fluid",
             Subsystem::FaultReplay => "fault_replay",
             Subsystem::Checkpoint => "checkpoint",
-            Subsystem::CacheLookup => "cache_lookup",
             Subsystem::Repair => "repair",
             Subsystem::Broker => "broker",
         }
@@ -130,18 +126,6 @@ impl Profiler {
             entry.1 += value;
         } else {
             self.counters.push((name.to_string(), value));
-        }
-    }
-
-    /// Merges another profiler's buckets and counters into this one (used by
-    /// the scenario engine to aggregate per-run profiles).
-    pub fn absorb(&mut self, other: &Profiler) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            mine.nanos += theirs.nanos;
-            mine.count += theirs.count;
-        }
-        for (name, value) in &other.counters {
-            self.add_counter(name, *value);
         }
     }
 
@@ -279,22 +263,6 @@ mod tests {
         assert_eq!(loop_row.count, 3);
         assert_eq!(report.counters.len(), 1);
         assert_eq!(report.counters[0].value, 10);
-    }
-
-    #[test]
-    fn absorb_merges_buckets_and_counters() {
-        let mut a = Profiler::new(true);
-        let t = a.start();
-        a.stop(Subsystem::CacheLookup, t);
-        a.add_counter("runs", 1);
-        let mut b = Profiler::new(true);
-        let t = b.start();
-        b.stop(Subsystem::CacheLookup, t);
-        b.add_counter("runs", 2);
-        a.absorb(&b);
-        let report = a.report("merged");
-        assert_eq!(report.results[Subsystem::CacheLookup as usize].count, 2);
-        assert_eq!(report.counters[0].value, 3);
     }
 
     #[test]
