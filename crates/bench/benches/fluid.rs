@@ -2,9 +2,9 @@
 //!
 //! The fluid model recomputes the progressive-filling allocation every time
 //! an activity starts or finishes — it is the hottest path of the whole
-//! simulator once traces carry real staging traffic. Three groups measure
-//! the three regimes of the incremental solver (see `cgsim_bench::fluid_hot`
-//! for the topologies):
+//! simulator once traces carry real staging traffic. Five groups measure
+//! the regimes of the incremental solver (see `cgsim_bench::fluid_hot` for
+//! the topologies):
 //!
 //! * `fluid_contended_churn` — one giant *multi-constrained* component (no
 //!   single bottleneck); the dense control that pays a full
@@ -18,14 +18,22 @@
 //!   the total-work fast path in O(log n) per churn step. Same density as
 //!   the contended control; the gap between the two rows is the fast path's
 //!   win.
+//! * `fluid_hub_resize_churn` — the same single-bottleneck component, but
+//!   every step changes the backbone's weight sum, so the fair share moves
+//!   and the fast path re-rates and re-keys the whole component: one linear
+//!   pass per step.
+//! * `fluid_pileup_churn` — the checkpoint pile-up shape (LAN → WAN → main
+//!   server under 12 sites): a multi-round progressive-filling solve that
+//!   re-rates most of the completion heap every step.
 //!
 //! The committed baseline for these numbers lives in `BENCH_fluid.json` at
 //! the repository root; future perf PRs compare against it, and CI runs the
-//! sparse @1k case as a regression gate (`fluid_perf_gate`).
+//! sparse, single-bottleneck, hub-resize and pile-up @1k cases as a
+//! regression gate (`fluid_perf_gate`).
 
 use cgsim_bench::fluid_hot::{
-    build_contended, build_single_bottleneck, build_sparse, contended_churn,
-    single_bottleneck_churn, sparse_churn,
+    build_contended, build_pileup, build_single_bottleneck, build_sparse, contended_churn,
+    hub_resize_churn, pileup_churn, single_bottleneck_churn, sparse_churn, Build, Churn,
 };
 use cgsim_des::SimTime;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -33,14 +41,15 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 /// Churn steps (activity completions + admissions) measured per iteration.
 const CHURN_STEPS: usize = 100;
 
-fn bench_fluid_contended(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fluid_contended_churn");
+/// One group: `churn` timed on a long-lived model per concurrency in `sizes`.
+fn bench_churn(c: &mut Criterion, name: &str, sizes: &[usize], build: Build, churn: Churn) {
+    let mut group = c.benchmark_group(name);
     group.sample_size(10);
-    for &n in &[100usize, 1_000, 5_000, 20_000] {
+    for &n in sizes {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let (mut m, links, mut ids) = build_contended(n);
+            let (mut m, links, mut ids) = build(n);
             let mut step_base = 0usize;
-            b.iter(|| contended_churn(&mut m, &links, &mut ids, &mut step_base, CHURN_STEPS));
+            b.iter(|| churn(&mut m, &links, &mut ids, &mut step_base, CHURN_STEPS));
             // Exercise the reuse-buffer APIs outside the timed region and
             // keep the final state observable.
             let mut rates = Vec::new();
@@ -53,44 +62,38 @@ fn bench_fluid_contended(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fluid_sparse(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fluid_sparse_churn");
-    group.sample_size(10);
-    for &n in &[1_000usize, 5_000, 20_000] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let (mut m, links, mut ids) = build_sparse(n);
-            let mut step_base = 0usize;
-            b.iter(|| sparse_churn(&mut m, &links, &mut ids, &mut step_base, CHURN_STEPS));
-            let mut rates = Vec::new();
-            m.rates_into(&mut rates);
-            black_box(rates.len());
-        });
-    }
-    group.finish();
+fn bench_fluid(c: &mut Criterion) {
+    let dense = [1_000usize, 5_000, 20_000];
+    bench_churn(
+        c,
+        "fluid_contended_churn",
+        &[100, 1_000, 5_000, 20_000],
+        build_contended,
+        contended_churn,
+    );
+    bench_churn(c, "fluid_sparse_churn", &dense, build_sparse, sparse_churn);
+    bench_churn(
+        c,
+        "fluid_single_bottleneck_churn",
+        &dense,
+        build_single_bottleneck,
+        single_bottleneck_churn,
+    );
+    bench_churn(
+        c,
+        "fluid_hub_resize_churn",
+        &[1_000, 5_000],
+        build_single_bottleneck,
+        hub_resize_churn,
+    );
+    bench_churn(
+        c,
+        "fluid_pileup_churn",
+        &[1_000, 5_000],
+        build_pileup,
+        pileup_churn,
+    );
 }
 
-fn bench_fluid_single_bottleneck(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fluid_single_bottleneck_churn");
-    group.sample_size(10);
-    for &n in &[1_000usize, 5_000, 20_000] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let (mut m, links, mut ids) = build_single_bottleneck(n);
-            let mut step_base = 0usize;
-            b.iter(|| {
-                single_bottleneck_churn(&mut m, &links, &mut ids, &mut step_base, CHURN_STEPS)
-            });
-            let mut rates = Vec::new();
-            m.rates_into(&mut rates);
-            black_box(rates.len());
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_fluid_contended,
-    bench_fluid_sparse,
-    bench_fluid_single_bottleneck
-);
+criterion_group!(benches, bench_fluid);
 criterion_main!(benches);

@@ -1,25 +1,30 @@
 //! CI perf gate for the fluid solver's hot paths.
 //!
-//! Re-times the `fluid_sparse_churn` @1k scenario (the incremental solver's
-//! component-sized sweet spot) and the `fluid_single_bottleneck_churn` @1k
-//! scenario (the total-work fast path's O(log n) dense case) — the exact
+//! Re-times four @1k scenarios — `fluid_sparse_churn` (the incremental
+//! solver's component-sized sweet spot), `fluid_single_bottleneck_churn` (the
+//! total-work fast path's O(log n) dense case), `fluid_hub_resize_churn` (the
+//! same component with a fair share that moves every step: one linear
+//! re-rate + bulk re-key per solve) and `fluid_pileup_churn` (multi-round
+//! progressive filling over the checkpoint pile-up shape) — the exact
 //! topologies the benches measure, shared via `cgsim_bench::fluid_hot` — at
 //! reduced iterations and compares each per-recompute cost against the
-//! committed baseline in `BENCH_fluid.json`. Exits non-zero when either
+//! committed baseline in `BENCH_fluid.json`. Exits non-zero when any
 //! measured cost exceeds 2× its committed value — a deliberately coarse
 //! threshold that survives CI-runner noise while still catching an
-//! accidental return to O(N) global recomputation on the sparse case (~40×)
-//! or a loss of the single-bottleneck classification on the dense case
-//! (~20×, which would re-run full progressive filling per churn step).
+//! accidental return to O(N) global recomputation on the sparse case (~40×),
+//! a loss of the single-bottleneck classification on the dense case (~20×,
+//! which would re-run full progressive filling per churn step), or a return
+//! to per-activity heap sifts (~10× on hub-resize) and per-round re-summing
+//! (~4× on pile-up) where a solve re-rates most of the heap.
 //!
 //! Run as: `cargo run --release -p cgsim-bench --bin fluid_perf_gate`
 
 use std::time::Instant;
 
 use cgsim_bench::fluid_hot::{
-    build_single_bottleneck, build_sparse, single_bottleneck_churn, sparse_churn,
+    build_pileup, build_single_bottleneck, build_sparse, hub_resize_churn, pileup_churn,
+    single_bottleneck_churn, sparse_churn, Build, Churn,
 };
-use cgsim_des::fluid::{ActivityId, FluidModel, ResourceId};
 
 /// Concurrency of the gated scenarios (must match committed entries).
 const N: usize = 1_000;
@@ -50,10 +55,7 @@ fn committed_us(json: &str, case: &str) -> Option<f64> {
 }
 
 /// Best-of-[`REPS`] per-recompute time of one churn scenario, in µs.
-fn measure(
-    build: impl Fn(usize) -> (FluidModel, Vec<ResourceId>, Vec<ActivityId>),
-    churn: impl Fn(&mut FluidModel, &[ResourceId], &mut [ActivityId], &mut usize, usize) -> f64,
-) -> f64 {
+fn measure(build: Build, churn: Churn) -> f64 {
     let mut best_us = f64::INFINITY;
     for _ in 0..REPS {
         let (mut m, links, mut ids) = build(N);
@@ -76,12 +78,17 @@ fn main() {
         .unwrap_or_else(|e| panic!("cannot read committed baseline {path}: {e}"));
 
     let mut failed = false;
-    let gates: [(&str, f64); 2] = [
+    let gates: [(&str, f64); 4] = [
         ("sparse_churn", measure(build_sparse, sparse_churn)),
         (
             "single_bottleneck_churn",
             measure(build_single_bottleneck, single_bottleneck_churn),
         ),
+        (
+            "hub_resize_churn",
+            measure(build_single_bottleneck, hub_resize_churn),
+        ),
+        ("pileup_churn", measure(build_pileup, pileup_churn)),
     ];
     for (case, best_us) in gates {
         let committed = committed_us(&text, case).unwrap_or_else(|| {

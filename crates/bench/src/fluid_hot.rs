@@ -1,8 +1,7 @@
 //! Fluid-solver hot-path scenarios shared by `benches/fluid.rs` and the CI
 //! perf-gate binary (`src/bin/fluid_perf_gate.rs`).
 //!
-//! Three topologies probe the three regimes of the incremental max-min
-//! solver:
+//! Four topologies probe the regimes of the incremental max-min solver:
 //!
 //! * **Contended** — 32 shared links with every activity crossing two of
 //!   them: the whole graph is one connected component with *no* single
@@ -25,11 +24,29 @@
 //!   freshly admitted slot — no per-slot filling at all. The contrast
 //!   between `dense contended` and `single_bottleneck_churn` rows in
 //!   `BENCH_fluid.json` is exactly the win of that classification.
+//!   [`hub_resize_churn`] drives the same topology with steps that *change*
+//!   the backbone's weight sum, so the fair share moves every time and each
+//!   solve re-rates the whole component: the fast path's linear branch.
+//! * **Pile-up** — a main-server link under 12 sites with a LAN and a WAN
+//!   each; two thirds of the activities cross LAN → WAN → main server, the
+//!   rest stay on their LAN (the checkpoint pile-up shape). Thin WANs
+//!   saturate first, then the main server, then the LANs: several bottleneck
+//!   levels in one component, so every step takes progressive filling and
+//!   re-rates most of the completion heap.
 //!
 //! Keeping the builders here (not in the bench file) means the CI gate times
 //! exactly the scenario the committed baseline numbers describe.
 
 use cgsim_des::fluid::{ActivityId, FluidModel, ResourceId};
+
+/// A topology builder: the model pre-populated with `n` activities, its
+/// links, and the ids of the activities.
+pub type Build = fn(usize) -> (FluidModel, Vec<ResourceId>, Vec<ActivityId>);
+
+/// A churn driver: `steps` mutate/recompute cycles on a built topology, with
+/// the admission counter carried across calls in `step_base`. Returns an
+/// accumulator so the work cannot be optimised away.
+pub type Churn = fn(&mut FluidModel, &[ResourceId], &mut [ActivityId], &mut usize, usize) -> f64;
 
 /// Number of shared links in the contended topology. Every activity crosses
 /// two of them, so each link carries ~2N/32 concurrent flows and progressive
@@ -189,9 +206,125 @@ pub fn single_bottleneck_churn(
     acc
 }
 
+/// `steps` (an even number) single mutations on the single-bottleneck
+/// topology, alternating a retire with the admit that refills its place.
+/// Concurrency swings between `n - 1` and `n`, so the backbone's fair share
+/// differs from the cached one at every solve and the fast path re-rates —
+/// and re-keys — the whole component each step.
+pub fn hub_resize_churn(
+    m: &mut FluidModel,
+    links: &[ResourceId],
+    ids: &mut [ActivityId],
+    step_base: &mut usize,
+    steps: usize,
+) -> f64 {
+    let mut acc = 0.0;
+    for _ in 0..steps {
+        let step = *step_base;
+        *step_base += 1;
+        let slot = (step / 2) % ids.len();
+        if step.is_multiple_of(2) {
+            m.remove_activity(ids[slot]);
+        } else {
+            ids[slot] = m.add_activity(1e12, &single_bottleneck_route(links, ids.len() + step));
+        }
+        acc += m.time_to_next_completion().map_or(0.0, |t| t.as_secs());
+    }
+    acc
+}
+
+/// Sites of the pile-up topology (a LAN and a WAN link each) under one
+/// main-server link (`links[0]`).
+pub const PILEUP_SITES: usize = 12;
+
+/// Route of pile-up activity `i`: every third lap of the sites stays on the
+/// site's LAN, the others cross LAN → WAN → main server.
+pub fn pileup_route(links: &[ResourceId], i: usize) -> Vec<ResourceId> {
+    let site = i % PILEUP_SITES;
+    let (lan, wan) = (links[1 + 2 * site], links[2 + 2 * site]);
+    if (i / PILEUP_SITES).is_multiple_of(3) {
+        vec![lan]
+    } else {
+        vec![lan, wan, links[0]]
+    }
+}
+
+/// Builds the pile-up topology pre-populated with `n` activities: a 4 GB/s
+/// main server, LANs of 2 GB/s and up, WANs of 1 GB/s with every third site
+/// on a thin 100 MB/s one.
+pub fn build_pileup(n: usize) -> (FluidModel, Vec<ResourceId>, Vec<ActivityId>) {
+    let mut m = FluidModel::new();
+    let mut links = vec![m.add_resource(4e9)];
+    for s in 0..PILEUP_SITES {
+        links.push(m.add_resource(2e9 + s as f64 * 1e8));
+        links.push(m.add_resource(if s % 3 == 0 { 1e8 } else { 1e9 }));
+    }
+    let ids: Vec<ActivityId> = (0..n)
+        .map(|i| m.add_activity(1e15, &pileup_route(&links, i)))
+        .collect();
+    (m, links, ids)
+}
+
+/// `steps` retire/admit/recompute cycles at steady concurrency on the
+/// pile-up topology: every step is a multi-round progressive-filling solve
+/// of the one big component.
+pub fn pileup_churn(
+    m: &mut FluidModel,
+    links: &[ResourceId],
+    ids: &mut [ActivityId],
+    step_base: &mut usize,
+    steps: usize,
+) -> f64 {
+    let mut acc = 0.0;
+    for _ in 0..steps {
+        let step = *step_base;
+        *step_base += 1;
+        let slot = step % ids.len();
+        m.remove_activity(ids[slot]);
+        ids[slot] = m.add_activity(1e15, &pileup_route(links, ids.len() + step));
+        acc += m.time_to_next_completion().map_or(0.0, |t| t.as_secs());
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hub_resize_churn_re_rates_the_component_every_step() {
+        let (mut m, links, mut ids) = build_single_bottleneck(256);
+        let _ = m.time_to_next_completion();
+        let before = m.solver_counters();
+        let mut step = 0;
+        hub_resize_churn(&mut m, &links, &mut ids, &mut step, 200);
+        assert_eq!(m.activity_count(), 256);
+        assert_eq!(m.solver_stats().1, 0, "the backbone stays the only hub");
+        let after = m.solver_counters();
+        // 100 solves over 255 activities, 100 over 256 — never just the
+        // fresh slot — and each one a bulk re-key of the whole heap.
+        assert_eq!(
+            after.rerated_slots - before.rerated_slots,
+            100 * (255 + 256)
+        );
+        assert_eq!(after.bulk_rekeys - before.bulk_rekeys, 200);
+    }
+
+    #[test]
+    fn pileup_churn_takes_multi_round_progressive_filling() {
+        let (mut m, links, mut ids) = build_pileup(240);
+        let _ = m.time_to_next_completion();
+        let (fast_before, slow_before) = m.solver_stats();
+        let rounds_before = m.solver_counters().slow_rounds;
+        let mut step = 0;
+        pileup_churn(&mut m, &links, &mut ids, &mut step, 100);
+        assert_eq!(m.activity_count(), 240);
+        let (fast, slow) = m.solver_stats();
+        assert_eq!(fast, fast_before, "no link is crossed by every activity");
+        assert_eq!(slow - slow_before, 100);
+        let rounds = m.solver_counters().slow_rounds - rounds_before;
+        assert!(rounds >= 300, "three bottleneck levels at least: {rounds}");
+    }
 
     #[test]
     fn single_bottleneck_churn_stays_on_the_fast_path() {

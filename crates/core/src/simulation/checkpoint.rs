@@ -308,22 +308,23 @@ impl GridModel {
             .execution
             .checkpoint
             .bytes_for(self.jobs[idx].record.cores);
-        let name = format!("ckpt-job-{idx}@{node}");
-        let dataset = self.catalog.register(&name, 1, bytes, node);
-        self.catalog.add_replica(dataset, node);
         if let Some(entry) = self.jobs[idx]
             .checkpoints
             .iter_mut()
             .find(|c| c.node == node)
         {
-            // Superseded in place: the old copy's bytes are freed now that
-            // the new one is durable.
+            // Superseded in place, under the dataset the first write at
+            // `node` registered (`register` by the same name would return
+            // exactly that id): the old copy's bytes are freed now that the
+            // new one is durable.
             let old_bytes = entry.bytes;
             entry.frac = frac;
             entry.bytes = bytes;
-            entry.dataset = dataset;
+            self.catalog.add_replica(entry.dataset, node);
             self.release_checkpoint_storage(node, old_bytes);
         } else {
+            let name = format!("ckpt-job-{idx}@{node}");
+            let dataset = self.catalog.register(&name, 1, bytes, node);
             self.jobs[idx].checkpoints.push(JobCheckpoint {
                 frac,
                 node,
@@ -374,24 +375,28 @@ impl GridModel {
             .execution
             .checkpoint
             .bytes_for(self.jobs[idx].record.cores);
-        let (node, route): (NodeId, Vec<_>) = match self.execution.checkpoint.target {
+        let mut route = std::mem::take(&mut self.route_scratch);
+        route.clear();
+        let node = match self.execution.checkpoint.target {
             CheckpointTarget::SiteStorage => {
                 if !self.storage[site.index()].reserve(bytes) {
+                    self.route_scratch = route;
                     self.profiler.stop(Subsystem::Checkpoint, timer);
                     return false;
                 }
                 let lan = self.platform.site(site).lan_link;
-                (NodeId::Site(site), vec![self.link_resources[lan.index()]])
+                route.push(self.link_resources[lan.index()]);
+                NodeId::Site(site)
             }
             CheckpointTarget::MainServer => {
-                let route = self
-                    .platform
-                    .route(NodeId::Site(site), NodeId::MainServer)
-                    .links
-                    .iter()
-                    .map(|l| self.link_resources[l.index()])
-                    .collect();
-                (NodeId::MainServer, route)
+                route.extend(
+                    self.platform
+                        .route(NodeId::Site(site), NodeId::MainServer)
+                        .links
+                        .iter()
+                        .map(|l| self.link_resources[l.index()]),
+                );
+                NodeId::MainServer
             }
         };
         let xfer = self.checkpoint_transfer_bytes(idx, site, node);
@@ -399,6 +404,7 @@ impl GridModel {
         let now = ctx.now();
         let completed = self.advance_fluid(now);
         let activity = self.fluid.add_weighted_activity(xfer as f64, &route, 1.0);
+        self.route_scratch = route;
         self.activity_map.insert(activity, (idx, Phase::CkptAsync));
         self.jobs[idx].ckpt_activity = Some(activity);
         self.jobs[idx].ckpt_node = Some(node);

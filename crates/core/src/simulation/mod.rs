@@ -578,6 +578,16 @@ impl Simulation {
             let (fast, slow) = model.fluid.solver_stats();
             model.profiler.add_counter("fluid_fast_solves", fast);
             model.profiler.add_counter("fluid_slow_solves", slow);
+            let fluid = model.fluid.solver_counters();
+            model
+                .profiler
+                .add_counter("fluid_rerated_slots", fluid.rerated_slots);
+            model
+                .profiler
+                .add_counter("fluid_slow_rounds", fluid.slow_rounds);
+            model
+                .profiler
+                .add_counter("fluid_bulk_rekeys", fluid.bulk_rekeys);
             let queue = engine.queue();
             model
                 .profiler

@@ -70,6 +70,17 @@
 //!   `advance(dt)` moves the clock and pops every projection within
 //!   [`TIME_RESOLUTION_S`] of it — O(completions·log N) instead of O(N) — and
 //!   `time_to_next_completion` is a heap peek.
+//! * A solve re-keys the heap for the slots it touched (`rekey`). Pops depend
+//!   only on the `(projection, slot)` total order, never on the array layout,
+//!   so there are two ways to do it with identical results: sift each slot
+//!   (O(touched · log heap)), or write the keys in place and rebuild the heap
+//!   once (O(touched + heap); see `completion_heap.rs`). The rule is
+//!   `touched · 4 ≥ heap size` → rebuild: a sift costs a few key comparisons
+//!   scattered over the slab, the rebuild about two per member, so the
+//!   rebuild wins once a solve touches a sizeable fraction of the heap (one
+//!   big pile-up component) and loses badly when it does not (a four-activity
+//!   island against ten thousand members). The rule reads two lengths the
+//!   solver holds anyway; nothing selects the branch from outside.
 //!
 //! # Single-bottleneck fast path (total-work accounting)
 //!
@@ -102,6 +113,32 @@
 //!   their topology (classification is stateless per solve; there is no mode
 //!   flag to migrate).
 //!
+//! # What a solve costs
+//!
+//! With n the component's activities:
+//!
+//! * **`φ` bitwise stable** (fast path, equal-weight churn): O(log n) — one
+//!   division, the fresh slots, their heap inserts.
+//! * **`φ` changed** (fast path; any admit or retire that moves the hub's
+//!   `Σw`, i.e. every checkpoint write that starts or drains on a shared
+//!   link): one linear pass. Every activity's rate changes, and bit-identity
+//!   with progressive filling forces one remaining-work fold per activity at
+//!   this instant — that is the reproducibility contract above, not an
+//!   implementation choice — followed by the re-key.
+//! * **Multi-bottleneck or tainted** (slow path): rounds × a pass over the
+//!   member resources, plus one visit per activity when it freezes, plus the
+//!   re-key of the slots whose rate moved. Where every member's running
+//!   weight sum is exact, round one starts from the [`total_work`] index and
+//!   each freeze subtracts its weight along its route (integer arithmetic
+//!   below 2⁵³ gives the same bits in any order); tainted components re-sum
+//!   every user list every round, in ascending slot order, because for
+//!   fractional weights that order *is* the definition of the sum.
+//!
+//! [`FluidModel::solver_counters`] counts the linear work (slots re-rated,
+//! filling rounds, bulk re-keys) next to [`FluidModel::solver_stats`]' solve
+//! counts; a debug build re-checks the heap against the slab after
+//! `ensure_shares` (every time on a small model, amortised on a large one).
+//!
 //! The fast path engages **only** where it is provably bit-identical to
 //! progressive filling: the same hub the slow argmin would pick (same
 //! ascending scan, same `>=`-keeps-earlier tie-break, over bitwise-equal
@@ -131,7 +168,13 @@
 use crate::define_id;
 use crate::time::SimTime;
 
+mod activity_map;
+mod completion_heap;
+mod components;
 mod total_work;
+pub use activity_map::ActivityMap;
+use completion_heap::CompletionHeap;
+use components::ResourceComponents;
 use total_work::TotalWorkIndex;
 
 define_id!(
@@ -192,9 +235,6 @@ pub const EPSILON: f64 = 1e-9;
 /// walltimes are minutes to hours).
 pub const TIME_RESOLUTION_S: f64 = 1e-6;
 
-/// Sentinel for "not in the completion heap".
-const NO_POS: u32 = u32::MAX;
-
 /// Minimum number of retires before the component partition is rebuilt.
 const REBUILD_MIN_RETIRES: usize = 64;
 
@@ -235,87 +275,6 @@ fn route_has_duplicates(route: &[ResourceId]) -> bool {
         .any(|(i, r)| route[..i].contains(r))
 }
 
-/// Union-find over resource indices with per-root member lists, tracking the
-/// connected components of the activity↔resource constraint graph.
-///
-/// Unions are monotone (admits only); the partition is an over-approximation
-/// after retires and is re-tightened by [`ResourceComponents::reset`] plus
-/// re-unioning the live activity set (see `FluidModel::rebuild_components`).
-#[derive(Debug, Clone, Default)]
-struct ResourceComponents {
-    parent: Vec<u32>,
-    size: Vec<u32>,
-    /// Member resource indices per root (unsorted; only valid at roots).
-    members: Vec<Vec<u32>>,
-    /// Live activities per component (only valid at roots).
-    acts: Vec<u32>,
-    /// Live activities whose route lists a resource more than once, per
-    /// component (only valid at roots) — such routes disqualify the
-    /// component from the single-bottleneck fast path.
-    dups: Vec<u32>,
-}
-
-impl ResourceComponents {
-    fn push_resource(&mut self) {
-        let idx = self.parent.len() as u32;
-        self.parent.push(idx);
-        self.size.push(1);
-        self.members.push(vec![idx]);
-        self.acts.push(0);
-        self.dups.push(0);
-    }
-
-    /// Root of `r`'s component, with path halving.
-    fn find(&mut self, mut r: u32) -> u32 {
-        while self.parent[r as usize] != r {
-            let grandparent = self.parent[self.parent[r as usize] as usize];
-            self.parent[r as usize] = grandparent;
-            r = grandparent;
-        }
-        r
-    }
-
-    /// Merges the components of `a` and `b`; returns the surviving root.
-    fn union(&mut self, a: u32, b: u32) -> u32 {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra == rb {
-            return ra;
-        }
-        let (winner, loser) = if self.size[ra as usize] > self.size[rb as usize]
-            || (self.size[ra as usize] == self.size[rb as usize] && ra < rb)
-        {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        self.parent[loser as usize] = winner;
-        self.size[winner as usize] += self.size[loser as usize];
-        let mut moved = std::mem::take(&mut self.members[loser as usize]);
-        self.members[winner as usize].extend_from_slice(&moved);
-        moved.clear();
-        self.members[loser as usize] = moved; // keep the allocation for reuse
-        self.acts[winner as usize] += self.acts[loser as usize];
-        self.acts[loser as usize] = 0;
-        self.dups[winner as usize] += self.dups[loser as usize];
-        self.dups[loser as usize] = 0;
-        winner
-    }
-
-    /// Resets every resource to its own singleton component (allocations are
-    /// kept so periodic rebuilds do not churn the allocator).
-    fn reset(&mut self) {
-        for i in 0..self.parent.len() {
-            self.parent[i] = i as u32;
-            self.size[i] = 1;
-            self.members[i].clear();
-            self.members[i].push(i as u32);
-            self.acts[i] = 0;
-            self.dups[i] = 0;
-        }
-    }
-}
-
 /// The fluid sharing model: a bipartite graph of resources and activities.
 #[derive(Debug, Clone, Default)]
 pub struct FluidModel {
@@ -333,10 +292,8 @@ pub struct FluidModel {
     /// Resources marked dirty since the last solve.
     dirty_list: Vec<u32>,
     retired_since_rebuild: usize,
-    // Indexed min-heap of projected completion times, ordered by
-    // `(slot.proj, slot)`; `heap_pos` maps slot -> heap index (NO_POS = out).
-    heap: Vec<u32>,
-    heap_pos: Vec<u32>,
+    /// Live slots with a finite projection, ordered by `(slot.proj, slot)`.
+    completions: CompletionHeap,
     // Reusable scratch buffers (no steady-state allocation on the hot path).
     scratch_residual: Vec<f64>,
     scratch_weight_sum: Vec<f64>,
@@ -363,6 +320,27 @@ pub struct FluidModel {
     fast_path_disabled: bool,
     stat_fast_solves: u64,
     stat_slow_solves: u64,
+    counters: SolverCounters,
+    /// Solve count at which the heap is next checked against the slab.
+    #[cfg(debug_assertions)]
+    heap_check_due: u64,
+}
+
+/// How much linear work the solver's passes did since the model was created
+/// (diagnostics; see [`FluidModel::solver_counters`]). `rerated_slots` and
+/// `slow_rounds` are a pure function of the model's call history;
+/// `bulk_rekeys` additionally records which way the re-key rule went.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolverCounters {
+    /// Slots a solve assigned a rate to: the hub's whole user list when a
+    /// fast solve's `φ` changed (only the fresh slots when it did not), the
+    /// whole component in a slow solve.
+    pub rerated_slots: u64,
+    /// Progressive-filling rounds run by slow solves.
+    pub slow_rounds: u64,
+    /// Solves that re-keyed the completion heap in bulk (unsifted writes plus
+    /// one rebuild) rather than slot by slot.
+    pub bulk_rekeys: u64,
 }
 
 impl FluidModel {
@@ -430,6 +408,11 @@ impl FluidModel {
         (self.stat_fast_solves, self.stat_slow_solves)
     }
 
+    /// Linear-pass work counters, beside [`FluidModel::solver_stats`].
+    pub fn solver_counters(&self) -> SolverCounters {
+        self.counters
+    }
+
     /// Test instrumentation: permanently routes every solve of this model
     /// down the progressive-filling slow path. All observable state stays
     /// bit-identical (the fast path only engages where it provably matches),
@@ -488,7 +471,7 @@ impl FluidModel {
                 let idx = self.slots.len();
                 assert!(idx < u32::MAX as usize, "fluid slab exhausted");
                 self.slots.push(ActivitySlot::default());
-                self.heap_pos.push(NO_POS);
+                self.completions.push_slot();
                 idx as u32
             }
         };
@@ -541,8 +524,8 @@ impl FluidModel {
     /// leave a stale sibling sub-component behind if a partition rebuild
     /// splits the component before the next solve.
     fn release_slot(&mut self, slot_idx: u32) {
-        if self.heap_pos[slot_idx as usize] != NO_POS {
-            self.heap_remove(slot_idx);
+        if self.completions.contains(slot_idx) {
+            self.completions.remove(&self.slots, slot_idx);
         }
         let resources = std::mem::take(&mut self.slots[slot_idx as usize].resources);
         let weight = self.slots[slot_idx as usize].weight;
@@ -654,6 +637,22 @@ impl FluidModel {
             self.slots[u].fresh = false;
         }
         self.fresh_slots.clear();
+        #[cfg(debug_assertions)]
+        self.debug_check_heap();
+    }
+
+    /// Re-checks the completion heap against the slab: after every
+    /// `ensure_shares` while the slab is small, and on a large one once per
+    /// `slots / 64` solves, which holds the O(slots) check to a constant
+    /// factor of the solves it follows (checked every time, the 100k-job
+    /// debug-build tests take minutes longer).
+    #[cfg(debug_assertions)]
+    fn debug_check_heap(&mut self) {
+        let solves = self.stat_fast_solves + self.stat_slow_solves;
+        if solves >= self.heap_check_due {
+            self.completions.assert_consistent(&self.slots);
+            self.heap_check_due = solves + (self.slots.len() / 64) as u64;
+        }
     }
 
     /// Rebuilds the component partition from the live activity set,
@@ -731,10 +730,11 @@ impl FluidModel {
             }
         }
         self.tw.set_phi(hub, phi);
-        let clock = self.clock;
         if stable {
-            let fresh = std::mem::take(&mut self.fresh_slots);
-            for &u in &fresh {
+            let mut rated = std::mem::take(&mut self.scratch_comp_acts);
+            rated.clear();
+            for i in 0..self.fresh_slots.len() {
+                let u = self.fresh_slots[i];
                 if !self.slots[u as usize].fresh {
                     continue; // retired again before this solve
                 }
@@ -742,37 +742,61 @@ impl FluidModel {
                 if self.comps.find(r0) != root {
                     continue; // belongs to a different dirty component
                 }
-                self.slots[u as usize].fresh = false;
-                let rate = phi * self.slots[u as usize].weight;
-                self.apply_rate(u, rate, clock);
+                rated.push(u);
             }
-            self.fresh_slots = fresh;
+            self.rate_at_phi(&rated, phi);
+            self.scratch_comp_acts = rated;
         } else {
             // One sweep over the hub's user list — which is exactly the
             // component's activity set, already in ascending slot order.
             let users = std::mem::take(&mut self.resources[hub as usize].users);
-            for &u in &users {
-                self.slots[u as usize].fresh = false;
-                let rate = phi * self.slots[u as usize].weight;
-                self.apply_rate(u, rate, clock);
-            }
+            self.rate_at_phi(&users, phi);
             self.resources[hub as usize].users = users;
         }
     }
 
-    /// Applies a freshly solved rate to one slot with the slow path's exact
-    /// materialisation semantics: remaining work is folded (and `synced_at`
-    /// reset) only on a bitwise rate change, then the completion projection
-    /// is refreshed.
-    fn apply_rate(&mut self, u: u32, new_rate: f64, clock: f64) {
-        let slot = &mut self.slots[u as usize];
-        if slot.rate.to_bits() != new_rate.to_bits() {
-            slot.remaining -= slot.rate * (clock - slot.synced_at);
-            slot.synced_at = clock;
-            slot.rate = new_rate;
+    /// Rates `rated` at `φ·w_i` with the slow path's exact materialisation
+    /// semantics — remaining work is folded (and `synced_at` reset) only on a
+    /// bitwise rate change — then refreshes their completion projections.
+    fn rate_at_phi(&mut self, rated: &[u32], phi: f64) {
+        self.counters.rerated_slots += rated.len() as u64;
+        let clock = self.clock;
+        for &u in rated {
+            let slot = &mut self.slots[u as usize];
+            slot.fresh = false;
+            let rate = phi * slot.weight;
+            if slot.rate.to_bits() != rate.to_bits() {
+                slot.remaining -= slot.rate * (clock - slot.synced_at);
+                slot.synced_at = clock;
+                slot.rate = rate;
+            }
         }
-        let proj = projected_completion(slot.remaining, slot.rate, slot.synced_at);
-        self.heap_set(u, proj);
+        self.rekey(rated);
+    }
+
+    /// Brings the completion heap up to date with the `(remaining, rate,
+    /// synced_at)` a solve just left in `touched`. A solve that touches at
+    /// least a quarter of the heap's members writes the new projections in
+    /// place and restores the heap once — O(touched + heap) — instead of
+    /// sifting each one — O(touched · log heap), which is the better deal
+    /// only for a small component against a large heap. Either way the heap
+    /// holds the same members under the same keys, and that is all a pop
+    /// depends on (see [`completion_heap`]).
+    fn rekey(&mut self, touched: &[u32]) {
+        let bulk = touched.len() * 4 >= self.completions.len();
+        for &u in touched {
+            let slot = &self.slots[u as usize];
+            let proj = projected_completion(slot.remaining, slot.rate, slot.synced_at);
+            if bulk {
+                self.completions.write_unsifted(&mut self.slots, u, proj);
+            } else {
+                self.completions.set(&mut self.slots, u, proj);
+            }
+        }
+        if bulk {
+            self.completions.rebuild(&self.slots);
+            self.counters.bulk_rekeys += 1;
+        }
     }
 
     /// Progressive-filling max-min fairness over one component.
@@ -816,18 +840,34 @@ impl FluidModel {
             frozen[u as usize] = false;
         }
         let mut unfrozen = comp_acts.len();
+        self.counters.rerated_slots += unfrozen as u64;
+
+        // Weight of unfrozen activities crossing each member resource. Where
+        // every member's running sum is exact (integer weights: any order of
+        // additions and subtractions gives the same bits), round one starts
+        // from the index and each freeze subtracts its weight along its
+        // route; otherwise every round re-sums the user lists in ascending
+        // slot order, which is what defines the sum for fractional weights.
+        let running = comp_res.iter().all(|&r| self.tw.is_exact(r));
+        if running {
+            for &r in comp_res {
+                weight_sum[r as usize] = self.tw.weight_sum(r);
+            }
+        }
 
         // Each iteration freezes at least one activity, so at most n rounds.
         while unfrozen > 0 {
-            // Weight of unfrozen activities crossing each member resource.
-            for &r in comp_res {
-                let mut sum = 0.0;
-                for &u in &self.resources[r as usize].users {
-                    if !frozen[u as usize] {
-                        sum += self.slots[u as usize].weight;
+            self.counters.slow_rounds += 1;
+            if !running {
+                for &r in comp_res {
+                    let mut sum = 0.0;
+                    for &u in &self.resources[r as usize].users {
+                        if !frozen[u as usize] {
+                            sum += self.slots[u as usize].weight;
+                        }
                     }
+                    weight_sum[r as usize] = sum;
                 }
-                weight_sum[r as usize] = sum;
             }
             // Fair share increment per unit weight = min over member
             // resources of residual / weight_sum (first such resource on
@@ -859,9 +899,13 @@ impl FluidModel {
                 if frozen[slot_idx] {
                     continue;
                 }
-                let rate = fair_rate_per_weight * self.slots[slot_idx].weight;
+                let weight = self.slots[slot_idx].weight;
+                let rate = fair_rate_per_weight * weight;
                 for r in &self.slots[slot_idx].resources {
                     residual[r.index()] = (residual[r.index()] - rate).max(0.0);
+                    if running {
+                        weight_sum[r.index()] -= weight;
+                    }
                 }
                 self.slots[slot_idx].rate = rate;
                 frozen[slot_idx] = true;
@@ -874,18 +918,27 @@ impl FluidModel {
         }
 
         // Post-pass: materialise remaining work for activities whose rate
-        // changed bitwise, and refresh their completion projections.
+        // changed bitwise, and refresh the completion projections of those
+        // and of the fresh ones — any other slot's projection is a function
+        // of three values this solve left untouched.
         let clock = self.clock;
-        for (i, &u) in comp_acts.iter().enumerate() {
+        let mut touched = 0;
+        for i in 0..comp_acts.len() {
+            let u = comp_acts[i];
             let old_rate = old_rates[i];
             let slot = &mut self.slots[u as usize];
-            if slot.rate.to_bits() != old_rate.to_bits() {
+            let changed = slot.rate.to_bits() != old_rate.to_bits();
+            if changed {
                 slot.remaining -= old_rate * (clock - slot.synced_at);
                 slot.synced_at = clock;
             }
-            let proj = projected_completion(slot.remaining, slot.rate, slot.synced_at);
-            self.heap_set(u, proj);
+            if changed || slot.fresh {
+                comp_acts[touched] = u;
+                touched += 1;
+            }
         }
+        comp_acts.truncate(touched);
+        self.rekey(&comp_acts);
 
         self.scratch_residual = residual;
         self.scratch_weight_sum = weight_sum;
@@ -896,100 +949,6 @@ impl FluidModel {
         self.scratch_old_rates = old_rates;
     }
 
-    // ---- indexed completion heap ------------------------------------------
-
-    /// True when heap element `a` orders before `b`: lexicographic on
-    /// `(projection, slot)` — the slot tie-break keeps pops deterministic.
-    #[inline]
-    fn heap_less(&self, a: u32, b: u32) -> bool {
-        let pa = self.slots[a as usize].proj;
-        let pb = self.slots[b as usize].proj;
-        match pa.partial_cmp(&pb) {
-            Some(std::cmp::Ordering::Less) => true,
-            Some(std::cmp::Ordering::Greater) => false,
-            _ => a < b,
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) -> usize {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap_less(self.heap[i], self.heap[parent]) {
-                self.heap.swap(i, parent);
-                self.heap_pos[self.heap[i] as usize] = i as u32;
-                self.heap_pos[self.heap[parent] as usize] = parent as u32;
-                i = parent;
-            } else {
-                break;
-            }
-        }
-        i
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let left = 2 * i + 1;
-            let right = left + 1;
-            let mut smallest = i;
-            if left < self.heap.len() && self.heap_less(self.heap[left], self.heap[smallest]) {
-                smallest = left;
-            }
-            if right < self.heap.len() && self.heap_less(self.heap[right], self.heap[smallest]) {
-                smallest = right;
-            }
-            if smallest == i {
-                break;
-            }
-            self.heap.swap(i, smallest);
-            self.heap_pos[self.heap[i] as usize] = i as u32;
-            self.heap_pos[self.heap[smallest] as usize] = smallest as u32;
-            i = smallest;
-        }
-    }
-
-    /// Sets slot `u`'s projection and repositions (or inserts/removes) it in
-    /// the heap. Infinite projections (zero-rate activities) stay out of the
-    /// heap entirely; unchanged projections are a no-op.
-    fn heap_set(&mut self, u: u32, proj: f64) {
-        let pos = self.heap_pos[u as usize];
-        if proj.is_infinite() {
-            self.slots[u as usize].proj = proj;
-            if pos != NO_POS {
-                self.heap_remove(u);
-            }
-            return;
-        }
-        let old = self.slots[u as usize].proj;
-        self.slots[u as usize].proj = proj;
-        if pos == NO_POS {
-            self.heap_pos[u as usize] = self.heap.len() as u32;
-            self.heap.push(u);
-            self.sift_up(self.heap.len() - 1);
-        } else if proj.to_bits() != old.to_bits() {
-            let settled = self.sift_up(pos as usize);
-            if settled == pos as usize {
-                self.sift_down(settled);
-            }
-        }
-    }
-
-    /// Removes slot `u` from the heap (it must be present).
-    fn heap_remove(&mut self, u: u32) {
-        let pos = self.heap_pos[u as usize] as usize;
-        let last = self.heap.len() - 1;
-        self.heap.swap(pos, last);
-        self.heap.pop();
-        self.heap_pos[u as usize] = NO_POS;
-        if pos < self.heap.len() {
-            let moved = self.heap[pos];
-            self.heap_pos[moved as usize] = pos as u32;
-            let settled = self.sift_up(pos);
-            if settled == pos {
-                self.sift_down(settled);
-            }
-        }
-    }
-
     // ---- completion queries -----------------------------------------------
 
     /// Time until the next activity completes at current rates, if any
@@ -997,7 +956,7 @@ impl FluidModel {
     /// complete immediately; zero-rate activities never do).
     pub fn time_to_next_completion(&mut self) -> Option<SimTime> {
         self.ensure_shares();
-        let &next = self.heap.first()?;
+        let next = self.completions.peek()?;
         let dt = (self.slots[next as usize].proj - self.clock).max(0.0);
         Some(SimTime::from_secs(dt))
     }
@@ -1026,9 +985,9 @@ impl FluidModel {
         let deadline = self.clock + TIME_RESOLUTION_S;
         let mut finished = std::mem::take(&mut self.scratch_finished);
         finished.clear();
-        while let Some(&top) = self.heap.first() {
+        while let Some(top) = self.completions.peek() {
             if self.slots[top as usize].proj <= deadline {
-                self.heap_remove(top);
+                self.completions.remove(&self.slots, top);
                 finished.push(top);
             } else {
                 break;
@@ -1095,87 +1054,6 @@ fn projected_completion(remaining: f64, rate: f64, synced_at: f64) -> f64 {
         f64::INFINITY
     }
 }
-
-/// A secondary map keyed by [`ActivityId`], slab-parallel to [`FluidModel`].
-///
-/// Stores one value per live activity in a dense `Vec` indexed by the id's
-/// slot, with the generation recorded alongside so stale ids miss instead of
-/// aliasing a recycled slot. This replaces `HashMap<ActivityId, T>` in
-/// consumers (the simulation core keeps its per-activity `(job, phase)`
-/// bookkeeping here): lookups are O(1) index arithmetic and iteration-free,
-/// and no hashing ever happens on the per-event path.
-#[derive(Debug, Clone)]
-pub struct ActivityMap<T> {
-    entries: Vec<Option<(u32, T)>>,
-    len: usize,
-}
-
-impl<T> Default for ActivityMap<T> {
-    fn default() -> Self {
-        ActivityMap {
-            entries: Vec::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<T> ActivityMap<T> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Associates `value` with `id`, returning the previous value for the
-    /// same id. A value left behind by a stale id on the same slot is
-    /// discarded silently.
-    pub fn insert(&mut self, id: ActivityId, value: T) -> Option<T> {
-        let idx = id.slot() as usize;
-        if idx >= self.entries.len() {
-            self.entries.resize_with(idx + 1, || None);
-        }
-        let previous = self.entries[idx].take();
-        self.entries[idx] = Some((id.generation(), value));
-        match previous {
-            Some((generation, old)) if generation == id.generation() => Some(old),
-            Some(_) => None, // overwrote a stale entry; occupancy unchanged
-            None => {
-                self.len += 1;
-                None
-            }
-        }
-    }
-
-    /// The value associated with `id`, if current.
-    pub fn get(&self, id: ActivityId) -> Option<&T> {
-        match self.entries.get(id.slot() as usize)? {
-            Some((generation, value)) if *generation == id.generation() => Some(value),
-            _ => None,
-        }
-    }
-
-    /// Removes and returns the value associated with `id`, if current.
-    pub fn remove(&mut self, id: ActivityId) -> Option<T> {
-        let entry = self.entries.get_mut(id.slot() as usize)?;
-        match entry {
-            Some((generation, _)) if *generation == id.generation() => {
-                self.len -= 1;
-                entry.take().map(|(_, value)| value)
-            }
-            _ => None,
-        }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1306,6 +1184,19 @@ mod tests {
         assert_eq!(m.time_to_next_completion().unwrap(), SimTime::ZERO);
         let done = m.advance(SimTime::ZERO);
         assert_eq!(done, vec![a]);
+    }
+
+    #[test]
+    fn zero_work_activity_completes_even_when_it_is_rated_zero() {
+        // A weight below EPSILON never finds a bottleneck, so the slow solve
+        // leaves the fresh slot at the rate it was admitted with (zero): its
+        // projection must be refreshed all the same.
+        let mut m = FluidModel::new();
+        let link = m.add_resource(100.0);
+        let a = m.add_weighted_activity(0.0, &[link], 1e-10);
+        assert_eq!(m.rate(a), Some(0.0));
+        assert_eq!(m.time_to_next_completion(), Some(SimTime::ZERO));
+        assert_eq!(m.advance(SimTime::ZERO), vec![a]);
     }
 
     #[test]
@@ -1503,30 +1394,6 @@ mod tests {
             rates
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn activity_map_tracks_generations() {
-        let mut m = FluidModel::new();
-        let link = m.add_resource(100.0);
-        let mut map: ActivityMap<&str> = ActivityMap::new();
-
-        let a = m.add_activity(1e6, &[link]);
-        assert_eq!(map.insert(a, "first"), None);
-        assert_eq!(map.get(a), Some(&"first"));
-        assert_eq!(map.len(), 1);
-
-        m.remove_activity(a).unwrap();
-        let b = m.add_activity(1e6, &[link]);
-        assert_eq!(b.slot(), a.slot(), "slot is recycled");
-
-        // The stale id no longer resolves; the new id takes over the slot.
-        assert_eq!(map.insert(b, "second"), None);
-        assert_eq!(map.len(), 1, "stale entry replaced, not accumulated");
-        assert_eq!(map.get(a), None);
-        assert_eq!(map.remove(a), None);
-        assert_eq!(map.remove(b), Some("second"));
-        assert!(map.is_empty());
     }
 
     #[test]

@@ -81,6 +81,16 @@ impl TotalWorkIndex {
         }
     }
 
+    /// Whether resource `r`'s running sum is bit-identical to a recompute.
+    pub(super) fn is_exact(&self, r: u32) -> bool {
+        self.exact[r as usize]
+    }
+
+    /// Running weight sum of resource `r`.
+    pub(super) fn weight_sum(&self, r: u32) -> f64 {
+        self.weight_sum[r as usize]
+    }
+
     /// Cached fair share of resource `r` (NaN when invalid).
     pub(super) fn phi(&self, r: u32) -> f64 {
         self.phi[r as usize]

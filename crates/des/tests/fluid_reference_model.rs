@@ -13,7 +13,7 @@
 //! recomputation the global pass would have performed.
 
 use cgsim_des::fluid::{ActivityId, FluidModel, ResourceId, EPSILON, TIME_RESOLUTION_S};
-use cgsim_des::SimTime;
+use cgsim_des::{Rng, SimTime};
 use proptest::prelude::*;
 
 /// One activity of the reference model, stored at the slot index of the
@@ -206,153 +206,235 @@ impl ReferenceModel {
     }
 }
 
+/// Which solver branches a run of cases went through, read off the
+/// production model's counters after every operation.
+#[derive(Debug, Default)]
+struct Coverage {
+    /// Operations whose solves re-keyed the completion heap in bulk.
+    bulk_rekeys: u64,
+    /// Operations that re-rated slots without any bulk re-key: every one of
+    /// them went through the per-element `set`.
+    per_element_rekeys: u64,
+    /// Progressive-filling rounds in all-integer cases: every member
+    /// resource's running sum is exact, so these start from the index.
+    running_sum_rounds: u64,
+    /// Rounds in all-fractional cases: every resource in use is tainted, so
+    /// these re-sum the user lists.
+    resummed_rounds: u64,
+}
+
+/// How a case draws its fairness weights.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Weights {
+    /// `1 + k`: running sums stay exact, the fast path may engage.
+    Integer,
+    /// `1.25 + k/2`: every resource in use is tainted.
+    Fractional,
+    /// Either, per admit: components taint, heal and migrate mid-case.
+    Mixed,
+}
+
+impl Weights {
+    fn of_case(selector: usize) -> Self {
+        [Weights::Integer, Weights::Fractional, Weights::Mixed][selector % 3]
+    }
+
+    fn draw(self, k: usize) -> f64 {
+        let fractional = match self {
+            Weights::Integer => false,
+            Weights::Fractional => true,
+            Weights::Mixed => k % 8 >= 4,
+        };
+        if fractional {
+            1.25 + (k % 4) as f64 * 0.5
+        } else {
+            1.0 + (k % 4) as f64
+        }
+    }
+}
+
+/// The production model, a twin with the fast path disabled, and the naive
+/// reference, driven in lockstep: every mutation is applied to all three and
+/// every observable compared bit for bit. The twin pins fast-path/slow-path
+/// *migration*: every op that moves a component between modes in `real` is
+/// replayed on a model that never leaves the slow path.
+struct Lockstep {
+    real: FluidModel,
+    twin: FluidModel,
+    reference: ReferenceModel,
+    resources: Vec<ResourceId>,
+    /// Route and weight of every live activity, in admission order.
+    live: Vec<(ActivityId, Vec<usize>, f64)>,
+    weights: Weights,
+    seen: cgsim_des::fluid::SolverCounters,
+}
+
+impl Lockstep {
+    fn new(caps: &[f64], weights: Weights) -> Self {
+        let mut real = FluidModel::new();
+        let mut twin = FluidModel::new();
+        twin.disable_fast_path();
+        let mut reference = ReferenceModel::default();
+        let resources = caps.iter().map(|&c| real.add_resource(c)).collect();
+        for &c in caps {
+            twin.add_resource(c);
+            reference.add_resource(c);
+        }
+        Lockstep {
+            real,
+            twin,
+            reference,
+            resources,
+            live: Vec::new(),
+            weights,
+            seen: Default::default(),
+        }
+    }
+
+    fn admit(&mut self, amount: f64, route: Vec<usize>, weight: f64) {
+        let ids: Vec<ResourceId> = route.iter().map(|&r| self.resources[r]).collect();
+        let id = self.real.add_weighted_activity(amount, &ids, weight);
+        assert_eq!(id, self.twin.add_weighted_activity(amount, &ids, weight));
+        self.reference.add(id, amount, route.clone(), weight);
+        self.live.push((id, route, weight));
+    }
+
+    /// Retires the `pick`-th live activity (modulo), returning its route and
+    /// weight; `None` when nothing is live.
+    fn retire(&mut self, pick: usize) -> Option<(Vec<usize>, f64)> {
+        if self.live.is_empty() {
+            return None;
+        }
+        let (id, route, weight) = self.live.remove(pick % self.live.len());
+        let want = self.reference.remove(id).map(f64::to_bits);
+        assert_eq!(self.real.remove_activity(id).map(f64::to_bits), want);
+        assert_eq!(self.twin.remove_activity(id).map(f64::to_bits), want);
+        Some((route, weight))
+    }
+
+    fn set_capacity(&mut self, r: usize, cap: f64) {
+        self.real.set_capacity(self.resources[r], cap);
+        self.twin.set_capacity(self.resources[r], cap);
+        self.reference.capacities[r] = cap;
+    }
+
+    /// Compares the next completion, then advances all three models by
+    /// `frac` of it and compares what completed.
+    fn advance(&mut self, frac: f64) {
+        self.check_next();
+        if let Some(dt) = self.real.time_to_next_completion() {
+            let dt = SimTime::from_secs(dt.as_secs() * frac);
+            let done = self.reference.advance(dt);
+            assert_eq!(self.real.advance(dt), done);
+            assert_eq!(self.twin.advance(dt), done);
+            self.live.retain(|(id, _, _)| !done.contains(id));
+        }
+    }
+
+    fn check_next(&mut self) {
+        let want = self.reference.time_to_next_completion();
+        assert_eq!(self.real.time_to_next_completion(), want);
+        assert_eq!(self.twin.time_to_next_completion(), want);
+    }
+
+    /// Invariants after every operation: rates, remaining work and
+    /// next-completion agree bit-for-bit across all three models. Also
+    /// books which solver branches the operation's solves took.
+    fn check(&mut self, coverage: &mut Coverage) {
+        let bits = |rates: Vec<(ActivityId, f64)>| -> Vec<(ActivityId, u64)> {
+            rates.into_iter().map(|(id, r)| (id, r.to_bits())).collect()
+        };
+        let want = bits(self.reference.rates());
+        assert_eq!(bits(self.real.rates()), want);
+        assert_eq!(bits(self.twin.rates()), want);
+        for (id, _, _) in &self.live {
+            let want = self.reference.remaining(*id).map(f64::to_bits);
+            assert_eq!(self.real.remaining(*id).map(f64::to_bits), want);
+            assert_eq!(self.twin.remaining(*id).map(f64::to_bits), want);
+        }
+        self.check_next();
+        assert_eq!(self.real.activity_count(), self.live.len());
+        assert_eq!(self.twin.activity_count(), self.live.len());
+
+        let now = self.real.solver_counters();
+        let rounds = now.slow_rounds - self.seen.slow_rounds;
+        match self.weights {
+            Weights::Integer => coverage.running_sum_rounds += rounds,
+            Weights::Fractional => coverage.resummed_rounds += rounds,
+            Weights::Mixed => {}
+        }
+        if now.bulk_rekeys > self.seen.bulk_rekeys {
+            coverage.bulk_rekeys += 1;
+        } else if now.rerated_slots > self.seen.rerated_slots {
+            coverage.per_element_rekeys += 1;
+        }
+        self.seen = now;
+    }
+}
+
 proptest! {
     /// Random admit/retire/re-rate/advance sequences — including
     /// link-degradation-style `set_capacity` storms that repeatedly re-rate
     /// the same resource (degrade, deepen, restore) between admits and
     /// retires, single-resource topologies that qualify for the
-    /// single-bottleneck fast path, and retire+admit churn pairs that keep
-    /// the hub's fair share bitwise-stable (the fast path's no-per-slot-work
-    /// branch): the incremental solver, a twin with the fast path disabled,
-    /// and the naive reference agree bit-for-bit on every observable at
-    /// every step. The twin pins fast-path/slow-path *migration*: every op
-    /// that moves a component between modes in `real` is replayed on a model
-    /// that never leaves the slow path.
+    /// single-bottleneck fast path, retire+admit churn pairs that keep the
+    /// hub's fair share bitwise-stable (the fast path's no-per-slot-work
+    /// branch), and integer, fractional or mixed weights per case (running
+    /// sums, the re-summing fallback, taint and healing): the incremental
+    /// solver, a twin with the fast path disabled, and the naive reference
+    /// agree bit-for-bit on every observable at every step.
     #[test]
     fn incremental_solver_matches_naive_reference(
         caps in prop::collection::vec(1.0f64..1000.0, 2..6),
+        weights in 0usize..3,
         ops in prop::collection::vec(
             (0usize..10, 0usize..64, 0usize..64, 1.0f64..1e6, 0.05f64..0.95),
             1..80,
         ),
     ) {
-        let mut real = FluidModel::new();
-        let mut twin = FluidModel::new();
-        twin.disable_fast_path();
-        let mut reference = ReferenceModel::default();
-        let resources: Vec<ResourceId> = caps.iter().map(|&c| real.add_resource(c)).collect();
-        for &c in &caps {
-            twin.add_resource(c);
-            reference.add_resource(c);
-        }
-        let mut live: Vec<ActivityId> = Vec::new();
-        // Route and weight of every live admit, for stable-φ churn pairs.
-        let mut admits: Vec<(ActivityId, Vec<usize>, f64)> = Vec::new();
+        let mut m = Lockstep::new(&caps, Weights::of_case(weights));
+        let mut coverage = Coverage::default();
+        let n = caps.len();
 
         for &(kind, a, b, amount, frac) in &ops {
             match kind {
                 // Weighted admit over a 1- or 2-resource route.
                 0 | 1 => {
-                    let r1 = a % resources.len();
-                    let r2 = b % resources.len();
-                    let (route_ids, route_idx) = if r1 == r2 {
-                        (vec![resources[r1]], vec![r1])
-                    } else {
-                        (vec![resources[r1], resources[r2]], vec![r1, r2])
-                    };
-                    let weight = if kind == 0 { 1.0 } else { 1.0 + (b % 4) as f64 };
-                    let id = real.add_weighted_activity(amount, &route_ids, weight);
-                    let twin_id = twin.add_weighted_activity(amount, &route_ids, weight);
-                    prop_assert_eq!(id, twin_id);
-                    reference.add(id, amount, route_idx.clone(), weight);
-                    live.push(id);
-                    admits.push((id, route_idx, weight));
+                    let (r1, r2) = (a % n, b % n);
+                    let route = if r1 == r2 { vec![r1] } else { vec![r1, r2] };
+                    let weight = if kind == 0 { 1.0 } else { m.weights.draw(b) };
+                    m.admit(amount, route, weight);
                 }
-                // Retire.
                 2 => {
-                    if !live.is_empty() {
-                        let id = live.remove(a % live.len());
-                        admits.retain(|(aid, _, _)| *aid != id);
-                        let got = real.remove_activity(id);
-                        let got_twin = twin.remove_activity(id);
-                        let want = reference.remove(id);
-                        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
-                        prop_assert_eq!(got_twin.map(f64::to_bits), want.map(f64::to_bits));
-                    }
+                    m.retire(a);
                 }
                 // Re-rate a resource.
-                3 => {
-                    let r = a % resources.len();
-                    let cap = 1.0 + amount % 999.0;
-                    real.set_capacity(resources[r], cap);
-                    twin.set_capacity(resources[r], cap);
-                    if reference.capacities[r].to_bits() != cap.to_bits() {
-                        reference.capacities[r] = cap;
-                    }
-                }
+                3 => m.set_capacity(a % n, 1.0 + amount % 999.0),
                 // Advance exactly to the next completion.
-                4 => {
-                    let real_next = real.time_to_next_completion();
-                    let ref_next = reference.time_to_next_completion();
-                    prop_assert_eq!(real_next, ref_next);
-                    prop_assert_eq!(twin.time_to_next_completion(), ref_next);
-                    if let Some(dt) = real_next {
-                        let done_real = real.advance(dt);
-                        let done_twin = twin.advance(dt);
-                        let done_ref = reference.advance(dt);
-                        prop_assert_eq!(&done_real, &done_ref);
-                        prop_assert_eq!(&done_twin, &done_ref);
-                        live.retain(|id| !done_real.contains(id));
-                        admits.retain(|(aid, _, _)| !done_real.contains(aid));
-                    }
-                }
+                4 => m.advance(1.0),
                 // Partial advance (a fraction of the next completion time).
-                5 => {
-                    let real_next = real.time_to_next_completion();
-                    let ref_next = reference.time_to_next_completion();
-                    prop_assert_eq!(real_next, ref_next);
-                    prop_assert_eq!(twin.time_to_next_completion(), ref_next);
-                    if let Some(dt) = real_next {
-                        let partial = SimTime::from_secs(dt.as_secs() * frac);
-                        let done_real = real.advance(partial);
-                        let done_twin = twin.advance(partial);
-                        let done_ref = reference.advance(partial);
-                        prop_assert_eq!(&done_real, &done_ref);
-                        prop_assert_eq!(&done_twin, &done_ref);
-                        live.retain(|id| !done_real.contains(id));
-                        admits.retain(|(aid, _, _)| !done_real.contains(aid));
-                    }
-                }
+                5 => m.advance(frac),
                 // Degradation-style re-rate: scale one resource to a
                 // fraction of its *nominal* capacity (how the simulation
                 // core applies `GridAvailability::link_factor`).
-                6 => {
-                    let r = a % resources.len();
-                    let cap = caps[r] * frac;
-                    real.set_capacity(resources[r], cap);
-                    twin.set_capacity(resources[r], cap);
-                    reference.capacities[r] = cap;
-                }
+                6 => m.set_capacity(a % n, caps[a % n] * frac),
                 // Re-rate storm on a single resource: degrade, deepen, then
                 // restore to nominal back-to-back — the overlapping
                 // begin/begin/end sequences fault replay produces. Each step
                 // must keep the dirty-component bookkeeping coherent even
                 // though only the final value survives.
                 7 => {
-                    let r = b % resources.len();
+                    let r = b % n;
                     for step in [frac, frac * 0.5, 1.0] {
-                        let cap = caps[r] * step;
-                        real.set_capacity(resources[r], cap);
-                        twin.set_capacity(resources[r], cap);
-                        reference.capacities[r] = cap;
+                        m.set_capacity(r, caps[r] * step);
                         // Interleave queries so every intermediate value is
                         // actually observed, not just the last one.
-                        let want = reference.time_to_next_completion();
-                        prop_assert_eq!(real.time_to_next_completion(), want);
-                        prop_assert_eq!(twin.time_to_next_completion(), want);
+                        m.check_next();
                     }
                 }
                 // Single-resource admit: the trivially single-bottleneck
                 // topology the fast path targets.
-                8 => {
-                    let r = a % resources.len();
-                    let id = real.add_activity(amount, &[resources[r]]);
-                    let twin_id = twin.add_activity(amount, &[resources[r]]);
-                    prop_assert_eq!(id, twin_id);
-                    reference.add(id, amount, vec![r], 1.0);
-                    live.push(id);
-                    admits.push((id, vec![r], 1.0));
-                }
+                8 => m.admit(amount, vec![a % n], 1.0),
                 // Stable-φ churn pair: retire a live activity and admit a
                 // replacement with the *same route and weight* before the
                 // next query. The hub's weight sum — and therefore its fair
@@ -362,57 +444,74 @@ proptest! {
                 // kinds, this also produces fast/slow mode migration within
                 // one sequence.
                 _ => {
-                    if !admits.is_empty() {
-                        let (id, route_idx, weight) = admits.remove(a % admits.len());
-                        live.retain(|l| *l != id);
-                        let got = real.remove_activity(id);
-                        let got_twin = twin.remove_activity(id);
-                        let want = reference.remove(id);
-                        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
-                        prop_assert_eq!(got_twin.map(f64::to_bits), want.map(f64::to_bits));
-                        let route_ids: Vec<ResourceId> =
-                            route_idx.iter().map(|&r| resources[r]).collect();
-                        let new_id = real.add_weighted_activity(amount, &route_ids, weight);
-                        let new_twin = twin.add_weighted_activity(amount, &route_ids, weight);
-                        prop_assert_eq!(new_id, new_twin);
-                        reference.add(new_id, amount, route_idx.clone(), weight);
-                        live.push(new_id);
-                        admits.push((new_id, route_idx, weight));
+                    if let Some((route, weight)) = m.retire(a) {
+                        m.admit(amount, route, weight);
                     }
                 }
             }
-
-            // Invariants after every operation: rates, remaining work and
-            // next-completion agree bit-for-bit across all three models.
-            let real_rates: Vec<(ActivityId, u64)> = real
-                .rates()
-                .into_iter()
-                .map(|(id, r)| (id, r.to_bits()))
-                .collect();
-            let twin_rates: Vec<(ActivityId, u64)> = twin
-                .rates()
-                .into_iter()
-                .map(|(id, r)| (id, r.to_bits()))
-                .collect();
-            let ref_rates: Vec<(ActivityId, u64)> = reference
-                .rates()
-                .into_iter()
-                .map(|(id, r)| (id, r.to_bits()))
-                .collect();
-            prop_assert_eq!(&real_rates, &ref_rates);
-            prop_assert_eq!(&twin_rates, &ref_rates);
-            for &id in &live {
-                let want = reference.remaining(id).map(f64::to_bits);
-                prop_assert_eq!(real.remaining(id).map(f64::to_bits), want);
-                prop_assert_eq!(twin.remaining(id).map(f64::to_bits), want);
-            }
-            let want_next = reference.time_to_next_completion();
-            prop_assert_eq!(real.time_to_next_completion(), want_next);
-            prop_assert_eq!(twin.time_to_next_completion(), want_next);
-            prop_assert_eq!(real.activity_count(), live.len());
-            prop_assert_eq!(twin.activity_count(), live.len());
+            m.check(&mut coverage);
         }
     }
+}
+
+/// The checkpoint pile-up shape in lockstep: one hub link crossed by three
+/// routes in four, each through one of six side links (every third one thin
+/// enough to saturate before the hub), the rest staying on their side link;
+/// 48–64 live activities; every step an admit or a retire that changes the
+/// hub's weight sum, with completions, partial advances and hub degradations
+/// in between. Components this large re-rate most of the heap per solve (the
+/// bulk re-key); a side-link admit that moves nobody else's rate re-keys one
+/// slot per element. Across the integer, fractional and mixed cases all four
+/// branches must have run — otherwise the comparison above proves less than
+/// it claims.
+#[test]
+fn pileup_shape_matches_naive_reference_on_every_branch() {
+    const SIDES: usize = 6;
+    let mut caps = vec![400.0];
+    caps.extend((0..SIDES).map(|s| if s % 3 == 0 { 10.0 } else { 200.0 + s as f64 }));
+    let mut coverage = Coverage::default();
+    let mut rng = Rng::new(15);
+
+    for case in 0..9 {
+        let mut m = Lockstep::new(&caps, Weights::of_case(case));
+        let admit = |m: &mut Lockstep, rng: &mut Rng| {
+            let side = 1 + rng.index(SIDES);
+            let route = if rng.index(4) == 0 {
+                vec![side]
+            } else {
+                vec![side, 0]
+            };
+            let weight = m.weights.draw(rng.index(8));
+            m.admit(1e4 + rng.index(1000) as f64 * 97.0, route, weight);
+        };
+        for _ in 0..56 {
+            admit(&mut m, &mut rng);
+        }
+        for step in 0..120 {
+            match step % 8 {
+                3 => m.advance(1.0),
+                5 => m.advance(0.25 + rng.index(50) as f64 / 100.0),
+                7 => m.set_capacity(0, caps[0] * if step % 16 == 7 { 0.3 } else { 1.0 }),
+                _ => {}
+            }
+            // Refill what completed, then one admit or retire of this step's
+            // own: the hub's weight sum moves and 48..=64 stay live.
+            while m.live.len() < 49 {
+                admit(&mut m, &mut rng);
+            }
+            if m.live.len() < 64 && rng.index(2) == 0 {
+                admit(&mut m, &mut rng);
+            } else {
+                m.retire(rng.index(64));
+            }
+            m.check(&mut coverage);
+            assert!((48..=64).contains(&m.live.len()));
+        }
+    }
+    assert!(coverage.bulk_rekeys > 0, "{coverage:?}");
+    assert!(coverage.per_element_rekeys > 0, "{coverage:?}");
+    assert!(coverage.running_sum_rounds > 0, "{coverage:?}");
+    assert!(coverage.resummed_rounds > 0, "{coverage:?}");
 }
 
 /// Forced-full-recompute twin probe at scale: 300 dense-churn steps over a
