@@ -219,17 +219,15 @@ impl GridModel {
             self.consult_policy(now, idx, |policy, job, view| policy.assign_job(job, view));
         match decision {
             Some(site) if site.index() < self.sites.len() && self.availability.site_up(site) => {
-                if let Some(t) = self.tracer.as_mut() {
-                    t.emit(
-                        now.as_secs(),
-                        TraceCategory::Broker,
-                        SpanPhase::Instant,
-                        "broker.dispatch",
-                        Some(self.jobs[idx].record.id.0),
-                        Some(&self.platform.site(site).name),
-                        None,
-                    );
-                }
+                self.trace(
+                    now.as_secs(),
+                    TraceCategory::Broker,
+                    SpanPhase::Instant,
+                    "broker.dispatch",
+                    Some(idx),
+                    Some(site),
+                    |_| None,
+                );
                 self.jobs[idx].site = Some(site);
                 self.jobs[idx].assign_time = now.as_secs();
                 self.jobs[idx].state = JobState::Assigned;
@@ -261,19 +259,15 @@ impl GridModel {
                         }
                     }
                 }
-                if let Some(t) = self.tracer.as_mut() {
-                    if t.wants(TraceCategory::Broker) {
-                        t.emit(
-                            now.as_secs(),
-                            TraceCategory::Broker,
-                            SpanPhase::Instant,
-                            "broker.park",
-                            Some(self.jobs[idx].record.id.0),
-                            None,
-                            Some("no dispatchable site".to_string()),
-                        );
-                    }
-                }
+                self.trace(
+                    now.as_secs(),
+                    TraceCategory::Broker,
+                    SpanPhase::Instant,
+                    "broker.park",
+                    Some(idx),
+                    None,
+                    |_| Some("no dispatchable site".to_string()),
+                );
                 self.jobs[idx].site = None;
                 self.jobs[idx].state = JobState::Pending;
                 self.record(now, idx, JobState::Pending);

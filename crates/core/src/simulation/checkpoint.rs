@@ -1,15 +1,29 @@
-//! Checkpoint/restart: segmented execution with durable state writes, and
-//! recovery of fault-interrupted jobs from their newest surviving checkpoint.
+//! Segmented execution, checkpoint/restart, and recovery of fault-interrupted
+//! jobs from their newest surviving checkpoint.
 //!
-//! With a non-zero [`CheckpointConfig::interval_s`](crate::config::CheckpointConfig)
-//! a job's execution is cut into segments of `interval_s` completed-work
-//! seconds. After each segment the job pauses and writes its state — sized by
-//! the config's byte model — as a *real fluid transfer* to the configured
-//! storage target (the site's own storage element over the site LAN, or the
-//! main server over the WAN, contending with staging traffic either way).
-//! Only a completed write is durable: it registers the checkpoint as a
-//! dataset replica in the [`ReplicaCatalog`](cgsim_data::ReplicaCatalog) at
-//! the target node and reserves its bytes in the target's
+//! **A run is one or more segments.** Every execution attempt enters through
+//! [`GridModel::begin_restore_or_segment`] and advances segment by segment
+//! through [`GridModel::start_execution_segment`] — dedicated cores as an
+//! engine timer, time-shared as a fluid activity on the site's CPU pool. With
+//! a non-zero [`CheckpointConfig::interval_s`](crate::config::CheckpointConfig)
+//! a segment covers `interval_s` completed-work seconds; with checkpointing
+//! off the interval is infinite and the single segment is the whole run,
+//! bit-for-bit what scheduling it in one piece would give.
+//!
+//! **A write is a side-slot transfer the job may wait on.** At a segment
+//! boundary the job's state — sized by the config's byte model — starts
+//! moving as a *real fluid transfer* to the configured storage target (the
+//! site's own storage element over the site LAN, or the main server over the
+//! WAN, contending with staging traffic either way), held in the job's
+//! `ckpt_activity` slot beside its main activity. `checkpoint.overlap`
+//! decides only *when the job waits*: a synchronous job waits on the write
+//! at once and runs its next segment when it lands; an overlapping job runs
+//! the next segment concurrently and waits (a counted stall) only if the
+//! write is still in flight at the following boundary. Start, completion and
+//! cancellation are one code path for both. Only a completed write is
+//! durable: it registers the checkpoint as a dataset replica in the
+//! [`ReplicaCatalog`](cgsim_data::ReplicaCatalog) at the target node and
+//! reserves its bytes in the target's
 //! [`StorageElement`](cgsim_data::StorageElement).
 //!
 //! When fault injection kills the job, the resubmitted attempt resumes from
@@ -20,8 +34,7 @@
 //! re-stages the checkpoint bytes through the fluid model first.
 //!
 //! Everything here is a pure function of the simulation state: no RNG is
-//! drawn, so checkpointed runs are exactly as reproducible as plain ones,
-//! and a disabled policy leaves the original execution path untouched.
+//! drawn, so checkpointed runs are exactly as reproducible as plain ones.
 
 use cgsim_data::DatasetId;
 use cgsim_des::{Context, SimTime};
@@ -31,6 +44,7 @@ use cgsim_workload::ideal_walltime;
 
 use super::events::GridEvent;
 use super::job_runtime::Phase;
+use super::staging::{Owner, Path};
 use super::GridModel;
 use crate::config::{CheckpointTarget, ComputeMode};
 
@@ -78,9 +92,10 @@ impl GridModel {
             })
     }
 
-    /// Entry point of a checkpointed execution attempt (cores held, input
-    /// staged): restore from the best surviving checkpoint — re-staging its
-    /// bytes when they live at another endpoint — or start from scratch.
+    /// Entry point of every execution attempt (cores held, input staged):
+    /// restore from the best surviving checkpoint — re-staging its bytes when
+    /// they live at another endpoint — or start from scratch (always, when
+    /// the job has never checkpointed).
     pub(super) fn begin_restore_or_segment(
         &mut self,
         idx: usize,
@@ -96,19 +111,15 @@ impl GridModel {
                 self.jobs[idx].frac_done = ck.frac;
                 let saved = ck.frac * self.nominal_walltime_at(idx, site);
                 self.collector.record_checkpoint_restore(saved);
-                if let Some(t) = self.tracer.as_mut() {
-                    if t.wants(TraceCategory::Ckpt) {
-                        t.emit(
-                            ctx.now().as_secs(),
-                            TraceCategory::Ckpt,
-                            SpanPhase::Instant,
-                            "ckpt.restore",
-                            Some(self.jobs[idx].record.id.0),
-                            Some(&self.platform.site(site).name),
-                            Some(format!("local frac={:.4}", ck.frac)),
-                        );
-                    }
-                }
+                self.trace(
+                    ctx.now().as_secs(),
+                    TraceCategory::Ckpt,
+                    SpanPhase::Instant,
+                    "ckpt.restore",
+                    Some(idx),
+                    Some(site),
+                    |_| Some(format!("local frac={:.4}", ck.frac)),
+                );
                 self.start_execution_segment(idx, site, ctx);
             }
             Some(ck) => {
@@ -116,14 +127,12 @@ impl GridModel {
                 // model before execution continues. Durability is credited
                 // only when the transfer lands (`finish_restore`).
                 self.jobs[idx].restore_frac = ck.frac;
-                self.jobs[idx].transfer_peer = Some(ck.node);
                 self.jobs[idx].staged_bytes += ck.bytes;
-                self.start_transfer(
-                    idx,
+                self.admit_transfer(
+                    Owner::Job(idx),
                     Phase::Restore,
-                    ck.bytes,
-                    ck.node,
-                    NodeId::Site(site),
+                    ck.bytes as f64,
+                    Path::Net(ck.node, NodeId::Site(site)),
                     ctx,
                 );
             }
@@ -135,7 +144,6 @@ impl GridModel {
     /// and continue executing from it.
     pub(super) fn finish_restore(&mut self, idx: usize, ctx: &mut Context<'_, GridEvent>) {
         let site = self.jobs[idx].site.expect("restoring job has a site");
-        self.jobs[idx].transfer_peer = None;
         let frac = self.jobs[idx].restore_frac;
         self.jobs[idx].restore_frac = 0.0;
         self.jobs[idx].frac_done = frac;
@@ -145,8 +153,10 @@ impl GridModel {
     }
 
     /// Schedules the next execution segment: `interval_s` completed-work
-    /// seconds, or whatever remains if that is less. Only called with
-    /// checkpointing enabled.
+    /// seconds, or whatever remains if that is less. Without checkpointing
+    /// the interval is infinite, so the one segment is the whole remaining
+    /// run — `total * (1.0 - 0.0)` is exact, hence bit-equal to scheduling
+    /// the run in one piece.
     pub(super) fn start_execution_segment(
         &mut self,
         idx: usize,
@@ -154,7 +164,11 @@ impl GridModel {
         ctx: &mut Context<'_, GridEvent>,
     ) {
         let now = ctx.now();
-        let interval = self.execution.checkpoint.interval_s;
+        let interval = if self.execution.checkpoint.enabled() {
+            self.execution.checkpoint.interval_s
+        } else {
+            f64::INFINITY
+        };
         let total_w = self.nominal_walltime_at(idx, site);
         let frac_done = self.jobs[idx].frac_done;
         let remaining_w = total_w * (1.0 - frac_done);
@@ -186,7 +200,6 @@ impl GridModel {
                 let cores = record.cores;
                 let weight = cores as f64;
                 let total_amount = record.work_hs23 / cgsim_workload::parallel_efficiency(cores);
-                let resource = self.cpu_resources[site.index()];
                 let remaining_amount = total_amount * (1.0 - frac_done);
                 let interval_amount = total_amount * interval_frac;
                 let (seg_amount, seg_frac) = if remaining_amount <= interval_amount {
@@ -197,12 +210,11 @@ impl GridModel {
                 self.jobs[idx].seg_fraction = seg_frac;
                 self.jobs[idx].seg_started_s = now.as_secs();
                 self.jobs[idx].seg_amount = seg_amount;
-                self.start_fluid_activity(
-                    idx,
+                self.admit_transfer(
+                    Owner::Job(idx),
                     Phase::Execute,
                     seg_amount,
-                    &[resource],
-                    weight,
+                    Path::Cpu(site, weight),
                     ctx,
                 );
             }
@@ -229,73 +241,75 @@ impl GridModel {
             .transfer_bytes_for(job.record.cores, progress_s, base.is_some())
     }
 
-    /// Starts the durable write of a checkpoint covering the job's progress
-    /// so far: a fluid transfer to the configured storage target. A full
-    /// site storage element skips the write (the job keeps computing and
-    /// tries again after the next segment; the element records the
-    /// rejection).
-    pub(super) fn start_checkpoint_write(
+    /// At a segment boundary with no write in flight: checkpoint the progress
+    /// so far and run the next segment — after the write when writes are
+    /// synchronous (the job waits on it from the start), concurrently with it
+    /// under `checkpoint.overlap`. A write that was not admitted never holds
+    /// the job up.
+    pub(super) fn checkpoint_and_continue(
         &mut self,
         idx: usize,
         site: SiteId,
         ctx: &mut Context<'_, GridEvent>,
     ) {
+        let admitted = self.start_checkpoint_write(idx, site, ctx);
+        if admitted && !self.execution.checkpoint.overlap {
+            return;
+        }
+        self.start_execution_segment(idx, site, ctx);
+        if admitted {
+            self.collector.record_ckpt_overlap();
+        }
+    }
+
+    /// Starts the durable write of a checkpoint covering the job's progress
+    /// so far: a fluid transfer to the configured storage target, held in the
+    /// job's `ckpt_activity` side slot. Captures the current progress
+    /// fraction — that snapshot, not the progress at completion time, is what
+    /// becomes durable — and, when writes are synchronous, marks the job as
+    /// waiting on the write. Returns whether the write was admitted: a full
+    /// site storage element skips it (the job keeps computing and tries again
+    /// after the next segment; the element records the rejection).
+    fn start_checkpoint_write(
+        &mut self,
+        idx: usize,
+        site: SiteId,
+        ctx: &mut Context<'_, GridEvent>,
+    ) -> bool {
+        debug_assert!(self.jobs[idx].ckpt_activity.is_none());
+        let timer = self.profiler.start();
         let bytes = self
             .execution
             .checkpoint
             .bytes_for(self.jobs[idx].record.cores);
-        match self.execution.checkpoint.target {
-            CheckpointTarget::SiteStorage => {
-                // The new copy is written before the superseded one is
-                // deleted, so both are briefly reserved.
-                if !self.storage[site.index()].reserve(bytes) {
-                    self.start_execution_segment(idx, site, ctx);
-                    return;
-                }
-                let target = NodeId::Site(site);
-                let xfer = self.checkpoint_transfer_bytes(idx, site, target);
-                self.collector.record_ckpt_shipped(xfer);
-                self.jobs[idx].transfer_peer = Some(target);
-                // A site-local write crosses only the site LAN, contending
-                // with staging transfers entering or leaving the site.
-                let lan = self.platform.site(site).lan_link;
-                let route = [self.link_resources[lan.index()]];
-                self.start_fluid_activity(idx, Phase::Checkpoint, xfer as f64, &route, 1.0, ctx);
+        let node = match self.execution.checkpoint.target {
+            // The new copy is written before the superseded one is deleted,
+            // so both are briefly reserved.
+            CheckpointTarget::SiteStorage if !self.storage[site.index()].reserve(bytes) => {
+                self.profiler.stop(Subsystem::Checkpoint, timer);
+                return false;
             }
-            CheckpointTarget::MainServer => {
-                let xfer = self.checkpoint_transfer_bytes(idx, site, NodeId::MainServer);
-                self.collector.record_ckpt_shipped(xfer);
-                self.jobs[idx].transfer_peer = Some(NodeId::MainServer);
-                self.start_transfer(
-                    idx,
-                    Phase::Checkpoint,
-                    xfer,
-                    NodeId::Site(site),
-                    NodeId::MainServer,
-                    ctx,
-                );
-            }
-        }
-    }
-
-    /// A synchronous checkpoint write landed: the checkpoint becomes durable
-    /// and the next execution segment starts.
-    pub(super) fn finish_checkpoint_write(&mut self, idx: usize, ctx: &mut Context<'_, GridEvent>) {
-        let timer = self.profiler.start();
-        let site = self.jobs[idx].site.expect("checkpointing job has a site");
-        let node = self.jobs[idx]
-            .transfer_peer
-            .take()
-            .expect("checkpoint write has a target");
-        let frac = self.jobs[idx].frac_done;
-        self.make_checkpoint_durable(idx, site, node, frac, ctx);
+            CheckpointTarget::SiteStorage => NodeId::Site(site),
+            CheckpointTarget::MainServer => NodeId::MainServer,
+        };
+        let xfer = self.checkpoint_transfer_bytes(idx, site, node);
+        self.collector.record_ckpt_shipped(xfer);
+        self.jobs[idx].ckpt_frac = self.jobs[idx].frac_done;
+        self.jobs[idx].ckpt_stalled = !self.execution.checkpoint.overlap;
         self.profiler.stop(Subsystem::Checkpoint, timer);
-        self.start_execution_segment(idx, site, ctx);
+        self.admit_transfer(
+            Owner::Job(idx),
+            Phase::CkptWrite,
+            xfer as f64,
+            Path::Net(NodeId::Site(site), node),
+            ctx,
+        );
+        true
     }
 
     /// Registers a completed checkpoint write as durable: catalog replica +
     /// stack entry, superseding any older checkpoint of this job at the same
-    /// node (shared by the synchronous and asynchronous write paths).
+    /// node.
     fn make_checkpoint_durable(
         &mut self,
         idx: usize,
@@ -341,164 +355,63 @@ impl GridModel {
         }
         self.collector
             .record_checkpoint_written(site.index(), bytes);
-        if let Some(t) = self.tracer.as_mut() {
-            if t.wants(TraceCategory::Ckpt) {
-                t.emit(
-                    ctx.now().as_secs(),
-                    TraceCategory::Ckpt,
-                    SpanPhase::Instant,
-                    "ckpt.durable",
-                    Some(self.jobs[idx].record.id.0),
-                    Some(&self.platform.site(site).name),
-                    Some(format!("frac={frac:.4} bytes={bytes} node={node}")),
-                );
-            }
-        }
+        self.trace(
+            ctx.now().as_secs(),
+            TraceCategory::Ckpt,
+            SpanPhase::Instant,
+            "ckpt.durable",
+            Some(idx),
+            Some(site),
+            |_| Some(format!("frac={frac:.4} bytes={bytes} node={node}")),
+        );
     }
 
-    /// Starts an *asynchronous* checkpoint write (`checkpoint.overlap`): the
-    /// same fluid transfer as the synchronous path, but held in the job's
-    /// `ckpt_activity` slot so the next execution segment runs concurrently.
-    /// Captures the job's current progress fraction — that snapshot, not the
-    /// progress at completion time, is what becomes durable. Returns whether
-    /// the write was admitted (a full storage element skips it, exactly like
-    /// the synchronous path).
-    pub(super) fn start_async_checkpoint_write(
+    /// A checkpoint write to `node` drained: the snapshot it carried becomes
+    /// durable, and a job waiting on it runs its next segment — after first
+    /// starting a write of the freshly accumulated state when writes overlap
+    /// (a synchronous job has nothing new to write: it was waiting).
+    pub(super) fn finish_checkpoint_write(
         &mut self,
         idx: usize,
-        site: SiteId,
-        ctx: &mut Context<'_, GridEvent>,
-    ) -> bool {
-        debug_assert!(self.jobs[idx].ckpt_activity.is_none());
-        let timer = self.profiler.start();
-        let bytes = self
-            .execution
-            .checkpoint
-            .bytes_for(self.jobs[idx].record.cores);
-        let mut route = std::mem::take(&mut self.route_scratch);
-        route.clear();
-        let node = match self.execution.checkpoint.target {
-            CheckpointTarget::SiteStorage => {
-                if !self.storage[site.index()].reserve(bytes) {
-                    self.route_scratch = route;
-                    self.profiler.stop(Subsystem::Checkpoint, timer);
-                    return false;
-                }
-                let lan = self.platform.site(site).lan_link;
-                route.push(self.link_resources[lan.index()]);
-                NodeId::Site(site)
-            }
-            CheckpointTarget::MainServer => {
-                route.extend(
-                    self.platform
-                        .route(NodeId::Site(site), NodeId::MainServer)
-                        .links
-                        .iter()
-                        .map(|l| self.link_resources[l.index()]),
-                );
-                NodeId::MainServer
-            }
-        };
-        let xfer = self.checkpoint_transfer_bytes(idx, site, node);
-        self.collector.record_ckpt_shipped(xfer);
-        let now = ctx.now();
-        let completed = self.advance_fluid(now);
-        let activity = self.fluid.add_weighted_activity(xfer as f64, &route, 1.0);
-        self.route_scratch = route;
-        self.activity_map.insert(activity, (idx, Phase::CkptAsync));
-        self.jobs[idx].ckpt_activity = Some(activity);
-        self.jobs[idx].ckpt_node = Some(node);
-        self.jobs[idx].ckpt_frac = self.jobs[idx].frac_done;
-        // Register the write in the per-node transfer index under its target
-        // so data loss there finds it. The job's only possible concurrent
-        // main activity is Execute, which touches no node, so the index slot
-        // is unambiguous.
-        let ni = self.node_index(node);
-        let list = &mut self.transfer_touch[ni];
-        if let Err(pos) = list.binary_search(&idx) {
-            list.insert(pos, idx);
-        }
-        self.trace_phase(now.as_secs(), idx, Phase::CkptAsync, SpanPhase::Begin, None);
-        self.profiler.stop(Subsystem::Checkpoint, timer);
-        self.handle_completed_activities(completed, ctx);
-        self.reschedule_fluid(ctx);
-        true
-    }
-
-    /// An asynchronous checkpoint write drained: the snapshot it carried
-    /// becomes durable, and a job stalled at its next segment boundary
-    /// resumes (writing the freshly accumulated state and computing on).
-    pub(super) fn finish_async_checkpoint_write(
-        &mut self,
-        idx: usize,
+        node: NodeId,
         ctx: &mut Context<'_, GridEvent>,
     ) {
         let timer = self.profiler.start();
         let site = self.jobs[idx].site.expect("checkpointing job has a site");
-        let node = self.jobs[idx]
-            .ckpt_node
-            .take()
-            .expect("async checkpoint write has a target");
-        self.jobs[idx].ckpt_activity = None;
-        let ni = self.node_index(node);
-        if let Ok(pos) = self.transfer_touch[ni].binary_search(&idx) {
-            self.transfer_touch[ni].remove(pos);
-        }
-        self.trace_phase(
-            ctx.now().as_secs(),
-            idx,
-            Phase::CkptAsync,
-            SpanPhase::End,
-            None,
-        );
         let frac = self.jobs[idx].ckpt_frac;
         self.make_checkpoint_durable(idx, site, node, frac, ctx);
         self.profiler.stop(Subsystem::Checkpoint, timer);
-        if self.jobs[idx].ckpt_stalled {
-            self.jobs[idx].ckpt_stalled = false;
-            let admitted = self.start_async_checkpoint_write(idx, site, ctx);
-            self.start_execution_segment(idx, site, ctx);
-            if admitted {
-                self.collector.record_ckpt_overlap();
+        if std::mem::take(&mut self.jobs[idx].ckpt_stalled) {
+            if self.execution.checkpoint.overlap {
+                self.checkpoint_and_continue(idx, site, ctx);
+            } else {
+                self.start_execution_segment(idx, site, ctx);
             }
         }
     }
 
-    /// Tears down an in-flight asynchronous write (job interrupted, its
-    /// target lost its data, or the job finished first): the transfer leaves
-    /// the fluid model and the reservation is returned — nothing becomes
-    /// durable. Returns whether the job was stalled on this write (the
-    /// caller then owns restarting its execution segment, unless the job is
-    /// leaving the site anyway).
-    pub(super) fn cancel_async_write(
+    /// Tears down the job's in-flight checkpoint write, if any (job
+    /// interrupted, its target lost its data, or the job finished first):
+    /// the transfer leaves the fluid model and the reservation is returned —
+    /// nothing becomes durable. Returns whether the job was waiting on this
+    /// write (the caller then owns restarting its execution segment, unless
+    /// the job is leaving the site anyway).
+    pub(super) fn cancel_checkpoint_write(
         &mut self,
         idx: usize,
         ctx: &mut Context<'_, GridEvent>,
         info: &str,
     ) -> bool {
-        let Some(activity) = self.jobs[idx].ckpt_activity.take() else {
+        let Some(activity) = self.jobs[idx].ckpt_activity else {
             return false;
         };
-        self.trace_phase(
-            ctx.now().as_secs(),
-            idx,
-            Phase::CkptAsync,
-            SpanPhase::End,
-            Some(info),
-        );
-        self.fluid.remove_activity(activity);
-        self.activity_map.remove(activity);
-        if let Some(node) = self.jobs[idx].ckpt_node.take() {
-            let ni = self.node_index(node);
-            if let Ok(pos) = self.transfer_touch[ni].binary_search(&idx) {
-                self.transfer_touch[ni].remove(pos);
-            }
-            let bytes = self
-                .execution
-                .checkpoint
-                .bytes_for(self.jobs[idx].record.cores);
-            self.release_checkpoint_storage(node, bytes);
-        }
+        let write = self.cancel_transfer(activity, ctx.now().as_secs(), Some(info));
+        let node = write.touches[0].expect("a checkpoint write touches its target");
+        let bytes = self
+            .execution
+            .checkpoint
+            .bytes_for(self.jobs[idx].record.cores);
+        self.release_checkpoint_storage(node, bytes);
         std::mem::take(&mut self.jobs[idx].ckpt_stalled)
     }
 
@@ -584,12 +497,14 @@ impl GridModel {
         if let Some(activity) = job.activity {
             // Time-shared segment in flight: read progress off the fluid
             // model's remaining work.
-            if let Some(&(_, Phase::Execute)) = self.activity_map.get(activity) {
-                if let Some(remaining) = self.fluid.remaining(activity) {
-                    if job.seg_amount > 0.0 {
-                        let done = 1.0 - (remaining / job.seg_amount).clamp(0.0, 1.0);
-                        frac += job.seg_fraction * done;
-                    }
+            let executing = self
+                .activity_map
+                .get(activity)
+                .is_some_and(|t| t.phase == Phase::Execute);
+            if let (true, Some(remaining)) = (executing, self.fluid.remaining(activity)) {
+                if job.seg_amount > 0.0 {
+                    let done = 1.0 - (remaining / job.seg_amount).clamp(0.0, 1.0);
+                    frac += job.seg_fraction * done;
                 }
             }
         } else if job.timer.is_some()

@@ -1,8 +1,10 @@
 //! The discrete-event alphabet of the grid simulation and its dispatch.
 
 use cgsim_des::{Context, EventHandler};
+use cgsim_obs::SpanPhase;
 use cgsim_workload::JobState;
 
+use super::job_runtime::Phase;
 use super::GridModel;
 
 /// Discrete events of the grid simulation.
@@ -15,8 +17,8 @@ pub(super) enum GridEvent {
     /// (the engine's timer slot; never on the heap).
     FluidAdvance,
     /// A dedicated-core execution segment finishes (job index). Without
-    /// checkpointing one segment is the whole execution; with it, segments
-    /// alternate with durable checkpoint writes.
+    /// checkpointing the one segment is the whole execution; with it, a
+    /// durable checkpoint write starts at every segment boundary.
     ExecutionDone(usize),
     /// The scheduling/pilot overhead of a picked job elapses (job index); the
     /// job then starts staging its input (queue-time model, §4.2).
@@ -49,6 +51,8 @@ impl EventHandler<GridEvent> for GridModel {
             }
             GridEvent::ExecutionDone(idx) => {
                 self.jobs[idx].timer = None;
+                let now = ctx.now().as_secs();
+                self.trace_phase(now, idx, Phase::Execute, SpanPhase::End, None);
                 self.execution_segment_done(idx, ctx);
             }
             GridEvent::PilotStart(idx) => {

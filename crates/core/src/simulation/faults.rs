@@ -24,29 +24,29 @@
 //! and are resubmitted through the allocation policy — which hears about
 //! every interruption via `AllocationPolicy::on_job_interrupted`, so
 //! policies can blacklist flapping sites — or are finalized as failed when
-//! the budget is exhausted. With checkpointing enabled a resubmitted job
-//! resumes from its newest surviving checkpoint (see the `checkpoint`
-//! module) and the policy additionally hears `on_job_restored` with the
-//! site holding that checkpoint.
+//! the budget is exhausted. A resubmitted job resumes from its newest
+//! surviving checkpoint, if it has one (see the `checkpoint` module), and
+//! the policy additionally hears `on_job_restored` with the site holding it.
 //!
 //! **Data-loss audit.** Killing the jobs *at* a lost site is not enough to
-//! quiesce its traffic: a transfer can have its far end at the dead node
-//! while its owning job survives elsewhere (input staging from a replica at
-//! the dead site, a checkpoint restore reading from it, a checkpoint write
-//! targeting it). `repair_transfers_touching` cancels + re-plans such
-//! in-flight transfers after every data-loss event from the surviving
-//! replicas, instead of letting them keep streaming bytes out of storage
-//! that no longer exists.
+//! quiesce its traffic: a transfer can have an end at the dead node while
+//! its owner survives elsewhere (input staging from a replica at the dead
+//! site, a checkpoint restore reading from it, a checkpoint write or a
+//! repair transfer targeting it). `repair_transfers_touching` cancels such
+//! in-flight transfers after every data-loss event — through the same
+//! `cancel_transfer` teardown an interrupted job uses — and re-plans them
+//! from the surviving replicas, instead of letting them keep streaming bytes
+//! out of storage that no longer exists. What "storage contents die" means
+//! is one helper, `wipe_storage_at`, shared by outage and disk loss.
 //!
 //! Both data-loss passes are indexed, not scanned: the model maintains a
-//! per-node list of jobs whose in-flight transfer touches each node
-//! (`transfer_touch`, kept by [`GridModel::index_transfer`] /
-//! [`GridModel::unindex_transfer`] at every transfer admission and
-//! teardown) and of jobs holding a durable checkpoint at each node
-//! (`ckpt_holders`, kept by the checkpoint write/discard paths). A fault at
-//! a node therefore costs O(transfers + checkpoints actually touching it),
-//! not O(jobs); debug builds cross-check every lookup against the full
-//! scan it replaced.
+//! per-node list of the owners ([`Owner`]: a job or a repair slot) whose
+//! in-flight activity touches each node (`transfer_touch`, written only by
+//! `admit_transfer` / `retire_transfer` from the activity's own record) and
+//! of jobs holding a durable checkpoint at each node (`ckpt_holders`, kept
+//! by the checkpoint write/discard paths). A fault at a node therefore costs
+//! O(transfers + checkpoints actually touching it), not O(jobs); debug
+//! builds cross-check every lookup against the full scan it replaced.
 
 use cgsim_des::{Context, SimTime};
 use cgsim_faults::FaultAction;
@@ -56,6 +56,7 @@ use cgsim_workload::JobState;
 
 use super::events::GridEvent;
 use super::job_runtime::Phase;
+use super::staging::Owner;
 use super::GridModel;
 
 impl GridModel {
@@ -177,23 +178,9 @@ impl GridModel {
     /// queue, and re-plan surviving transfers that were reading from it.
     fn take_site_down(&mut self, site: SiteId, ctx: &mut Context<'_, GridEvent>) {
         let now = ctx.now();
-        let node = NodeId::Site(site);
-        // Storage contents die with the site: replicas, cache entries and
-        // durable checkpoints held there are gone. This happens *before* the
-        // kills so policy hooks never see a doomed checkpoint advertised as
-        // a restore source.
-        let lost = self.invalidate_checkpoints_at(node);
-        if lost > 0 {
-            self.collector.record_checkpoints_lost(lost);
-            self.trace_ckpt_lost(now.as_secs(), site, lost);
-        }
-        if self.repair.enabled {
-            let affected = self.catalog.evict_node_reporting(node);
-            self.note_repair_deficits(affected);
-        } else {
-            self.catalog.evict_node(node);
-        }
-        self.caches[site.index()].clear();
+        // Storage contents die with the site — *before* the kills, so policy
+        // hooks never see a doomed checkpoint advertised as a restore source.
+        self.wipe_storage_at(site, now.as_secs());
         // Queued jobs hold no cores; they go back to the main server without
         // consuming a fault retry.
         let queued: Vec<usize> = self.sites[site.index()].queue.drain(..).collect();
@@ -213,7 +200,7 @@ impl GridModel {
         // Transfers whose far end was this site but whose owning job
         // survives elsewhere (staging from a replica here, restoring a
         // checkpoint from here) are cancelled and re-planned.
-        self.repair_transfers_touching(node, ctx);
+        self.repair_transfers_touching(NodeId::Site(site), ctx);
         // Bounced and killed jobs re-enter through the allocation policy,
         // which now sees the site as down.
         self.drain_pending(ctx);
@@ -227,11 +214,28 @@ impl GridModel {
     /// in-flight transfers touching the dead storage are re-planned.
     fn apply_disk_loss(&mut self, site: SiteId, ctx: &mut Context<'_, GridEvent>) {
         self.collector.record_disk_loss();
+        self.wipe_storage_at(site, ctx.now().as_secs());
+        self.repair_transfers_touching(NodeId::Site(site), ctx);
+        self.pump_repairs(ctx);
+    }
+
+    /// Every byte stored at `site` is gone: durable checkpoints (counted and
+    /// traced as lost), catalog replicas (the repair planner hears which
+    /// datasets fell into deficit) and the site cache.
+    fn wipe_storage_at(&mut self, site: SiteId, time_s: f64) {
         let node = NodeId::Site(site);
         let lost = self.invalidate_checkpoints_at(node);
         if lost > 0 {
             self.collector.record_checkpoints_lost(lost);
-            self.trace_ckpt_lost(ctx.now().as_secs(), site, lost);
+            self.trace(
+                time_s,
+                TraceCategory::Ckpt,
+                SpanPhase::Instant,
+                "ckpt.lost",
+                None,
+                Some(site),
+                |_| Some(format!("count={lost}")),
+            );
         }
         if self.repair.enabled {
             let affected = self.catalog.evict_node_reporting(node);
@@ -240,26 +244,6 @@ impl GridModel {
             self.catalog.evict_node(node);
         }
         self.caches[site.index()].clear();
-        self.repair_transfers_touching(node, ctx);
-        self.pump_repairs(ctx);
-    }
-
-    /// Emits the `ckpt.lost` instant after a data-loss event destroyed
-    /// durable checkpoints at `site`.
-    fn trace_ckpt_lost(&mut self, time_s: f64, site: SiteId, lost: u64) {
-        if let Some(t) = self.tracer.as_mut() {
-            if t.wants(TraceCategory::Ckpt) {
-                t.emit(
-                    time_s,
-                    TraceCategory::Ckpt,
-                    SpanPhase::Instant,
-                    "ckpt.lost",
-                    None,
-                    Some(&self.platform.site(site).name),
-                    Some(format!("count={lost}")),
-                );
-            }
-        }
     }
 
     /// Dense index of `node` into the per-node fault-repair indexes
@@ -272,77 +256,19 @@ impl GridModel {
         }
     }
 
-    /// Registers job `idx`'s freshly admitted activity in the per-node
-    /// transfer-touch index: under its remote peer, and — for inbound
-    /// transfers (input staging, checkpoint restore), whose partially
-    /// written destination bytes a disk loss also voids — under the
-    /// destination site. Execution activities and output transfers (which
-    /// terminate at the indestructible main server) carry no peer and touch
-    /// nothing.
-    pub(super) fn index_transfer(&mut self, idx: usize, phase: Phase) {
-        let mut touches = [None, None];
-        touches[0] = self.jobs[idx].transfer_peer;
-        if matches!(phase, Phase::Input | Phase::Restore) {
-            let site = self.jobs[idx].site.expect("transferring job has a site");
-            let dest = Some(NodeId::Site(site));
-            if touches[0] != dest {
-                touches[1] = dest;
-            }
-        }
-        self.jobs[idx].touches = touches;
-        for node in touches.into_iter().flatten() {
-            let ni = self.node_index(node);
-            let list = &mut self.transfer_touch[ni];
-            if let Err(pos) = list.binary_search(&idx) {
-                list.insert(pos, idx);
-            }
-        }
-    }
-
-    /// Removes job `idx` from the transfer-touch index, using the nodes
-    /// recorded at admission (so teardown order — peer cleared first or not
-    /// — cannot desynchronise the index). No-op for jobs with no indexed
-    /// transfer.
-    pub(super) fn unindex_transfer(&mut self, idx: usize) {
-        let touches = std::mem::take(&mut self.jobs[idx].touches);
-        for node in touches.into_iter().flatten() {
-            let ni = self.node_index(node);
-            if let Ok(pos) = self.transfer_touch[ni].binary_search(&idx) {
-                self.transfer_touch[ni].remove(pos);
-            }
-        }
-    }
-
     /// Debug-only: the transfer-touch index must agree exactly with the
-    /// O(jobs) scan it replaced.
+    /// scan over every owner's activity slots it replaced.
     #[cfg(debug_assertions)]
     fn assert_touch_index_matches_scan(&self, node: NodeId) {
-        let mut scan: Vec<usize> = (0..self.jobs.len())
-            .filter(|&idx| {
-                let job = &self.jobs[idx];
-                let ckpt_hit = job.ckpt_activity.is_some() && job.ckpt_node == Some(node);
-                let main_hit = job.activity.is_some_and(|activity| {
-                    let Some(&(_, phase)) = self.activity_map.get(activity) else {
-                        return false;
-                    };
-                    let peer_hit = job.transfer_peer == Some(node);
-                    let dest_hit = matches!(phase, Phase::Input | Phase::Restore)
-                        && job.site.map(NodeId::Site) == Some(node);
-                    peer_hit || dest_hit
-                });
-                ckpt_hit || main_hit
-            })
-            .collect();
-        // Repair sentinels (`jobs.len() + slot`) sort after every job index,
-        // and slot order is ascending — matching the sorted index.
-        for (slot, transfer) in self.repair.active.iter().enumerate() {
-            if transfer
-                .as_ref()
-                .is_some_and(|t| t.touches.contains(&Some(node)))
-            {
-                scan.push(self.jobs.len() + slot);
-            }
-        }
+        let jobs = self.jobs.iter().enumerate().filter_map(|(idx, job)| {
+            (self.touches_node(job.activity, node) || self.touches_node(job.ckpt_activity, node))
+                .then_some(Owner::Job(idx))
+        });
+        let repairs = (0..self.repair.active.len()).filter_map(|slot| {
+            self.touches_node(self.repair.in_flight(slot), node)
+                .then_some(Owner::Repair(slot))
+        });
+        let scan: Vec<Owner> = jobs.chain(repairs).collect();
         debug_assert_eq!(
             self.transfer_touch[self.node_index(node)],
             scan,
@@ -351,82 +277,49 @@ impl GridModel {
     }
 
     /// Cancels and re-plans every in-flight transfer with an endpoint at
-    /// `node`, for jobs that are still alive: input staging re-plans from
+    /// `node`, for owners that are still alive: input staging re-plans from
     /// the surviving replicas, a checkpoint restore falls back to the next
-    /// surviving checkpoint (or a scratch rerun), and a checkpoint write is
-    /// dropped (the job keeps computing and checkpoints again after the
-    /// next segment). Jobs *at* a dead site are killed separately by
-    /// `take_site_down`; this pass is for the survivors — the regression
-    /// class where a transfer kept streaming bytes out of storage that no
-    /// longer existed. The victims come from the per-node transfer-touch
-    /// index — O(transfers touching the node), not O(jobs) — and the
-    /// snapshot is sorted ascending, i.e. job-index order, so replay stays
-    /// deterministic.
+    /// surviving checkpoint (or a scratch rerun), a checkpoint write is
+    /// dropped (a job waiting on it computes on and checkpoints again after
+    /// the next segment), and a repair transfer is cancelled into backoff.
+    /// Jobs *at* a dead site are killed separately by `take_site_down`; this
+    /// pass is for the survivors — the regression class where a transfer
+    /// kept streaming bytes out of storage that no longer existed. The
+    /// victims come from the per-node transfer-touch index — O(transfers
+    /// touching the node), not O(jobs) — and the snapshot is sorted: jobs in
+    /// index order, then repair slots, so replay stays deterministic.
     fn repair_transfers_touching(&mut self, node: NodeId, ctx: &mut Context<'_, GridEvent>) {
         #[cfg(debug_assertions)]
         self.assert_touch_index_matches_scan(node);
-        // Snapshot: each repair re-plans its job, which re-indexes it under
-        // the new (surviving) endpoints while we iterate.
+        // Snapshot: each re-plan re-indexes its owner under the new
+        // (surviving) endpoints while we iterate, and the completions it
+        // routes may refill a repair slot — hence the re-check per victim.
         let victims = self.transfer_touch[self.node_index(node)].clone();
-        for idx in victims {
-            // Sentinel ids above the job range belong to the repair
-            // planner's re-replication transfers: a lost endpoint cancels
-            // the repair (it retries with backoff from surviving replicas).
-            // Cancellation only schedules retry timers — no admission
-            // happens mid-loop — so the snapshot stays valid.
-            if idx >= self.jobs.len() {
-                let slot = idx - self.jobs.len();
-                let hit = self.repair.active[slot]
-                    .as_ref()
-                    .map(|t| t.touches.contains(&Some(node)))
-                    .unwrap_or(false);
-                if hit {
-                    self.cancel_repair_slot(slot, node, ctx);
+        for owner in victims {
+            let idx = match owner {
+                Owner::Repair(slot) => {
+                    if self.touches_node(self.repair.in_flight(slot), node) {
+                        self.cancel_repair_slot(slot, node, ctx);
+                    }
+                    continue;
                 }
-                continue;
+                Owner::Job(idx) => idx,
+            };
+            if self.touches_node(self.jobs[idx].ckpt_activity, node)
+                && self.cancel_checkpoint_write(idx, ctx, "data loss")
+            {
+                let site = self.jobs[idx].site.expect("checkpointing job has a site");
+                self.start_execution_segment(idx, site, ctx);
             }
-            // An asynchronous checkpoint write targeting the dead storage is
-            // dropped; a job stalled on it resumes computing (its job-level
-            // transfer, if any, is handled below — an async write only ever
-            // coexists with an Execute activity, which touches no node).
-            if self.jobs[idx].ckpt_activity.is_some() && self.jobs[idx].ckpt_node == Some(node) {
-                let was_stalled = self.cancel_async_write(idx, ctx, "data loss");
-                if was_stalled {
-                    let site = self.jobs[idx].site.expect("stalled job has a site");
-                    self.start_execution_segment(idx, site, ctx);
-                }
-            }
-            let Some(activity) = self.jobs[idx].activity else {
+            // The job's main transfer, if it has an end at the dead storage:
+            // cancel it and re-plan through the normal admission funnel.
+            let main = self.jobs[idx].activity;
+            let Some(activity) = main.filter(|_| self.touches_node(main, node)) else {
                 continue;
             };
-            let Some(&(_, phase)) = self.activity_map.get(activity) else {
-                continue;
-            };
-            let peer_hit = self.jobs[idx].transfer_peer == Some(node);
-            // A disk loss also voids the partially written destination side
-            // of inbound transfers at the site (the site itself is still
-            // up, so the job lives on and simply restarts the transfer).
-            let dest_hit = matches!(phase, Phase::Input | Phase::Restore)
-                && self.jobs[idx].site.map(NodeId::Site) == Some(node);
-            if !peer_hit && !dest_hit {
-                continue;
-            }
-            // Close the cancelled transfer's span; the re-plan below opens a
-            // fresh one through the normal admission funnel.
-            self.trace_phase(
-                ctx.now().as_secs(),
-                idx,
-                phase,
-                SpanPhase::End,
-                Some("repair"),
-            );
-            self.unindex_transfer(idx);
-            self.fluid.remove_activity(activity);
-            self.activity_map.remove(activity);
-            self.jobs[idx].activity = None;
-            self.jobs[idx].transfer_peer = None;
+            let cancelled = self.cancel_transfer(activity, ctx.now().as_secs(), Some("repair"));
             let site = self.jobs[idx].site.expect("transferring job has a site");
-            match phase {
+            match cancelled.phase {
                 // `stage_input`, not `start_staging`: the attempt's start
                 // time must survive the re-plan.
                 Phase::Input => self.stage_input(idx, site, ctx),
@@ -434,23 +327,7 @@ impl GridModel {
                     self.jobs[idx].restore_frac = 0.0;
                     self.begin_restore_or_segment(idx, site, ctx);
                 }
-                Phase::Checkpoint => {
-                    let bytes = self
-                        .execution
-                        .checkpoint
-                        .bytes_for(self.jobs[idx].record.cores);
-                    self.release_checkpoint_storage(node, bytes);
-                    self.start_execution_segment(idx, site, ctx);
-                }
-                // Execution holds no transfer peer and output transfers
-                // terminate at the indestructible main server.
-                Phase::Execute | Phase::Output => {}
-                // Async writes and repairs are never a job's *main* activity:
-                // both were already handled above (ckpt_activity / sentinel
-                // index branches) before this match is reached.
-                Phase::CkptAsync | Phase::Repair => {
-                    unreachable!("not a main-activity phase")
-                }
+                phase => unreachable!("a {phase:?} activity touches no node through the main slot"),
             }
         }
     }
@@ -554,31 +431,13 @@ impl GridModel {
                 );
             }
         }
-        self.unindex_transfer(idx);
-        if let Some(activity) = self.jobs[idx].activity.take() {
-            let phase = self.activity_map.get(activity).map(|&(_, p)| p);
-            if let Some(p) = phase {
-                self.trace_phase(now.as_secs(), idx, p, SpanPhase::End, Some("interrupted"));
-            }
-            self.fluid.remove_activity(activity);
-            self.activity_map.remove(activity);
-            // An interrupted checkpoint write never became durable: free the
-            // bytes it had reserved at the target.
-            if phase == Some(Phase::Checkpoint) {
-                if let Some(target) = self.jobs[idx].transfer_peer {
-                    let bytes = self
-                        .execution
-                        .checkpoint
-                        .bytes_for(self.jobs[idx].record.cores);
-                    self.release_checkpoint_storage(target, bytes);
-                }
-            }
+        if let Some(activity) = self.jobs[idx].activity {
+            self.cancel_transfer(activity, now.as_secs(), Some("interrupted"));
         }
-        // An in-flight asynchronous checkpoint write dies with the attempt
-        // (never durable); the job is leaving the site, so a stall does not
-        // restart a segment here.
-        self.cancel_async_write(idx, ctx, "interrupted");
-        self.jobs[idx].transfer_peer = None;
+        // An in-flight checkpoint write dies with the attempt (never
+        // durable); the job is leaving the site, so a job waiting on it does
+        // not restart a segment here.
+        self.cancel_checkpoint_write(idx, ctx, "interrupted");
         self.jobs[idx].frac_done = 0.0;
         self.jobs[idx].seg_fraction = 0.0;
         self.jobs[idx].seg_walltime_s = 0.0;
@@ -586,19 +445,15 @@ impl GridModel {
         self.jobs[idx].restore_frac = 0.0;
         self.release_cores(idx, site);
         self.collector.record_interruption(site.index());
-        if let Some(t) = self.tracer.as_mut() {
-            if t.wants(TraceCategory::Fault) {
-                t.emit(
-                    now.as_secs(),
-                    TraceCategory::Fault,
-                    SpanPhase::Instant,
-                    "fault.interrupt",
-                    Some(self.jobs[idx].record.id.0),
-                    Some(&self.platform.site(site).name),
-                    None,
-                );
-            }
-        }
+        self.trace(
+            now.as_secs(),
+            TraceCategory::Fault,
+            SpanPhase::Instant,
+            "fault.interrupt",
+            Some(idx),
+            Some(site),
+            |_| None,
+        );
 
         let resubmit = self.jobs[idx].fault_retries < self.execution.fault_max_retries;
         // A resubmission that will resume from a durable checkpoint: the

@@ -7,15 +7,27 @@
 //! * [`broker`] — the main server's *sender* actor: policy-driven site
 //!   selection, the pending list and the per-site FIFO queue with its
 //!   pilot/queue-time model,
-//! * [`job_runtime`] — the per-job state machine (Input/Execute/Output
-//!   phases, failure draws and retries),
-//! * [`staging`] — execution of staging plans against the fluid network
-//!   model and the replica catalog,
+//! * [`job_runtime`] — the per-job state machine and the routing of finished
+//!   activities to their owner's next step,
+//! * [`staging`] — input/output staging plans, and the one admission /
+//!   teardown funnel every fluid activity passes through,
+//! * [`checkpoint`] — segmented execution, checkpoint writes and restores,
+//! * [`faults`] — fault-plan replay and the data-loss audit,
+//! * [`repair`] — the background re-replication planner,
 //! * [`accounting`] — monitoring transitions, job outcomes and dashboard
 //!   panels,
 //!
 //! with this file holding the public façade: [`Simulation`],
 //! [`SimulationBuilder`] and [`SimulationError`].
+//!
+//! There is one lifecycle. A job holds cores, stages its input, runs one or
+//! more execution segments (one when checkpointing is off), ships its output
+//! and ends; between segments it may write a checkpoint, which is a transfer
+//! in a side slot that the job either waits on or overlaps. Everything that
+//! consumes fluid capacity — each of those job phases, and each transfer of
+//! the repair planner — has a typed owner ([`staging::Owner`]), one record
+//! beside the activity ([`staging::Transfer`]), and goes in through
+//! `admit_transfer` and out through `retire_transfer`.
 
 mod accounting;
 mod broker;
@@ -37,8 +49,8 @@ use cgsim_des::rng::Rng;
 use cgsim_des::{Engine, EventKey, SimTime};
 use cgsim_faults::{FaultEvent, FaultPlan};
 use cgsim_monitor::{MetricsReport, MonitoringCollector};
-use cgsim_obs::{Profiler, SpanPhase, Subsystem, TraceSink, Tracer};
-use cgsim_platform::{GridAvailability, NodeId, Platform, PlatformSpec};
+use cgsim_obs::{Profiler, SpanPhase, Subsystem, TraceCategory, TraceSink, Tracer};
+use cgsim_platform::{GridAvailability, NodeId, Platform, PlatformSpec, SiteId};
 use cgsim_policies::{
     AllocationPolicy, DataMovementPolicy, DataPolicyRegistry, GridInfo, GridView, PolicyRegistry,
 };
@@ -51,6 +63,7 @@ use broker::SiteState;
 use events::GridEvent;
 use job_runtime::{JobRuntime, Phase};
 use repair::RepairState;
+use staging::{Owner, Transfer};
 
 /// Errors raised while building or running a simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +129,7 @@ struct GridModel {
     fluid: FluidModel,
     link_resources: Vec<ResourceId>,
     cpu_resources: Vec<ResourceId>,
-    activity_map: ActivityMap<(usize, Phase)>,
+    activity_map: ActivityMap<Transfer>,
     last_fluid_sync: SimTime,
     /// Reused buffer for `FluidModel::advance_into` (no allocation on the
     /// per-event fluid sync).
@@ -141,11 +154,13 @@ struct GridModel {
     fault_plan: Vec<FaultEvent>,
     /// Pending fault-chain event, cancelled when the workload completes.
     fault_key: Option<EventKey>,
-    /// Per-node index of jobs whose in-flight transfer touches the node
-    /// (remote peer, or destination of an inbound transfer), indexed by
-    /// [`GridModel::node_index`]. Sorted ascending so data-loss replay
-    /// visits victims in job-index order without scanning every job.
-    transfer_touch: Vec<Vec<usize>>,
+    /// Per-node index of the owners whose in-flight activity touches the
+    /// node (see [`Transfer::touches`]), indexed by
+    /// [`GridModel::node_index`] and written only by `admit_transfer` /
+    /// `retire_transfer`. Sorted ascending — jobs by index, then repair
+    /// slots — so data-loss replay visits victims in that order without
+    /// scanning every job.
+    transfer_touch: Vec<Vec<Owner>>,
     /// Per-node index of jobs holding a durable checkpoint at the node
     /// (at most one each — newer writes supersede in place), indexed by
     /// [`GridModel::node_index`], sorted ascending. Lets a site outage or
@@ -254,10 +269,32 @@ impl GridModel {
         model
     }
 
-    /// Emits one edge (begin/end) of a job-phase span. A single branch when
-    /// tracing is off; site resolution and the record only happen once the
-    /// category passed the filter.
-    #[inline]
+    /// Emits one trace record. A single branch when tracing is off or `cat`
+    /// is filtered out; the job id, the site name and `info` are resolved
+    /// only past it.
+    #[allow(clippy::too_many_arguments)]
+    fn trace(
+        &mut self,
+        time_s: f64,
+        cat: TraceCategory,
+        ph: SpanPhase,
+        kind: &str,
+        job: Option<usize>,
+        site: Option<SiteId>,
+        info: impl FnOnce(&Self) -> Option<String>,
+    ) {
+        if !self.tracer.as_ref().is_some_and(|t| t.wants(cat)) {
+            return;
+        }
+        let info = info(self);
+        let job = job.map(|idx| self.jobs[idx].record.id.0);
+        let site = site.map(|s| self.platform.site(s).name.as_str());
+        if let Some(t) = self.tracer.as_mut() {
+            t.emit(time_s, cat, ph, kind, job, site, info);
+        }
+    }
+
+    /// Emits one edge (begin/end) or instant of a job-phase span.
     fn trace_phase(
         &mut self,
         time_s: f64,
@@ -266,24 +303,11 @@ impl GridModel {
         ph: SpanPhase,
         info: Option<&str>,
     ) {
-        let Some(t) = self.tracer.as_mut() else {
-            return;
-        };
-        if !t.wants(phase.trace_cat()) {
-            return;
-        }
-        let site = self.jobs[idx]
-            .site
-            .map(|s| self.platform.sites()[s.index()].name.as_str());
-        t.emit(
-            time_s,
-            phase.trace_cat(),
-            ph,
-            phase.trace_kind(),
-            Some(self.jobs[idx].record.id.0),
-            site,
-            info.map(str::to_string),
-        );
+        let kind = phase.trace_kind(self.execution.checkpoint.overlap);
+        let site = self.jobs[idx].site;
+        self.trace(time_s, phase.trace_cat(), ph, kind, Some(idx), site, |_| {
+            info.map(str::to_string)
+        });
     }
 }
 
@@ -515,7 +539,12 @@ impl Simulation {
         // record (the `Arc` may be shared with other runs), a stream is
         // drained with each record moved into its runtime slot.
         let jobs: Vec<JobRuntime> = match self.trace {
-            Workload::Materialised(trace) => trace.jobs.iter().map(JobRuntime::new).collect(),
+            Workload::Materialised(trace) => trace
+                .jobs
+                .iter()
+                .cloned()
+                .map(JobRuntime::from_record)
+                .collect(),
             Workload::Stream(stream) => stream.map(JobRuntime::from_record).collect(),
         };
         // Submissions are known up front: they go through the engine's

@@ -25,10 +25,11 @@
 //! and the landed replica is dropped if other machinery (site caching)
 //! already closed the deficit mid-flight.
 //!
-//! In-flight repairs live in the shared fluid bookkeeping under *sentinel*
-//! activity ids `jobs.len() + slot`, so the per-node `transfer_touch` index
-//! and the data-loss audit of the faults module cover them exactly like job
-//! transfers.
+//! An in-flight repair is a fluid activity like any other: owned by its slot
+//! of the bounded slab ([`Owner::Repair`]), admitted and torn down through
+//! the one funnel in `staging`, and registered in the per-node
+//! `transfer_touch` index under both endpoints — so the data-loss audit of
+//! the faults module covers it exactly like a job's transfer.
 
 use std::collections::VecDeque;
 
@@ -41,6 +42,7 @@ use cgsim_platform::{NodeId, SiteId};
 
 use super::events::GridEvent;
 use super::job_runtime::Phase;
+use super::staging::{Owner, Path};
 use super::GridModel;
 use crate::config::RepairConfig;
 
@@ -57,11 +59,9 @@ pub(super) struct RepairTransfer {
     pub(super) source: NodeId,
     /// Site receiving the new replica.
     pub(super) dest: SiteId,
-    /// The fluid activity carrying the bytes.
-    pub(super) activity: ActivityId,
-    /// Nodes this transfer is registered under in `transfer_touch`
-    /// (source and destination), recorded at admission.
-    pub(super) touches: [Option<NodeId>; 2],
+    /// The fluid activity carrying the bytes, bound at admission and cleared
+    /// when it completes (so `Some` means: still in the fluid model).
+    pub(super) activity: Option<ActivityId>,
     /// Dataset size in bytes.
     pub(super) bytes: u64,
 }
@@ -72,6 +72,7 @@ pub(super) struct RepairState {
     /// Whether the planner runs at all. When false, nothing below is ever
     /// touched (no allocation, no RNG draws, no events).
     pub(super) enabled: bool,
+    /// Replicas the planner aims to keep per repairable dataset.
     target_factor: usize,
     max_concurrent: usize,
     backoff_s: f64,
@@ -92,8 +93,8 @@ pub(super) struct RepairState {
     retry_keys: Vec<Option<EventKey>>,
     /// FIFO deficit queue (dataset indices).
     queue: VecDeque<usize>,
-    /// Bounded slab of in-flight transfers; sentinel activity-map ids are
-    /// `jobs.len() + slot`.
+    /// Bounded slab of in-flight transfers; slot `s` owns its activity as
+    /// [`Owner::Repair`]`(s)`.
     pub(super) active: Vec<Option<RepairTransfer>>,
     active_count: usize,
     /// Re-entrancy guard: `pump` can reach itself through fluid-completion
@@ -136,6 +137,12 @@ impl RepairState {
         }
     }
 
+    /// The activity of slot `slot`'s transfer while it is still in the fluid
+    /// model (`None` for a free slot too).
+    pub(super) fn in_flight(&self, slot: usize) -> Option<ActivityId> {
+        self.active[slot].as_ref().and_then(|t| t.activity)
+    }
+
     /// Marks a dataset as eligible for re-replication (task inputs only).
     pub(super) fn mark_repairable(&mut self, dataset: DatasetId) {
         let index = dataset.index();
@@ -145,15 +152,10 @@ impl RepairState {
 }
 
 impl GridModel {
-    /// Number of replicas the planner aims to keep per repairable dataset.
-    fn repair_target(&self) -> usize {
-        self.repair.target_factor
-    }
-
     /// Feeds the datasets a data-loss event just evicted into the deficit
     /// queue (the caller pumps once its own cancellation pass is done).
     pub(super) fn note_repair_deficits(&mut self, affected: Vec<DatasetId>) {
-        let target = self.repair_target();
+        let target = self.repair.target_factor;
         for dataset in affected {
             let index = dataset.index();
             self.repair.ensure(index);
@@ -175,21 +177,11 @@ impl GridModel {
         }
     }
 
-    /// Emits a repair-category trace instant.
-    fn trace_repair(&mut self, time_s: f64, kind: &str, info: Option<String>) {
-        if let Some(t) = self.tracer.as_mut() {
-            if t.wants(TraceCategory::Repair) {
-                t.emit(
-                    time_s,
-                    TraceCategory::Repair,
-                    SpanPhase::Instant,
-                    kind,
-                    None,
-                    None,
-                    info,
-                );
-            }
-        }
+    /// Emits a repair-category trace instant; `info` is only built when the
+    /// category is being recorded.
+    fn trace_repair(&mut self, time_s: f64, kind: &str, info: impl FnOnce(&Self) -> String) {
+        let (cat, ph) = (TraceCategory::Repair, SpanPhase::Instant);
+        self.trace(time_s, cat, ph, kind, None, None, |m| Some(info(m)));
     }
 
     /// Drains the deficit queue into free transfer slots: plans a source and
@@ -210,7 +202,7 @@ impl GridModel {
                 continue;
             }
             let dataset = DatasetId::new(index);
-            if self.catalog.replicas_of(dataset) >= self.repair_target() {
+            if self.catalog.replicas_of(dataset) >= self.repair.target_factor {
                 // Deficit closed by other means while queued.
                 self.repair.attempts[index] = 0;
                 continue;
@@ -270,10 +262,9 @@ impl GridModel {
         Some((source, dest))
     }
 
-    /// Admits a repair transfer into a free slot: a weight-1 fluid activity
-    /// over the `source -> dest` route, registered in the activity map under
-    /// the sentinel id `jobs.len() + slot` and in the per-node
-    /// transfer-touch index under both endpoints.
+    /// Admits a repair transfer into a free slot: the slot's bookkeeping
+    /// first (so the completions the admission routes already see it), then
+    /// the `source -> dest` bytes through the shared admission funnel.
     fn admit_repair(
         &mut self,
         dataset: DatasetId,
@@ -290,47 +281,18 @@ impl GridModel {
         let bytes = self.catalog.dataset(dataset).bytes.max(1);
         let dest_node = NodeId::Site(dest);
         debug_assert!(
-            self.catalog.replicas_of(dataset) < self.repair_target(),
+            self.catalog.replicas_of(dataset) < self.repair.target_factor,
             "repair admitted for a dataset already at its replication target"
         );
         debug_assert!(
             !self.catalog.has_replica(dataset, dest_node),
             "repair admitted toward a node that already holds a replica"
         );
-        let now = ctx.now();
-        let completed = self.advance_fluid(now);
-        let mut route = std::mem::take(&mut self.route_scratch);
-        route.clear();
-        route.extend(
-            self.platform
-                .route(source, dest_node)
-                .links
-                .iter()
-                .map(|l| self.link_resources[l.index()]),
-        );
-        let activity = self.fluid.add_weighted_activity(bytes as f64, &route, 1.0);
-        self.route_scratch = route;
-        let sentinel = self.jobs.len() + slot;
-        self.activity_map
-            .insert(activity, (sentinel, Phase::Repair));
-        let touches = if source == dest_node {
-            [Some(source), None]
-        } else {
-            [Some(source), Some(dest_node)]
-        };
-        for node in touches.into_iter().flatten() {
-            let ni = self.node_index(node);
-            let list = &mut self.transfer_touch[ni];
-            if let Err(pos) = list.binary_search(&sentinel) {
-                list.insert(pos, sentinel);
-            }
-        }
         self.repair.active[slot] = Some(RepairTransfer {
             dataset,
             source,
             dest,
-            activity,
-            touches,
+            activity: None,
             bytes,
         });
         self.repair.active_count += 1;
@@ -338,39 +300,33 @@ impl GridModel {
         // itself (its `active_repairs` signal has no other reader).
         self.view.sites[dest.index()].active_repairs += 1;
         self.collector.record_repair_started();
-        let dataset_name = self.catalog.dataset(dataset).name.clone();
-        let dest_name = self.platform.site(dest).name.clone();
-        self.trace_repair(
-            now.as_secs(),
-            "repair.start",
-            Some(format!(
-                "dataset={dataset_name} {source}->{dest_name} bytes={bytes}"
-            )),
+        self.trace_repair(ctx.now().as_secs(), "repair.start", |m| {
+            let (name, to) = (
+                &m.catalog.dataset(dataset).name,
+                &m.platform.site(dest).name,
+            );
+            format!("dataset={name} {source}->{to} bytes={bytes}")
+        });
+        self.admit_transfer(
+            Owner::Repair(slot),
+            Phase::Repair,
+            bytes as f64,
+            Path::Net(source, dest_node),
+            ctx,
         );
-        self.handle_completed_activities(completed, ctx);
-        self.reschedule_fluid(ctx);
     }
 
-    /// Removes slot `slot`'s transfer from the shared fluid bookkeeping
-    /// (touch index; activity map + fluid model unless the activity already
-    /// completed) and returns it.
-    fn retire_repair_slot(&mut self, slot: usize, still_in_fluid: bool) -> RepairTransfer {
+    /// Frees slot `slot` and returns what it carried, first cancelling the
+    /// transfer if it is still in the fluid model.
+    fn retire_repair_slot(&mut self, slot: usize, time_s: f64) -> RepairTransfer {
+        if let Some(activity) = self.repair.in_flight(slot) {
+            self.cancel_transfer(activity, time_s, None);
+        }
         let transfer = self.repair.active[slot]
             .take()
             .expect("retiring an occupied repair slot");
         self.repair.active_count -= 1;
         self.view.sites[transfer.dest.index()].active_repairs -= 1;
-        let sentinel = self.jobs.len() + slot;
-        for node in transfer.touches.into_iter().flatten() {
-            let ni = self.node_index(node);
-            if let Ok(pos) = self.transfer_touch[ni].binary_search(&sentinel) {
-                self.transfer_touch[ni].remove(pos);
-            }
-        }
-        if still_in_fluid {
-            self.fluid.remove_activity(transfer.activity);
-            self.activity_map.remove(transfer.activity);
-        }
         transfer
     }
 
@@ -379,9 +335,9 @@ impl GridModel {
     /// overshoots the target), and the planner pumps the queue.
     pub(super) fn finish_repair(&mut self, slot: usize, ctx: &mut Context<'_, GridEvent>) {
         let timer = self.profiler.start();
-        let transfer = self.retire_repair_slot(slot, false);
+        let transfer = self.retire_repair_slot(slot, ctx.now().as_secs());
         let index = transfer.dataset.index();
-        let target = self.repair_target();
+        let target = self.repair.target_factor;
         let landed = self.catalog.replicas_of(transfer.dataset) < target;
         if landed {
             self.catalog
@@ -396,16 +352,15 @@ impl GridModel {
         self.repair.attempts[index] = 0;
         self.collector
             .record_repair_completed(transfer.dest.index(), transfer.bytes);
-        let dataset_name = self.catalog.dataset(transfer.dataset).name.clone();
-        let dest_name = self.platform.site(transfer.dest).name.clone();
-        self.trace_repair(
-            ctx.now().as_secs(),
-            "repair.done",
-            Some(format!(
-                "dataset={dataset_name} {}->{dest_name} bytes={} landed={landed}",
-                transfer.source, transfer.bytes
-            )),
-        );
+        self.trace_repair(ctx.now().as_secs(), "repair.done", |m| {
+            format!(
+                "dataset={} {}->{} bytes={} landed={landed}",
+                m.catalog.dataset(transfer.dataset).name,
+                transfer.source,
+                m.platform.site(transfer.dest).name,
+                transfer.bytes
+            )
+        });
         if self.catalog.replicas_of(transfer.dataset) < target {
             self.enqueue_repair(index);
         }
@@ -423,14 +378,12 @@ impl GridModel {
         ctx: &mut Context<'_, GridEvent>,
     ) {
         let timer = self.profiler.start();
-        let transfer = self.retire_repair_slot(slot, true);
+        let transfer = self.retire_repair_slot(slot, ctx.now().as_secs());
         self.collector.record_repair_cancelled();
-        let dataset_name = self.catalog.dataset(transfer.dataset).name.clone();
-        self.trace_repair(
-            ctx.now().as_secs(),
-            "repair.cancel",
-            Some(format!("dataset={dataset_name} lost_endpoint={node}")),
-        );
+        self.trace_repair(ctx.now().as_secs(), "repair.cancel", |m| {
+            let name = &m.catalog.dataset(transfer.dataset).name;
+            format!("dataset={name} lost_endpoint={node}")
+        });
         self.profiler.stop(Subsystem::Repair, timer);
         self.register_failed_repair(transfer.dataset.index(), "endpoint lost", ctx);
     }
@@ -446,29 +399,23 @@ impl GridModel {
     ) {
         self.repair.attempts[index] += 1;
         let attempts = self.repair.attempts[index];
-        let dataset_name = self.catalog.dataset(DatasetId::new(index)).name.clone();
+        let dataset = DatasetId::new(index);
         if attempts > self.repair.max_retries {
             self.repair.abandoned[index] = true;
             self.collector.record_repair_abandoned();
-            self.trace_repair(
-                ctx.now().as_secs(),
-                "repair.abandon",
-                Some(format!(
-                    "dataset={dataset_name} attempts={attempts} reason={reason}"
-                )),
-            );
+            self.trace_repair(ctx.now().as_secs(), "repair.abandon", |m| {
+                let name = &m.catalog.dataset(dataset).name;
+                format!("dataset={name} attempts={attempts} reason={reason}")
+            });
             return;
         }
         let delay = self.repair.backoff_s * f64::from(1u32 << (attempts - 1).min(30));
         let key = ctx.schedule_in(SimTime::from_secs(delay), GridEvent::RepairRetry(index));
         self.repair.retry_keys[index] = Some(key);
-        self.trace_repair(
-            ctx.now().as_secs(),
-            "repair.retry",
-            Some(format!(
-                "dataset={dataset_name} attempt={attempts} backoff_s={delay} reason={reason}"
-            )),
-        );
+        self.trace_repair(ctx.now().as_secs(), "repair.retry", |m| {
+            let name = &m.catalog.dataset(dataset).name;
+            format!("dataset={name} attempt={attempts} backoff_s={delay} reason={reason}")
+        });
     }
 
     /// A backoff timer fired: the dataset re-enters the deficit queue if its
@@ -482,7 +429,7 @@ impl GridModel {
             return;
         }
         let dataset = DatasetId::new(index);
-        if self.catalog.replicas_of(dataset) >= self.repair_target() {
+        if self.catalog.replicas_of(dataset) >= self.repair.target_factor {
             self.repair.attempts[index] = 0;
             return;
         }
@@ -510,14 +457,12 @@ impl GridModel {
         let mut cancelled = false;
         for slot in 0..self.repair.active.len() {
             if self.repair.active[slot].is_some() {
-                let transfer = self.retire_repair_slot(slot, true);
+                let transfer = self.retire_repair_slot(slot, ctx.now().as_secs());
                 self.collector.record_repair_cancelled();
-                let dataset_name = self.catalog.dataset(transfer.dataset).name.clone();
-                self.trace_repair(
-                    ctx.now().as_secs(),
-                    "repair.cancel",
-                    Some(format!("dataset={dataset_name} reason=workload-complete")),
-                );
+                self.trace_repair(ctx.now().as_secs(), "repair.cancel", |m| {
+                    let name = &m.catalog.dataset(transfer.dataset).name;
+                    format!("dataset={name} reason=workload-complete")
+                });
                 cancelled = true;
             }
         }

@@ -1,10 +1,19 @@
-//! Staging-plan execution against the fluid network model and the replica
-//! catalog: input stage-in, output stage-out, and the fluid bookkeeping
-//! shared by both (and by time-shared execution in `job_runtime`).
+//! Input staging plans against the replica catalog, and the one funnel every
+//! fluid activity of the simulation passes through.
+//!
+//! Whatever consumes fluid capacity — a job's staging, time-shared execution,
+//! output, checkpoint restore or checkpoint write, or a repair slot's
+//! re-replication — is admitted by [`GridModel::admit_transfer`] and leaves
+//! through [`GridModel::retire_transfer`] (on completion) or
+//! [`GridModel::cancel_transfer`] (which retires after taking the activity
+//! out of the model). Each activity has a typed [`Owner`] and one
+//! [`Transfer`] record, held in the activity map beside the activity; the
+//! record is the only place that says which nodes the activity touches, so
+//! the per-node `transfer_touch` index is written by exactly that pair.
 
 use cgsim_data::transfer::plan_staging;
 use cgsim_data::DatasetId;
-use cgsim_des::fluid::ResourceId;
+use cgsim_des::fluid::ActivityId;
 use cgsim_des::{Context, SimTime};
 use cgsim_obs::{SpanPhase, Subsystem, TraceCategory};
 use cgsim_platform::{NodeId, SiteId};
@@ -13,6 +22,37 @@ use cgsim_workload::JobState;
 use super::events::GridEvent;
 use super::job_runtime::{Phase, NO_DATASET};
 use super::GridModel;
+
+/// Who owns an in-flight fluid activity. The derived order — jobs by index,
+/// then repair slots — is the order data-loss replay visits the victims
+/// registered at a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(super) enum Owner {
+    /// A job, by index: one of its phases.
+    Job(usize),
+    /// A slot of the repair planner's bounded slab.
+    Repair(usize),
+}
+
+/// What an activity consumes.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Path {
+    /// A share of a site's CPU pool, weighted (time-shared execution).
+    Cpu(SiteId, f64),
+    /// Bytes over the links of the `from -> to` route at weight 1; equal
+    /// endpoints mean a site-local transfer over the site's LAN link.
+    Net(NodeId, NodeId),
+}
+
+/// The model's record of one in-flight fluid activity.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Transfer {
+    pub(super) owner: Owner,
+    pub(super) phase: Phase,
+    /// The nodes whose data loss voids this activity — the entries it holds
+    /// in the per-node `transfer_touch` index.
+    pub(super) touches: [Option<NodeId>; 2],
+}
 
 impl GridModel {
     /// The input dataset of a job's task: one map probe per job (the answer
@@ -46,11 +86,11 @@ impl GridModel {
         ds
     }
 
-    /// Advances the fluid model to `now` and returns the (job, phase) pairs
-    /// whose activity completed, in the fluid model's deterministic
+    /// Advances the fluid model to `now` and returns the records of the
+    /// activities that completed, in the fluid model's deterministic
     /// (slot-ordered) completion order. The `ActivityId` buffer is reused
     /// across calls, so the common no-completion sync allocates nothing.
-    pub(super) fn advance_fluid(&mut self, now: SimTime) -> Vec<(usize, Phase)> {
+    pub(super) fn advance_fluid(&mut self, now: SimTime) -> Vec<Transfer> {
         let timer = self.profiler.start();
         let dt = now.saturating_sub(self.last_fluid_sync);
         self.last_fluid_sync = now;
@@ -77,66 +117,152 @@ impl GridModel {
         self.profiler.stop(Subsystem::Fluid, timer);
     }
 
-    /// Starts one fluid activity for a job phase: syncs the model to `now`,
-    /// admits the activity, records the (job, phase) bookkeeping, then routes
-    /// any completions the sync surfaced and re-arms the completion event.
-    /// This is the single admission path shared by input staging, output
-    /// stage-out and time-shared execution.
-    pub(super) fn start_fluid_activity(
+    /// Where `owner` keeps the id of its in-flight activity of kind `phase`:
+    /// a job's checkpoint write has a slot of its own (it may overlap an
+    /// execution segment), every other job phase shares the main slot, and a
+    /// repair slot holds its one transfer.
+    fn activity_slot(&mut self, owner: Owner, phase: Phase) -> &mut Option<ActivityId> {
+        match owner {
+            Owner::Job(idx) if phase == Phase::CkptWrite => &mut self.jobs[idx].ckpt_activity,
+            Owner::Job(idx) => &mut self.jobs[idx].activity,
+            Owner::Repair(slot) => {
+                &mut self.repair.active[slot]
+                    .as_mut()
+                    .expect("a repair transfer is admitted into an occupied slot")
+                    .activity
+            }
+        }
+    }
+
+    /// The one admission path of every fluid activity — job phase, checkpoint
+    /// write or repair: syncs the model to `now`, builds the route, admits
+    /// the activity, files its [`Transfer`] record, binds it to its owner's
+    /// slot and to the per-node touch index, opens the trace span, then
+    /// routes the completions the sync surfaced and re-arms the timer.
+    pub(super) fn admit_transfer(
         &mut self,
-        idx: usize,
+        owner: Owner,
         phase: Phase,
         amount: f64,
-        resources: &[ResourceId],
-        weight: f64,
+        path: Path,
         ctx: &mut Context<'_, GridEvent>,
     ) {
-        let completed = self.advance_fluid(ctx.now());
-        let activity = self.fluid.add_weighted_activity(amount, resources, weight);
-        self.activity_map.insert(activity, (idx, phase));
-        self.jobs[idx].activity = Some(activity);
-        self.index_transfer(idx, phase);
-        self.trace_phase(ctx.now().as_secs(), idx, phase, SpanPhase::Begin, None);
+        let now = ctx.now();
+        let job = match owner {
+            Owner::Job(idx) => Some(idx),
+            Owner::Repair(_) => None,
+        };
+        let mut route = std::mem::take(&mut self.route_scratch);
+        route.clear();
+        let (weight, touches) = match path {
+            Path::Cpu(site, weight) => {
+                route.push(self.cpu_resources[site.index()]);
+                (weight, [None, None])
+            }
+            Path::Net(from, to) => {
+                self.trace(
+                    now.as_secs(),
+                    TraceCategory::Fluid,
+                    SpanPhase::Instant,
+                    "fluid.transfer",
+                    job,
+                    None,
+                    |_| Some(format!("{from}->{to} bytes={}", amount as u64)),
+                );
+                match from {
+                    // A site-local transfer crosses only the site LAN,
+                    // contending with staging entering or leaving the site.
+                    NodeId::Site(site) if from == to => {
+                        let lan = self.platform.site(site).lan_link;
+                        route.push(self.link_resources[lan.index()]);
+                    }
+                    _ => route.extend(
+                        self.platform
+                            .route(from, to)
+                            .links
+                            .iter()
+                            .map(|l| self.link_resources[l.index()]),
+                    ),
+                }
+                let touches = match phase {
+                    // Inbound bytes die with either end: the source going
+                    // away, or a disk loss voiding the partially written
+                    // destination.
+                    Phase::Input | Phase::Restore | Phase::Repair => [Some(from), Some(to)],
+                    // A write is lost with its target; its source is the
+                    // job's own site, whose death kills the job itself.
+                    Phase::CkptWrite => [Some(to), None],
+                    // Output ends at the indestructible main server.
+                    Phase::Output | Phase::Execute => [None, None],
+                };
+                (1.0, touches)
+            }
+        };
+        let completed = self.advance_fluid(now);
+        let activity = self.fluid.add_weighted_activity(amount, &route, weight);
+        self.route_scratch = route;
+        let transfer = Transfer {
+            owner,
+            phase,
+            touches,
+        };
+        self.activity_map.insert(activity, transfer);
+        *self.activity_slot(owner, phase) = Some(activity);
+        for node in touches.into_iter().flatten() {
+            let ni = self.node_index(node);
+            let list = &mut self.transfer_touch[ni];
+            if let Err(pos) = list.binary_search(&owner) {
+                list.insert(pos, owner);
+            }
+        }
+        if let Some(idx) = job {
+            self.trace_phase(now.as_secs(), idx, phase, SpanPhase::Begin, None);
+        }
         self.handle_completed_activities(completed, ctx);
         self.reschedule_fluid(ctx);
     }
 
-    /// Starts a network transfer phase over the route `from -> to`, reusing
-    /// the model-owned route buffer (no per-transfer allocation). Shared by
-    /// input staging, output stage-out, checkpoint writes and restores.
-    pub(super) fn start_transfer(
-        &mut self,
-        idx: usize,
-        phase: Phase,
-        bytes: u64,
-        from: NodeId,
-        to: NodeId,
-        ctx: &mut Context<'_, GridEvent>,
-    ) {
-        if let Some(t) = self.tracer.as_mut() {
-            if t.wants(TraceCategory::Fluid) {
-                t.emit(
-                    ctx.now().as_secs(),
-                    TraceCategory::Fluid,
-                    SpanPhase::Instant,
-                    "fluid.transfer",
-                    Some(self.jobs[idx].record.id.0),
-                    None,
-                    Some(format!("{from}->{to} bytes={bytes}")),
-                );
+    /// Teardown twin of [`GridModel::admit_transfer`], shared by completion
+    /// and cancellation: frees the owner's slot and drops exactly the touch
+    /// index entries admission inserted.
+    pub(super) fn retire_transfer(&mut self, transfer: &Transfer) {
+        *self.activity_slot(transfer.owner, transfer.phase) = None;
+        for node in transfer.touches.into_iter().flatten() {
+            let ni = self.node_index(node);
+            if let Ok(pos) = self.transfer_touch[ni].binary_search(&transfer.owner) {
+                self.transfer_touch[ni].remove(pos);
             }
         }
-        let mut route = std::mem::take(&mut self.route_scratch);
-        route.clear();
-        route.extend(
-            self.platform
-                .route(from, to)
-                .links
-                .iter()
-                .map(|l| self.link_resources[l.index()]),
-        );
-        self.start_fluid_activity(idx, phase, bytes as f64, &route, 1.0, ctx);
-        self.route_scratch = route;
+    }
+
+    /// Cancels an in-flight activity: closes a job's span with `info`, takes
+    /// the activity out of the fluid model and retires its record. Nothing it
+    /// carried becomes durable; the caller re-plans or releases what the
+    /// owner had reserved.
+    pub(super) fn cancel_transfer(
+        &mut self,
+        activity: ActivityId,
+        time_s: f64,
+        info: Option<&str>,
+    ) -> Transfer {
+        let transfer = self
+            .activity_map
+            .remove(activity)
+            .expect("an owner's slot names a live activity");
+        if let Owner::Job(idx) = transfer.owner {
+            self.trace_phase(time_s, idx, transfer.phase, SpanPhase::End, info);
+        }
+        self.fluid.remove_activity(activity);
+        self.retire_transfer(&transfer);
+        transfer
+    }
+
+    /// Whether the in-flight activity `activity` (if any) has an endpoint at
+    /// `node`.
+    pub(super) fn touches_node(&self, activity: Option<ActivityId>, node: NodeId) -> bool {
+        activity
+            .and_then(|a| self.activity_map.get(a))
+            .is_some_and(|t| t.touches.contains(&Some(node)))
     }
 
     /// Begins input staging for a job whose cores were just allocated. Stamps
@@ -209,31 +335,14 @@ impl GridModel {
         self.record(now, idx, JobState::Staging);
         let bytes = self.jobs[idx].record.input_bytes;
         self.jobs[idx].staged_bytes += bytes;
-        // Remember the far end of the transfer: if the source site dies
-        // mid-flight while this job survives elsewhere, fault injection
-        // cancels the transfer and re-plans from the surviving replicas.
-        self.jobs[idx].transfer_peer = Some(source);
         // Latency is added as a constant amount of "extra bytes" at the
         // bottleneck rate; for WAN transfers of GB-scale inputs it is
         // negligible, which matches the fluid approximation of SimGrid.
-        self.start_transfer(idx, Phase::Input, bytes, source, destination, ctx);
-    }
-
-    /// Ships a finished job's output back to the main server over the fluid
-    /// model; completion finalizes the job.
-    pub(super) fn start_output_transfer(
-        &mut self,
-        idx: usize,
-        site: SiteId,
-        ctx: &mut Context<'_, GridEvent>,
-    ) {
-        let bytes = self.jobs[idx].record.output_bytes;
-        self.start_transfer(
-            idx,
-            Phase::Output,
-            bytes,
-            NodeId::Site(site),
-            NodeId::MainServer,
+        self.admit_transfer(
+            Owner::Job(idx),
+            Phase::Input,
+            bytes as f64,
+            Path::Net(source, destination),
             ctx,
         );
     }

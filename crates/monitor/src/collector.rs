@@ -454,34 +454,11 @@ impl MonitoringCollector {
     pub fn transitions_seen(&self) -> u64 {
         self.transitions_seen
     }
-
-    /// Exports the event-level dataset as CSV.
-    pub fn events_csv(&self) -> String {
-        let mut out = String::from(EventRecord::CSV_HEADER);
-        out.push('\n');
-        for e in &self.events {
-            out.push_str(&e.to_csv_row());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Exports the per-job outcomes as CSV.
-    pub fn outcomes_csv(&self) -> String {
-        let mut out = String::from(JobOutcome::CSV_HEADER);
-        out.push('\n');
-        for o in &self.outcomes {
-            out.push_str(&o.to_csv_row());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgsim_workload::JobKind;
 
     fn collector() -> MonitoringCollector {
         MonitoringCollector::new(
@@ -659,37 +636,5 @@ mod tests {
         c.record_transition(0.5, JobId(9), JobState::Pending, None, 0, 3);
         assert_eq!(c.events()[0].site, "");
         assert_eq!(c.events()[0].pending_jobs, 3);
-    }
-
-    #[test]
-    fn csv_exports_are_well_formed() {
-        let mut c = collector();
-        c.record_transition(1.0, JobId(1), JobState::Finished, Some(1), 7, 2);
-        c.record_outcome(JobOutcome {
-            id: JobId(1),
-            kind: JobKind::SingleCore,
-            cores: 1,
-            work_hs23: 8.0,
-            site: "BNL".into(),
-            submit_time: 0.0,
-            assign_time: 0.1,
-            start_time: 0.2,
-            end_time: 1.0,
-            final_state: JobState::Finished,
-            staged_bytes: 10,
-            walltime: 0.8,
-            queue_time: 0.2,
-            hist_walltime: None,
-            hist_queue_time: None,
-        });
-        let events_csv = c.events_csv();
-        assert_eq!(events_csv.lines().count(), 2);
-        assert!(events_csv.starts_with("event_id,"));
-        let outcomes_csv = c.outcomes_csv();
-        assert_eq!(outcomes_csv.lines().count(), 2);
-        assert!(outcomes_csv.contains("BNL"));
-        let (events, outcomes) = c.into_parts();
-        assert_eq!(events.len(), 1);
-        assert_eq!(outcomes.len(), 1);
     }
 }

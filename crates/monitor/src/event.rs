@@ -30,28 +30,6 @@ pub struct EventRecord {
     pub finished_jobs: u64,
 }
 
-impl EventRecord {
-    /// CSV header matching [`EventRecord::to_csv_row`].
-    pub const CSV_HEADER: &'static str =
-        "event_id,time_s,job_id,state,site,available_cores,pending_jobs,assigned_jobs,finished_jobs";
-
-    /// Renders the record as one CSV row.
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{:.3},{},{},{},{},{},{},{}",
-            self.event_id,
-            self.time_s,
-            self.job_id.0,
-            self.state.label(),
-            self.site,
-            self.available_cores,
-            self.pending_jobs,
-            self.assigned_jobs,
-            self.finished_jobs
-        )
-    }
-}
-
 /// Final outcome of one simulated job (the per-job row used for calibration
 /// and metric computation).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -105,35 +83,6 @@ impl JobOutcome {
     pub fn core_seconds(&self) -> f64 {
         self.walltime * self.cores as f64
     }
-
-    /// CSV header matching [`JobOutcome::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "job_id,kind,cores,work_hs23,site,submit_time,assign_time,start_time,end_time,final_state,staged_bytes,walltime,queue_time,hist_walltime,hist_queue_time";
-
-    /// Renders the outcome as one CSV row.
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{:.1},{},{:.3},{:.3},{:.3},{:.3},{},{},{:.3},{:.3},{},{}",
-            self.id.0,
-            self.kind.label(),
-            self.cores,
-            self.work_hs23,
-            self.site,
-            self.submit_time,
-            self.assign_time,
-            self.start_time,
-            self.end_time,
-            self.final_state.label(),
-            self.staged_bytes,
-            self.walltime,
-            self.queue_time,
-            self.hist_walltime
-                .map(|v| format!("{v:.3}"))
-                .unwrap_or_default(),
-            self.hist_queue_time
-                .map(|v| format!("{v:.3}"))
-                .unwrap_or_default(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -161,39 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn event_record_csv_row_matches_header_columns() {
-        let rec = EventRecord {
-            event_id: 8570,
-            time_s: 123.456,
-            job_id: JobId(6466065355),
-            state: JobState::Finished,
-            site: "DESY-ZN".into(),
-            available_cores: 66120,
-            pending_jobs: 0,
-            assigned_jobs: 134,
-            finished_jobs: 62,
-        };
-        let row = rec.to_csv_row();
-        assert_eq!(
-            row.split(',').count(),
-            EventRecord::CSV_HEADER.split(',').count()
-        );
-        assert!(row.contains("finished"));
-        assert!(row.contains("DESY-ZN"));
-        assert!(row.starts_with("8570,"));
-    }
-
-    #[test]
     fn outcome_derived_quantities() {
         let o = outcome();
         assert_eq!(o.total_time(), 3665.0);
         assert!(o.succeeded());
         assert_eq!(o.core_seconds(), 3600.0);
-        let row = o.to_csv_row();
-        assert_eq!(
-            row.split(',').count(),
-            JobOutcome::CSV_HEADER.split(',').count()
-        );
     }
 
     #[test]

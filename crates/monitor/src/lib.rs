@@ -34,7 +34,6 @@ pub mod event;
 pub mod metrics;
 pub mod mldataset;
 pub mod store;
-pub mod timeseries;
 pub mod window;
 
 pub use collector::{

@@ -1,7 +1,7 @@
 //! Property-based tests for the monitoring layer.
 
 use cgsim_monitor::event::JobOutcome;
-use cgsim_monitor::{MetricsReport, MonitoringCollector, MonitoringConfig};
+use cgsim_monitor::{MetricsReport, MonitoringCollector, MonitoringConfig, Table};
 use cgsim_workload::{JobId, JobKind, JobState};
 use proptest::prelude::*;
 
@@ -100,7 +100,10 @@ proptest! {
         }
         prop_assert_eq!(collector.transitions_seen(), transitions.len() as u64);
         prop_assert!(collector.events().len() <= transitions.len());
-        // CSV row count always matches the collected events.
-        prop_assert_eq!(collector.events_csv().lines().count(), collector.events().len() + 1);
+        // The exported table always has a header plus one row per event.
+        let mut csv = Vec::new();
+        Table::Events(collector.events()).write_csv(&mut csv).unwrap();
+        let rows = csv.iter().filter(|&&b| b == b'\n').count();
+        prop_assert_eq!(rows, collector.events().len() + 1);
     }
 }

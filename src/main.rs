@@ -28,25 +28,29 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let options = parse_options(&args[1..]);
-    let result = match command.as_str() {
-        "init" => cmd_init(&options),
-        "simulate" => cmd_simulate(&options),
-        "demo" => cmd_demo(&options),
-        "serve" => cmd_serve(&options),
-        "trace-check" => cmd_trace_check(&options),
-        "policies" => {
+    type Command = fn(&HashMap<String, String>) -> Result<(), String>;
+    let (flags, run): (&[&str], Command) = match command.as_str() {
+        "init" => (INIT_FLAGS, cmd_init),
+        "simulate" => (SIMULATE_FLAGS, cmd_simulate),
+        "demo" => (DEMO_FLAGS, cmd_demo),
+        "serve" => (SERVE_FLAGS, cmd_serve),
+        "trace-check" => (TRACE_CHECK_FLAGS, cmd_trace_check),
+        "policies" => (&[], |_| {
             for name in PolicyRegistry::with_builtins().names() {
                 println!("{name}");
             }
             Ok(())
-        }
-        "--help" | "-h" | "help" => {
+        }),
+        "--help" | "-h" | "help" => (&[], |_| {
             println!("{USAGE}");
             Ok(())
+        }),
+        other => {
+            eprintln!("error: unknown command: {other}\n{USAGE}");
+            return ExitCode::FAILURE;
         }
-        other => Err(format!("unknown command: {other}\n{USAGE}")),
     };
+    let result = parse_options(command, &args[1..], flags).and_then(|options| run(&options));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
@@ -138,35 +142,92 @@ off and the results byte-identical):
                                    abandoned (default 5)
 ";
 
-fn parse_options(args: &[String]) -> HashMap<String, String> {
+// The flags each command declares, as groups of space-separated names (the
+// ones `USAGE` documents, plus the execution-config overrides `serve` shares
+// with `simulate`); anything else on its command line is an error, not a
+// silently ignored token.
+const CHECKPOINT_FLAGS: &str = "checkpoint-interval checkpoint-bytes checkpoint-per-core-bytes \
+    checkpoint-target checkpoint-overlap checkpoint-delta-bytes-per-s";
+const REPAIR_FLAGS: &str = "repair repair-target repair-concurrent repair-backoff repair-retries";
+const MONITORING_FLAGS: &str = "max-events sample-stride window";
+const OBSERVABILITY_FLAGS: &str = "trace-out trace-format trace-filter profile";
+const INPUT_FLAGS: &str = "platform execution trace policy";
+const RESULT_FLAGS: &str = "output faults fault-seed";
+const INIT_FLAGS: &[&str] = &["dir sites jobs seed"];
+const SIMULATE_FLAGS: &[&str] = &[
+    INPUT_FLAGS,
+    RESULT_FLAGS,
+    CHECKPOINT_FLAGS,
+    REPAIR_FLAGS,
+    MONITORING_FLAGS,
+    OBSERVABILITY_FLAGS,
+];
+const DEMO_FLAGS: &[&str] = &[
+    "sites jobs policy seed stream trace",
+    RESULT_FLAGS,
+    CHECKPOINT_FLAGS,
+    REPAIR_FLAGS,
+    MONITORING_FLAGS,
+    OBSERVABILITY_FLAGS,
+];
+const SERVE_FLAGS: &[&str] = &[
+    INPUT_FLAGS,
+    "listen cache-capacity no-cache serial",
+    CHECKPOINT_FLAGS,
+    REPAIR_FLAGS,
+];
+const TRACE_CHECK_FLAGS: &[&str] = &["jsonl chrome"];
+/// Flags that never take a value, so a bare token after one is stray.
+const SWITCHES: &str = "stream repair checkpoint-overlap no-cache serial";
+
+/// Whether `name` is one of the space-separated names in `group`.
+fn names(group: &str, name: &str) -> bool {
+    group.split_whitespace().any(|flag| flag == name)
+}
+
+/// Splits a command line into `--flag [value]` pairs, rejecting flags the
+/// command does not declare and tokens that belong to no flag.
+fn parse_options(
+    command: &str,
+    args: &[String],
+    declared: &[&str],
+) -> Result<HashMap<String, String>, String> {
     let mut options = HashMap::new();
     let mut iter = args.iter().peekable();
-    while let Some(flag) = iter.next() {
-        if let Some(name) = flag.strip_prefix("--") {
-            // A following `--token` is the next flag, not this one's value,
-            // so valueless switches like `--no-cache` parse as empty.
-            let value = match iter.peek() {
-                Some(next) if !next.starts_with("--") => iter.next().cloned().unwrap_or_default(),
-                _ => String::new(),
-            };
-            options.insert(name.to_string(), value);
+    while let Some(token) = iter.next() {
+        let Some(name) = token.strip_prefix("--") else {
+            return Err(format!("unexpected argument '{token}'"));
+        };
+        if !declared.iter().any(|group| names(group, name)) {
+            return Err(format!("`cgsim {command}` has no flag --{name}"));
         }
+        // A following `--token` is the next flag, not this one's value, so
+        // an optional value (`--profile [path]`) may be left out.
+        let value = match iter.peek() {
+            Some(next) if !next.starts_with("--") && !names(SWITCHES, name) => {
+                iter.next().cloned().unwrap_or_default()
+            }
+            _ => String::new(),
+        };
+        options.insert(name.to_string(), value);
     }
-    options
+    Ok(options)
 }
 
-fn get_usize(options: &HashMap<String, String>, key: &str, default: usize) -> usize {
+/// The parsed value of `--key`, if the flag was given; `what` names the
+/// expected kind of value in the error.
+fn parsed<T: std::str::FromStr>(
+    options: &HashMap<String, String>,
+    key: &str,
+    what: &str,
+) -> Result<Option<T>, String> {
     options
         .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn get_u64(options: &HashMap<String, String>, key: &str, default: u64) -> u64 {
-    options
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("--{key} '{v}' is not {what}"))
+        })
+        .transpose()
 }
 
 /// `cgsim init`: write example platform/execution/trace files.
@@ -178,9 +239,9 @@ fn cmd_init(options: &HashMap<String, String>) -> Result<(), String> {
             .unwrap_or_else(|| "cgsim-run".to_string()),
     );
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let sites = get_usize(options, "sites", 10);
-    let jobs = get_usize(options, "jobs", 1_000);
-    let seed = get_u64(options, "seed", 42);
+    let sites: usize = parsed(options, "sites", "a number")?.unwrap_or(10);
+    let jobs: usize = parsed(options, "jobs", "a number")?.unwrap_or(1_000);
+    let seed: u64 = parsed(options, "seed", "a number")?.unwrap_or(42);
 
     let platform = wlcg_platform(sites, seed);
     platform
@@ -210,13 +271,13 @@ fn build_fault_plan(
     platform_spec: &PlatformSpec,
     trace_len: usize,
 ) -> Result<Option<FaultPlan>, String> {
+    let fault_seed: u64 = parsed(options, "fault-seed", "a number")?.unwrap_or(7);
     let Some(spec_text) = options.get("faults") else {
         return Ok(None);
     };
     let config = parse_fault_spec(spec_text)?;
     let platform = Platform::build(platform_spec).map_err(|e| e.to_string())?;
     let topology = FaultTopology::for_platform(&platform, trace_len);
-    let fault_seed = get_u64(options, "fault-seed", 7);
     let plan = FaultPlan::generate(&config, &topology, fault_seed);
     println!(
         "fault plan: {} events over {:.1} h (fault seed {})",
@@ -227,23 +288,26 @@ fn build_fault_plan(
     Ok(Some(plan))
 }
 
-/// Applies the `--checkpoint-*` flag overrides to an execution config.
-fn apply_checkpoint_flags(
+/// Applies every execution-config override flag that is present: the
+/// `--checkpoint-*` flags; the `--repair*` flags, of which only the `--repair`
+/// switch enables the planner — the knob flags tune it without turning it on,
+/// so knobs passed alongside a disabled planner leave the simulation
+/// byte-identical (a CI determinism gate relies on this); and the
+/// bounded-monitoring flags (`--max-events`, `--sample-stride`, `--window`)
+/// that scale campaigns need, unbounded event records being the one per-job
+/// O(jobs) retention the simulator otherwise keeps.
+fn apply_execution_flags(
     options: &HashMap<String, String>,
     execution: &mut ExecutionConfig,
 ) -> Result<(), String> {
     if let Some(interval) = options.get("checkpoint-interval") {
         execution.checkpoint.interval_s = cgsim::faults::parse_duration(interval)?;
     }
-    if let Some(bytes) = options.get("checkpoint-bytes") {
-        execution.checkpoint.base_bytes = bytes
-            .parse()
-            .map_err(|_| format!("--checkpoint-bytes '{bytes}' is not a byte count"))?;
+    if let Some(bytes) = parsed(options, "checkpoint-bytes", "a byte count")? {
+        execution.checkpoint.base_bytes = bytes;
     }
-    if let Some(bytes) = options.get("checkpoint-per-core-bytes") {
-        execution.checkpoint.bytes_per_core = bytes
-            .parse()
-            .map_err(|_| format!("--checkpoint-per-core-bytes '{bytes}' is not a byte count"))?;
+    if let Some(bytes) = parsed(options, "checkpoint-per-core-bytes", "a byte count")? {
+        execution.checkpoint.bytes_per_core = bytes;
     }
     if let Some(target) = options.get("checkpoint-target") {
         execution.checkpoint.target = match target.as_str() {
@@ -259,66 +323,32 @@ fn apply_checkpoint_flags(
     if options.contains_key("checkpoint-overlap") {
         execution.checkpoint.overlap = true;
     }
-    if let Some(rate) = options.get("checkpoint-delta-bytes-per-s") {
-        execution.checkpoint.delta_bytes_per_s = rate
-            .parse()
-            .map_err(|_| format!("--checkpoint-delta-bytes-per-s '{rate}' is not a byte rate"))?;
+    if let Some(rate) = parsed(options, "checkpoint-delta-bytes-per-s", "a byte rate")? {
+        execution.checkpoint.delta_bytes_per_s = rate;
     }
-    Ok(())
-}
-
-/// Applies the bounded-monitoring flag overrides (`--max-events`,
-/// `--sample-stride`, `--window`) to an execution config. Scale campaigns
-/// must bound the event ring: unbounded event records are the one per-job
-/// O(jobs) retention the simulator otherwise keeps.
-fn apply_monitoring_flags(
-    options: &HashMap<String, String>,
-    execution: &mut ExecutionConfig,
-) -> Result<(), String> {
-    if let Some(cap) = options.get("max-events") {
-        execution.monitoring.max_events = cap
-            .parse()
-            .map_err(|_| format!("--max-events '{cap}' is not a count"))?;
+    if let Some(cap) = parsed(options, "max-events", "a count")? {
+        execution.monitoring.max_events = cap;
     }
-    if let Some(stride) = options.get("sample-stride") {
-        execution.monitoring.sample_stride = stride
-            .parse()
-            .map_err(|_| format!("--sample-stride '{stride}' is not a count"))?;
+    if let Some(stride) = parsed(options, "sample-stride", "a count")? {
+        execution.monitoring.sample_stride = stride;
     }
     if let Some(window) = options.get("window") {
         execution.monitoring.window_s = cgsim::faults::parse_duration(window)?;
     }
-    Ok(())
-}
-
-/// Applies the `--repair*` flag overrides to an execution config. Only the
-/// `--repair` switch enables the planner; the knob flags tune it without
-/// turning it on (so knobs passed alongside a disabled planner leave the
-/// simulation byte-identical — the CI determinism gate relies on this).
-fn apply_repair_flags(
-    options: &HashMap<String, String>,
-    execution: &mut ExecutionConfig,
-) -> Result<(), String> {
     if options.contains_key("repair") {
         execution.repair.enabled = true;
     }
-    if let Some(target) = options.get("repair-target") {
-        execution.repair.target_factor = target
-            .parse()
-            .map_err(|_| format!("--repair-target '{target}' is not a replica count"))?;
+    if let Some(target) = parsed(options, "repair-target", "a replica count")? {
+        execution.repair.target_factor = target;
     }
-    if let Some(limit) = options.get("repair-concurrent") {
-        execution.repair.max_concurrent = limit
-            .parse()
-            .map_err(|_| format!("--repair-concurrent '{limit}' is not a transfer count"))?;
+    if let Some(limit) = parsed(options, "repair-concurrent", "a transfer count")? {
+        execution.repair.max_concurrent = limit;
     }
     if let Some(backoff) = options.get("repair-backoff") {
         execution.repair.backoff_s = cgsim::faults::parse_duration(backoff)?;
     }
-    if let Some(retries) = options.get("repair-retries") {
-        execution.repair.max_retries = retries
-            .parse()
-            .map_err(|_| format!("--repair-retries '{retries}' is not a retry count"))?;
+    if let Some(retries) = parsed(options, "repair-retries", "a retry count")? {
+        execution.repair.max_retries = retries;
     }
     Ok(())
 }
@@ -396,28 +426,33 @@ fn cmd_trace_check(options: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `cgsim simulate`: run the three input files through the simulator.
-fn cmd_simulate(options: &HashMap<String, String>) -> Result<(), String> {
-    let platform_path = options
-        .get("platform")
-        .ok_or("missing --platform <platform.json>")?;
-    let execution_path = options
-        .get("execution")
-        .ok_or("missing --execution <execution.json>")?;
-    let trace_path = options
-        .get("trace")
-        .ok_or("missing --trace <trace.jsonl>")?;
-
+/// Loads the three input files `simulate` and `serve` share; the returned
+/// execution config has the override flags applied.
+fn load_inputs(
+    options: &HashMap<String, String>,
+) -> Result<(SimulationConfig, Trace, ExecutionConfig), String> {
+    let path = |key: &str, file: &str| {
+        options
+            .get(key)
+            .ok_or_else(|| format!("missing --{key} <{file}>"))
+    };
+    let platform_path = path("platform", "platform.json")?;
+    let execution_path = path("execution", "execution.json")?;
+    let trace_path = path("trace", "trace.jsonl")?;
     let config =
         SimulationConfig::load(platform_path, execution_path).map_err(|e| e.to_string())?;
     let trace = Trace::load_jsonl(trace_path).map_err(|e| e.to_string())?;
     let mut execution = config.execution.clone();
+    apply_execution_flags(options, &mut execution)?;
+    Ok((config, trace, execution))
+}
+
+/// `cgsim simulate`: run the three input files through the simulator.
+fn cmd_simulate(options: &HashMap<String, String>) -> Result<(), String> {
+    let (config, trace, mut execution) = load_inputs(options)?;
     if let Some(policy) = options.get("policy") {
         execution.allocation_policy = policy.clone();
     }
-    apply_checkpoint_flags(options, &mut execution)?;
-    apply_repair_flags(options, &mut execution)?;
-    apply_monitoring_flags(options, &mut execution)?;
     println!(
         "simulating {} jobs on {} sites with policy '{}'",
         trace.len(),
@@ -440,9 +475,9 @@ fn cmd_simulate(options: &HashMap<String, String>) -> Result<(), String> {
 
 /// `cgsim demo`: synthesise a platform + trace and run immediately.
 fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
-    let sites = get_usize(options, "sites", 10);
-    let jobs = get_usize(options, "jobs", 1_000);
-    let seed = get_u64(options, "seed", 42);
+    let sites: usize = parsed(options, "sites", "a number")?.unwrap_or(10);
+    let jobs: usize = parsed(options, "jobs", "a number")?.unwrap_or(1_000);
+    let seed: u64 = parsed(options, "seed", "a number")?.unwrap_or(42);
     let policy = options
         .get("policy")
         .cloned()
@@ -457,9 +492,7 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
     );
     let fault_plan = build_fault_plan(options, &platform, jobs)?;
     let mut execution = ExecutionConfig::with_policy(&policy);
-    apply_checkpoint_flags(options, &mut execution)?;
-    apply_repair_flags(options, &mut execution)?;
-    apply_monitoring_flags(options, &mut execution)?;
+    apply_execution_flags(options, &mut execution)?;
     let builder = Simulation::builder()
         .platform_spec(&platform)
         .map_err(|e| e.to_string())?;
@@ -483,37 +516,19 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
 /// loaded platform + trace. stdout (or the TCP stream) carries the protocol;
 /// human-readable chatter goes to stderr.
 fn cmd_serve(options: &HashMap<String, String>) -> Result<(), String> {
-    let platform_path = options
-        .get("platform")
-        .ok_or("missing --platform <platform.json>")?;
-    let execution_path = options
-        .get("execution")
-        .ok_or("missing --execution <execution.json>")?;
-    let trace_path = options
-        .get("trace")
-        .ok_or("missing --trace <trace.jsonl>")?;
-
-    let config =
-        SimulationConfig::load(platform_path, execution_path).map_err(|e| e.to_string())?;
-    let trace = Trace::load_jsonl(trace_path).map_err(|e| e.to_string())?;
-    let mut execution = config.execution.clone();
+    let (config, trace, mut execution) = load_inputs(options)?;
     if let Some(policy) = options.get("policy") {
         if !policy.is_empty() {
             execution.allocation_policy = policy.clone();
         }
     }
-    apply_checkpoint_flags(options, &mut execution)?;
-    apply_repair_flags(options, &mut execution)?;
 
     let no_cache = options.contains_key("no-cache");
     let mut engine = ScenarioEngine::new();
     let cache_label = if no_cache {
         engine = engine.no_cache();
         "off".to_string()
-    } else if let Some(capacity) = options.get("cache-capacity") {
-        let capacity: usize = capacity
-            .parse()
-            .map_err(|_| format!("--cache-capacity '{capacity}' is not a number"))?;
+    } else if let Some(capacity) = parsed::<usize>(options, "cache-capacity", "a number")? {
         engine = engine.cache_capacity(capacity);
         format!("{capacity} entries")
     } else {

@@ -1,0 +1,100 @@
+//! The `cgsim` binary refuses a command line it does not fully understand:
+//! an unparsable number, a flag the command does not declare and a token
+//! that belongs to no flag each exit non-zero with a one-line `error:` — the
+//! simulator never silently runs something other than what was asked.
+
+use std::process::{Command, Output, Stdio};
+
+fn cgsim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cgsim"))
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("the cgsim binary runs")
+}
+
+/// Asserts that `args` fail with exactly one `error:` line mentioning `what`.
+fn assert_rejected(args: &[&str], what: &str) {
+    let out = cgsim(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{args:?} exited 0");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains(what),
+        "{args:?}: {stderr}"
+    );
+}
+
+#[test]
+fn unparsable_numbers_are_errors_not_defaults() {
+    assert_rejected(&["demo", "--jobs", "10k"], "--jobs '10k'");
+    assert_rejected(&["demo", "--sites", "many"], "--sites 'many'");
+    assert_rejected(&["init", "--seed", "-1"], "--seed '-1'");
+    // Checked even without a `--faults` spec to apply it to.
+    assert_rejected(
+        &["demo", "--jobs", "5", "--fault-seed", "x"],
+        "--fault-seed 'x'",
+    );
+}
+
+#[test]
+fn undeclared_flags_are_rejected_per_command() {
+    assert_rejected(
+        &["demo", "--checkpoint-intervall", "30m"],
+        "--checkpoint-intervall",
+    );
+    // Declared by `demo`, not by `init` or `trace-check`.
+    assert_rejected(&["init", "--stream"], "--stream");
+    assert_rejected(&["trace-check", "--output", "x"], "--output");
+    assert_rejected(&["policies", "--sites", "3"], "--sites");
+}
+
+#[test]
+fn stray_positional_tokens_are_rejected() {
+    assert_rejected(&["demo", "extra"], "'extra'");
+    // A switch takes no value, so the token after it is stray too.
+    assert_rejected(&["demo", "--stream", "500"], "'500'");
+}
+
+#[test]
+fn every_documented_flag_is_still_accepted() {
+    let dir = std::env::temp_dir().join(format!("cgsim-cli-test-{}", std::process::id()));
+    // Runs one whitespace-split command line, `DIR` standing for the scratch
+    // directory.
+    let ok = |line: &str| {
+        let dir = dir.to_string_lossy();
+        let args: Vec<String> = line
+            .split_whitespace()
+            .map(|arg| arg.replace("DIR", &dir))
+            .collect();
+        let out = cgsim(&args.iter().map(String::as_str).collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{line}: {stderr}");
+    };
+    let inputs = "--platform DIR/run/platform.json --execution DIR/run/execution.json \
+                  --trace DIR/run/trace.jsonl";
+    let knobs = "--policy round-robin --faults kill:rate=2 --fault-seed 3 \
+                 --checkpoint-interval 10m --checkpoint-bytes 1000000 \
+                 --checkpoint-per-core-bytes 1000 --checkpoint-target main \
+                 --checkpoint-overlap --checkpoint-delta-bytes-per-s 1000 \
+                 --repair --repair-target 2 --repair-concurrent 2 --repair-backoff 60s \
+                 --repair-retries 3 --max-events 100 --sample-stride 2 --window 1h \
+                 --trace-format jsonl --trace-filter job,ckpt";
+    ok("init --dir DIR/run --sites 3 --jobs 40 --seed 5");
+    ok(&format!(
+        "simulate {inputs} {knobs} --trace-out DIR/sim.jsonl --output DIR/sim --profile"
+    ));
+    ok(&format!(
+        "demo --sites 3 --jobs 40 --seed 5 --stream {knobs} --trace DIR/demo.jsonl \
+         --output DIR/demo --profile DIR/demo-profile.json"
+    ));
+    ok("trace-check --jsonl DIR/sim.jsonl");
+    ok("policies");
+    ok("help");
+    // `serve` answers an empty stdin session and exits; `--listen` is left
+    // out because it would bind a socket and wait.
+    ok(&format!(
+        "serve {inputs} --cache-capacity 8 --serial --no-cache"
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
