@@ -108,8 +108,8 @@ impl BaselineSimulator {
         let mut outcomes = Vec::with_capacity(trace.jobs.len());
         let mut makespan: f64 = 0.0;
         for job in &trace.jobs {
-            let site = if site_speed.contains_key(job.hist_site.as_str()) {
-                job.hist_site.as_str()
+            let site = if site_speed.contains_key(&*job.hist_site) {
+                &*job.hist_site
             } else {
                 largest_site
             };
@@ -186,7 +186,7 @@ mod tests {
     fn jobs_follow_historical_sites() {
         let (results, trace) = run(100, 5);
         for (o, j) in results.outcomes.iter().zip(&trace.jobs) {
-            assert_eq!(o.site, j.hist_site);
+            assert_eq!(o.site, &*j.hist_site);
         }
     }
 

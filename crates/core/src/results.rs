@@ -61,13 +61,8 @@ pub struct SimulationResults {
 impl SimulationResults {
     /// Per-site relative walltime error against the trace ground truth.
     pub fn walltime_error_by_site(&self) -> BTreeMap<String, SiteWalltimeError> {
-        let mut grouped: BTreeMap<String, Vec<&JobOutcome>> = BTreeMap::new();
-        for o in &self.outcomes {
-            if o.hist_walltime.is_some() {
-                grouped.entry(o.site.clone()).or_default().push(o);
-            }
-        }
-        grouped
+        let with_truth = self.outcomes.iter().filter(|o| o.hist_walltime.is_some());
+        cgsim_monitor::outcomes_by_site(with_truth)
             .into_iter()
             .map(|(site, jobs)| {
                 let split = |kind: JobKind| {
@@ -87,7 +82,7 @@ impl SimulationResults {
                     .map(|o| (o.walltime, o.hist_walltime.expect("filtered")))
                     .unzip();
                 (
-                    site,
+                    site.to_string(),
                     SiteWalltimeError {
                         single_core: split(JobKind::SingleCore),
                         multi_core: split(JobKind::MultiCore),

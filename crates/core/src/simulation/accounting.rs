@@ -13,7 +13,7 @@ use super::GridModel;
 impl GridModel {
     /// Reports a job state transition to the monitoring collector.
     pub(super) fn record(&mut self, now: SimTime, idx: usize, state: JobState) {
-        let job_id = self.jobs[idx].record.id;
+        let job_id = self.trace.jobs[idx].id;
         let (site_index, avail, queued) = match self.jobs[idx].site {
             Some(site) => (
                 Some(site.index()),
@@ -74,27 +74,25 @@ impl GridModel {
         // storage bytes and drop the catalog replicas.
         self.discard_checkpoints(idx);
         self.jobs[idx].state = state;
-        self.jobs[idx].end_time = now.as_secs();
         self.record(now, idx, state);
 
-        let job = &self.jobs[idx];
-        let site_name = self.platform.site(site).name.clone();
+        let (job, record) = (&self.jobs[idx], &self.trace.jobs[idx]);
         let outcome = JobOutcome {
-            id: job.record.id,
-            kind: job.record.kind,
-            cores: job.record.cores,
-            work_hs23: job.record.work_hs23,
-            site: site_name,
+            id: record.id,
+            kind: record.kind,
+            cores: record.cores,
+            work_hs23: record.work_hs23,
+            site: self.collector.site_name(Some(site.index())),
             submit_time: job.submit_time,
             assign_time: job.assign_time,
             start_time: job.start_time,
-            end_time: job.end_time,
+            end_time: now.as_secs(),
             final_state: state,
             staged_bytes: job.staged_bytes,
-            walltime: job.end_time - job.start_time,
+            walltime: now.as_secs() - job.start_time,
             queue_time: job.start_time - job.submit_time,
-            hist_walltime: job.record.hist_walltime,
-            hist_queue_time: job.record.hist_queue_time,
+            hist_walltime: record.hist_walltime,
+            hist_queue_time: record.hist_queue_time,
         };
         self.collector.record_outcome(outcome);
 
@@ -107,6 +105,7 @@ impl GridModel {
         // alive past the last job.
         self.completed_jobs += 1;
         if self.completed_jobs == self.jobs.len() {
+            debug_assert_eq!(self.running.live(), 0, "a terminal job kept its slot");
             if let Some(key) = self.fault_key.take() {
                 ctx.cancel(key);
             }
@@ -142,7 +141,7 @@ impl GridModel {
                     running_sample: self
                         .running_at(s.id)
                         .take(10)
-                        .map(|j| (self.jobs[j].record.id.0, self.jobs[j].record.cores))
+                        .map(|j| (self.trace.jobs[j].id.0, self.trace.jobs[j].cores))
                         .collect(),
                 }
             })

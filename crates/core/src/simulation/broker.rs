@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use cgsim_data::DatasetId;
-use cgsim_des::{Context, SimTime};
+use cgsim_des::{Context, SimTime, SlotId};
 use cgsim_obs::{SpanPhase, Subsystem, TraceCategory};
 use cgsim_platform::{NodeId, SiteId};
 use cgsim_policies::{AllocationPolicy, GridView, SiteLoad};
@@ -24,7 +24,7 @@ pub(super) struct SiteState {
     pub(super) available_cores: u64,
     pub(super) queue: VecDeque<usize>,
     /// Jobs holding cores, oldest start first: a doubly linked list threaded
-    /// through `JobRuntime::{run_prev, run_next}`, so a release unlinks in
+    /// through `RunState::{run_prev, run_next}`, so a release unlinks in
     /// O(1) while outages still kill in start order and node loss still
     /// takes the most recent start.
     running_head: u32,
@@ -63,7 +63,7 @@ impl GridModel {
     }
 
     /// Moves the queue front `idx` onto the running list, reserving its
-    /// `cores`.
+    /// `cores` and a running-state slot.
     pub(super) fn admit_front(&mut self, site: SiteId, idx: usize, cores: u64) {
         let state = &mut self.sites[site.index()];
         state.queue.pop_front();
@@ -71,12 +71,12 @@ impl GridModel {
         let tail = std::mem::replace(&mut state.running_tail, idx as u32);
         match tail {
             NO_JOB => state.running_head = idx as u32,
-            tail => self.jobs[tail as usize].run_next = idx as u32,
+            tail => self.run_mut(tail as usize).run_next = idx as u32,
         }
-        state.running_len += 1;
-        self.jobs[idx].run_prev = tail;
-        self.jobs[idx].run_next = NO_JOB;
-        self.jobs[idx].holds_cores = true;
+        self.sites[site.index()].running_len += 1;
+        self.jobs[idx].slot = self.running.take();
+        let run = self.run_mut(idx);
+        (run.run_prev, run.run_next) = (tail, NO_JOB);
         self.mirror_site(site);
     }
 
@@ -85,21 +85,22 @@ impl GridModel {
     /// queue pop) is a no-op, so the fault-injection paths and the normal
     /// lifecycle cannot double-release.
     pub(super) fn release_cores(&mut self, idx: usize, site: SiteId) {
-        if !self.jobs[idx].holds_cores {
+        let slot = std::mem::replace(&mut self.jobs[idx].slot, SlotId::NONE);
+        let Some(run) = self.running.get(slot) else {
             return;
-        }
-        self.jobs[idx].holds_cores = false;
-        let (prev, next) = (self.jobs[idx].run_prev, self.jobs[idx].run_next);
+        };
+        let (prev, next) = (run.run_prev, run.run_next);
+        self.running.release(slot);
         let state = &mut self.sites[site.index()];
-        state.available_cores += self.jobs[idx].record.cores as u64;
+        state.available_cores += self.trace.jobs[idx].cores as u64;
         state.running_len -= 1;
         match prev {
             NO_JOB => state.running_head = next,
-            prev => self.jobs[prev as usize].run_next = next,
+            prev => self.run_mut(prev as usize).run_next = next,
         }
         match next {
-            NO_JOB => state.running_tail = prev,
-            next => self.jobs[next as usize].run_prev = prev,
+            NO_JOB => self.sites[site.index()].running_tail = prev,
+            next => self.run_mut(next as usize).run_prev = prev,
         }
         self.mirror_site(site);
     }
@@ -110,7 +111,7 @@ impl GridModel {
         std::iter::from_fn(move || {
             (cursor != NO_JOB).then(|| {
                 let idx = cursor as usize;
-                cursor = self.jobs[idx].run_next;
+                cursor = self.run(idx).run_next;
                 idx
             })
         })
@@ -168,7 +169,7 @@ impl GridModel {
             self.reference_view(self.view.now_s, Some(dataset)),
             "maintained grid view diverged from the from-scratch rebuild"
         );
-        let answer = ask(self.policy.as_mut(), &self.jobs[idx].record, &self.view);
+        let answer = ask(self.policy.as_mut(), &self.trace.jobs[idx], &self.view);
         self.flag_input_replicas(dataset, false);
         self.profiler.stop(Subsystem::Broker, timer);
         answer
@@ -302,7 +303,7 @@ impl GridModel {
             return;
         }
         while let Some(&front) = self.sites[site.index()].queue.front() {
-            let needed = self.jobs[front].record.cores as u64;
+            let needed = self.trace.jobs[front].cores as u64;
             if self.sites[site.index()].available_cores < needed {
                 break;
             }
@@ -324,7 +325,7 @@ impl GridModel {
                 .dispatch_delay(self.sites[site.index()].queue.len() as u64, busy_fraction);
             if delay > 0.0 {
                 let key = ctx.schedule_in(SimTime::from_secs(delay), GridEvent::PilotStart(front));
-                self.jobs[front].timer = Some(key);
+                self.run_mut(front).timer = Some(key);
             } else {
                 self.start_staging(front, site, ctx);
             }

@@ -68,7 +68,7 @@ impl GridModel {
     /// The nominal (contention-free) walltime of job `idx` at `site`, used
     /// to convert between progress fractions and execution seconds.
     pub(super) fn nominal_walltime_at(&self, idx: usize, site: SiteId) -> f64 {
-        let record = &self.jobs[idx].record;
+        let record = &self.trace.jobs[idx];
         ideal_walltime(
             record.work_hs23,
             record.cores,
@@ -95,20 +95,18 @@ impl GridModel {
     /// Entry point of every execution attempt (cores held, input staged):
     /// restore from the best surviving checkpoint — re-staging its bytes when
     /// they live at another endpoint — or start from scratch (always, when
-    /// the job has never checkpointed).
+    /// the job has never checkpointed). The slot's progress is still zero.
     pub(super) fn begin_restore_or_segment(
         &mut self,
         idx: usize,
         site: SiteId,
         ctx: &mut Context<'_, GridEvent>,
     ) {
-        self.jobs[idx].frac_done = 0.0;
-        self.jobs[idx].restore_frac = 0.0;
         match self.best_durable_checkpoint(idx) {
             Some(ck) if ck.node == NodeId::Site(site) => {
                 // The resume site already holds the checkpoint: restore is a
                 // local read, free at this model's resolution.
-                self.jobs[idx].frac_done = ck.frac;
+                self.run_mut(idx).frac_done = ck.frac;
                 let saved = ck.frac * self.nominal_walltime_at(idx, site);
                 self.collector.record_checkpoint_restore(saved);
                 self.trace(
@@ -126,7 +124,7 @@ impl GridModel {
                 // Remote checkpoint: re-stage its bytes through the fluid
                 // model before execution continues. Durability is credited
                 // only when the transfer lands (`finish_restore`).
-                self.jobs[idx].restore_frac = ck.frac;
+                self.run_mut(idx).restore_frac = ck.frac;
                 self.jobs[idx].staged_bytes += ck.bytes;
                 self.admit_transfer(
                     Owner::Job(idx),
@@ -144,9 +142,9 @@ impl GridModel {
     /// and continue executing from it.
     pub(super) fn finish_restore(&mut self, idx: usize, ctx: &mut Context<'_, GridEvent>) {
         let site = self.jobs[idx].site.expect("restoring job has a site");
-        let frac = self.jobs[idx].restore_frac;
-        self.jobs[idx].restore_frac = 0.0;
-        self.jobs[idx].frac_done = frac;
+        let run = self.run_mut(idx);
+        let frac = std::mem::take(&mut run.restore_frac);
+        run.frac_done = frac;
         let saved = frac * self.nominal_walltime_at(idx, site);
         self.collector.record_checkpoint_restore(saved);
         self.start_execution_segment(idx, site, ctx);
@@ -170,7 +168,7 @@ impl GridModel {
             f64::INFINITY
         };
         let total_w = self.nominal_walltime_at(idx, site);
-        let frac_done = self.jobs[idx].frac_done;
+        let frac_done = self.run(idx).frac_done;
         let remaining_w = total_w * (1.0 - frac_done);
         // Degenerate zero-work jobs (a trace is free to contain them) get a
         // single final segment: guard the interval/total_w ratio so the
@@ -188,15 +186,16 @@ impl GridModel {
                 } else {
                     (interval, interval_frac)
                 };
-                self.jobs[idx].seg_fraction = seg_frac;
-                self.jobs[idx].seg_started_s = now.as_secs();
-                self.jobs[idx].seg_walltime_s = seg_w;
                 let key = ctx.schedule_in(SimTime::from_secs(seg_w), GridEvent::ExecutionDone(idx));
-                self.jobs[idx].timer = Some(key);
+                let run = self.run_mut(idx);
+                run.seg_fraction = seg_frac;
+                run.seg_started_s = now.as_secs();
+                run.seg_walltime_s = seg_w;
+                run.timer = Some(key);
                 self.trace_phase(now.as_secs(), idx, Phase::Execute, SpanPhase::Begin, None);
             }
             ComputeMode::TimeShared => {
-                let record = &self.jobs[idx].record;
+                let record = &self.trace.jobs[idx];
                 let cores = record.cores;
                 let weight = cores as f64;
                 let total_amount = record.work_hs23 / cgsim_workload::parallel_efficiency(cores);
@@ -207,9 +206,10 @@ impl GridModel {
                 } else {
                     (interval_amount, interval_frac)
                 };
-                self.jobs[idx].seg_fraction = seg_frac;
-                self.jobs[idx].seg_started_s = now.as_secs();
-                self.jobs[idx].seg_amount = seg_amount;
+                let run = self.run_mut(idx);
+                run.seg_fraction = seg_frac;
+                run.seg_started_s = now.as_secs();
+                run.seg_amount = seg_amount;
                 self.admit_transfer(
                     Owner::Job(idx),
                     Phase::Execute,
@@ -228,17 +228,17 @@ impl GridModel {
     /// image survives there. The storage reservation is always the full
     /// image — the durable artifact is self-contained either way.
     fn checkpoint_transfer_bytes(&self, idx: usize, site: SiteId, target: NodeId) -> u64 {
-        let job = &self.jobs[idx];
-        let base = job
+        let (frac_done, cores) = (self.run(idx).frac_done, self.trace.jobs[idx].cores);
+        let base = self.jobs[idx]
             .checkpoints
             .iter()
             .find(|ck| ck.node == target && self.catalog.has_replica(ck.dataset, ck.node));
         let progress_s = base
-            .map(|ck| (job.frac_done - ck.frac).max(0.0) * self.nominal_walltime_at(idx, site))
+            .map(|ck| (frac_done - ck.frac).max(0.0) * self.nominal_walltime_at(idx, site))
             .unwrap_or(0.0);
         self.execution
             .checkpoint
-            .transfer_bytes_for(job.record.cores, progress_s, base.is_some())
+            .transfer_bytes_for(cores, progress_s, base.is_some())
     }
 
     /// At a segment boundary with no write in flight: checkpoint the progress
@@ -276,12 +276,12 @@ impl GridModel {
         site: SiteId,
         ctx: &mut Context<'_, GridEvent>,
     ) -> bool {
-        debug_assert!(self.jobs[idx].ckpt_activity.is_none());
+        debug_assert!(self.run(idx).ckpt_activity.is_none());
         let timer = self.profiler.start();
         let bytes = self
             .execution
             .checkpoint
-            .bytes_for(self.jobs[idx].record.cores);
+            .bytes_for(self.trace.jobs[idx].cores);
         let node = match self.execution.checkpoint.target {
             // The new copy is written before the superseded one is deleted,
             // so both are briefly reserved.
@@ -294,8 +294,10 @@ impl GridModel {
         };
         let xfer = self.checkpoint_transfer_bytes(idx, site, node);
         self.collector.record_ckpt_shipped(xfer);
-        self.jobs[idx].ckpt_frac = self.jobs[idx].frac_done;
-        self.jobs[idx].ckpt_stalled = !self.execution.checkpoint.overlap;
+        let stalled = !self.execution.checkpoint.overlap;
+        let run = self.run_mut(idx);
+        run.ckpt_frac = run.frac_done;
+        run.ckpt_stalled = stalled;
         self.profiler.stop(Subsystem::Checkpoint, timer);
         self.admit_transfer(
             Owner::Job(idx),
@@ -321,7 +323,7 @@ impl GridModel {
         let bytes = self
             .execution
             .checkpoint
-            .bytes_for(self.jobs[idx].record.cores);
+            .bytes_for(self.trace.jobs[idx].cores);
         if let Some(entry) = self.jobs[idx]
             .checkpoints
             .iter_mut()
@@ -378,10 +380,10 @@ impl GridModel {
     ) {
         let timer = self.profiler.start();
         let site = self.jobs[idx].site.expect("checkpointing job has a site");
-        let frac = self.jobs[idx].ckpt_frac;
+        let frac = self.run(idx).ckpt_frac;
         self.make_checkpoint_durable(idx, site, node, frac, ctx);
         self.profiler.stop(Subsystem::Checkpoint, timer);
-        if std::mem::take(&mut self.jobs[idx].ckpt_stalled) {
+        if std::mem::take(&mut self.run_mut(idx).ckpt_stalled) {
             if self.execution.checkpoint.overlap {
                 self.checkpoint_and_continue(idx, site, ctx);
             } else {
@@ -402,7 +404,7 @@ impl GridModel {
         ctx: &mut Context<'_, GridEvent>,
         info: &str,
     ) -> bool {
-        let Some(activity) = self.jobs[idx].ckpt_activity else {
+        let Some(activity) = self.run(idx).ckpt_activity else {
             return false;
         };
         let write = self.cancel_transfer(activity, ctx.now().as_secs(), Some(info));
@@ -410,9 +412,9 @@ impl GridModel {
         let bytes = self
             .execution
             .checkpoint
-            .bytes_for(self.jobs[idx].record.cores);
+            .bytes_for(self.trace.jobs[idx].cores);
         self.release_checkpoint_storage(node, bytes);
-        std::mem::take(&mut self.jobs[idx].ckpt_stalled)
+        std::mem::take(&mut self.run_mut(idx).ckpt_stalled)
     }
 
     /// Releases a checkpoint's byte reservation at its storage node. The
@@ -492,9 +494,9 @@ impl GridModel {
     /// partially completed in-flight segment, as a fraction of total work.
     /// Valid only after the fluid model has been advanced to `now`.
     pub(super) fn attempt_progress_fraction(&self, idx: usize, now: SimTime) -> f64 {
-        let job = &self.jobs[idx];
-        let mut frac = job.frac_done;
-        if let Some(activity) = job.activity {
+        let (job, run) = (&self.jobs[idx], self.run(idx));
+        let mut frac = run.frac_done;
+        if let Some(activity) = run.activity {
             // Time-shared segment in flight: read progress off the fluid
             // model's remaining work.
             let executing = self
@@ -502,18 +504,18 @@ impl GridModel {
                 .get(activity)
                 .is_some_and(|t| t.phase == Phase::Execute);
             if let (true, Some(remaining)) = (executing, self.fluid.remaining(activity)) {
-                if job.seg_amount > 0.0 {
-                    let done = 1.0 - (remaining / job.seg_amount).clamp(0.0, 1.0);
-                    frac += job.seg_fraction * done;
+                if run.seg_amount > 0.0 {
+                    let done = 1.0 - (remaining / run.seg_amount).clamp(0.0, 1.0);
+                    frac += run.seg_fraction * done;
                 }
             }
-        } else if job.timer.is_some()
+        } else if run.timer.is_some()
             && job.state == cgsim_workload::JobState::Running
-            && job.seg_walltime_s > 0.0
+            && run.seg_walltime_s > 0.0
         {
             // Dedicated-core segment in flight: progress is linear in time.
-            let elapsed = (now.as_secs() - job.seg_started_s).clamp(0.0, job.seg_walltime_s);
-            frac += job.seg_fraction * (elapsed / job.seg_walltime_s);
+            let elapsed = (now.as_secs() - run.seg_started_s).clamp(0.0, run.seg_walltime_s);
+            frac += run.seg_fraction * (elapsed / run.seg_walltime_s);
         }
         frac.clamp(0.0, 1.0)
     }

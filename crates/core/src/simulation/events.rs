@@ -50,13 +50,13 @@ impl EventHandler<GridEvent> for GridModel {
                 self.reschedule_fluid(ctx);
             }
             GridEvent::ExecutionDone(idx) => {
-                self.jobs[idx].timer = None;
+                self.run_mut(idx).timer = None;
                 let now = ctx.now().as_secs();
                 self.trace_phase(now, idx, Phase::Execute, SpanPhase::End, None);
                 self.execution_segment_done(idx, ctx);
             }
             GridEvent::PilotStart(idx) => {
-                self.jobs[idx].timer = None;
+                self.run_mut(idx).timer = None;
                 let site = self.jobs[idx]
                     .site
                     .expect("job waiting for its pilot has a site");

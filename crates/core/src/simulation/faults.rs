@@ -48,7 +48,7 @@
 //! O(transfers + checkpoints actually touching it), not O(jobs); debug
 //! builds cross-check every lookup against the full scan it replaced.
 
-use cgsim_des::{Context, SimTime};
+use cgsim_des::{Context, SimTime, SlotId};
 use cgsim_faults::FaultAction;
 use cgsim_obs::{SpanPhase, Subsystem, TraceCategory};
 use cgsim_platform::{LinkId, NodeId, SiteId};
@@ -147,7 +147,9 @@ impl GridModel {
             }
             // Only jobs currently occupying cores can be killed; anything
             // else (pending, queued, already terminal) is a no-op.
-            FaultAction::KillJob { job } if job < self.jobs.len() && self.jobs[job].holds_cores => {
+            FaultAction::KillJob { job }
+                if self.jobs.get(job).is_some_and(|j| j.slot != SlotId::NONE) =>
+            {
                 let site = self.jobs[job].site.expect("job holding cores has a site");
                 self.interrupt_job(job, ctx);
                 self.after_release(site, ctx);
@@ -257,11 +259,15 @@ impl GridModel {
     }
 
     /// Debug-only: the transfer-touch index must agree exactly with the
-    /// scan over every owner's activity slots it replaced.
+    /// scan over every owner's activity slots it replaced, and the slab
+    /// holds exactly one slot per job on a running list.
     #[cfg(debug_assertions)]
     fn assert_touch_index_matches_scan(&self, node: NodeId) {
+        let running: u64 = self.sites.iter().map(|s| s.running_jobs()).sum();
+        debug_assert_eq!(self.running.live() as u64, running, "leaked run slots");
         let jobs = self.jobs.iter().enumerate().filter_map(|(idx, job)| {
-            (self.touches_node(job.activity, node) || self.touches_node(job.ckpt_activity, node))
+            let run = self.running.get(job.slot)?;
+            (self.touches_node(run.activity, node) || self.touches_node(run.ckpt_activity, node))
                 .then_some(Owner::Job(idx))
         });
         let repairs = (0..self.repair.active.len()).filter_map(|slot| {
@@ -305,7 +311,7 @@ impl GridModel {
                 }
                 Owner::Job(idx) => idx,
             };
-            if self.touches_node(self.jobs[idx].ckpt_activity, node)
+            if self.touches_node(self.run(idx).ckpt_activity, node)
                 && self.cancel_checkpoint_write(idx, ctx, "data loss")
             {
                 let site = self.jobs[idx].site.expect("checkpointing job has a site");
@@ -313,7 +319,7 @@ impl GridModel {
             }
             // The job's main transfer, if it has an end at the dead storage:
             // cancel it and re-plan through the normal admission funnel.
-            let main = self.jobs[idx].activity;
+            let main = self.run(idx).activity;
             let Some(activity) = main.filter(|_| self.touches_node(main, node)) else {
                 continue;
             };
@@ -323,10 +329,7 @@ impl GridModel {
                 // `stage_input`, not `start_staging`: the attempt's start
                 // time must survive the re-plan.
                 Phase::Input => self.stage_input(idx, site, ctx),
-                Phase::Restore => {
-                    self.jobs[idx].restore_frac = 0.0;
-                    self.begin_restore_or_segment(idx, site, ctx);
-                }
+                Phase::Restore => self.begin_restore_or_segment(idx, site, ctx),
                 phase => unreachable!("a {phase:?} activity touches no node through the main slot"),
             }
         }
@@ -416,12 +419,12 @@ impl GridModel {
             self.collector.record_work_lost(lost_s);
         }
 
-        if let Some(key) = self.jobs[idx].timer.take() {
+        if let Some(key) = self.run_mut(idx).timer.take() {
             ctx.cancel(key);
             // A cancelled `ExecutionDone` timer means a dedicated-core
             // execution span is open; close it. (A pending pilot start has
             // no open span.)
-            if self.jobs[idx].state == JobState::Running && self.jobs[idx].seg_walltime_s > 0.0 {
+            if self.jobs[idx].state == JobState::Running && self.run(idx).seg_walltime_s > 0.0 {
                 self.trace_phase(
                     now.as_secs(),
                     idx,
@@ -431,18 +434,13 @@ impl GridModel {
                 );
             }
         }
-        if let Some(activity) = self.jobs[idx].activity {
+        if let Some(activity) = self.run(idx).activity {
             self.cancel_transfer(activity, now.as_secs(), Some("interrupted"));
         }
         // An in-flight checkpoint write dies with the attempt (never
         // durable); the job is leaving the site, so a job waiting on it does
-        // not restart a segment here.
+        // not restart a segment here. Its progress goes with the slot.
         self.cancel_checkpoint_write(idx, ctx, "interrupted");
-        self.jobs[idx].frac_done = 0.0;
-        self.jobs[idx].seg_fraction = 0.0;
-        self.jobs[idx].seg_walltime_s = 0.0;
-        self.jobs[idx].seg_amount = 0.0;
-        self.jobs[idx].restore_frac = 0.0;
         self.release_cores(idx, site);
         self.collector.record_interruption(site.index());
         self.trace(

@@ -8,15 +8,19 @@
 //! activities in flight — its main phase in `activity`, a checkpoint write
 //! in `ckpt_activity` — and [`GridModel::handle_completed_activities`] is
 //! where a finished activity is routed to its owner's next step.
+//!
+//! A job's state is split by lifetime: [`JobRuntime`] lasts the run (one per
+//! job, beside its record in the shared trace) and holds what must survive a
+//! kill; [`RunState`] lasts one tenure of cores (a slab slot, so the slab is
+//! bounded by the grid's cores) and an attempt's progress dies with it.
 
 use cgsim_des::fluid::ActivityId;
-use cgsim_des::{Context, EventKey};
+use cgsim_des::{Context, EventKey, SlotId};
 use cgsim_obs::{SpanPhase, TraceCategory};
 use cgsim_platform::{NodeId, SiteId};
 use cgsim_policies::CachePolicy;
-use cgsim_workload::{JobRecord, JobState};
+use cgsim_workload::JobState;
 
-use super::broker::NO_JOB;
 use super::checkpoint::JobCheckpoint;
 use super::events::GridEvent;
 use super::staging::{Owner, Path, Transfer};
@@ -68,10 +72,10 @@ impl Phase {
 /// `JobRuntime::dataset` before the job's input dataset has been resolved.
 pub(super) const NO_DATASET: u32 = u32::MAX;
 
-/// Mutable per-job simulation state.
+/// What the simulation keeps for every job from `start` to the end of the
+/// run, at the index of its record in `GridModel::trace`.
 #[derive(Debug, Clone)]
 pub(super) struct JobRuntime {
-    pub(super) record: JobRecord,
     pub(super) state: JobState,
     pub(super) site: Option<SiteId>,
     pub(super) retries: u32,
@@ -81,11 +85,42 @@ pub(super) struct JobRuntime {
     pub(super) submit_time: f64,
     pub(super) assign_time: f64,
     pub(super) start_time: f64,
-    pub(super) end_time: f64,
     pub(super) staged_bytes: u64,
     /// Index of the task's input dataset in the catalog, resolved at the
     /// job's first `task_dataset` call (`NO_DATASET` until then).
     pub(super) dataset: u32,
+    /// The job's running-state slot: taken by `admit_front`, returned by
+    /// `release_cores`, [`SlotId::NONE`] while the job holds no cores.
+    pub(super) slot: SlotId,
+    /// Durable checkpoints of this job, at most one per storage node
+    /// (newer writes at a node supersede its older checkpoint). They outlive
+    /// the attempt that wrote them, hence not part of the slot.
+    pub(super) checkpoints: Vec<JobCheckpoint>,
+}
+
+impl JobRuntime {
+    /// A job that has not been submitted yet.
+    pub(super) fn new() -> Self {
+        JobRuntime {
+            state: JobState::Pending,
+            site: None,
+            retries: 0,
+            fault_retries: 0,
+            submit_time: 0.0,
+            assign_time: 0.0,
+            start_time: 0.0,
+            staged_bytes: 0,
+            dataset: NO_DATASET,
+            slot: SlotId::NONE,
+            checkpoints: Vec::new(),
+        }
+    }
+}
+
+/// State of a job that holds cores, from the queue pop in `try_start_site`
+/// until `release_cores`. Every field is first written after `admit_front`.
+#[derive(Debug, Clone, Default)]
+pub(super) struct RunState {
     /// Pending engine timer (pilot start or dedicated-core completion), kept
     /// so fault injection can cancel the in-flight event when it kills the
     /// job.
@@ -94,11 +129,11 @@ pub(super) struct JobRuntime {
     /// time-shared execution or output transfer), kept for the same
     /// cancellation purpose.
     pub(super) activity: Option<ActivityId>,
-    /// True while the job holds reserved cores at its site (from the queue
-    /// pop in `try_start_site` until release).
-    pub(super) holds_cores: bool,
+    /// In-flight checkpoint write, held separately from `activity` because
+    /// it may overlap the next execution segment.
+    pub(super) ckpt_activity: Option<ActivityId>,
     /// Neighbours (job indices, `NO_JOB` at the ends) in the site's
-    /// start-ordered running list; meaningful only while `holds_cores`.
+    /// start-ordered running list.
     pub(super) run_prev: u32,
     pub(super) run_next: u32,
     /// Fraction of the job's total work completed in the current attempt
@@ -117,12 +152,6 @@ pub(super) struct JobRuntime {
     pub(super) seg_amount: f64,
     /// Progress fraction carried by the in-flight checkpoint restore.
     pub(super) restore_frac: f64,
-    /// Durable checkpoints of this job, at most one per storage node
-    /// (newer writes at a node supersede its older checkpoint).
-    pub(super) checkpoints: Vec<JobCheckpoint>,
-    /// In-flight checkpoint write, held separately from `activity` because
-    /// it may overlap the next execution segment.
-    pub(super) ckpt_activity: Option<ActivityId>,
     /// Progress fraction the in-flight write captures — the `frac_done`
     /// snapshot taken when the write started, which becomes the checkpoint's
     /// durable fraction at completion.
@@ -134,42 +163,19 @@ pub(super) struct JobRuntime {
     pub(super) ckpt_stalled: bool,
 }
 
-impl JobRuntime {
-    /// Fresh runtime state taking ownership of the record (a streamed
-    /// record moves in; one borrowed from a shared `Trace` is cloned first).
-    pub(super) fn from_record(record: JobRecord) -> Self {
-        JobRuntime {
-            submit_time: record.submit_time,
-            record,
-            state: JobState::Pending,
-            site: None,
-            retries: 0,
-            fault_retries: 0,
-            assign_time: 0.0,
-            start_time: 0.0,
-            end_time: 0.0,
-            staged_bytes: 0,
-            dataset: NO_DATASET,
-            timer: None,
-            activity: None,
-            holds_cores: false,
-            run_prev: NO_JOB,
-            run_next: NO_JOB,
-            frac_done: 0.0,
-            seg_fraction: 0.0,
-            seg_started_s: 0.0,
-            seg_walltime_s: 0.0,
-            seg_amount: 0.0,
-            restore_frac: 0.0,
-            checkpoints: Vec::new(),
-            ckpt_activity: None,
-            ckpt_frac: 0.0,
-            ckpt_stalled: false,
-        }
-    }
-}
-
 impl GridModel {
+    /// The running state of job `idx`, which must hold cores.
+    pub(super) fn run(&self, idx: usize) -> &RunState {
+        let slot = self.jobs[idx].slot;
+        self.running.get(slot).expect("the job holds cores")
+    }
+
+    /// Mutable twin of [`GridModel::run`].
+    pub(super) fn run_mut(&mut self, idx: usize) -> &mut RunState {
+        let slot = self.jobs[idx].slot;
+        self.running.get_mut(slot).expect("the job holds cores")
+    }
+
     /// Starts the execution phase (cores already held).
     pub(super) fn begin_execution(
         &mut self,
@@ -185,9 +191,7 @@ impl GridModel {
         // the same task, subject to the data-movement policy's admission
         // decision.
         if self.execution.cache_datasets
-            && self
-                .data_policy
-                .cache_decision(&self.jobs[idx].record, site)
+            && self.data_policy.cache_decision(&self.trace.jobs[idx], site)
                 == CachePolicy::CacheAtSite
         {
             let dataset = self.task_dataset(idx);
@@ -204,31 +208,31 @@ impl GridModel {
     /// `checkpoint.overlap`, while — running the next segment.
     pub(super) fn execution_segment_done(&mut self, idx: usize, ctx: &mut Context<'_, GridEvent>) {
         let site = self.jobs[idx].site.expect("executing job has a site");
-        self.jobs[idx].frac_done =
-            (self.jobs[idx].frac_done + self.jobs[idx].seg_fraction).min(1.0);
-        self.jobs[idx].seg_fraction = 0.0;
-        self.jobs[idx].seg_walltime_s = 0.0;
-        self.jobs[idx].seg_amount = 0.0;
+        let run = self.run_mut(idx);
+        run.frac_done = (run.frac_done + run.seg_fraction).min(1.0);
+        run.seg_fraction = 0.0;
+        run.seg_walltime_s = 0.0;
+        run.seg_amount = 0.0;
         // An overlapped write may complete at exactly this boundary; sync
         // the fluid model so the decision below sees its final state.
-        if self.jobs[idx].ckpt_activity.is_some() {
+        if run.ckpt_activity.is_some() {
             let completed = self.advance_fluid(ctx.now());
             self.handle_completed_activities(completed, ctx);
         }
-        if self.jobs[idx].frac_done >= 1.0 - 1e-9 {
+        if self.run(idx).frac_done >= 1.0 - 1e-9 {
             // The run is complete — an overlapping write of an intermediate
             // state has no further value, so it is dropped rather than
             // allowed to delay the job's output phase.
-            if self.jobs[idx].ckpt_activity.is_some() {
+            if self.run(idx).ckpt_activity.is_some() {
                 self.cancel_checkpoint_write(idx, ctx, "job complete");
                 self.reschedule_fluid(ctx);
             }
             self.finish_execution(idx, ctx);
-        } else if self.jobs[idx].ckpt_activity.is_some() {
+        } else if self.run(idx).ckpt_activity.is_some() {
             // The previous write is still draining: the job stalls at the
             // boundary (the overlap model's only stall), and the write
             // completion restarts it.
-            self.jobs[idx].ckpt_stalled = true;
+            self.run_mut(idx).ckpt_stalled = true;
             self.collector.record_ckpt_stall();
             self.trace_phase(
                 ctx.now().as_secs(),
@@ -267,7 +271,7 @@ impl GridModel {
             self.finalize(idx, JobState::Failed, ctx);
             return;
         }
-        let record = &self.jobs[idx].record;
+        let record = &self.trace.jobs[idx];
         if self.execution.enable_output_transfers && record.output_bytes > 0 {
             // Ship the output back to the main server; completion finalizes.
             let bytes = record.output_bytes as f64;
@@ -281,10 +285,10 @@ impl GridModel {
     /// Routes finished fluid activities to the next step of their owner.
     pub(super) fn handle_completed_activities(
         &mut self,
-        completed: Vec<Transfer>,
+        mut completed: Vec<Transfer>,
         ctx: &mut Context<'_, GridEvent>,
     ) {
-        for done in completed {
+        for done in completed.drain(..) {
             self.retire_transfer(&done);
             let idx = match done.owner {
                 Owner::Repair(slot) => {
@@ -309,5 +313,6 @@ impl GridModel {
                 Phase::Repair => unreachable!("repair transfers are owned by repair slots"),
             }
         }
+        self.completed_scratch = completed;
     }
 }

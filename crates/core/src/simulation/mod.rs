@@ -28,6 +28,17 @@
 //! the repair planner — has a typed owner ([`staging::Owner`]), one record
 //! beside the activity ([`staging::Transfer`]), and goes in through
 //! `admit_transfer` and out through `retire_transfer`.
+//!
+//! Every job is stored once, in three stores with one owner each:
+//!
+//! | store | holds | size | written by |
+//! |---|---|---|---|
+//! | `trace: Arc<Trace>` | the job records | one per job | nobody — borrowed for the run, possibly shared with other runs; a record stream is collected into one at `start` |
+//! | `jobs: Vec<JobRuntime>` | state, site, retry counters, times, staged bytes, dataset, durable checkpoints, slot id | one per job, same index | the lifecycle modules |
+//! | `running: Slab<RunState>` | timer, activities, running-list links, segment and checkpoint-write progress | one per job *holding cores* | taken in `admit_front`, returned in `release_cores`, reached through `run` / `run_mut` |
+//!
+//! Site names are a fourth, tiny store: one `Arc<str>` per site in the
+//! monitoring collector, cloned into every event row and outcome.
 
 mod accounting;
 mod broker;
@@ -46,7 +57,7 @@ use std::sync::Arc;
 use cgsim_data::{DatasetId, LruCache, ReplicaCatalog, StorageElement};
 use cgsim_des::fluid::{ActivityId, ActivityMap, FluidModel, ResourceId};
 use cgsim_des::rng::Rng;
-use cgsim_des::{Engine, EventKey, SimTime};
+use cgsim_des::{Engine, EventKey, SimTime, Slab};
 use cgsim_faults::{FaultEvent, FaultPlan};
 use cgsim_monitor::{MetricsReport, MonitoringCollector};
 use cgsim_obs::{Profiler, SpanPhase, Subsystem, TraceCategory, TraceSink, Tracer};
@@ -61,7 +72,7 @@ use crate::results::SimulationResults;
 
 use broker::SiteState;
 use events::GridEvent;
-use job_runtime::{JobRuntime, Phase};
+use job_runtime::{JobRuntime, Phase, RunState};
 use repair::RepairState;
 use staging::{Owner, Transfer};
 
@@ -110,7 +121,10 @@ struct GridModel {
     execution: ExecutionConfig,
     policy: Box<dyn AllocationPolicy>,
     data_policy: Box<dyn DataMovementPolicy>,
+    // The three per-job stores of the module docs.
+    trace: Arc<Trace>,
     jobs: Vec<JobRuntime>,
+    running: Slab<RunState>,
     sites: Vec<SiteState>,
     pending: VecDeque<usize>,
     /// The policy-facing mirror of site state, maintained where the state
@@ -134,6 +148,8 @@ struct GridModel {
     /// Reused buffer for `FluidModel::advance_into` (no allocation on the
     /// per-event fluid sync).
     fluid_done_scratch: Vec<ActivityId>,
+    /// Reused buffer for the records `advance_fluid` returns.
+    completed_scratch: Vec<Transfer>,
     /// Reused buffer for staging-route resource lists.
     route_scratch: Vec<ResourceId>,
     // Data management state.
@@ -184,7 +200,7 @@ impl GridModel {
     #[allow(clippy::too_many_arguments)]
     fn new(
         platform: Platform,
-        jobs: Vec<JobRuntime>,
+        trace: Arc<Trace>,
         policy: Box<dyn AllocationPolicy>,
         data_policy: Box<dyn DataMovementPolicy>,
         execution: ExecutionConfig,
@@ -236,7 +252,9 @@ impl GridModel {
             execution,
             policy,
             data_policy,
-            jobs,
+            jobs: vec![JobRuntime::new(); trace.jobs.len()],
+            trace,
+            running: Slab::default(),
             sites,
             pending: VecDeque::new(),
             view: GridView::default(),
@@ -248,6 +266,7 @@ impl GridModel {
             activity_map: ActivityMap::new(),
             last_fluid_sync: SimTime::ZERO,
             fluid_done_scratch: Vec::new(),
+            completed_scratch: Vec::new(),
             route_scratch: Vec::new(),
             catalog: ReplicaCatalog::new(),
             caches,
@@ -287,7 +306,7 @@ impl GridModel {
             return;
         }
         let info = info(self);
-        let job = job.map(|idx| self.jobs[idx].record.id.0);
+        let job = job.map(|idx| self.trace.jobs[idx].id.0);
         let site = site.map(|s| self.platform.site(s).name.as_str());
         if let Some(t) = self.tracer.as_mut() {
             t.emit(time_s, cat, ph, kind, job, site, info);
@@ -311,19 +330,14 @@ impl GridModel {
     }
 }
 
-/// The job source a simulation ingests: a materialised trace shared between
-/// runs, or a streaming record source consumed incrementally (million-job
-/// campaigns never hold a `Vec<JobRecord>`; each record is moved straight
-/// into its per-job runtime slot).
-enum Workload {
-    Materialised(Arc<Trace>),
-    Stream(Box<dyn Iterator<Item = JobRecord>>),
-}
+/// Yields the run's trace when the run starts: a shared trace as it is, a
+/// record stream collected then (not when the builder is given it).
+type TraceSource = Box<dyn FnOnce() -> Arc<Trace>>;
 
 /// Builder for [`Simulation`].
 pub struct SimulationBuilder {
     platform: Option<Platform>,
-    trace: Option<Workload>,
+    trace: Option<TraceSource>,
     policy: Option<Box<dyn AllocationPolicy>>,
     policy_name: Option<String>,
     registry: PolicyRegistry,
@@ -375,23 +389,28 @@ impl SimulationBuilder {
     /// evaluation service) should be passed as `Arc` clones so every run
     /// reads the same immutable job records instead of deep-copying them.
     pub fn trace(mut self, trace: impl Into<Arc<Trace>>) -> Self {
-        self.trace = Some(Workload::Materialised(trace.into()));
+        let trace = trace.into();
+        self.trace = Some(Box::new(move || trace));
         self
     }
 
-    /// Sets a **streaming** workload source consumed record by record (e.g.
-    /// [`TraceGenerator::stream`](cgsim_workload::TraceGenerator::stream)).
-    /// No trace is ever materialised: each record moves straight into its
-    /// runtime slot, so peak memory is one record-plus-runtime per job
-    /// instead of two.
+    /// Sets a **streaming** workload source (e.g.
+    /// [`TraceGenerator::stream`](cgsim_workload::TraceGenerator::stream)),
+    /// drained when the run starts into a trace only this run holds: no
+    /// second copy of the records ever exists, and none is sorted.
     ///
-    /// Submission events are scheduled in stream order. The engine still
-    /// fires them in `submit_time` order, but *simultaneous* submissions tie
-    /// break by stream position rather than by sorted-trace position, so a
-    /// streamed run is deterministic (same stream → byte-identical results)
-    /// yet not guaranteed byte-identical to the equivalent materialised run.
+    /// Job indices follow stream order. The engine still fires submissions
+    /// in `submit_time` order, but *simultaneous* submissions tie break by
+    /// stream position rather than by sorted-trace position, so a streamed
+    /// run is deterministic (same stream → byte-identical results) yet not
+    /// guaranteed byte-identical to the equivalent materialised run.
     pub fn trace_stream(mut self, stream: impl Iterator<Item = JobRecord> + 'static) -> Self {
-        self.trace = Some(Workload::Stream(Box::new(stream)));
+        self.trace = Some(Box::new(move || {
+            Arc::new(Trace {
+                jobs: stream.collect(),
+                ..Trace::default()
+            })
+        }));
         self
     }
 
@@ -508,7 +527,7 @@ impl SimulationBuilder {
 /// A fully configured simulation, ready to run.
 pub struct Simulation {
     platform: Platform,
-    trace: Workload,
+    trace: TraceSource,
     policy: Box<dyn AllocationPolicy>,
     data_policy: Box<dyn DataMovementPolicy>,
     execution: ExecutionConfig,
@@ -535,26 +554,11 @@ impl Simulation {
         if let Some(horizon) = self.execution.horizon_s {
             engine = engine.with_horizon(SimTime::from_secs(horizon));
         }
-        // Ingest the workload: a materialised trace is borrowed record by
-        // record (the `Arc` may be shared with other runs), a stream is
-        // drained with each record moved into its runtime slot.
-        let jobs: Vec<JobRuntime> = match self.trace {
-            Workload::Materialised(trace) => trace
-                .jobs
-                .iter()
-                .cloned()
-                .map(JobRuntime::from_record)
-                .collect(),
-            Workload::Stream(stream) => stream.map(JobRuntime::from_record).collect(),
-        };
+        let trace = (self.trace)();
         // Submissions are known up front: they go through the engine's
         // sorted lane, never the heap (ties keep job-index order).
-        engine.preload(jobs.iter().enumerate().map(|(idx, job)| {
-            (
-                SimTime::from_secs(job.record.submit_time),
-                GridEvent::Submit(idx),
-            )
-        }));
+        let at = |job: &JobRecord| SimTime::from_secs(job.submit_time);
+        engine.preload((0..trace.len()).map(|i| (at(&trace.jobs[i]), GridEvent::Submit(i))));
 
         // Kick off the fault chain: only the first plan event is scheduled
         // up front; each fault schedules its successor, and the chain is cut
@@ -563,7 +567,7 @@ impl Simulation {
         // ones.
         let fault_events = self.fault_plan.map(|plan| plan.events).unwrap_or_default();
         let fault_key = match fault_events.first() {
-            Some(first) if !jobs.is_empty() => {
+            Some(first) if !trace.is_empty() => {
                 Some(engine.schedule_at(SimTime::from_secs(first.time_s), GridEvent::Fault(0)))
             }
             _ => None,
@@ -574,7 +578,7 @@ impl Simulation {
 
         let model = GridModel::new(
             self.platform,
-            jobs,
+            trace,
             self.policy,
             self.data_policy,
             self.execution,
@@ -589,58 +593,50 @@ impl Simulation {
     /// Executes the simulation to completion and returns the results.
     pub fn run(self) -> SimulationResults {
         let started = std::time::Instant::now();
-        let (mut engine, mut model) = self.start();
-        let policy_name = model.policy.name().to_string();
-        let loop_timer = model.profiler.start();
-        let report = engine.run(&mut model);
-        model.profiler.stop(Subsystem::EventLoop, loop_timer);
+        // The model and the engine die with this block: the N-long transients
+        // of the post-processing below never sit on top of their per-job state.
+        let (report, policy, profile, site_panels, mut collector) = {
+            let (mut engine, mut model) = self.start();
+            let policy = model.policy.name().to_string();
+            let loop_timer = model.profiler.start();
+            let report = engine.run(&mut model);
+            model.profiler.stop(Subsystem::EventLoop, loop_timer);
 
-        if let Some(mut tracer) = model.tracer.take() {
-            if let Err(e) = tracer.finish() {
-                eprintln!("warning: trace sink failed: {e}");
+            if let Some(mut tracer) = model.tracer.take() {
+                if let Err(e) = tracer.finish() {
+                    eprintln!("warning: trace sink failed: {e}");
+                }
             }
-        }
-        let profile = if model.profiler.enabled() {
-            model
-                .profiler
-                .add_counter("engine_events", report.events_processed);
-            let (fast, slow) = model.fluid.solver_stats();
-            model.profiler.add_counter("fluid_fast_solves", fast);
-            model.profiler.add_counter("fluid_slow_solves", slow);
-            let fluid = model.fluid.solver_counters();
-            model
-                .profiler
-                .add_counter("fluid_rerated_slots", fluid.rerated_slots);
-            model
-                .profiler
-                .add_counter("fluid_slow_rounds", fluid.slow_rounds);
-            model
-                .profiler
-                .add_counter("fluid_bulk_rekeys", fluid.bulk_rekeys);
-            let queue = engine.queue();
-            model
-                .profiler
-                .add_counter("queue_scheduled", queue.scheduled_total());
-            model
-                .profiler
-                .add_counter("queue_cancelled", queue.cancelled_total());
-            model
-                .profiler
-                .add_counter("queue_heap_peak", queue.heap_peak() as u64);
-            Some(model.profiler.report(&policy_name))
-        } else {
-            None
+            let profile = model.profiler.enabled().then(|| {
+                let (fast, slow) = model.fluid.solver_stats();
+                let fluid = model.fluid.solver_counters();
+                let queue = engine.queue();
+                for (name, value) in [
+                    ("engine_events", report.events_processed),
+                    ("fluid_fast_solves", fast),
+                    ("fluid_slow_solves", slow),
+                    ("fluid_rerated_slots", fluid.rerated_slots),
+                    ("fluid_slow_rounds", fluid.slow_rounds),
+                    ("fluid_bulk_rekeys", fluid.bulk_rekeys),
+                    ("queue_scheduled", queue.scheduled_total()),
+                    ("queue_cancelled", queue.cancelled_total()),
+                    ("queue_heap_peak", queue.heap_peak() as u64),
+                ] {
+                    model.profiler.add_counter(name, value);
+                }
+                model.profiler.report(&policy)
+            });
+            let site_panels = model.site_panels();
+            (report, policy, profile, site_panels, model.collector)
         };
 
-        let site_panels = model.site_panels();
-        let grid_counters = model.collector.grid_counters();
-        model.collector.finish_windows();
-        let windows = model
-            .collector
+        let grid_counters = collector.grid_counters();
+        collector.finish_windows();
+        let windows = collector
             .windows()
             .map(|w| w.windows().cloned().collect())
             .unwrap_or_default();
-        let (events, outcomes) = model.collector.into_parts();
+        let (events, outcomes) = collector.into_parts();
         let metrics = MetricsReport::from_outcomes(&outcomes);
         SimulationResults {
             outcomes,
@@ -651,7 +647,7 @@ impl Simulation {
             wall_clock_s: started.elapsed().as_secs_f64(),
             site_panels,
             grid_counters,
-            policy: policy_name,
+            policy,
             profile,
             windows,
         }

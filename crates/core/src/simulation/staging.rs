@@ -11,7 +11,6 @@
 //! record is the only place that says which nodes the activity touches, so
 //! the per-node `transfer_touch` index is written by exactly that pair.
 
-use cgsim_data::transfer::plan_staging;
 use cgsim_data::DatasetId;
 use cgsim_des::fluid::ActivityId;
 use cgsim_des::{Context, SimTime};
@@ -62,14 +61,15 @@ impl GridModel {
         if job.dataset != NO_DATASET {
             return DatasetId::new(job.dataset as usize);
         }
-        let task = job.record.task_id.0;
+        let record = &self.trace.jobs[idx];
+        let task = record.task_id.0;
         let ds = match self.task_datasets.get(&task) {
             Some(&ds) => ds,
             None => {
                 let ds = self.catalog.register(
                     &format!("task-{task}-input"),
-                    job.record.input_files,
-                    job.record.input_bytes,
+                    record.input_files,
+                    record.input_bytes,
                     NodeId::MainServer,
                 );
                 self.task_datasets.insert(task, ds);
@@ -88,19 +88,21 @@ impl GridModel {
 
     /// Advances the fluid model to `now` and returns the records of the
     /// activities that completed, in the fluid model's deterministic
-    /// (slot-ordered) completion order. The `ActivityId` buffer is reused
-    /// across calls, so the common no-completion sync allocates nothing.
+    /// (slot-ordered) completion order. Both buffers are reused across
+    /// calls (`handle_completed_activities` hands the returned one back), so
+    /// a sync allocates nothing.
     pub(super) fn advance_fluid(&mut self, now: SimTime) -> Vec<Transfer> {
         let timer = self.profiler.start();
         let dt = now.saturating_sub(self.last_fluid_sync);
         self.last_fluid_sync = now;
         let mut finished = std::mem::take(&mut self.fluid_done_scratch);
         self.fluid.advance_into(dt, &mut finished);
-        let completed = finished
-            .iter()
-            .filter_map(|&aid| self.activity_map.remove(aid))
-            .collect();
-        finished.clear();
+        let mut completed = std::mem::take(&mut self.completed_scratch);
+        completed.extend(
+            finished
+                .drain(..)
+                .filter_map(|aid| self.activity_map.remove(aid)),
+        );
         self.fluid_done_scratch = finished;
         self.profiler.stop(Subsystem::Fluid, timer);
         completed
@@ -123,8 +125,8 @@ impl GridModel {
     /// repair slot holds its one transfer.
     fn activity_slot(&mut self, owner: Owner, phase: Phase) -> &mut Option<ActivityId> {
         match owner {
-            Owner::Job(idx) if phase == Phase::CkptWrite => &mut self.jobs[idx].ckpt_activity,
-            Owner::Job(idx) => &mut self.jobs[idx].activity,
+            Owner::Job(idx) if phase == Phase::CkptWrite => &mut self.run_mut(idx).ckpt_activity,
+            Owner::Job(idx) => &mut self.run_mut(idx).activity,
             Owner::Repair(slot) => {
                 &mut self.repair.active[slot]
                     .as_mut()
@@ -307,7 +309,7 @@ impl GridModel {
         candidates.extend(self.catalog.replicas(dataset));
         let chosen = self
             .data_policy
-            .select_source(&self.jobs[idx].record, site, &candidates);
+            .select_source(&self.trace.jobs[idx], site, &candidates);
         self.source_scratch = candidates;
         let source = match chosen {
             Some(chosen) if chosen == destination => {
@@ -315,25 +317,21 @@ impl GridModel {
                 return;
             }
             Some(chosen) => chosen,
-            None => {
-                let plan = plan_staging(
-                    &[dataset],
+            // No replica at the destination (checked above): one transfer.
+            None => self
+                .catalog
+                .select_source(
+                    dataset,
                     destination,
-                    &self.catalog,
                     &self.platform,
                     self.execution.source_selection,
-                );
-                if plan.is_local() {
-                    self.begin_execution(idx, site, ctx);
-                    return;
-                }
-                plan.transfers[0].from
-            }
+                )
+                .unwrap_or(NodeId::MainServer),
         };
 
         self.jobs[idx].state = JobState::Staging;
         self.record(now, idx, JobState::Staging);
-        let bytes = self.jobs[idx].record.input_bytes;
+        let bytes = self.trace.jobs[idx].input_bytes;
         self.jobs[idx].staged_bytes += bytes;
         // Latency is added as a constant amount of "extra bytes" at the
         // bottleneck rate; for WAN transfers of GB-scale inputs it is

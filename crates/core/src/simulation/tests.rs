@@ -223,7 +223,7 @@ fn custom_plugin_policy_is_honoured() {
         .execution(ExecutionConfig::default())
         .run()
         .unwrap();
-    assert!(results.outcomes.iter().all(|o| o.site == "BNL"));
+    assert!(results.outcomes.iter().all(|o| &*o.site == "BNL"));
     assert_eq!(results.policy, "pin");
 }
 
@@ -732,4 +732,76 @@ fn tied_submissions_deliver_in_the_pinned_order() {
     );
     assert_eq!(transition_fingerprint(&results), 0xf029_3a19_bd8f_1640);
     assert_eq!(results.engine_events, 1259);
+}
+
+#[test]
+fn per_job_state_is_96_bytes() {
+    // One per job for the whole run (README, "Scale campaigns"); what only a
+    // job holding cores needs lives in its `RunState` slot instead.
+    assert!(std::mem::size_of::<super::job_runtime::JobRuntime>() <= 96);
+}
+
+#[test]
+fn a_killed_and_resubmitted_job_gets_a_fresh_run_slot() {
+    // Kills, outages and node loss over a checkpointing run: every tenure of
+    // cores is a new slot id, the old id misses from the moment the cores are
+    // released, and the slab never holds more than the running lists do.
+    let platform = example_platform();
+    let trace = TraceGenerator::new(TraceConfig::with_jobs(300, 5)).generate(&platform);
+    let spec = "outage:site=all,mttf=4h,mttr=20m;nodeloss:site=all,fraction=0.4,mttf=3h,mttr=30m;kill:rate=6";
+    let topology = FaultTopology::for_platform(&Platform::build(&platform).unwrap(), 300);
+    let plan = FaultPlan::generate(&parse_fault_spec(spec).unwrap(), &topology, 3);
+    let exec = ExecutionConfig {
+        checkpoint: CheckpointConfig {
+            interval_s: 1_800.0,
+            ..CheckpointConfig::default()
+        },
+        ..ExecutionConfig::default()
+    };
+    let sim = Simulation::builder()
+        .platform_spec(&platform)
+        .unwrap()
+        .trace(trace)
+        .execution(exec)
+        .fault_plan(plan)
+        .build()
+        .unwrap();
+
+    let none = cgsim_des::SlotId::NONE;
+    let mut last = vec![none; 300];
+    let mut retired = vec![Vec::new(); 300];
+    let (mut readmitted, mut peak) = (0, 0);
+    let model = step_through(sim, |model, now| {
+        for (idx, job) in model.jobs.iter().enumerate() {
+            if job.slot != last[idx] {
+                if last[idx] != none {
+                    retired[idx].push(last[idx]);
+                }
+                if job.slot != none {
+                    assert!(!retired[idx].contains(&job.slot), "job {idx} at t = {now}");
+                    readmitted += usize::from(!retired[idx].is_empty());
+                }
+                last[idx] = job.slot;
+            }
+            assert_eq!(model.running.get(job.slot).is_some(), job.slot != none);
+            assert!(retired[idx]
+                .iter()
+                .all(|&id| model.running.get(id).is_none()));
+        }
+        let running: u64 = model.sites.iter().map(|s| s.running_jobs()).sum();
+        assert_eq!(model.running.live() as u64, running, "t = {now}");
+        peak = peak.max(model.running.live());
+    });
+    assert!(readmitted > 0, "no killed job ran again");
+    assert!(model.collector.grid_counters().job_interruptions > 0);
+    assert_eq!(
+        model.running.live(),
+        0,
+        "the last terminal job kept its slot"
+    );
+    let cores: u64 = model.platform.sites().iter().map(|s| s.total_cores).sum();
+    assert!(
+        peak > 0 && peak as u64 <= cores,
+        "{peak} slots for {cores} cores"
+    );
 }

@@ -192,7 +192,7 @@ fn disk_fault_falls_back_to_older_checkpoint_then_scratch() {
     );
     // The job was pushed to Small after Big's node loss.
     let outcome = &results.outcomes[0];
-    assert_eq!(outcome.site, "Small");
+    assert_eq!(&*outcome.site, "Small");
     // Restores re-staged checkpoint bytes on top of the (re-staged) input.
     assert!(outcome.staged_bytes >= 2 * 100_000_000);
 }
@@ -415,7 +415,7 @@ fn staging_transfer_from_dying_site_is_replanned_while_job_survives() {
     assert_eq!(results.grid_counters.job_interruptions, 0);
     assert_eq!(results.metrics.finished_jobs, 2);
     let job1 = results.outcomes.iter().find(|o| o.id.0 == 1).unwrap();
-    assert_eq!(job1.site, "Small");
+    assert_eq!(&*job1.site, "Small");
     // The aborted Big transfer was re-planned and re-transferred in full
     // from the main server: 2 x 20 GB staged in total.
     assert_eq!(job1.staged_bytes, 40_000_000_000);

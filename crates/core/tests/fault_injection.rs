@@ -148,7 +148,7 @@ fn site_outage_kills_and_resubmits_affected_jobs() {
 
     // The per-site panels surface the interruptions at Big.
     let big = &results.site_panels[0];
-    assert_eq!(big.site, "Big");
+    assert_eq!(&*big.site, "Big");
     assert_eq!(big.interrupted_jobs, 60);
     assert!(big.up, "the outage ended before the run did");
 

@@ -119,7 +119,7 @@ mod reference {
                 e.time_s.into(),
                 e.job_id.0.into(),
                 e.state.label().into(),
-                e.site.clone().into(),
+                (&*e.site).into(),
                 e.available_cores.into(),
                 e.pending_jobs.into(),
                 e.assigned_jobs.into(),
@@ -144,7 +144,7 @@ mod reference {
                 o.id.0.into(),
                 o.kind.label().into(),
                 (o.cores as u64).into(),
-                o.site.clone().into(),
+                (&*o.site).into(),
                 o.submit_time.into(),
                 o.queue_time.into(),
                 o.walltime.into(),
@@ -277,7 +277,7 @@ fn events() -> impl Strategy<Value = Vec<EventRecord>> {
                     time_s,
                     job_id: JobId(job),
                     state,
-                    site,
+                    site: site.into(),
                     available_cores: avail,
                     pending_jobs: pending,
                     assigned_jobs: assigned,
@@ -304,7 +304,7 @@ fn outcomes() -> impl Strategy<Value = Vec<JobOutcome>> {
                 },
                 cores,
                 work_hs23: work,
-                site,
+                site: site.into(),
                 submit_time: submit,
                 assign_time: submit,
                 start_time: submit,

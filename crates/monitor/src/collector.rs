@@ -7,6 +7,8 @@
 //! maximum simulation speed, or thinned with a sampling stride for very large
 //! runs; the monitoring-overhead benchmark quantifies the cost.
 
+use std::sync::Arc;
+
 use cgsim_workload::{JobId, JobState};
 use serde::{Deserialize, Serialize};
 
@@ -188,7 +190,9 @@ pub struct CacheCounters {
 #[derive(Debug, Clone)]
 pub struct MonitoringCollector {
     config: MonitoringConfig,
-    site_names: Vec<String>,
+    /// The run's one allocation of each site name, then the empty name of
+    /// main-server events: event rows and outcomes hold clones.
+    site_names: Vec<Arc<str>>,
     counters: Vec<SiteCounters>,
     grid_counters: GridCounters,
     events: Vec<EventRecord>,
@@ -203,6 +207,12 @@ impl MonitoringCollector {
     /// Creates a collector for the given sites.
     pub fn new(site_names: Vec<String>, config: MonitoringConfig) -> Self {
         let counters = vec![SiteCounters::default(); site_names.len()];
+        let site_names = site_names
+            .iter()
+            .map(|name| name.as_str())
+            .chain([""])
+            .map(Arc::from)
+            .collect();
         let windows = (config.window_s > 0.0)
             .then(|| WindowedAggregator::new(config.window_s, config.max_windows));
         MonitoringCollector {
@@ -371,14 +381,11 @@ impl MonitoringCollector {
         }
         let event_id = self.next_event_id;
         self.next_event_id += 1;
-        let (site, assigned, finished) = match site_index {
-            Some(idx) => (
-                self.site_names[idx].clone(),
-                self.counters[idx].assigned,
-                self.counters[idx].finished,
-            ),
-            None => (String::new(), 0, 0),
+        let (assigned, finished) = match site_index {
+            Some(idx) => (self.counters[idx].assigned, self.counters[idx].finished),
+            None => (0, 0),
         };
+        let site = self.site_name(site_index);
         self.events.push(EventRecord {
             event_id,
             time_s,
@@ -399,6 +406,13 @@ impl MonitoringCollector {
             self.events.drain(..drop);
             self.events_dropped += drop as u64;
         }
+    }
+
+    /// The shared name of site `site_index` (`None`: the empty name of the
+    /// main server). A reference-count bump, no allocation.
+    pub fn site_name(&self, site_index: Option<usize>) -> Arc<str> {
+        let slot = site_index.unwrap_or(self.counters.len());
+        Arc::clone(&self.site_names[slot])
     }
 
     /// Records the final outcome of a job.
@@ -479,7 +493,9 @@ mod tests {
         assert_eq!(c.site_counters(1), SiteCounters::default());
         let last = &c.events()[2];
         assert_eq!(last.finished_jobs, 1);
-        assert_eq!(last.site, "CERN");
+        assert_eq!(&*last.site, "CERN");
+        // Rows of one site share the collector's allocation of its name.
+        assert!(Arc::ptr_eq(&last.site, &c.events()[0].site));
         assert_eq!(last.event_id, 2);
     }
 
@@ -634,7 +650,7 @@ mod tests {
     fn main_server_events_have_empty_site() {
         let mut c = collector();
         c.record_transition(0.5, JobId(9), JobState::Pending, None, 0, 3);
-        assert_eq!(c.events()[0].site, "");
+        assert_eq!(&*c.events()[0].site, "");
         assert_eq!(c.events()[0].pending_jobs, 3);
     }
 }

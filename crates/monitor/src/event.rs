@@ -1,5 +1,7 @@
 //! Event-level records (Table 1) and per-job outcomes.
 
+use std::sync::Arc;
+
 use cgsim_workload::{JobId, JobKind, JobState};
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +21,8 @@ pub struct EventRecord {
     /// New state of the job.
     pub state: JobState,
     /// Site concerned (empty for events at the main server, e.g. submission).
-    pub site: String,
+    /// A clone of the collector's one allocation of the name.
+    pub site: Arc<str>,
     /// Cores not allocated at the site at event time.
     pub available_cores: u64,
     /// Jobs waiting in the site queue at event time.
@@ -44,8 +47,8 @@ pub struct JobOutcome {
     /// the dominant feature for walltime surrogate models).
     #[serde(default)]
     pub work_hs23: f64,
-    /// Site the job executed at.
-    pub site: String,
+    /// Site the job executed at (shared like [`EventRecord::site`]).
+    pub site: Arc<str>,
     /// Submission time (s).
     pub submit_time: f64,
     /// Time the job was dispatched to a site (s).
@@ -107,6 +110,14 @@ mod tests {
             hist_walltime: Some(3500.0),
             hist_queue_time: Some(50.0),
         }
+    }
+
+    #[test]
+    fn row_sizes_are_pinned() {
+        // One outcome per job and up to six events per job are held until the
+        // run ends (README, "Scale campaigns").
+        assert!(std::mem::size_of::<JobOutcome>() <= 128);
+        assert!(std::mem::size_of::<EventRecord>() <= 80);
     }
 
     #[test]

@@ -40,6 +40,6 @@ pub use collector::{
     CacheCounters, GridCounters, MonitoringCollector, MonitoringConfig, SiteCounters,
 };
 pub use event::{EventRecord, JobOutcome};
-pub use metrics::{MetricsReport, SiteMetrics};
+pub use metrics::{outcomes_by_site, MetricsReport, SiteMetrics};
 pub use store::{Table, TableStore};
 pub use window::{windows_csv, WindowSnapshot, WindowedAggregator};

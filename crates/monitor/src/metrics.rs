@@ -59,6 +59,19 @@ pub struct MetricsReport {
     pub per_site: BTreeMap<String, SiteMetrics>,
 }
 
+/// Groups outcomes by the site they ran at, in site-name order, each group
+/// in outcome order. The keys borrow the outcomes' names: a caller building
+/// a name-keyed map materialises one `String` per site, not per outcome.
+pub fn outcomes_by_site<'a>(
+    outcomes: impl IntoIterator<Item = &'a JobOutcome>,
+) -> BTreeMap<&'a str, Vec<&'a JobOutcome>> {
+    let mut grouped: BTreeMap<&str, Vec<&JobOutcome>> = BTreeMap::new();
+    for o in outcomes {
+        grouped.entry(&o.site).or_default().push(o);
+    }
+    grouped
+}
+
 impl MetricsReport {
     /// Computes the report from job outcomes. Returns a neutral report when
     /// no outcomes exist.
@@ -89,11 +102,7 @@ impl MetricsReport {
         let walltimes: Vec<f64> = outcomes.iter().map(|o| o.walltime).collect();
         let staged: u64 = outcomes.iter().map(|o| o.staged_bytes).sum();
 
-        let mut per_site_outcomes: BTreeMap<&str, Vec<&JobOutcome>> = BTreeMap::new();
-        for o in outcomes {
-            per_site_outcomes.entry(&o.site).or_default().push(o);
-        }
-        let per_site = per_site_outcomes
+        let per_site = outcomes_by_site(outcomes)
             .into_iter()
             .map(|(site, jobs)| {
                 let site = site.to_string();

@@ -27,7 +27,7 @@ fn arb_outcome() -> impl Strategy<Value = JobOutcome> {
                 },
                 cores,
                 work_hs23: wall * cores as f64,
-                site: format!("SITE-{site}"),
+                site: format!("SITE-{site}").into(),
                 submit_time: submit,
                 assign_time: submit,
                 start_time: start,

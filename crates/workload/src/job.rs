@@ -5,6 +5,8 @@
 //! everything an allocation policy may inspect when deciding where to place a
 //! job, plus the historical ground-truth fields used for calibration.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// Unique job identifier (PanDA id).
@@ -127,8 +129,10 @@ pub struct JobRecord {
     /// Submission time, seconds since the start of the trace.
     pub submit_time: f64,
     /// Site PanDA historically dispatched this job to (empty if unknown).
+    /// Shared: the generator and the trace loaders hand every record of a
+    /// site a clone of one allocation.
     #[serde(default)]
-    pub hist_site: String,
+    pub hist_site: Arc<str>,
     /// Ground-truth walltime (actual processing duration) in seconds, if known.
     #[serde(default)]
     pub hist_walltime: Option<f64>,
@@ -153,7 +157,7 @@ impl JobRecord {
             input_bytes: 1_000_000_000,
             output_bytes: 300_000_000,
             submit_time: 0.0,
-            hist_site: String::new(),
+            hist_site: Arc::default(),
             hist_walltime: None,
             hist_queue_time: None,
         }
@@ -254,6 +258,13 @@ mod tests {
         assert_eq!(job.hist_total_time(), Some(4000.0));
         assert_eq!(job.cores, 1);
         assert!(job.memory_mb > 0.0);
+    }
+
+    #[test]
+    fn record_size_is_pinned() {
+        // 200k-job campaigns hold one of these per job (README, "Scale
+        // campaigns"); a site name costs a pointer pair, not a `String`.
+        assert!(std::mem::size_of::<JobRecord>() <= 120);
     }
 
     #[test]

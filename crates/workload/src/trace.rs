@@ -13,9 +13,10 @@
 //!   plus multiplicative noise — the quantity the calibration experiments
 //!   must recover.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 use cgsim_des::rng::Rng;
 use cgsim_des::stats::Summary;
@@ -137,18 +138,16 @@ impl Trace {
 
     /// Jobs historically assigned to `site`.
     pub fn jobs_for_site<'a>(&'a self, site: &'a str) -> impl Iterator<Item = &'a JobRecord> {
-        self.jobs.iter().filter(move |j| j.hist_site == site)
+        self.jobs.iter().filter(move |j| &*j.hist_site == site)
     }
 
     /// Distinct historical site names, sorted.
     pub fn site_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .jobs
-            .iter()
-            .filter(|j| !j.hist_site.is_empty())
-            .map(|j| j.hist_site.clone())
-            .collect::<std::collections::HashSet<_>>()
+        let distinct: HashSet<&str> = self.jobs.iter().map(|j| &*j.hist_site).collect();
+        let mut names: Vec<String> = distinct
             .into_iter()
+            .filter(|name| !name.is_empty())
+            .map(str::to_string)
             .collect();
         names.sort();
         names
@@ -160,7 +159,7 @@ impl Trace {
         assert!((0.0..=1.0).contains(&fraction));
         let mut per_site: HashMap<&str, Vec<&JobRecord>> = HashMap::new();
         for j in &self.jobs {
-            per_site.entry(j.hist_site.as_str()).or_default().push(j);
+            per_site.entry(&j.hist_site).or_default().push(j);
         }
         let mut cal = Vec::new();
         let mut val = Vec::new();
@@ -240,10 +239,12 @@ impl Trace {
         Ok(())
     }
 
-    /// Loads a trace saved by [`Trace::save_jsonl`].
+    /// Loads a trace saved by [`Trace::save_jsonl`]. Site names are
+    /// interned: the loaded records of one site share one allocation.
     pub fn load_jsonl(path: impl AsRef<Path>) -> std::io::Result<Trace> {
         let text = std::fs::read_to_string(path)?;
         let mut trace = Trace::default();
+        let mut names: HashSet<Arc<str>> = HashSet::new();
         for line in text.lines() {
             if line.is_empty() {
                 continue;
@@ -251,7 +252,13 @@ impl Trace {
             if let Some(meta) = line.strip_prefix("#meta ") {
                 trace.hidden_site_multipliers = serde_json::from_str(meta)?;
             } else {
-                trace.jobs.push(serde_json::from_str(line)?);
+                let mut job: JobRecord = serde_json::from_str(line)?;
+                if let Some(shared) = names.get(&*job.hist_site) {
+                    job.hist_site = shared.clone();
+                } else {
+                    names.insert(job.hist_site.clone());
+                }
+                trace.jobs.push(job);
             }
         }
         Ok(trace)
@@ -341,7 +348,7 @@ impl TraceGenerator {
         for site in &platform.sites {
             let (lo, hi) = cfg.hidden_multiplier_range;
             hidden.push(rng.uniform_range(lo, hi));
-            sites.push((site.name.clone(), site.hosts[0].speed_per_core));
+            sites.push((site.name.as_str().into(), site.hosts[0].speed_per_core));
         }
 
         let site_weights: Vec<f64> = platform
@@ -369,8 +376,9 @@ impl TraceGenerator {
 pub struct TraceStream {
     cfg: TraceConfig,
     rng: Rng,
-    /// Per-site `(name, nominal speed-per-core)`, in platform order.
-    sites: Vec<(String, f64)>,
+    /// Per-site `(name, nominal speed-per-core)`, in platform order. The one
+    /// allocation of each name: every record of the site gets a clone.
+    sites: Vec<(Arc<str>, f64)>,
     site_weights: Vec<f64>,
     /// Hidden true-speed multiplier per site, indexed by site position.
     hidden: Vec<f64>,
@@ -383,7 +391,7 @@ impl TraceStream {
     pub fn hidden_site_multipliers(&self) -> HashMap<String, f64> {
         self.sites
             .iter()
-            .map(|(name, _)| name.clone())
+            .map(|(name, _)| name.to_string())
             .zip(self.hidden.iter().copied())
             .collect()
     }
@@ -569,6 +577,12 @@ mod tests {
         trace.save_jsonl(&path).unwrap();
         let loaded = Trace::load_jsonl(&path).unwrap();
         assert_eq!(trace.jobs, loaded.jobs);
+        // One allocation per distinct site, on both sides of the file.
+        for jobs in [&trace.jobs, &loaded.jobs] {
+            let allocations: HashSet<*const u8> =
+                jobs.iter().map(|j| j.hist_site.as_ptr()).collect();
+            assert_eq!(allocations.len(), 4);
+        }
         assert_eq!(
             trace.hidden_site_multipliers.len(),
             loaded.hidden_site_multipliers.len()

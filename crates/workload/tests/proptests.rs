@@ -39,7 +39,7 @@ fn arbitrary_trace(jobs: usize, seed: u64) -> Trace {
                 input_bytes: rng.next_u64() % (1 << 45),
                 output_bytes: rng.next_u64() % (1 << 45),
                 submit_time: rng.uniform_range(0.0, 1e7),
-                hist_site: sites[rng.index(sites.len())].to_string(),
+                hist_site: sites[rng.index(sites.len())].into(),
                 hist_walltime: rng.chance(0.7).then(|| rng.uniform_range(1e-9, 1e7)),
                 hist_queue_time: rng.chance(0.7).then(|| rng.uniform_range(0.0, 1e6)),
             }
@@ -113,7 +113,7 @@ proptest! {
         // Hidden multipliers cover every referenced site and sit in the range.
         let (lo, hi) = TraceConfig::default().hidden_multiplier_range;
         for job in &trace.jobs {
-            let m = trace.hidden_site_multipliers[&job.hist_site];
+            let m = trace.hidden_site_multipliers[&*job.hist_site];
             prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
         }
     }

@@ -60,6 +60,17 @@ mod tests {
     }
 
     #[test]
+    fn shared_strings_round_trip_as_plain_json_strings() {
+        use std::sync::Arc;
+        let name: Arc<str> = "T2\n\"rogue\"".into();
+        let text = to_string(&name).unwrap();
+        assert_eq!(text, to_string(&name.to_string()).unwrap());
+        assert_eq!(from_str::<Arc<str>>(&text).unwrap(), name);
+        assert_eq!(&*from_str::<Arc<str>>("\"\"").unwrap(), "");
+        assert!(from_str::<Arc<str>>("7").is_err());
+    }
+
+    #[test]
     fn astral_plane_escapes_and_bad_surrogates() {
         let s: String = from_str("\"\\ud801\\udc00\"").unwrap();
         assert_eq!(s, "\u{10400}");

@@ -152,6 +152,23 @@ impl Serialize for str {
     }
 }
 
+/// A shared string serialises as the plain JSON string it holds, so a field
+/// can move between `String` and `Arc<str>` without changing any saved file.
+impl Serialize for std::sync::Arc<str> {
+    fn serialize_value(&self) -> Value {
+        Value::String(self.to_string())
+    }
+}
+
+impl Deserialize for std::sync::Arc<str> {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        match v {
+            Value::String(s) => Ok(s.as_str().into()),
+            other => Err(Error::custom(format!("expected string, got {other}"))),
+        }
+    }
+}
+
 impl Serialize for char {
     fn serialize_value(&self) -> Value {
         Value::String(self.to_string())
