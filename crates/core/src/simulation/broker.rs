@@ -4,13 +4,14 @@
 use std::collections::VecDeque;
 
 use cgsim_data::DatasetId;
-use cgsim_des::{Context, SimTime, SlotId};
+use cgsim_des::{Context, SimTime};
 use cgsim_obs::{SpanPhase, Subsystem, TraceCategory};
 use cgsim_platform::{NodeId, SiteId};
 use cgsim_policies::{AllocationPolicy, GridView, SiteLoad};
 use cgsim_workload::{JobRecord, JobState};
 
 use super::events::GridEvent;
+use super::job_runtime::NO_SLOT;
 use super::GridModel;
 
 /// "No job" link of the intrusive running lists.
@@ -75,8 +76,7 @@ impl GridModel {
         }
         self.sites[site.index()].running_len += 1;
         self.jobs[idx].slot = self.running.take();
-        let run = self.run_mut(idx);
-        (run.run_prev, run.run_next) = (tail, NO_JOB);
+        self.run_mut(idx).run_prev = tail;
         self.mirror_site(site);
     }
 
@@ -85,7 +85,7 @@ impl GridModel {
     /// queue pop) is a no-op, so the fault-injection paths and the normal
     /// lifecycle cannot double-release.
     pub(super) fn release_cores(&mut self, idx: usize, site: SiteId) {
-        let slot = std::mem::replace(&mut self.jobs[idx].slot, SlotId::NONE);
+        let slot = std::mem::replace(&mut self.jobs[idx].slot, NO_SLOT);
         let Some(run) = self.running.get(slot) else {
             return;
         };

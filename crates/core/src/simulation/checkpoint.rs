@@ -340,7 +340,7 @@ impl GridModel {
             self.release_checkpoint_storage(node, old_bytes);
         } else {
             let name = format!("ckpt-job-{idx}@{node}");
-            let dataset = self.catalog.register(&name, 1, bytes, node);
+            let dataset = self.catalog.register(name, 1, bytes, node);
             self.jobs[idx].checkpoints.push(JobCheckpoint {
                 frac,
                 node,

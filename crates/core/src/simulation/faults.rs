@@ -48,14 +48,14 @@
 //! O(transfers + checkpoints actually touching it), not O(jobs); debug
 //! builds cross-check every lookup against the full scan it replaced.
 
-use cgsim_des::{Context, SimTime, SlotId};
+use cgsim_des::{Context, SimTime};
 use cgsim_faults::FaultAction;
 use cgsim_obs::{SpanPhase, Subsystem, TraceCategory};
 use cgsim_platform::{LinkId, NodeId, SiteId};
 use cgsim_workload::JobState;
 
 use super::events::GridEvent;
-use super::job_runtime::Phase;
+use super::job_runtime::{Phase, NO_SLOT};
 use super::staging::Owner;
 use super::GridModel;
 
@@ -148,7 +148,7 @@ impl GridModel {
             // Only jobs currently occupying cores can be killed; anything
             // else (pending, queued, already terminal) is a no-op.
             FaultAction::KillJob { job }
-                if self.jobs.get(job).is_some_and(|j| j.slot != SlotId::NONE) =>
+                if self.jobs.get(job).is_some_and(|j| j.slot != NO_SLOT) =>
             {
                 let site = self.jobs[job].site.expect("job holding cores has a site");
                 self.interrupt_job(job, ctx);
@@ -329,7 +329,11 @@ impl GridModel {
                 // `stage_input`, not `start_staging`: the attempt's start
                 // time must survive the re-plan.
                 Phase::Input => self.stage_input(idx, site, ctx),
-                Phase::Restore => self.begin_restore_or_segment(idx, site, ctx),
+                Phase::Restore => {
+                    // The cancelled restore credited nothing.
+                    self.run_mut(idx).restore_frac = 0.0;
+                    self.begin_restore_or_segment(idx, site, ctx);
+                }
                 phase => unreachable!("a {phase:?} activity touches no node through the main slot"),
             }
         }

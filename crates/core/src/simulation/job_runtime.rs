@@ -11,16 +11,18 @@
 //!
 //! A job's state is split by lifetime: [`JobRuntime`] lasts the run (one per
 //! job, beside its record in the shared trace) and holds what must survive a
-//! kill; [`RunState`] lasts one tenure of cores (a slab slot, so the slab is
-//! bounded by the grid's cores) and an attempt's progress dies with it.
+//! kill; [`RunState`] lasts one tenure of cores (a [`RunSlots`] slot, so that
+//! store is bounded by the grid's cores) and an attempt's progress dies with
+//! it.
 
 use cgsim_des::fluid::ActivityId;
-use cgsim_des::{Context, EventKey, SlotId};
+use cgsim_des::{Context, EventKey};
 use cgsim_obs::{SpanPhase, TraceCategory};
 use cgsim_platform::{NodeId, SiteId};
 use cgsim_policies::CachePolicy;
 use cgsim_workload::JobState;
 
+use super::broker::NO_JOB;
 use super::checkpoint::JobCheckpoint;
 use super::events::GridEvent;
 use super::staging::{Owner, Path, Transfer};
@@ -90,7 +92,7 @@ pub(super) struct JobRuntime {
     /// job's first `task_dataset` call (`NO_DATASET` until then).
     pub(super) dataset: u32,
     /// The job's running-state slot: taken by `admit_front`, returned by
-    /// `release_cores`, [`SlotId::NONE`] while the job holds no cores.
+    /// `release_cores`, [`NO_SLOT`] while the job holds no cores.
     pub(super) slot: SlotId,
     /// Durable checkpoints of this job, at most one per storage node
     /// (newer writes at a node supersede its older checkpoint). They outlive
@@ -111,7 +113,7 @@ impl JobRuntime {
             start_time: 0.0,
             staged_bytes: 0,
             dataset: NO_DATASET,
-            slot: SlotId::NONE,
+            slot: NO_SLOT,
             checkpoints: Vec::new(),
         }
     }
@@ -119,7 +121,7 @@ impl JobRuntime {
 
 /// State of a job that holds cores, from the queue pop in `try_start_site`
 /// until `release_cores`. Every field is first written after `admit_front`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(super) struct RunState {
     /// Pending engine timer (pilot start or dedicated-core completion), kept
     /// so fault injection can cancel the in-flight event when it kills the
@@ -161,6 +163,106 @@ pub(super) struct RunState {
     /// synchronous, or — with `checkpoint.overlap` — only when the previous
     /// write is still in flight at the next boundary (a counted stall).
     pub(super) ckpt_stalled: bool,
+}
+
+impl Default for RunState {
+    /// A tenure that has not started anything and is on no running list.
+    fn default() -> Self {
+        RunState {
+            timer: None,
+            activity: None,
+            ckpt_activity: None,
+            run_prev: NO_JOB,
+            run_next: NO_JOB,
+            frac_done: 0.0,
+            seg_fraction: 0.0,
+            seg_started_s: 0.0,
+            seg_walltime_s: 0.0,
+            seg_amount: 0.0,
+            restore_frac: 0.0,
+            ckpt_frac: 0.0,
+            ckpt_stalled: false,
+        }
+    }
+}
+
+/// Handle of a [`RunSlots`] slot. Debug builds tag it with the slot's
+/// generation, so an id kept past `release_cores` misses instead of reading
+/// the next tenant's state; release builds carry the index alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct SlotId {
+    index: u32,
+    #[cfg(debug_assertions)]
+    generation: u32,
+}
+
+/// The id of a job that holds no cores: names no slot, ever.
+pub(super) const NO_SLOT: SlotId = SlotId {
+    index: u32::MAX,
+    #[cfg(debug_assertions)]
+    generation: 0,
+};
+
+/// The [`RunState`] slots, recycled through a free list: as many as jobs
+/// have held cores at once.
+#[derive(Debug, Default)]
+pub(super) struct RunSlots {
+    slots: Vec<RunState>,
+    free: Vec<u32>,
+    #[cfg(debug_assertions)]
+    generations: Vec<u32>,
+}
+
+impl RunSlots {
+    /// Hands out a slot holding `RunState::default()` (a returned one if
+    /// any).
+    pub(super) fn take(&mut self) -> SlotId {
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(RunState::default());
+            #[cfg(debug_assertions)]
+            self.generations.push(0);
+            (self.slots.len() - 1) as u32
+        });
+        self.slots[index as usize] = RunState::default();
+        SlotId {
+            index,
+            #[cfg(debug_assertions)]
+            generation: self.generations[index as usize],
+        }
+    }
+
+    /// Takes a slot back; in debug builds `id` is stale from here on.
+    pub(super) fn release(&mut self, id: SlotId) {
+        debug_assert!(self.get(id).is_some(), "released a stale slot id");
+        #[cfg(debug_assertions)]
+        {
+            self.generations[id.index as usize] += 1;
+        }
+        self.free.push(id.index);
+    }
+
+    /// The slot `id` names: `None` for [`NO_SLOT`] and, in debug builds, for
+    /// an id whose slot has been returned since.
+    pub(super) fn get(&self, id: SlotId) -> Option<&RunState> {
+        #[cfg(debug_assertions)]
+        {
+            if self.generations.get(id.index as usize) != Some(&id.generation) {
+                return None;
+            }
+        }
+        self.slots.get(id.index as usize)
+    }
+
+    /// Mutable twin of [`RunSlots::get`].
+    pub(super) fn get_mut(&mut self, id: SlotId) -> Option<&mut RunState> {
+        self.get(id)?;
+        self.slots.get_mut(id.index as usize)
+    }
+
+    /// Slots currently handed out.
+    pub(super) fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 impl GridModel {

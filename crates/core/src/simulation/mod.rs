@@ -35,7 +35,7 @@
 //! |---|---|---|---|
 //! | `trace: Arc<Trace>` | the job records | one per job | nobody — borrowed for the run, possibly shared with other runs; a record stream is collected into one at `start` |
 //! | `jobs: Vec<JobRuntime>` | state, site, retry counters, times, staged bytes, dataset, durable checkpoints, slot id | one per job, same index | the lifecycle modules |
-//! | `running: Slab<RunState>` | timer, activities, running-list links, segment and checkpoint-write progress | one per job *holding cores* | taken in `admit_front`, returned in `release_cores`, reached through `run` / `run_mut` |
+//! | `running: RunSlots` | timer, activities, running-list links, segment and checkpoint-write progress | one per job *holding cores* | taken in `admit_front`, returned in `release_cores`, reached through `run` / `run_mut` |
 //!
 //! Site names are a fourth, tiny store: one `Arc<str>` per site in the
 //! monitoring collector, cloned into every event row and outcome.
@@ -57,7 +57,7 @@ use std::sync::Arc;
 use cgsim_data::{DatasetId, LruCache, ReplicaCatalog, StorageElement};
 use cgsim_des::fluid::{ActivityId, ActivityMap, FluidModel, ResourceId};
 use cgsim_des::rng::Rng;
-use cgsim_des::{Engine, EventKey, SimTime, Slab};
+use cgsim_des::{Engine, EventKey, SimTime};
 use cgsim_faults::{FaultEvent, FaultPlan};
 use cgsim_monitor::{MetricsReport, MonitoringCollector};
 use cgsim_obs::{Profiler, SpanPhase, Subsystem, TraceCategory, TraceSink, Tracer};
@@ -72,7 +72,7 @@ use crate::results::SimulationResults;
 
 use broker::SiteState;
 use events::GridEvent;
-use job_runtime::{JobRuntime, Phase, RunState};
+use job_runtime::{JobRuntime, Phase, RunSlots};
 use repair::RepairState;
 use staging::{Owner, Transfer};
 
@@ -124,7 +124,7 @@ struct GridModel {
     // The three per-job stores of the module docs.
     trace: Arc<Trace>,
     jobs: Vec<JobRuntime>,
-    running: Slab<RunState>,
+    running: RunSlots,
     sites: Vec<SiteState>,
     pending: VecDeque<usize>,
     /// The policy-facing mirror of site state, maintained where the state
@@ -254,7 +254,7 @@ impl GridModel {
             data_policy,
             jobs: vec![JobRuntime::new(); trace.jobs.len()],
             trace,
-            running: Slab::default(),
+            running: RunSlots::default(),
             sites,
             pending: VecDeque::new(),
             view: GridView::default(),
@@ -330,9 +330,13 @@ impl GridModel {
     }
 }
 
-/// Yields the run's trace when the run starts: a shared trace as it is, a
-/// record stream collected then (not when the builder is given it).
-type TraceSource = Box<dyn FnOnce() -> Arc<Trace>>;
+/// Where the run's trace comes from: a trace shared between runs as it is,
+/// or a record stream collected when the run starts (not when the builder is
+/// given it: draining the generator is run time, not set-up).
+enum TraceSource {
+    Shared(Arc<Trace>),
+    Stream(Box<dyn Iterator<Item = JobRecord>>),
+}
 
 /// Builder for [`Simulation`].
 pub struct SimulationBuilder {
@@ -389,8 +393,7 @@ impl SimulationBuilder {
     /// evaluation service) should be passed as `Arc` clones so every run
     /// reads the same immutable job records instead of deep-copying them.
     pub fn trace(mut self, trace: impl Into<Arc<Trace>>) -> Self {
-        let trace = trace.into();
-        self.trace = Some(Box::new(move || trace));
+        self.trace = Some(TraceSource::Shared(trace.into()));
         self
     }
 
@@ -405,12 +408,7 @@ impl SimulationBuilder {
     /// run is deterministic (same stream → byte-identical results) yet not
     /// guaranteed byte-identical to the equivalent materialised run.
     pub fn trace_stream(mut self, stream: impl Iterator<Item = JobRecord> + 'static) -> Self {
-        self.trace = Some(Box::new(move || {
-            Arc::new(Trace {
-                jobs: stream.collect(),
-                ..Trace::default()
-            })
-        }));
+        self.trace = Some(TraceSource::Stream(Box::new(stream)));
         self
     }
 
@@ -554,11 +552,22 @@ impl Simulation {
         if let Some(horizon) = self.execution.horizon_s {
             engine = engine.with_horizon(SimTime::from_secs(horizon));
         }
-        let trace = (self.trace)();
+        let trace = match self.trace {
+            TraceSource::Shared(trace) => trace,
+            TraceSource::Stream(records) => Arc::new(Trace {
+                jobs: records.collect(),
+                ..Trace::default()
+            }),
+        };
         // Submissions are known up front: they go through the engine's
         // sorted lane, never the heap (ties keep job-index order).
-        let at = |job: &JobRecord| SimTime::from_secs(job.submit_time);
-        engine.preload((0..trace.len()).map(|i| (at(&trace.jobs[i]), GridEvent::Submit(i))));
+        engine.preload(
+            trace
+                .jobs
+                .iter()
+                .enumerate()
+                .map(|(idx, job)| (SimTime::from_secs(job.submit_time), GridEvent::Submit(idx))),
+        );
 
         // Kick off the fault chain: only the first plan event is scheduled
         // up front; each fault schedules its successor, and the chain is cut
@@ -593,43 +602,54 @@ impl Simulation {
     /// Executes the simulation to completion and returns the results.
     pub fn run(self) -> SimulationResults {
         let started = std::time::Instant::now();
-        // The model and the engine die with this block: the N-long transients
-        // of the post-processing below never sit on top of their per-job state.
-        let (report, policy, profile, site_panels, mut collector) = {
-            let (mut engine, mut model) = self.start();
-            let policy = model.policy.name().to_string();
-            let loop_timer = model.profiler.start();
-            let report = engine.run(&mut model);
-            model.profiler.stop(Subsystem::EventLoop, loop_timer);
+        let (mut engine, mut model) = self.start();
+        let policy_name = model.policy.name().to_string();
+        let loop_timer = model.profiler.start();
+        let report = engine.run(&mut model);
+        model.profiler.stop(Subsystem::EventLoop, loop_timer);
 
-            if let Some(mut tracer) = model.tracer.take() {
-                if let Err(e) = tracer.finish() {
-                    eprintln!("warning: trace sink failed: {e}");
-                }
+        if let Some(mut tracer) = model.tracer.take() {
+            if let Err(e) = tracer.finish() {
+                eprintln!("warning: trace sink failed: {e}");
             }
-            let profile = model.profiler.enabled().then(|| {
-                let (fast, slow) = model.fluid.solver_stats();
-                let fluid = model.fluid.solver_counters();
-                let queue = engine.queue();
-                for (name, value) in [
-                    ("engine_events", report.events_processed),
-                    ("fluid_fast_solves", fast),
-                    ("fluid_slow_solves", slow),
-                    ("fluid_rerated_slots", fluid.rerated_slots),
-                    ("fluid_slow_rounds", fluid.slow_rounds),
-                    ("fluid_bulk_rekeys", fluid.bulk_rekeys),
-                    ("queue_scheduled", queue.scheduled_total()),
-                    ("queue_cancelled", queue.cancelled_total()),
-                    ("queue_heap_peak", queue.heap_peak() as u64),
-                ] {
-                    model.profiler.add_counter(name, value);
-                }
-                model.profiler.report(&policy)
-            });
-            let site_panels = model.site_panels();
-            (report, policy, profile, site_panels, model.collector)
+        }
+        let profile = if model.profiler.enabled() {
+            model
+                .profiler
+                .add_counter("engine_events", report.events_processed);
+            let (fast, slow) = model.fluid.solver_stats();
+            model.profiler.add_counter("fluid_fast_solves", fast);
+            model.profiler.add_counter("fluid_slow_solves", slow);
+            let fluid = model.fluid.solver_counters();
+            model
+                .profiler
+                .add_counter("fluid_rerated_slots", fluid.rerated_slots);
+            model
+                .profiler
+                .add_counter("fluid_slow_rounds", fluid.slow_rounds);
+            model
+                .profiler
+                .add_counter("fluid_bulk_rekeys", fluid.bulk_rekeys);
+            let queue = engine.queue();
+            model
+                .profiler
+                .add_counter("queue_scheduled", queue.scheduled_total());
+            model
+                .profiler
+                .add_counter("queue_cancelled", queue.cancelled_total());
+            model
+                .profiler
+                .add_counter("queue_heap_peak", queue.heap_peak() as u64);
+            Some(model.profiler.report(&policy_name))
+        } else {
+            None
         };
 
+        let site_panels = model.site_panels();
+        // Post-processing builds N-long transients: the model's and the
+        // engine's per-job state goes first, only the collector stays.
+        let mut collector = { model }.collector;
+        drop(engine);
         let grid_counters = collector.grid_counters();
         collector.finish_windows();
         let windows = collector
@@ -647,7 +667,7 @@ impl Simulation {
             wall_clock_s: started.elapsed().as_secs_f64(),
             site_panels,
             grid_counters,
-            policy,
+            policy: policy_name,
             profile,
             windows,
         }

@@ -67,7 +67,7 @@ impl GridModel {
             Some(&ds) => ds,
             None => {
                 let ds = self.catalog.register(
-                    &format!("task-{task}-input"),
+                    format!("task-{task}-input"),
                     record.input_files,
                     record.input_bytes,
                     NodeId::MainServer,

@@ -475,6 +475,7 @@ use cgsim_faults::{parse_fault_spec, FaultAction, FaultEvent, FaultPlan, FaultTo
 use cgsim_platform::{NodeId, SiteSpec, Tier};
 use cgsim_workload::TaskId;
 
+use super::broker::NO_JOB;
 use super::GridModel;
 use crate::config::{CheckpointConfig, RepairConfig};
 
@@ -742,6 +743,46 @@ fn per_job_state_is_96_bytes() {
 }
 
 #[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "slot ids carry a generation in debug builds only"
+)]
+fn run_slots_match_a_hash_map_under_random_churn() {
+    // Reference twin: ticket number -> handle, the ticket stored in the
+    // slot. A slot comes back zeroed under a fresh id and every retired
+    // handle misses.
+    use super::job_runtime::{RunSlots, NO_SLOT};
+    let mut slots = RunSlots::default();
+    let mut reference = HashMap::new();
+    let mut retired = Vec::new();
+    let mut rng = cgsim_des::rng::Rng::new(5);
+    for ticket in 0..5_000u32 {
+        if reference.len() < 40 && rng.chance(0.55) {
+            let id = slots.take();
+            assert!(!retired.contains(&id), "a fresh id per tenure");
+            let fresh = slots.get(id).unwrap();
+            assert_eq!((fresh.frac_done, fresh.run_next), (0.0, NO_JOB));
+            slots.get_mut(id).unwrap().frac_done = f64::from(ticket);
+            reference.insert(ticket, id);
+        } else if let Some(&victim) = reference.keys().min() {
+            let id = reference.remove(&victim).unwrap();
+            slots.release(id);
+            retired.push(id);
+        }
+        assert_eq!(slots.live(), reference.len());
+        for (&ticket, &id) in &reference {
+            assert_eq!(slots.get(id).unwrap().frac_done, f64::from(ticket));
+        }
+    }
+    assert!(retired.iter().all(|&id| slots.get(id).is_none()));
+    assert!(slots.get(NO_SLOT).is_none());
+}
+
+#[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "slot ids carry a generation in debug builds only"
+)]
 fn a_killed_and_resubmitted_job_gets_a_fresh_run_slot() {
     // Kills, outages and node loss over a checkpointing run: every tenure of
     // cores is a new slot id, the old id misses from the moment the cores are
@@ -767,7 +808,7 @@ fn a_killed_and_resubmitted_job_gets_a_fresh_run_slot() {
         .build()
         .unwrap();
 
-    let none = cgsim_des::SlotId::NONE;
+    let none = super::job_runtime::NO_SLOT;
     let mut last = vec![none; 300];
     let mut retired = vec![Vec::new(); 300];
     let (mut readmitted, mut peak) = (0, 0);

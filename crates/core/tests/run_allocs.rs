@@ -3,13 +3,15 @@
 //!
 //! A counting global allocator (std only) measures a whole run — ingest,
 //! event loop, every transition recorded, post-processing — at N jobs and at
-//! 2N: the second N jobs may cost fewer than half an allocation each. The
-//! parent of the change that added this test paid 6.9 (a cloned `hist_site`,
-//! an outcome's site name, an event row's site name per transition, a
-//! completion list per fluid event, a staging plan). What is left, 0.26–0.31
-//! per job, is not in the per-job stores: about six allocations per 50-job
-//! task (dataset name strings and replica sets in the catalog) and the
-//! B-tree nodes of the event queue's straggler set.
+//! 2N: the second N jobs may cost fewer than a quarter of an allocation each.
+//! The parent of the change that added this test paid 6.9 (a cloned
+//! `hist_site`, an outcome's site name, an event row's site name per
+//! transition, a completion list per fluid event, a staging plan, a third
+//! copy of each dataset name). What is left — 0.239 per job here and at
+//! N = 16k and 50k; up to 0.30 in a window where a one-off lands, 1k and 8k
+//! — is not in the per-job stores: the catalog's registration of a dataset
+//! per 50-job task (two name strings, a replica set) and the B-tree nodes of
+//! the event queue's straggler set.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -80,7 +82,7 @@ fn run_allocations(jobs: usize, streamed: bool) -> usize {
     debug_assertions,
     ignore = "debug builds rebuild the policy view (a Vec) at every policy call"
 )]
-fn doubling_the_jobs_adds_under_half_an_allocation_per_job() {
+fn doubling_the_jobs_adds_under_a_quarter_of_an_allocation_per_job() {
     const N: usize = 4_000;
     for streamed in [true, false] {
         let (small, large) = (
@@ -88,7 +90,7 @@ fn doubling_the_jobs_adds_under_half_an_allocation_per_job() {
             run_allocations(2 * N, streamed),
         );
         assert!(
-            large - small < N / 2,
+            large - small < N / 4,
             "streamed = {streamed}: {small} allocations for {N} jobs, {large} for twice that"
         );
     }

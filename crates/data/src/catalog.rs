@@ -55,20 +55,28 @@ impl ReplicaCatalog {
     }
 
     /// Registers a dataset (idempotent by name) and returns its id. The
-    /// initial replica is placed at `origin`.
-    pub fn register(&mut self, name: &str, files: u32, bytes: u64, origin: NodeId) -> DatasetId {
-        if let Some(&id) = self.names.get(name) {
+    /// initial replica is placed at `origin`. An owned `name` is kept, not
+    /// copied again.
+    pub fn register(
+        &mut self,
+        name: impl Into<String>,
+        files: u32,
+        bytes: u64,
+        origin: NodeId,
+    ) -> DatasetId {
+        let name = name.into();
+        if let Some(&id) = self.names.get(&name) {
             self.replicas[id.index()].insert(origin);
             return id;
         }
         let id = DatasetId::new(self.datasets.len());
+        self.names.insert(name.clone(), id);
         self.datasets.push(Dataset {
             id,
-            name: name.to_string(),
+            name,
             files,
             bytes,
         });
-        self.names.insert(name.to_string(), id);
         let mut locations = BTreeSet::new();
         locations.insert(origin);
         self.replicas.push(locations);

@@ -11,10 +11,9 @@
 //! * [`catalog`] — datasets, replicas and the replica catalog (which sites
 //!   hold a copy of which dataset), plus source-selection strategies,
 //! * [`storage`] — per-site storage elements with capacity accounting,
-//! * [`cache`] — an LRU dataset cache with hit/miss statistics.
-//!
-//! Which bytes move where is decided by the simulation core, one dataset at
-//! a time, through [`ReplicaCatalog::select_source`].
+//! * [`cache`] — an LRU dataset cache with hit/miss statistics,
+//! * [`transfer`] — staging plans: which bytes must move over which route for
+//!   a job to run at a given site.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -22,7 +21,9 @@
 pub mod cache;
 pub mod catalog;
 pub mod storage;
+pub mod transfer;
 
 pub use cache::{CacheStats, LruCache};
 pub use catalog::{Dataset, DatasetId, ReplicaCatalog, SourceSelection};
 pub use storage::StorageElement;
+pub use transfer::{StagingPlan, TransferRequest};

@@ -10,8 +10,6 @@
 //! * a SimGrid-style *fluid* resource-sharing model ([`fluid::FluidModel`])
 //!   with progressive-filling max-min fairness, used for network transfers
 //!   (and optionally time-shared CPUs),
-//! * a generation-tagged [`Slab`] for state that lives only while an entity
-//!   is in flight,
 //! * a deterministic random number generator ([`rng::Rng`]) with the
 //!   distributions needed by the synthetic PanDA workload generator,
 //! * statistics helpers ([`stats`]) used by calibration and the benchmark
@@ -66,7 +64,6 @@ pub mod event;
 pub mod fluid;
 pub mod ids;
 pub mod rng;
-pub mod slab;
 pub mod stats;
 pub mod time;
 
@@ -74,5 +71,4 @@ pub use engine::{Context, Engine, EventHandler, RunReport, StopReason};
 pub use event::{EventKey, EventQueue, ScheduledEvent};
 pub use fluid::{ActivityId, ActivityMap, FluidModel, ResourceId};
 pub use rng::Rng;
-pub use slab::{Slab, SlotId};
 pub use time::SimTime;
