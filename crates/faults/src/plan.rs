@@ -274,6 +274,12 @@ pub struct FaultEvent {
     pub action: FaultAction,
 }
 
+impl FaultEvent {
+    fn at(time_s: f64, action: FaultAction) -> Self {
+        FaultEvent { time_s, action }
+    }
+}
+
 /// A deterministic, time-sorted schedule of fault events.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct FaultPlan {
@@ -330,26 +336,13 @@ impl FaultPlan {
         // Random whole-site outages.
         for (spec_idx, spec) in config.outages.iter().enumerate() {
             for site in select_sites(spec.site, topo.sites) {
-                let mut rng =
-                    stream_rng(seed, stream::OUTAGE | (spec_idx as u64) << 16 | site as u64);
+                let rng = stream_rng(seed, stream::OUTAGE | (spec_idx as u64) << 16 | site as u64);
                 let scale = weibull_scale(spec.mttf_s, spec.shape);
-                let mut t = 0.0;
-                loop {
-                    t += rng.weibull(scale, spec.shape);
-                    if t > horizon {
-                        break;
-                    }
-                    let repair = rng.exponential(1.0 / spec.mttr_s.max(1e-9));
-                    events.push(FaultEvent {
-                        time_s: t,
-                        action: FaultAction::SiteDown { site },
-                    });
-                    events.push(FaultEvent {
-                        time_s: t + repair,
-                        action: FaultAction::SiteUp { site },
-                    });
-                    t += repair;
-                }
+                let gap = |rng: &mut Rng| rng.weibull(scale, spec.shape);
+                renewal(rng, horizon, gap, Some(spec.mttr_s), |_, down, up| {
+                    events.push(FaultEvent::at(down, FaultAction::SiteDown { site }));
+                    events.push(FaultEvent::at(up, FaultAction::SiteUp { site }));
+                });
             }
         }
 
@@ -358,19 +351,15 @@ impl FaultPlan {
             if spec.site >= topo.sites || spec.duration_s <= 0.0 {
                 continue;
             }
+            let site = spec.site;
             let mut start = spec.start_s;
             loop {
                 if start > horizon {
                     break;
                 }
-                events.push(FaultEvent {
-                    time_s: start,
-                    action: FaultAction::SiteDown { site: spec.site },
-                });
-                events.push(FaultEvent {
-                    time_s: start + spec.duration_s,
-                    action: FaultAction::SiteUp { site: spec.site },
-                });
+                let end = start + spec.duration_s;
+                events.push(FaultEvent::at(start, FaultAction::SiteDown { site }));
+                events.push(FaultEvent::at(end, FaultAction::SiteUp { site }));
                 match spec.period_s {
                     Some(period) if period > 0.0 => start += period,
                     _ => break,
@@ -390,27 +379,15 @@ impl FaultPlan {
             if sites.is_empty() {
                 continue;
             }
-            let mut rng = stream_rng(seed, stream::INCIDENT | spec_idx as u64);
+            let rng = stream_rng(seed, stream::INCIDENT | spec_idx as u64);
             let scale = weibull_scale(spec.mttf_s, spec.shape);
-            let mut t = 0.0;
-            loop {
-                t += rng.weibull(scale, spec.shape);
-                if t > horizon {
-                    break;
-                }
-                let repair = rng.exponential(1.0 / spec.mttr_s.max(1e-9));
+            let gap = |rng: &mut Rng| rng.weibull(scale, spec.shape);
+            renewal(rng, horizon, gap, Some(spec.mttr_s), |_, down, up| {
                 for &site in &sites {
-                    events.push(FaultEvent {
-                        time_s: t,
-                        action: FaultAction::SiteDown { site },
-                    });
-                    events.push(FaultEvent {
-                        time_s: t + repair,
-                        action: FaultAction::SiteUp { site },
-                    });
+                    events.push(FaultEvent::at(down, FaultAction::SiteDown { site }));
+                    events.push(FaultEvent::at(up, FaultAction::SiteUp { site }));
                 }
-                t += repair;
-            }
+            });
         }
 
         // Partial node losses.
@@ -420,27 +397,14 @@ impl FaultPlan {
                 continue;
             }
             for site in select_sites(spec.site, topo.sites) {
-                let mut rng = stream_rng(
-                    seed,
-                    stream::NODELOSS | (spec_idx as u64) << 16 | site as u64,
-                );
-                let mut t = 0.0;
-                loop {
-                    t += rng.exponential(1.0 / spec.mttf_s.max(1e-9));
-                    if t > horizon {
-                        break;
-                    }
-                    let repair = rng.exponential(1.0 / spec.mttr_s.max(1e-9));
-                    events.push(FaultEvent {
-                        time_s: t,
-                        action: FaultAction::NodeLoss { site, fraction },
-                    });
-                    events.push(FaultEvent {
-                        time_s: t + repair,
-                        action: FaultAction::NodeRestore { site },
-                    });
-                    t += repair;
-                }
+                let salt = stream::NODELOSS | (spec_idx as u64) << 16 | site as u64;
+                let rng = stream_rng(seed, salt);
+                let gap = |rng: &mut Rng| rng.exponential(1.0 / spec.mttf_s.max(1e-9));
+                let loss = FaultAction::NodeLoss { site, fraction };
+                renewal(rng, horizon, gap, Some(spec.mttr_s), |_, lost, back| {
+                    events.push(FaultEvent::at(lost, loss));
+                    events.push(FaultEvent::at(back, FaultAction::NodeRestore { site }));
+                });
             }
         }
 
@@ -449,21 +413,12 @@ impl FaultPlan {
         // paired recovery event is generated.
         for (spec_idx, spec) in config.disk_losses.iter().enumerate() {
             for site in select_sites(spec.site, topo.sites) {
-                let mut rng = stream_rng(
-                    seed,
-                    stream::DISKLOSS | (spec_idx as u64) << 16 | site as u64,
-                );
-                let mut t = 0.0;
-                loop {
-                    t += rng.exponential(1.0 / spec.mttf_s.max(1e-9));
-                    if t > horizon {
-                        break;
-                    }
-                    events.push(FaultEvent {
-                        time_s: t,
-                        action: FaultAction::DiskLoss { site },
-                    });
-                }
+                let salt = stream::DISKLOSS | (spec_idx as u64) << 16 | site as u64;
+                let rng = stream_rng(seed, salt);
+                let gap = |rng: &mut Rng| rng.exponential(1.0 / spec.mttf_s.max(1e-9));
+                renewal(rng, horizon, gap, None, |_, t, _| {
+                    events.push(FaultEvent::at(t, FaultAction::DiskLoss { site }));
+                });
             }
         }
 
@@ -475,26 +430,14 @@ impl FaultPlan {
                 LinkSelector::Index(i) => topo.links.get(i).copied().into_iter().collect(),
             };
             for (pos, link) in targets.into_iter().enumerate() {
-                let mut rng =
-                    stream_rng(seed, stream::DEGRADE | (spec_idx as u64) << 16 | pos as u64);
+                let rng = stream_rng(seed, stream::DEGRADE | (spec_idx as u64) << 16 | pos as u64);
                 let scale = weibull_scale(spec.mttf_s, spec.shape);
-                let mut t = 0.0;
-                loop {
-                    t += rng.weibull(scale, spec.shape);
-                    if t > horizon {
-                        break;
-                    }
-                    let repair = rng.exponential(1.0 / spec.mttr_s.max(1e-9));
-                    events.push(FaultEvent {
-                        time_s: t,
-                        action: FaultAction::LinkDegrade { link, factor },
-                    });
-                    events.push(FaultEvent {
-                        time_s: t + repair,
-                        action: FaultAction::LinkRestore { link },
-                    });
-                    t += repair;
-                }
+                let gap = |rng: &mut Rng| rng.weibull(scale, spec.shape);
+                let degrade = FaultAction::LinkDegrade { link, factor };
+                renewal(rng, horizon, gap, Some(spec.mttr_s), |_, slow, nominal| {
+                    events.push(FaultEvent::at(slow, degrade));
+                    events.push(FaultEvent::at(nominal, FaultAction::LinkRestore { link }));
+                });
             }
         }
 
@@ -502,21 +445,13 @@ impl FaultPlan {
         // targeting a uniformly random trace index (a no-op at replay time if
         // that job is not occupying cores at that instant).
         if config.kill_rate_per_hour > 0.0 && topo.jobs > 0 {
-            let mut rng = stream_rng(seed, stream::KILL);
             let rate_per_s = config.kill_rate_per_hour / 3600.0;
-            let mut t = 0.0;
-            loop {
-                t += rng.exponential(rate_per_s);
-                if t > horizon {
-                    break;
-                }
-                events.push(FaultEvent {
-                    time_s: t,
-                    action: FaultAction::KillJob {
-                        job: rng.index(topo.jobs),
-                    },
-                });
-            }
+            let rng = stream_rng(seed, stream::KILL);
+            let gap = |rng: &mut Rng| rng.exponential(rate_per_s);
+            renewal(rng, horizon, gap, None, |rng, t, _| {
+                let job = rng.index(topo.jobs);
+                events.push(FaultEvent::at(t, FaultAction::KillJob { job }));
+            });
         }
 
         // Stable sort: equal times keep generation order, which is itself
@@ -527,6 +462,32 @@ impl FaultPlan {
                 .expect("fault times are finite")
         });
         FaultPlan { events }
+    }
+}
+
+/// One renewal process on its own RNG stream: a fault strikes `gap` after the
+/// previous one was repaired, lasts an exponential repair time of mean
+/// `mttr_s` (`None`: instantaneous, no draw), and the next gap starts at the
+/// repair. `emit(rng, start, end)` records each fault that starts within
+/// `horizon`; its recovery may lie beyond it. The draw order per fault — gap,
+/// repair, then whatever `emit` draws — is part of the reproducibility
+/// contract (`tests/golden_plan.rs`).
+fn renewal(
+    mut rng: Rng,
+    horizon: f64,
+    gap: impl Fn(&mut Rng) -> f64,
+    mttr_s: Option<f64>,
+    mut emit: impl FnMut(&mut Rng, f64, f64),
+) {
+    let mut t = 0.0;
+    loop {
+        t += gap(&mut rng);
+        if t > horizon {
+            break;
+        }
+        let repair = mttr_s.map_or(0.0, |mttr_s| rng.exponential(1.0 / mttr_s.max(1e-9)));
+        emit(&mut rng, t, t + repair);
+        t += repair;
     }
 }
 
