@@ -11,9 +11,7 @@
 //! * [`catalog`] — datasets, replicas and the replica catalog (which sites
 //!   hold a copy of which dataset), plus source-selection strategies,
 //! * [`storage`] — per-site storage elements with capacity accounting,
-//! * [`cache`] — an LRU dataset cache with hit/miss statistics,
-//! * [`transfer`] — staging plans: which bytes must move over which route for
-//!   a job to run at a given site.
+//! * [`cache`] — an LRU dataset cache with hit/miss statistics.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -21,9 +19,7 @@
 pub mod cache;
 pub mod catalog;
 pub mod storage;
-pub mod transfer;
 
 pub use cache::{CacheStats, LruCache};
 pub use catalog::{Dataset, DatasetId, ReplicaCatalog, SourceSelection};
 pub use storage::StorageElement;
-pub use transfer::{StagingPlan, TransferRequest};
