@@ -264,13 +264,13 @@ fn cmd_init(options: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Builds a fault plan from `--faults` / `--fault-seed`, resolving link
-/// selectors against the platform's WAN links. Returns `None` when no
-/// `--faults` spec was given.
+/// selectors against the platform's WAN links. Returns the plan with the
+/// horizon it was generated to, or `None` when no `--faults` spec was given.
 fn build_fault_plan(
     options: &HashMap<String, String>,
     platform_spec: &PlatformSpec,
     trace_len: usize,
-) -> Result<Option<FaultPlan>, String> {
+) -> Result<Option<(FaultPlan, f64)>, String> {
     let fault_seed: u64 = parsed(options, "fault-seed", "a number")?.unwrap_or(7);
     let Some(spec_text) = options.get("faults") else {
         return Ok(None);
@@ -285,7 +285,7 @@ fn build_fault_plan(
         config.horizon_s / 3600.0,
         fault_seed
     );
-    Ok(Some(plan))
+    Ok(Some((plan, config.horizon_s)))
 }
 
 /// Applies every execution-config override flag that is present: the
@@ -465,12 +465,13 @@ fn cmd_simulate(options: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .trace(trace)
         .execution(execution);
-    if let Some(plan) = fault_plan {
+    let fault_horizon_s = fault_plan.as_ref().map(|(_, horizon_s)| *horizon_s);
+    if let Some((plan, _)) = fault_plan {
         builder = builder.fault_plan(plan);
     }
     builder = apply_observability(options, builder, &["trace-out"])?;
     let results = builder.run().map_err(|e| e.to_string())?;
-    report(&results, options)
+    report(&results, options, fault_horizon_s)
 }
 
 /// `cgsim demo`: synthesise a platform + trace and run immediately.
@@ -504,12 +505,13 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
         builder.trace(generator.generate(&platform))
     };
     builder = builder.policy_name(&policy).execution(execution);
-    if let Some(plan) = fault_plan {
+    let fault_horizon_s = fault_plan.as_ref().map(|(_, horizon_s)| *horizon_s);
+    if let Some((plan, _)) = fault_plan {
         builder = builder.fault_plan(plan);
     }
     builder = apply_observability(options, builder, &["trace-out", "trace"])?;
     let results = builder.run().map_err(|e| e.to_string())?;
-    report(&results, options)
+    report(&results, options, fault_horizon_s)
 }
 
 /// `cgsim serve`: long-running JSONL scenario-evaluation service over the
@@ -573,8 +575,25 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn report(results: &SimulationResults, options: &HashMap<String, String>) -> Result<(), String> {
+/// Prints the run's summary and writes its outputs. `fault_horizon_s` is the
+/// horizon the `--faults` plan was generated to: fault plans are generated
+/// before the run, so a run that outlasts its plan is fault-free from there
+/// on, which stdout alone does not show.
+fn report(
+    results: &SimulationResults,
+    options: &HashMap<String, String>,
+    fault_horizon_s: Option<f64>,
+) -> Result<(), String> {
     println!("\n{}", results.metrics.text_summary());
+    let makespan_s = results.metrics.makespan_s;
+    if let Some(horizon_s) = fault_horizon_s.filter(|&h| makespan_s > h) {
+        eprintln!(
+            "warning: makespan {:.1} h exceeds the {:.1} h fault horizon: no fault was injected \
+             after it; add a `horizon=<time>` clause to --faults that covers the run",
+            makespan_s / 3600.0,
+            horizon_s / 3600.0
+        );
+    }
     let faults = &results.grid_counters;
     if faults.site_outages + faults.node_losses + faults.link_degradations > 0
         || faults.job_interruptions > 0

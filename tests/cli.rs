@@ -1,7 +1,8 @@
 //! The `cgsim` binary refuses a command line it does not fully understand:
 //! an unparsable number, a flag the command does not declare and a token
 //! that belongs to no flag each exit non-zero with a one-line `error:` — the
-//! simulator never silently runs something other than what was asked.
+//! simulator never silently runs something other than what was asked. And
+//! when a run outlasts its fault plan, stderr says so.
 
 use std::process::{Command, Output, Stdio};
 
@@ -96,5 +97,76 @@ fn every_documented_flag_is_still_accepted() {
     ok(&format!(
         "serve {inputs} --cache-capacity 8 --serial --no-cache"
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file under `dir` as `(relative path, bytes)`, sorted.
+fn tree(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(d) = pending.pop() {
+        for entry in std::fs::read_dir(&d).expect("output directory is readable") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("output file is readable");
+                files.push((path.strip_prefix(dir).unwrap().to_path_buf(), bytes));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn a_run_that_outlasts_its_fault_horizon_warns_on_stderr_only() {
+    let dir = std::env::temp_dir().join(format!("cgsim-cli-horizon-{}", std::process::id()));
+    // One maintenance window inside both horizons: the two plans, and so the
+    // two runs, are the same; only the horizon they were generated to differs.
+    let run = |horizon: &str, out: &str| {
+        let faults = format!("maint:site=0,start=30m,duration=1h;horizon={horizon}");
+        let out_dir = dir.join(out);
+        let output = cgsim(&[
+            "demo",
+            "--sites",
+            "3",
+            "--jobs",
+            "120",
+            "--faults",
+            &faults,
+            "--output",
+            &out_dir.to_string_lossy(),
+        ]);
+        assert!(output.status.success(), "{output:?}");
+        // What stdout says about the run, without the lines that name the
+        // horizon, the wall-clock and the output directory.
+        let stdout: Vec<String> = String::from_utf8_lossy(&output.stdout)
+            .lines()
+            .filter(|l| {
+                !["fault plan:", "simulator wall-clock:", "output written to"]
+                    .iter()
+                    .any(|prefix| l.starts_with(prefix))
+            })
+            .map(str::to_string)
+            .collect();
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        (stdout, stderr, tree(&out_dir))
+    };
+    let (short_stdout, short_stderr, short_tree) = run("2h", "short");
+    let (long_stdout, long_stderr, long_tree) = run("400h", "long");
+
+    assert_eq!(short_stderr.lines().count(), 1, "{short_stderr}");
+    assert!(
+        short_stderr.starts_with("warning: makespan ")
+            && short_stderr.contains("the 2.0 h fault horizon")
+            && short_stderr.contains("horizon="),
+        "{short_stderr}"
+    );
+    assert_eq!(long_stderr, "", "a horizon that covers the run is silent");
+    assert!(short_stdout.iter().any(|l| l.starts_with("makespan: ")));
+    assert_eq!(short_stdout, long_stdout);
+    assert!(!short_tree.is_empty());
+    assert!(short_tree == long_tree, "output trees differ");
     let _ = std::fs::remove_dir_all(&dir);
 }
