@@ -3,7 +3,6 @@
 //! The paper improves the geometric mean from 76 % to 17 % over 50 sites.
 
 use cgsim_bench::scenarios::{calibration_experiment, scale_from_env};
-use cgsim_calibrate::OptimizerKind;
 
 fn main() {
     let scale = scale_from_env();
@@ -13,7 +12,7 @@ fn main() {
 
     println!("# Fig. 3 — walltime calibration across {sites} WLCG-like sites");
     println!("(random-search calibration, {budget} evaluations per site, {jobs} historical jobs)");
-    let report = calibration_experiment(sites, jobs, OptimizerKind::Random, budget, 7);
+    let report = calibration_experiment(sites, jobs, budget, 7);
 
     println!(
         "\n{:<16} {:>6} {:>16} {:>18} {:>12}",

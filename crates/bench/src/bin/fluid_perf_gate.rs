@@ -5,13 +5,13 @@
 //! total-work fast path's O(log n) dense case), `fluid_hub_resize_churn` (the
 //! same component with a fair share that moves every step: one linear
 //! re-rate + bulk re-key per solve) and `fluid_pileup_churn` (multi-round
-//! progressive filling over the checkpoint pile-up shape) — the exact
-//! topologies the benches measure, shared via `cgsim_bench::fluid_hot` — at
-//! reduced iterations and compares each per-recompute cost against the
-//! committed baseline in `BENCH_fluid.json`. Exits non-zero when any
-//! measured cost exceeds 2× its committed value — a deliberately coarse
-//! threshold that survives CI-runner noise while still catching an
-//! accidental return to O(N) global recomputation on the sparse case (~40×),
+//! progressive filling over the checkpoint pile-up shape) — the topologies of
+//! `cgsim_bench::fluid_hot`, the ones the committed rows were recorded with —
+//! and compares each per-recompute cost against the committed baseline in
+//! `BENCH_fluid.json`. Exits non-zero when any measured cost exceeds 2× its
+//! committed value — a deliberately coarse threshold that survives CI-runner
+//! noise while still catching an accidental return to O(N) global
+//! recomputation on the sparse case (~40×),
 //! a loss of the single-bottleneck classification on the dense case (~20×,
 //! which would re-run full progressive filling per churn step), or a return
 //! to per-activity heap sifts (~10× on hub-resize) and per-round re-summing

@@ -1,14 +1,8 @@
-//! Fluid-solver hot-path scenarios shared by `benches/fluid.rs` and the CI
-//! perf-gate binary (`src/bin/fluid_perf_gate.rs`).
+//! Fluid-solver hot-path scenarios timed by the CI perf-gate binary
+//! (`src/bin/fluid_perf_gate.rs`) against `BENCH_fluid.json`.
 //!
-//! Four topologies probe the regimes of the incremental max-min solver:
+//! Three topologies probe the regimes of the incremental max-min solver:
 //!
-//! * **Contended** — 32 shared links with every activity crossing two of
-//!   them: the whole graph is one connected component with *no* single
-//!   bottleneck (no link is crossed by every activity), so every churn step
-//!   re-runs a full progressive-filling pass. This is the dense control: it
-//!   measures the slow path plus the incremental machinery's overhead, and
-//!   must stay within noise of the committed `BENCH_fluid.json` baseline.
 //! * **Sparse** — many independent two-link "islands" of
 //!   [`ISLAND_ACTS`] activities each: one churn step dirties a single
 //!   island, so the per-recompute cost is ~component-sized and independent
@@ -17,13 +11,11 @@
 //!   the ≥5× @5k speedup target in ISSUE 4 refers to.
 //! * **Single-bottleneck** — 32 fat uplinks all feeding one thin backbone
 //!   link crossed by every activity (the checkpoint-burst / correlated-storm
-//!   shape). The component is as dense as the contended one, but the
-//!   backbone is a provable single bottleneck, so the total-work fast path
+//!   shape). The component is one dense graph, but the backbone is a
+//!   provable single bottleneck, so the total-work fast path
 //!   solves it in O(log n) per churn step: equal-weight churn keeps the
 //!   backbone's fair share bitwise-stable and `ensure_shares` only rates the
-//!   freshly admitted slot — no per-slot filling at all. The contrast
-//!   between `dense contended` and `single_bottleneck_churn` rows in
-//!   `BENCH_fluid.json` is exactly the win of that classification.
+//!   freshly admitted slot — no per-slot filling at all.
 //!   [`hub_resize_churn`] drives the same topology with steps that *change*
 //!   the backbone's weight sum, so the fair share moves every time and each
 //!   solve re-rates the whole component: the fast path's linear branch.
@@ -34,8 +26,8 @@
 //!   levels in one component, so every step takes progressive filling and
 //!   re-rates most of the completion heap.
 //!
-//! Keeping the builders here (not in the bench file) means the CI gate times
-//! exactly the scenario the committed baseline numbers describe.
+//! These are the builders the committed baseline rows were recorded with, so
+//! the gate times exactly the scenario those numbers describe.
 
 use cgsim_des::fluid::{ActivityId, FluidModel, ResourceId};
 
@@ -48,61 +40,8 @@ pub type Build = fn(usize) -> (FluidModel, Vec<ResourceId>, Vec<ActivityId>);
 /// accumulator so the work cannot be optimised away.
 pub type Churn = fn(&mut FluidModel, &[ResourceId], &mut [ActivityId], &mut usize, usize) -> f64;
 
-/// Number of shared links in the contended topology. Every activity crosses
-/// two of them, so each link carries ~2N/32 concurrent flows and progressive
-/// filling needs several freezing rounds per recomputation.
-pub const CONTENDED_LINKS: usize = 32;
-
 /// Activities per independent island in the sparse topology.
 pub const ISLAND_ACTS: usize = 4;
-
-/// Route of contended activity `i`: two (occasionally one) of the 32 links.
-pub fn contended_route(links: &[ResourceId], i: usize) -> Vec<ResourceId> {
-    let a = links[i % CONTENDED_LINKS];
-    let b = links[(i * 7 + 3) % CONTENDED_LINKS];
-    if a == b {
-        vec![a]
-    } else {
-        vec![a, b]
-    }
-}
-
-/// Builds the contended topology pre-populated with `n` activities.
-pub fn build_contended(n: usize) -> (FluidModel, Vec<ResourceId>, Vec<ActivityId>) {
-    let mut m = FluidModel::new();
-    let links: Vec<ResourceId> = (0..CONTENDED_LINKS)
-        .map(|i| m.add_resource(1e9 + (i as f64) * 1e7))
-        .collect();
-    let ids: Vec<ActivityId> = (0..n)
-        .map(|i| m.add_activity(1e12, &contended_route(&links, i)))
-        .collect();
-    (m, links, ids)
-}
-
-/// `steps` retire/admit/recompute cycles at steady concurrency on the
-/// contended topology. `step_base` carries the admission counter across
-/// iterations to keep the route mix rotating. Returns an accumulator so the
-/// work cannot be optimised away.
-pub fn contended_churn(
-    m: &mut FluidModel,
-    links: &[ResourceId],
-    ids: &mut [ActivityId],
-    step_base: &mut usize,
-    steps: usize,
-) -> f64 {
-    let mut acc = 0.0;
-    for _ in 0..steps {
-        let step = *step_base;
-        *step_base += 1;
-        let slot = step % ids.len();
-        m.remove_activity(ids[slot]);
-        ids[slot] = m.add_activity(1e12, &contended_route(links, ids.len() + step));
-        // Forces a share recomputation + completion query, as the event loop
-        // does on every admit.
-        acc += m.time_to_next_completion().map_or(0.0, |t| t.as_secs());
-    }
-    acc
-}
 
 /// Route of a sparse-island activity: one of the island's two links, or both.
 pub fn sparse_route(links: &[ResourceId], island: usize, variant: usize) -> Vec<ResourceId> {
@@ -354,10 +293,5 @@ mod tests {
         let mut step = 0;
         sparse_churn(&mut m, &links, &mut ids, &mut step, 100);
         assert_eq!(m.activity_count(), 32);
-
-        let (mut m, links, mut ids) = build_contended(50);
-        let mut step = 0;
-        contended_churn(&mut m, &links, &mut ids, &mut step, 100);
-        assert_eq!(m.activity_count(), 50);
     }
 }

@@ -1,11 +1,13 @@
-//! # cgsim-bench — experiment scenarios shared by benches and binaries
+//! # cgsim-bench — the paper's figures and the fluid-solver CI gate
 //!
-//! Every table and figure of the paper's evaluation section has (a) a binary
+//! Every table and figure of the paper's evaluation section has a binary
 //! under `src/bin/` that regenerates the numbers and prints the same rows or
-//! series the paper reports, and (b) a Criterion bench measuring the
-//! corresponding simulator cost. Both are thin wrappers around the scenario
-//! functions in [`scenarios`], so the workload definitions cannot drift
-//! between the two.
+//! series the paper reports; each is a thin wrapper around a scenario
+//! function in [`scenarios`]. `fluid_perf_gate` times the [`fluid_hot`]
+//! topologies against the rows committed in `BENCH_fluid.json`.
+//!
+//! This crate does not time the simulator end to end: `benchmark/` at the
+//! repository root is the one harness that does.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -8,9 +8,6 @@ use cgsim_platform::presets::{single_site_platform, wlcg_platform};
 use cgsim_platform::PlatformSpec;
 use cgsim_workload::{Trace, TraceConfig, TraceGenerator};
 
-/// Default seed used by every experiment (overridable per call).
-pub const DEFAULT_SEED: u64 = 0x5C25;
-
 /// Generates the trace used by the scalability experiments: PanDA-like jobs
 /// with modest input sizes so runs stay compute-dominated (as in production).
 pub fn scaling_trace(platform: &PlatformSpec, jobs: usize, seed: u64) -> Trace {
@@ -114,12 +111,12 @@ pub fn distributed_speedup(sites: usize, jobs: usize, seed: u64) -> (f64, f64) {
     (single.metrics.makespan_s, distributed.metrics.makespan_s)
 }
 
-/// The Fig. 3 calibration experiment: calibrate per-site CPU speed on a
-/// WLCG-like platform with `sites` sites and `jobs` historical jobs.
+/// The Fig. 3 calibration experiment: random-search calibration of per-site
+/// CPU speed on a WLCG-like platform with `sites` sites and `jobs` historical
+/// jobs.
 pub fn calibration_experiment(
     sites: usize,
     jobs: usize,
-    optimizer: OptimizerKind,
     budget_per_site: usize,
     seed: u64,
 ) -> CalibrationReport {
@@ -128,7 +125,7 @@ pub fn calibration_experiment(
     cfg.mean_file_bytes = 1e8;
     let trace = TraceGenerator::new(cfg).generate(&platform);
     let calibrator = Calibrator {
-        optimizer,
+        optimizer: OptimizerKind::Random,
         budget_per_site,
         seed,
         parallel: true,

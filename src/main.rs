@@ -264,16 +264,16 @@ fn cmd_init(options: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Builds a fault plan from `--faults` / `--fault-seed`, resolving link
-/// selectors against the platform's WAN links. Returns the plan with the
-/// horizon it was generated to, or `None` when no `--faults` spec was given.
+/// selectors against the platform's WAN links. Returns the plan and the
+/// horizon it was generated to, both `None` when no `--faults` spec was given.
 fn build_fault_plan(
     options: &HashMap<String, String>,
     platform_spec: &PlatformSpec,
     trace_len: usize,
-) -> Result<Option<(FaultPlan, f64)>, String> {
+) -> Result<(Option<FaultPlan>, Option<f64>), String> {
     let fault_seed: u64 = parsed(options, "fault-seed", "a number")?.unwrap_or(7);
     let Some(spec_text) = options.get("faults") else {
-        return Ok(None);
+        return Ok((None, None));
     };
     let config = parse_fault_spec(spec_text)?;
     let platform = Platform::build(platform_spec).map_err(|e| e.to_string())?;
@@ -285,7 +285,7 @@ fn build_fault_plan(
         config.horizon_s / 3600.0,
         fault_seed
     );
-    Ok(Some((plan, config.horizon_s)))
+    Ok((Some(plan), Some(config.horizon_s)))
 }
 
 /// Applies every execution-config override flag that is present: the
@@ -459,14 +459,13 @@ fn cmd_simulate(options: &HashMap<String, String>) -> Result<(), String> {
         config.platform.sites.len(),
         execution.allocation_policy
     );
-    let fault_plan = build_fault_plan(options, &config.platform, trace.len())?;
+    let (fault_plan, fault_horizon_s) = build_fault_plan(options, &config.platform, trace.len())?;
     let mut builder = Simulation::builder()
         .platform_spec(&config.platform)
         .map_err(|e| e.to_string())?
         .trace(trace)
         .execution(execution);
-    let fault_horizon_s = fault_plan.as_ref().map(|(_, horizon_s)| *horizon_s);
-    if let Some((plan, _)) = fault_plan {
+    if let Some(plan) = fault_plan {
         builder = builder.fault_plan(plan);
     }
     builder = apply_observability(options, builder, &["trace-out"])?;
@@ -491,7 +490,7 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
         "simulating {jobs} jobs on {sites} sites with policy '{policy}'{}",
         if streamed { " (streamed)" } else { "" }
     );
-    let fault_plan = build_fault_plan(options, &platform, jobs)?;
+    let (fault_plan, fault_horizon_s) = build_fault_plan(options, &platform, jobs)?;
     let mut execution = ExecutionConfig::with_policy(&policy);
     apply_execution_flags(options, &mut execution)?;
     let builder = Simulation::builder()
@@ -505,8 +504,7 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
         builder.trace(generator.generate(&platform))
     };
     builder = builder.policy_name(&policy).execution(execution);
-    let fault_horizon_s = fault_plan.as_ref().map(|(_, horizon_s)| *horizon_s);
-    if let Some((plan, _)) = fault_plan {
+    if let Some(plan) = fault_plan {
         builder = builder.fault_plan(plan);
     }
     builder = apply_observability(options, builder, &["trace-out", "trace"])?;
