@@ -353,6 +353,44 @@ mod tests {
         );
     }
 
+    /// Pins the response-cache key of four spellings, so a refactor of the
+    /// fault-input paths provably leaves every serve cache key where it was.
+    #[test]
+    fn canonical_hash_golden() {
+        let base = base();
+        let plain = ScenarioSpec::new(base.clone(), ExecutionConfig::default());
+        let delta = ScenarioDelta {
+            policy: Some("round-robin".into()),
+            checkpoint: Some(CheckpointConfig::every(600.0)),
+            repair: Some(RepairConfig {
+                enabled: true,
+                ..RepairConfig::default()
+            }),
+            ..ScenarioDelta::default()
+        };
+        let hashes = [
+            plain.canonical_hash(),
+            plain
+                .clone()
+                .with_faults("kill:rate=1;horizon=12h")
+                .with_fault_seed(3)
+                .canonical_hash(),
+            plain.clone().with_faults("").canonical_hash(),
+            delta
+                .resolve(&base, &ExecutionConfig::default())
+                .canonical_hash(),
+        ];
+        assert_eq!(
+            hashes,
+            [
+                13728694417304163428,
+                10499893755508755294,
+                13728694417304163428,
+                10873736596840504284,
+            ]
+        );
+    }
+
     #[test]
     fn delta_resolution_inherits_the_base_execution() {
         let base = base();
