@@ -47,18 +47,15 @@
 #![warn(rust_2018_idioms)]
 
 pub mod config;
-pub mod experiment;
 pub mod queue_model;
 pub mod results;
 pub mod scenario;
 pub mod simulation;
-pub mod sweep;
 
 pub use config::{
     CheckpointConfig, CheckpointTarget, ComputeMode, ExecutionConfig, RepairConfig,
     SimulationConfig,
 };
-pub use experiment::{compare_policies, compare_policies_faulted, ComparisonReport, ComparisonRow};
 pub use queue_model::QueueModel;
 pub use results::SimulationResults;
 pub use scenario::{
@@ -66,4 +63,3 @@ pub use scenario::{
     ScenarioSpec, ServeRequest,
 };
 pub use simulation::{Simulation, SimulationBuilder, SimulationError};
-pub use sweep::{run_sweep, run_sweep_on, sweep_csv, SweepOutcome, SweepPoint, SweepRow};

@@ -2,10 +2,10 @@
 //!
 //! The engine owns the three shared pieces every evaluation needs — the
 //! policy registry, the deterministic response cache and the run counter —
-//! and evaluates [`ScenarioSpec`] batches over the same self-scheduling
-//! worker pool that powers `run_sweep`. It is `Sync`: sweeps, the calibrator
-//! and the `cgsim serve` front end all hold one engine and evaluate through
-//! shared references.
+//! and evaluates [`ScenarioSpec`] batches over a self-scheduling worker
+//! pool. It is the one batch API: parameter sweeps, policy comparisons, the
+//! calibrator and the `cgsim serve` front end all hold one engine and call
+//! [`ScenarioEngine::evaluate_batch`] through shared references.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -323,4 +323,170 @@ where
                 .expect("every work item produced a result")
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ExecutionConfig;
+    use crate::scenario::ScenarioBase;
+    use cgsim_platform::presets::{example_platform, wlcg_platform};
+    use cgsim_platform::PlatformSpec;
+    use cgsim_workload::{Trace, TraceConfig, TraceGenerator};
+
+    fn spec(platform: PlatformSpec, jobs: usize, seed: u64) -> ScenarioSpec {
+        let trace = TraceGenerator::new(TraceConfig::with_jobs(jobs, seed)).generate(&platform);
+        ScenarioSpec::new(
+            ScenarioBase::shared(platform, trace),
+            ExecutionConfig::default(),
+        )
+    }
+
+    /// Five specs over alternating topologies and growing traces.
+    fn mixed_specs() -> Vec<ScenarioSpec> {
+        (0..5)
+            .map(|i| {
+                let platform = if i % 2 == 0 {
+                    example_platform()
+                } else {
+                    wlcg_platform(6, i as u64)
+                };
+                spec(platform, 60 + 10 * i, i as u64)
+            })
+            .collect()
+    }
+
+    /// Many tiny specs followed by a few large ones: the shape of a monotone
+    /// job-scaling sweep, where contiguous chunking would pile every large
+    /// spec onto the last worker.
+    fn skewed_specs() -> Vec<ScenarioSpec> {
+        (0..9)
+            .map(|i| spec(example_platform(), if i >= 7 { 400 } else { 20 }, i))
+            .collect()
+    }
+
+    fn bodies(engine: &ScenarioEngine, specs: &[ScenarioSpec]) -> Vec<Arc<str>> {
+        engine
+            .evaluate_batch(specs)
+            .into_iter()
+            .map(|o| o.expect("scenario runs").body)
+            .collect()
+    }
+
+    #[test]
+    fn serial_and_parallel_batches_agree_exactly() {
+        for specs in [mixed_specs(), skewed_specs()] {
+            let serial = bodies(&ScenarioEngine::new().parallel(false), &specs);
+            let parallel = bodies(&ScenarioEngine::new(), &specs);
+            assert_eq!(serial.len(), specs.len());
+            assert_eq!(serial, parallel);
+        }
+    }
+
+    #[test]
+    fn outcomes_keep_input_order() {
+        let specs = skewed_specs();
+        let outcomes = ScenarioEngine::new().evaluate_batch(&specs);
+        for (spec, outcome) in specs.iter().zip(outcomes) {
+            let outcome = outcome.unwrap();
+            assert_eq!(outcome.hash, spec.canonical_hash());
+            assert_eq!(outcome.results.outcomes.len(), spec.base.trace().len());
+        }
+    }
+
+    /// A 100-spec batch over one base holds one copy of the platform and
+    /// trace: with the specs and the engine gone, the originals are sole
+    /// owners again, so the worker path never deep-cloned them.
+    #[test]
+    fn shared_base_is_not_deep_cloned() {
+        let platform = Arc::new(example_platform());
+        let trace: Arc<Trace> =
+            Arc::new(TraceGenerator::new(TraceConfig::with_jobs(40, 9)).generate(&platform));
+        let base = ScenarioBase::shared(platform.clone(), trace.clone());
+        let specs: Vec<ScenarioSpec> = (0..100)
+            .map(|i| {
+                let execution = ExecutionConfig {
+                    seed: i + 1,
+                    ..ExecutionConfig::default()
+                };
+                ScenarioSpec::new(base.clone(), execution)
+            })
+            .collect();
+        drop(base);
+        let engine = ScenarioEngine::new();
+        let outcomes = engine.evaluate_batch(&specs);
+        assert!(outcomes.iter().all(Result::is_ok));
+        assert_eq!(engine.simulations_run(), 100);
+        drop((outcomes, specs, engine));
+        assert_eq!(Arc::strong_count(&platform), 1);
+        assert_eq!(Arc::strong_count(&trace), 1);
+    }
+
+    #[test]
+    fn identical_specs_share_one_run_and_later_batches_hit_the_cache() {
+        let engine = ScenarioEngine::new();
+        let one = spec(example_platform(), 30, 4);
+        let outcomes = bodies(&engine, &[one.clone(), one.clone(), one.clone()]);
+        assert_eq!(engine.simulations_run(), 1, "identical specs dedupe");
+        assert!(outcomes.iter().all(|b| *b == outcomes[0]));
+        let again = engine.evaluate_batch(&[one.clone(), one]);
+        assert_eq!(engine.simulations_run(), 1);
+        assert!(again.iter().all(|o| o.as_ref().unwrap().cached));
+        assert_eq!(engine.cache_counters().hits, 4);
+    }
+
+    #[test]
+    fn an_unknown_policy_fails_only_its_own_slot() {
+        let mut specs = mixed_specs();
+        specs[1].execution.allocation_policy = "does-not-exist".into();
+        let outcomes = ScenarioEngine::new().evaluate_batch(&specs);
+        for (i, outcome) in outcomes.iter().enumerate() {
+            match i {
+                1 => assert!(matches!(outcome, Err(SimulationError::UnknownPolicy(_)))),
+                _ => assert!(outcome.is_ok()),
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_batch_is_fine() {
+        assert!(ScenarioEngine::new().evaluate_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn custom_policies_run_through_the_registry() {
+        use cgsim_platform::SiteId;
+        use cgsim_policies::{AllocationPolicy, GridView};
+        use cgsim_workload::JobRecord;
+
+        struct PinFirst;
+        impl AllocationPolicy for PinFirst {
+            fn name(&self) -> &str {
+                "pin-first"
+            }
+            fn assign_job(&mut self, _job: &JobRecord, _view: &GridView) -> Option<SiteId> {
+                Some(SiteId::new(0))
+            }
+        }
+
+        let mut registry = PolicyRegistry::with_builtins();
+        registry.register("pin-first", |_| Box::new(PinFirst));
+        let base = spec(example_platform(), 120, 91).base;
+        let specs: Vec<ScenarioSpec> = ["pin-first", "least-loaded", "round-robin"]
+            .into_iter()
+            .map(|p| ScenarioSpec::new(base.clone(), ExecutionConfig::with_policy(p)))
+            .collect();
+        let makespans: Vec<f64> = ScenarioEngine::with_registry(registry)
+            .evaluate_batch(&specs)
+            .into_iter()
+            .map(|o| {
+                let metrics = &o.expect("policy is registered").results.metrics;
+                assert_eq!(metrics.failure_rate, 0.0);
+                metrics.makespan_s
+            })
+            .collect();
+        assert!(makespans.iter().all(|&m| m > 0.0));
+        // Pinning everything to one site cannot beat load balancing.
+        assert!(makespans[0] >= makespans[1]);
+    }
 }

@@ -9,8 +9,8 @@
 //!   spec + workload trace), held behind `Arc` and content-hashed once so a
 //!   thousand scenarios share one copy,
 //! * [`ScenarioSpec`] — one runnable scenario: a base reference plus the
-//!   cheap deltas (execution config, `--faults` spec text, fault seed, or an
-//!   explicit pre-generated plan),
+//!   cheap deltas (execution config, `--faults` spec text and fault seed —
+//!   the same fault input the CLI takes),
 //! * [`ScenarioDelta`] — the serialisable delta shape used by the JSONL
 //!   `cgsim serve` protocol: every field optional, resolved against the
 //!   server's base execution config,
@@ -23,9 +23,9 @@
 //! (pinned by the CI determinism gates): the canonical hash of a spec fully
 //! determines the deterministic subset of [`SimulationResults`]. Equivalent
 //! scenarios must therefore hash identically however they are spelled —
-//! see [`hash`] for the canonical form, and the normalisations below for
-//! fault plans (an empty plan, an empty spec string and no plan at all are
-//! one scenario; the fault seed only matters when a fault spec is present).
+//! see [`hash`] for the canonical form, and [`ScenarioSpec::canonical_hash`]
+//! for the fault normalisation (an empty spec string is the same scenario as
+//! no faults; the fault seed only matters when a fault spec is present).
 
 pub mod cache;
 pub mod engine;
@@ -132,10 +132,6 @@ pub struct ScenarioSpec {
     pub faults: Option<String>,
     /// Seed for fault-plan generation (ignored without a fault spec).
     pub fault_seed: u64,
-    /// An explicit pre-generated fault plan. Takes precedence over
-    /// [`ScenarioSpec::faults`] and is hashed by content, so two specs
-    /// sharing one `Arc`ed plan are one scenario.
-    pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
 impl ScenarioSpec {
@@ -146,7 +142,6 @@ impl ScenarioSpec {
             execution,
             faults: None,
             fault_seed: DEFAULT_FAULT_SEED,
-            fault_plan: None,
         }
     }
 
@@ -162,54 +157,35 @@ impl ScenarioSpec {
         self
     }
 
-    /// Attaches an explicit, already-generated fault plan.
-    pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// The canonical hash identifying this scenario — the response-cache key.
     ///
     /// Equivalent scenarios hash identically: object key order and
     /// absent-vs-`null` optionals are canonicalised away (see [`hash`]), and
-    /// the fault state is normalised so `faults: None`, `faults: Some("")`
-    /// and an explicit *empty* plan — all bit-identical runs by the
-    /// empty-plan invariant — share one key, with the fault seed folded in
-    /// only when a fault spec is actually present.
+    /// the fault state is normalised so `faults: None` and `faults: Some("")`
+    /// — bit-identical runs — share one key, with the fault seed folded in
+    /// only when a fault spec is actually present. The tag bytes (`0` no
+    /// faults, `2` spec text) are part of every serve cache key;
+    /// `canonical_hash_golden` pins them.
     pub fn canonical_hash(&self) -> u64 {
         let mut h = self.base.content_hash();
         let execution = serde_json::to_value(&self.execution).expect("execution config serialises");
         h = hash::hash_value(h, &execution);
-        match (&self.fault_plan, self.faults.as_deref()) {
-            (Some(plan), _) if !plan.events.is_empty() => {
-                h = hash::fnv1a(h, &[1]);
-                let plan = serde_json::to_value(&**plan).expect("fault plan serialises");
-                hash::hash_value(h, &plan)
-            }
-            (Some(_), _) => hash::fnv1a(h, &[0]),
-            (None, Some(spec)) if !spec.is_empty() => {
+        match self.faults.as_deref() {
+            Some(spec) if !spec.is_empty() => {
                 h = hash::fnv1a(h, &[2]);
                 h = hash::fnv1a(h, &(spec.len() as u64).to_le_bytes());
                 h = hash::fnv1a(h, spec.as_bytes());
                 hash::fnv1a(h, &self.fault_seed.to_le_bytes())
             }
-            (None, _) => hash::fnv1a(h, &[0]),
+            _ => hash::fnv1a(h, &[0]),
         }
     }
 
-    /// Materialises the fault plan this scenario runs under: the explicit
-    /// plan if attached, else one generated from the spec text exactly like
-    /// the CLI does (`parse_fault_spec` → `FaultTopology::for_platform` →
-    /// `FaultPlan::generate`), else `None`. Empty plans collapse to `None`
-    /// (bit-identical either way).
+    /// Materialises the fault plan this scenario runs under, generated from
+    /// the spec text exactly like the CLI does (`parse_fault_spec` →
+    /// `FaultTopology::for_platform` → `FaultPlan::generate`); `None` without
+    /// a fault spec.
     pub fn build_fault_plan(&self) -> Result<Option<FaultPlan>, SimulationError> {
-        if let Some(plan) = &self.fault_plan {
-            return Ok(if plan.events.is_empty() {
-                None
-            } else {
-                Some((**plan).clone())
-            });
-        }
         let Some(spec_text) = self.faults.as_deref().filter(|s| !s.is_empty()) else {
             return Ok(None);
         };
@@ -334,11 +310,7 @@ mod tests {
         let base = base();
         let plain = ScenarioSpec::new(base.clone(), ExecutionConfig::default());
         let empty_text = plain.clone().with_faults("");
-        let empty_plan = plain
-            .clone()
-            .with_fault_plan(Arc::new(FaultPlan::default()));
         assert_eq!(plain.canonical_hash(), empty_text.canonical_hash());
-        assert_eq!(plain.canonical_hash(), empty_plan.canonical_hash());
         // The fault seed is irrelevant without a fault spec…
         assert_eq!(
             plain.canonical_hash(),

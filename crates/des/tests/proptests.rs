@@ -1,6 +1,6 @@
 //! Property-based tests for the DES substrate.
 
-use cgsim_des::stats::{geometric_mean, mean, percentile_sorted, OnlineStats, Summary};
+use cgsim_des::stats::{geometric_mean, mean, percentile_sorted, Summary};
 use cgsim_des::{EventQueue, FluidModel, Rng, SimTime};
 use proptest::prelude::*;
 
@@ -182,25 +182,6 @@ proptest! {
         let gm = geometric_mean(&values);
         let am = mean(&values);
         prop_assert!(gm <= am * (1.0 + 1e-9));
-    }
-
-    /// Merging two online accumulators equals accumulating everything at once.
-    #[test]
-    fn online_stats_merge_consistency(
-        a in prop::collection::vec(-1e4f64..1e4, 0..100),
-        b in prop::collection::vec(-1e4f64..1e4, 0..100),
-    ) {
-        let mut sa = OnlineStats::new();
-        let mut sb = OnlineStats::new();
-        let mut sall = OnlineStats::new();
-        for &x in &a { sa.push(x); sall.push(x); }
-        for &x in &b { sb.push(x); sall.push(x); }
-        sa.merge(&sb);
-        prop_assert_eq!(sa.count(), sall.count());
-        if sall.count() > 0 {
-            prop_assert!((sa.mean() - sall.mean()).abs() < 1e-6);
-            prop_assert!((sa.variance() - sall.variance()).abs() < 1e-4);
-        }
     }
 
     /// Uniform samples stay in [0,1) and weighted choice never picks an index

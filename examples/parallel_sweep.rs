@@ -11,25 +11,25 @@
 //! cargo run --release --example parallel_sweep
 //! ```
 
-use cgsim::core::sweep::{run_sweep_on, sweep_csv, SweepPoint};
-use cgsim::core::ScenarioEngine;
+use std::sync::Arc;
+
 use cgsim::prelude::*;
 
 fn main() {
     let jobs_per_site = 150;
+    let site_counts = [1usize, 2, 5, 10, 20, 30];
 
-    // Platform and trace move into the point once and are Arc-shared from
-    // there: fanning a point out to worker threads never deep-clones them.
-    let points: Vec<SweepPoint> = [1usize, 2, 5, 10, 20, 30]
+    // One base per topology; the platform and trace move into it once and
+    // are Arc-shared from there, so fanning a spec out to a worker thread
+    // never deep-clones them.
+    let specs: Vec<ScenarioSpec> = site_counts
         .iter()
         .map(|&sites| {
             let platform = wlcg_platform(sites, 7);
             let trace = TraceGenerator::new(TraceConfig::with_jobs(sites * jobs_per_site, 13))
                 .generate(&platform);
-            SweepPoint::new(
-                format!("sites={sites}"),
-                platform,
-                trace,
+            ScenarioSpec::new(
+                ScenarioBase::shared(platform, trace),
                 ExecutionConfig::default(),
             )
         })
@@ -37,7 +37,11 @@ fn main() {
 
     let engine = ScenarioEngine::new();
     let started = std::time::Instant::now();
-    let outcomes = run_sweep_on(&engine, points.clone()).expect("sweep runs");
+    let outcomes: Vec<Arc<SimulationResults>> = engine
+        .evaluate_batch(&specs)
+        .into_iter()
+        .map(|o| o.expect("sweep runs").results)
+        .collect();
     println!(
         "ran {} simulations in {:.2?} across {} worker threads\n",
         outcomes.len(),
@@ -46,25 +50,35 @@ fn main() {
             .map(|n| n.get())
             .unwrap_or(1)
     );
-    println!("{}", sweep_csv(&outcomes));
+    println!("label,jobs,makespan_s,engine_events,wall_clock_s,mean_queue_time_s,failure_rate");
+    for (sites, r) in site_counts.iter().zip(&outcomes) {
+        let m = &r.metrics;
+        println!(
+            "sites={sites},{},{:.3},{},{:.4},{:.3},{:.4}",
+            m.total_jobs,
+            m.makespan_s,
+            r.engine_events,
+            r.wall_clock_s,
+            m.queue_time.as_ref().map_or(0.0, |q| q.mean),
+            m.failure_rate
+        );
+    }
+    println!();
 
     // The multi-site scaling shape of Fig. 4(b): simulator work (engine
     // events) grows close to linearly with the number of sites.
     let xs: Vec<f64> = outcomes
         .iter()
-        .map(|o| o.results.metrics.total_jobs as f64)
+        .map(|r| r.metrics.total_jobs as f64)
         .collect();
-    let ys: Vec<f64> = outcomes
-        .iter()
-        .map(|o| o.results.engine_events as f64)
-        .collect();
+    let ys: Vec<f64> = outcomes.iter().map(|r| r.engine_events as f64).collect();
     let k = cgsim::des::stats::scaling_exponent(&xs, &ys);
     println!("engine-event scaling exponent vs workload size: {k:.2} (≈1 is linear)");
 
     // Second pass over the same sweep: every point is a cache hit, no
     // simulation reruns.
     let started = std::time::Instant::now();
-    let again = run_sweep_on(&engine, points).expect("sweep replays");
+    let again = engine.evaluate_batch(&specs);
     let counters = engine.cache_counters();
     println!(
         "\nreplayed {} points in {:.2?}: {} cache hits, {} simulations run in total",

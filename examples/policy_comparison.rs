@@ -14,16 +14,22 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use cgsim::core::ScenarioSpec;
+use std::sync::Arc;
+
 use cgsim::prelude::*;
 
 fn main() {
     let platform = wlcg_platform(15, 9);
     let trace = TraceGenerator::new(TraceConfig::with_jobs(3_000, 21)).generate(&platform);
-    let registry = PolicyRegistry::with_builtins();
+    let jobs = trace.len();
 
-    // 1. Allocation-policy comparison under identical conditions
-    //    (compare_policies itself batches through a scenario engine).
+    // One shared base for every run below: the platform and trace are
+    // content-hashed once, never cloned per run.
+    let engine = ScenarioEngine::new();
+    let base = ScenarioBase::shared(platform, trace);
+
+    // 1. Allocation-policy comparison under identical conditions: one
+    //    execution delta per policy, evaluated as one batch.
     let policies = [
         "least-loaded",
         "round-robin",
@@ -36,32 +42,42 @@ fn main() {
         "capacity-proportional",
         "historical-panda",
     ];
-    let report = compare_policies(
-        &platform,
-        &trace,
-        &policies,
-        &ExecutionConfig::default(),
-        &registry,
-    )
-    .expect("all policies are registered");
+    let specs: Vec<ScenarioSpec> = policies
+        .iter()
+        .map(|&policy| ScenarioSpec::new(base.clone(), ExecutionConfig::with_policy(policy)))
+        .collect();
+    let runs: Vec<(&str, Arc<SimulationResults>)> = policies
+        .iter()
+        .zip(engine.evaluate_batch(&specs))
+        .map(|(&policy, o)| (policy, o.expect("all policies are registered").results))
+        .collect();
+    println!("# Allocation policies ({jobs} jobs, 15 sites)\n");
+    println!("policy,makespan_s,mean_queue_time_s,p95_queue_time_s,mean_walltime_s,throughput_per_hour,staged_bytes,wall_clock_s");
+    for (policy, r) in &runs {
+        let m = &r.metrics;
+        let queue = m.queue_time.as_ref();
+        println!(
+            "{policy},{:.3},{:.3},{:.3},{:.3},{:.3},{},{:.4}",
+            m.makespan_s,
+            queue.map_or(0.0, |q| q.mean),
+            queue.map_or(0.0, |q| q.p95),
+            m.walltime.as_ref().map_or(0.0, |w| w.mean),
+            m.throughput_per_hour,
+            m.staged_bytes,
+            r.wall_clock_s
+        );
+    }
+    let best = |key: fn(&MetricsReport) -> f64| {
+        runs.iter()
+            .min_by(|a, b| key(&a.1.metrics).total_cmp(&key(&b.1.metrics)))
+            .expect("non-empty comparison")
+    };
+    let (fastest, fastest_run) = best(|m| m.makespan_s);
     println!(
-        "# Allocation policies ({} jobs, {} sites)\n",
-        trace.len(),
-        15
+        "\nbest makespan: {fastest} ({:.1} h); best mean queue time: {}",
+        fastest_run.metrics.makespan_s / 3600.0,
+        best(|m| m.queue_time.as_ref().map_or(0.0, |q| q.mean)).0
     );
-    println!("{}", report.to_csv());
-    let best = report.best_by_makespan().expect("non-empty comparison");
-    println!(
-        "best makespan: {} ({:.1} h); best mean queue time: {}",
-        best.policy,
-        best.makespan_s / 3600.0,
-        report.best_by_queue_time().expect("non-empty").policy
-    );
-
-    // One shared base for every ablation below: the platform and trace are
-    // content-hashed once, never cloned per run.
-    let engine = ScenarioEngine::with_registry(registry);
-    let base = ScenarioBase::shared(platform, trace);
 
     // 2. Data-movement ablation: cache admission policies change WAN traffic.
     println!("\n# Data-movement policies (staged bytes over the WAN)\n");

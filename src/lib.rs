@@ -67,10 +67,9 @@ pub mod prelude {
     pub use cgsim_baseline::BaselineSimulator;
     pub use cgsim_calibrate::{Calibrator, OptimizerKind, SensitivityStudy};
     pub use cgsim_core::{
-        compare_policies, compare_policies_faulted, run_sweep, run_sweep_on, serve_loop,
-        CheckpointConfig, CheckpointTarget, ComputeMode, ExecutionConfig, QueueModel, RepairConfig,
-        ScenarioBase, ScenarioDelta, ScenarioEngine, ScenarioSpec, ServeRequest, Simulation,
-        SimulationConfig, SimulationResults, SweepPoint,
+        serve_loop, CheckpointConfig, CheckpointTarget, ComputeMode, ExecutionConfig, QueueModel,
+        RepairConfig, ScenarioBase, ScenarioDelta, ScenarioEngine, ScenarioSpec, ServeRequest,
+        Simulation, SimulationConfig, SimulationResults,
     };
     pub use cgsim_data::SourceSelection;
     pub use cgsim_des::SimTime;

@@ -17,6 +17,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -238,10 +239,10 @@ fn cmd_init(options: &HashMap<String, String>) -> Result<(), String> {
             .cloned()
             .unwrap_or_else(|| "cgsim-run".to_string()),
     );
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let sites: usize = parsed(options, "sites", "a number")?.unwrap_or(10);
+    let sites = parsed(options, "sites", "a positive number")?.map_or(10, NonZeroUsize::get);
     let jobs: usize = parsed(options, "jobs", "a number")?.unwrap_or(1_000);
     let seed: u64 = parsed(options, "seed", "a number")?.unwrap_or(42);
+    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
 
     let platform = wlcg_platform(sites, seed);
     platform
@@ -475,7 +476,7 @@ fn cmd_simulate(options: &HashMap<String, String>) -> Result<(), String> {
 
 /// `cgsim demo`: synthesise a platform + trace and run immediately.
 fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
-    let sites: usize = parsed(options, "sites", "a number")?.unwrap_or(10);
+    let sites = parsed(options, "sites", "a positive number")?.map_or(10, NonZeroUsize::get);
     let jobs: usize = parsed(options, "jobs", "a number")?.unwrap_or(1_000);
     let seed: u64 = parsed(options, "seed", "a number")?.unwrap_or(42);
     let policy = options

@@ -31,6 +31,17 @@ fn unparsable_numbers_are_errors_not_defaults() {
     assert_rejected(&["demo", "--jobs", "10k"], "--jobs '10k'");
     assert_rejected(&["demo", "--sites", "many"], "--sites 'many'");
     assert_rejected(&["init", "--seed", "-1"], "--seed '-1'");
+    // Zero sites is a usage error, not a panic in the platform preset.
+    assert_rejected(
+        &["demo", "--sites", "0"],
+        "--sites '0' is not a positive number",
+    );
+    let dir = std::env::temp_dir().join(format!("cgsim-cli-zero-{}", std::process::id()));
+    assert_rejected(
+        &["init", "--dir", &dir.to_string_lossy(), "--sites", "0"],
+        "--sites '0' is not a positive number",
+    );
+    assert!(!dir.exists(), "a rejected init writes nothing");
     // Checked even without a `--faults` spec to apply it to.
     assert_rejected(
         &["demo", "--jobs", "5", "--fault-seed", "x"],
