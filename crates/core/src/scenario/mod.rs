@@ -183,8 +183,9 @@ impl ScenarioSpec {
 
     /// Materialises the fault plan this scenario runs under, generated from
     /// the spec text exactly like the CLI does (`parse_fault_spec` →
-    /// `FaultTopology::for_platform` → `FaultPlan::generate`); `None` without
-    /// a fault spec.
+    /// `FaultTopology::for_platform` → `check` → `FaultPlan::generate`);
+    /// `None` without a fault spec. A spec that does not parse or names a
+    /// site or link the platform lacks is `InvalidScenario`.
     pub fn build_fault_plan(&self) -> Result<Option<FaultPlan>, SimulationError> {
         let Some(spec_text) = self.faults.as_deref().filter(|s| !s.is_empty()) else {
             return Ok(None);
@@ -193,6 +194,9 @@ impl ScenarioSpec {
         let platform = Platform::build(self.base.platform())
             .map_err(|e| SimulationError::Platform(e.to_string()))?;
         let topology = FaultTopology::for_platform(&platform, self.base.trace().len());
+        topology
+            .check(&config)
+            .map_err(SimulationError::InvalidScenario)?;
         Ok(Some(FaultPlan::generate(
             &config,
             &topology,

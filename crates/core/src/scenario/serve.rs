@@ -597,6 +597,27 @@ not json
     }
 
     #[test]
+    fn a_fault_target_outside_the_platform_is_an_error_line_never_cached() {
+        let far = r#"{"id":"far","faults":"outage:site=7,mttf=1h,mttr=1m"}"#;
+        let input = format!(
+            "{far}\n{far}\n{}\n{{\"cmd\":\"stats\"}}\n",
+            r#"{"id":"link","faults":"degrade:link=99,factor=0.5,mttf=1h,mttr=1m"}"#
+        );
+        let (out, _) = drive(&input);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 4);
+        let refused =
+            r#"{"id":"far","ok":false,"error":"invalid scenario: outage: site 7 does not exist"#;
+        assert!(lines[0].starts_with(refused), "{}", lines[0]);
+        assert_eq!(
+            lines[0], lines[1],
+            "the repeat is refused again, not served"
+        );
+        assert!(lines[2].contains("degrade: WAN link 99 does not exist"));
+        assert!(lines[3].contains(r#""hits":0"#) && lines[3].contains(r#""simulations_run":0"#));
+    }
+
+    #[test]
     fn stats_and_shutdown_commands_work() {
         let input = r#"{"id":"q","seed":4}
 {"id":"q","seed":4}

@@ -640,6 +640,12 @@ impl Simulation {
             model
                 .profiler
                 .add_counter("queue_heap_peak", queue.heap_peak() as u64);
+            model
+                .profiler
+                .add_counter("queue_slab_slots", queue.slab_slots() as u64);
+            model
+                .profiler
+                .add_counter("queue_occupied_slots", queue.status_entries() as u64);
             Some(model.profiler.report(&policy_name))
         } else {
             None

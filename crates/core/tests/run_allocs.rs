@@ -7,11 +7,10 @@
 //! The parent of the change that added this test paid 6.9 (a cloned
 //! `hist_site`, an outcome's site name, an event row's site name per
 //! transition, a completion list per fluid event, a staging plan, a third
-//! copy of each dataset name). What is left — 0.239 per job here and at
-//! N = 16k and 50k; up to 0.30 in a window where a one-off lands, 1k and 8k
-//! — is not in the per-job stores: the catalog's registration of a dataset
-//! per 50-job task (two name strings, a replica set) and the B-tree nodes of
-//! the event queue's straggler set.
+//! copy of each dataset name). What is left — 0.181 per job here — is not in
+//! the per-job stores: the catalog's registration of a dataset per 50-job
+//! task (two name strings, a replica list). It was 0.239 while the event
+//! queue still kept B-tree nodes for its long-pending events.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

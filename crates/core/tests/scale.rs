@@ -13,8 +13,9 @@
 //! * (release-mode, `--ignored`) the per-event cost of a 200-site grid stays
 //!   within 2× that of a 12-site grid running the same jobs — a same-process
 //!   ratio, so it holds on any runner,
-//! * a clean run pushes only genuinely dynamic events onto the engine's heap
-//!   (counted, not timed).
+//! * a clean run pushes only genuinely dynamic events onto the engine's heap,
+//!   and under outages and overlapped checkpoints the queue's slot slab never
+//!   holds more slots than the heap held entries (both counted, not timed).
 
 use cgsim_core::{
     CheckpointConfig, CheckpointTarget, ExecutionConfig, Simulation, SimulationBuilder,
@@ -161,6 +162,13 @@ fn per_event_cost_at_200_sites_is_within_2x_of_12_sites() {
     );
 }
 
+/// A profiler counter of a run built with `.profile(true)`.
+fn profile_counter(results: &cgsim_core::SimulationResults, name: &str) -> u64 {
+    let profile = results.profile.as_ref().expect("profiling was requested");
+    let found = profile.counters.iter().find(|c| c.name == name);
+    found.unwrap_or_else(|| panic!("no {name} counter")).value
+}
+
 /// Clock-free gate on what reaches the engine's heap: submissions travel
 /// the preloaded lane and fluid completions the timer slot, so a clean run
 /// pushes at most a pilot start and an execution timer per job, never
@@ -178,11 +186,7 @@ fn clean_run_pushes_only_dynamic_events_onto_the_heap() {
         .run()
         .expect("simulation runs");
     assert_eq!(results.outcomes.len(), JOBS);
-    let profile = results.profile.expect("profiling was requested");
-    let counter = |name: &str| {
-        let found = profile.counters.iter().find(|c| c.name == name);
-        found.unwrap_or_else(|| panic!("no {name} counter")).value
-    };
+    let counter = |name: &str| profile_counter(&results, name);
     eprintln!(
         "heap pushes {}, cancels {}, heap peak {} on {cores} cores, engine events {}",
         counter("queue_scheduled"),
@@ -193,4 +197,39 @@ fn clean_run_pushes_only_dynamic_events_onto_the_heap() {
     assert!(counter("queue_scheduled") <= (2 * JOBS + SITES) as u64);
     assert_eq!(counter("queue_cancelled"), 0);
     assert!(counter("queue_heap_peak") <= cores.min(JOBS as u64 / 2));
+}
+
+/// Clock-free gate on the event queue's bookkeeping in the run that used to
+/// pin its status window: outages at every site keep a `Fault` event and
+/// long `ExecutionDone` timers pending while everything scheduled behind them
+/// retires, and overlapped checkpoint writes add churn. A slab slot is held
+/// only by a pending heap event, so the slab never outgrows the heap's peak
+/// and a finished run occupies no slot.
+#[test]
+fn faulted_run_holds_no_more_queue_slots_than_heap_entries() {
+    const JOBS: usize = 20_000;
+    let spec = wlcg_platform(12, 42);
+    let platform = Platform::build(&spec).expect("platform builds");
+    let config = parse_fault_spec("outage:site=all,mttf=2h,mttr=20m").expect("spec parses");
+    let plan = FaultPlan::generate(&config, &FaultTopology::for_platform(&platform, JOBS), 7);
+    let results = clean_streamed(platform, &spec, JOBS)
+        .execution(scale_exec())
+        .fault_plan(plan)
+        .profile(true)
+        .run()
+        .expect("simulation runs");
+    assert_eq!(results.outcomes.len(), JOBS);
+    assert!(results.grid_counters.site_outages > 0);
+    assert!(results.grid_counters.checkpoints_written > 0);
+    let counter = |name: &str| profile_counter(&results, name);
+    eprintln!(
+        "slab slots {}, heap peak {}, cancels {}, occupied at the end {}",
+        counter("queue_slab_slots"),
+        counter("queue_heap_peak"),
+        counter("queue_cancelled"),
+        counter("queue_occupied_slots")
+    );
+    assert!(counter("queue_cancelled") > 0, "outages cancel timers");
+    assert!(counter("queue_slab_slots") <= counter("queue_heap_peak"));
+    assert_eq!(counter("queue_occupied_slots"), 0);
 }

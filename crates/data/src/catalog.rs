@@ -1,6 +1,14 @@
 //! Datasets, replicas and the replica catalog.
+//!
+//! Each dataset's replica locations are a sorted `Vec<NodeId>`, not a set: a
+//! dataset has a handful of replicas (its origin, the sites that staged it,
+//! repair copies), so `contains` / insert / remove are a binary search over
+//! one small contiguous array instead of a walk over separately allocated
+//! B-tree nodes. The `Vec` iterates in the same ascending order the set did,
+//! which is what keeps [`ReplicaCatalog::replicas`], `select_source`'s
+//! tie-breaks and `evict_node_reporting` deterministic.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use cgsim_des::define_id;
 use cgsim_platform::{NodeId, Platform};
@@ -44,8 +52,8 @@ pub enum SourceSelection {
 pub struct ReplicaCatalog {
     datasets: Vec<Dataset>,
     names: HashMap<String, DatasetId>,
-    /// Replica locations per dataset (BTreeSet keeps iteration deterministic).
-    replicas: Vec<BTreeSet<NodeId>>,
+    /// Replica locations per dataset, sorted ascending without duplicates.
+    replicas: Vec<Vec<NodeId>>,
 }
 
 impl ReplicaCatalog {
@@ -66,7 +74,7 @@ impl ReplicaCatalog {
     ) -> DatasetId {
         let name = name.into();
         if let Some(&id) = self.names.get(&name) {
-            self.replicas[id.index()].insert(origin);
+            self.add_replica(id, origin);
             return id;
         }
         let id = DatasetId::new(self.datasets.len());
@@ -77,9 +85,7 @@ impl ReplicaCatalog {
             files,
             bytes,
         });
-        let mut locations = BTreeSet::new();
-        locations.insert(origin);
-        self.replicas.push(locations);
+        self.replicas.push(vec![origin]);
         id
     }
 
@@ -105,12 +111,15 @@ impl ReplicaCatalog {
 
     /// Adds a replica of `dataset` at `location`.
     pub fn add_replica(&mut self, dataset: DatasetId, location: NodeId) {
-        self.replicas[dataset.index()].insert(location);
+        let locations = &mut self.replicas[dataset.index()];
+        if let Err(at) = locations.binary_search(&location) {
+            locations.insert(at, location);
+        }
     }
 
     /// Removes the replica of `dataset` at `location`; returns whether it existed.
     pub fn remove_replica(&mut self, dataset: DatasetId, location: NodeId) -> bool {
-        self.replicas[dataset.index()].remove(&location)
+        remove_sorted(&mut self.replicas[dataset.index()], location)
     }
 
     /// Removes every replica held at `location` (a site outage invalidates
@@ -120,7 +129,7 @@ impl ReplicaCatalog {
     pub fn evict_node(&mut self, location: NodeId) -> usize {
         self.replicas
             .iter_mut()
-            .map(|locations| locations.remove(&location) as usize)
+            .map(|locations| remove_sorted(locations, location) as usize)
             .sum()
     }
 
@@ -130,7 +139,7 @@ impl ReplicaCatalog {
     pub fn evict_node_reporting(&mut self, location: NodeId) -> Vec<DatasetId> {
         let mut affected = Vec::new();
         for (index, locations) in self.replicas.iter_mut().enumerate() {
-            if locations.remove(&location) {
+            if remove_sorted(locations, location) {
                 affected.push(DatasetId::new(index));
             }
         }
@@ -144,7 +153,9 @@ impl ReplicaCatalog {
 
     /// True if `location` holds a replica of `dataset`.
     pub fn has_replica(&self, dataset: DatasetId, location: NodeId) -> bool {
-        self.replicas[dataset.index()].contains(&location)
+        self.replicas[dataset.index()]
+            .binary_search(&location)
+            .is_ok()
     }
 
     /// All replica locations of a dataset.
@@ -168,20 +179,14 @@ impl ReplicaCatalog {
         strategy: SourceSelection,
     ) -> Option<NodeId> {
         let locations = &self.replicas[dataset.index()];
-        if locations.is_empty() {
-            return None;
-        }
-        if locations.contains(&destination) {
+        let first = *locations.first()?;
+        if locations.binary_search(&destination).is_ok() {
             return Some(destination);
         }
         match strategy {
-            SourceSelection::MainServer => {
-                if locations.contains(&NodeId::MainServer) {
-                    Some(NodeId::MainServer)
-                } else {
-                    locations.iter().next().copied()
-                }
-            }
+            // The main server sorts before every site, so it is `first`
+            // whenever it holds a replica; otherwise the lowest site is.
+            SourceSelection::MainServer => Some(first),
             SourceSelection::LowestLatency => locations.iter().copied().min_by(|&a, &b| {
                 let la = platform.route(a, destination).latency_s;
                 let lb = platform.route(b, destination).latency_s;
@@ -194,6 +199,15 @@ impl ReplicaCatalog {
             }),
         }
     }
+}
+
+/// Removes `location` from a sorted replica list; returns whether it was there.
+fn remove_sorted(locations: &mut Vec<NodeId>, location: NodeId) -> bool {
+    let found = locations.binary_search(&location);
+    if let Ok(at) = found {
+        locations.remove(at);
+    }
+    found.is_ok()
 }
 
 #[cfg(test)]

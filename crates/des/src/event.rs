@@ -45,36 +45,31 @@
 //!
 //! # Cancellation and bounded memory
 //!
-//! Cancellation is lazy (a tombstone in the status table), so it is O(1)
-//! amortised and does not disturb the heap. Two mechanisms keep memory
-//! bounded under heavy cancellation (fault injection cancels timers
-//! constantly):
+//! Every pending heap event occupies one slot of a slab (`slots: Vec<u64>`
+//! plus a free list): `schedule` writes the event's sequence number into a
+//! free slot, and the returned [`EventKey`] — like the heap entry — carries
+//! `(sequence, slot)`. An event is pending iff its slot still holds its
+//! sequence number. Delivery and cancellation free the slot; sequence
+//! numbers are never reused, so the key of a delivered, cancelled or
+//! cleared event can never match again, even after its slot went to a new
+//! event. Lane and timer keys name no slot at all. The slab therefore holds
+//! exactly the pending heap events, however long one of them stays pending
+//! while millions retire behind it, and it needs no sweep.
 //!
-//! * **Heap tombstone compaction.** Whenever cancelled tombstones outnumber
-//!   live entries (beyond a small slack), the heap is rebuilt from its live
-//!   entries only. Rebuilding cannot change pop order: the `(time, seq)` key
-//!   is a total order, so the pop sequence is independent of the heap's
-//!   internal layout.
-//! * **Status-table windowing.** Statuses are kept in a `VecDeque` indexed by
-//!   `seq - base`, covering every sequence number from `base` up to the next
-//!   one to be drawn (lane events lie below the window and need no slot; a
-//!   timer arm occupies a slot that is retired from the start — skipping it
-//!   would shift every later lookup by one). Once the oldest events are all
-//!   retired, the front of the window is dropped. When a long-lived pending
-//!   event pins the front (a far-future maintenance timer while millions of
-//!   job events retire behind it), the window is swept instead: the
-//!   still-pending sequence numbers move to a small `stragglers` set and the
-//!   window restarts at the next sequence, keeping resident state O(live)
-//!   rather than O(total scheduled). A key below the window is pending iff
-//!   it is in the straggler set; anything else retired long ago, so `cancel`
-//!   on it is a reported no-op.
+//! Cancellation is lazy: it frees the slot and leaves the heap entry behind
+//! as a tombstone, so it is O(1) amortised and does not disturb the heap.
+//! Whenever tombstones outnumber live entries (beyond a small slack), the
+//! heap is rebuilt from its live entries only (fault injection cancels
+//! timers constantly). Rebuilding cannot change pop order: the
+//! `(time, seq)` key is a total order, so the pop sequence is independent
+//! of the heap's internal layout.
 //!
 //! The queue additionally maintains the invariant that the heap top is never
 //! a tombstone (skimming happens inside `cancel`/`pop`, the only operations
 //! that can put a tombstone on top). That makes [`EventQueue::peek_time`] an
 //! honest `&self` accessor instead of a `&mut self` lazy skim.
 
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -82,14 +77,23 @@ use crate::time::SimTime;
 /// rebuild thrash on tiny queues).
 const COMPACT_SLACK: usize = 64;
 
+/// Slot of the keys of lane and timer events, which occupy none.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Content of a free slot: no sequence number is ever drawn this large.
+const FREE: u64 = u64::MAX;
+
 /// Opaque handle identifying a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventKey(u64);
+pub struct EventKey {
+    seq: u64,
+    slot: u32,
+}
 
 impl EventKey {
     /// Raw sequence number (mostly useful in logs and tests).
     pub fn sequence(self) -> u64 {
-        self.0
+        self.seq
     }
 }
 
@@ -102,16 +106,6 @@ pub struct ScheduledEvent<E> {
     pub key: EventKey,
     /// The payload.
     pub event: E,
-}
-
-/// Whether a sequence number still stands for an undelivered heap event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventStatus {
-    /// Scheduled on the heap and not yet popped or cancelled.
-    Pending,
-    /// Delivered, cancelled, dropped by [`EventQueue::clear`] — or never on
-    /// the heap at all (the slot of a timer arm).
-    Retired,
 }
 
 /// Which of the three sources holds the next event.
@@ -127,6 +121,7 @@ enum Source {
 struct HeapEntry<E> {
     time: SimTime,
     seq: u64,
+    slot: u32,
     event: E,
 }
 
@@ -162,21 +157,14 @@ pub struct EventQueue<E> {
     /// The armed timer: fire time, sequence number of the arm, payload.
     timer: Option<(SimTime, u64, E)>,
     heap: BinaryHeap<HeapEntry<E>>,
-    /// Status window of recent sequence numbers, indexed by `seq - base` and
-    /// always reaching up to `next_seq`. Events below `base` are all retired
-    /// unless they appear in `stragglers`.
-    status: VecDeque<EventStatus>,
-    /// Sequence number of `status.front()`.
-    base: u64,
-    /// Still-pending events swept out of the window when a long-lived
-    /// pending event would otherwise pin `base` (at most `live` entries).
-    stragglers: BTreeSet<u64>,
+    /// The slab: the sequence number of the pending heap event each slot
+    /// tracks, or `FREE`.
+    slots: Vec<u64>,
+    /// Indices of the `FREE` slots, reused last-in first-out.
+    free: Vec<u32>,
     /// The next sequence number: lane events, `schedule` calls and timer
     /// arms all draw from this one counter.
     next_seq: u64,
-    /// Number of `Pending` heap events (never underflows because every
-    /// decrement is guarded by a `Pending` status check).
-    live: usize,
     scheduled_total: u64,
     cancelled_total: u64,
     heap_peak: usize,
@@ -202,52 +190,37 @@ impl<E> EventQueue<E> {
             lane_total: 0,
             timer: None,
             heap: BinaryHeap::with_capacity(cap),
-            status: VecDeque::with_capacity(cap),
-            base: 0,
-            stragglers: BTreeSet::new(),
+            slots: Vec::with_capacity(cap),
+            free: Vec::new(),
             next_seq: 0,
-            live: 0,
             scheduled_total: 0,
             cancelled_total: 0,
             heap_peak: 0,
         }
     }
 
-    fn is_pending(&self, seq: u64) -> bool {
-        match seq.checked_sub(self.base) {
-            Some(offset) => self.status.get(offset as usize).copied() == Some(EventStatus::Pending),
-            None => self.stragglers.contains(&seq),
-        }
+    /// Number of pending heap events (occupied slots).
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 
-    /// Drops the retired prefix of the status window; if a long-lived
-    /// pending event still pins the front while the window has outgrown the
-    /// live count, sweeps the remaining pending sequences into the straggler
-    /// set and restarts the window. Either way the resident status state is
-    /// O(live), never O(total scheduled).
-    fn compact_status(&mut self) {
-        while matches!(self.status.front(), Some(EventStatus::Retired)) {
-            self.status.pop_front();
-            self.base += 1;
-        }
-        if self.status.len() > 2 * self.live + COMPACT_SLACK {
-            for (offset, status) in self.status.iter().enumerate() {
-                if *status == EventStatus::Pending {
-                    self.stragglers.insert(self.base + offset as u64);
-                }
-            }
-            self.status.clear();
-            self.base = self.next_seq;
-        }
+    fn is_pending(&self, seq: u64, slot: u32) -> bool {
+        self.slots.get(slot as usize) == Some(&seq)
+    }
+
+    /// Frees the slot of a delivered or cancelled heap event.
+    fn retire(&mut self, slot: u32) {
+        self.slots[slot as usize] = FREE;
+        self.free.push(slot);
     }
 
     /// Restores the invariant that the heap top is not a tombstone.
     fn skim(&mut self) {
-        if self.heap.len() == self.live {
+        if self.heap.len() == self.live() {
             return; // every heap entry is pending: nothing to skim
         }
         while let Some(entry) = self.heap.peek() {
-            if self.is_pending(entry.seq) {
+            if self.is_pending(entry.seq, entry.slot) {
                 return;
             }
             self.heap.pop();
@@ -256,12 +229,10 @@ impl<E> EventQueue<E> {
 
     /// Rebuilds the heap from its live entries once tombstones dominate.
     fn maybe_compact_heap(&mut self) {
-        if self.heap.len() > 2 * self.live + COMPACT_SLACK {
-            let entries = std::mem::take(&mut self.heap).into_vec();
-            self.heap = entries
-                .into_iter()
-                .filter(|e| self.is_pending(e.seq))
-                .collect();
+        if self.heap.len() > 2 * self.live() + COMPACT_SLACK {
+            let slots = &self.slots;
+            self.heap
+                .retain(|e| slots.get(e.slot as usize) == Some(&e.seq));
         }
     }
 
@@ -281,7 +252,6 @@ impl<E> EventQueue<E> {
         lane.sort_by_key(|&(time, _)| time);
         self.lane_total = lane.len() as u64;
         self.next_seq = self.lane_total;
-        self.base = self.lane_total;
         self.lane = lane.into_iter();
     }
 
@@ -290,11 +260,25 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        self.status.push_back(EventStatus::Pending);
-        self.live += 1;
-        self.heap.push(HeapEntry { time, seq, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = seq;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("under 2^32 pending events");
+                self.slots.push(seq);
+                slot
+            }
+        };
+        self.heap.push(HeapEntry {
+            time,
+            seq,
+            slot,
+            event,
+        });
         self.heap_peak = self.heap_peak.max(self.heap.len());
-        EventKey(seq)
+        EventKey { seq, slot }
     }
 
     /// Arms the timer slot to deliver `event` at absolute time `time`,
@@ -303,8 +287,6 @@ impl<E> EventQueue<E> {
     pub fn arm_timer(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.status.push_back(EventStatus::Retired);
-        self.compact_status();
         self.timer = Some((time, seq, event));
     }
 
@@ -319,42 +301,30 @@ impl<E> EventQueue<E> {
     /// must not leave a tombstone behind, or the live count would drift), and
     /// so is the key of a lane or timer event.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        let Some(offset) = key.0.checked_sub(self.base) else {
-            // Below the window: pending only if it survived a sweep.
-            if !self.stragglers.remove(&key.0) {
-                return false; // retired long ago
-            }
-            self.live -= 1;
-            self.cancelled_total += 1;
-            self.skim();
-            self.maybe_compact_heap();
-            return true;
-        };
-        match self.status.get_mut(offset as usize) {
-            Some(status @ EventStatus::Pending) => {
-                *status = EventStatus::Retired;
-                self.live -= 1;
-                self.cancelled_total += 1;
-                self.compact_status();
-                self.skim();
-                self.maybe_compact_heap();
-                true
-            }
-            _ => false,
+        if !self.is_pending(key.seq, key.slot) {
+            return false;
         }
+        self.retire(key.slot);
+        self.cancelled_total += 1;
+        self.skim();
+        self.maybe_compact_heap();
+        true
     }
 
-    /// Time, sequence number and source of the next event: the minimum
-    /// `(time, seq)` over the heap top (never a tombstone), the armed timer
-    /// and the lane head.
-    fn head(&self) -> Option<(SimTime, u64, Source)> {
-        let mut best = self
-            .heap
-            .peek()
-            .map(|entry| (entry.time, entry.seq, Source::Heap));
+    /// Time, key and source of the next event: the minimum `(time, seq)`
+    /// over the heap top (never a tombstone), the armed timer and the lane
+    /// head.
+    fn head(&self) -> Option<(SimTime, EventKey, Source)> {
+        let mut best = self.heap.peek().map(|entry| {
+            let key = EventKey {
+                seq: entry.seq,
+                slot: entry.slot,
+            };
+            (entry.time, key, Source::Heap)
+        });
         let mut offer = |time: SimTime, seq: u64, source: Source| {
-            if best.is_none_or(|(t, s, _)| (time, seq) < (t, s)) {
-                best = Some((time, seq, source));
+            if best.is_none_or(|(t, k, _)| (time, seq) < (t, k.seq)) {
+                best = Some((time, EventKey { seq, slot: NO_SLOT }, source));
             }
         };
         if let Some((time, seq, _)) = &self.timer {
@@ -372,38 +342,23 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the next (earliest) non-cancelled event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let (time, seq, source) = self.head()?;
+        let (time, key, source) = self.head()?;
         let event = match source {
             Source::Lane => self.lane.next().expect("head saw a lane event").1,
             Source::Timer => self.timer.take().expect("head saw the timer").2,
-            Source::Heap => self.pop_heap(seq),
+            Source::Heap => self.pop_heap(),
         };
-        Some(ScheduledEvent {
-            time,
-            key: EventKey(seq),
-            event,
-        })
+        Some(ScheduledEvent { time, key, event })
     }
 
     /// Takes the heap top (pending, by the skim invariant) and retires it.
-    fn pop_heap(&mut self, seq: u64) -> E {
+    fn pop_heap(&mut self) -> E {
         let entry = self.heap.pop().expect("head saw a heap event");
         debug_assert!(
-            entry.seq == seq && self.is_pending(seq),
+            self.is_pending(entry.seq, entry.slot),
             "tombstone surfaced on top"
         );
-        match seq.checked_sub(self.base) {
-            Some(offset) => {
-                if let Some(status) = self.status.get_mut(offset as usize) {
-                    *status = EventStatus::Retired;
-                }
-            }
-            None => {
-                self.stragglers.remove(&seq);
-            }
-        }
-        self.live -= 1;
-        self.compact_status();
+        self.retire(entry.slot);
         self.skim();
         self.maybe_compact_heap();
         entry.event
@@ -421,13 +376,13 @@ impl<E> EventQueue<E> {
     /// removing it (cancellation-safe peek for callers that need to decide
     /// whether to cancel what they are looking at).
     pub fn peek_key(&self) -> Option<(SimTime, EventKey)> {
-        self.head().map(|(time, seq, _)| (time, EventKey(seq)))
+        self.head().map(|(time, key, _)| (time, key))
     }
 
     /// Number of events currently pending: undelivered lane events, the
     /// armed timer, and heap events not yet delivered or cancelled.
     pub fn len(&self) -> usize {
-        self.live + self.lane.len() + usize::from(self.timer.is_some())
+        self.live() + self.lane.len() + usize::from(self.timer.is_some())
     }
 
     /// True when no live events remain.
@@ -457,11 +412,16 @@ impl<E> EventQueue<E> {
         self.heap_peak
     }
 
-    /// Width of the status window plus swept stragglers (diagnostics: the
-    /// sweep keeps this within `2·live + O(1)` even when one early event
-    /// stays pending while millions retire behind it).
+    /// Occupied slab slots, i.e. pending heap events (diagnostics).
     pub fn status_entries(&self) -> usize {
-        self.status.len() + self.stragglers.len()
+        self.live()
+    }
+
+    /// Slots the slab holds, occupied or free: the most heap events pending
+    /// at once since the queue was created or cleared (a slot is added only
+    /// when every existing one is occupied).
+    pub fn slab_slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// Removes every pending event from all three sources (keys of dropped
@@ -475,10 +435,8 @@ impl<E> EventQueue<E> {
         self.lane = Vec::new().into_iter();
         self.timer = None;
         self.heap.clear();
-        self.status.clear();
-        self.base = self.next_seq;
-        self.stragglers.clear();
-        self.live = 0;
+        self.slots.clear();
+        self.free.clear();
     }
 }
 
@@ -522,7 +480,7 @@ mod tests {
     #[test]
     fn cancel_unknown_key_is_noop() {
         let mut q: EventQueue<&str> = EventQueue::new();
-        assert!(!q.cancel(EventKey(99)));
+        assert!(!q.cancel(EventKey { seq: 99, slot: 0 }));
     }
 
     #[test]
@@ -545,6 +503,19 @@ mod tests {
         assert!(q.cancel(k2));
         assert_eq!(q.len(), 0);
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn stale_key_misses_the_event_that_reused_its_slot() {
+        let mut q = EventQueue::new();
+        let old = q.schedule(SimTime::from_secs(1.0), "old");
+        assert!(q.cancel(old));
+        let new = q.schedule(SimTime::from_secs(2.0), "new");
+        assert_eq!(new.slot, old.slot, "the freed slot is reused");
+        assert!(!q.cancel(old), "the stale key names a retired sequence");
+        assert_eq!(q.len(), 1);
+        let delivered = q.pop().unwrap();
+        assert_eq!((delivered.event, delivered.key), ("new", new));
     }
 
     #[test]
@@ -590,14 +561,18 @@ mod tests {
         assert!(!q.cancel(k));
         assert_eq!(q.len(), 0);
         assert!(q.pop().is_none());
+        // Nor once a new event holds the slot again.
+        q.schedule(SimTime::ZERO, 2);
+        assert!(!q.cancel(k));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn tombstone_compaction_bounds_memory_and_preserves_pop_order() {
         // Heavy-cancellation regression: waves of schedule-then-cancel (the
-        // fault injector's timer pattern) must not grow the heap or the
-        // status window without bound, and the survivors must pop in exactly
-        // the order a cancellation-free queue would produce.
+        // fault injector's timer pattern) must not grow the heap or the slab
+        // without bound, and the survivors must pop in exactly the order a
+        // cancellation-free queue would produce.
         let mut q = EventQueue::new();
         let mut survivors = Vec::new();
         for wave in 0..100u64 {
@@ -620,6 +595,7 @@ mod tests {
                     q.len()
                 );
             }
+            assert!(q.slab_slots() <= 100 + q.len());
         }
         survivors.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut popped = Vec::new();
@@ -628,19 +604,19 @@ mod tests {
         }
         let expected: Vec<u64> = survivors.iter().map(|&(_, _, p)| p).collect();
         assert_eq!(popped, expected);
-        // Fully drained: both stores are empty again.
+        // Fully drained: the heap is empty and no slot is occupied.
         assert_eq!(q.heap_entries(), 0);
         assert_eq!(q.status_entries(), 0);
         assert_eq!(q.scheduled_total(), 10_000);
     }
 
     #[test]
-    fn pinned_base_does_not_grow_status_window() {
-        // Regression (PR 10): one far-future pending event used to pin
-        // `base`, so the status window grew to O(total events scheduled) —
-        // at 10⁶ job events behind a single maintenance timer that is a
-        // gigabyte-scale leak. The sweep must keep the resident status state
-        // O(live) throughout, and deliver everything in the right order.
+    fn far_future_event_keeps_the_slab_o_live() {
+        // Regression (PR 10): one far-future pending event must not make
+        // resident bookkeeping grow with the total number of events
+        // scheduled — at 10⁶ job events behind a single maintenance timer
+        // that is a gigabyte-scale leak. The slab holds the pending events
+        // and nothing else throughout, and everything delivers in order.
         let mut q = EventQueue::new();
         let far = q.schedule(SimTime::from_secs(1e12), u64::MAX);
 
@@ -653,7 +629,8 @@ mod tests {
                 let payload = wave * batch + i;
                 keys.push(q.schedule(SimTime::from_secs(payload as f64), payload));
             }
-            // Cancel a few per wave so the straggler path sees cancellation.
+            assert_eq!(q.status_entries(), q.len());
+            // Cancel a few per wave so freed slots come from both paths.
             for (n, key) in keys.iter().enumerate() {
                 if n % 250 == 0 {
                     assert!(q.cancel(*key));
@@ -664,16 +641,12 @@ mod tests {
                 assert!(ev.event >= next_expected, "pop went backwards");
                 next_expected = ev.event + 1;
             }
-            assert!(
-                q.status_entries() <= 2 * q.len() + 2 * 64 + 2,
-                "status state grew unboundedly: {} entries for {} live",
-                q.status_entries(),
-                q.len()
-            );
+            assert_eq!(q.status_entries(), 1, "only the far event holds a slot");
+            assert_eq!(q.slab_slots(), batch as usize + 1, "slots are reused");
         }
 
-        // The far-future straggler is still pending, cancellable, and the
-        // queue drains clean.
+        // The far-future event is still pending, cancellable, and the queue
+        // drains clean.
         assert_eq!(q.len(), 1);
         assert!(q.cancel(far));
         assert!(!q.cancel(far), "double cancel reports false");
@@ -683,10 +656,9 @@ mod tests {
     }
 
     #[test]
-    fn swept_straggler_still_pops_in_order() {
-        // A swept-out pending event must still deliver (not just cancel):
-        // pop must find its status in the straggler set once `base` has
-        // moved past it.
+    fn far_future_event_still_delivers_behind_reused_slots() {
+        // The long-pending event must still deliver (not just cancel) after
+        // thousands of events cycled through the slot beside it.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(1e9), "far");
         for i in 0..10_000u64 {
@@ -694,11 +666,7 @@ mod tests {
             let ev = q.pop().unwrap();
             assert_eq!(ev.event, "near");
         }
-        assert!(
-            q.status_entries() <= 2 * q.len() + 2 * 64 + 2,
-            "window not swept: {} entries",
-            q.status_entries()
-        );
+        assert_eq!(q.slab_slots(), 2);
         let ev = q.pop().unwrap();
         assert_eq!(ev.event, "far");
         assert!(q.pop().is_none());
@@ -741,8 +709,8 @@ mod tests {
         // The same script against the heap (cancel + schedule, what the
         // fluid model used to do) and against the timer slot: every re-arm
         // lands among equal-time events exactly where a fresh `schedule`
-        // would have, and keys drawn after an arm stay valid (the arm's
-        // sequence number occupies a status slot).
+        // would have, and keys drawn after an arm stay valid. Keys of the
+        // two queues agree on their sequence numbers; their slots differ.
         let t = SimTime::from_secs;
         let mut heap = EventQueue::new();
         let mut slot = EventQueue::new();
@@ -756,7 +724,7 @@ mod tests {
             slot.arm_timer(at, u32::MAX - round);
             let a = heap.schedule(at, round);
             let b = slot.schedule(at, round);
-            assert_eq!(a, b, "same counter, same keys");
+            assert_eq!(a.sequence(), b.sequence(), "same counter, same sequence");
             if round % 4 == 0 {
                 assert_eq!(heap.cancel(a), slot.cancel(b));
             }
@@ -773,17 +741,19 @@ mod tests {
     }
 
     #[test]
-    fn rearming_behind_a_pinned_event_keeps_status_bounded() {
+    fn rearming_takes_no_slot() {
         let mut q = EventQueue::new();
         let far = q.schedule(SimTime::from_secs(1e12), 0u64);
         for i in 1..=100_000u64 {
             q.arm_timer(SimTime::from_secs(i as f64), i);
-            assert!(q.status_entries() <= 2 * q.len() + COMPACT_SLACK);
         }
+        assert_eq!((q.status_entries(), q.slab_slots()), (1, 1));
         assert_eq!((q.len(), q.heap_entries(), q.heap_peak()), (2, 1, 1));
+        let (_, timer_key) = q.peek_key().unwrap();
+        assert!(!q.cancel(timer_key), "the timer's key cancels nothing");
         assert!(q.disarm_timer());
         assert!(!q.disarm_timer());
-        assert!(q.cancel(far), "swept behind 100k arms, still cancellable");
+        assert!(q.cancel(far), "behind 100k arms, still cancellable");
         assert_eq!(q.status_entries(), 0);
     }
 
@@ -802,20 +772,21 @@ mod tests {
     }
 
     #[test]
-    fn status_window_retires_delivered_prefix() {
+    fn drained_queue_holds_no_slot() {
         let mut q = EventQueue::new();
-        for i in 0..1000 {
+        let first = q.schedule(SimTime::ZERO, 0);
+        for i in 1..1000 {
             q.schedule(SimTime::from_secs(i as f64), i);
         }
         for _ in 0..1000 {
             q.pop().unwrap();
         }
-        assert_eq!(q.status_entries(), 0, "fully drained window must be empty");
-        // Keys from the retired window are not cancellable, and new events
-        // keep working.
-        assert!(!q.cancel(EventKey(0)));
+        assert_eq!(q.status_entries(), 0, "a drained queue occupies no slot");
+        // Delivered keys are not cancellable, and new events keep working.
+        assert!(!q.cancel(first));
         let k = q.schedule(SimTime::ZERO, 1000);
         assert_eq!(k.sequence(), 1000);
+        assert!(!q.cancel(first));
         assert!(q.cancel(k));
     }
 }

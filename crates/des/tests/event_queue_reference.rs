@@ -1,14 +1,15 @@
 //! Lockstep equivalence test: [`EventQueue`] against a naive reference twin.
 //!
 //! The production queue merges a sorted lane, a timer slot and a heap with
-//! lazy cancellation, a windowed status table, a straggler set and tombstone
-//! compaction. The twin knows none of that: every undelivered event of every
-//! source sits in one unsorted `Vec`, the next event is found by a linear
-//! minimum scan, and removal is `Vec::remove`. Random `preload` / `schedule`
-//! / `cancel` / `arm_timer` / `disarm_timer` / `pop` / `clear` sequences over
-//! a handful of distinct times (so most events tie) must then agree on every
-//! popped `(time, key, payload)`, on `len`, `peek_time` and `peek_key` after
-//! every step, and on every `cancel` / `disarm_timer` return value.
+//! lazy cancellation, a slot slab with a free list and tombstone compaction.
+//! The twin knows none of that: every undelivered event of every source sits
+//! in one unsorted `Vec`, the next event is found by a linear minimum scan,
+//! and removal is `Vec::remove`. Random `preload` / `schedule` / `cancel` /
+//! `arm_timer` / `disarm_timer` / `pop` / `clear` sequences over a handful of
+//! distinct times (so most events tie) must then agree on every popped
+//! `(time, key, payload)`, on `len`, `peek_time` and `peek_key` after every
+//! step, and on every `cancel` / `disarm_timer` return value — including
+//! cancels of stale keys whose slab slot a newer event has taken over.
 
 use cgsim_des::{EventKey, EventQueue, SimTime};
 use proptest::prelude::*;
@@ -94,6 +95,12 @@ impl ReferenceQueue {
         }
     }
 
+    /// Pending heap events: the ones a slab slot should be holding.
+    fn heap_events(&self) -> usize {
+        let on_heap = |e: &&RefEvent| !e.is_timer && matches!(e.origin, Origin::Dynamic(_));
+        self.events.iter().filter(on_heap).count()
+    }
+
     fn peek(&self) -> Option<(SimTime, u64)> {
         let event = &self.events[self.next_index()?];
         Some((event.time, self.seq_of(event)))
@@ -110,8 +117,7 @@ impl ReferenceQueue {
 }
 
 /// Five near times that tie constantly, and now and then a far one that
-/// stays pending while the rest retire behind it (pinning the status window,
-/// so sweeps into the straggler set happen).
+/// stays pending while the slots beside it are freed and reused.
 fn time_of(pick: usize) -> SimTime {
     const NEAR: [f64; 5] = [0.0, 1.0, 1.0 + f64::EPSILON, 2.0, 3.0];
     SimTime::from_secs(match pick {
@@ -168,6 +174,16 @@ proptest! {
                     let hit = queue.cancel(key);
                     prop_assert_eq!(hit, reference.cancel(key.sequence()), "cancel {:?}", key);
                     cancelled += u64::from(hit);
+                    if hit && key_pick % 2 == 0 {
+                        // The next schedule takes the freed slot over; the
+                        // stale key must not reach the event now in it.
+                        let event = fresh();
+                        keys.push(queue.schedule(time_of(time_pick), event));
+                        reference.push_dynamic(time_of(time_pick), event, false);
+                        scheduled += 1;
+                        prop_assert!(!queue.cancel(key), "stale {:?}", key);
+                        prop_assert!(!reference.cancel(key.sequence()));
+                    }
                 }
                 11..=16 => {
                     let event = fresh();
@@ -175,7 +191,7 @@ proptest! {
                     reference.arm_timer(time_of(time_pick), event);
                 }
                 17..=18 => prop_assert_eq!(queue.disarm_timer(), reference.disarm_timer()),
-                // Rare, or the status window would never outgrow its slack.
+                // Rare, so the queue grows deep between clears.
                 31 if key_pick < 50 => {
                     queue.clear();
                     reference.events.clear();
@@ -193,7 +209,7 @@ proptest! {
             prop_assert_eq!(queue.scheduled_total(), scheduled);
             prop_assert_eq!(queue.cancelled_total(), cancelled);
             prop_assert!(queue.heap_entries() <= 2 * queue.len() + 64);
-            prop_assert!(queue.status_entries() <= 3 * queue.len() + 64);
+            prop_assert_eq!(queue.status_entries(), reference.heap_events());
         }
 
         while let Some(event) = queue.pop() {

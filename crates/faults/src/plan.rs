@@ -209,6 +209,61 @@ impl FaultTopology {
             jobs,
         }
     }
+
+    /// Checks that every site and link `config` names by index exists in
+    /// this topology. [`FaultPlan::generate`] silently drops such a target;
+    /// the CLI and the scenario engine call this first, so a scenario that
+    /// names a site or link the platform lacks is an error rather than a
+    /// run without that fault.
+    pub fn check(&self, config: &FaultPlanConfig) -> Result<(), String> {
+        let index = |selector: SiteSelector| match selector {
+            SiteSelector::All => None,
+            SiteSelector::Index(site) => Some(site),
+        };
+        let outages = config
+            .outages
+            .iter()
+            .filter_map(|s| Some(("outage", index(s.site)?)));
+        let maint = config.maintenance.iter().map(|s| ("maint", s.site));
+        let incidents = config
+            .incidents
+            .iter()
+            .flat_map(|s| s.sites.iter().map(|&i| ("incident", i)));
+        let losses = config
+            .node_losses
+            .iter()
+            .filter_map(|s| Some(("nodeloss", index(s.site)?)));
+        let disks = config
+            .disk_losses
+            .iter()
+            .filter_map(|s| Some(("diskloss", index(s.site)?)));
+        let sites = outages
+            .chain(maint)
+            .chain(incidents)
+            .chain(losses)
+            .chain(disks);
+        let links = config.degradations.iter().filter_map(|s| match s.link {
+            LinkSelector::All => None,
+            LinkSelector::Index(link) => Some(("degrade", link)),
+        });
+        let out_of_range = |kind: &str, what: &str, target: usize, count: usize| {
+            format!(
+                "{kind}: {what} {target} does not exist \
+                 (the platform has {count} {what}s, numbered from 0)"
+            )
+        };
+        for (kind, site) in sites {
+            if site >= self.sites {
+                return Err(out_of_range(kind, "site", site, self.sites));
+            }
+        }
+        for (kind, link) in links {
+            if link >= self.links.len() {
+                return Err(out_of_range(kind, "WAN link", link, self.links.len()));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One scheduled fault, applied by the simulation core at `time_s`.
@@ -811,6 +866,49 @@ mod tests {
             ..FaultPlanConfig::default()
         };
         assert!(FaultPlan::generate(&cfg, &topo(), 1).is_empty());
+    }
+
+    #[test]
+    fn check_names_the_first_target_outside_the_topology() {
+        let parsed = |spec: &str| crate::parse_fault_spec(spec).unwrap();
+        let in_range = "outage:site=3,mttf=1h,mttr=1m;maint:site=0,start=0s,duration=1h;\
+                        incident:sites=0+3,mttf=1h,mttr=1m;nodeloss:site=all,fraction=0.5,\
+                        mttf=1h,mttr=1m;diskloss:site=2,mttf=1h;degrade:link=3,factor=0.5,\
+                        mttf=1h,mttr=1m;kill:rate=1";
+        assert_eq!(topo().check(&parsed(in_range)), Ok(()));
+        for (spec, message) in [
+            (
+                "outage:site=4,mttf=1h,mttr=1m",
+                "outage: site 4 does not exist",
+            ),
+            (
+                "maint:site=9,start=0s,duration=1h",
+                "maint: site 9 does not exist",
+            ),
+            (
+                "incident:sites=0+9,mttf=1h,mttr=1m",
+                "incident: site 9 does not exist",
+            ),
+            (
+                "nodeloss:site=5,fraction=0.5,mttf=1h,mttr=1m",
+                "nodeloss: site 5",
+            ),
+            ("diskloss:site=4,mttf=1h", "diskloss: site 4"),
+            (
+                "degrade:link=4,factor=0.5,mttf=1h,mttr=1m",
+                "degrade: WAN link 4 does not exist",
+            ),
+        ] {
+            let err = topo().check(&parsed(spec)).unwrap_err();
+            assert!(err.starts_with(message), "{spec}: {err}");
+        }
+        let err = topo()
+            .check(&parsed("outage:site=7,mttf=1h,mttr=1m"))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "outage: site 7 does not exist (the platform has 4 sites, numbered from 0)"
+        );
     }
 
     #[test]

@@ -265,8 +265,9 @@ fn cmd_init(options: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Builds a fault plan from `--faults` / `--fault-seed`, resolving link
-/// selectors against the platform's WAN links. Returns the plan and the
-/// horizon it was generated to, both `None` when no `--faults` spec was given.
+/// selectors against the platform's WAN links; a site or link index the
+/// platform lacks is an error. Returns the plan and the horizon it was
+/// generated to, both `None` when no `--faults` spec was given.
 fn build_fault_plan(
     options: &HashMap<String, String>,
     platform_spec: &PlatformSpec,
@@ -279,6 +280,7 @@ fn build_fault_plan(
     let config = parse_fault_spec(spec_text)?;
     let platform = Platform::build(platform_spec).map_err(|e| e.to_string())?;
     let topology = FaultTopology::for_platform(&platform, trace_len);
+    topology.check(&config)?;
     let plan = FaultPlan::generate(&config, &topology, fault_seed);
     println!(
         "fault plan: {} events over {:.1} h (fault seed {})",

@@ -1,6 +1,7 @@
 //! The `cgsim` binary refuses a command line it does not fully understand:
-//! an unparsable number, a flag the command does not declare and a token
-//! that belongs to no flag each exit non-zero with a one-line `error:` — the
+//! an unparsable number, a flag the command does not declare, a token that
+//! belongs to no flag and a fault aimed at a site or link the platform lacks
+//! each exit non-zero with a one-line `error:` — the
 //! simulator never silently runs something other than what was asked. And
 //! when a run outlasts its fault plan, stderr says so.
 
@@ -47,6 +48,32 @@ fn unparsable_numbers_are_errors_not_defaults() {
         &["demo", "--jobs", "5", "--fault-seed", "x"],
         "--fault-seed 'x'",
     );
+}
+
+#[test]
+fn fault_targets_outside_the_platform_are_errors_not_dropped() {
+    fn demo(faults: &str) -> [&str; 7] {
+        ["demo", "--sites", "3", "--jobs", "50", "--faults", faults]
+    }
+    for (faults, what) in [
+        (
+            "outage:site=7,mttf=1h,mttr=1m",
+            "outage: site 7 does not exist",
+        ),
+        (
+            "degrade:link=99,factor=0.5,mttf=1h,mttr=1m",
+            "degrade: WAN link 99",
+        ),
+        (
+            "incident:sites=0+9,mttf=1h,mttr=1m",
+            "incident: site 9 does not exist",
+        ),
+    ] {
+        assert_rejected(&demo(faults), what);
+    }
+    // The last site of the platform is still a valid target.
+    let out = cgsim(&demo("outage:site=2,mttf=1h,mttr=1m"));
+    assert!(out.status.success(), "{out:?}");
 }
 
 #[test]
