@@ -44,19 +44,24 @@ pub enum CheckpointTarget {
 /// A fault-interrupted job resumes from its newest surviving *durable*
 /// checkpoint — re-staging the checkpoint data through the fluid model when
 /// it lives at another endpoint — instead of rerunning from scratch.
+/// Fields missing from JSON take their [`Default`] values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointConfig {
     /// Checkpoint interval in completed-work seconds: a job writes a
     /// checkpoint each time it finishes another `interval_s` seconds of
     /// execution progress. `0` disables checkpointing entirely (the default;
     /// runs are then bit-identical to builds without the feature).
+    #[serde(default)]
     pub interval_s: f64,
     /// Fixed size of a checkpoint in bytes (state independent of core
     /// count).
+    #[serde(default = "default_checkpoint_base_bytes")]
     pub base_bytes: u64,
     /// Additional checkpoint bytes per core of the job (per-rank state).
+    #[serde(default = "default_checkpoint_bytes_per_core")]
     pub bytes_per_core: u64,
     /// Where checkpoints are written.
+    #[serde(default)]
     pub target: CheckpointTarget,
     /// Asynchronous checkpointing: when true, a checkpoint write overlaps
     /// the next execution segment instead of pausing the job. The job only
@@ -76,12 +81,20 @@ pub struct CheckpointConfig {
     pub delta_bytes_per_s: u64,
 }
 
+fn default_checkpoint_base_bytes() -> u64 {
+    2_000_000_000 // 2 GB of application state
+}
+
+fn default_checkpoint_bytes_per_core() -> u64 {
+    250_000_000 // + 250 MB per rank
+}
+
 impl Default for CheckpointConfig {
     fn default() -> Self {
         CheckpointConfig {
             interval_s: 0.0,
-            base_bytes: 2_000_000_000,   // 2 GB of application state
-            bytes_per_core: 250_000_000, // + 250 MB per rank
+            base_bytes: default_checkpoint_base_bytes(),
+            bytes_per_core: default_checkpoint_bytes_per_core(),
             target: CheckpointTarget::SiteStorage,
             overlap: false,
             delta_bytes_per_s: 0,

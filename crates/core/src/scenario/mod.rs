@@ -21,8 +21,8 @@
 //!
 //! Memoisation is *exact* because every run is bit-for-bit deterministic
 //! (pinned by the CI determinism gates): the canonical hash of a spec fully
-//! determines the deterministic subset of [`SimulationResults`]. Equivalent
-//! scenarios must therefore hash identically however they are spelled —
+//! determines the deterministic subset of [`crate::SimulationResults`].
+//! Equivalent scenarios must hash identically however they are spelled —
 //! see [`hash`] for the canonical form, and [`ScenarioSpec::canonical_hash`]
 //! for the fault normalisation (an empty spec string is the same scenario as
 //! no faults; the fault seed only matters when a fault spec is present).

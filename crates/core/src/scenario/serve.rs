@@ -233,21 +233,8 @@ pub fn serve_loop<R: BufRead, W: Write>(
                 output.flush()?;
                 continue;
             }
-            Ok(Value::Array(items)) => {
-                let parsed = items
-                    .into_iter()
-                    .map(|item| {
-                        serde_json::from_value::<ServeRequest>(item)
-                            .map_err(|e| format!("invalid request: {e}"))
-                    })
-                    .collect::<Vec<_>>();
-                (parsed, true)
-            }
-            Ok(value) => {
-                let parsed = serde_json::from_value::<ServeRequest>(value)
-                    .map_err(|e| format!("invalid request: {e}"));
-                (vec![parsed], false)
-            }
+            Ok(Value::Array(items)) => (items.into_iter().map(parse_request).collect(), true),
+            Ok(value) => (vec![parse_request(value)], false),
         };
 
         // Plan every request, collecting the scenario specs into one batch.
@@ -259,7 +246,7 @@ pub fn serve_loop<R: BufRead, W: Write>(
         let mut shutdown = false;
         for request in requests {
             let plan = match &request {
-                Err(message) => (None, None, Planned::Error(message.clone())),
+                Err((id, message)) => (id.clone(), None, Planned::Error(message.clone())),
                 Ok(req) => {
                     let plan = match req.cmd.as_deref() {
                         Some("stats") if !is_batch => Planned::Stats,
@@ -346,6 +333,13 @@ pub fn serve_loop<R: BufRead, W: Write>(
         }
     }
     Ok(false)
+}
+
+/// Decodes one request object. A request that fails decoding still has its
+/// `id` echoed when the object carries a string one.
+fn parse_request(value: Value) -> Result<ServeRequest, (Option<String>, String)> {
+    let id = value.get("id").and_then(Value::as_str).map(str::to_string);
+    serde_json::from_value::<ServeRequest>(value).map_err(|e| (id, format!("invalid request: {e}")))
 }
 
 /// Terminates the assembled reply line, writes it out and empties `reply`
@@ -583,17 +577,21 @@ mod tests {
 
     #[test]
     fn errors_fail_only_their_own_request() {
-        let input = r#"[{"id":"ok1"},{"id":"bad","policy":"does-not-exist"},{"id":"ok2","faults":"nope"}]
+        let input = r#"[{"id":"ok1"},{"id":"bad","policy":"does-not-exist"},{"id":"ok2","faults":"nope"},{"id":"typed","seed":-1}]
 not json
+{"id":"single","checkpoint":{"base_bytes":"big"}}
 "#;
         let (out, _) = drive(input);
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 6);
         assert!(lines[0].contains(r#""ok":true"#));
         assert!(lines[1].contains(r#""ok":false"#));
         assert!(lines[1].contains("unknown allocation policy"));
         assert!(lines[2].contains(r#""ok":false"#));
-        assert!(lines[3].contains("invalid JSON"));
+        // A request that fails decoding still gets its id back.
+        assert!(lines[3].starts_with(r#"{"id":"typed","ok":false,"error":"invalid request: "#));
+        assert!(lines[4].contains("invalid JSON"));
+        assert!(lines[5].starts_with(r#"{"id":"single","ok":false,"error":"invalid request: "#));
     }
 
     #[test]
@@ -881,6 +879,23 @@ true
                      \"repair\":{\"enabled\":true}}\n";
         let (out, _) = drive(input);
         assert!(out.contains(r#""id":"on","ok":true"#), "{out}");
+    }
+
+    #[test]
+    fn partial_checkpoint_delta_inherits_the_default_knobs() {
+        let (base, execution) = setup();
+        let resolve = |line: &str| {
+            let request: ServeRequest = serde_json::from_str(line).unwrap();
+            request.delta().resolve(&base, &execution)
+        };
+        let partial = resolve(r#"{"checkpoint":{"interval_s":600}}"#);
+        assert_eq!(partial.execution.checkpoint, CheckpointConfig::every(600.0));
+        let spelled_out = resolve(
+            r#"{"checkpoint":{"interval_s":600,"base_bytes":2000000000,
+                "bytes_per_core":250000000,"target":"SiteStorage",
+                "overlap":false,"delta_bytes_per_s":0}}"#,
+        );
+        assert_eq!(partial.canonical_hash(), spelled_out.canonical_hash());
     }
 
     #[test]

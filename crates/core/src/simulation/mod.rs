@@ -2,19 +2,18 @@
 //!
 //! The module is split along the paper's architecture (§3.1–3.2):
 //!
-//! * [`events`] — the [`GridEvent`](events::GridEvent) alphabet and the DES
-//!   event dispatch,
-//! * [`broker`] — the main server's *sender* actor: policy-driven site
+//! * `events` — the `GridEvent` alphabet and the DES event dispatch,
+//! * `broker` — the main server's *sender* actor: policy-driven site
 //!   selection, the pending list and the per-site FIFO queue with its
 //!   pilot/queue-time model,
-//! * [`job_runtime`] — the per-job state machine and the routing of finished
+//! * `job_runtime` — the per-job state machine and the routing of finished
 //!   activities to their owner's next step,
-//! * [`staging`] — input/output staging plans, and the one admission /
+//! * `staging` — input/output staging plans, and the one admission /
 //!   teardown funnel every fluid activity passes through,
-//! * [`checkpoint`] — segmented execution, checkpoint writes and restores,
-//! * [`faults`] — fault-plan replay and the data-loss audit,
-//! * [`repair`] — the background re-replication planner,
-//! * [`accounting`] — monitoring transitions, job outcomes and dashboard
+//! * `checkpoint` — segmented execution, checkpoint writes and restores,
+//! * `faults` — fault-plan replay and the data-loss audit,
+//! * `repair` — the background re-replication planner,
+//! * `accounting` — monitoring transitions, job outcomes and dashboard
 //!   panels,
 //!
 //! with this file holding the public façade: [`Simulation`],
@@ -25,8 +24,8 @@
 //! and ends; between segments it may write a checkpoint, which is a transfer
 //! in a side slot that the job either waits on or overlaps. Everything that
 //! consumes fluid capacity — each of those job phases, and each transfer of
-//! the repair planner — has a typed owner ([`staging::Owner`]), one record
-//! beside the activity ([`staging::Transfer`]), and goes in through
+//! the repair planner — has a typed owner (`staging::Owner`), one record
+//! beside the activity (`staging::Transfer`), and goes in through
 //! `admit_transfer` and out through `retire_transfer`.
 //!
 //! Every job is stored once, in three stores with one owner each:

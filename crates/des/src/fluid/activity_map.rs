@@ -2,7 +2,8 @@
 
 use super::ActivityId;
 
-/// A secondary map keyed by [`ActivityId`], slab-parallel to [`FluidModel`].
+/// A secondary map keyed by [`ActivityId`], slab-parallel to
+/// [`FluidModel`](super::FluidModel).
 ///
 /// Stores one value per live activity in a dense `Vec` indexed by the id's
 /// slot, with the generation recorded alongside so stale ids miss instead of

@@ -87,7 +87,7 @@
 //! Dense contended components — every transfer of a burst crossing one hot
 //! backbone link — still cost a full per-slot filling pass per recompute
 //! under the incremental solver. For those, the model keeps dslab-style
-//! *total-work* accounting (see [`total_work`]): per-resource running weight
+//! *total-work* accounting (module `total_work`): per-resource running weight
 //! sums maintained at admit/retire time. At solve time a component is
 //! **classified**:
 //!
@@ -128,7 +128,7 @@
 //! * **Multi-bottleneck or tainted** (slow path): rounds × a pass over the
 //!   member resources, plus one visit per activity when it freezes, plus the
 //!   re-key of the slots whose rate moved. Where every member's running
-//!   weight sum is exact, round one starts from the [`total_work`] index and
+//!   weight sum is exact, round one starts from the `total_work` index and
 //!   each freeze subtracts its weight along its route (integer arithmetic
 //!   below 2⁵³ gives the same bits in any order); tainted components re-sum
 //!   every user list every round, in ascending slot order, because for

@@ -2,9 +2,9 @@
 //!
 //! Simulation state is held in flat vectors (sites, hosts, links, jobs, …) and
 //! referenced by index. Using raw `usize` everywhere invites mixing up a host
-//! index with a site index; the [`define_id!`] macro stamps out zero-cost
-//! newtype wrappers with the small trait surface the rest of the workspace
-//! needs (ordering, hashing, `Display`, conversion from/to `usize`).
+//! index with a site index; the [`define_id!`](crate::define_id!) macro
+//! stamps out zero-cost newtype wrappers with the trait surface the rest of
+//! the workspace needs (ordering, hashing, `Display`, `usize` conversion).
 
 /// Defines a newtype identifier around `usize`.
 ///

@@ -1,6 +1,6 @@
 //! Dynamic availability state of a platform under fault injection.
 //!
-//! The resolved [`Platform`](crate::Platform) is immutable during a run; the
+//! The resolved [`Platform`] is immutable during a run; the
 //! fault-injection subsystem instead tracks *availability* — which sites are
 //! up, how many cores each has lost, and at what fraction of nominal
 //! bandwidth each link runs — in this separate, cheaply indexable structure

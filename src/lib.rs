@@ -24,7 +24,9 @@
 //! | [`obs`] | `cgsim-obs` | deterministic structured tracing and self-profiling |
 //! | [`calibrate`] | `cgsim-calibrate` | calibration objectives and the four optimisers of §4.2 |
 //! | [`baseline`] | `cgsim-baseline` | coarse-grained GridSim/CloudSim-style baseline simulator |
-//! | [`surrogate`] | `cgsim-surrogate` | ML surrogate models trained on the event-level datasets |
+//!
+//! The event-level ML dataset is [`monitor::mldataset`] (`ml_dataset.csv`
+//! under `cgsim simulate --output`); fitting a model on it is the user's job.
 //!
 //! ## Quickstart
 //!
@@ -59,7 +61,6 @@ pub use cgsim_monitor as monitor;
 pub use cgsim_obs as obs;
 pub use cgsim_platform as platform;
 pub use cgsim_policies as policies;
-pub use cgsim_surrogate as surrogate;
 pub use cgsim_workload as workload;
 
 /// Convenience re-exports of the types most applications need.
@@ -84,6 +85,5 @@ pub mod prelude {
         AllocationPolicy, DataMovementPolicy, DataPolicyRegistry, GridInfo, GridView,
         PolicyRegistry,
     };
-    pub use cgsim_surrogate::{SurrogateKind, SurrogateModel, Target, TrainConfig};
     pub use cgsim_workload::{JobKind, JobRecord, JobState, Trace, TraceConfig, TraceGenerator};
 }

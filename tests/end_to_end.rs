@@ -1,6 +1,7 @@
 //! End-to-end integration tests spanning the whole workspace: JSON config in,
 //! simulation through the core, monitoring/metrics/dashboard out.
 
+use cgsim::monitor::mldataset;
 use cgsim::prelude::*;
 
 fn small_run(policy: &str, jobs: usize, seed: u64) -> SimulationResults {
@@ -136,10 +137,17 @@ fn policies_differ_but_both_complete_the_workload() {
 #[test]
 fn ml_dataset_is_generated_from_any_run() {
     let results = small_run("least-loaded", 120, 41);
-    let examples = cgsim::monitor::mldataset::build_examples(&results.outcomes, &results.events);
+    let examples = mldataset::build_examples(&results.outcomes, &results.events);
     assert_eq!(examples.len(), 120);
-    let csv = cgsim::monitor::mldataset::to_csv(&examples);
+    // The site features come from the run's `Assigned` events; without them
+    // every one would silently read 0.
+    assert!(examples
+        .iter()
+        .any(|e| e.site_available_cores_at_assign > 0.0));
+    let csv = mldataset::to_csv(&examples);
     assert_eq!(csv.lines().count(), 121);
+    let columns = mldataset::CSV_HEADER.split(',').count();
+    assert!(csv.lines().all(|row| row.split(',').count() == columns));
 }
 
 #[test]
