@@ -1,7 +1,6 @@
 //! Simulation results and derived analyses.
 
 use std::collections::BTreeMap;
-use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use cgsim_des::stats::relative_mae;
@@ -149,7 +148,8 @@ impl SimulationResults {
     /// CSV tables, `dashboard.html`, `results.json` (the deterministic
     /// subset — no wall-clock, so two runs diff clean), `windows.csv` when
     /// windowed metrics were collected, and `ml_dataset.csv`. The per-row
-    /// files are streamed through a buffered writer, never built in memory.
+    /// files are streamed to disk in chunks of about 64 KB, never built in
+    /// memory.
     pub fn save_output_dir(&self, dir: &Path) -> std::io::Result<()> {
         self.to_table_store().save_csv_dir(dir)?;
         std::fs::write(dir.join("dashboard.html"), self.html_dashboard())?;
@@ -161,9 +161,8 @@ impl SimulationResults {
             )?;
         }
         let examples = mldataset::build_examples(&self.outcomes, &self.events);
-        let mut out = BufWriter::new(std::fs::File::create(dir.join("ml_dataset.csv"))?);
-        mldataset::write_csv(&examples, &mut out)?;
-        out.flush()
+        let mut out = std::fs::File::create(dir.join("ml_dataset.csv"))?;
+        mldataset::write_csv(&examples, &mut out)
     }
 
     /// Renders the final dashboard as ASCII.

@@ -6,8 +6,11 @@
 //! unchanged but for the CR/LF quoting rule the streaming writer introduced,
 //! and the tests here hold the streaming writer to its bytes: over random
 //! records chosen to be hostile to a CSV writer, and over every file a
-//! faulted + checkpointed run leaves in its output directory.
+//! faulted + checkpointed run leaves in its output directory. A counting
+//! allocator holds the string renderers to their one up-front reservation.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use cgsim_core::{CheckpointConfig, ExecutionConfig, Simulation, SimulationResults};
@@ -19,6 +22,44 @@ use cgsim_platform::presets::wlcg_platform;
 use cgsim_platform::Platform;
 use cgsim_workload::{JobId, JobKind, JobState, TraceConfig, TraceGenerator};
 use proptest::prelude::*;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter bump
+// that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations_during(work: impl FnOnce()) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    work();
+    ALLOCATIONS.with(Cell::get) - before
+}
 
 /// The row-materialising renderer the streaming export replaced.
 mod reference {
@@ -222,9 +263,14 @@ fn site_names() -> impl Strategy<Value = String> {
     .prop_map(str::to_string)
 }
 
-/// Floats whose shortest form is long, signed, tiny, huge or not a number.
+/// 2^53: the largest magnitude below which every integral float prints as
+/// its integer digits.
+const TWO_53: f64 = 9_007_199_254_740_992.0;
+
+/// Floats whose shortest form is long, signed, tiny, huge or not a number,
+/// and integral floats on either side of 2^53.
 fn floats() -> impl Strategy<Value = f64> {
-    (0usize..16, any::<f64>()).prop_map(|(pick, random)| match pick {
+    (0usize..22, any::<f64>()).prop_map(|(pick, random)| match pick {
         0 => 0.0,
         1 => -0.0,
         2 => f64::MAX,
@@ -238,8 +284,20 @@ fn floats() -> impl Strategy<Value = f64> {
         10 => f64::NEG_INFINITY,
         11 => f64::NAN,
         12 => random.trunc(),
+        13 => TWO_53 - 1.0,
+        14 => TWO_53,
+        15 => TWO_53 + 2.0,
+        16 => -TWO_53,
+        17 => -(TWO_53 - 1.0),
+        18 => 1e16,
         _ => random,
     })
+}
+
+/// Rows whose float repeats the previous row's bits (`true`) about a
+/// quarter of the time, as event timestamps do in a run.
+fn repeats() -> impl Strategy<Value = bool> {
+    (0usize..4).prop_map(|pick| pick == 0)
 }
 
 fn counters() -> impl Strategy<Value = u64> {
@@ -269,10 +327,16 @@ fn events() -> impl Strategy<Value = Vec<EventRecord>> {
         (counters(), floats(), counters(), states()),
         site_names(),
         (counters(), counters(), counters(), counters()),
+        repeats(),
     )
         .prop_map(
-            |((event_id, time_s, job, state), site, (avail, pending, assigned, finished))| {
-                EventRecord {
+            |(
+                (event_id, time_s, job, state),
+                site,
+                (avail, pending, assigned, finished),
+                repeat,
+            )| {
+                let record = EventRecord {
                     event_id,
                     time_s,
                     job_id: JobId(job),
@@ -282,10 +346,20 @@ fn events() -> impl Strategy<Value = Vec<EventRecord>> {
                     pending_jobs: pending,
                     assigned_jobs: assigned,
                     finished_jobs: finished,
-                }
+                };
+                (record, repeat)
             },
         );
-    prop::collection::vec(record, 0..12)
+    prop::collection::vec(record, 0..12).prop_map(|rows| {
+        let mut events: Vec<EventRecord> = Vec::with_capacity(rows.len());
+        for (mut record, repeat) in rows {
+            if let Some(previous) = events.last().filter(|_| repeat) {
+                record.time_s = previous.time_s;
+            }
+            events.push(record);
+        }
+        events
+    })
 }
 
 fn outcomes() -> impl Strategy<Value = Vec<JobOutcome>> {
@@ -446,4 +520,25 @@ fn every_file_of_an_output_directory_matches_its_reference() {
         assert!(on_disk.lines().count() > 1, "{name} has content");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn each_rendered_table_is_one_allocation() {
+    let results = faulted_checkpointed_run();
+    let examples = mldataset::build_examples(&results.outcomes, &results.events);
+    let store = results.to_table_store();
+    let mut renders: Vec<(&str, usize)> = store
+        .table_names()
+        .iter()
+        .map(|&name| {
+            let table = store.get(name).unwrap();
+            (name, allocations_during(|| drop(table.to_csv())))
+        })
+        .collect();
+    renders.push((
+        "ml_dataset",
+        allocations_during(|| drop(mldataset::to_csv(&examples))),
+    ));
+    // One reservation, never regrown: the estimates cover every row.
+    assert!(renders.iter().all(|&(_, n)| n == 1), "{renders:?}");
 }

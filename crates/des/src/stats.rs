@@ -32,38 +32,99 @@ pub struct Summary {
 
 impl Summary {
     /// Computes a summary of the sample; returns `None` for an empty sample.
+    ///
+    /// The order statistics come from selection, not a sort: each percentile
+    /// rank is selected in the part the previous selection left unordered,
+    /// and the rank just above one already read is the minimum of what lies
+    /// right of it. The values are those of sorting and reading
+    /// [`percentile_sorted`]; samples that compare equal are the same value
+    /// (bar the sign of zero), so which of them is picked does not matter.
     pub fn of(values: &[f64]) -> Option<Summary> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = values.to_vec();
-        // Unstable is enough: only values enter the summary, and samples
-        // that compare equal are the same value (bar the sign of zero).
-        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
+        let (&first, rest) = values.split_first()?;
         // Welford's streaming update, in input order: these are the exact
-        // bits every `MetricsReport` fingerprint was recorded with.
+        // bits every `MetricsReport` fingerprint was recorded with. The
+        // extremes ride along; the update's division chain sets the pace.
         let (mut mean, mut m2) = (0.0, 0.0);
+        let (mut min, mut max, mut nan) = (first, first, false);
         for (i, &x) in values.iter().enumerate() {
             let delta = x - mean;
             mean += delta / (i + 1) as f64;
             m2 += delta * (x - mean);
+            min = if x < min { x } else { min };
+            max = if x > max { x } else { max };
+            nan |= x.is_nan();
         }
-        let std_dev = if values.len() < 2 {
-            0.0
-        } else {
-            (m2 / values.len() as f64).sqrt()
+        if rest.is_empty() {
+            return Some(Summary {
+                count: 1,
+                mean,
+                std_dev: 0.0,
+                min,
+                p50: first,
+                p95: first,
+                p99: first,
+                max,
+            });
+        }
+        assert!(!nan, "NaN in sample");
+        let mut ranked = OrderStatistics {
+            values: values.to_vec(),
+            settled: 0,
+        };
+        let mut percentile = |pct: f64| {
+            let (lo, hi, frac) = rank(values.len(), pct);
+            interpolate(ranked.at(lo), ranked.at(hi), frac)
         };
         Some(Summary {
             count: values.len(),
             mean,
-            std_dev,
-            min: sorted[0],
-            p50: percentile_sorted(&sorted, 50.0),
-            p95: percentile_sorted(&sorted, 95.0),
-            p99: percentile_sorted(&sorted, 99.0),
-            max: *sorted.last().expect("non-empty"),
+            std_dev: (m2 / values.len() as f64).sqrt(),
+            min,
+            p50: percentile(50.0),
+            p95: percentile(95.0),
+            p99: percentile(99.0),
+            max,
         })
     }
+}
+
+/// Order statistics of a NaN-free sample, read at non-decreasing ranks.
+struct OrderStatistics {
+    /// The sample, partly ordered: `values[r]` is the rank-`r` value for
+    /// every rank read so far, and nothing from `settled` on is smaller.
+    values: Vec<f64>,
+    /// One past the highest rank read so far.
+    settled: usize,
+}
+
+impl OrderStatistics {
+    /// The rank-`rank` value. A rank below `settled` must be one read before
+    /// (reading percentiles in increasing order guarantees it).
+    fn at(&mut self, rank: usize) -> f64 {
+        let rest = &mut self.values[self.settled..];
+        if rank == self.settled {
+            let min = (1..rest.len()).fold(0, |m, i| if rest[i] < rest[m] { i } else { m });
+            rest.swap(0, min);
+        } else if rank > self.settled {
+            rest.select_nth_unstable_by(rank - self.settled, |a, b| {
+                a.partial_cmp(b).expect("NaN-free sample")
+            });
+        }
+        self.settled = self.settled.max(rank + 1);
+        self.values[rank]
+    }
+}
+
+/// Where percentile `pct` falls in a sorted sample of `n > 1` values: the
+/// rank below, the rank above and the weight of the one above.
+fn rank(n: usize, pct: f64) -> (usize, usize, f64) {
+    let rank = pct / 100.0 * (n - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
+}
+
+fn interpolate(lo: f64, hi: f64, frac: f64) -> f64 {
+    lo * (1.0 - frac) + hi * frac
 }
 
 /// Percentile (linear interpolation) of an already sorted, non-empty slice.
@@ -76,11 +137,8 @@ pub fn percentile_sorted(sorted: &[f64], pct: f64) -> f64 {
     if sorted.len() == 1 {
         return sorted[0];
     }
-    let rank = pct / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    let (lo, hi, frac) = rank(sorted.len(), pct);
+    interpolate(sorted[lo], sorted[hi], frac)
 }
 
 /// Arithmetic mean (0 for an empty slice).

@@ -4,6 +4,33 @@ use cgsim_des::stats::{geometric_mean, mean, percentile_sorted, Summary};
 use cgsim_des::{EventQueue, FluidModel, Rng, SimTime};
 use proptest::prelude::*;
 
+/// The sort-based `Summary::of` that selection replaced.
+fn summary_by_sorting(values: &[f64]) -> Summary {
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
+    let (mut mean, mut m2) = (0.0, 0.0);
+    for (i, &x) in values.iter().enumerate() {
+        let delta = x - mean;
+        mean += delta / (i + 1) as f64;
+        m2 += delta * (x - mean);
+    }
+    let std_dev = if values.len() < 2 {
+        0.0
+    } else {
+        (m2 / values.len() as f64).sqrt()
+    };
+    Summary {
+        count: values.len(),
+        mean,
+        std_dev,
+        min: sorted[0],
+        p50: percentile_sorted(&sorted, 50.0),
+        p95: percentile_sorted(&sorted, 95.0),
+        p99: percentile_sorted(&sorted, 99.0),
+        max: sorted[sorted.len() - 1],
+    }
+}
+
 proptest! {
     /// Events pop in non-decreasing time order and every live event is
     /// delivered exactly once.
@@ -209,6 +236,33 @@ proptest! {
         prop_assert!(s.min <= s.p50 + 1e-9);
         prop_assert!(s.p50 <= s.max + 1e-9);
         prop_assert!(s.std_dev >= 0.0);
+    }
+
+    /// `Summary::of` selects its order statistics; its twin sorts and reads
+    /// `percentile_sorted`. Every field agrees bit for bit, on samples full
+    /// of duplicates and negatives, and on their prefixes of 1, 2 and 3.
+    #[test]
+    fn summary_matches_its_sorting_twin(
+        values in prop::collection::vec(
+            (0usize..3, -1e6f64..1e6).prop_map(|(pick, random)| match pick {
+                // `+ 0.0` turns a rounded -0.0 into 0.0: the two compare
+                // equal, so which one a sort puts first is unspecified.
+                0 => (random / 1e5).round() + 0.0,
+                1 => (random / 1e5).round() / 2.0 + 0.0,
+                _ => random,
+            }),
+            1..400,
+        ),
+    ) {
+        for n in [1, 2, 3, values.len()] {
+            let sample = &values[..n.min(values.len())];
+            let bits = |s: &Summary| {
+                [s.mean, s.std_dev, s.min, s.p50, s.p95, s.p99, s.max].map(f64::to_bits)
+            };
+            let (fast, twin) = (Summary::of(sample).unwrap(), summary_by_sorting(sample));
+            prop_assert_eq!(fast.count, twin.count);
+            prop_assert_eq!(bits(&fast), bits(&twin), "{:?}", sample);
+        }
     }
 
     /// The engine's clock never runs backwards for arbitrarily interleaved

@@ -29,6 +29,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod collector;
+mod csv;
 pub mod dashboard;
 pub mod event;
 pub mod metrics;

@@ -22,6 +22,7 @@ use cgsim_workload::JobState;
 use serde::{Deserialize, Serialize};
 
 use crate::collector::{GridCounters, SiteCounters};
+use crate::csv::render_rows;
 
 /// Summary of one closed time window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -169,27 +170,23 @@ impl WindowedAggregator {
 /// activity and the cumulative finish/interruption/checkpoint counters at
 /// close.
 pub fn windows_csv<'a>(windows: impl IntoIterator<Item = &'a WindowSnapshot>) -> String {
-    let mut out = String::from(
+    render_rows(
+        0,
         "window,start_s,transitions,assigned,finished,failed,\
-         cum_finished,cum_interrupted,cum_checkpoints\n",
-    );
-    for w in windows {
-        let cum_finished: u64 = w.sites.iter().map(|s| s.finished).sum();
-        let cum_interrupted: u64 = w.sites.iter().map(|s| s.interrupted).sum();
-        out.push_str(&format!(
-            "{},{:.3},{},{},{},{},{},{},{}\n",
-            w.index,
-            w.start_s,
-            w.transitions,
-            w.assigned,
-            w.finished,
-            w.failed,
-            cum_finished,
-            cum_interrupted,
-            w.grid.checkpoints_written,
-        ));
-    }
-    out
+         cum_finished,cum_interrupted,cum_checkpoints",
+        windows,
+        |r, w| {
+            r.push_u64(w.index);
+            r.push_fmt(format_args!("{:.3}", w.start_s));
+            r.push_u64(w.transitions);
+            r.push_u64(w.assigned);
+            r.push_u64(w.finished);
+            r.push_u64(w.failed);
+            r.push_u64(w.sites.iter().map(|s| s.finished).sum());
+            r.push_u64(w.sites.iter().map(|s| s.interrupted).sum());
+            r.push_u64(w.grid.checkpoints_written);
+        },
+    )
 }
 
 #[cfg(test)]

@@ -2,11 +2,12 @@
 //!
 //! A counting global allocator (std only) measures `save_csv_dir` and the ML
 //! dataset writer over a 10k-event result and over one twice the size: the
-//! counts must be equal — nothing scales with the rows — and small.
+//! counts must be equal — nothing scales with the rows — and small. Rendering
+//! the ML dataset as a string over rows as long as a `dataset` run's must
+//! reserve once and never regrow.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::io::{BufWriter, Write};
 
 use cgsim_monitor::{mldataset, EventRecord, JobOutcome, MetricsReport, TableStore};
 use cgsim_workload::{JobId, JobKind, JobState};
@@ -95,10 +96,8 @@ fn export_allocations(events: usize, dir: &std::path::Path) -> (usize, usize) {
     let store = TableStore::new(&events, &outcomes, &metrics);
     let tables = allocations_during(|| store.save_csv_dir(dir).unwrap());
     let ml = allocations_during(|| {
-        let file = std::fs::File::create(dir.join("ml_dataset.csv")).unwrap();
-        let mut out = BufWriter::new(file);
-        mldataset::write_csv(&examples, &mut out).unwrap();
-        out.flush().unwrap();
+        let mut file = std::fs::File::create(dir.join("ml_dataset.csv")).unwrap();
+        mldataset::write_csv(&examples, &mut file).unwrap();
     });
     let rows = std::fs::read_to_string(dir.join("events.csv")).unwrap();
     assert_eq!(rows.matches(",running,").count(), events.len());
@@ -113,8 +112,44 @@ fn export_allocations_do_not_grow_with_the_rows() {
     let large = export_allocations(20_000, &dir);
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(small, large, "allocations scale with the row count");
-    // Three files: a path, an OS path and a write buffer each, plus the
-    // directory check. The materialising export made ~12 per event row.
-    assert!(small.0 <= 32, "save_csv_dir allocated {} times", small.0);
-    assert!(small.1 <= 8, "the ML writer allocated {} times", small.1);
+    // Per file: its name and path, and one row buffer of about 64 KB that
+    // goes to the file whole (no `BufWriter` behind it). The materialising
+    // export made ~12 per event row.
+    assert!(small.0 <= 14, "save_csv_dir allocated {} times", small.0);
+    assert!(small.1 <= 3, "the ML writer allocated {} times", small.1);
+}
+
+/// Examples shaped like a `dataset` run's: ten-digit job ids and
+/// full-precision times, about 97 bytes per row (a run averages 98.6).
+fn dataset_like_examples(n: usize) -> Vec<mldataset::MlExample> {
+    (0..n)
+        .map(|i| {
+            let x = (i as f64 * 0.618_033_988_749_894_9).fract();
+            mldataset::MlExample {
+                job_id: 6_460_000_000 + i as u64,
+                is_multicore: (i % 2) as f64,
+                cores: if i % 2 == 1 { 8.0 } else { 1.0 },
+                work_hs23: 1e4 + 9e4 * x,
+                staged_bytes: if i % 4 == 0 { 787_472_958.0 } else { 0.0 },
+                site_available_cores_at_assign: (i % 9_000) as f64,
+                site_queue_at_assign: 0.0,
+                submit_time: 2e4 * x,
+                target_queue_time: if i % 8 == 0 { 0.0 } else { 4e3 * x * x },
+                target_walltime: 100.0 + 3e3 * (1.0 - x),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn the_ml_string_is_reserved_once_for_dataset_rows() {
+    let examples = dataset_like_examples(20_000);
+    let mut bytes = 0;
+    let allocations = allocations_during(|| bytes = mldataset::to_csv(&examples).len());
+    let per_row = bytes as f64 / examples.len() as f64;
+    assert!((97.0..101.0).contains(&per_row), "{per_row} B/row");
+    assert_eq!(
+        allocations, 1,
+        "to_csv regrew its buffer at {per_row} B/row"
+    );
 }
