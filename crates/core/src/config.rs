@@ -6,6 +6,7 @@ use cgsim_platform::PlatformSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::queue_model::QueueModel;
+use crate::simulation::SimulationError;
 
 /// How CPU cores are shared between jobs at a site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -307,6 +308,23 @@ impl ExecutionConfig {
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }
+
+    /// Applies the rule of the CLI's duration flags — finite and ≥ 0 — to
+    /// the durations a JSON file or a serve request can set past them:
+    /// `checkpoint.interval_s` and `repair.backoff_s`.
+    pub fn validate(&self) -> Result<(), SimulationError> {
+        for (knob, seconds) in [
+            ("checkpoint.interval_s", self.checkpoint.interval_s),
+            ("repair.backoff_s", self.repair.backoff_s),
+        ] {
+            if !seconds.is_finite() || seconds < 0.0 {
+                return Err(SimulationError::InvalidScenario(format!(
+                    "{knob} must be non-negative and finite, got {seconds}"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The full three-part simulation configuration of the paper's input layer:
@@ -495,6 +513,38 @@ mod tests {
         assert_eq!(loaded.platform.sites.len(), 4);
         assert_eq!(loaded.execution.allocation_policy, "least-loaded");
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn durations_must_be_finite_and_non_negative() {
+        assert_eq!(ExecutionConfig::default().validate(), Ok(()));
+        let zero = ExecutionConfig {
+            checkpoint: CheckpointConfig::every(-0.0),
+            ..ExecutionConfig::default()
+        };
+        assert_eq!(zero.validate(), Ok(()));
+        for bad in [-60.0, f64::INFINITY, f64::NAN] {
+            let checkpoint = ExecutionConfig {
+                checkpoint: CheckpointConfig::every(bad),
+                ..ExecutionConfig::default()
+            };
+            let repair = ExecutionConfig {
+                repair: RepairConfig {
+                    backoff_s: bad,
+                    ..RepairConfig::enabled()
+                },
+                ..ExecutionConfig::default()
+            };
+            for (config, knob) in [
+                (checkpoint, "checkpoint.interval_s"),
+                (repair, "repair.backoff_s"),
+            ] {
+                let Err(SimulationError::InvalidScenario(msg)) = config.validate() else {
+                    panic!("{knob} = {bad} accepted");
+                };
+                assert!(msg.starts_with(knob), "{msg}");
+            }
+        }
     }
 
     #[test]

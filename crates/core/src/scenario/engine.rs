@@ -221,7 +221,8 @@ impl ScenarioEngine {
     }
 
     /// Runs one scenario unconditionally (no cache involvement), faithfully
-    /// reproducing the CLI's `simulate` pipeline: resolve the policy by name,
+    /// reproducing the CLI's `simulate` pipeline: validate the execution
+    /// config, resolve the policy by name,
     /// generate the fault plan from the spec text, build the platform from
     /// the shared spec and run.
     fn run_spec(&self, spec: &ScenarioSpec) -> Result<Response, SimulationError> {
@@ -237,6 +238,7 @@ impl ScenarioEngine {
             crate::simulation::SimulationBuilder,
         ) -> crate::simulation::SimulationBuilder,
     ) -> Result<Response, SimulationError> {
+        spec.execution.validate()?;
         let policy = self
             .registry
             .create(&spec.execution.allocation_policy, spec.execution.seed)

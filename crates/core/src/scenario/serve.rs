@@ -616,6 +616,23 @@ not json
     }
 
     #[test]
+    fn a_negative_checkpoint_interval_is_an_error_line_never_cached() {
+        let negative = r#"{"id":"neg","checkpoint":{"interval_s":-1}}"#;
+        let (out, _) = drive(&format!("{negative}\n{negative}\n{{\"cmd\":\"stats\"}}\n"));
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert_eq!(
+            lines[0],
+            r#"{"id":"neg","ok":false,"error":"invalid scenario: checkpoint.interval_s must be non-negative and finite, got -1"}"#
+        );
+        assert_eq!(
+            lines[0], lines[1],
+            "the repeat is refused again, not served"
+        );
+        assert!(lines[2].contains(r#""hits":0"#) && lines[2].contains(r#""simulations_run":0"#));
+    }
+
+    #[test]
     fn stats_and_shutdown_commands_work() {
         let input = r#"{"id":"q","seed":4}
 {"id":"q","seed":4}
@@ -818,6 +835,9 @@ true
 {{"policy": 42}}
 {{"policy": {{"name": "nested"}}}}
 {{"checkpoint": {{"interval_s": "soon"}}}}
+{{"checkpoint":{{"interval_s":-1}}}}
+{{"checkpoint":{{"interval_s":1e309}}}}
+{{"faults":"diskloss:site=0,mttf=30m;outage:site=all,mttf=1h,mttr=3h","repair":{{"enabled":true,"backoff_s":1e309}}}}
 {{"repair": {{"enabled": "yes"}}}}
 {{"faults": ["not", "a", "string"]}}
 {{"faults": "bogus:clause"}}
@@ -832,8 +852,19 @@ true
         let (out, shutdown) = drive(&input);
         assert!(!shutdown);
         let lines: Vec<&str> = out.lines().collect();
-        // 16 single-value lines + the 3-element array line = 19 responses.
-        assert_eq!(lines.len(), 19, "one response per request: {out}");
+        // 19 single-value lines + the 3-element array line = 22 responses.
+        assert_eq!(lines.len(), 22, "one response per request: {out}");
+        // Duration knobs the CLI's flags would refuse are refused here too.
+        for (line, knob) in lines[8..11].iter().zip([
+            "checkpoint.interval_s",
+            "checkpoint.interval_s",
+            "repair.backoff_s",
+        ]) {
+            let refused = format!(
+                r#""error":"invalid scenario: {knob} must be non-negative and finite, got "#
+            );
+            assert!(line.contains(&refused), "{line}");
+        }
         for line in &lines {
             let value: Value = serde_json::from_str(line).expect("every response is valid JSON");
             assert!(

@@ -8,13 +8,14 @@ use cgsim_obs::{SpanPhase, TraceCategory};
 use cgsim_workload::JobState;
 
 use super::events::GridEvent;
+use super::job_runtime::NO_SLOT;
 use super::GridModel;
 
 impl GridModel {
     /// Reports a job state transition to the monitoring collector.
     pub(super) fn record(&mut self, now: SimTime, idx: usize, state: JobState) {
         let job_id = self.trace.jobs[idx].id;
-        let (site_index, avail, queued) = match self.jobs[idx].site {
+        let (site_index, avail, queued) = match self.jobs[idx].site() {
             Some(site) => (
                 Some(site.index()),
                 self.sites[site.index()].available_cores,
@@ -68,7 +69,7 @@ impl GridModel {
         ctx: &mut Context<'_, GridEvent>,
     ) -> cgsim_platform::SiteId {
         let now = ctx.now();
-        let site = self.jobs[idx].site.expect("terminal job has a site");
+        let site = self.jobs[idx].site().expect("terminal job has a site");
         self.release_cores(idx, site);
         // Terminal jobs no longer need their durable checkpoints: free the
         // storage bytes and drop the catalog replicas.
@@ -76,21 +77,37 @@ impl GridModel {
         self.jobs[idx].state = state;
         self.record(now, idx, state);
 
+        let attempt = std::mem::replace(&mut self.jobs[idx].attempt, NO_SLOT);
+        let (start_time, staged_bytes) = {
+            let attempt = self
+                .attempts
+                .get(attempt)
+                .expect("a terminal job has held cores");
+            (attempt.start_time, attempt.staged_bytes)
+        };
+        self.attempts.release(attempt);
         let (job, record) = (&self.jobs[idx], &self.trace.jobs[idx]);
+        // The engine clock starts at zero, so that is when a job submitted
+        // "before" it is delivered.
+        let submit_time = if record.submit_time < 0.0 {
+            0.0
+        } else {
+            record.submit_time
+        };
         let outcome = JobOutcome {
             id: record.id,
             kind: record.kind,
             cores: record.cores,
             work_hs23: record.work_hs23,
             site: self.collector.site_name(Some(site.index())),
-            submit_time: job.submit_time,
+            submit_time,
             assign_time: job.assign_time,
-            start_time: job.start_time,
+            start_time,
             end_time: now.as_secs(),
             final_state: state,
-            staged_bytes: job.staged_bytes,
-            walltime: now.as_secs() - job.start_time,
-            queue_time: job.start_time - job.submit_time,
+            staged_bytes,
+            walltime: now.as_secs() - start_time,
+            queue_time: start_time - submit_time,
             hist_walltime: record.hist_walltime,
             hist_queue_time: record.hist_queue_time,
         };
@@ -106,6 +123,7 @@ impl GridModel {
         self.completed_jobs += 1;
         if self.completed_jobs == self.jobs.len() {
             debug_assert_eq!(self.running.live(), 0, "a terminal job kept its slot");
+            debug_assert_eq!(self.attempts.live(), 0, "a terminal job kept its attempt");
             if let Some(key) = self.fault_key.take() {
                 ctx.cancel(key);
             }

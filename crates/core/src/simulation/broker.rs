@@ -23,7 +23,8 @@ pub(super) const NO_JOB: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub(super) struct SiteState {
     pub(super) available_cores: u64,
-    pub(super) queue: VecDeque<usize>,
+    /// Jobs (trace indices) waiting for cores, in arrival order.
+    pub(super) queue: VecDeque<u32>,
     /// Jobs holding cores, oldest start first: a doubly linked list threaded
     /// through `RunState::{run_prev, run_next}`, so a release unlinks in
     /// O(1) while outages still kill in start order and node loss still
@@ -64,7 +65,8 @@ impl GridModel {
     }
 
     /// Moves the queue front `idx` onto the running list, reserving its
-    /// `cores` and a running-state slot.
+    /// `cores` and a running-state slot — and, at its first tenure of cores,
+    /// the attempt record it keeps until it is terminal.
     pub(super) fn admit_front(&mut self, site: SiteId, idx: usize, cores: u64) {
         let state = &mut self.sites[site.index()];
         state.queue.pop_front();
@@ -76,6 +78,9 @@ impl GridModel {
         }
         self.sites[site.index()].running_len += 1;
         self.jobs[idx].slot = self.running.take();
+        if self.jobs[idx].attempt == NO_SLOT {
+            self.jobs[idx].attempt = self.attempts.take();
+        }
         self.run_mut(idx).run_prev = tail;
         self.mirror_site(site);
     }
@@ -229,11 +234,11 @@ impl GridModel {
                     Some(site),
                     |_| None,
                 );
-                self.jobs[idx].site = Some(site);
+                self.jobs[idx].set_site(Some(site));
                 self.jobs[idx].assign_time = now.as_secs();
                 self.jobs[idx].state = JobState::Assigned;
                 self.record(now, idx, JobState::Assigned);
-                self.sites[site.index()].queue.push_back(idx);
+                self.sites[site.index()].queue.push_back(idx as u32);
                 self.mirror_site(site);
                 self.try_start_site(site, ctx);
             }
@@ -269,10 +274,10 @@ impl GridModel {
                     None,
                     |_| Some("no dispatchable site".to_string()),
                 );
-                self.jobs[idx].site = None;
+                self.jobs[idx].set_site(None);
                 self.jobs[idx].state = JobState::Pending;
                 self.record(now, idx, JobState::Pending);
-                self.pending.push_back(idx);
+                self.pending.push_back(idx as u32);
             }
         }
     }
@@ -289,7 +294,7 @@ impl GridModel {
         let spare = std::mem::take(&mut self.pending_scratch);
         let mut waiting = std::mem::replace(&mut self.pending, spare);
         while let Some(idx) = waiting.pop_front() {
-            self.dispatch(idx, ctx);
+            self.dispatch(idx as usize, ctx);
         }
         self.pending_scratch = waiting;
     }
@@ -302,7 +307,8 @@ impl GridModel {
         if !self.availability.site_up(site) {
             return;
         }
-        while let Some(&front) = self.sites[site.index()].queue.front() {
+        while let Some(&job) = self.sites[site.index()].queue.front() {
+            let front = job as usize;
             let needed = self.trace.jobs[front].cores as u64;
             if self.sites[site.index()].available_cores < needed {
                 break;
@@ -324,7 +330,7 @@ impl GridModel {
                 .queue_model
                 .dispatch_delay(self.sites[site.index()].queue.len() as u64, busy_fraction);
             if delay > 0.0 {
-                let key = ctx.schedule_in(SimTime::from_secs(delay), GridEvent::PilotStart(front));
+                let key = ctx.schedule_in(SimTime::from_secs(delay), GridEvent::PilotStart(job));
                 self.run_mut(front).timer = Some(key);
             } else {
                 self.start_staging(front, site, ctx);

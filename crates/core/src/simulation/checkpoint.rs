@@ -81,7 +81,7 @@ impl GridModel {
     /// disk losses evict replicas and eagerly drop stack entries, so the
     /// replica re-check is a cheap safety net, not the primary mechanism).
     pub(super) fn best_durable_checkpoint(&self, idx: usize) -> Option<JobCheckpoint> {
-        self.jobs[idx]
+        self.attempt(idx)
             .checkpoints
             .iter()
             .filter(|ck| self.catalog.has_replica(ck.dataset, ck.node))
@@ -125,7 +125,7 @@ impl GridModel {
                 // model before execution continues. Durability is credited
                 // only when the transfer lands (`finish_restore`).
                 self.run_mut(idx).restore_frac = ck.frac;
-                self.jobs[idx].staged_bytes += ck.bytes;
+                self.attempt_mut(idx).staged_bytes += ck.bytes;
                 self.admit_transfer(
                     Owner::Job(idx),
                     Phase::Restore,
@@ -141,7 +141,7 @@ impl GridModel {
     /// A checkpoint-restore transfer landed: credit the restored progress
     /// and continue executing from it.
     pub(super) fn finish_restore(&mut self, idx: usize, ctx: &mut Context<'_, GridEvent>) {
-        let site = self.jobs[idx].site.expect("restoring job has a site");
+        let site = self.jobs[idx].site().expect("restoring job has a site");
         let run = self.run_mut(idx);
         let frac = std::mem::take(&mut run.restore_frac);
         run.frac_done = frac;
@@ -186,7 +186,8 @@ impl GridModel {
                 } else {
                     (interval, interval_frac)
                 };
-                let key = ctx.schedule_in(SimTime::from_secs(seg_w), GridEvent::ExecutionDone(idx));
+                let done = GridEvent::ExecutionDone(idx as u32);
+                let key = ctx.schedule_in(SimTime::from_secs(seg_w), done);
                 let run = self.run_mut(idx);
                 run.seg_fraction = seg_frac;
                 run.seg_started_s = now.as_secs();
@@ -229,7 +230,8 @@ impl GridModel {
     /// image — the durable artifact is self-contained either way.
     fn checkpoint_transfer_bytes(&self, idx: usize, site: SiteId, target: NodeId) -> u64 {
         let (frac_done, cores) = (self.run(idx).frac_done, self.trace.jobs[idx].cores);
-        let base = self.jobs[idx]
+        let base = self
+            .attempt(idx)
             .checkpoints
             .iter()
             .find(|ck| ck.node == target && self.catalog.has_replica(ck.dataset, ck.node));
@@ -324,11 +326,10 @@ impl GridModel {
             .execution
             .checkpoint
             .bytes_for(self.trace.jobs[idx].cores);
-        if let Some(entry) = self.jobs[idx]
-            .checkpoints
-            .iter_mut()
-            .find(|c| c.node == node)
-        {
+        // Field-disjoint from `self.catalog`, which the branches also write.
+        let attempt = self.attempts.get_mut(self.jobs[idx].attempt);
+        let stack = &mut attempt.expect("the job has held cores").checkpoints;
+        if let Some(entry) = stack.iter_mut().find(|c| c.node == node) {
             // Superseded in place, under the dataset the first write at
             // `node` registered (`register` by the same name would return
             // exactly that id): the old copy's bytes are freed now that the
@@ -341,7 +342,7 @@ impl GridModel {
         } else {
             let name = format!("ckpt-job-{idx}@{node}");
             let dataset = self.catalog.register(name, 1, bytes, node);
-            self.jobs[idx].checkpoints.push(JobCheckpoint {
+            self.attempt_mut(idx).checkpoints.push(JobCheckpoint {
                 frac,
                 node,
                 dataset,
@@ -379,7 +380,7 @@ impl GridModel {
         ctx: &mut Context<'_, GridEvent>,
     ) {
         let timer = self.profiler.start();
-        let site = self.jobs[idx].site.expect("checkpointing job has a site");
+        let site = self.jobs[idx].site().expect("checkpointing job has a site");
         let frac = self.run(idx).ckpt_frac;
         self.make_checkpoint_durable(idx, site, node, frac, ctx);
         self.profiler.stop(Subsystem::Checkpoint, timer);
@@ -431,7 +432,7 @@ impl GridModel {
     /// after themselves).
     pub(super) fn discard_checkpoints(&mut self, idx: usize) {
         let timer = self.profiler.start();
-        let stack = std::mem::take(&mut self.jobs[idx].checkpoints);
+        let stack = std::mem::take(&mut self.attempt_mut(idx).checkpoints);
         for ck in stack {
             let ni = self.node_index(ck.node);
             if let Ok(pos) = self.ckpt_holders[ni].binary_search(&idx) {
@@ -448,7 +449,11 @@ impl GridModel {
     #[cfg(debug_assertions)]
     fn assert_holder_index_matches_scan(&self, node: NodeId) {
         let scan: Vec<usize> = (0..self.jobs.len())
-            .filter(|&idx| self.jobs[idx].checkpoints.iter().any(|ck| ck.node == node))
+            .filter(|&idx| {
+                self.attempts
+                    .get(self.jobs[idx].attempt)
+                    .is_some_and(|a| a.checkpoints.iter().any(|ck| ck.node == node))
+            })
             .collect();
         debug_assert_eq!(
             self.ckpt_holders[self.node_index(node)],
@@ -473,7 +478,7 @@ impl GridModel {
         let mut lost = 0u64;
         let mut freed = 0u64;
         for idx in holders {
-            self.jobs[idx].checkpoints.retain(|ck| {
+            self.attempt_mut(idx).checkpoints.retain(|ck| {
                 if ck.node == node {
                     lost += 1;
                     freed += ck.bytes;

@@ -150,7 +150,7 @@ impl GridModel {
             FaultAction::KillJob { job }
                 if self.jobs.get(job).is_some_and(|j| j.slot != NO_SLOT) =>
             {
-                let site = self.jobs[job].site.expect("job holding cores has a site");
+                let site = self.jobs[job].site().expect("job holding cores has a site");
                 self.interrupt_job(job, ctx);
                 self.after_release(site, ctx);
             }
@@ -171,7 +171,8 @@ impl GridModel {
             return;
         }
         if let Some(event) = self.fault_plan.get(index) {
-            let key = ctx.schedule_at(SimTime::from_secs(event.time_s), GridEvent::Fault(index));
+            let fault = GridEvent::Fault(index as u32);
+            let key = ctx.schedule_at(SimTime::from_secs(event.time_s), fault);
             self.fault_key = Some(key);
         }
     }
@@ -185,13 +186,14 @@ impl GridModel {
         self.wipe_storage_at(site, now.as_secs());
         // Queued jobs hold no cores; they go back to the main server without
         // consuming a fault retry.
-        let queued: Vec<usize> = self.sites[site.index()].queue.drain(..).collect();
+        let queued: Vec<u32> = self.sites[site.index()].queue.drain(..).collect();
         self.mirror_site(site);
-        for idx in queued {
-            self.jobs[idx].site = None;
+        for job in queued {
+            let idx = job as usize;
+            self.jobs[idx].set_site(None);
             self.jobs[idx].state = JobState::Pending;
             self.record(now, idx, JobState::Pending);
-            self.pending.push_back(idx);
+            self.pending.push_back(job);
         }
         // Kill every job holding cores (pilot wait, staging, executing,
         // shipping output), in start order — deterministic.
@@ -314,7 +316,7 @@ impl GridModel {
             if self.touches_node(self.run(idx).ckpt_activity, node)
                 && self.cancel_checkpoint_write(idx, ctx, "data loss")
             {
-                let site = self.jobs[idx].site.expect("checkpointing job has a site");
+                let site = self.jobs[idx].site().expect("checkpointing job has a site");
                 self.start_execution_segment(idx, site, ctx);
             }
             // The job's main transfer, if it has an end at the dead storage:
@@ -324,7 +326,7 @@ impl GridModel {
                 continue;
             };
             let cancelled = self.cancel_transfer(activity, ctx.now().as_secs(), Some("repair"));
-            let site = self.jobs[idx].site.expect("transferring job has a site");
+            let site = self.jobs[idx].site().expect("transferring job has a site");
             match cancelled.phase {
                 // `stage_input`, not `start_staging`: the attempt's start
                 // time must survive the re-plan.
@@ -408,7 +410,7 @@ impl GridModel {
     /// newest surviving checkpoint, if any.
     pub(super) fn interrupt_job(&mut self, idx: usize, ctx: &mut Context<'_, GridEvent>) {
         let now = ctx.now();
-        let site = self.jobs[idx].site.expect("interrupted job has a site");
+        let site = self.jobs[idx].site().expect("interrupted job has a site");
 
         // Progress past the newest durable checkpoint is recomputation the
         // grid will have to pay for again (all of it, without checkpoints).
@@ -457,7 +459,7 @@ impl GridModel {
             |_| None,
         );
 
-        let resubmit = self.jobs[idx].fault_retries < self.execution.fault_max_retries;
+        let resubmit = self.attempt(idx).fault_retries < self.execution.fault_max_retries;
         // A resubmission that will resume from a durable checkpoint: the
         // policy also hears where it lives so it can steer the job back to
         // the data (`Some(None)` = the main server holds it).
@@ -476,12 +478,12 @@ impl GridModel {
         });
 
         if resubmit {
-            self.jobs[idx].fault_retries += 1;
+            self.attempt_mut(idx).fault_retries += 1;
             self.collector.record_fault_retry();
-            self.jobs[idx].site = None;
+            self.jobs[idx].set_site(None);
             self.jobs[idx].state = JobState::Pending;
             self.record(now, idx, JobState::Pending);
-            self.pending.push_back(idx);
+            self.pending.push_back(idx as u32);
         } else {
             // Retry budget exhausted. Terminal bookkeeping only — the caller
             // re-dispatches once its own capacity bookkeeping is consistent.

@@ -10,10 +10,12 @@
 //! where a finished activity is routed to its owner's next step.
 //!
 //! A job's state is split by lifetime: [`JobRuntime`] lasts the run (one per
-//! job, beside its record in the shared trace) and holds what must survive a
-//! kill; [`RunState`] lasts one tenure of cores (a [`RunSlots`] slot, so that
-//! store is bounded by the grid's cores) and an attempt's progress dies with
-//! it.
+//! job, beside its record in the shared trace) and is kept to 32 bytes;
+//! [`AttemptRecord`] lasts from the job's first tenure of cores to its
+//! terminal state and holds what must survive a kill; [`RunState`] lasts one
+//! tenure of cores and an attempt's progress dies with it. The last two live
+//! in [`Slots`] slabs, so those stores are bounded by the jobs in flight
+//! rather than by the trace.
 
 use cgsim_des::fluid::ActivityId;
 use cgsim_des::{Context, EventKey};
@@ -74,30 +76,29 @@ impl Phase {
 /// `JobRuntime::dataset` before the job's input dataset has been resolved.
 pub(super) const NO_DATASET: u32 = u32::MAX;
 
+/// `JobRuntime::site` of a job at no site.
+const NO_SITE: u32 = u32::MAX;
+
 /// What the simulation keeps for every job from `start` to the end of the
-/// run, at the index of its record in `GridModel::trace`.
+/// run, at the index of its record in `GridModel::trace`. Its submit time is
+/// not kept: the engine delivers the job's `Submit` at the record's time (at
+/// zero if that is negative).
 #[derive(Debug, Clone)]
 pub(super) struct JobRuntime {
     pub(super) state: JobState,
-    pub(super) site: Option<SiteId>,
-    pub(super) retries: u32,
-    /// Resubmissions consumed by fault interruptions (separate budget from
-    /// the application-failure `retries`).
-    pub(super) fault_retries: u32,
-    pub(super) submit_time: f64,
-    pub(super) assign_time: f64,
-    pub(super) start_time: f64,
-    pub(super) staged_bytes: u64,
+    /// The site the job is assigned to, `NO_SITE` at none (read and written
+    /// through [`JobRuntime::site`] / [`JobRuntime::set_site`]).
+    site: u32,
     /// Index of the task's input dataset in the catalog, resolved at the
     /// job's first `task_dataset` call (`NO_DATASET` until then).
     pub(super) dataset: u32,
     /// The job's running-state slot: taken by `admit_front`, returned by
     /// `release_cores`, [`NO_SLOT`] while the job holds no cores.
     pub(super) slot: SlotId,
-    /// Durable checkpoints of this job, at most one per storage node
-    /// (newer writes at a node supersede its older checkpoint). They outlive
-    /// the attempt that wrote them, hence not part of the slot.
-    pub(super) checkpoints: Vec<JobCheckpoint>,
+    /// The job's attempt record: taken by its first `admit_front`, returned
+    /// when it reaches a terminal state, [`NO_SLOT`] outside that span.
+    pub(super) attempt: SlotId,
+    pub(super) assign_time: f64,
 }
 
 impl JobRuntime {
@@ -105,18 +106,43 @@ impl JobRuntime {
     pub(super) fn new() -> Self {
         JobRuntime {
             state: JobState::Pending,
-            site: None,
-            retries: 0,
-            fault_retries: 0,
-            submit_time: 0.0,
-            assign_time: 0.0,
-            start_time: 0.0,
-            staged_bytes: 0,
+            site: NO_SITE,
             dataset: NO_DATASET,
             slot: NO_SLOT,
-            checkpoints: Vec::new(),
+            attempt: NO_SLOT,
+            assign_time: 0.0,
         }
     }
+
+    /// The site the job is assigned to.
+    pub(super) fn site(&self) -> Option<SiteId> {
+        (self.site != NO_SITE).then(|| SiteId::new(self.site as usize))
+    }
+
+    /// Assigns the job to `site` (`None`: back to the main server).
+    pub(super) fn set_site(&mut self, site: Option<SiteId>) {
+        self.site = site.map_or(NO_SITE, |s| {
+            u32::try_from(s.index()).expect("site ids fit in u32")
+        });
+    }
+}
+
+/// What a job that has held cores keeps until it is terminal: across its
+/// attempts (a kill or an application failure sends it back to the main
+/// server with this record), but not while it waits for its first cores.
+#[derive(Debug, Default)]
+pub(super) struct AttemptRecord {
+    /// Start of the latest attempt (`start_staging`, after its pilot delay).
+    pub(super) start_time: f64,
+    pub(super) staged_bytes: u64,
+    pub(super) retries: u32,
+    /// Resubmissions consumed by fault interruptions (separate budget from
+    /// the application-failure `retries`).
+    pub(super) fault_retries: u32,
+    /// Durable checkpoints of this job, at most one per storage node
+    /// (newer writes at a node supersede its older checkpoint). They outlive
+    /// the attempt that wrote them, hence not part of the run slot.
+    pub(super) checkpoints: Vec<JobCheckpoint>,
 }
 
 /// State of a job that holds cores, from the queue pop in `try_start_site`
@@ -186,9 +212,9 @@ impl Default for RunState {
     }
 }
 
-/// Handle of a [`RunSlots`] slot. Debug builds tag it with the slot's
-/// generation, so an id kept past `release_cores` misses instead of reading
-/// the next tenant's state; release builds carry the index alone.
+/// Handle of a [`Slots`] slot. Debug builds tag it with the slot's
+/// generation, so an id kept past its release misses instead of reading the
+/// next tenant's state; release builds carry the index alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct SlotId {
     index: u32,
@@ -196,41 +222,60 @@ pub(super) struct SlotId {
     generation: u32,
 }
 
-/// The id of a job that holds no cores: names no slot, ever.
+/// The id of a job that holds no slot: names no slot, ever.
 pub(super) const NO_SLOT: SlotId = SlotId {
     index: u32::MAX,
     #[cfg(debug_assertions)]
     generation: 0,
 };
 
-/// The [`RunState`] slots, recycled through a free list: as many as jobs
-/// have held cores at once.
-#[derive(Debug, Default)]
-pub(super) struct RunSlots {
-    slots: Vec<RunState>,
+/// A slab of per-job records that only jobs in flight hold, recycled through
+/// a free list: as many slots as records have been held at once. Two
+/// instances — [`RunState`] per tenure of cores, [`AttemptRecord`] per job
+/// from its first cores to its terminal state.
+#[derive(Debug)]
+pub(super) struct Slots<T> {
+    slots: Vec<T>,
     free: Vec<u32>,
     #[cfg(debug_assertions)]
     generations: Vec<u32>,
 }
 
-impl RunSlots {
-    /// Hands out a slot holding `RunState::default()` (a returned one if
-    /// any).
-    pub(super) fn take(&mut self) -> SlotId {
-        let index = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(RunState::default());
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots {
+            slots: Vec::new(),
+            free: Vec::new(),
             #[cfg(debug_assertions)]
-            self.generations.push(0);
-            (self.slots.len() - 1) as u32
-        });
-        self.slots[index as usize] = RunState::default();
+            generations: Vec::new(),
+        }
+    }
+}
+
+impl<T: Default> Slots<T> {
+    /// Hands out a slot holding `T::default()` (a returned one if any).
+    pub(super) fn take(&mut self) -> SlotId {
+        let index = match self.free.pop() {
+            Some(index) => {
+                self.slots[index as usize] = T::default();
+                index
+            }
+            None => {
+                self.slots.push(T::default());
+                #[cfg(debug_assertions)]
+                self.generations.push(0);
+                (self.slots.len() - 1) as u32
+            }
+        };
         SlotId {
             index,
             #[cfg(debug_assertions)]
             generation: self.generations[index as usize],
         }
     }
+}
 
+impl<T> Slots<T> {
     /// Takes a slot back; in debug builds `id` is stale from here on.
     pub(super) fn release(&mut self, id: SlotId) {
         debug_assert!(self.get(id).is_some(), "released a stale slot id");
@@ -243,7 +288,7 @@ impl RunSlots {
 
     /// The slot `id` names: `None` for [`NO_SLOT`] and, in debug builds, for
     /// an id whose slot has been returned since.
-    pub(super) fn get(&self, id: SlotId) -> Option<&RunState> {
+    pub(super) fn get(&self, id: SlotId) -> Option<&T> {
         #[cfg(debug_assertions)]
         {
             if self.generations.get(id.index as usize) != Some(&id.generation) {
@@ -253,8 +298,8 @@ impl RunSlots {
         self.slots.get(id.index as usize)
     }
 
-    /// Mutable twin of [`RunSlots::get`].
-    pub(super) fn get_mut(&mut self, id: SlotId) -> Option<&mut RunState> {
+    /// Mutable twin of [`Slots::get`].
+    pub(super) fn get_mut(&mut self, id: SlotId) -> Option<&mut T> {
         self.get(id)?;
         self.slots.get_mut(id.index as usize)
     }
@@ -262,6 +307,11 @@ impl RunSlots {
     /// Slots currently handed out.
     pub(super) fn live(&self) -> usize {
         self.slots.len() - self.free.len()
+    }
+
+    /// The most slots ever handed out at once (the slab never shrinks).
+    pub(super) fn high_water(&self) -> usize {
+        self.slots.len()
     }
 }
 
@@ -276,6 +326,19 @@ impl GridModel {
     pub(super) fn run_mut(&mut self, idx: usize) -> &mut RunState {
         let slot = self.jobs[idx].slot;
         self.running.get_mut(slot).expect("the job holds cores")
+    }
+
+    /// The attempt record of job `idx`, which must have held cores and not
+    /// be terminal yet.
+    pub(super) fn attempt(&self, idx: usize) -> &AttemptRecord {
+        let slot = self.jobs[idx].attempt;
+        self.attempts.get(slot).expect("the job has held cores")
+    }
+
+    /// Mutable twin of [`GridModel::attempt`].
+    pub(super) fn attempt_mut(&mut self, idx: usize) -> &mut AttemptRecord {
+        let slot = self.jobs[idx].attempt;
+        self.attempts.get_mut(slot).expect("the job has held cores")
     }
 
     /// Starts the execution phase (cores already held).
@@ -309,7 +372,7 @@ impl GridModel {
     /// the job is done, or it writes a checkpoint before — or, with
     /// `checkpoint.overlap`, while — running the next segment.
     pub(super) fn execution_segment_done(&mut self, idx: usize, ctx: &mut Context<'_, GridEvent>) {
-        let site = self.jobs[idx].site.expect("executing job has a site");
+        let site = self.jobs[idx].site().expect("executing job has a site");
         let run = self.run_mut(idx);
         run.frac_done = (run.frac_done + run.seg_fraction).min(1.0);
         run.seg_fraction = 0.0;
@@ -351,19 +414,19 @@ impl GridModel {
     /// Handles the end of the execution phase (failure draw, output
     /// stage-out).
     pub(super) fn finish_execution(&mut self, idx: usize, ctx: &mut Context<'_, GridEvent>) {
-        let site = self.jobs[idx].site.expect("running job has a site");
+        let site = self.jobs[idx].site().expect("running job has a site");
         let failed = self.rng.chance(self.execution.failure_probability);
         if failed {
             // An *application* failure invalidates the job's state: its
             // checkpoints led to the failure, so the rerun starts from
             // scratch (unlike fault interruptions, which restore).
             self.discard_checkpoints(idx);
-            if self.jobs[idx].retries < self.execution.max_retries {
+            if self.attempt(idx).retries < self.execution.max_retries {
                 // Release resources and resubmit to the main server.
-                self.jobs[idx].retries += 1;
+                self.attempt_mut(idx).retries += 1;
                 self.release_cores(idx, site);
                 let now = ctx.now();
-                self.jobs[idx].site = None;
+                self.jobs[idx].set_site(None);
                 self.jobs[idx].state = JobState::Pending;
                 self.record(now, idx, JobState::Pending);
                 self.dispatch(idx, ctx);
@@ -402,7 +465,7 @@ impl GridModel {
             self.trace_phase(ctx.now().as_secs(), idx, done.phase, SpanPhase::End, None);
             match done.phase {
                 Phase::Input => {
-                    let site = self.jobs[idx].site.expect("staging job has a site");
+                    let site = self.jobs[idx].site().expect("staging job has a site");
                     self.begin_execution(idx, site, ctx);
                 }
                 Phase::Execute => self.execution_segment_done(idx, ctx),

@@ -28,16 +28,19 @@
 //! beside the activity (`staging::Transfer`), and goes in through
 //! `admit_transfer` and out through `retire_transfer`.
 //!
-//! Every job is stored once, in three stores with one owner each:
+//! Every job is stored once, in four stores with one owner each:
 //!
 //! | store | holds | size | written by |
 //! |---|---|---|---|
 //! | `trace: Arc<Trace>` | the job records | one per job | nobody — borrowed for the run, possibly shared with other runs; a record stream is collected into one at `start` |
-//! | `jobs: Vec<JobRuntime>` | state, site, retry counters, times, staged bytes, dataset, durable checkpoints, slot id | one per job, same index | the lifecycle modules |
-//! | `running: RunSlots` | timer, activities, running-list links, segment and checkpoint-write progress | one per job *holding cores* | taken in `admit_front`, returned in `release_cores`, reached through `run` / `run_mut` |
+//! | `jobs: Vec<JobRuntime>` | state, site, dataset, assign time, run and attempt slot ids (≤ 32 B) | one per job, same index | the lifecycle modules |
+//! | `attempts: Slots<AttemptRecord>` | start time, staged bytes, both retry counters, durable checkpoints | one per job that holds or has held cores, until it is terminal | taken in `admit_front`, returned in `finalize_no_restart`, reached through `attempt` / `attempt_mut` |
+//! | `running: Slots<RunState>` | timer, activities, running-list links, segment and checkpoint-write progress | one per job *holding cores* | taken in `admit_front`, returned in `release_cores`, reached through `run` / `run_mut` |
 //!
-//! Site names are a fourth, tiny store: one `Arc<str>` per site in the
-//! monitoring collector, cloned into every event row and outcome.
+//! Site names are a fifth, tiny store: one `Arc<str>` per site in the
+//! monitoring collector, cloned into every event row and outcome. Site
+//! queues, the pending list and the events address jobs by `u32`, which
+//! [`SimulationBuilder::build`] makes sure the trace fits.
 
 mod accounting;
 mod broker;
@@ -71,7 +74,7 @@ use crate::results::SimulationResults;
 
 use broker::SiteState;
 use events::GridEvent;
-use job_runtime::{JobRuntime, Phase, RunSlots};
+use job_runtime::{AttemptRecord, JobRuntime, Phase, RunState, Slots};
 use repair::RepairState;
 use staging::{Owner, Transfer};
 
@@ -87,7 +90,8 @@ pub enum SimulationError {
     /// The simulation was built without a required component.
     MissingComponent(&'static str),
     /// A scenario specification could not be resolved into a run (e.g. an
-    /// unparseable `--faults` spec submitted through the scenario engine).
+    /// unparseable `--faults` spec submitted through the scenario engine, a
+    /// negative checkpoint interval, or a trace too long to index).
     InvalidScenario(String),
 }
 
@@ -120,18 +124,20 @@ struct GridModel {
     execution: ExecutionConfig,
     policy: Box<dyn AllocationPolicy>,
     data_policy: Box<dyn DataMovementPolicy>,
-    // The three per-job stores of the module docs.
+    // The four per-job stores of the module docs.
     trace: Arc<Trace>,
     jobs: Vec<JobRuntime>,
-    running: RunSlots,
+    attempts: Slots<AttemptRecord>,
+    running: Slots<RunState>,
     sites: Vec<SiteState>,
-    pending: VecDeque<usize>,
+    /// Jobs (trace indices) parked at the main server, in arrival order.
+    pending: VecDeque<u32>,
     /// The policy-facing mirror of site state, maintained where the state
     /// changes and lent to the policy by [`GridModel::consult_policy`]
     /// (which documents who writes which field).
     view: GridView,
     /// Spare deque `drain_pending` swaps the pending list against.
-    pending_scratch: VecDeque<usize>,
+    pending_scratch: VecDeque<u32>,
     /// Reused buffer for `stage_input`'s replica-source candidates.
     source_scratch: Vec<NodeId>,
     rng: Rng,
@@ -238,7 +244,8 @@ impl GridModel {
             .map(|s| StorageElement::new(s.name.clone(), (s.storage_tb * 1e12) as u64))
             .collect();
         let site_names = platform.sites().iter().map(|s| s.name.clone()).collect();
-        let collector = MonitoringCollector::new(site_names, execution.monitoring.clone());
+        let mut collector = MonitoringCollector::new(site_names, execution.monitoring.clone());
+        collector.reserve_outcomes(trace.jobs.len());
 
         let availability = GridAvailability::all_up(&platform);
         // One slot per site plus the main server (see `node_index`).
@@ -253,7 +260,8 @@ impl GridModel {
             data_policy,
             jobs: vec![JobRuntime::new(); trace.jobs.len()],
             trace,
-            running: RunSlots::default(),
+            attempts: Slots::default(),
+            running: Slots::default(),
             sites,
             pending: VecDeque::new(),
             view: GridView::default(),
@@ -322,7 +330,7 @@ impl GridModel {
         info: Option<&str>,
     ) {
         let kind = phase.trace_kind(self.execution.checkpoint.overlap);
-        let site = self.jobs[idx].site;
+        let site = self.jobs[idx].site();
         self.trace(time_s, phase.trace_cat(), ph, kind, Some(idx), site, |_| {
             info.map(str::to_string)
         });
@@ -406,6 +414,10 @@ impl SimulationBuilder {
     /// stream position rather than by sorted-trace position, so a streamed
     /// run is deterministic (same stream → byte-identical results) yet not
     /// guaranteed byte-identical to the equivalent materialised run.
+    ///
+    /// # Panics
+    /// The run panics if the stream yields more than `u32::MAX` records (a
+    /// shared trace that long is refused by [`SimulationBuilder::build`]).
     pub fn trace_stream(mut self, stream: impl Iterator<Item = JobRecord> + 'static) -> Self {
         self.trace = Some(TraceSource::Stream(Box::new(stream)));
         self
@@ -503,6 +515,12 @@ impl SimulationBuilder {
                     .ok_or(SimulationError::UnknownDataPolicy(name))?
             }
         };
+        if let TraceSource::Shared(trace) = &trace {
+            check_indexable("the trace", trace.jobs.len())?;
+        }
+        if let Some(plan) = &self.fault_plan {
+            check_indexable("the fault plan", plan.events.len())?;
+        }
         Ok(Simulation {
             platform,
             trace,
@@ -519,6 +537,18 @@ impl SimulationBuilder {
     pub fn run(self) -> Result<SimulationResults, SimulationError> {
         Ok(self.build()?.run())
     }
+}
+
+/// Refuses a list of `len` jobs or fault events that the run's `u32`
+/// indices cannot address (`u32::MAX` itself means "no job").
+fn check_indexable(what: &str, len: usize) -> Result<(), SimulationError> {
+    if len > u32::MAX as usize {
+        return Err(SimulationError::InvalidScenario(format!(
+            "{what} has {len} entries, more than the {} a run can index",
+            u32::MAX
+        )));
+    }
+    Ok(())
 }
 
 /// A fully configured simulation, ready to run.
@@ -558,15 +588,16 @@ impl Simulation {
                 ..Trace::default()
             }),
         };
+        // A shared trace was checked by `build`; a stream is known only now.
+        if let Err(e) = check_indexable("the trace stream", trace.jobs.len()) {
+            panic!("{e}");
+        }
         // Submissions are known up front: they go through the engine's
         // sorted lane, never the heap (ties keep job-index order).
-        engine.preload(
-            trace
-                .jobs
-                .iter()
-                .enumerate()
-                .map(|(idx, job)| (SimTime::from_secs(job.submit_time), GridEvent::Submit(idx))),
-        );
+        engine.preload(trace.jobs.iter().enumerate().map(|(idx, job)| {
+            let submit = GridEvent::Submit(idx as u32);
+            (SimTime::from_secs(job.submit_time), submit)
+        }));
 
         // Kick off the fault chain: only the first plan event is scheduled
         // up front; each fault schedules its successor, and the chain is cut
@@ -645,6 +676,15 @@ impl Simulation {
             model
                 .profiler
                 .add_counter("queue_occupied_slots", queue.status_entries() as u64);
+            // Each per-job slab's high-water mark and what it still holds.
+            for (name, value) in [
+                ("run_slab_slots", model.running.high_water()),
+                ("run_slab_live", model.running.live()),
+                ("attempt_slab_slots", model.attempts.high_water()),
+                ("attempt_slab_live", model.attempts.live()),
+            ] {
+                model.profiler.add_counter(name, value as u64);
+            }
             Some(model.profiler.report(&policy_name))
         } else {
             None

@@ -410,7 +410,8 @@ impl GridModel {
             return;
         }
         let delay = self.repair.backoff_s * f64::from(1u32 << (attempts - 1).min(30));
-        let key = ctx.schedule_in(SimTime::from_secs(delay), GridEvent::RepairRetry(index));
+        let event = GridEvent::RepairRetry(u32::try_from(index).expect("dataset ids fit in u32"));
+        let key = ctx.schedule_in(SimTime::from_secs(delay), event);
         self.repair.retry_keys[index] = Some(key);
         self.trace_repair(ctx.now().as_secs(), "repair.retry", |m| {
             let name = &m.catalog.dataset(dataset).name;

@@ -275,7 +275,7 @@ impl GridModel {
         site: SiteId,
         ctx: &mut Context<'_, GridEvent>,
     ) {
-        self.jobs[idx].start_time = ctx.now().as_secs();
+        self.attempt_mut(idx).start_time = ctx.now().as_secs();
         self.stage_input(idx, site, ctx);
     }
 
@@ -332,7 +332,7 @@ impl GridModel {
         self.jobs[idx].state = JobState::Staging;
         self.record(now, idx, JobState::Staging);
         let bytes = self.trace.jobs[idx].input_bytes;
-        self.jobs[idx].staged_bytes += bytes;
+        self.attempt_mut(idx).staged_bytes += bytes;
         // Latency is added as a constant amount of "extra bytes" at the
         // bottleneck rate; for WAN transfers of GB-scale inputs it is
         // negligible, which matches the fluid approximation of SimGrid.

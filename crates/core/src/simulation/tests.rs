@@ -660,7 +660,7 @@ fn running_list_keeps_start_order_like_the_vec_it_replaced() {
     for _ in 0..2_000 {
         let s = rng.index(2);
         if next_job < 200 && rng.chance(0.55) {
-            model.sites[s].queue.push_back(next_job);
+            model.sites[s].queue.push_back(next_job as u32);
             model.admit_front(sites[s], next_job, 1);
             reference[s].push(next_job);
             next_job += 1;
@@ -736,10 +736,62 @@ fn tied_submissions_deliver_in_the_pinned_order() {
 }
 
 #[test]
-fn per_job_state_is_96_bytes() {
-    // One per job for the whole run (README, "Scale campaigns"); what only a
-    // job holding cores needs lives in its `RunState` slot instead.
-    assert!(std::mem::size_of::<super::job_runtime::JobRuntime>() <= 96);
+fn per_job_state_stays_small() {
+    // One `JobRuntime` per job for the whole run (README, "Every job is
+    // stored once"); what a job needs once it has held cores lives in its
+    // attempt record, and what it needs while holding them in its run slot.
+    // Debug builds add a generation to each of the two slot ids.
+    use std::mem::size_of;
+    let runtime = size_of::<super::job_runtime::JobRuntime>();
+    assert!(runtime <= if cfg!(debug_assertions) { 40 } else { 32 });
+    // Every submission waits in the engine's lane as a (time, event) pair.
+    assert!(size_of::<super::events::GridEvent>() <= 8);
+    assert!(size_of::<(cgsim_des::SimTime, super::events::GridEvent)>() <= 16);
+}
+
+#[test]
+fn traces_the_u32_indices_cannot_address_are_refused() {
+    assert!(super::check_indexable("the trace", u32::MAX as usize).is_ok());
+    assert!(matches!(
+        super::check_indexable("the trace", u32::MAX as usize + 1),
+        Err(SimulationError::InvalidScenario(msg)) if msg.contains("the trace has 4294967296")
+    ));
+}
+
+/// Drives one [`Slots`](super::job_runtime::Slots) instance against its
+/// reference twin — ticket number -> handle, the ticket stored in the slot
+/// through `stamp` / `read` — over random takes and releases. A slot comes
+/// back as `T::default()` under a fresh id and every retired handle misses.
+fn slots_match_a_hash_map<T: Default>(
+    stamp: impl Fn(&mut T, u32),
+    read: impl Fn(&T) -> Option<u32>,
+) {
+    use super::job_runtime::{Slots, NO_SLOT};
+    let mut slots = Slots::<T>::default();
+    let mut reference = HashMap::new();
+    let mut retired = Vec::new();
+    let (mut rng, mut peak) = (cgsim_des::rng::Rng::new(5), 0);
+    for ticket in 0..5_000u32 {
+        if reference.len() < 40 && rng.chance(0.55) {
+            let id = slots.take();
+            assert!(!retired.contains(&id), "a fresh id per tenure");
+            assert_eq!(read(slots.get(id).unwrap()), None, "handed out fresh");
+            stamp(slots.get_mut(id).unwrap(), ticket);
+            reference.insert(ticket, id);
+        } else if let Some(&victim) = reference.keys().min() {
+            let id = reference.remove(&victim).unwrap();
+            slots.release(id);
+            retired.push(id);
+        }
+        assert_eq!(slots.live(), reference.len());
+        peak = peak.max(reference.len());
+        assert_eq!(slots.high_water(), peak);
+        for (&ticket, &id) in &reference {
+            assert_eq!(read(slots.get(id).unwrap()), Some(ticket));
+        }
+    }
+    assert!(retired.iter().all(|&id| slots.get(id).is_none()));
+    assert!(slots.get(NO_SLOT).is_none());
 }
 
 #[test]
@@ -748,34 +800,19 @@ fn per_job_state_is_96_bytes() {
     ignore = "slot ids carry a generation in debug builds only"
 )]
 fn run_slots_match_a_hash_map_under_random_churn() {
-    // Reference twin: ticket number -> handle, the ticket stored in the
-    // slot. A slot comes back zeroed under a fresh id and every retired
-    // handle misses.
-    use super::job_runtime::{RunSlots, NO_SLOT};
-    let mut slots = RunSlots::default();
-    let mut reference = HashMap::new();
-    let mut retired = Vec::new();
-    let mut rng = cgsim_des::rng::Rng::new(5);
-    for ticket in 0..5_000u32 {
-        if reference.len() < 40 && rng.chance(0.55) {
-            let id = slots.take();
-            assert!(!retired.contains(&id), "a fresh id per tenure");
-            let fresh = slots.get(id).unwrap();
-            assert_eq!((fresh.frac_done, fresh.run_next), (0.0, NO_JOB));
-            slots.get_mut(id).unwrap().frac_done = f64::from(ticket);
-            reference.insert(ticket, id);
-        } else if let Some(&victim) = reference.keys().min() {
-            let id = reference.remove(&victim).unwrap();
-            slots.release(id);
-            retired.push(id);
-        }
-        assert_eq!(slots.live(), reference.len());
-        for (&ticket, &id) in &reference {
-            assert_eq!(slots.get(id).unwrap().frac_done, f64::from(ticket));
-        }
-    }
-    assert!(retired.iter().all(|&id| slots.get(id).is_none()));
-    assert!(slots.get(NO_SLOT).is_none());
+    use super::job_runtime::{AttemptRecord, RunState};
+    // Both instances of the slab: a fresh run slot is on no running list.
+    slots_match_a_hash_map(
+        |run: &mut RunState, ticket| run.frac_done = f64::from(ticket) + 1.0,
+        |run| {
+            assert_eq!(run.run_next, NO_JOB);
+            (run.frac_done > 0.0).then(|| run.frac_done as u32 - 1)
+        },
+    );
+    slots_match_a_hash_map(
+        |attempt: &mut AttemptRecord, ticket| attempt.staged_bytes = u64::from(ticket) + 1,
+        |attempt| attempt.staged_bytes.checked_sub(1).map(|t| t as u32),
+    );
 }
 
 #[test]
@@ -832,6 +869,16 @@ fn a_killed_and_resubmitted_job_gets_a_fresh_run_slot() {
         let running: u64 = model.sites.iter().map(|s| s.running_jobs()).sum();
         assert_eq!(model.running.live() as u64, running, "t = {now}");
         peak = peak.max(model.running.live());
+        // An attempt record is held from the first cores to the terminal
+        // state, so by every job holding cores and every resubmitted one.
+        let attempts = model.jobs.iter().filter(|job| {
+            let held = model.attempts.get(job.attempt).is_some();
+            assert_eq!(held, job.attempt != none, "t = {now}");
+            assert!(!(held && job.state.is_terminal()), "t = {now}");
+            held
+        });
+        assert_eq!(model.attempts.live(), attempts.count(), "t = {now}");
+        assert!(model.attempts.live() >= model.running.live());
     });
     assert!(readmitted > 0, "no killed job ran again");
     assert!(model.collector.grid_counters().job_interruptions > 0);
@@ -840,6 +887,7 @@ fn a_killed_and_resubmitted_job_gets_a_fresh_run_slot() {
         0,
         "the last terminal job kept its slot"
     );
+    assert_eq!(model.attempts.live(), 0, "a terminal job kept its attempt");
     let cores: u64 = model.platform.sites().iter().map(|s| s.total_cores).sum();
     assert!(
         peak > 0 && peak as u64 <= cores,

@@ -15,7 +15,10 @@
 //!   ratio, so it holds on any runner,
 //! * a clean run pushes only genuinely dynamic events onto the engine's heap,
 //!   and under outages and overlapped checkpoints the queue's slot slab never
-//!   holds more slots than the heap held entries (both counted, not timed).
+//!   holds more slots than the heap held entries (both counted, not timed),
+//! * the per-job slabs hold jobs in flight only: a clean run needs an attempt
+//!   record exactly while a job holds cores, a faulted one also while a
+//!   killed job waits to run again, and both slabs are empty at the end.
 
 use cgsim_core::{
     CheckpointConfig, CheckpointTarget, ExecutionConfig, Simulation, SimulationBuilder,
@@ -188,15 +191,22 @@ fn clean_run_pushes_only_dynamic_events_onto_the_heap() {
     assert_eq!(results.outcomes.len(), JOBS);
     let counter = |name: &str| profile_counter(&results, name);
     eprintln!(
-        "heap pushes {}, cancels {}, heap peak {} on {cores} cores, engine events {}",
+        "heap pushes {}, cancels {}, heap peak {} on {cores} cores, engine events {}, \
+         run slots {}",
         counter("queue_scheduled"),
         counter("queue_cancelled"),
         counter("queue_heap_peak"),
-        counter("engine_events")
+        counter("engine_events"),
+        counter("run_slab_slots")
     );
     assert!(counter("queue_scheduled") <= (2 * JOBS + SITES) as u64);
     assert_eq!(counter("queue_cancelled"), 0);
     assert!(counter("queue_heap_peak") <= cores.min(JOBS as u64 / 2));
+    // Nothing sends a job back to the main server, so a job holds its
+    // attempt record exactly as long as its cores.
+    assert!(counter("run_slab_slots") <= cores);
+    assert_eq!(counter("attempt_slab_slots"), counter("run_slab_slots"));
+    assert_eq!(counter("run_slab_live") + counter("attempt_slab_live"), 0);
 }
 
 /// Clock-free gate on the event queue's bookkeeping in the run that used to
@@ -223,13 +233,21 @@ fn faulted_run_holds_no_more_queue_slots_than_heap_entries() {
     assert!(results.grid_counters.checkpoints_written > 0);
     let counter = |name: &str| profile_counter(&results, name);
     eprintln!(
-        "slab slots {}, heap peak {}, cancels {}, occupied at the end {}",
+        "slab slots {}, heap peak {}, cancels {}, occupied at the end {}; \
+         run slots {}, attempt slots {}",
         counter("queue_slab_slots"),
         counter("queue_heap_peak"),
         counter("queue_cancelled"),
-        counter("queue_occupied_slots")
+        counter("queue_occupied_slots"),
+        counter("run_slab_slots"),
+        counter("attempt_slab_slots")
     );
     assert!(counter("queue_cancelled") > 0, "outages cancel timers");
     assert!(counter("queue_slab_slots") <= counter("queue_heap_peak"));
     assert_eq!(counter("queue_occupied_slots"), 0);
+    // Killed jobs keep their attempt record (checkpoints, retry budget)
+    // while they wait to run again; the last terminal job returns it.
+    assert!(counter("attempt_slab_slots") >= counter("run_slab_slots"));
+    assert_eq!(counter("run_slab_live"), 0);
+    assert_eq!(counter("attempt_slab_live"), 0);
 }

@@ -415,6 +415,12 @@ impl MonitoringCollector {
         Arc::clone(&self.site_names[slot])
     }
 
+    /// Reserves room for `jobs` more outcomes, so a run that knows its job
+    /// count grows the outcome table once instead of by doubling.
+    pub fn reserve_outcomes(&mut self, jobs: usize) {
+        self.outcomes.reserve_exact(jobs);
+    }
+
     /// Records the final outcome of a job.
     pub fn record_outcome(&mut self, outcome: JobOutcome) {
         self.outcomes.push(outcome);

@@ -430,7 +430,7 @@ fn cmd_trace_check(options: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Loads the three input files `simulate` and `serve` share; the returned
-/// execution config has the override flags applied.
+/// execution config has the override flags applied and is validated.
 fn load_inputs(
     options: &HashMap<String, String>,
 ) -> Result<(SimulationConfig, Trace, ExecutionConfig), String> {
@@ -447,6 +447,7 @@ fn load_inputs(
     let trace = Trace::load_jsonl(trace_path).map_err(|e| e.to_string())?;
     let mut execution = config.execution.clone();
     apply_execution_flags(options, &mut execution)?;
+    execution.validate().map_err(|e| e.to_string())?;
     Ok((config, trace, execution))
 }
 

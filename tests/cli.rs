@@ -1,7 +1,8 @@
 //! The `cgsim` binary refuses a command line it does not fully understand:
 //! an unparsable number, a flag the command does not declare, a token that
-//! belongs to no flag and a fault aimed at a site or link the platform lacks
-//! each exit non-zero with a one-line `error:` — the
+//! belongs to no flag, a fault aimed at a site or link the platform lacks and
+//! an execution file holding a duration the flags would refuse each exit
+//! non-zero with a one-line `error:` — the
 //! simulator never silently runs something other than what was asked. And
 //! when a run outlasts its fault plan, stderr says so.
 
@@ -135,6 +136,35 @@ fn every_documented_flag_is_still_accepted() {
     ok(&format!(
         "serve {inputs} --cache-capacity 8 --serial --no-cache"
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_execution_file_is_held_to_the_duration_flags_rule() {
+    // `--checkpoint-interval -60` is refused when parsed; the same value
+    // written into execution.json is refused before the run.
+    let dir = std::env::temp_dir().join(format!("cgsim-cli-interval-{}", std::process::id()));
+    let dir_arg = dir.to_string_lossy().into_owned();
+    let init = cgsim(&["init", "--dir", &dir_arg, "--sites", "2", "--jobs", "10"]);
+    assert!(init.status.success(), "{init:?}");
+    let path = dir.join("execution.json");
+    let mut execution =
+        cgsim::core::ExecutionConfig::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    execution.checkpoint.interval_s = -60.0;
+    std::fs::write(&path, execution.to_json()).unwrap();
+    let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    assert_rejected(
+        &[
+            "simulate",
+            "--platform",
+            &file("platform.json"),
+            "--execution",
+            &file("execution.json"),
+            "--trace",
+            &file("trace.jsonl"),
+        ],
+        "checkpoint.interval_s must be non-negative and finite, got -60",
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
