@@ -1,7 +1,7 @@
 //! Experiment scenario definitions (workloads + parameter sweeps).
 
 use cgsim_baseline::{BaselineResults, BaselineSimulator};
-use cgsim_calibrate::{CalibrationReport, Calibrator, OptimizerKind};
+use cgsim_calibrate::{CalibrationReport, Calibrator};
 use cgsim_core::{ExecutionConfig, Simulation, SimulationResults};
 use cgsim_monitor::MonitoringConfig;
 use cgsim_platform::presets::{single_site_platform, wlcg_platform};
@@ -125,10 +125,8 @@ pub fn calibration_experiment(
     cfg.mean_file_bytes = 1e8;
     let trace = TraceGenerator::new(cfg).generate(&platform);
     let calibrator = Calibrator {
-        optimizer: OptimizerKind::Random,
         budget_per_site,
         seed,
-        parallel: true,
         ..Calibrator::default()
     };
     calibrator.calibrate(&platform, &trace)

@@ -1,12 +1,13 @@
 //! Per-site calibration orchestration (Fig. 3).
 
+use cgsim_core::scenario::{ScenarioEngine, ScenarioSpec};
+use cgsim_des::rng::Rng;
 use cgsim_des::stats::geometric_mean;
 use cgsim_platform::PlatformSpec;
 use cgsim_workload::Trace;
 use serde::{Deserialize, Serialize};
 
 use crate::objective::SiteWalltimeObjective;
-use crate::optimizer::OptimizerKind;
 
 /// Calibration outcome for one site.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -19,9 +20,9 @@ pub struct SiteCalibration {
     pub nominal_error: f64,
     /// Relative walltime MAE with the calibrated speed.
     pub calibrated_error: f64,
-    /// The speed multiplier found by the optimiser.
+    /// The speed multiplier found by the search (1.0 if none beat nominal).
     pub best_multiplier: f64,
-    /// Objective evaluations spent on this site.
+    /// Candidate multipliers evaluated for this site (the nominal run aside).
     pub evaluations: usize,
 }
 
@@ -34,8 +35,6 @@ pub struct CalibrationReport {
     pub geometric_mean_before: f64,
     /// Geometric mean of the per-site error after calibration.
     pub geometric_mean_after: f64,
-    /// Optimiser used.
-    pub optimizer: String,
     /// The platform specification with calibrated speed multipliers applied.
     pub calibrated_spec: PlatformSpec,
 }
@@ -69,99 +68,100 @@ impl CalibrationReport {
     }
 }
 
-/// Per-site calibration driver.
+/// Per-site calibration driver: random search over each site's speed
+/// multiplier, the method behind the paper's Fig. 3.
 #[derive(Debug, Clone)]
 pub struct Calibrator {
-    /// Which optimisation method to use.
-    pub optimizer: OptimizerKind,
-    /// Objective-evaluation budget per site.
+    /// Candidate multipliers drawn per site.
     pub budget_per_site: usize,
     /// Search bounds for the speed multiplier.
     pub multiplier_bounds: (f64, f64),
     /// RNG seed (forked per site).
     pub seed: u64,
-    /// Calibrate sites on multiple threads.
-    pub parallel: bool,
 }
 
 impl Default for Calibrator {
     fn default() -> Self {
         Calibrator {
-            optimizer: OptimizerKind::Random,
             budget_per_site: 30,
             multiplier_bounds: (0.2, 3.0),
             seed: 0xCA11B,
-            parallel: true,
         }
     }
 }
 
 impl Calibrator {
     /// Calibrates every site of `spec` that has historical jobs in `trace`.
+    ///
+    /// Site `i` (counting only sites with jobs) draws `budget_per_site`
+    /// multipliers uniformly within the bounds from `Rng::new(seed + i)`.
+    /// Every site's nominal run and all its candidates are evaluated as one
+    /// [`ScenarioEngine::evaluate_batch`]; the first strict minimum in draw
+    /// order wins, and is kept only if it is no worse than nominal (so
+    /// calibration never regresses a site).
     pub fn calibrate(&self, spec: &PlatformSpec, trace: &Trace) -> CalibrationReport {
-        let site_names: Vec<String> = spec
+        let (lo, hi) = self.multiplier_bounds;
+        let searches: Vec<(&str, SiteWalltimeObjective, Vec<f64>)> = spec
             .sites
             .iter()
-            .map(|s| s.name.clone())
+            .map(|s| s.name.as_str())
             .filter(|name| trace.jobs_for_site(name).next().is_some())
+            .enumerate()
+            .map(|(i, name)| {
+                let mut rng = Rng::new(self.seed.wrapping_add(i as u64));
+                let draws = (0..self.budget_per_site)
+                    .map(|_| rng.uniform_range(lo, hi))
+                    .collect();
+                (name, SiteWalltimeObjective::new(spec, trace, name), draws)
+            })
             .collect();
 
-        let calibrate_one = |(i, name): (usize, &String)| -> SiteCalibration {
-            let objective = SiteWalltimeObjective::new(spec, trace, name);
-            let nominal_error = objective.evaluate(1.0);
-            let mut optimizer = self.optimizer.build(self.seed.wrapping_add(i as u64));
-            let bounds = [self.multiplier_bounds];
-            let result = optimizer.optimize(
-                &mut |x: &[f64]| objective.evaluate(x[0]),
-                &bounds,
-                self.budget_per_site,
-            );
-            // Keep the better of nominal and optimised (the optimiser can only
-            // improve the configuration, never regress it).
-            let (best_multiplier, calibrated_error) = if result.best_value <= nominal_error {
-                (result.best_x[0], result.best_value)
-            } else {
-                (1.0, nominal_error)
-            };
-            SiteCalibration {
-                site: name.clone(),
-                jobs: objective.job_count(),
-                nominal_error,
-                calibrated_error,
-                best_multiplier,
-                evaluations: result.evaluations,
-            }
-        };
-
-        let mut sites: Vec<SiteCalibration> = if self.parallel && site_names.len() > 1 {
-            let threads = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(site_names.len());
-            let chunk = site_names.len().div_ceil(threads);
-            let indexed: Vec<(usize, &String)> = site_names.iter().enumerate().collect();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for chunk_items in indexed.chunks(chunk) {
-                    handles.push(scope.spawn(move || {
-                        chunk_items
-                            .iter()
-                            .map(|&(i, name)| calibrate_one((i, name)))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("calibration worker panicked"))
-                    .collect()
+        let scenarios: Vec<ScenarioSpec> = searches
+            .iter()
+            .flat_map(|(_, objective, draws)| {
+                std::iter::once(&1.0)
+                    .chain(draws)
+                    .map(|&m| objective.scenario(m))
             })
-        } else {
-            site_names
-                .iter()
-                .enumerate()
-                .map(|(i, name)| calibrate_one((i, name)))
-                .collect()
-        };
+            .collect();
+        let mut outcomes = ScenarioEngine::new().evaluate_batch(&scenarios).into_iter();
+
+        let mut sites: Vec<SiteCalibration> = searches
+            .iter()
+            .map(|(name, objective, draws)| {
+                let mut errors = outcomes.by_ref().take(1 + draws.len()).map(|outcome| {
+                    objective.error(
+                        &outcome
+                            .expect("calibration simulation is well-formed")
+                            .results,
+                    )
+                });
+                let nominal_error = errors.next().expect("the nominal run is in the batch");
+                let (best, best_error) = draws.iter().zip(errors).fold(
+                    (1.0, f64::INFINITY),
+                    |(m, e), (&draw, error)| {
+                        if error < e {
+                            (draw, error)
+                        } else {
+                            (m, e)
+                        }
+                    },
+                );
+                let (best_multiplier, calibrated_error) = if best_error <= nominal_error {
+                    (best, best_error)
+                } else {
+                    (1.0, nominal_error)
+                };
+                SiteCalibration {
+                    site: name.to_string(),
+                    jobs: objective.job_count(),
+                    nominal_error,
+                    calibrated_error,
+                    best_multiplier,
+                    evaluations: draws.len(),
+                }
+            })
+            .collect();
         sites.sort_by(|a, b| a.site.cmp(&b.site));
 
         // Floor the per-site errors at a small epsilon so the geometric mean
@@ -190,7 +190,6 @@ impl Calibrator {
             sites,
             geometric_mean_before: gm_before,
             geometric_mean_after: gm_after,
-            optimizer: self.optimizer.label().to_string(),
             calibrated_spec,
         }
     }
@@ -215,7 +214,6 @@ mod tests {
         let (spec, trace) = setup(240);
         let calibrator = Calibrator {
             budget_per_site: 20,
-            parallel: true,
             ..Calibrator::default()
         };
         let report = calibrator.calibrate(&spec, &trace);
@@ -230,7 +228,7 @@ mod tests {
         for site in &report.sites {
             assert!(site.calibrated_error <= site.nominal_error + 1e-9);
             assert!(site.jobs > 0);
-            assert!(site.evaluations <= 20);
+            assert_eq!(site.evaluations, 20);
         }
         // The calibrated spec carries the multipliers.
         assert!(report
@@ -270,26 +268,20 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_calibration_agree() {
-        let (spec, trace) = setup(160);
-        let serial = Calibrator {
-            parallel: false,
-            budget_per_site: 10,
+    fn a_zero_budget_reports_every_site_at_nominal() {
+        let (spec, trace) = setup(120);
+        let report = Calibrator {
+            budget_per_site: 0,
             ..Calibrator::default()
         }
         .calibrate(&spec, &trace);
-        let parallel = Calibrator {
-            parallel: true,
-            budget_per_site: 10,
-            ..Calibrator::default()
+        assert_eq!(report.sites.len(), 4);
+        for site in &report.sites {
+            assert_eq!(site.best_multiplier, 1.0);
+            assert_eq!(site.calibrated_error, site.nominal_error);
+            assert_eq!(site.evaluations, 0);
         }
-        .calibrate(&spec, &trace);
-        assert_eq!(serial.sites.len(), parallel.sites.len());
-        for (a, b) in serial.sites.iter().zip(&parallel.sites) {
-            assert_eq!(a.site, b.site);
-            assert!((a.best_multiplier - b.best_multiplier).abs() < 1e-12);
-            assert!((a.calibrated_error - b.calibrated_error).abs() < 1e-12);
-        }
+        assert_eq!(report.geometric_mean_after, report.geometric_mean_before);
     }
 
     #[test]

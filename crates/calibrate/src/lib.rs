@@ -3,26 +3,19 @@
 //! Paper §4.2 calibrates CGSim against historical PanDA job records: the
 //! dominant error source is the per-site CPU core processing speed, so each
 //! site's speed is tuned to minimise the discrepancy between simulated and
-//! historical job execution time (`Δ_exe_time = Sim_exe_time − His_exe_time`),
-//! and four optimisation methods are compared — brute-force (grid) search,
-//! random sampling, Bayesian optimisation and CMA-ES. Random search wins on
-//! this landscape; the calibrated simulator improves the geometric mean of
-//! the per-site relative MAE from 76 % to 17 % over 50 sites (Fig. 3).
+//! historical job execution time (`Δ_exe_time = Sim_exe_time − His_exe_time`).
+//! The paper compares four search methods, finds random sampling best, and
+//! with it improves the geometric mean of the per-site relative MAE from
+//! 76 % to 17 % over 50 sites (Fig. 3).
 //!
-//! This crate reproduces that pipeline end to end:
+//! This crate reproduces that pipeline end to end with random search:
 //!
-//! * [`optimizer`] — the optimiser abstraction plus the four methods of the
-//!   paper, implemented from scratch ([`GridSearch`], [`RandomSearch`],
-//!   [`BayesianOptimizer`] with a GP/expected-improvement loop, and
-//!   [`CmaEs`]),
-//! * [`linalg`] — the small dense linear algebra (Cholesky, Jacobi
-//!   eigendecomposition) those optimisers need,
-//! * [`objective`] — the walltime-error objective: run the simulator with a
-//!   candidate per-site speed multiplier on that site's historical jobs and
-//!   report the relative MAE,
-//! * [`calibrator`] — per-site calibration orchestration (optionally in
-//!   parallel across sites), producing the before/after error table of
-//!   Fig. 3,
+//! * [`objective`] — the walltime-error objective: the scenario that runs
+//!   one site's historical jobs with a candidate speed multiplier, and the
+//!   relative MAE read off its results,
+//! * [`calibrator`] — per-site random search, every site's candidates
+//!   evaluated as one scenario batch, producing the before/after error table
+//!   of Fig. 3,
 //! * [`sensitivity`] — the parameter sensitivity analysis that identifies
 //!   CPU speed as the dominant parameter.
 
@@ -30,14 +23,9 @@
 #![warn(rust_2018_idioms)]
 
 pub mod calibrator;
-pub mod linalg;
 pub mod objective;
-pub mod optimizer;
 pub mod sensitivity;
 
 pub use calibrator::{CalibrationReport, Calibrator, SiteCalibration};
 pub use objective::SiteWalltimeObjective;
-pub use optimizer::{
-    BayesianOptimizer, CmaEs, GridSearch, OptResult, Optimizer, OptimizerKind, RandomSearch,
-};
 pub use sensitivity::{SensitivityReport, SensitivityStudy};

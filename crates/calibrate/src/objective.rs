@@ -8,27 +8,29 @@
 //! multiplier, then report the relative mean absolute error of the simulated
 //! walltime against the trace's ground truth.
 //!
-//! Each objective evaluates through its own [`ScenarioEngine`]: the filtered
-//! site trace is `Arc`-shared across every candidate multiplier (only the
-//! small platform spec is cloned per evaluation), and because search
-//! procedures revisit candidates — golden-section endpoints, bracket
-//! midpoints — the engine's deterministic response cache turns those
-//! re-evaluations into lookups instead of reruns.
+//! The objective runs nothing itself. [`SiteWalltimeObjective::scenario`]
+//! turns a candidate into a [`ScenarioSpec`] over the site's `Arc`-shared
+//! base (only the small platform spec is cloned per candidate), and
+//! [`SiteWalltimeObjective::error`] reads the site's error off the finished
+//! run, so a caller evaluates any number of candidates — of any number of
+//! sites — with one [`ScenarioEngine::evaluate_batch`].
+//!
+//! [`ScenarioEngine::evaluate_batch`]: cgsim_core::scenario::ScenarioEngine::evaluate_batch
 
 use std::sync::Arc;
 
-use cgsim_core::scenario::{ScenarioBase, ScenarioEngine, ScenarioSpec};
-use cgsim_core::ExecutionConfig;
+use cgsim_core::scenario::{ScenarioBase, ScenarioSpec};
+use cgsim_core::{ExecutionConfig, SimulationResults};
+use cgsim_monitor::MonitoringConfig;
 use cgsim_platform::PlatformSpec;
 use cgsim_workload::Trace;
 
 /// Objective function for calibrating one site's CPU speed multiplier.
 pub struct SiteWalltimeObjective {
     /// Shared platform spec + filtered site trace (content-hashed once).
-    base: Arc<cgsim_core::scenario::ScenarioBase>,
+    base: Arc<ScenarioBase>,
     site_name: String,
     execution: ExecutionConfig,
-    engine: ScenarioEngine,
 }
 
 impl SiteWalltimeObjective {
@@ -37,10 +39,8 @@ impl SiteWalltimeObjective {
     pub fn new(platform_spec: &PlatformSpec, trace: &Trace, site_name: &str) -> Self {
         let jobs = trace.jobs_for_site(site_name).cloned().collect::<Vec<_>>();
         let mut execution = ExecutionConfig::with_policy("historical-panda");
-        // Calibration compares execution time only; monitoring rows are not
-        // needed and output transfers do not affect site walltime accounting
-        // materially, but we keep them on for fidelity with normal runs.
-        execution.monitoring = cgsim_monitor_config_disabled();
+        // Calibration compares execution time only, so no monitoring rows.
+        execution.monitoring = MonitoringConfig::disabled();
         let site_trace = Trace {
             jobs,
             hidden_site_multipliers: trace.hidden_site_multipliers.clone(),
@@ -49,9 +49,6 @@ impl SiteWalltimeObjective {
             base: ScenarioBase::shared(platform_spec.clone(), site_trace),
             site_name: site_name.to_string(),
             execution,
-            // Serial: the calibrator already fans out across sites, and each
-            // evaluation is a single simulation anyway.
-            engine: ScenarioEngine::new().parallel(false),
         }
     }
 
@@ -60,20 +57,10 @@ impl SiteWalltimeObjective {
         self.base.trace().len()
     }
 
-    /// Name of the calibrated site.
-    pub fn site_name(&self) -> &str {
-        &self.site_name
-    }
-
-    /// Evaluates the relative walltime MAE for a candidate speed multiplier.
-    /// Returns 0 when the site has no historical jobs.
-    pub fn evaluate(&self, multiplier: f64) -> f64 {
-        if self.base.trace().is_empty() {
-            return 0.0;
-        }
-        // The candidate multiplier is the only platform delta: clone the
-        // (small) spec, set it, and rebase — `with_platform` re-hashes the
-        // spec but reuses the shared trace and its hash.
+    /// The scenario that runs the site's jobs with `multiplier` as its speed.
+    /// The multiplier is the only platform delta: `with_platform` re-hashes
+    /// the (small) spec but reuses the shared trace and its hash.
+    pub fn scenario(&self, multiplier: f64) -> ScenarioSpec {
         let mut platform_spec = (**self.base.platform()).clone();
         if let Some(site) = platform_spec
             .sites
@@ -83,33 +70,24 @@ impl SiteWalltimeObjective {
             site.speed_multiplier = multiplier.max(1e-6);
         }
         let base = Arc::new(self.base.with_platform(platform_spec));
-        let scenario = ScenarioSpec::new(base, self.execution.clone());
-        let outcome = self
-            .engine
-            .evaluate(&scenario)
-            .expect("calibration simulation is well-formed");
-        outcome
-            .results
+        ScenarioSpec::new(base, self.execution.clone())
+    }
+
+    /// The site's relative walltime MAE in `results` (a run of one of this
+    /// objective's scenarios); 0 when the site ran no jobs.
+    pub fn error(&self, results: &SimulationResults) -> f64 {
+        results
             .walltime_error_by_site()
             .get(&self.site_name)
             .map(|e| e.overall)
             .unwrap_or(0.0)
     }
-
-    /// How many simulations this objective has actually run (re-evaluated
-    /// multipliers are answered from the response cache).
-    pub fn simulations_run(&self) -> u64 {
-        self.engine.simulations_run()
-    }
-}
-
-fn cgsim_monitor_config_disabled() -> cgsim_monitor::MonitoringConfig {
-    cgsim_monitor::MonitoringConfig::disabled()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgsim_core::scenario::ScenarioEngine;
     use cgsim_platform::presets::example_platform;
     use cgsim_workload::{TraceConfig, TraceGenerator};
 
@@ -122,11 +100,20 @@ mod tests {
         (spec, trace)
     }
 
+    /// The objective's error at each multiplier, evaluated as one batch.
+    fn errors(obj: &SiteWalltimeObjective, multipliers: &[f64]) -> Vec<f64> {
+        let scenarios: Vec<ScenarioSpec> = multipliers.iter().map(|&m| obj.scenario(m)).collect();
+        ScenarioEngine::new()
+            .evaluate_batch(&scenarios)
+            .into_iter()
+            .map(|o| obj.error(&o.expect("calibration scenario runs").results))
+            .collect()
+    }
+
     #[test]
-    fn objective_reports_site_and_job_count() {
+    fn objective_counts_the_sites_jobs() {
         let (spec, trace) = setup();
         let obj = SiteWalltimeObjective::new(&spec, &trace, "BNL");
-        assert_eq!(obj.site_name(), "BNL");
         assert_eq!(obj.job_count(), trace.jobs_for_site("BNL").count());
         assert!(obj.job_count() > 0);
     }
@@ -136,9 +123,8 @@ mod tests {
         let (spec, trace) = setup();
         let obj = SiteWalltimeObjective::new(&spec, &trace, "CERN");
         let hidden = trace.hidden_site_multipliers["CERN"];
-        let at_hidden = obj.evaluate(hidden);
-        let at_nominal = obj.evaluate(1.0);
-        let far_off = obj.evaluate(hidden * 3.0);
+        let e = errors(&obj, &[hidden, 1.0, hidden * 3.0]);
+        let (at_hidden, at_nominal, far_off) = (e[0], e[1], e[2]);
         assert!(
             at_hidden < at_nominal || (hidden - 1.0).abs() < 0.1,
             "error at hidden multiplier {at_hidden} should beat nominal {at_nominal}"
@@ -153,19 +139,22 @@ mod tests {
         let (spec, trace) = setup();
         let obj = SiteWalltimeObjective::new(&spec, &trace, "NOT-A-SITE");
         assert_eq!(obj.job_count(), 0);
-        assert_eq!(obj.evaluate(1.0), 0.0);
+        assert_eq!(errors(&obj, &[1.0]), [0.0]);
     }
 
     #[test]
-    fn repeated_multipliers_hit_the_response_cache() {
+    fn only_the_candidate_site_speed_changes() {
         let (spec, trace) = setup();
         let obj = SiteWalltimeObjective::new(&spec, &trace, "CERN");
-        let first = obj.evaluate(1.25);
-        assert_eq!(obj.simulations_run(), 1);
-        let again = obj.evaluate(1.25);
-        assert_eq!(obj.simulations_run(), 1, "re-evaluation is a cache hit");
-        assert_eq!(first, again);
-        obj.evaluate(0.75);
-        assert_eq!(obj.simulations_run(), 2);
+        let scenario = obj.scenario(1.25);
+        for (site, nominal) in scenario.base.platform().sites.iter().zip(&spec.sites) {
+            let expected = if site.name == "CERN" {
+                1.25
+            } else {
+                nominal.speed_multiplier
+            };
+            assert_eq!(site.speed_multiplier, expected);
+        }
+        assert!(Arc::ptr_eq(scenario.base.trace(), obj.base.trace()));
     }
 }

@@ -9,7 +9,11 @@
 //! others stay nominal, the walltime error is measured, and the parameters
 //! are ranked by the spread of error they induce.
 
-use cgsim_core::{ExecutionConfig, Simulation};
+use std::sync::Arc;
+
+use cgsim_core::scenario::{ScenarioBase, ScenarioEngine, ScenarioSpec};
+use cgsim_core::{ExecutionConfig, SimulationResults};
+use cgsim_monitor::MonitoringConfig;
 use cgsim_platform::PlatformSpec;
 use cgsim_workload::Trace;
 use serde::{Deserialize, Serialize};
@@ -127,17 +131,8 @@ impl SensitivityStudy {
         scaled
     }
 
-    fn walltime_error(spec: &PlatformSpec, trace: &Trace) -> f64 {
-        let mut execution = ExecutionConfig::with_policy("historical-panda");
-        execution.monitoring = cgsim_monitor::MonitoringConfig::disabled();
-        let results = Simulation::builder()
-            .platform_spec(spec)
-            .expect("spec is valid")
-            .trace(trace.clone())
-            .policy_name("historical-panda")
-            .execution(execution)
-            .run()
-            .expect("sensitivity simulation runs");
+    /// Mean of the per-site walltime errors of one run (0 with no sites).
+    fn walltime_error(results: &SimulationResults) -> f64 {
         let per_site = results.walltime_error_by_site();
         if per_site.is_empty() {
             return 0.0;
@@ -146,22 +141,39 @@ impl SensitivityStudy {
         cgsim_des::stats::mean(&errors)
     }
 
-    /// Runs the study.
+    /// Runs the study: every parameter × scale point is one scenario over a
+    /// shared base holding the first `max_jobs` jobs, and the whole grid is
+    /// evaluated as one [`ScenarioEngine::evaluate_batch`].
     pub fn run(&self, spec: &PlatformSpec, trace: &Trace) -> SensitivityReport {
         let subset = Trace {
             jobs: trace.jobs.iter().take(self.max_jobs).cloned().collect(),
             hidden_site_multipliers: trace.hidden_site_multipliers.clone(),
         };
+        let base = ScenarioBase::new(spec.clone(), subset);
+        let mut execution = ExecutionConfig::with_policy("historical-panda");
+        execution.monitoring = MonitoringConfig::disabled();
+        let scenarios: Vec<ScenarioSpec> = Parameter::all()
+            .into_iter()
+            .flat_map(|parameter| self.scales.iter().map(move |&scale| (parameter, scale)))
+            .map(|(parameter, scale)| {
+                let scaled = base.with_platform(Self::scaled_spec(spec, parameter, scale));
+                ScenarioSpec::new(Arc::new(scaled), execution.clone())
+            })
+            .collect();
+        let mut errors = ScenarioEngine::new()
+            .evaluate_batch(&scenarios)
+            .into_iter()
+            .map(|outcome| {
+                Self::walltime_error(&outcome.expect("sensitivity simulation runs").results)
+            });
+
         let mut parameters: Vec<ParameterSensitivity> = Parameter::all()
             .into_iter()
             .map(|parameter| {
                 let samples: Vec<(f64, f64)> = self
                     .scales
                     .iter()
-                    .map(|&scale| {
-                        let scaled = Self::scaled_spec(spec, parameter, scale);
-                        (scale, Self::walltime_error(&scaled, &subset))
-                    })
+                    .map(|&scale| (scale, errors.next().expect("one outcome per scale")))
                     .collect();
                 let min = samples
                     .iter()

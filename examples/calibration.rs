@@ -26,7 +26,6 @@ fn main() {
     );
 
     let calibrator = Calibrator {
-        optimizer: OptimizerKind::Random,
         budget_per_site: 25,
         ..Calibrator::default()
     };

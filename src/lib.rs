@@ -22,7 +22,7 @@
 //! | [`core`] | `cgsim-core` | the simulation core: main server, site receivers, job lifecycle |
 //! | [`monitor`] | `cgsim-monitor` | event-level datasets, metrics, table store, dashboards, ML export |
 //! | [`obs`] | `cgsim-obs` | deterministic structured tracing and self-profiling |
-//! | [`calibrate`] | `cgsim-calibrate` | calibration objectives and the four optimisers of §4.2 |
+//! | [`calibrate`] | `cgsim-calibrate` | per-site random-search calibration and the sensitivity study of §4.2 |
 //! | [`baseline`] | `cgsim-baseline` | coarse-grained GridSim/CloudSim-style baseline simulator |
 //!
 //! The event-level ML dataset is [`monitor::mldataset`] (`ml_dataset.csv`
@@ -66,7 +66,7 @@ pub use cgsim_workload as workload;
 /// Convenience re-exports of the types most applications need.
 pub mod prelude {
     pub use cgsim_baseline::BaselineSimulator;
-    pub use cgsim_calibrate::{Calibrator, OptimizerKind, SensitivityStudy};
+    pub use cgsim_calibrate::{Calibrator, SensitivityStudy};
     pub use cgsim_core::{
         serve_loop, CheckpointConfig, CheckpointTarget, ComputeMode, ExecutionConfig, QueueModel,
         RepairConfig, ScenarioBase, ScenarioDelta, ScenarioEngine, ScenarioSpec, ServeRequest,

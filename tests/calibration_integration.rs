@@ -17,7 +17,6 @@ fn calibration_recovers_hidden_site_speeds_and_generalises() {
     let (calibration_trace, validation_trace) = trace.split(0.5);
 
     let calibrator = Calibrator {
-        optimizer: OptimizerKind::Random,
         budget_per_site: 25,
         ..Calibrator::default()
     };
@@ -67,25 +66,32 @@ fn calibration_recovers_hidden_site_speeds_and_generalises() {
 }
 
 #[test]
-fn all_four_optimizers_improve_over_nominal() {
+fn random_search_never_regresses_a_site() {
     let platform = example_platform();
     let mut cfg = TraceConfig::with_jobs(300, 73);
     cfg.mean_file_bytes = 1e8;
     let trace = TraceGenerator::new(cfg).generate(&platform);
 
-    for kind in OptimizerKind::all() {
-        let calibrator = Calibrator {
-            optimizer: kind,
-            budget_per_site: 12,
-            ..Calibrator::default()
-        };
-        let report = calibrator.calibrate(&platform, &trace);
+    let calibrator = Calibrator {
+        budget_per_site: 12,
+        ..Calibrator::default()
+    };
+    let report = calibrator.calibrate(&platform, &trace);
+    assert!(!report.sites.is_empty());
+    assert!(
+        report.geometric_mean_after <= report.geometric_mean_before,
+        "regressed: {} -> {}",
+        report.geometric_mean_before,
+        report.geometric_mean_after
+    );
+    for cal in &report.sites {
         assert!(
-            report.geometric_mean_after <= report.geometric_mean_before + 1e-9,
-            "{kind:?} regressed: {} -> {}",
-            report.geometric_mean_before,
-            report.geometric_mean_after
+            cal.calibrated_error <= cal.nominal_error,
+            "site {} regressed: {} -> {}",
+            cal.site,
+            cal.nominal_error,
+            cal.calibrated_error
         );
-        assert_eq!(report.optimizer, kind.label());
+        assert_eq!(cal.evaluations, 12);
     }
 }
