@@ -74,6 +74,13 @@ cgsim "${HEAL[@]}" --output heal-base > /dev/null
 same_as heal-base heal-off "${HEAL[@]}" --checkpoint-delta-bytes-per-s 0 \
   --repair-target 3 --repair-concurrent 2 --repair-retries 9
 
+# Every other gate places jobs with least-loaded. The data-aware policy under
+# the same churn reads `has_input_replica`, skips staging where the input is
+# already held, and loses replicas to outages and disk losses while repair
+# re-replicates them.
+echo "gate: determinism (data-aware placement)"
+double_run data "${HEAL[@]}" --policy data-aware --repair
+
 # Tracing and profiling are pure observers: a traced + profiled run leaves
 # results.json byte-identical to the plain run, trace files replay
 # byte-identically, every JSONL line parses against the record schema, the

@@ -240,13 +240,17 @@ pub struct ExecutionConfig {
     pub source_selection: SourceSelection,
     /// Name of the data-movement policy to instantiate from the data-policy
     /// registry (replica-source selection and cache admission). The default
-    /// policy defers source selection to `source_selection` and always caches.
+    /// policy defers source selection to `source_selection` and admits every
+    /// staged input as a site replica.
     #[serde(default = "default_data_movement_policy")]
     pub data_movement_policy: String,
     /// Whether finished jobs ship their output back to the main server.
     pub enable_output_transfers: bool,
-    /// Whether staged task datasets are cached (replicated) at the execution
-    /// site so later jobs of the same task skip the WAN transfer.
+    /// Whether staged task datasets are registered as replicas at the
+    /// execution site (when the data-movement policy's `cache_decision`
+    /// admits them) so later jobs of the same task skip the WAN transfer.
+    /// Such a replica is kept without a byte bound and is lost only to an
+    /// outage or disk loss at the site.
     pub cache_datasets: bool,
     /// Core sharing mode.
     pub compute_mode: ComputeMode,

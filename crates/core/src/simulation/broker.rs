@@ -129,10 +129,8 @@ impl GridModel {
     }
 
     /// Sets (or clears) `has_input_replica` at every site holding a replica
-    /// of `dataset`: O(holders), no per-site probe. The site LRU needs no
-    /// separate look — it only ever holds what the catalog also lists
-    /// (inserted together in `begin_execution`, wiped together on outage and
-    /// disk loss), which the reference twin re-proves at every call.
+    /// of `dataset`: O(holders), no per-site probe. The catalog is the run's
+    /// one record of which site holds which dataset.
     fn flag_input_replicas(&mut self, dataset: DatasetId, flag: bool) {
         for node in self.catalog.replicas(dataset) {
             if let NodeId::Site(site) = node {
@@ -197,9 +195,7 @@ impl GridModel {
                     queued_jobs: state.queue.len() as u64,
                     running_jobs: state.running_len,
                     finished_jobs: self.collector.site_counters(s.id.index()).finished,
-                    has_input_replica: dataset.is_some_and(|d| {
-                        self.catalog.has_replica(d, node) || self.caches[s.id.index()].contains(d)
-                    }),
+                    has_input_replica: dataset.is_some_and(|d| self.catalog.has_replica(d, node)),
                     up: self.availability.site_up(s.id),
                     active_repairs: self
                         .repair
@@ -252,7 +248,7 @@ impl GridModel {
                 // job is parked like any undispatchable job.
                 if let Some(bad) = decision {
                     if bad.index() >= self.sites.len() {
-                        self.collector.record_invalid_decision();
+                        self.collector.grid_counters.invalid_policy_decisions += 1;
                         if !self.warned_invalid_policy {
                             self.warned_invalid_policy = true;
                             eprintln!(

@@ -260,7 +260,7 @@ impl GridModel {
         }
         self.start_execution_segment(idx, site, ctx);
         if admitted {
-            self.collector.record_ckpt_overlap();
+            self.collector.grid_counters.ckpt_overlapped += 1;
         }
     }
 
@@ -295,7 +295,7 @@ impl GridModel {
             CheckpointTarget::MainServer => NodeId::MainServer,
         };
         let xfer = self.checkpoint_transfer_bytes(idx, site, node);
-        self.collector.record_ckpt_shipped(xfer);
+        self.collector.grid_counters.ckpt_bytes_shipped += xfer;
         let stalled = !self.execution.checkpoint.overlap;
         let run = self.run_mut(idx);
         run.ckpt_frac = run.frac_done;
@@ -465,10 +465,10 @@ impl GridModel {
     /// Invalidates every durable checkpoint held at `node` (a site outage or
     /// disk loss destroyed the storage contents). Returns how many
     /// checkpoints were lost; the catalog replicas are dropped by the
-    /// caller's `evict_node`. The holders come from the per-node index —
-    /// O(checkpoints at the node), not O(jobs) — visited in ascending job
-    /// order; each job's surviving stack entries keep their relative order
-    /// (`best_durable_checkpoint`'s tie-break observes it).
+    /// caller's `evict_node_reporting`. The holders come from the per-node
+    /// index — O(checkpoints at the node), not O(jobs) — visited in
+    /// ascending job order; each job's surviving stack entries keep their
+    /// relative order (`best_durable_checkpoint`'s tie-break observes it).
     pub(super) fn invalidate_checkpoints_at(&mut self, node: NodeId) -> u64 {
         let timer = self.profiler.start();
         #[cfg(debug_assertions)]

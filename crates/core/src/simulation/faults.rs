@@ -9,15 +9,15 @@
 //! * **site outage** — jobs holding cores are killed (their pending engine
 //!   timers cancelled, their fluid activities removed), queued jobs are
 //!   bounced back to the main server, and every replica staged at the site
-//!   is invalidated (cache wiped, catalog evicted),
+//!   is invalidated (its catalog entries evicted),
 //! * **partial node loss** — the lost cores are reclaimed from the free
 //!   pool, killing the most recently started jobs if the free pool cannot
 //!   cover the loss,
 //! * **link degradation** — the link's fluid capacity is rescaled, which
 //!   re-rates every in-flight transfer through max-min fairness,
 //! * **disk loss** — the site's storage media fail without an outage:
-//!   staged replicas, cache entries and durable checkpoints held there are
-//!   lost while the site keeps computing,
+//!   staged replicas and durable checkpoints held there are lost while the
+//!   site keeps computing,
 //! * **job kill** — one targeted job is killed if it currently holds cores.
 //!
 //! Killed jobs consume a fault retry (`ExecutionConfig::fault_max_retries`)
@@ -110,7 +110,7 @@ impl GridModel {
                 // transition kills work.
                 if self.availability.site_down_begin(site) {
                     self.mirror_site(site);
-                    self.collector.record_site_outage();
+                    self.collector.grid_counters.site_outages += 1;
                     self.take_site_down(site, ctx);
                 }
             }
@@ -134,7 +134,7 @@ impl GridModel {
                 self.apply_disk_loss(SiteId::new(site), ctx);
             }
             FaultAction::LinkDegrade { link, factor } if link < self.link_resources.len() => {
-                self.collector.record_link_degradation();
+                self.collector.grid_counters.link_degradations += 1;
                 self.availability
                     .link_degrade_begin(LinkId::new(link), factor);
                 self.apply_link_capacity(link);
@@ -214,23 +214,23 @@ impl GridModel {
     }
 
     /// Storage-media loss at a site that stays up: every byte held there —
-    /// staged replicas, cache entries, durable checkpoints — is gone, and
+    /// staged replicas and durable checkpoints — is gone, and
     /// in-flight transfers touching the dead storage are re-planned.
     fn apply_disk_loss(&mut self, site: SiteId, ctx: &mut Context<'_, GridEvent>) {
-        self.collector.record_disk_loss();
+        self.collector.grid_counters.disk_losses += 1;
         self.wipe_storage_at(site, ctx.now().as_secs());
         self.repair_transfers_touching(NodeId::Site(site), ctx);
         self.pump_repairs(ctx);
     }
 
     /// Every byte stored at `site` is gone: durable checkpoints (counted and
-    /// traced as lost), catalog replicas (the repair planner hears which
-    /// datasets fell into deficit) and the site cache.
+    /// traced as lost) and catalog replicas (with repair enabled, the
+    /// planner hears which datasets fell into deficit).
     fn wipe_storage_at(&mut self, site: SiteId, time_s: f64) {
         let node = NodeId::Site(site);
         let lost = self.invalidate_checkpoints_at(node);
         if lost > 0 {
-            self.collector.record_checkpoints_lost(lost);
+            self.collector.grid_counters.checkpoints_lost += lost;
             self.trace(
                 time_s,
                 TraceCategory::Ckpt,
@@ -241,13 +241,10 @@ impl GridModel {
                 |_| Some(format!("count={lost}")),
             );
         }
+        let affected = self.catalog.evict_node_reporting(node);
         if self.repair.enabled {
-            let affected = self.catalog.evict_node_reporting(node);
             self.note_repair_deficits(affected);
-        } else {
-            self.catalog.evict_node(node);
         }
-        self.caches[site.index()].clear();
     }
 
     /// Dense index of `node` into the per-node fault-repair indexes
@@ -348,7 +345,7 @@ impl GridModel {
         let lost = ((total as f64) * fraction.clamp(0.0, 1.0)).round() as u64;
         let lost = lost.min(total.saturating_sub(self.availability.cores_lost(site)));
         self.availability.node_loss_begin(site, lost);
-        self.collector.record_node_loss();
+        self.collector.grid_counters.node_losses += 1;
         let mut need = lost;
         loop {
             let available = self.sites[site.index()].available_cores;
@@ -422,7 +419,7 @@ impl GridModel {
         let lost_frac = (progress - durable_frac).max(0.0);
         if lost_frac > 0.0 {
             let lost_s = lost_frac * self.nominal_walltime_at(idx, site);
-            self.collector.record_work_lost(lost_s);
+            self.collector.grid_counters.work_lost_s += lost_s;
         }
 
         if let Some(key) = self.run_mut(idx).timer.take() {
@@ -479,7 +476,7 @@ impl GridModel {
 
         if resubmit {
             self.attempt_mut(idx).fault_retries += 1;
-            self.collector.record_fault_retry();
+            self.collector.grid_counters.fault_retries += 1;
             self.jobs[idx].set_site(None);
             self.jobs[idx].state = JobState::Pending;
             self.record(now, idx, JobState::Pending);

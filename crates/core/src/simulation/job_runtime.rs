@@ -352,16 +352,14 @@ impl GridModel {
         self.jobs[idx].state = JobState::Running;
         self.record(now, idx, JobState::Running);
 
-        // Cache / replicate the input at the execution site for later jobs of
-        // the same task, subject to the data-movement policy's admission
-        // decision.
+        // Register the input as a replica at the execution site for later
+        // jobs of the same task, subject to the data-movement policy's
+        // admission decision. It stays until an outage or disk loss there.
         if self.execution.cache_datasets
             && self.data_policy.cache_decision(&self.trace.jobs[idx], site)
                 == CachePolicy::CacheAtSite
         {
             let dataset = self.task_dataset(idx);
-            let bytes = self.catalog.dataset(dataset).bytes;
-            self.caches[site.index()].insert(dataset, bytes);
             self.catalog.add_replica(dataset, NodeId::Site(site));
         }
 
@@ -398,7 +396,7 @@ impl GridModel {
             // boundary (the overlap model's only stall), and the write
             // completion restarts it.
             self.run_mut(idx).ckpt_stalled = true;
-            self.collector.record_ckpt_stall();
+            self.collector.grid_counters.ckpt_stalls += 1;
             self.trace_phase(
                 ctx.now().as_secs(),
                 idx,

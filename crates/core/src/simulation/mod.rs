@@ -56,7 +56,7 @@ mod tests;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use cgsim_data::{DatasetId, LruCache, ReplicaCatalog, StorageElement};
+use cgsim_data::{DatasetId, ReplicaCatalog, StorageElement};
 use cgsim_des::fluid::{ActivityId, ActivityMap, FluidModel, ResourceId};
 use cgsim_des::rng::Rng;
 use cgsim_des::{Engine, EventKey, SimTime};
@@ -159,7 +159,6 @@ struct GridModel {
     route_scratch: Vec<ResourceId>,
     // Data management state.
     catalog: ReplicaCatalog,
-    caches: Vec<LruCache>,
     /// Per-site storage elements holding durable checkpoint state (indexed
     /// by `SiteId`; the main server's storage is modelled as unbounded).
     storage: Vec<StorageElement>,
@@ -233,11 +232,6 @@ impl GridModel {
             .iter()
             .map(|s| SiteState::new(s.total_cores))
             .collect();
-        let caches = platform
-            .sites()
-            .iter()
-            .map(|s| LruCache::new((s.storage_tb * 0.1 * 1e12) as u64))
-            .collect();
         let storage = platform
             .sites()
             .iter()
@@ -276,7 +270,6 @@ impl GridModel {
             completed_scratch: Vec::new(),
             route_scratch: Vec::new(),
             catalog: ReplicaCatalog::new(),
-            caches,
             storage,
             task_datasets: HashMap::new(),
             collector,
@@ -644,46 +637,28 @@ impl Simulation {
             }
         }
         let profile = if model.profiler.enabled() {
-            model
-                .profiler
-                .add_counter("engine_events", report.events_processed);
             let (fast, slow) = model.fluid.solver_stats();
-            model.profiler.add_counter("fluid_fast_solves", fast);
-            model.profiler.add_counter("fluid_slow_solves", slow);
             let fluid = model.fluid.solver_counters();
-            model
-                .profiler
-                .add_counter("fluid_rerated_slots", fluid.rerated_slots);
-            model
-                .profiler
-                .add_counter("fluid_slow_rounds", fluid.slow_rounds);
-            model
-                .profiler
-                .add_counter("fluid_bulk_rekeys", fluid.bulk_rekeys);
             let queue = engine.queue();
-            model
-                .profiler
-                .add_counter("queue_scheduled", queue.scheduled_total());
-            model
-                .profiler
-                .add_counter("queue_cancelled", queue.cancelled_total());
-            model
-                .profiler
-                .add_counter("queue_heap_peak", queue.heap_peak() as u64);
-            model
-                .profiler
-                .add_counter("queue_slab_slots", queue.slab_slots() as u64);
-            model
-                .profiler
-                .add_counter("queue_occupied_slots", queue.status_entries() as u64);
-            // Each per-job slab's high-water mark and what it still holds.
             for (name, value) in [
-                ("run_slab_slots", model.running.high_water()),
-                ("run_slab_live", model.running.live()),
-                ("attempt_slab_slots", model.attempts.high_water()),
-                ("attempt_slab_live", model.attempts.live()),
+                ("engine_events", report.events_processed),
+                ("fluid_fast_solves", fast),
+                ("fluid_slow_solves", slow),
+                ("fluid_rerated_slots", fluid.rerated_slots),
+                ("fluid_slow_rounds", fluid.slow_rounds),
+                ("fluid_bulk_rekeys", fluid.bulk_rekeys),
+                ("queue_scheduled", queue.scheduled_total()),
+                ("queue_cancelled", queue.cancelled_total()),
+                ("queue_heap_peak", queue.heap_peak() as u64),
+                ("queue_slab_slots", queue.slab_slots() as u64),
+                ("queue_occupied_slots", queue.status_entries() as u64),
+                // Each per-job slab's high-water mark and what it still holds.
+                ("run_slab_slots", model.running.high_water() as u64),
+                ("run_slab_live", model.running.live() as u64),
+                ("attempt_slab_slots", model.attempts.high_water() as u64),
+                ("attempt_slab_live", model.attempts.live() as u64),
             ] {
-                model.profiler.add_counter(name, value as u64);
+                model.profiler.add_counter(name, value);
             }
             Some(model.profiler.report(&policy_name))
         } else {
@@ -695,7 +670,7 @@ impl Simulation {
         // engine's per-job state goes first, only the collector stays.
         let mut collector = { model }.collector;
         drop(engine);
-        let grid_counters = collector.grid_counters();
+        let grid_counters = collector.grid_counters;
         collector.finish_windows();
         let windows = collector
             .windows()

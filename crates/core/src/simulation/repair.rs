@@ -299,7 +299,7 @@ impl GridModel {
         // In-flight repairs *into* each site are counted in the policy view
         // itself (its `active_repairs` signal has no other reader).
         self.view.sites[dest.index()].active_repairs += 1;
-        self.collector.record_repair_started();
+        self.collector.grid_counters.repairs_started += 1;
         self.trace_repair(ctx.now().as_secs(), "repair.start", |m| {
             let (name, to) = (
                 &m.catalog.dataset(dataset).name,
@@ -379,7 +379,7 @@ impl GridModel {
     ) {
         let timer = self.profiler.start();
         let transfer = self.retire_repair_slot(slot, ctx.now().as_secs());
-        self.collector.record_repair_cancelled();
+        self.collector.grid_counters.repairs_cancelled += 1;
         self.trace_repair(ctx.now().as_secs(), "repair.cancel", |m| {
             let name = &m.catalog.dataset(transfer.dataset).name;
             format!("dataset={name} lost_endpoint={node}")
@@ -402,7 +402,7 @@ impl GridModel {
         let dataset = DatasetId::new(index);
         if attempts > self.repair.max_retries {
             self.repair.abandoned[index] = true;
-            self.collector.record_repair_abandoned();
+            self.collector.grid_counters.repairs_abandoned += 1;
             self.trace_repair(ctx.now().as_secs(), "repair.abandon", |m| {
                 let name = &m.catalog.dataset(dataset).name;
                 format!("dataset={name} attempts={attempts} reason={reason}")
@@ -459,7 +459,7 @@ impl GridModel {
         for slot in 0..self.repair.active.len() {
             if self.repair.active[slot].is_some() {
                 let transfer = self.retire_repair_slot(slot, ctx.now().as_secs());
-                self.collector.record_repair_cancelled();
+                self.collector.grid_counters.repairs_cancelled += 1;
                 self.trace_repair(ctx.now().as_secs(), "repair.cancel", |m| {
                     let name = &m.catalog.dataset(transfer.dataset).name;
                     format!("dataset={name} reason=workload-complete")

@@ -294,10 +294,7 @@ impl GridModel {
         let dataset = self.task_dataset(idx);
         let destination = NodeId::Site(site);
 
-        // Cache lookup counts as a hit even when the catalog also knows about
-        // the replica, keeping cache statistics meaningful.
-        let cache_hit = self.caches[site.index()].lookup(dataset);
-        if cache_hit || self.catalog.has_replica(dataset, destination) {
+        if self.catalog.has_replica(dataset, destination) {
             self.begin_execution(idx, site, ctx);
             return;
         }

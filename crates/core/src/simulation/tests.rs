@@ -470,9 +470,8 @@ fn multicore_jobs_use_more_cores_of_the_site() {
 // events.
 // ---------------------------------------------------------------------------
 
-use cgsim_data::DatasetId;
 use cgsim_faults::{parse_fault_spec, FaultAction, FaultEvent, FaultPlan, FaultTopology};
-use cgsim_platform::{NodeId, SiteSpec, Tier};
+use cgsim_platform::{SiteSpec, Tier};
 use cgsim_workload::TaskId;
 
 use super::broker::NO_JOB;
@@ -490,7 +489,7 @@ fn step_through(sim: Simulation, mut check: impl FnMut(&GridModel, f64)) -> Grid
 }
 
 /// `count` single-core jobs submitted at t = 0, each its own task (so each
-/// stages and caches its own 2 GB dataset), `work_s` seconds on a 10-speed
+/// stages and keeps its own 2 GB dataset), `work_s` seconds on a 10-speed
 /// core.
 fn per_task_trace(count: usize, work_s: f64) -> Trace {
     let jobs = (0..count)
@@ -589,57 +588,42 @@ fn maintained_view_follows_outage_recovery_node_loss_and_repairs() {
         .sites
         .iter()
         .all(|s| s.active_repairs == 0 && s.running_jobs == 0 && s.queued_jobs == 0));
-    let counters = model.collector.grid_counters();
+    let counters = model.collector.grid_counters;
     assert!(counters.repairs_started > 0);
     assert_eq!(counters.site_outages, 1);
 }
 
 #[test]
-fn site_caches_hold_only_what_the_catalog_lists_under_churn() {
-    // The policy view takes `has_input_replica` from the catalog alone; that
-    // is sound only while every site-LRU entry is also a catalog replica.
-    // Outages and disk losses wipe both, repairs and caching add to both.
-    let platform = example_platform();
-    let trace = TraceGenerator::new(TraceConfig::with_jobs(400, 5)).generate(&platform);
-    let spec = "outage:site=all,mttf=3h,mttr=20m;diskloss:site=all,mttf=4h;kill:rate=2";
-    let topology = FaultTopology::for_platform(&Platform::build(&platform).unwrap(), 400);
-    let plan = FaultPlan::generate(&parse_fault_spec(spec).unwrap(), &topology, 7);
-    let exec = ExecutionConfig {
-        checkpoint: CheckpointConfig {
-            interval_s: 1_800.0,
-            ..CheckpointConfig::default()
-        },
-        repair: RepairConfig {
-            enabled: true,
-            ..RepairConfig::default()
-        },
-        ..ExecutionConfig::default()
-    };
-    let sim = Simulation::builder()
-        .platform_spec(&platform)
-        .unwrap()
-        .trace(trace)
-        .policy_name("data-aware")
-        .execution(exec)
-        .fault_plan(plan)
-        .build()
-        .unwrap();
-    let mut cached_seen = 0usize;
-    let model = step_through(sim, |model, now| {
-        for (s, cache) in model.caches.iter().enumerate() {
-            for d in (0..model.catalog.len()).map(DatasetId::new) {
-                if cache.contains(d) {
-                    cached_seen += 1;
-                    assert!(
-                        model.catalog.has_replica(d, NodeId::Site(SiteId::new(s))),
-                        "site {s} caches {d} without a catalog replica at t = {now}"
-                    );
-                }
-            }
-        }
-    });
-    let counters = model.collector.grid_counters();
-    assert!(cached_seen > 0 && counters.site_outages > 0 && counters.disk_losses > 0);
+fn a_site_keeps_its_staged_replicas_however_small_its_storage() {
+    // 0.05 TB of storage: a cache bounded at 10 % of it would hold two of
+    // the 2 GB task inputs. Thirty tasks cycle three times through one
+    // core, so by the time a task comes round again, 28 other inputs have
+    // been staged there since its own. Replicas are kept without a byte
+    // bound, so every later job of a task the site has run stages nothing.
+    let mut site = SiteSpec::uniform("Small", Tier::Tier2, 1, 10.0);
+    site.storage_tb = 0.05;
+    let platform = PlatformSpec::new("small-disk").with_site(site);
+    let tasks = 30;
+    let mut trace = per_task_trace(3 * tasks, 60.0);
+    for (i, record) in trace.jobs.iter_mut().enumerate() {
+        record.task_id = TaskId((i % tasks) as u64);
+    }
+    let task_of: HashMap<u64, u64> = trace.jobs.iter().map(|r| (r.id.0, r.task_id.0)).collect();
+    let mut results = run_on(&platform, trace, "least-loaded", ExecutionConfig::default());
+    assert_eq!(results.metrics.finished_jobs, 3 * tasks as u64);
+    results
+        .outcomes
+        .sort_by(|a, b| a.start_time.total_cmp(&b.start_time));
+    let mut ran = std::collections::HashSet::new();
+    for o in &results.outcomes {
+        let expected = if ran.insert(task_of[&o.id.0]) {
+            2_000_000_000
+        } else {
+            0
+        };
+        assert_eq!(o.staged_bytes, expected, "{o:?}");
+    }
+    assert_eq!(ran.len(), tasks);
 }
 
 #[test]
@@ -881,7 +865,7 @@ fn a_killed_and_resubmitted_job_gets_a_fresh_run_slot() {
         assert!(model.attempts.live() >= model.running.live());
     });
     assert!(readmitted > 0, "no killed job ran again");
-    assert!(model.collector.grid_counters().job_interruptions > 0);
+    assert!(model.collector.grid_counters.job_interruptions > 0);
     assert_eq!(
         model.running.live(),
         0,

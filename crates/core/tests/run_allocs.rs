@@ -159,12 +159,13 @@ fn run_peak_bytes(jobs: usize) -> usize {
 /// The clock-free half of `grid_clean`'s peak-RSS number: what the heap
 /// holds at its high-water mark per extra job. Each job's record (120 B), its
 /// outcome (128 B), its `JobRuntime` (32 B) and its submission in the
-/// engine's lane (16 B) live through the run, 296 B; the other ≈ 32 B grow
-/// with the workload too (site queues, per-task catalog and cache entries).
+/// engine's lane (16 B) live through the run, 296 B; the other ≈ 17 B grow
+/// with the workload too (site queues, per-task catalog entries).
 /// Adding a per-job field moves this number, and so does a store that stops
 /// being reserved up front. The parent of the change that added this gate
 /// measured 485.9 B/job: a 96 B `JobRuntime`, a 24 B lane entry and an
-/// outcome table grown by doubling.
+/// outcome table grown by doubling. It read 328.5 B/job while every site
+/// also kept an LRU index of the datasets it had staged.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -172,7 +173,7 @@ fn run_peak_bytes(jobs: usize) -> usize {
 )]
 fn the_peak_heap_holds_a_pinned_number_of_bytes_per_job() {
     const N: usize = 20_000;
-    const MEASURED: f64 = 328.5;
+    const MEASURED: f64 = 313.4;
     let (small, large) = (run_peak_bytes(N), run_peak_bytes(2 * N));
     let per_job = (large - small) as f64 / N as f64;
     eprintln!("peak heap: {small} B for {N} jobs, {large} B for twice that: {per_job:.1} B/job");

@@ -50,9 +50,9 @@ struct Node {
 ///
 /// Implemented as a slab-backed intrusive doubly-linked recency list plus a
 /// `DatasetId → slot` index, so `contains`/`lookup`/`insert` are all O(1).
-/// (The first cut was a `VecDeque` scanned linearly per operation; the
-/// broker's `grid_view` probes every site cache on every dispatch, which at
-/// 10⁶ jobs with ~20k live datasets turned the whole simulation quadratic.)
+/// (The first cut was a `VecDeque` scanned linearly per operation; while the
+/// broker probed every site cache on every dispatch, that turned a run of
+/// 10⁶ jobs with ~20k live datasets quadratic.)
 /// The index is used for point lookups only — never iterated — so the cache
 /// stays deterministic.
 #[derive(Debug, Clone)]

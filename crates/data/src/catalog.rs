@@ -122,20 +122,12 @@ impl ReplicaCatalog {
         remove_sorted(&mut self.replicas[dataset.index()], location)
     }
 
-    /// Removes every replica held at `location` (a site outage invalidates
-    /// all data staged there). Returns the number of replicas dropped.
-    /// Datasets whose only replica lived at `location` keep their catalog
-    /// entry but become sourceless until re-replicated.
-    pub fn evict_node(&mut self, location: NodeId) -> usize {
-        self.replicas
-            .iter_mut()
-            .map(|locations| remove_sorted(locations, location) as usize)
-            .sum()
-    }
-
-    /// Like [`evict_node`](Self::evict_node), but also reports *which*
-    /// datasets lost a replica (in dataset-id order) so a repair planner can
-    /// inspect the resulting replication-factor deficits.
+    /// Removes every replica held at `location` (a site outage or disk loss
+    /// invalidates all data stored there) and reports which datasets lost
+    /// one, in dataset-id order, so a repair planner can inspect the
+    /// resulting replication-factor deficits. Datasets whose only replica
+    /// lived at `location` keep their catalog entry but become sourceless
+    /// until re-replicated.
     pub fn evict_node_reporting(&mut self, location: NodeId) -> Vec<DatasetId> {
         let mut affected = Vec::new();
         for (index, locations) in self.replicas.iter_mut().enumerate() {
@@ -250,23 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_node_drops_all_replicas_at_that_node() {
-        let p = platform();
-        let cern = NodeId::Site(p.site_by_name("CERN").unwrap());
-        let mut cat = ReplicaCatalog::new();
-        let a = cat.register("a", 1, 10, NodeId::MainServer);
-        let b = cat.register("b", 1, 10, NodeId::MainServer);
-        cat.add_replica(a, cern);
-        cat.add_replica(b, cern);
-        assert_eq!(cat.evict_node(cern), 2);
-        assert!(!cat.has_replica(a, cern));
-        assert!(!cat.has_replica(b, cern));
-        // Main-server copies survive; re-evicting is a no-op.
-        assert!(cat.has_replica(a, NodeId::MainServer));
-        assert_eq!(cat.evict_node(cern), 0);
-    }
-
-    #[test]
     fn evict_node_reporting_names_the_affected_datasets() {
         let p = platform();
         let cern = NodeId::Site(p.site_by_name("CERN").unwrap());
@@ -284,6 +259,9 @@ mod tests {
         assert_eq!(cat.replicas_of(a), 1);
         assert_eq!(cat.replicas_of(c), 1);
         assert_eq!(cat.replicas_of(b), 2);
+        assert!(!cat.has_replica(a, cern) && !cat.has_replica(c, cern));
+        // Main-server copies survive; re-evicting is a no-op.
+        assert!(cat.has_replica(a, NodeId::MainServer));
         assert!(cat.evict_node_reporting(cern).is_empty());
     }
 

@@ -4,7 +4,7 @@
 //! * [`ReplicaCatalog`] keeps each dataset's replicas in a sorted `Vec`; its
 //!   twin keeps a `BTreeSet<NodeId>` per dataset and selects sources by the
 //!   obvious scans. Random `register` / `add_replica` / `remove_replica` /
-//!   `evict_node` / `evict_node_reporting` sequences must agree on every
+//!   `evict_node_reporting` sequences must agree on every
 //!   return value, on `replicas()` order, `has_replica`, `replicas_of`,
 //!   `replica_count`, and on `select_source` under all three strategies for
 //!   every destination of a 12-site WLCG platform.
@@ -196,11 +196,7 @@ proptest! {
                     let removed = catalog.remove_replica(DatasetId::new(index), location);
                     prop_assert_eq!(removed, reference.replicas[index].remove(&location));
                 }
-                13 => {
-                    let dropped = catalog.evict_node(location);
-                    prop_assert_eq!(dropped, reference.evict_node_reporting(location).len());
-                }
-                14..=15 => {
+                13..=15 => {
                     let affected = catalog.evict_node_reporting(location);
                     prop_assert_eq!(affected, reference.evict_node_reporting(location));
                 }

@@ -390,11 +390,6 @@ impl FluidModel {
         self.resources[id.index()].capacity
     }
 
-    /// Number of registered resources.
-    pub fn resource_count(&self) -> usize {
-        self.resources.len()
-    }
-
     /// Number of in-flight activities.
     pub fn activity_count(&self) -> usize {
         self.live_count

@@ -62,12 +62,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the number of hours as `f64`.
-    #[inline]
-    pub fn as_hours(self) -> f64 {
-        self.0 / 3600.0
-    }
-
     /// Returns the maximum of two times.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {

@@ -194,7 +194,10 @@ pub struct MonitoringCollector {
     /// main-server events: event rows and outcomes hold clones.
     site_names: Vec<Arc<str>>,
     counters: Vec<SiteCounters>,
-    grid_counters: GridCounters,
+    /// Grid-level counters (faults, checkpoints, repairs, main-server
+    /// anomalies). Single-counter events bump their field in place; the
+    /// `record_*` methods below cover events that move several counters.
+    pub grid_counters: GridCounters,
     events: Vec<EventRecord>,
     outcomes: Vec<JobOutcome>,
     next_event_id: u64,
@@ -229,49 +232,12 @@ impl MonitoringCollector {
         }
     }
 
-    /// Records an allocation-policy decision that referenced a site outside
-    /// the platform (the job is parked, not lost — but the defect must show
-    /// up in monitoring rather than masquerade as grid congestion).
-    pub fn record_invalid_decision(&mut self) {
-        self.grid_counters.invalid_policy_decisions += 1;
-    }
-
-    /// Grid-level counters (main-server anomalies).
-    pub fn grid_counters(&self) -> GridCounters {
-        self.grid_counters
-    }
-
-    /// Records a whole-site outage (an up → down transition).
-    pub fn record_site_outage(&mut self) {
-        self.grid_counters.site_outages += 1;
-    }
-
-    /// Records a partial node-loss event.
-    pub fn record_node_loss(&mut self) {
-        self.grid_counters.node_losses += 1;
-    }
-
-    /// Records a link-degradation event.
-    pub fn record_link_degradation(&mut self) {
-        self.grid_counters.link_degradations += 1;
-    }
-
     /// Records a job killed mid-flight by fault injection at the given site.
     pub fn record_interruption(&mut self, site_index: usize) {
         self.grid_counters.job_interruptions += 1;
         if let Some(counters) = self.counters.get_mut(site_index) {
             counters.interrupted += 1;
         }
-    }
-
-    /// Records the resubmission of a fault-interrupted job.
-    pub fn record_fault_retry(&mut self) {
-        self.grid_counters.fault_retries += 1;
-    }
-
-    /// Records a storage-media loss at a site (data gone, site still up).
-    pub fn record_disk_loss(&mut self) {
-        self.grid_counters.disk_losses += 1;
     }
 
     /// Records a durable checkpoint of `bytes` written by a job executing at
@@ -291,22 +257,6 @@ impl MonitoringCollector {
         self.grid_counters.work_saved_s += work_saved_s;
     }
 
-    /// Records `count` durable checkpoints invalidated by a site outage or a
-    /// disk loss.
-    pub fn record_checkpoints_lost(&mut self, count: u64) {
-        self.grid_counters.checkpoints_lost += count;
-    }
-
-    /// Records execution progress discarded by a fault interruption.
-    pub fn record_work_lost(&mut self, work_lost_s: f64) {
-        self.grid_counters.work_lost_s += work_lost_s;
-    }
-
-    /// Records the admission of a re-replication repair transfer.
-    pub fn record_repair_started(&mut self) {
-        self.grid_counters.repairs_started += 1;
-    }
-
     /// Records a completed repair transfer of `bytes` into the given site.
     pub fn record_repair_completed(&mut self, site_index: usize, bytes: u64) {
         self.grid_counters.repairs_completed += 1;
@@ -314,35 +264,6 @@ impl MonitoringCollector {
         if let Some(counters) = self.counters.get_mut(site_index) {
             counters.repairs += 1;
         }
-    }
-
-    /// Records a repair transfer cancelled mid-flight.
-    pub fn record_repair_cancelled(&mut self) {
-        self.grid_counters.repairs_cancelled += 1;
-    }
-
-    /// Records a dataset abandoned by the repair planner (retry budget
-    /// exhausted).
-    pub fn record_repair_abandoned(&mut self) {
-        self.grid_counters.repairs_abandoned += 1;
-    }
-
-    /// Records a job stalling at a segment boundary on its still-draining
-    /// asynchronous checkpoint write.
-    pub fn record_ckpt_stall(&mut self) {
-        self.grid_counters.ckpt_stalls += 1;
-    }
-
-    /// Records an asynchronous checkpoint write overlapping the next
-    /// execution segment.
-    pub fn record_ckpt_overlap(&mut self) {
-        self.grid_counters.ckpt_overlapped += 1;
-    }
-
-    /// Records `bytes` put on the wire by a checkpoint write (the full image,
-    /// or just the incremental delta).
-    pub fn record_ckpt_shipped(&mut self, bytes: u64) {
-        self.grid_counters.ckpt_bytes_shipped += bytes;
     }
 
     /// Records a job state transition at a site (`site_index` indexes the
@@ -567,89 +488,34 @@ mod tests {
     }
 
     #[test]
-    fn invalid_decisions_accumulate_in_grid_counters() {
+    fn multi_counter_recorders_accumulate() {
         let mut c = collector();
-        assert_eq!(c.grid_counters(), GridCounters::default());
-        c.record_invalid_decision();
-        c.record_invalid_decision();
-        assert_eq!(c.grid_counters().invalid_policy_decisions, 2);
-        // Site counters are untouched by grid-level anomalies.
-        assert_eq!(c.site_counters(0), SiteCounters::default());
-        assert_eq!(c.site_counters(1), SiteCounters::default());
-    }
-
-    #[test]
-    fn fault_counters_accumulate() {
-        let mut c = collector();
-        c.record_site_outage();
-        c.record_node_loss();
-        c.record_link_degradation();
-        c.record_link_degradation();
+        assert_eq!(c.grid_counters, GridCounters::default());
         c.record_interruption(1);
         c.record_interruption(1);
         c.record_interruption(0);
-        c.record_fault_retry();
-        let grid = c.grid_counters();
-        assert_eq!(grid.site_outages, 1);
-        assert_eq!(grid.node_losses, 1);
-        assert_eq!(grid.link_degradations, 2);
-        assert_eq!(grid.job_interruptions, 3);
-        assert_eq!(grid.fault_retries, 1);
-        assert_eq!(c.site_counters(1).interrupted, 2);
-        assert_eq!(c.site_counters(0).interrupted, 1);
-        // Interruptions are not terminal outcomes.
-        assert_eq!(c.site_counters(1).failed, 0);
-    }
-
-    #[test]
-    fn checkpoint_counters_accumulate() {
-        let mut c = collector();
         c.record_checkpoint_written(0, 1_000);
         c.record_checkpoint_written(0, 2_000);
         c.record_checkpoint_written(1, 500);
         c.record_checkpoint_restore(120.0);
-        c.record_checkpoints_lost(2);
-        c.record_work_lost(30.0);
-        c.record_work_lost(15.0);
-        c.record_disk_loss();
-        let grid = c.grid_counters();
+        c.record_repair_completed(1, 4_000);
+        c.record_repair_completed(1, 6_000);
+        let grid = c.grid_counters;
+        assert_eq!(grid.job_interruptions, 3);
         assert_eq!(grid.checkpoints_written, 3);
         assert_eq!(grid.checkpoint_bytes, 3_500);
         assert_eq!(grid.checkpoint_restores, 1);
-        assert_eq!(grid.checkpoints_lost, 2);
-        assert_eq!(grid.disk_losses, 1);
         assert!((grid.work_saved_s - 120.0).abs() < 1e-12);
-        assert!((grid.work_lost_s - 45.0).abs() < 1e-12);
+        assert_eq!(grid.repairs_completed, 2);
+        assert_eq!(grid.repair_bytes, 10_000);
+        assert_eq!(c.site_counters(1).interrupted, 2);
+        assert_eq!(c.site_counters(0).interrupted, 1);
         assert_eq!(c.site_counters(0).checkpoints, 2);
         assert_eq!(c.site_counters(1).checkpoints, 1);
-    }
-
-    #[test]
-    fn repair_and_async_checkpoint_counters_accumulate() {
-        let mut c = collector();
-        c.record_repair_started();
-        c.record_repair_started();
-        c.record_repair_started();
-        c.record_repair_completed(1, 4_000);
-        c.record_repair_completed(1, 6_000);
-        c.record_repair_cancelled();
-        c.record_repair_abandoned();
-        c.record_ckpt_stall();
-        c.record_ckpt_overlap();
-        c.record_ckpt_overlap();
-        c.record_ckpt_shipped(700);
-        c.record_ckpt_shipped(300);
-        let grid = c.grid_counters();
-        assert_eq!(grid.repairs_started, 3);
-        assert_eq!(grid.repairs_completed, 2);
-        assert_eq!(grid.repairs_cancelled, 1);
-        assert_eq!(grid.repairs_abandoned, 1);
-        assert_eq!(grid.repair_bytes, 10_000);
-        assert_eq!(grid.ckpt_stalls, 1);
-        assert_eq!(grid.ckpt_overlapped, 2);
-        assert_eq!(grid.ckpt_bytes_shipped, 1_000);
         assert_eq!(c.site_counters(1).repairs, 2);
         assert_eq!(c.site_counters(0).repairs, 0);
+        // Interruptions are not terminal outcomes.
+        assert_eq!(c.site_counters(1).failed, 0);
     }
 
     #[test]

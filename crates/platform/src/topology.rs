@@ -52,11 +52,6 @@ impl Graph {
         self.adjacency.len()
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds an undirected edge between `a` and `b` and returns its index.
     pub fn add_edge(&mut self, a: usize, b: usize, props: EdgeProps) -> usize {
         assert!(a < self.adjacency.len() && b < self.adjacency.len());

@@ -41,7 +41,7 @@ impl DataMovementPolicy for NeverCachePolicy {
 }
 
 /// Cache staged datasets only when the job's input is below a size threshold,
-/// protecting the site cache from being churned by a few huge datasets.
+/// so a few huge datasets do not claim site storage.
 #[derive(Debug, Clone)]
 pub struct SizeThresholdCachePolicy {
     /// Inputs larger than this many bytes are not cached.

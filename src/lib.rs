@@ -16,7 +16,7 @@
 //! | [`des`] | `cgsim-des` | discrete-event engine, fluid max-min sharing, RNG, statistics |
 //! | [`platform`] | `cgsim-platform` | sites, hosts, links, routes, JSON platform specs, WLCG presets |
 //! | [`workload`] | `cgsim-workload` | PanDA-like job records, synthetic trace generation, trace I/O |
-//! | [`data`] | `cgsim-data` | replica catalog, storage elements, LRU caches, staging plans |
+//! | [`data`] | `cgsim-data` | replica catalog, storage elements |
 //! | [`policies`] | `cgsim-policies` | the plugin traits, policy registry and built-in policies |
 //! | [`faults`] | `cgsim-faults` | deterministic fault-injection plans: outages, degradation, job kills |
 //! | [`core`] | `cgsim-core` | the simulation core: main server, site receivers, job lifecycle |
