@@ -123,6 +123,20 @@ cmp <(sed -n 1p serve-resp.jsonl) <(sed -n 4p serve-resp.jsonl)
 cgsim simulate "${INPUTS[@]}" --output serve-direct > /dev/null
 diff serve-out/results.json serve-direct/results.json
 
+# The CLI and serve resolve a faulted, traced run through the same steps
+# (spec text -> fault plan, format + filter -> trace sink), so a served run's
+# trace and saved results.json are exactly what `cgsim simulate` writes for
+# the same inputs.
+FAULTS="kill:rate=1;outage:site=all,mttf=6h,mttr=30m"
+printf '{"id":"traced","faults":"%s","fault_seed":7,"trace":"%s","save":"%s"}\n' \
+  "$FAULTS" serve-traced.jsonl serve-traced/results.json > serve-traced.req.jsonl
+cgsim serve "${INPUTS[@]}" < serve-traced.req.jsonl > serve-traced.resp.jsonl
+grep -q '"ok":true' serve-traced.resp.jsonl
+cgsim simulate "${INPUTS[@]}" --faults "$FAULTS" --fault-seed 7 \
+  --trace-out direct-traced.jsonl --output direct-traced > /dev/null
+cmp serve-traced.jsonl direct-traced.jsonl
+diff serve-traced/results.json direct-traced/results.json
+
 # The BENCH_scale.json scenario at its smaller row — streamed generation,
 # bounded monitoring, faults + overlapped delta checkpoints — pins streaming
 # determinism and the bounded-memory paths at a scale the 500-job gates

@@ -4,7 +4,7 @@
 //! Three topologies probe the regimes of the incremental max-min solver:
 //!
 //! * **Sparse** — many independent two-link "islands" of
-//!   [`ISLAND_ACTS`] activities each: one churn step dirties a single
+//!   `ISLAND_ACTS` activities each: one churn step dirties a single
 //!   island, so the per-recompute cost is ~component-sized and independent
 //!   of the total concurrency N. This is the common production shape (one
 //!   transfer finishes, one starts, most of the grid untouched) and the case
@@ -41,10 +41,10 @@ pub type Build = fn(usize) -> (FluidModel, Vec<ResourceId>, Vec<ActivityId>);
 pub type Churn = fn(&mut FluidModel, &[ResourceId], &mut [ActivityId], &mut usize, usize) -> f64;
 
 /// Activities per independent island in the sparse topology.
-pub const ISLAND_ACTS: usize = 4;
+pub(crate) const ISLAND_ACTS: usize = 4;
 
 /// Route of a sparse-island activity: one of the island's two links, or both.
-pub fn sparse_route(links: &[ResourceId], island: usize, variant: usize) -> Vec<ResourceId> {
+pub(crate) fn sparse_route(links: &[ResourceId], island: usize, variant: usize) -> Vec<ResourceId> {
     let l0 = links[2 * island];
     let l1 = links[2 * island + 1];
     match variant % 3 {
@@ -101,11 +101,11 @@ pub fn sparse_churn(
 
 /// Number of fat uplinks feeding the backbone in the single-bottleneck
 /// topology.
-pub const BOTTLENECK_UPLINKS: usize = 32;
+pub(crate) const BOTTLENECK_UPLINKS: usize = 32;
 
 /// Route of single-bottleneck activity `i`: one fat uplink plus the shared
 /// thin backbone (`links[0]`) every activity crosses.
-pub fn single_bottleneck_route(links: &[ResourceId], i: usize) -> Vec<ResourceId> {
+pub(crate) fn single_bottleneck_route(links: &[ResourceId], i: usize) -> Vec<ResourceId> {
     vec![links[1 + i % BOTTLENECK_UPLINKS], links[0]]
 }
 
@@ -178,7 +178,7 @@ pub const PILEUP_SITES: usize = 12;
 
 /// Route of pile-up activity `i`: every third lap of the sites stays on the
 /// site's LAN, the others cross LAN → WAN → main server.
-pub fn pileup_route(links: &[ResourceId], i: usize) -> Vec<ResourceId> {
+pub(crate) fn pileup_route(links: &[ResourceId], i: usize) -> Vec<ResourceId> {
     let site = i % PILEUP_SITES;
     let (lan, wan) = (links[1 + 2 * site], links[2 + 2 * site]);
     if (i / PILEUP_SITES).is_multiple_of(3) {

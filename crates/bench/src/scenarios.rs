@@ -10,7 +10,7 @@ use cgsim_workload::{Trace, TraceConfig, TraceGenerator};
 
 /// Generates the trace used by the scalability experiments: PanDA-like jobs
 /// with modest input sizes so runs stay compute-dominated (as in production).
-pub fn scaling_trace(platform: &PlatformSpec, jobs: usize, seed: u64) -> Trace {
+pub(crate) fn scaling_trace(platform: &PlatformSpec, jobs: usize, seed: u64) -> Trace {
     let mut cfg = TraceConfig::with_jobs(jobs, seed);
     cfg.mean_file_bytes = 5e8;
     cfg.submission_window_s = 3600.0;
@@ -18,7 +18,7 @@ pub fn scaling_trace(platform: &PlatformSpec, jobs: usize, seed: u64) -> Trace {
 }
 
 /// Runs one simulation with the given policy and monitoring setting.
-pub fn run_simulation(
+pub(crate) fn run_simulation(
     platform: &PlatformSpec,
     trace: Trace,
     policy: &str,
@@ -34,7 +34,6 @@ pub fn run_simulation(
         .platform_spec(platform)
         .expect("experiment platform is valid")
         .trace(trace)
-        .policy_name(policy)
         .execution(execution)
         .run()
         .expect("experiment simulation is well-formed")
@@ -62,7 +61,7 @@ pub fn multisite_scaling_point(sites: usize, jobs_per_site: usize, seed: u64) ->
 /// Builds a platform of `sites` identical Tier-2-like sites (used by the
 /// distributed-vs-single-site experiment so capacity scales exactly with the
 /// site count).
-pub fn uniform_platform(sites: usize, cores_per_site: u32) -> PlatformSpec {
+pub(crate) fn uniform_platform(sites: usize, cores_per_site: u32) -> PlatformSpec {
     use cgsim_platform::spec::{LinkSpec, SiteSpec, Tier, MAIN_SERVER};
     let mut spec = PlatformSpec::new(format!("uniform-{sites}-sites"));
     for i in 0..sites {

@@ -119,7 +119,7 @@ impl CheckpointConfig {
     }
 
     /// Checkpoint size for a job of `cores` cores.
-    pub fn bytes_for(&self, cores: u32) -> u64 {
+    pub(crate) fn bytes_for(&self, cores: u32) -> u64 {
         self.base_bytes
             .saturating_add(self.bytes_per_core.saturating_mul(cores as u64))
     }
@@ -129,7 +129,7 @@ impl CheckpointConfig {
     /// last received a checkpoint of this job. `has_base` says whether the
     /// target holds such an older checkpoint (delta writes need a base
     /// image to apply against). Never exceeds the full image size.
-    pub fn transfer_bytes_for(&self, cores: u32, progress_s: f64, has_base: bool) -> u64 {
+    pub(crate) fn transfer_bytes_for(&self, cores: u32, progress_s: f64, has_base: bool) -> u64 {
         let full = self.bytes_for(cores);
         if self.delta_bytes_per_s == 0 || !has_base {
             return full;

@@ -36,8 +36,7 @@
 //!     .platform_spec(&platform)
 //!     .unwrap()
 //!     .trace(trace)
-//!     .policy_name("least-loaded")
-//!     .execution(ExecutionConfig::default())
+//!     .execution(ExecutionConfig::with_policy("least-loaded"))
 //!     .run()
 //!     .unwrap();
 //! assert_eq!(results.outcomes.len(), 50);

@@ -58,7 +58,7 @@ impl QueueModel {
     /// Dispatch delay for a job picked from a site whose queue currently
     /// holds `queued_jobs` other jobs and whose cores are `busy_fraction`
     /// (in `[0, 1]`) occupied.
-    pub fn dispatch_delay(&self, queued_jobs: u64, busy_fraction: f64) -> f64 {
+    pub(crate) fn dispatch_delay(&self, queued_jobs: u64, busy_fraction: f64) -> f64 {
         debug_assert!(
             (0.0..=1.0 + 1e-9).contains(&busy_fraction),
             "busy fraction must be in [0, 1]"

@@ -122,7 +122,7 @@ impl SimulationResults {
 
     /// [`SimulationResults::deterministic_json`] without whitespace: the
     /// `results` member of a `cgsim serve` reply.
-    pub fn deterministic_json_compact(&self) -> String {
+    pub(crate) fn deterministic_json_compact(&self) -> String {
         serde_json::to_string(&self.deterministic()).expect("simulation results serialise")
     }
 

@@ -22,7 +22,7 @@ use crate::results::SimulationResults;
 pub struct Response {
     /// The simulation results.
     pub results: Arc<SimulationResults>,
-    /// [`SimulationResults::deterministic_json_compact`] of `results`: the
+    /// `SimulationResults::deterministic_json_compact` of `results`: the
     /// `results` member of every serve reply for this scenario.
     pub body: Arc<str>,
 }
@@ -63,13 +63,13 @@ impl ResponseCache {
     }
 
     /// Records a lookup that will run a fresh simulation.
-    pub fn record_miss(&mut self) {
+    pub(crate) fn record_miss(&mut self) {
         self.counters.misses += 1;
     }
 
     /// Records a request served by another in-flight request's run (a
     /// duplicate within one batch): no simulation of its own, so a hit.
-    pub fn record_shared_hit(&mut self) {
+    pub(crate) fn record_shared_hit(&mut self) {
         self.counters.hits += 1;
     }
 

@@ -12,6 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use cgsim_monitor::CacheCounters;
 use cgsim_obs::TraceSink;
+use cgsim_platform::Platform;
 use cgsim_policies::PolicyRegistry;
 
 use crate::results::SimulationResults;
@@ -20,7 +21,7 @@ use crate::scenario::ScenarioSpec;
 use crate::simulation::{Simulation, SimulationError};
 
 /// Default number of responses the engine memoises.
-pub const DEFAULT_CACHE_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// The result of evaluating one scenario.
 #[derive(Debug, Clone)]
@@ -65,7 +66,7 @@ impl Default for ScenarioEngine {
 
 impl ScenarioEngine {
     /// An engine with the built-in policies, a cache of
-    /// [`DEFAULT_CACHE_CAPACITY`] responses and parallel batch evaluation.
+    /// `DEFAULT_CACHE_CAPACITY` (256) responses and parallel batch evaluation.
     pub fn new() -> Self {
         ScenarioEngine::with_registry(PolicyRegistry::with_builtins())
     }
@@ -73,7 +74,7 @@ impl ScenarioEngine {
     /// An engine resolving policies through `registry` (custom plugins
     /// included). The registry is `Arc`-backed, so this is a cheap clone of
     /// the name table, not of the policies.
-    pub fn with_registry(registry: PolicyRegistry) -> Self {
+    pub(crate) fn with_registry(registry: PolicyRegistry) -> Self {
         ScenarioEngine {
             registry,
             cache: Some(Mutex::new(ResponseCache::new(DEFAULT_CACHE_CAPACITY))),
@@ -124,7 +125,7 @@ impl ScenarioEngine {
 
     /// Total reply bodies encoded. One per executed simulation: answers from
     /// the cache reuse the body their run encoded.
-    pub fn bodies_encoded(&self) -> u64 {
+    pub(crate) fn bodies_encoded(&self) -> u64 {
         self.bodies_encoded.load(Ordering::Relaxed)
     }
 
@@ -204,7 +205,7 @@ impl ScenarioEngine {
     /// in; on the way out the fresh results are fed *into* the cache — by
     /// the determinism contract they are byte-identical to untraced ones, so
     /// later untraced duplicates can be answered from memory.
-    pub fn evaluate_traced(
+    pub(crate) fn evaluate_traced(
         &self,
         spec: &ScenarioSpec,
         sink: Box<dyn TraceSink>,
@@ -222,9 +223,8 @@ impl ScenarioEngine {
 
     /// Runs one scenario unconditionally (no cache involvement), faithfully
     /// reproducing the CLI's `simulate` pipeline: validate the execution
-    /// config, resolve the policy by name,
-    /// generate the fault plan from the spec text, build the platform from
-    /// the shared spec and run.
+    /// config, resolve the policy by name, build the platform from the
+    /// shared spec, generate the fault plan on it from the spec text and run.
     fn run_spec(&self, spec: &ScenarioSpec) -> Result<Response, SimulationError> {
         self.run_spec_with(spec, |b| b)
     }
@@ -245,9 +245,10 @@ impl ScenarioEngine {
             .ok_or_else(|| {
                 SimulationError::UnknownPolicy(spec.execution.allocation_policy.clone())
             })?;
-        let fault_plan = spec.build_fault_plan()?;
+        let platform = Platform::build(spec.base.platform())?;
+        let fault_plan = spec.build_fault_plan(&platform)?;
         let mut builder = Simulation::builder()
-            .platform_spec(spec.base.platform())?
+            .platform(platform)
             .trace(spec.base.trace().clone())
             .policy(policy)
             .execution(spec.execution.clone());

@@ -41,18 +41,18 @@ fn tag(h: u64, t: u8) -> u64 {
 
 /// Canonical hash of a serialisable value (see the module docs for the
 /// canonical form).
-pub fn canonical_hash_of<T: serde::Serialize + ?Sized>(value: &T) -> u64 {
+pub(crate) fn canonical_hash_of<T: serde::Serialize + ?Sized>(value: &T) -> u64 {
     let tree = serde_json::to_value(value).expect("shim serialisation is infallible");
     canonical_value_hash(&tree)
 }
 
 /// Canonical hash of a JSON value tree.
-pub fn canonical_value_hash(value: &Value) -> u64 {
+pub(crate) fn canonical_value_hash(value: &Value) -> u64 {
     hash_value(FNV_OFFSET, value)
 }
 
 /// Folds `value` into the running FNV-1a state `h` in canonical form.
-pub fn hash_value(mut h: u64, value: &Value) -> u64 {
+pub(crate) fn hash_value(mut h: u64, value: &Value) -> u64 {
     match value {
         Value::Null => tag(h, 0),
         Value::Bool(b) => fnv1a(tag(h, 1), &[*b as u8]),

@@ -34,7 +34,7 @@ pub mod serve;
 
 use std::sync::Arc;
 
-use cgsim_faults::{parse_fault_spec, FaultPlan, FaultTopology};
+use cgsim_faults::FaultPlan;
 use cgsim_platform::{Platform, PlatformSpec};
 use cgsim_workload::Trace;
 use serde::{Deserialize, Serialize};
@@ -43,12 +43,12 @@ use crate::config::{CheckpointConfig, ExecutionConfig, RepairConfig};
 use crate::simulation::SimulationError;
 
 pub use cache::{Response, ResponseCache};
-pub use engine::{ScenarioEngine, ScenarioOutcome, DEFAULT_CACHE_CAPACITY};
+pub use engine::{ScenarioEngine, ScenarioOutcome};
 pub use serve::{serve_loop, ServeRequest};
 
 /// The fault seed used when none is specified (the CLI's `--fault-seed`
 /// default).
-pub const DEFAULT_FAULT_SEED: u64 = 7;
+pub(crate) const DEFAULT_FAULT_SEED: u64 = 7;
 
 /// The immutable, shareable part of a scenario: platform + trace.
 ///
@@ -113,7 +113,7 @@ impl ScenarioBase {
     }
 
     /// Canonical hash of the base content (platform + trace).
-    pub fn content_hash(&self) -> u64 {
+    pub(crate) fn content_hash(&self) -> u64 {
         let h = hash::fnv1a(0xcbf2_9ce4_8422_2325, &self.platform_hash.to_le_bytes());
         hash::fnv1a(h, &self.trace_hash.to_le_bytes())
     }
@@ -181,27 +181,26 @@ impl ScenarioSpec {
         }
     }
 
-    /// Materialises the fault plan this scenario runs under, generated from
-    /// the spec text exactly like the CLI does (`parse_fault_spec` →
-    /// `FaultTopology::for_platform` → `check` → `FaultPlan::generate`);
-    /// `None` without a fault spec. A spec that does not parse or names a
-    /// site or link the platform lacks is `InvalidScenario`.
-    pub fn build_fault_plan(&self) -> Result<Option<FaultPlan>, SimulationError> {
+    /// Materialises the fault plan this scenario runs under on `platform`
+    /// (built from [`ScenarioBase::platform`]), through the CLI's own path,
+    /// [`FaultPlan::from_spec`]; `None` without a fault spec. A spec that
+    /// does not parse or names a site or link the platform lacks is
+    /// `InvalidScenario`.
+    pub fn build_fault_plan(
+        &self,
+        platform: &Platform,
+    ) -> Result<Option<FaultPlan>, SimulationError> {
         let Some(spec_text) = self.faults.as_deref().filter(|s| !s.is_empty()) else {
             return Ok(None);
         };
-        let config = parse_fault_spec(spec_text).map_err(SimulationError::InvalidScenario)?;
-        let platform = Platform::build(self.base.platform())
-            .map_err(|e| SimulationError::Platform(e.to_string()))?;
-        let topology = FaultTopology::for_platform(&platform, self.base.trace().len());
-        topology
-            .check(&config)
-            .map_err(SimulationError::InvalidScenario)?;
-        Ok(Some(FaultPlan::generate(
-            &config,
-            &topology,
+        let (plan, _) = FaultPlan::from_spec(
+            spec_text,
             self.fault_seed,
-        )))
+            platform,
+            self.base.trace().len(),
+        )
+        .map_err(SimulationError::InvalidScenario)?;
+        Ok(Some(plan))
     }
 }
 
@@ -262,6 +261,7 @@ impl ScenarioDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgsim_faults::{parse_fault_spec, FaultTopology};
     use cgsim_platform::presets::example_platform;
     use cgsim_workload::{TraceConfig, TraceGenerator};
     use proptest::prelude::*;
@@ -398,16 +398,19 @@ mod tests {
         let spec = ScenarioSpec::new(base.clone(), ExecutionConfig::default())
             .with_faults("kill:rate=2;horizon=12h")
             .with_fault_seed(7);
-        let plan = spec.build_fault_plan().unwrap().expect("plan generated");
-        // Same pipeline as src/main.rs build_fault_plan.
-        let config = parse_fault_spec("kill:rate=2;horizon=12h").unwrap();
         let platform = Platform::build(base.platform()).unwrap();
+        let plan = spec
+            .build_fault_plan(&platform)
+            .unwrap()
+            .expect("plan generated");
+        // The explicit pipeline `FaultPlan::from_spec` stands for.
+        let config = parse_fault_spec("kill:rate=2;horizon=12h").unwrap();
         let topology = FaultTopology::for_platform(&platform, base.trace().len());
         assert_eq!(plan, FaultPlan::generate(&config, &topology, 7));
 
         let bad = ScenarioSpec::new(base, ExecutionConfig::default()).with_faults("bogus:nope");
         assert!(matches!(
-            bad.build_fault_plan(),
+            bad.build_fault_plan(&platform),
             Err(SimulationError::InvalidScenario(_))
         ));
     }

@@ -56,6 +56,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
+use cgsim_obs::TraceTarget;
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
 
@@ -241,7 +242,7 @@ pub fn serve_loop<R: BufRead, W: Write>(
         // Traced requests are kept aside: each needs its own sink-carrying
         // run, so they cannot share the batch's deduplicated evaluation.
         let mut specs: Vec<ScenarioSpec> = Vec::new();
-        let mut traced: Vec<(ScenarioSpec, TraceOptions)> = Vec::new();
+        let mut traced: Vec<(ScenarioSpec, TraceTarget)> = Vec::new();
         let mut planned: Vec<(Option<String>, Option<String>, Planned)> = Vec::new();
         let mut shutdown = false;
         for request in requests {
@@ -258,10 +259,10 @@ pub fn serve_loop<R: BufRead, W: Write>(
                             Planned::Error(format!("cmd '{cmd}' is not allowed inside a batch"))
                         }
                         Some(cmd) => Planned::Error(format!("unknown cmd: {cmd}")),
-                        None => match trace_options(req) {
+                        None => match trace_target(req) {
                             Err(message) => Planned::Error(message),
-                            Ok(Some(options)) => {
-                                traced.push((req.delta().resolve(base, execution), options));
+                            Ok(Some(target)) => {
+                                traced.push((req.delta().resolve(base, execution), target));
                                 Planned::Traced {
                                     index: traced.len() - 1,
                                 }
@@ -291,8 +292,12 @@ pub fn serve_loop<R: BufRead, W: Write>(
             };
         let traced_outcomes: Vec<Result<ScenarioOutcome, String>> = traced
             .into_iter()
-            .map(|(spec, options)| {
-                catch_panic(|| evaluate_traced(engine, &spec, options)).and_then(|r| r)
+            .map(|(spec, target)| {
+                let sink = target
+                    .open()
+                    .map_err(|e| format!("trace '{}' failed: {e}", target.path.display()))?;
+                catch_panic(|| engine.evaluate_traced(&spec, sink, target.mask))
+                    .and_then(|r| r.map_err(|e| e.to_string()))
             })
             .collect();
         let elapsed_ms = line_started.elapsed().as_secs_f64() * 1e3;
@@ -419,51 +424,14 @@ fn error_value(id: &Option<String>, message: &str) -> Value {
     Value::Object(map)
 }
 
-/// The trace options of a request (`Ok(None)` when untraced; `Err` on a bad
-/// format or filter, caught at planning time so no simulation runs).
-fn trace_options(req: &ServeRequest) -> Result<Option<TraceOptions>, String> {
-    let Some(path) = req.trace.clone().filter(|p| !p.is_empty()) else {
+/// The trace file a request asks for (`Ok(None)` when untraced; `Err` on a
+/// bad format or filter, caught at planning time so no simulation runs).
+fn trace_target(req: &ServeRequest) -> Result<Option<TraceTarget>, String> {
+    let Some(path) = req.trace.as_deref().filter(|p| !p.is_empty()) else {
         return Ok(None);
     };
-    let chrome = match req.trace_format.as_deref() {
-        None | Some("") | Some("jsonl") => false,
-        Some("chrome") => true,
-        Some(other) => return Err(format!("trace_format must be jsonl or chrome, got {other}")),
-    };
-    let mask = match req.trace_filter.as_deref() {
-        Some(spec) if !spec.is_empty() => cgsim_obs::parse_filter(spec)?,
-        _ => cgsim_obs::MASK_ALL,
-    };
-    Ok(Some(TraceOptions { path, chrome, mask }))
-}
-
-/// Where and how a traced request writes its trace.
-struct TraceOptions {
-    path: String,
-    chrome: bool,
-    mask: u32,
-}
-
-fn evaluate_traced(
-    engine: &ScenarioEngine,
-    spec: &ScenarioSpec,
-    options: TraceOptions,
-) -> Result<crate::scenario::ScenarioOutcome, String> {
-    let path = std::path::Path::new(&options.path);
-    let sink: Box<dyn cgsim_obs::TraceSink> = if options.chrome {
-        Box::new(
-            cgsim_obs::ChromeSink::create(path)
-                .map_err(|e| format!("trace '{}' failed: {e}", options.path))?,
-        )
-    } else {
-        Box::new(
-            cgsim_obs::JsonlSink::create(path)
-                .map_err(|e| format!("trace '{}' failed: {e}", options.path))?,
-        )
-    };
-    engine
-        .evaluate_traced(spec, sink, options.mask)
-        .map_err(|e| e.to_string())
+    let (format, filter) = (req.trace_format.as_deref(), req.trace_filter.as_deref());
+    TraceTarget::new(path, format, filter, "trace_format").map(Some)
 }
 
 fn stats_value(engine: &ScenarioEngine, serve_stats: &ServeStats) -> Value {

@@ -63,7 +63,7 @@ use cgsim_des::{Engine, EventKey, SimTime};
 use cgsim_faults::{FaultEvent, FaultPlan};
 use cgsim_monitor::{MetricsReport, MonitoringCollector};
 use cgsim_obs::{Profiler, SpanPhase, Subsystem, TraceCategory, TraceSink, Tracer};
-use cgsim_platform::{GridAvailability, NodeId, Platform, PlatformSpec, SiteId};
+use cgsim_platform::{GridAvailability, NodeId, Platform, PlatformError, PlatformSpec, SiteId};
 use cgsim_policies::{
     AllocationPolicy, DataMovementPolicy, DataPolicyRegistry, GridInfo, GridView, PolicyRegistry,
 };
@@ -114,6 +114,12 @@ impl std::fmt::Display for SimulationError {
 }
 
 impl std::error::Error for SimulationError {}
+
+impl From<PlatformError> for SimulationError {
+    fn from(e: PlatformError) -> Self {
+        SimulationError::Platform(e.to_string())
+    }
+}
 
 /// The simulation model driven by the DES engine.
 ///
@@ -343,10 +349,8 @@ pub struct SimulationBuilder {
     platform: Option<Platform>,
     trace: Option<TraceSource>,
     policy: Option<Box<dyn AllocationPolicy>>,
-    policy_name: Option<String>,
     registry: PolicyRegistry,
     data_policy: Option<Box<dyn DataMovementPolicy>>,
-    data_registry: DataPolicyRegistry,
     execution: ExecutionConfig,
     fault_plan: Option<FaultPlan>,
     trace_sink: Option<(Box<dyn TraceSink>, u32)>,
@@ -359,10 +363,8 @@ impl Default for SimulationBuilder {
             platform: None,
             trace: None,
             policy: None,
-            policy_name: None,
             registry: PolicyRegistry::with_builtins(),
             data_policy: None,
-            data_registry: DataPolicyRegistry::with_builtins(),
             execution: ExecutionConfig::default(),
             fault_plan: None,
             trace_sink: None,
@@ -380,9 +382,7 @@ impl SimulationBuilder {
 
     /// Builds the platform from a specification.
     pub fn platform_spec(mut self, spec: &PlatformSpec) -> Result<Self, SimulationError> {
-        let platform =
-            Platform::build(spec).map_err(|e| SimulationError::Platform(e.to_string()))?;
-        self.platform = Some(platform);
+        self.platform = Some(Platform::build(spec)?);
         Ok(self)
     }
 
@@ -422,13 +422,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Selects an allocation policy by registry name (overrides the name in
-    /// the execution config).
-    pub fn policy_name(mut self, name: impl Into<String>) -> Self {
-        self.policy_name = Some(name.into());
-        self
-    }
-
     /// Replaces the policy registry (to expose user-registered plugins).
     pub fn registry(mut self, registry: PolicyRegistry) -> Self {
         self.registry = registry;
@@ -439,13 +432,6 @@ impl SimulationBuilder {
     /// and cache admission).
     pub fn data_policy(mut self, policy: Box<dyn DataMovementPolicy>) -> Self {
         self.data_policy = Some(policy);
-        self
-    }
-
-    /// Replaces the data-movement policy registry (to expose user-registered
-    /// data plugins referenced by name in the execution configuration).
-    pub fn data_registry(mut self, registry: DataPolicyRegistry) -> Self {
-        self.data_registry = registry;
         self
     }
 
@@ -490,10 +476,7 @@ impl SimulationBuilder {
         let policy = match self.policy {
             Some(p) => p,
             None => {
-                let name = self
-                    .policy_name
-                    .clone()
-                    .unwrap_or_else(|| self.execution.allocation_policy.clone());
+                let name = self.execution.allocation_policy.clone();
                 self.registry
                     .create(&name, self.execution.seed)
                     .ok_or(SimulationError::UnknownPolicy(name))?
@@ -503,7 +486,7 @@ impl SimulationBuilder {
             Some(p) => p,
             None => {
                 let name = self.execution.data_movement_policy.clone();
-                self.data_registry
+                DataPolicyRegistry::with_builtins()
                     .create(&name, self.execution.seed)
                     .ok_or(SimulationError::UnknownDataPolicy(name))?
             }

@@ -24,8 +24,10 @@ fn run_on(
         .platform_spec(platform)
         .unwrap()
         .trace(trace)
-        .policy_name(policy)
-        .execution(exec)
+        .execution(ExecutionConfig {
+            allocation_policy: policy.to_string(),
+            ..exec
+        })
         .run()
         .unwrap()
 }
@@ -317,7 +319,7 @@ fn builder_reports_missing_components_and_unknown_policies() {
         .platform_spec(&platform)
         .unwrap()
         .trace(trace)
-        .policy_name("does-not-exist")
+        .execution(ExecutionConfig::with_policy("does-not-exist"))
         .run()
         .unwrap_err();
     assert!(matches!(err, SimulationError::UnknownPolicy(_)));
@@ -438,9 +440,8 @@ fn custom_data_policy_instance_is_honoured() {
         .platform_spec(&platform)
         .unwrap()
         .trace(trace.clone())
-        .policy_name("historical-panda")
         .data_policy(Box::new(NoCache))
-        .execution(ExecutionConfig::default())
+        .execution(ExecutionConfig::with_policy("historical-panda"))
         .run()
         .unwrap();
     let default = run_on(
@@ -482,7 +483,7 @@ use crate::config::{CheckpointConfig, RepairConfig};
 /// model and the current virtual time after every event.
 fn step_through(sim: Simulation, mut check: impl FnMut(&GridModel, f64)) -> GridModel {
     let (mut engine, mut model) = sim.start();
-    while engine.step(&mut model).is_some() {
+    while engine.step(&mut model) {
         check(&model, engine.now().as_secs());
     }
     model
@@ -542,8 +543,10 @@ fn maintained_view_follows_outage_recovery_node_loss_and_repairs() {
         .platform_spec(&platform)
         .unwrap()
         .trace(per_task_trace(100, 7_200.0))
-        .policy_name("round-robin")
-        .execution(exec)
+        .execution(ExecutionConfig {
+            allocation_policy: "round-robin".into(),
+            ..exec
+        })
         .fault_plan(plan)
         .build()
         .unwrap();

@@ -49,7 +49,6 @@ fn run(plan: Option<FaultPlan>, exec: ExecutionConfig, trace: Trace) -> Simulati
         .platform_spec(&two_site_platform())
         .unwrap()
         .trace(trace)
-        .policy_name("least-loaded")
         .execution(exec);
     if let Some(plan) = plan {
         builder = builder.fault_plan(plan);

@@ -46,7 +46,6 @@ fn run(
         .platform_spec(&platform)
         .unwrap()
         .trace(trace)
-        .policy_name("least-loaded")
         .execution(exec)
         .fault_plan(plan)
         .run()

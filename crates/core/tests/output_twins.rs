@@ -474,7 +474,6 @@ fn faulted_checkpointed_run() -> SimulationResults {
         .platform_spec(&spec)
         .unwrap()
         .trace(trace)
-        .policy_name("least-loaded")
         .execution(execution)
         .fault_plan(FaultPlan::generate(&config, &topology, 7))
         .run()

@@ -59,7 +59,6 @@ proptest! {
             .platform_spec(&platform)
             .unwrap()
             .trace(trace)
-            .policy_name(policy)
             .execution(execution)
             .run()
             .unwrap();
@@ -127,7 +126,6 @@ proptest! {
                 .platform_spec(&platform)
                 .unwrap()
                 .trace(trace)
-                .policy_name(policy)
                 .execution(execution)
                 .run()
                 .unwrap()
@@ -174,7 +172,6 @@ fn self_healing_run(
         .platform_spec(&platform)
         .unwrap()
         .trace(trace)
-        .policy_name("least-loaded")
         .execution(execution)
         .fault_plan(plan)
         .run()

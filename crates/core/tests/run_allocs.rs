@@ -145,7 +145,6 @@ fn run_peak_bytes(jobs: usize) -> usize {
         .platform_spec(&spec)
         .unwrap()
         .trace_stream(generator.stream(&spec))
-        .policy_name("least-loaded")
         .execution(execution)
         .build()
         .unwrap();

@@ -72,7 +72,6 @@ fn run_streamed() -> cgsim_core::SimulationResults {
         .platform_spec(&spec)
         .expect("platform builds")
         .trace_stream(generator.stream(&spec))
-        .policy_name("least-loaded")
         .execution(scale_exec())
         .fault_plan(churn_plan(&spec, JOBS))
         .run()
@@ -120,7 +119,6 @@ fn clean_streamed(platform: Platform, spec: &PlatformSpec, jobs: usize) -> Simul
     Simulation::builder()
         .platform(platform)
         .trace_stream(generator.stream(spec))
-        .policy_name("least-loaded")
         .execution(ExecutionConfig {
             monitoring: scale_exec().monitoring,
             ..ExecutionConfig::default()

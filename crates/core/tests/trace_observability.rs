@@ -103,7 +103,6 @@ fn run(sink: Option<(Box<dyn TraceSink>, u32)>, profile: bool) -> SimulationResu
         .platform_spec(&two_site_platform())
         .unwrap()
         .trace(flat_trace(60, 2_500.0))
-        .policy_name("least-loaded")
         .execution(checkpointed_exec())
         .fault_plan(outage_plan())
         .profile(profile);

@@ -30,7 +30,7 @@ impl StorageElement {
     }
 
     /// Remaining free space.
-    pub fn free_bytes(&self) -> u64 {
+    pub(crate) fn free_bytes(&self) -> u64 {
         self.capacity_bytes.saturating_sub(self.used_bytes)
     }
 

@@ -3,8 +3,7 @@
 //! The engine owns the virtual clock and the event queue. A simulation model
 //! (in CGSim-RS: the grid simulation in `cgsim-core`) implements
 //! [`EventHandler`] and receives each event together with a [`Context`] that
-//! lets it schedule follow-up events, cancel pending ones, and request an
-//! early stop.
+//! lets it schedule follow-up events and cancel pending ones.
 //!
 //! This mirrors the structure of SimGrid's engine loop: the model never
 //! blocks, it only reacts to events and posts new ones, so the loop is a plain
@@ -24,7 +23,7 @@
 //!   of neither.
 //! * `schedule_in` / `schedule_at` — the heap, for everything else.
 //!
-//! `pending_events()` counts all three.
+//! [`EventQueue::len`] counts all three.
 
 use crate::event::{EventKey, EventQueue};
 use crate::time::SimTime;
@@ -40,8 +39,6 @@ pub trait EventHandler<E> {
 pub enum StopReason {
     /// The event queue drained completely.
     QueueExhausted,
-    /// The handler called [`Context::request_stop`].
-    StopRequested,
     /// The configured time horizon was reached.
     HorizonReached,
     /// The configured event budget was exhausted.
@@ -63,7 +60,6 @@ pub struct RunReport {
 pub struct Context<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    stop_requested: bool,
 }
 
 impl<'a, E> Context<'a, E> {
@@ -102,18 +98,6 @@ impl<'a, E> Context<'a, E> {
     #[inline]
     pub fn disarm_timer(&mut self) {
         self.queue.disarm_timer();
-    }
-
-    /// Number of events still pending.
-    #[inline]
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Requests that the engine stop after the current event.
-    #[inline]
-    pub fn request_stop(&mut self) {
-        self.stop_requested = true;
     }
 }
 
@@ -190,15 +174,12 @@ impl<E> Engine<E> {
         self.queue.schedule(self.now + delay, event)
     }
 
-    /// Number of live events pending in the queue.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Delivers a single event to `handler`. Returns `None` when the queue is
-    /// empty, otherwise whether the handler requested a stop.
-    pub fn step<H: EventHandler<E>>(&mut self, handler: &mut H) -> Option<bool> {
-        let scheduled = self.queue.pop()?;
+    /// Delivers the next event to `handler`; `false` when the queue is
+    /// empty.
+    pub fn step<H: EventHandler<E>>(&mut self, handler: &mut H) -> bool {
+        let Some(scheduled) = self.queue.pop() else {
+            return false;
+        };
         debug_assert!(
             scheduled.time >= self.now,
             "event queue produced an event in the past"
@@ -208,14 +189,13 @@ impl<E> Engine<E> {
         let mut ctx = Context {
             now: self.now,
             queue: &mut self.queue,
-            stop_requested: false,
         };
         handler.handle(&mut ctx, scheduled.event);
-        Some(ctx.stop_requested)
+        true
     }
 
-    /// Runs until the queue drains, the handler requests a stop, or a
-    /// configured horizon / event budget is hit.
+    /// Runs until the queue drains or a configured horizon / event budget is
+    /// hit.
     pub fn run<H: EventHandler<E>>(&mut self, handler: &mut H) -> RunReport {
         let start_processed = self.processed;
         let stop_reason = loop {
@@ -231,10 +211,8 @@ impl<E> Engine<E> {
                     _ => {}
                 }
             }
-            match self.step(handler) {
-                None => break StopReason::QueueExhausted,
-                Some(true) => break StopReason::StopRequested,
-                Some(false) => {}
+            if !self.step(handler) {
+                break StopReason::QueueExhausted;
             }
         };
         RunReport {
@@ -273,7 +251,7 @@ mod tests {
                         ctx.schedule_in(SimTime::from_secs(2.0), Ev::Chain(n - 1));
                     }
                 }
-                Ev::Stop => ctx.request_stop(),
+                Ev::Stop => {}
             }
         }
     }
@@ -299,18 +277,6 @@ mod tests {
         engine.run(&mut rec);
         assert_eq!(rec.chains, 4);
         assert_eq!(engine.now(), SimTime::from_secs(6.0));
-    }
-
-    #[test]
-    fn stop_request_halts_run() {
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::from_secs(1.0), Ev::Stop);
-        engine.schedule_at(SimTime::from_secs(2.0), Ev::Tick);
-        let mut rec = Recorder::default();
-        let report = engine.run(&mut rec);
-        assert_eq!(report.stop_reason, StopReason::StopRequested);
-        assert_eq!(report.events_processed, 1);
-        assert_eq!(engine.pending_events(), 1);
     }
 
     #[test]
@@ -356,7 +322,7 @@ mod tests {
         engine.preload([(t(2.0), Ev::Tick), (t(1.0), Ev::Tick), (t(1.2), Ev::Tick)]);
         engine.schedule_at(t(2.0), Ev::Tick);
         engine.schedule_at(t(2.25), Ev::Stop);
-        assert_eq!(engine.pending_events(), 5);
+        assert_eq!(engine.queue().len(), 5);
         let mut rec = Rearm(Vec::new());
         let report = engine.run(&mut rec);
         assert_eq!(report.stop_reason, StopReason::QueueExhausted);
@@ -378,6 +344,6 @@ mod tests {
     fn step_returns_none_on_empty_queue() {
         let mut engine: Engine<Ev> = Engine::new();
         let mut rec = Recorder::default();
-        assert!(engine.step(&mut rec).is_none());
+        assert!(!engine.step(&mut rec));
     }
 }

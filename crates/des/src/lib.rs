@@ -28,7 +28,7 @@
 //! use cgsim_des::{Engine, EventHandler, Context, SimTime};
 //!
 //! #[derive(Debug, Clone, PartialEq)]
-//! enum Ev { Ping(u32), Stop }
+//! enum Ev { Ping(u32) }
 //!
 //! struct Counter { pings: u32 }
 //!
@@ -39,10 +39,7 @@
 //!                 self.pings += 1;
 //!                 ctx.schedule_in(SimTime::from_secs(1.0), Ev::Ping(n + 1));
 //!             }
-//!             Ev::Ping(_) => {
-//!                 ctx.schedule_in(SimTime::ZERO, Ev::Stop);
-//!             }
-//!             Ev::Stop => ctx.request_stop(),
+//!             Ev::Ping(_) => {}
 //!         }
 //!     }
 //! }
@@ -52,7 +49,7 @@
 //! let mut counter = Counter { pings: 0 };
 //! let report = engine.run(&mut counter);
 //! assert_eq!(counter.pings, 3);
-//! assert_eq!(report.events_processed, 5);
+//! assert_eq!(report.events_processed, 4);
 //! assert_eq!(engine.now(), SimTime::from_secs(3.0));
 //! ```
 

@@ -96,13 +96,6 @@ impl Rng {
         ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
 
-    /// Uniform integer in `[lo, hi]` inclusive.
-    pub fn int_range(&mut self, lo: i64, hi: i64) -> i64 {
-        assert!(hi >= lo);
-        let span = (hi - lo) as u64 + 1;
-        lo + ((self.next_u64() as u128 * span as u128) >> 64) as i64
-    }
-
     /// Bernoulli trial with probability `p` of returning `true`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
@@ -110,7 +103,7 @@ impl Rng {
     }
 
     /// Standard normal variate via Box–Muller.
-    pub fn normal_std(&mut self) -> f64 {
+    pub(crate) fn normal_std(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
@@ -376,20 +369,6 @@ mod tests {
         for &c in &counts {
             assert!((c as f64 - 10_000.0).abs() < 600.0, "count={c}");
         }
-    }
-
-    #[test]
-    fn int_range_inclusive_bounds() {
-        let mut rng = Rng::new(31);
-        let mut saw_lo = false;
-        let mut saw_hi = false;
-        for _ in 0..10_000 {
-            let v = rng.int_range(-3, 3);
-            assert!((-3..=3).contains(&v));
-            saw_lo |= v == -3;
-            saw_hi |= v == 3;
-        }
-        assert!(saw_lo && saw_hi);
     }
 
     #[test]

@@ -25,8 +25,6 @@ pub struct SimTime(f64);
 impl SimTime {
     /// The zero time / zero duration.
     pub const ZERO: SimTime = SimTime(0.0);
-    /// A very large time usable as "never" sentinel.
-    pub const FAR_FUTURE: SimTime = SimTime(f64::MAX / 4.0);
 
     /// Creates a time from a number of seconds.
     ///
@@ -36,24 +34,6 @@ impl SimTime {
     pub fn from_secs(secs: f64) -> Self {
         assert!(secs.is_finite(), "SimTime must be finite, got {secs}");
         SimTime(secs)
-    }
-
-    /// Creates a time from hours.
-    #[inline]
-    pub fn from_hours(hours: f64) -> Self {
-        Self::from_secs(hours * 3600.0)
-    }
-
-    /// Creates a time from minutes.
-    #[inline]
-    pub fn from_minutes(minutes: f64) -> Self {
-        Self::from_secs(minutes * 60.0)
-    }
-
-    /// Creates a time from days.
-    #[inline]
-    pub fn from_days(days: f64) -> Self {
-        Self::from_secs(days * 86_400.0)
     }
 
     /// Returns the number of seconds as `f64`.
@@ -201,13 +181,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constructors_agree() {
-        assert_eq!(SimTime::from_minutes(2.0), SimTime::from_secs(120.0));
-        assert_eq!(SimTime::from_hours(1.0), SimTime::from_secs(3600.0));
-        assert_eq!(SimTime::from_days(1.0), SimTime::from_hours(24.0));
-    }
-
-    #[test]
     fn ordering_is_total() {
         let a = SimTime::from_secs(1.0);
         let b = SimTime::from_secs(2.0);
@@ -240,14 +213,13 @@ mod tests {
     fn display_formats_ranges() {
         assert_eq!(format!("{}", SimTime::from_secs(1.5)), "1.500s");
         assert!(format!("{}", SimTime::from_secs(75.0)).starts_with("1m"));
-        assert!(format!("{}", SimTime::from_hours(2.5)).starts_with("2h"));
+        assert!(format!("{}", SimTime::from_secs(2.5 * 3600.0)).starts_with("2h"));
     }
 
     #[test]
-    fn zero_and_far_future() {
+    fn only_zero_is_zero() {
         assert!(SimTime::ZERO.is_zero());
         assert!(!SimTime::from_secs(0.1).is_zero());
-        assert!(SimTime::FAR_FUTURE > SimTime::from_days(1e6));
     }
 
     #[test]

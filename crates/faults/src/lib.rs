@@ -27,6 +27,6 @@ pub mod spec;
 pub use plan::{
     DegradationSpec, DiskLossSpec, FaultAction, FaultEvent, FaultPlan, FaultPlanConfig,
     FaultTopology, IncidentSpec, LinkSelector, MaintenanceSpec, NodeLossSpec, OutageSpec,
-    SiteSelector, DEFAULT_HORIZON_S,
+    SiteSelector,
 };
 pub use spec::{parse_duration, parse_fault_spec};

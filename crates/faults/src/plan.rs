@@ -20,8 +20,10 @@
 use cgsim_des::rng::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::spec::parse_fault_spec;
+
 /// Default generation horizon: 48 simulated hours.
-pub const DEFAULT_HORIZON_S: f64 = 48.0 * 3600.0;
+pub(crate) const DEFAULT_HORIZON_S: f64 = 48.0 * 3600.0;
 
 /// Which sites a fault specification targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -369,12 +371,24 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Events of a given kind (by discriminant name), for tests and reports.
-    pub fn count_site_downs(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.action, FaultAction::SiteDown { .. }))
-            .count()
+    /// The plan a run of `jobs` jobs on `platform` replays under the
+    /// `--faults` spec text `spec` and fault seed `seed`:
+    /// [`parse_fault_spec`] → [`FaultTopology::for_platform`] →
+    /// [`FaultTopology::check`] → [`FaultPlan::generate`]. This is the one
+    /// path from fault input to a plan, shared by the CLI and the scenario
+    /// engine. Returns the plan and the horizon it was generated to; a spec
+    /// that does not parse, or that names a site or link the platform lacks,
+    /// is an error.
+    pub fn from_spec(
+        spec: &str,
+        seed: u64,
+        platform: &cgsim_platform::Platform,
+        jobs: usize,
+    ) -> Result<(Self, f64), String> {
+        let config = parse_fault_spec(spec)?;
+        let topology = FaultTopology::for_platform(platform, jobs);
+        topology.check(&config)?;
+        Ok((Self::generate(&config, &topology, seed), config.horizon_s))
     }
 
     /// Generates the deterministic schedule for `config` against `topo`.
@@ -683,6 +697,13 @@ mod tests {
         assert!(combined.len() > outages_only.len());
     }
 
+    fn site_downs(plan: &FaultPlan) -> usize {
+        plan.events
+            .iter()
+            .filter(|e| matches!(e.action, FaultAction::SiteDown { .. }))
+            .count()
+    }
+
     #[test]
     fn events_are_time_sorted_and_within_horizon_for_downs() {
         let plan = FaultPlan::generate(&outage_config(), &topo(), 3);
@@ -722,7 +743,7 @@ mod tests {
         let mut cfg = outage_config();
         cfg.horizon_s = 1_000_000.0;
         let plan = FaultPlan::generate(&cfg, &topo(), 5);
-        let downs = plan.count_site_downs() as f64 / 4.0;
+        let downs = site_downs(&plan) as f64 / 4.0;
         assert!(
             (60.0..130.0).contains(&downs),
             "mean outages per site: {downs}"
@@ -743,7 +764,7 @@ mod tests {
         };
         let plan = FaultPlan::generate(&cfg, &topo(), 1);
         // Windows at 1000, 4000, 7000, 10000.
-        assert_eq!(plan.count_site_downs(), 4);
+        assert_eq!(site_downs(&plan), 4);
         assert_eq!(plan.events[0].time_s, 1_000.0);
         assert_eq!(plan.events[0].action, FaultAction::SiteDown { site: 1 });
         assert_eq!(plan.events[1].action, FaultAction::SiteUp { site: 1 });

@@ -24,10 +24,9 @@ pub struct MonitoringConfig {
     pub sample_stride: u64,
     /// Upper bound on retained event records (0 = unbounded, the default).
     /// When set, the dataset becomes a ring: once the bound is exceeded the
-    /// *oldest* records are discarded, [`MonitoringCollector::events`] holds
-    /// the most recent tail, and [`MonitoringCollector::events_dropped`]
-    /// counts the truncation. Event ids keep counting from the start of the
-    /// run, so a dropped prefix is visible in the data as well.
+    /// *oldest* records are discarded and [`MonitoringCollector::events`]
+    /// holds the most recent tail. Event ids keep counting from the start of
+    /// the run, so the first retained id is the number of records dropped.
     #[serde(default)]
     pub max_events: u64,
     /// Width of the windowed-metrics windows in simulated seconds
@@ -202,7 +201,6 @@ pub struct MonitoringCollector {
     outcomes: Vec<JobOutcome>,
     next_event_id: u64,
     transitions_seen: u64,
-    events_dropped: u64,
     windows: Option<WindowedAggregator>,
 }
 
@@ -227,7 +225,6 @@ impl MonitoringCollector {
             outcomes: Vec::new(),
             next_event_id: 0,
             transitions_seen: 0,
-            events_dropped: 0,
             windows,
         }
     }
@@ -325,7 +322,6 @@ impl MonitoringCollector {
         if cap > 0 && self.events.len() >= cap * 2 {
             let drop = self.events.len() - cap;
             self.events.drain(..drop);
-            self.events_dropped += drop as u64;
         }
     }
 
@@ -349,16 +345,10 @@ impl MonitoringCollector {
 
     /// Event-level dataset collected so far. With
     /// [`MonitoringConfig::max_events`] set this is the most recent tail of
-    /// the dataset, not the full history — check
-    /// [`MonitoringCollector::events_dropped`].
+    /// the dataset, not the full history: the first record's id is the number
+    /// of records dropped before it.
     pub fn events(&self) -> &[EventRecord] {
         &self.events
-    }
-
-    /// Event records discarded by the `max_events` ring (0 when unbounded or
-    /// never exceeded).
-    pub fn events_dropped(&self) -> u64 {
-        self.events_dropped
     }
 
     /// The windowed-metrics aggregator (`None` unless
@@ -464,11 +454,11 @@ mod tests {
             c.record_transition(i as f64, JobId(i), JobState::Running, Some(0), 5, 0);
         }
         assert!(c.events().len() < 20, "bounded at twice the cap");
-        assert_eq!(c.events_dropped() + c.events().len() as u64, 95);
-        // The retained rows are the newest, with their original ids.
+        // The retained rows are the newest, with their original ids: the
+        // first one's id counts the rows dropped before it.
         assert_eq!(c.events().last().unwrap().event_id, 94);
         let first = c.events().first().unwrap().event_id;
-        assert_eq!(first, c.events_dropped());
+        assert_eq!(first + c.events().len() as u64, 95);
     }
 
     #[test]

@@ -72,11 +72,6 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// Total simulated time from submission to completion.
-    pub fn total_time(&self) -> f64 {
-        self.end_time - self.submit_time
-    }
-
     /// True when the job completed successfully.
     pub fn succeeded(&self) -> bool {
         self.final_state == JobState::Finished
@@ -123,7 +118,6 @@ mod tests {
     #[test]
     fn outcome_derived_quantities() {
         let o = outcome();
-        assert_eq!(o.total_time(), 3665.0);
         assert!(o.succeeded());
         assert_eq!(o.core_seconds(), 3600.0);
     }

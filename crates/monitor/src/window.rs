@@ -70,11 +70,6 @@ impl WindowedAggregator {
         }
     }
 
-    /// Window width in simulated seconds.
-    pub fn width_s(&self) -> f64 {
-        self.width_s
-    }
-
     /// Feeds one job state transition. `grid` and `sites` are the *cumulative*
     /// counters as of this observation; they seal any window the observation
     /// has moved past.
@@ -129,11 +124,6 @@ impl WindowedAggregator {
     /// the retained windows are the *most recent* ones, not the full history.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Exports the retained windows as CSV (see [`windows_csv`]).
-    pub fn to_csv(&self) -> String {
-        windows_csv(self.closed.iter())
     }
 
     /// Seals every window older than `index` and opens `index`. Windows with
@@ -248,7 +238,7 @@ mod tests {
         observe_at(&mut agg, 30.0, JobState::Finished, 1);
         observe_at(&mut agg, 70.0, JobState::Failed, 1);
         agg.finish(&GridCounters::default(), &[SiteCounters::default()]);
-        let csv = agg.to_csv();
+        let csv = windows_csv(agg.windows());
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("window,start_s,"));
         assert!(csv.contains("\n0,0.000,1,0,1,0,"));
@@ -257,7 +247,7 @@ mod tests {
     #[test]
     fn degenerate_parameters_are_clamped() {
         let agg = WindowedAggregator::new(0.0, 0);
-        assert!(agg.width_s() > 0.0);
+        assert!(agg.width_s > 0.0);
         let mut agg = WindowedAggregator::new(-5.0, 0);
         observe_at(&mut agg, 0.0, JobState::Running, 0);
         observe_at(&mut agg, 100.0, JobState::Running, 0);

@@ -36,8 +36,8 @@
 pub mod profile;
 pub mod trace;
 
-pub use profile::{ProfileReport, Profiler, Subsystem, ALL_SUBSYSTEMS};
+pub use profile::{ProfileReport, Profiler, Subsystem};
 pub use trace::{
     parse_filter, validate_chrome, validate_jsonl, ChromeSink, JsonlSink, MemorySink, SpanPhase,
-    TraceCategory, TraceRecord, TraceSink, Tracer, ALL_CATEGORIES, MASK_ALL,
+    TraceCategory, TraceRecord, TraceSink, TraceTarget, Tracer, ALL_CATEGORIES, MASK_ALL,
 };

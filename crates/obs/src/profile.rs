@@ -40,7 +40,7 @@ pub enum Subsystem {
 }
 
 /// Every subsystem, in report order.
-pub const ALL_SUBSYSTEMS: [Subsystem; 6] = [
+pub(crate) const ALL_SUBSYSTEMS: [Subsystem; 6] = [
     Subsystem::EventLoop,
     Subsystem::Fluid,
     Subsystem::FaultReplay,

@@ -9,7 +9,7 @@
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
@@ -284,6 +284,60 @@ impl<W: Write> TraceSink for JsonlSink<W> {
     }
 }
 
+/// A trace file as a user asks for it: where, in which format, and which
+/// categories. [`TraceTarget::new`] is the one place a format name and a
+/// filter are checked — the CLI's `--trace-format` / `--trace-filter` and
+/// serve's `trace_format` / `trace_filter` both go through it before any
+/// run — and [`TraceTarget::open`] is the one place the file is created.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceTarget {
+    /// The trace file.
+    pub path: PathBuf,
+    /// Chrome `trace_event` JSON ([`ChromeSink`]) rather than JSON Lines
+    /// ([`JsonlSink`]).
+    pub chrome: bool,
+    /// The categories kept (see [`parse_filter`]).
+    pub mask: u32,
+}
+
+impl TraceTarget {
+    /// Resolves a format name — `jsonl` (also the meaning of `None` or an
+    /// empty name) or `chrome` — and a [`parse_filter`] list (`None` or empty
+    /// keeps every category). `format_option` names the format option in the
+    /// error, so each front end reports its own spelling of it.
+    pub fn new(
+        path: impl Into<PathBuf>,
+        format: Option<&str>,
+        filter: Option<&str>,
+        format_option: &str,
+    ) -> Result<Self, String> {
+        let chrome = match format.unwrap_or_default() {
+            "" | "jsonl" => false,
+            "chrome" => true,
+            other => {
+                return Err(format!(
+                    "{format_option} must be jsonl or chrome, got {other}"
+                ))
+            }
+        };
+        let mask = parse_filter(filter.unwrap_or_default())?;
+        Ok(TraceTarget {
+            path: path.into(),
+            chrome,
+            mask,
+        })
+    }
+
+    /// Creates the trace file and the sink that writes it.
+    pub fn open(&self) -> io::Result<Box<dyn TraceSink>> {
+        Ok(if self.chrome {
+            Box::new(ChromeSink::create(&self.path)?)
+        } else {
+            Box::new(JsonlSink::create(&self.path)?)
+        })
+    }
+}
+
 /// Renders records in the Chrome `trace_event` JSON format, loadable in
 /// Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`.
 ///
@@ -517,6 +571,29 @@ pub fn validate_chrome(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trace_target_accepts_the_two_formats_and_checks_the_filter() {
+        let target = |format, filter| TraceTarget::new("t", format, filter, "--trace-format");
+        for (format, chrome) in [(None, false), (Some(""), false), (Some("jsonl"), false)]
+            .into_iter()
+            .chain([(Some("chrome"), true)])
+        {
+            let resolved = target(format, None).unwrap();
+            assert_eq!((resolved.chrome, resolved.mask), (chrome, MASK_ALL));
+        }
+        assert_eq!(
+            target(Some("xml"), None),
+            Err("--trace-format must be jsonl or chrome, got xml".to_string())
+        );
+        assert_eq!(
+            target(None, Some("fault,job")).unwrap().mask,
+            TraceCategory::Fault.bit() | TraceCategory::Job.bit()
+        );
+        assert_eq!(target(None, Some("")).unwrap().mask, MASK_ALL);
+        let bad = target(None, Some("job,nope")).unwrap_err();
+        assert!(bad.starts_with("unknown trace category `nope`"), "{bad}");
+    }
 
     fn record(seq: u64) -> TraceRecord {
         TraceRecord {

@@ -140,11 +140,6 @@ impl GridAvailability {
             state.factor = 1.0;
         }
     }
-
-    /// Number of sites currently down.
-    pub fn sites_down(&self) -> usize {
-        self.sites.iter().filter(|s| s.down_count > 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +163,6 @@ mod tests {
         for l in platform.links() {
             assert_eq!(avail.link_factor(l.id), 1.0);
         }
-        assert_eq!(avail.sites_down(), 0);
     }
 
     #[test]
@@ -178,7 +172,6 @@ mod tests {
         assert!(avail.site_down_begin(site)); // up -> down
         assert!(!avail.site_down_begin(site)); // already down
         assert!(!avail.site_up(site));
-        assert_eq!(avail.sites_down(), 1);
         assert!(!avail.site_down_end(site)); // still one outage left
         assert!(!avail.site_up(site));
         assert!(avail.site_down_end(site)); // down -> up

@@ -197,12 +197,11 @@ impl Resolved {
 impl Platform {
     /// Builds a platform from its specification.
     ///
-    /// Routing runs one O(V²) shortest-path tree per source endpoint
-    /// ([`Graph::shortest_paths_from`]) — O(V³) for V = sites + 1, against
-    /// the O(V⁴) of one Dijkstra per endpoint pair — and stores the V² routes
-    /// in a dense table, so [`route`](Self::route) is an index, not a hash
-    /// probe. The routes are link for link the ones per-pair
-    /// [`Graph::shortest_path`] yields.
+    /// Routing runs one O(V²) shortest-path tree per source endpoint —
+    /// O(V³) for V = sites + 1, against the O(V⁴) of one Dijkstra per
+    /// endpoint pair — and stores the V² routes in a dense table, so
+    /// [`route`](Self::route) is an index, not a hash probe. The routes are
+    /// link for link the ones a per-pair Dijkstra yields.
     pub fn build(spec: &PlatformSpec) -> Result<Self, PlatformError> {
         let resolved = Self::resolve(spec)?;
         let mut routes = Vec::with_capacity((resolved.sites.len() + 1).pow(2));
@@ -377,7 +376,7 @@ impl Platform {
     }
 
     /// Hosts belonging to a site.
-    pub fn hosts_of(&self, site: SiteId) -> impl Iterator<Item = &Host> {
+    pub(crate) fn hosts_of(&self, site: SiteId) -> impl Iterator<Item = &Host> {
         self.sites[site.index()]
             .hosts
             .iter()

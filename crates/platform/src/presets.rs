@@ -18,11 +18,11 @@
 
 use cgsim_des::rng::Rng;
 
-use crate::spec::{HostSpec, LinkSpec, PlatformSpec, SiteSpec, Tier, MAIN_SERVER};
+use crate::spec::{LinkSpec, PlatformSpec, SiteSpec, Tier, MAIN_SERVER};
 
 /// Well-known ATLAS site names used for the first generated sites (the same
 /// names appear in the paper's Table 1 and Fig. 3).
-pub const ATLAS_SITE_NAMES: &[&str] = &[
+pub(crate) const ATLAS_SITE_NAMES: &[&str] = &[
     "CERN",
     "BNL",
     "TRIUMF",
@@ -95,7 +95,7 @@ pub fn wlcg_platform(site_count: usize, seed: u64) -> PlatformSpec {
 }
 
 /// Generates a WLCG-like platform with full control over the options.
-pub fn wlcg_platform_with(options: PresetOptions) -> PlatformSpec {
+pub(crate) fn wlcg_platform_with(options: PresetOptions) -> PlatformSpec {
     assert!(options.site_count > 0, "need at least one site");
     let mut rng = Rng::new(options.seed);
     let mut spec = PlatformSpec::new(format!("wlcg-{}-sites", options.site_count));
@@ -216,18 +216,6 @@ pub fn single_site_platform(cores: u32, speed: f64) -> PlatformSpec {
         .with_link(LinkSpec::new("SOLO", MAIN_SERVER, 100.0, 10.0))
 }
 
-/// Builds host specs for a heterogeneous site (utility for tests/examples
-/// that need more than one worker-node group per site).
-pub fn heterogeneous_site(name: &str, tier: Tier, groups: &[(u32, f64)]) -> SiteSpec {
-    let mut site = SiteSpec::uniform(name, tier, 1, 1.0);
-    site.hosts = groups
-        .iter()
-        .enumerate()
-        .map(|(i, &(cores, speed))| HostSpec::new(format!("{name}-wn{i}"), cores, speed))
-        .collect();
-    site
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,15 +277,6 @@ mod tests {
         let platform = Platform::build(&spec).unwrap();
         assert_eq!(platform.site_count(), 1);
         assert_eq!(platform.total_cores(), 500);
-    }
-
-    #[test]
-    fn heterogeneous_site_has_multiple_host_groups() {
-        let site = heterogeneous_site("HET", Tier::Tier2, &[(100, 8.0), (200, 12.0)]);
-        assert_eq!(site.hosts.len(), 2);
-        assert_eq!(site.total_cores(), 300);
-        let spec = PlatformSpec::new("het").with_site(site);
-        Platform::build(&spec).unwrap();
     }
 
     #[test]

@@ -339,12 +339,12 @@ fn is_non_negative(x: f64) -> bool {
 }
 
 /// Converts Gbit/s to bytes/s.
-pub fn gbps_to_bytes_per_sec(gbps: f64) -> f64 {
+pub(crate) fn gbps_to_bytes_per_sec(gbps: f64) -> f64 {
     gbps * 1e9 / 8.0
 }
 
 /// Converts milliseconds to seconds.
-pub fn ms_to_secs(ms: f64) -> f64 {
+pub(crate) fn ms_to_secs(ms: f64) -> f64 {
     ms / 1000.0
 }
 

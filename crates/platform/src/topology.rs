@@ -42,7 +42,7 @@ impl Graph {
     }
 
     /// Adds a node and returns its index.
-    pub fn add_node(&mut self) -> usize {
+    pub(crate) fn add_node(&mut self) -> usize {
         self.adjacency.push(Vec::new());
         self.adjacency.len() - 1
     }
@@ -53,7 +53,7 @@ impl Graph {
     }
 
     /// Adds an undirected edge between `a` and `b` and returns its index.
-    pub fn add_edge(&mut self, a: usize, b: usize, props: EdgeProps) -> usize {
+    pub(crate) fn add_edge(&mut self, a: usize, b: usize, props: EdgeProps) -> usize {
         assert!(a < self.adjacency.len() && b < self.adjacency.len());
         let idx = self.edges.len();
         self.edges.push((a, b, props));
@@ -69,19 +69,21 @@ impl Graph {
 
     /// Lowest-latency path from `from` to `to` (Dijkstra, stopping as soon as
     /// `to` is settled). Returns `None` when the nodes are disconnected. A
-    /// path from a node to itself is the empty path.
-    pub fn shortest_path(&self, from: usize, to: usize) -> Option<Path> {
+    /// path from a node to itself is the empty path. The reference the
+    /// single-source [`Graph::shortest_paths_from`] is checked against.
+    #[cfg(test)]
+    pub(crate) fn shortest_path(&self, from: usize, to: usize) -> Option<Path> {
         let (dist, prev) = self.dijkstra(from, Some(to));
         self.trace_back(from, to, &dist, &prev)
     }
 
     /// Lowest-latency paths from `from` to every node, indexed by
     /// destination: one Dijkstra run (O(V²)) instead of one per destination.
-    /// Entry `to` equals [`shortest_path(from, to)`](Self::shortest_path)
-    /// edge for edge — a node's predecessor is final once the node is
+    /// Entry `to` equals the per-pair early-exit Dijkstra's path edge for
+    /// edge — a node's predecessor is final once the node is
     /// settled, so running past it changes nothing — which is what lets
     /// `Platform::build` route all V² endpoint pairs in O(V³).
-    pub fn shortest_paths_from(&self, from: usize) -> Vec<Option<Path>> {
+    pub(crate) fn shortest_paths_from(&self, from: usize) -> Vec<Option<Path>> {
         let (dist, prev) = self.dijkstra(from, None);
         (0..self.adjacency.len())
             .map(|to| self.trace_back(from, to, &dist, &prev))
@@ -158,28 +160,6 @@ impl Graph {
             min_bandwidth_bps: min_bw,
         })
     }
-
-    /// True if every node can reach every other node.
-    pub fn is_connected(&self) -> bool {
-        let n = self.adjacency.len();
-        if n <= 1 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(u) = stack.pop() {
-            for &(v, _) in &self.adjacency[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    count += 1;
-                    stack.push(v);
-                }
-            }
-        }
-        count == n
-    }
 }
 
 #[cfg(test)]
@@ -236,18 +216,16 @@ mod tests {
         let a = g.add_node();
         let b = g.add_node();
         assert!(g.shortest_path(a, b).is_none());
-        assert!(!g.is_connected());
     }
 
     #[test]
-    fn star_topology_is_connected() {
+    fn star_topology_routes_leaf_to_leaf_through_the_hub() {
         let mut g = Graph::new();
         let hub = g.add_node();
         let leaves: Vec<_> = (0..10).map(|_| g.add_node()).collect();
         for &leaf in &leaves {
             g.add_edge(hub, leaf, props(10.0, 1e9));
         }
-        assert!(g.is_connected());
         let path = g.shortest_path(leaves[0], leaves[9]).unwrap();
         assert_eq!(path.edges.len(), 2);
     }

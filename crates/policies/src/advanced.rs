@@ -89,11 +89,6 @@ impl WeightedFairSharePolicy {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Work dispatched so far, per site (test / inspection hook).
-    pub fn dispatched_work(&self) -> &[f64] {
-        &self.dispatched_work
-    }
 }
 
 impl AllocationPolicy for WeightedFairSharePolicy {
@@ -347,7 +342,7 @@ mod tests {
             (2.0..4.5).contains(&ratio),
             "ratio {ratio}, counts {counts:?}"
         );
-        assert_eq!(policy.dispatched_work().len(), 2);
+        assert_eq!(policy.dispatched_work.len(), 2);
     }
 
     #[test]

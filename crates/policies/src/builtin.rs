@@ -279,14 +279,6 @@ impl BlacklistFlappingPolicy {
         Self::default()
     }
 
-    /// Creates the policy with a custom blacklist threshold.
-    pub fn with_threshold(threshold: f64) -> Self {
-        BlacklistFlappingPolicy {
-            threshold: threshold.max(1.0),
-            ..Self::default()
-        }
-    }
-
     fn ensure_sites(&mut self, n: usize) {
         if self.strikes.len() < n {
             self.strikes.resize(n, 0.0);
@@ -604,7 +596,10 @@ mod tests {
 
     #[test]
     fn blacklist_flapping_falls_back_when_grid_is_blacklisted() {
-        let mut policy = BlacklistFlappingPolicy::with_threshold(1.0);
+        let mut policy = BlacklistFlappingPolicy {
+            threshold: 1.0,
+            ..BlacklistFlappingPolicy::default()
+        };
         let v = view(&[10, 20]);
         policy.on_job_interrupted(&job(1), SiteId::new(0), &v);
         policy.on_job_interrupted(&job(1), SiteId::new(1), &v);

@@ -1,4 +1,4 @@
-//! Built-in data-movement policies and their registry.
+//! Built-in data-movement policies.
 //!
 //! The paper's plugin mechanism covers "custom workflow scheduling and data
 //! movement policies" (§1). The allocation side lives in [`crate::builtin`];
@@ -14,9 +14,9 @@
 use cgsim_des::rng::Rng;
 use cgsim_platform::{NodeId, SiteId};
 use cgsim_workload::JobRecord;
-use std::collections::BTreeMap;
 
 use crate::plugin::{CachePolicy, DataMovementPolicy, DefaultDataMovement};
+use crate::registry::{Builtins, DataPolicyRegistry};
 
 /// Never cache staged datasets at the execution site: every job of a task
 /// re-transfers its input (the "no XRootD cache" ablation baseline).
@@ -145,32 +145,8 @@ impl DataMovementPolicy for RandomSourcePolicy {
     }
 }
 
-/// Factory signature for data-movement policies (mirrors the allocation-policy
-/// registry: policies that do not use randomness ignore the seed).
-pub type DataPolicyFactory = Box<dyn Fn(u64) -> Box<dyn DataMovementPolicy> + Send + Sync>;
-
-/// A string-keyed registry of data-movement policy factories.
-pub struct DataPolicyRegistry {
-    factories: BTreeMap<String, DataPolicyFactory>,
-}
-
-impl Default for DataPolicyRegistry {
-    fn default() -> Self {
-        Self::with_builtins()
-    }
-}
-
-impl DataPolicyRegistry {
-    /// Creates an empty registry (no built-ins).
-    pub fn empty() -> Self {
-        DataPolicyRegistry {
-            factories: BTreeMap::new(),
-        }
-    }
-
-    /// Creates a registry pre-populated with every built-in data policy.
-    pub fn with_builtins() -> Self {
-        let mut registry = Self::empty();
+impl Builtins for dyn DataMovementPolicy {
+    fn register_builtins(registry: &mut DataPolicyRegistry) {
         registry.register("default-data-movement", |_| Box::new(DefaultDataMovement));
         registry.register("never-cache", |_| Box::new(NeverCachePolicy::new()));
         registry.register("size-threshold-cache", |_| {
@@ -182,31 +158,6 @@ impl DataPolicyRegistry {
         registry.register("random-source", |seed| {
             Box::new(RandomSourcePolicy::new(seed))
         });
-        registry
-    }
-
-    /// Registers (or replaces) a data-policy factory under `name`.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        factory: impl Fn(u64) -> Box<dyn DataMovementPolicy> + Send + Sync + 'static,
-    ) {
-        self.factories.insert(name.into(), Box::new(factory));
-    }
-
-    /// Instantiates the policy registered under `name`.
-    pub fn create(&self, name: &str, seed: u64) -> Option<Box<dyn DataMovementPolicy>> {
-        self.factories.get(name).map(|f| f(seed))
-    }
-
-    /// Names of all registered policies, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.factories.keys().cloned().collect()
-    }
-
-    /// True if `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(name)
     }
 }
 
@@ -286,38 +237,5 @@ mod tests {
             Some(NodeId::Site(SiteId::new(0)))
         );
         assert_eq!(p.select_source(&job(1), SiteId::new(0), &[]), None);
-    }
-
-    #[test]
-    fn registry_has_all_builtins_and_accepts_user_policies() {
-        let registry = DataPolicyRegistry::with_builtins();
-        for name in [
-            "default-data-movement",
-            "never-cache",
-            "size-threshold-cache",
-            "main-server-source",
-            "random-source",
-        ] {
-            assert!(registry.contains(name), "{name} missing");
-            let policy = registry.create(name, 7).unwrap();
-            assert_eq!(policy.name(), name);
-        }
-        assert_eq!(registry.names().len(), 5);
-        assert!(registry.create("nope", 0).is_none());
-
-        struct AlwaysNoCache;
-        impl DataMovementPolicy for AlwaysNoCache {
-            fn name(&self) -> &str {
-                "user-no-cache"
-            }
-            fn cache_decision(&mut self, _job: &JobRecord, _site: SiteId) -> CachePolicy {
-                CachePolicy::NoCache
-            }
-        }
-        let mut registry = DataPolicyRegistry::with_builtins();
-        registry.register("user-no-cache", |_| Box::new(AlwaysNoCache));
-        assert!(registry.contains("user-no-cache"));
-        assert!(DataPolicyRegistry::empty().names().is_empty());
-        assert!(DataPolicyRegistry::default().contains("never-cache"));
     }
 }

@@ -15,9 +15,11 @@
 //!   other hooks at the matching lifecycle points,
 //! * [`plugin::DataMovementPolicy`] plays the same role for replica-source
 //!   selection and cache admission,
-//! * [`registry::PolicyRegistry`] maps the policy *name written in the JSON
-//!   execution configuration* to a factory, which is how the paper's "plugin
-//!   loaded via the input configuration" workflow is preserved,
+//! * [`registry::Registry`] maps the policy *name written in the JSON
+//!   execution configuration* to a factory — [`PolicyRegistry`] for
+//!   allocation, [`DataPolicyRegistry`] for data movement — which is how the
+//!   paper's "plugin loaded via the input configuration" workflow is
+//!   preserved,
 //! * [`builtin`] provides the policies used by the paper's experiments and
 //!   baselines: the PanDA-historical dispatcher used during calibration,
 //!   round-robin, random, least-loaded, fastest-available and data-aware
@@ -42,9 +44,8 @@ pub use builtin::{
     HistoricalPandaPolicy, LeastLoadedPolicy, RandomPolicy, RepairAwarePolicy, RoundRobinPolicy,
 };
 pub use data_builtin::{
-    DataPolicyRegistry, MainServerSourcePolicy, NeverCachePolicy, RandomSourcePolicy,
-    SizeThresholdCachePolicy,
+    MainServerSourcePolicy, NeverCachePolicy, RandomSourcePolicy, SizeThresholdCachePolicy,
 };
 pub use plugin::{AllocationPolicy, CachePolicy, DataMovementPolicy, DefaultDataMovement};
-pub use registry::PolicyRegistry;
+pub use registry::{Builtins, DataPolicyRegistry, PolicyRegistry, Registry};
 pub use view::{GridInfo, GridView, SiteInfo, SiteLoad};

@@ -5,7 +5,7 @@
 //! keeps the name-based indirection — the execution configuration still says
 //! `"allocation_policy": "least-loaded"` — but resolves names through this
 //! registry instead of the dynamic loader. Downstream users register their
-//! own policies with [`PolicyRegistry::register`] before building the
+//! own policies with [`Registry::register`] before building the
 //! simulation, which is the moral equivalent of dropping a new `.so` next to
 //! the simulator.
 
@@ -20,41 +20,92 @@ use crate::builtin::{
     BlacklistFlappingPolicy, CheckpointLocalityPolicy, DataAwarePolicy, FastestAvailablePolicy,
     HistoricalPandaPolicy, LeastLoadedPolicy, RandomPolicy, RepairAwarePolicy, RoundRobinPolicy,
 };
-use crate::plugin::AllocationPolicy;
+use crate::plugin::{AllocationPolicy, DataMovementPolicy};
 
-/// Factory signature: builds a fresh policy instance from a seed (policies
-/// that do not use randomness simply ignore it). Factories are reference
-/// counted so registries can be cloned cheaply and shared across the sweep
-/// workers and long-running evaluation services.
-pub type PolicyFactory = Arc<dyn Fn(u64) -> Box<dyn AllocationPolicy> + Send + Sync>;
-
-/// A string-keyed registry of allocation-policy factories.
+/// A string-keyed registry of plugin factories, for one plugin interface `P`
+/// (`dyn AllocationPolicy` or `dyn DataMovementPolicy`). A factory builds a
+/// fresh instance from a seed; plugins that do not use randomness ignore it.
 ///
-/// Cloning a registry clones the name → factory table only (the factories
-/// themselves are `Arc`-shared), so handing a registry to a
-/// `ScenarioEngine` or a worker pool costs a few pointer copies per policy.
-#[derive(Clone)]
-pub struct PolicyRegistry {
-    factories: BTreeMap<String, PolicyFactory>,
+/// Factories are reference counted, so cloning a registry clones the
+/// name → factory table only: handing one to a `ScenarioEngine` or a worker
+/// pool costs a few pointer copies per plugin.
+pub struct Registry<P: ?Sized> {
+    factories: BTreeMap<String, Arc<dyn Fn(u64) -> Box<P> + Send + Sync>>,
 }
 
-impl Default for PolicyRegistry {
+/// Allocation policies by name: the `allocation_policy` of an execution
+/// configuration.
+pub type PolicyRegistry = Registry<dyn AllocationPolicy>;
+
+/// Data-movement policies by name: the `data_movement_policy` of an
+/// execution configuration.
+pub type DataPolicyRegistry = Registry<dyn DataMovementPolicy>;
+
+/// A plugin interface with built-in implementations, which
+/// [`Registry::with_builtins`] (and so [`Registry::default`]) registers.
+pub trait Builtins {
+    /// Registers every built-in implementation under its name.
+    fn register_builtins(registry: &mut Registry<Self>);
+}
+
+impl<P: ?Sized> Clone for Registry<P> {
+    fn clone(&self) -> Self {
+        Registry {
+            factories: self.factories.clone(),
+        }
+    }
+}
+
+impl<P: ?Sized + Builtins> Default for Registry<P> {
     fn default() -> Self {
         Self::with_builtins()
     }
 }
 
-impl PolicyRegistry {
+impl<P: ?Sized + Builtins> Registry<P> {
+    /// Creates a registry pre-populated with every built-in plugin.
+    pub fn with_builtins() -> Self {
+        let mut registry = Self::empty();
+        P::register_builtins(&mut registry);
+        registry
+    }
+}
+
+impl<P: ?Sized> Registry<P> {
     /// Creates an empty registry (no built-ins).
     pub fn empty() -> Self {
-        PolicyRegistry {
+        Registry {
             factories: BTreeMap::new(),
         }
     }
 
-    /// Creates a registry pre-populated with every built-in policy.
-    pub fn with_builtins() -> Self {
-        let mut registry = Self::empty();
+    /// Registers (or replaces) a factory under `name`.
+    pub fn register(
+        &mut self,
+        name: impl Into<String>,
+        factory: impl Fn(u64) -> Box<P> + Send + Sync + 'static,
+    ) {
+        self.factories.insert(name.into(), Arc::new(factory));
+    }
+
+    /// Instantiates the plugin registered under `name`.
+    pub fn create(&self, name: &str, seed: u64) -> Option<Box<P>> {
+        self.factories.get(name).map(|f| f(seed))
+    }
+
+    /// Names of all registered plugins, sorted.
+    pub fn names(&self) -> Vec<String> {
+        self.factories.keys().cloned().collect()
+    }
+
+    /// True if `name` is registered.
+    pub fn contains(&self, name: &str) -> bool {
+        self.factories.contains_key(name)
+    }
+}
+
+impl Builtins for dyn AllocationPolicy {
+    fn register_builtins(registry: &mut PolicyRegistry) {
         registry.register("historical-panda", |_| {
             Box::new(HistoricalPandaPolicy::new())
         });
@@ -82,45 +133,63 @@ impl PolicyRegistry {
         registry.register("capacity-proportional", |seed| {
             Box::new(CapacityProportionalPolicy::new(seed))
         });
-        registry
-    }
-
-    /// Registers (or replaces) a policy factory under `name`.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        factory: impl Fn(u64) -> Box<dyn AllocationPolicy> + Send + Sync + 'static,
-    ) {
-        self.factories.insert(name.into(), Arc::new(factory));
-    }
-
-    /// Instantiates the policy registered under `name`.
-    pub fn create(&self, name: &str, seed: u64) -> Option<Box<dyn AllocationPolicy>> {
-        self.factories.get(name).map(|f| f(seed))
-    }
-
-    /// Names of all registered policies, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.factories.keys().cloned().collect()
-    }
-
-    /// True if `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(name)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plugin::CachePolicy;
     use crate::view::GridView;
     use cgsim_platform::SiteId;
     use cgsim_workload::{JobKind, JobRecord};
 
+    /// The registry contract for one instantiation: exactly `builtins` are
+    /// registered, each creating a plugin that reports its own name; `default`
+    /// is `with_builtins`; the empty registry holds nothing; and a user plugin
+    /// registered next to the built-ins is created by name. Returns that
+    /// user plugin.
+    fn check_contract<P: ?Sized + Builtins + 'static>(
+        builtins: &[&str],
+        name_of: fn(&P) -> &str,
+        user_name: &str,
+        user: fn(u64) -> Box<P>,
+    ) -> Box<P> {
+        let registry = Registry::<P>::with_builtins();
+        for &name in builtins {
+            assert!(registry.contains(name), "{name} missing");
+            let plugin = registry.create(name, 42).unwrap();
+            assert_eq!(name_of(&*plugin), name);
+        }
+        assert_eq!(registry.names().len(), builtins.len());
+        assert!(registry.create("nope", 0).is_none());
+        assert_eq!(Registry::<P>::default().names(), registry.names());
+
+        let empty = Registry::<P>::empty();
+        assert!(empty.names().is_empty());
+        assert!(!empty.contains(builtins[0]));
+
+        let mut registry = registry;
+        registry.register(user_name, user);
+        assert!(registry.contains(user_name));
+        assert_eq!(registry.names().len(), builtins.len() + 1);
+        let plugin = registry.create(user_name, 0).unwrap();
+        assert_eq!(name_of(&*plugin), user_name);
+        plugin
+    }
+
     #[test]
-    fn builtins_are_registered() {
-        let registry = PolicyRegistry::with_builtins();
-        for name in [
+    fn allocation_policy_registry_keeps_the_contract() {
+        struct PinToSiteZero;
+        impl AllocationPolicy for PinToSiteZero {
+            fn name(&self) -> &str {
+                "pin-zero"
+            }
+            fn assign_job(&mut self, _job: &JobRecord, _view: &GridView) -> Option<SiteId> {
+                Some(SiteId::new(0))
+            }
+        }
+        let builtins = [
             "historical-panda",
             "round-robin",
             "random",
@@ -134,30 +203,13 @@ mod tests {
             "weighted-fair-share",
             "greedy-cost",
             "capacity-proportional",
-        ] {
-            assert!(registry.contains(name), "{name} missing");
-            let policy = registry.create(name, 42).unwrap();
-            assert_eq!(policy.name(), name);
-        }
-        assert_eq!(registry.names().len(), 13);
-        assert!(registry.create("nope", 0).is_none());
-    }
-
-    #[test]
-    fn user_policies_can_be_registered() {
-        struct PinToSiteZero;
-        impl AllocationPolicy for PinToSiteZero {
-            fn name(&self) -> &str {
-                "pin-zero"
-            }
-            fn assign_job(&mut self, _job: &JobRecord, _view: &GridView) -> Option<SiteId> {
-                Some(SiteId::new(0))
-            }
-        }
-
-        let mut registry = PolicyRegistry::with_builtins();
-        registry.register("pin-zero", |_| Box::new(PinToSiteZero));
-        let mut policy = registry.create("pin-zero", 0).unwrap();
+        ];
+        let mut policy = check_contract::<dyn AllocationPolicy>(
+            &builtins,
+            <dyn AllocationPolicy>::name,
+            "pin-zero",
+            |_| Box::new(PinToSiteZero),
+        );
         let job = JobRecord::new(1, JobKind::SingleCore, 1, 1.0);
         assert_eq!(
             policy.assign_job(&job, &GridView::default()),
@@ -166,14 +218,33 @@ mod tests {
     }
 
     #[test]
-    fn empty_registry_has_nothing() {
-        let registry = PolicyRegistry::empty();
-        assert!(registry.names().is_empty());
-        assert!(!registry.contains("round-robin"));
-    }
-
-    #[test]
-    fn default_is_with_builtins() {
-        assert!(PolicyRegistry::default().contains("least-loaded"));
+    fn data_policy_registry_keeps_the_contract() {
+        struct AlwaysNoCache;
+        impl DataMovementPolicy for AlwaysNoCache {
+            fn name(&self) -> &str {
+                "user-no-cache"
+            }
+            fn cache_decision(&mut self, _job: &JobRecord, _site: SiteId) -> CachePolicy {
+                CachePolicy::NoCache
+            }
+        }
+        let builtins = [
+            "default-data-movement",
+            "never-cache",
+            "size-threshold-cache",
+            "main-server-source",
+            "random-source",
+        ];
+        let mut policy = check_contract::<dyn DataMovementPolicy>(
+            &builtins,
+            <dyn DataMovementPolicy>::name,
+            "user-no-cache",
+            |_| Box::new(AlwaysNoCache),
+        );
+        let job = JobRecord::new(1, JobKind::SingleCore, 1, 1.0);
+        assert_eq!(
+            policy.cache_decision(&job, SiteId::new(0)),
+            CachePolicy::NoCache
+        );
     }
 }

@@ -115,16 +115,6 @@ impl GridView {
             .iter()
             .filter(move |s| s.available_cores >= cores)
     }
-
-    /// Sites currently up (not taken down by fault injection).
-    pub fn available_sites(&self) -> impl Iterator<Item = &SiteLoad> {
-        self.sites.iter().filter(|s| s.up)
-    }
-
-    /// Total free cores across the grid.
-    pub fn total_available_cores(&self) -> u64 {
-        self.sites.iter().map(|s| s.available_cores).sum()
-    }
 }
 
 #[cfg(test)]
@@ -171,10 +161,7 @@ mod tests {
             ],
             pending_jobs: 3,
         };
-        assert_eq!(view.total_available_cores(), 104);
         assert_eq!(view.sites_with_free_cores(8).count(), 1);
         assert_eq!(view.load(SiteId::new(1)).available_cores, 4);
-        assert_eq!(view.available_sites().count(), 1);
-        assert_eq!(view.available_sites().next().unwrap().site, SiteId::new(0));
     }
 }

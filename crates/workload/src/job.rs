@@ -162,11 +162,6 @@ impl JobRecord {
             hist_queue_time: None,
         }
     }
-
-    /// Ground-truth total duration (walltime + queue time), if both are known.
-    pub fn hist_total_time(&self) -> Option<f64> {
-        Some(self.hist_walltime? + self.hist_queue_time.unwrap_or(0.0))
-    }
 }
 
 /// Parallel efficiency of a multi-core job: the fraction of ideal speed-up
@@ -249,13 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn record_defaults_and_total_time() {
-        let mut job = JobRecord::new(1, JobKind::SingleCore, 1, 36_000.0);
-        assert_eq!(job.hist_total_time(), None);
-        job.hist_walltime = Some(3600.0);
-        assert_eq!(job.hist_total_time(), Some(3600.0));
-        job.hist_queue_time = Some(400.0);
-        assert_eq!(job.hist_total_time(), Some(4000.0));
+    fn record_defaults() {
+        let job = JobRecord::new(1, JobKind::SingleCore, 1, 36_000.0);
+        assert_eq!((job.hist_walltime, job.hist_queue_time), (None, None));
         assert_eq!(job.cores, 1);
         assert!(job.memory_mb > 0.0);
     }

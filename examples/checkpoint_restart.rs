@@ -76,7 +76,6 @@ fn main() {
             .platform_spec(&platform)
             .expect("platform builds")
             .trace(trace.clone())
-            .policy_name("least-loaded")
             .execution(execution)
             .fault_plan(plan.clone())
             .run()

@@ -78,7 +78,6 @@ fn run_policy(
         .expect("platform is valid")
         .trace(trace.clone())
         .registry(registry)
-        .policy_name(name)
         .execution(ExecutionConfig::with_policy(name))
         .run()
         .expect("simulation runs")

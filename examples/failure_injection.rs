@@ -54,8 +54,9 @@ fn main() {
         })
         .collect();
 
+    let built = Platform::build(base.platform()).expect("platform builds");
     let plan = specs[0]
-        .build_fault_plan()
+        .build_fault_plan(&built)
         .expect("spec parses")
         .expect("spec is not empty");
     let outages = plan

@@ -33,8 +33,7 @@ fn main() {
         .platform_spec(&platform)
         .expect("platform is valid")
         .trace(trace)
-        .policy_name("least-loaded")
-        .execution(ExecutionConfig::default())
+        .execution(ExecutionConfig::with_policy("least-loaded"))
         .run()
         .expect("simulation runs");
 

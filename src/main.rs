@@ -21,6 +21,8 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use cgsim::core::{SimulationBuilder, SimulationError};
+use cgsim::obs::TraceTarget;
 use cgsim::prelude::*;
 
 fn main() -> ExitCode {
@@ -264,31 +266,32 @@ fn cmd_init(options: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds a fault plan from `--faults` / `--fault-seed`, resolving link
-/// selectors against the platform's WAN links; a site or link index the
-/// platform lacks is an error. Returns the plan and the horizon it was
-/// generated to, both `None` when no `--faults` spec was given.
-fn build_fault_plan(
+/// The plan of `--faults` / `--fault-seed` for `jobs` jobs on `platform`
+/// (see [`FaultPlan::from_spec`]) and the horizon it was generated to;
+/// `None` when no `--faults` spec was given.
+fn fault_plan(
     options: &HashMap<String, String>,
-    platform_spec: &PlatformSpec,
-    trace_len: usize,
-) -> Result<(Option<FaultPlan>, Option<f64>), String> {
+    platform: &Platform,
+    jobs: usize,
+) -> Result<Option<(FaultPlan, f64)>, String> {
     let fault_seed: u64 = parsed(options, "fault-seed", "a number")?.unwrap_or(7);
-    let Some(spec_text) = options.get("faults") else {
-        return Ok((None, None));
+    let Some(spec) = options.get("faults") else {
+        return Ok(None);
     };
-    let config = parse_fault_spec(spec_text)?;
-    let platform = Platform::build(platform_spec).map_err(|e| e.to_string())?;
-    let topology = FaultTopology::for_platform(&platform, trace_len);
-    topology.check(&config)?;
-    let plan = FaultPlan::generate(&config, &topology, fault_seed);
+    let (plan, horizon_s) = FaultPlan::from_spec(spec, fault_seed, platform, jobs)?;
     println!(
         "fault plan: {} events over {:.1} h (fault seed {})",
         plan.len(),
-        config.horizon_s / 3600.0,
+        horizon_s / 3600.0,
         fault_seed
     );
-    Ok((Some(plan), Some(config.horizon_s)))
+    Ok(Some((plan, horizon_s)))
+}
+
+/// Builds the platform a run uses, once: the fault plan is resolved against
+/// it and then the builder takes it.
+fn build_platform(spec: &PlatformSpec) -> Result<Platform, String> {
+    Platform::build(spec).map_err(|e| SimulationError::from(e).to_string())
 }
 
 /// Applies every execution-config override flag that is present: the
@@ -356,58 +359,6 @@ fn apply_execution_flags(
     Ok(())
 }
 
-/// A trace sink paired with its category mask, ready for
-/// `SimulationBuilder::trace_sink`.
-type MaskedSink = (Box<dyn TraceSink>, u32);
-
-/// Builds a trace sink from the observability flags. `keys` lists the flag
-/// names that may carry the output path (`simulate` only honours
-/// `--trace-out` because `--trace` is its workload input; `demo` takes both).
-fn build_trace_sink(
-    options: &HashMap<String, String>,
-    keys: &[&str],
-) -> Result<Option<MaskedSink>, String> {
-    let Some(path) = keys
-        .iter()
-        .find_map(|k| options.get(*k))
-        .filter(|p| !p.is_empty())
-    else {
-        return Ok(None);
-    };
-    let mask = match options.get("trace-filter") {
-        Some(spec) if !spec.is_empty() => parse_filter(spec)?,
-        _ => MASK_ALL,
-    };
-    let path = PathBuf::from(path);
-    let sink: Box<dyn TraceSink> = match options.get("trace-format").map(String::as_str) {
-        None | Some("") | Some("jsonl") => Box::new(
-            JsonlSink::create(&path).map_err(|e| format!("cannot create trace file: {e}"))?,
-        ),
-        Some("chrome") => Box::new(
-            ChromeSink::create(&path).map_err(|e| format!("cannot create trace file: {e}"))?,
-        ),
-        Some(other) => {
-            return Err(format!(
-                "--trace-format must be jsonl or chrome, got {other}"
-            ))
-        }
-    };
-    println!("tracing to {}", path.display());
-    Ok(Some((sink, mask)))
-}
-
-/// Applies the observability flags to a simulation builder.
-fn apply_observability(
-    options: &HashMap<String, String>,
-    mut builder: cgsim::core::SimulationBuilder,
-    trace_keys: &[&str],
-) -> Result<cgsim::core::SimulationBuilder, String> {
-    if let Some((sink, mask)) = build_trace_sink(options, trace_keys)? {
-        builder = builder.trace_sink(sink, mask);
-    }
-    Ok(builder.profile(options.contains_key("profile")))
-}
-
 /// `cgsim trace-check`: validate trace files for the CI trace gate.
 fn cmd_trace_check(options: &HashMap<String, String>) -> Result<(), String> {
     let mut checked = false;
@@ -463,17 +414,52 @@ fn cmd_simulate(options: &HashMap<String, String>) -> Result<(), String> {
         config.platform.sites.len(),
         execution.allocation_policy
     );
-    let (fault_plan, fault_horizon_s) = build_fault_plan(options, &config.platform, trace.len())?;
-    let mut builder = Simulation::builder()
-        .platform_spec(&config.platform)
-        .map_err(|e| e.to_string())?
+    let platform = build_platform(&config.platform)?;
+    let faults = fault_plan(options, &platform, trace.len())?;
+    let builder = Simulation::builder()
+        .platform(platform)
         .trace(trace)
         .execution(execution);
-    if let Some(plan) = fault_plan {
+    run_and_report(builder, faults, options, &["trace-out"])
+}
+
+/// Attaches the fault plan and the observability flags, runs, and reports.
+/// `trace_keys` lists the flag names that may carry the trace path
+/// (`simulate` only honours `--trace-out` because `--trace` is its workload
+/// input; `demo` takes both).
+fn run_and_report(
+    mut builder: SimulationBuilder,
+    faults: Option<(FaultPlan, f64)>,
+    options: &HashMap<String, String>,
+    trace_keys: &[&str],
+) -> Result<(), String> {
+    let mut fault_horizon_s = None;
+    if let Some((plan, horizon_s)) = faults {
         builder = builder.fault_plan(plan);
+        fault_horizon_s = Some(horizon_s);
     }
-    builder = apply_observability(options, builder, &["trace-out"])?;
-    let results = builder.run().map_err(|e| e.to_string())?;
+    let path = trace_keys
+        .iter()
+        .find_map(|k| options.get(*k))
+        .filter(|p| !p.is_empty());
+    if let Some(path) = path {
+        let option = |key: &str| options.get(key).map(String::as_str);
+        let target = TraceTarget::new(
+            path,
+            option("trace-format"),
+            option("trace-filter"),
+            "--trace-format",
+        )?;
+        let sink = target
+            .open()
+            .map_err(|e| format!("cannot create trace file: {e}"))?;
+        println!("tracing to {}", target.path.display());
+        builder = builder.trace_sink(sink, target.mask);
+    }
+    let results = builder
+        .profile(options.contains_key("profile"))
+        .run()
+        .map_err(|e| e.to_string())?;
     report(&results, options, fault_horizon_s)
 }
 
@@ -487,39 +473,38 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
         .cloned()
         .unwrap_or_else(|| "least-loaded".to_string());
 
-    let platform = wlcg_platform(sites, seed);
+    let platform_spec = wlcg_platform(sites, seed);
     let generator = TraceGenerator::new(TraceConfig::with_jobs(jobs, seed));
     let streamed = options.contains_key("stream");
     println!(
         "simulating {jobs} jobs on {sites} sites with policy '{policy}'{}",
         if streamed { " (streamed)" } else { "" }
     );
-    let (fault_plan, fault_horizon_s) = build_fault_plan(options, &platform, jobs)?;
+    let platform = build_platform(&platform_spec)?;
+    let faults = fault_plan(options, &platform, jobs)?;
     let mut execution = ExecutionConfig::with_policy(&policy);
     apply_execution_flags(options, &mut execution)?;
-    let builder = Simulation::builder()
-        .platform_spec(&platform)
-        .map_err(|e| e.to_string())?;
+    let builder = Simulation::builder().platform(platform);
     // `--stream` feeds the generator's iterator straight into the engine:
     // no trace is materialised, peak memory drops to one record per job.
-    let mut builder = if streamed {
-        builder.trace_stream(generator.stream(&platform))
+    let builder = if streamed {
+        builder.trace_stream(generator.stream(&platform_spec))
     } else {
-        builder.trace(generator.generate(&platform))
+        builder.trace(generator.generate(&platform_spec))
     };
-    builder = builder.policy_name(&policy).execution(execution);
-    if let Some(plan) = fault_plan {
-        builder = builder.fault_plan(plan);
-    }
-    builder = apply_observability(options, builder, &["trace-out", "trace"])?;
-    let results = builder.run().map_err(|e| e.to_string())?;
-    report(&results, options, fault_horizon_s)
+    run_and_report(
+        builder.execution(execution),
+        faults,
+        options,
+        &["trace-out", "trace"],
+    )
 }
 
 /// `cgsim serve`: long-running JSONL scenario-evaluation service over the
 /// loaded platform + trace. stdout (or the TCP stream) carries the protocol;
 /// human-readable chatter goes to stderr.
 fn cmd_serve(options: &HashMap<String, String>) -> Result<(), String> {
+    let capacity = parsed::<NonZeroUsize>(options, "cache-capacity", "a positive number")?;
     let (config, trace, mut execution) = load_inputs(options)?;
     if let Some(policy) = options.get("policy") {
         if !policy.is_empty() {
@@ -527,13 +512,12 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), String> {
         }
     }
 
-    let no_cache = options.contains_key("no-cache");
     let mut engine = ScenarioEngine::new();
-    let cache_label = if no_cache {
+    let cache_label = if options.contains_key("no-cache") {
         engine = engine.no_cache();
         "off".to_string()
-    } else if let Some(capacity) = parsed::<usize>(options, "cache-capacity", "a number")? {
-        engine = engine.cache_capacity(capacity);
+    } else if let Some(capacity) = capacity {
+        engine = engine.cache_capacity(capacity.get());
         format!("{capacity} entries")
     } else {
         "256 entries".to_string()

@@ -49,6 +49,11 @@ fn unparsable_numbers_are_errors_not_defaults() {
         &["demo", "--jobs", "5", "--fault-seed", "x"],
         "--fault-seed 'x'",
     );
+    // A zero-entry cache is not a cache; `--no-cache` turns caching off.
+    assert_rejected(
+        &["serve", "--cache-capacity", "0"],
+        "--cache-capacity '0' is not a positive number",
+    );
 }
 
 #[test]

@@ -68,7 +68,6 @@ fn trace_generation_is_reproducible_across_save_and_load() {
             .platform_spec(&platform)
             .unwrap()
             .trace(t)
-            .policy_name("least-loaded")
             .execution(ExecutionConfig::default())
             .run()
             .unwrap()

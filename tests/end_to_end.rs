@@ -11,8 +11,7 @@ fn small_run(policy: &str, jobs: usize, seed: u64) -> SimulationResults {
         .platform_spec(&platform)
         .unwrap()
         .trace(trace)
-        .policy_name(policy)
-        .execution(ExecutionConfig::default())
+        .execution(ExecutionConfig::with_policy(policy))
         .run()
         .unwrap()
 }
@@ -159,8 +158,7 @@ fn baseline_and_core_run_the_same_trace() {
         .platform_spec(&platform)
         .unwrap()
         .trace(trace)
-        .policy_name("historical-panda")
-        .execution(ExecutionConfig::default())
+        .execution(ExecutionConfig::with_policy("historical-panda"))
         .run()
         .unwrap();
     assert_eq!(baseline.outcomes.len(), results.outcomes.len());

@@ -33,7 +33,6 @@ fn run_smoke(seed: u64) -> SimulationResults {
         .platform_spec(&platform)
         .expect("platform builds")
         .trace(trace)
-        .policy_name("least-loaded")
         .execution(ExecutionConfig::default())
         .run()
         .expect("simulation runs")
