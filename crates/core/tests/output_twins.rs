@@ -267,10 +267,36 @@ fn site_names() -> impl Strategy<Value = String> {
 /// its integer digits.
 const TWO_53: f64 = 9_007_199_254_740_992.0;
 
+/// 2^-100: the encoder writes shortest digits itself for non-integral
+/// magnitudes in `[2^-100, 2^53)` and defers to `Display` outside.
+const TWO_MINUS_100: f64 = f64::from_bits((1023 - 100) << 52);
+
+/// A random non-integral float in `[2^46, 2^52)`, where exact ties between
+/// two shortest candidates occur, with a random sign.
+fn tie_class(random: f64) -> f64 {
+    let bits = random.to_bits();
+    let v = f64::from_bits((1069 + (bits >> 52) % 6) << 52 | bits & ((1 << 52) - 1));
+    let v = if v.fract() == 0.0 { v + 0.5 } else { v };
+    v.copysign(random)
+}
+
+/// A float at either edge of the encoder's shortest-digits range, with a
+/// random sign.
+fn range_edge(random: f64) -> f64 {
+    let edges = [
+        TWO_MINUS_100.next_down(),
+        TWO_MINUS_100,
+        TWO_MINUS_100.next_up(),
+        4_503_599_627_370_495.5,
+    ];
+    edges[(random.to_bits() % 4) as usize].copysign(random)
+}
+
 /// Floats whose shortest form is long, signed, tiny, huge or not a number,
-/// and integral floats on either side of 2^53.
+/// integral floats on either side of 2^53, and floats in and at the edges
+/// of the range the encoder writes shortest digits for.
 fn floats() -> impl Strategy<Value = f64> {
-    (0usize..22, any::<f64>()).prop_map(|(pick, random)| match pick {
+    (0usize..24, any::<f64>()).prop_map(|(pick, random)| match pick {
         0 => 0.0,
         1 => -0.0,
         2 => f64::MAX,
@@ -290,6 +316,8 @@ fn floats() -> impl Strategy<Value = f64> {
         16 => -TWO_53,
         17 => -(TWO_53 - 1.0),
         18 => 1e16,
+        19 => tie_class(random),
+        20 => range_edge(random),
         _ => random,
     })
 }

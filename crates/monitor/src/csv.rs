@@ -2,12 +2,15 @@
 //!
 //! A row is encoded straight into a byte buffer, cell by cell: every `push_*`
 //! appends its cell and a `,`, and the end of the row turns the last `,` into
-//! a line break. Integers are written from a digit buffer; a float is written
-//! as integer digits when it is integral and `|v| < 2^53` (not `-0.0`), where
-//! that is exactly what std's `Display` prints, and through `Display`
-//! otherwise. [`Row::push_time`] keeps a one-entry memo: event rows repeat the
-//! previous row's timestamp about half of the time, and then its digits are
-//! copied instead of formatted again.
+//! a line break. Integers are written from a digit buffer. A float is written
+//! as integer digits when it is integral and `|v| < 2^53` (not `-0.0`); as
+//! the shortest digits that read back to it (Adams, "Ryū: fast float-to-string
+//! conversion", PLDI 2018), laid out without an exponent, when it is not
+//! integral and `2^-100 <= |v| < 2^53`; and through `Display` otherwise (NaN,
+//! infinities, tiny and huge magnitudes). Each path prints exactly what std's
+//! `Display` prints. [`Row::push_time`] keeps a one-entry memo: event rows
+//! repeat the previous row's timestamp about half of the time, and then its
+//! digits are copied instead of formatted again.
 //!
 //! [`write_rows`] hands the buffer to a writer in chunks of about 64 KB, so a
 //! file costs one buffer however many rows it has; [`render_rows`] keeps
@@ -42,6 +45,53 @@ const PAIRS: [u8; 200] = {
 /// 2^53: below it every integral `f64` prints as its integer digits.
 const EXACT_INTEGRAL: f64 = 9_007_199_254_740_992.0;
 
+/// 2^-100: from here up to [`EXACT_INTEGRAL`] a non-integral float goes
+/// through [`Row::push_shortest`], whose multipliers need only 5^0..=5^48.
+const SHORTEST_MIN: f64 = f64::from_bits((1023 - 100) << 52);
+
+/// 5^i scaled to exactly 125 bits (`5^i << (125 - bits(5^i))`): the exact
+/// multipliers Ryū's `e2 < 0` step reads for every exponent at or above
+/// [`SHORTEST_MIN`].
+const POW5: [u128; 49] = {
+    let mut table = [0u128; 49];
+    let mut pow = 1u128;
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = pow << (pow.leading_zeros() - 3);
+        pow *= 5;
+        i += 1;
+    }
+    table
+};
+
+/// `⌊m · mul / 2^j⌋` for `m < 2^55`, a [`POW5`] row and `j >= 64`, without
+/// the 180-bit product.
+fn mul_shift(m: u64, mul: u128, j: u32) -> u64 {
+    let low = u128::from(m) * u128::from(mul as u64);
+    let high = u128::from(m) * (mul >> 64);
+    (((low >> 64) + high) >> (j - 64)) as u64
+}
+
+/// The decimal digits of `v` at the end of `digits`; returns where they start.
+fn digits_of(mut v: u64, digits: &mut [u8; 20]) -> usize {
+    let mut at = digits.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + v as u8;
+    }
+    at
+}
+
 /// The bits and digits of the last timestamp written.
 struct Memo {
     bits: u64,
@@ -74,23 +124,9 @@ impl Row {
     }
 
     /// An unsigned integer cell.
-    pub(crate) fn push_u64(&mut self, mut v: u64) {
+    pub(crate) fn push_u64(&mut self, v: u64) {
         let mut digits = [0u8; 20];
-        let mut at = digits.len();
-        while v >= 100 {
-            let pair = (v % 100) as usize * 2;
-            v /= 100;
-            at -= 2;
-            digits[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-        }
-        if v >= 10 {
-            let pair = v as usize * 2;
-            at -= 2;
-            digits[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-        } else {
-            at -= 1;
-            digits[at] = b'0' + v as u8;
-        }
+        let at = digits_of(v, &mut digits);
         self.buf.extend_from_slice(&digits[at..]);
         self.buf.push(b',');
     }
@@ -110,17 +146,91 @@ impl Row {
         self.push_i64(v as i64);
     }
 
-    /// A float cell, byte for byte what `format!("{v}")` prints.
+    /// A float cell, byte for byte what `format!("{v}")` prints: integer
+    /// digits or [`Row::push_shortest`] in `|v| < 2^53`, `Display` outside it.
     pub(crate) fn push_f64(&mut self, v: f64) {
         let integral = v as i64;
-        if v.abs() < EXACT_INTEGRAL
+        let magnitude = v.abs();
+        if magnitude < EXACT_INTEGRAL
             && integral as f64 == v
             && !(integral == 0 && v.is_sign_negative())
         {
             self.push_i64(integral);
+        } else if (SHORTEST_MIN..EXACT_INTEGRAL).contains(&magnitude) {
+            self.push_shortest(v);
         } else {
             write!(self.buf, "{v},").expect("writing to a Vec cannot fail");
         }
+    }
+
+    /// A non-integral float with `2^-100 <= |v| < 2^53`: the shortest digits
+    /// that read back to `v` (the nearest such digits, ties rounded up), laid
+    /// out as `Display` lays them out, `0.000ddd` or `ddd.ddd`.
+    ///
+    /// This is Ryū's `d2d` for a binary exponent `e2 < 0`, which covers every
+    /// float in that range, without three of its steps, which here either
+    /// never change a digit or would change one wrongly:
+    /// - round half to even: at an exact tie between two shortest candidates
+    ///   std takes the upper one, so the tie falls to `last_removed >= 5`;
+    /// - the trailing-zero flags of `vr`, which only that step read;
+    /// - the fix-ups for exact interval bounds (`q <= 1`, i.e. `v >= 2^50`):
+    ///   there a bound is an odd multiple of half an ulp, so it scales to an
+    ///   integer ending in 5 and is never a candidate.
+    fn push_shortest(&mut self, v: f64) {
+        let bits = v.to_bits();
+        let fraction = bits & ((1 << 52) - 1);
+        let m2 = fraction | (1 << 52);
+        // v = 4·m2 · 2^e2: two extra bits for the interval bounds.
+        let minus_e2 = 1077 - ((bits >> 52) & 0x7ff) as u32;
+        // At a power of two the gap below v is half the gap above it.
+        let mm_shift = u64::from(fraction != 0);
+
+        // Scale the interval around 4·m2 by 10^-e10 = 2^-q · 5^i, where
+        // q = ⌊log10 5^-e2⌋ - 1 (`minus_e2 >= 2` here) and the shift
+        // takes out the 125 - bits(5^i) bits the table row was scaled by.
+        let q = ((minus_e2 * 732_923) >> 20) - 1;
+        let i = minus_e2 - q;
+        let j = q + 125 - (((i * 1_217_359) >> 19) + 1);
+        let mul = POW5[i as usize];
+        let mut vr = mul_shift(4 * m2, mul, j);
+        let mut vp = mul_shift(4 * m2 + 2, mul, j);
+        let mut vm = mul_shift(4 * m2 - 1 - mm_shift, mul, j);
+
+        // Drop digits while the interval still holds a shorter number.
+        let mut removed = 0;
+        let mut last_removed = 0;
+        while vp / 10 > vm / 10 {
+            last_removed = vr % 10;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed += 1;
+        }
+        let output = vr + u64::from(vr == vm || last_removed >= 5);
+
+        let mut digits = [0u8; 20];
+        let at = digits_of(output, &mut digits);
+        let digits = &digits[at..];
+        // Digits before the decimal point: v = 0.digits · 10^point.
+        let point = digits.len() as i32 + removed + q as i32 - minus_e2 as i32;
+        // A decimal at or past the point would be an integer, and the
+        // interval around a non-integral float holds none.
+        debug_assert!(point < digits.len() as i32, "{v:?}");
+        if v < 0.0 {
+            self.buf.push(b'-');
+        }
+        if point <= 0 {
+            self.buf.extend_from_slice(b"0.");
+            self.buf
+                .resize(self.buf.len() + point.unsigned_abs() as usize, b'0');
+            self.buf.extend_from_slice(digits);
+        } else {
+            let (int, frac) = digits.split_at(point as usize);
+            self.buf.extend_from_slice(int);
+            self.buf.push(b'.');
+            self.buf.extend_from_slice(frac);
+        }
+        self.buf.push(b',');
     }
 
     /// A float cell that repeats the previous `push_time` value's digits when
@@ -270,6 +380,34 @@ mod tests {
         }
     }
 
+    /// `per_binade` random mantissas in each binade of `[2^-100, 2^53)`,
+    /// signs alternating.
+    fn binades(per_binade: usize) -> impl Iterator<Item = f64> {
+        patterns(153 * per_binade)
+            .enumerate()
+            .map(move |(n, bits)| {
+                let exponent = (1023 - 100 + n / per_binade) as u64;
+                let sign = (n as u64 % 2) << 63;
+                f64::from_bits(sign | exponent << 52 | bits >> 12)
+            })
+    }
+
+    /// Random non-integral values in `[2^46, 2^52)`, where exact ties
+    /// between two shortest candidates occur.
+    fn tie_class(n: usize) -> impl Iterator<Item = f64> {
+        patterns(n)
+            .map(|bits| f64::from_bits((1023 + 46 + bits % 6) << 52 | bits >> 12))
+            .filter(|v| v.fract() != 0.0)
+    }
+
+    fn assert_float_cells_match_display(values: impl IntoIterator<Item = f64>) {
+        for v in values {
+            let display = format!("{v}");
+            assert_eq!(cell(|r| r.push_f64(v)), display, "{:#x}", v.to_bits());
+            assert_eq!(cell(|r| r.push_time(v)), display, "{:#x}", v.to_bits());
+        }
+    }
+
     #[test]
     fn floats_match_display() {
         let two53 = EXACT_INTEGRAL;
@@ -300,24 +438,46 @@ mod tests {
             f64::MIN,
             0.1 + 0.2,
         ];
+        // A tie between two shortest candidates: std takes the upper one
+        // (`…342.3`), Ryū's round-half-even the lower.
+        let tie = f64::from_bits(0x430a_6227_7df0_9632);
+        assert_eq!(cell(|r| r.push_f64(tie)), "928283893830342.3");
+        let shortest_edges = [
+            tie,
+            -tie,
+            SHORTEST_MIN,
+            -SHORTEST_MIN,
+            SHORTEST_MIN.next_down(),
+            SHORTEST_MIN.next_up(),
+            4_503_599_627_370_495.5,
+            -4_503_599_627_370_495.5,
+        ];
+        // Powers of two take the branch with the narrower gap below.
+        let powers = (1..=101).map(|k| 0.5f64.powi(k));
         let random = patterns(20_000).map(f64::from_bits);
         let integral = patterns(20_000).map(|b| f64::from_bits(b).trunc());
         let small = patterns(20_000).map(|b| (b % 20_000_000) as f64 / 8.0 - 1e6);
-        for v in edges.into_iter().chain(random).chain(integral).chain(small) {
-            assert_eq!(
-                cell(|r| r.push_f64(v)),
-                format!("{v}"),
-                "{:#x}",
-                v.to_bits()
-            );
-            assert_eq!(
-                cell(|r| r.push_time(v)),
-                format!("{v}"),
-                "{:#x}",
-                v.to_bits()
-            );
-        }
+        assert_float_cells_match_display(
+            edges
+                .into_iter()
+                .chain(random)
+                .chain(integral)
+                .chain(small)
+                .chain(shortest_edges)
+                .chain(powers)
+                .chain(binades(2_000))
+                .chain(tie_class(20_000)),
+        );
         assert_eq!(cell(|r| r.push_f64(f64::MAX)).len(), 309);
+    }
+
+    /// 10.6M values through the shortest-digits path (64,000 per binade
+    /// plus the 835,837 non-integral ones of 1M tie-class draws); run with
+    /// `cargo test --release -p cgsim-monitor -- --include-ignored`.
+    #[test]
+    #[ignore = "a long sweep: run it in release builds"]
+    fn floats_match_display_across_every_binade() {
+        assert_float_cells_match_display(binades(64_000).chain(tie_class(1_000_000)));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! Rows are written by the crate's one CSV row encoder, the one behind the
 //! [`crate::store`] tables: cells go into a reused buffer of about 64 KB
 //! that is handed to the writer whole, integral features (cores, byte counts,
-//! site state) are written from a digit buffer, and every other float goes
-//! through std's `Display`, so the bytes are exactly what `format!` prints.
+//! site state) are written from a digit buffer, and every other float as its
+//! shortest round-trip digits (through std's `Display` outside
+//! `[2^-100, 2^53)`), so the bytes are exactly what `format!` prints.
 //! The encoder's one-entry memo of the previous row's float is for the event
 //! table's repeated timestamps; no column here repeats row to row, so these
 //! rows do not use it.

@@ -10,11 +10,12 @@
 //! Every row goes through the crate's one CSV row encoder (shared with
 //! [`crate::mldataset`] and [`crate::windows_csv`]): cells are appended to a
 //! reused buffer of about 64 KB that is handed to the writer whole, counters
-//! and integral floats are written from a digit buffer, and any other float
-//! goes through std's `Display`, so the bytes are exactly what `format!`
-//! prints. An event row's `time_s` repeats the previous row's about half of
-//! the time; a one-entry memo then copies the previous row's digits instead
-//! of formatting the float again.
+//! and integral floats are written from a digit buffer, other floats in
+//! `[2^-100, 2^53)` as their shortest round-trip digits and the rest through
+//! std's `Display`, so the bytes are exactly what `format!` prints. An event
+//! row's `time_s` repeats the previous row's about half of the time; a
+//! one-entry memo then copies the previous row's digits instead of
+//! formatting the float again.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};

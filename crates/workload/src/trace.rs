@@ -13,6 +13,7 @@
 //!   plus multiplicative noise — the quantity the calibration experiments
 //!   must recover.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::Path;
@@ -282,12 +283,22 @@ impl Trace {
                 j.input_bytes,
                 j.output_bytes,
                 j.submit_time,
-                j.hist_site,
+                csv_field(&j.hist_site),
                 j.hist_walltime.map(|v| v.to_string()).unwrap_or_default(),
                 j.hist_queue_time.map(|v| v.to_string()).unwrap_or_default(),
             ));
         }
         out
+    }
+}
+
+/// `s` as one CSV field: quoted, inner quotes doubled, when it contains a
+/// comma, a quote or a line break (RFC 4180), verbatim otherwise.
+fn csv_field(s: &str) -> Cow<'_, str> {
+    if s.contains([',', '"', '\n', '\r']) {
+        Cow::Owned(format!("\"{}\"", s.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(s)
     }
 }
 
@@ -598,6 +609,21 @@ mod tests {
         assert_eq!(lines.len(), trace.len() + 1);
         assert!(lines[0].starts_with("job_id,task_id,kind"));
         assert!(lines[1].contains("646")); // PanDA-style id prefix
+    }
+
+    #[test]
+    fn csv_export_quotes_site_names_that_need_it() {
+        let mut trace = small_trace();
+        trace.jobs.truncate(3);
+        trace.jobs[0].hist_site = Arc::from("T2,\"rogue\"\nsite");
+        trace.jobs[1].hist_site = Arc::from("cr\rsite");
+        let csv = trace.to_csv();
+        let [a, b, c] = [0, 1, 2].map(|i| &trace.jobs[i]);
+        let quoted = format!(",{},\"T2,\"\"rogue\"\"\nsite\",", a.submit_time);
+        assert!(csv.contains(&quoted), "{csv}");
+        assert!(csv.contains(&format!(",{},\"cr\rsite\",", b.submit_time)));
+        let plain = format!(",{},{},", c.submit_time, c.hist_site);
+        assert!(csv.contains(&plain), "{csv}");
     }
 
     #[test]
