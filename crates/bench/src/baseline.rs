@@ -1,10 +1,10 @@
-//! # cgsim-baseline — a coarse-grained GridSim/CloudSim-style baseline
+//! A coarse-grained GridSim/CloudSim-style baseline simulator.
 //!
 //! The paper motivates CGSim by the fidelity gap of early grid simulators:
 //! "frameworks such as GridSim and CloudSim provided accessible environments
 //! for modeling grid and cloud systems but often relied on coarse-grained
 //! models that limited their accuracy, particularly for data-intensive
-//! workloads" (§2). To make that comparison concrete, this crate implements
+//! workloads" (§2). To make that comparison concrete, this module implements
 //! exactly such a coarse-grained simulator:
 //!
 //! * no network model at all — input staging is free,
@@ -12,27 +12,20 @@
 //!   against a per-core availability calendar,
 //! * walltime is the contention-free `work / (cores × nominal speed)`.
 //!
-//! It is very fast and — as the `baseline_comparison` benchmark shows — it
+//! It is very fast and — as the `baseline_comparison` binary shows — it
 //! systematically mispredicts queue times and data-heavy walltimes compared
 //! with the fluid-model core, which is the fidelity ablation the paper's
 //! related-work argument rests on.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use cgsim_platform::PlatformSpec;
-use cgsim_workload::{ideal_walltime, JobKind, Trace};
-use serde::{Deserialize, Serialize};
+use cgsim_workload::{ideal_walltime, Trace};
 
 /// Outcome of one job in the coarse-grained model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineOutcome {
-    /// Job id.
-    pub job_id: u64,
-    /// Job class.
-    pub kind: JobKind,
     /// Site the job was placed at.
     pub site: String,
     /// Submission time (s).
@@ -50,7 +43,7 @@ pub struct BaselineOutcome {
 }
 
 /// Results of a baseline run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BaselineResults {
     /// Per-job outcomes.
     pub outcomes: Vec<BaselineOutcome>,
@@ -72,81 +65,58 @@ impl BaselineResults {
     }
 }
 
-/// The coarse-grained simulator.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineSimulator;
+/// Runs the coarse-grained model: jobs are assigned to their historical site
+/// (falling back to the largest site), and each site is a calendar of
+/// per-core availability times.
+pub fn simulate(platform: &PlatformSpec, trace: &Trace) -> BaselineResults {
+    let started = std::time::Instant::now();
 
-impl BaselineSimulator {
-    /// Creates the simulator.
-    pub fn new() -> Self {
-        Self
+    // Per-site nominal speed and a min-heap of per-core free times. Free
+    // times are never negative, so ordering their bits is numeric order.
+    let mut sites: HashMap<&str, (f64, BinaryHeap<Reverse<u64>>)> = HashMap::new();
+    for site in &platform.sites {
+        let cores = site.total_cores().min(100_000) as usize;
+        let calendar = BinaryHeap::from(vec![Reverse(0.0f64.to_bits()); cores]);
+        sites.insert(site.name.as_str(), (site.hosts[0].speed_per_core, calendar));
+    }
+    // The first of the largest sites (`max_by_key` keeps the last maximum).
+    let largest_site = platform.sites.iter().rev().max_by_key(|s| s.total_cores());
+    let largest_site = largest_site.map_or("", |s| s.name.as_str());
+
+    let mut outcomes = Vec::with_capacity(trace.jobs.len());
+    let mut makespan: f64 = 0.0;
+    for job in &trace.jobs {
+        let site = sites
+            .get_key_value(&*job.hist_site)
+            .map_or(largest_site, |(s, _)| *s);
+        let (speed, calendar) = sites.get_mut(site).expect("site exists");
+        let walltime = ideal_walltime(job.work_hs23, job.cores, *speed);
+        // Take the `cores` earliest-available cores; the job starts when the
+        // last of them frees up (or at its submission time).
+        let cores = (job.cores as usize).min(calendar.len()).max(1);
+        let mut ready = 0.0f64;
+        for _ in 0..cores {
+            ready = f64::from_bits(calendar.pop().expect("a site has cores").0);
+        }
+        let start = ready.max(job.submit_time);
+        let end = start + walltime;
+        calendar.extend(std::iter::repeat_n(Reverse(end.to_bits()), cores));
+        makespan = makespan.max(end);
+        outcomes.push(BaselineOutcome {
+            site: site.to_string(),
+            submit_time: job.submit_time,
+            start_time: start,
+            end_time: end,
+            walltime,
+            queue_time: start - job.submit_time,
+            hist_walltime: job.hist_walltime,
+        });
     }
 
-    /// Runs the coarse-grained model: jobs are assigned to their historical
-    /// site (falling back to the largest site), and each site is a calendar
-    /// of per-core availability times.
-    pub fn run(&self, platform: &PlatformSpec, trace: &Trace) -> BaselineResults {
-        let started = std::time::Instant::now();
-
-        // Per-site nominal speed and per-core availability calendar.
-        let mut site_speed: HashMap<&str, f64> = HashMap::new();
-        let mut site_cores: HashMap<&str, Vec<f64>> = HashMap::new();
-        let mut largest_site = "";
-        let mut largest_cores = 0u64;
-        for site in &platform.sites {
-            site_speed.insert(site.name.as_str(), site.hosts[0].speed_per_core);
-            site_cores.insert(
-                site.name.as_str(),
-                vec![0.0; site.total_cores().min(100_000) as usize],
-            );
-            if site.total_cores() > largest_cores {
-                largest_cores = site.total_cores();
-                largest_site = site.name.as_str();
-            }
-        }
-
-        let mut outcomes = Vec::with_capacity(trace.jobs.len());
-        let mut makespan: f64 = 0.0;
-        for job in &trace.jobs {
-            let site = if site_speed.contains_key(&*job.hist_site) {
-                &*job.hist_site
-            } else {
-                largest_site
-            };
-            let speed = site_speed[site];
-            let walltime = ideal_walltime(job.work_hs23, job.cores, speed);
-            let calendar = site_cores.get_mut(site).expect("site exists");
-            // Find the `cores` earliest-available cores; the job starts when
-            // the last of them frees up (or at its submission time).
-            let cores = (job.cores as usize).min(calendar.len()).max(1);
-            let mut indices: Vec<usize> = (0..calendar.len()).collect();
-            indices.sort_by(|&a, &b| calendar[a].partial_cmp(&calendar[b]).expect("finite"));
-            let chosen = &indices[..cores];
-            let ready = chosen.iter().map(|&i| calendar[i]).fold(0.0f64, f64::max);
-            let start = ready.max(job.submit_time);
-            let end = start + walltime;
-            for &i in chosen {
-                calendar[i] = end;
-            }
-            makespan = makespan.max(end);
-            outcomes.push(BaselineOutcome {
-                job_id: job.id.0,
-                kind: job.kind,
-                site: site.to_string(),
-                submit_time: job.submit_time,
-                start_time: start,
-                end_time: end,
-                walltime,
-                queue_time: start - job.submit_time,
-                hist_walltime: job.hist_walltime,
-            });
-        }
-
-        BaselineResults {
-            outcomes,
-            makespan_s: makespan,
-            wall_clock_s: started.elapsed().as_secs_f64(),
-        }
+    BaselineResults {
+        outcomes,
+        makespan_s: makespan,
+        wall_clock_s: started.elapsed().as_secs_f64(),
     }
 }
 
@@ -159,7 +129,7 @@ mod tests {
     fn run(jobs: usize, seed: u64) -> (BaselineResults, Trace) {
         let platform = example_platform();
         let trace = TraceGenerator::new(TraceConfig::with_jobs(jobs, seed)).generate(&platform);
-        (BaselineSimulator::new().run(&platform, &trace), trace)
+        (simulate(&platform, &trace), trace)
     }
 
     #[test]
@@ -209,7 +179,7 @@ mod tests {
         let mut cfg = TraceConfig::with_jobs(200, 11);
         cfg.submission_window_s = 0.0;
         let trace = TraceGenerator::new(cfg).generate(&platform);
-        let results = BaselineSimulator::new().run(&platform, &trace);
+        let results = simulate(&platform, &trace);
         let queued = results
             .outcomes
             .iter()

@@ -2,14 +2,11 @@
 //! style simulator is faster but substantially less accurate than the
 //! fluid-model CGSim core on the same PanDA-like trace.
 
-use cgsim_bench::scenarios::{baseline_comparison, scale_from_env};
+use cgsim_bench::scenarios::{ablation, scale_from_env};
 
 fn main() {
-    let scale = scale_from_env();
-    let jobs = ((2_000.0 * scale) as usize).max(300);
-    let (baseline, cgsim) = baseline_comparison(jobs, 11);
+    let (jobs, (baseline, cgsim)) = ablation(scale_from_env());
 
-    let cgsim_error = cgsim.geometric_mean_walltime_error().unwrap_or(0.0);
     println!("# Fidelity ablation — coarse-grained baseline vs CGSim core ({jobs} jobs, 10 sites)");
     println!(
         "{:<26} {:>16} {:>24}",
@@ -25,7 +22,7 @@ fn main() {
         "{:<26} {:>16.3} {:>23.1}%",
         "cgsim (uncalibrated)",
         cgsim.wall_clock_s,
-        cgsim_error * 100.0
+        cgsim.geometric_mean_walltime_error().unwrap_or(0.0) * 100.0
     );
     println!("\nnote: both are uncalibrated here; after calibration (see fig3_calibration)");
     println!("the CGSim error drops to the paper's ~17% regime, which the coarse model");

@@ -2,19 +2,17 @@
 //! achieving 6× better performance compared to single-site execution" —
 //! a fixed workload executed on one site versus spread over N sites.
 
-use cgsim_bench::scenarios::{distributed_speedup, scale_from_env};
+use cgsim_bench::scenarios::{scale_from_env, speedup};
 
 fn main() {
-    let scale = scale_from_env();
-    let jobs = ((4_000.0 * scale) as usize).max(400);
+    let (jobs, single, rows) = speedup(scale_from_env());
 
     println!("# Distributed vs single-site execution ({jobs} jobs)");
     println!(
         "{:>8} {:>22} {:>22} {:>10}",
         "sites", "single_makespan_h", "distributed_makespan_h", "speedup"
     );
-    for &sites in &[2usize, 4, 8, 16] {
-        let (single, distributed) = distributed_speedup(sites, jobs, 7);
+    for (sites, distributed) in rows {
         println!(
             "{:>8} {:>22.2} {:>22.2} {:>9.1}x",
             sites,

@@ -2,18 +2,13 @@
 //! before and after random-search calibration of the per-site CPU speed.
 //! The paper improves the geometric mean from 76 % to 17 % over 50 sites.
 
-use cgsim_bench::scenarios::{calibration_experiment, scale_from_env};
+use cgsim_bench::scenarios::{fig3, scale_from_env};
 
 fn main() {
-    let scale = scale_from_env();
-    let sites = ((50.0 * scale) as usize).max(5);
-    let jobs = sites * 40;
-    let budget = 25;
-
+    let (jobs, budget, report) = fig3(scale_from_env());
+    let sites = report.calibrated_spec.sites.len();
     println!("# Fig. 3 — walltime calibration across {sites} WLCG-like sites");
     println!("(random-search calibration, {budget} evaluations per site, {jobs} historical jobs)");
-    let report = calibration_experiment(sites, jobs, budget, 7);
-
     println!(
         "\n{:<16} {:>6} {:>16} {:>18} {:>12}",
         "site", "jobs", "error_before_%", "error_after_%", "multiplier"

@@ -3,25 +3,17 @@
 //! ~2,500 s at 10,000 jobs on the authors' machine); absolute numbers differ
 //! on other hardware, the scaling exponent is what must hold.
 
-use cgsim_bench::scenarios::{job_scaling_point, scale_from_env};
-use cgsim_des::stats::scaling_exponent;
+use cgsim_bench::scenarios::{fig4a, scale_from_env, scaling_fit};
 
 fn main() {
-    let scale = scale_from_env();
-    let job_counts: Vec<usize> = [1_000usize, 2_000, 4_000, 6_000, 8_000, 10_000]
-        .iter()
-        .map(|&j| ((j as f64 * scale) as usize).max(200))
-        .collect();
+    let points = fig4a(scale_from_env());
 
     println!("# Fig. 4(a) — job scaling (single site, 1000 cores)");
     println!(
         "{:>10} {:>14} {:>14} {:>12}",
         "jobs", "wall_clock_s", "sim_makespan_h", "events"
     );
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for &jobs in &job_counts {
-        let results = job_scaling_point(jobs, 1_000, 42);
+    for (jobs, results) in &points {
         println!(
             "{:>10} {:>14.3} {:>14.2} {:>12}",
             jobs,
@@ -29,10 +21,9 @@ fn main() {
             results.makespan_s / 3600.0,
             results.engine_events
         );
-        xs.push(jobs as f64);
-        ys.push(results.wall_clock_s.max(1e-6));
     }
-    let exponent = scaling_exponent(&xs, &ys);
-    println!("\nscaling exponent (runtime ~ jobs^k): k = {exponent:.2}");
+    let events = scaling_fit(&points, |r| r.engine_events as f64);
+    let wall = scaling_fit(&points, |r| r.wall_clock_s.max(1e-6));
+    println!("\nscaling exponent (events ~ jobs^k): k = {events:.3} (wall clock: {wall:.2})");
     println!("paper expectation: sub-quadratic (k < 2); near-linear is better");
 }

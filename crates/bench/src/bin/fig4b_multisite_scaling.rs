@@ -1,40 +1,28 @@
 //! Regenerates Fig. 4(b): simulator runtime versus number of sites at a fixed
 //! density of 200 jobs per site (1–50 sites in the paper, near-linear growth).
 
-use cgsim_bench::scenarios::{multisite_scaling_point, scale_from_env};
-use cgsim_des::stats::scaling_exponent;
+use cgsim_bench::scenarios::{fig4b, scale_from_env, scaling_fit};
 
 fn main() {
-    let scale = scale_from_env();
-    let site_counts: Vec<usize> = [1usize, 5, 10, 20, 30, 40, 50]
-        .iter()
-        .map(|&s| ((s as f64 * scale).ceil() as usize).max(1))
-        .collect();
-    let jobs_per_site = 200usize;
+    let points = fig4b(scale_from_env());
 
     println!("# Fig. 4(b) — multi-site scaling (200 jobs per site)");
     println!(
         "{:>8} {:>10} {:>14} {:>14} {:>12}",
         "sites", "jobs", "wall_clock_s", "sim_makespan_h", "events"
     );
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for &sites in &site_counts {
-        let results = multisite_scaling_point(sites, jobs_per_site, 42);
+    for (sites, results) in &points {
         println!(
             "{:>8} {:>10} {:>14.3} {:>14.2} {:>12}",
             sites,
-            sites * jobs_per_site,
+            results.outcomes.len(),
             results.wall_clock_s,
             results.makespan_s / 3600.0,
             results.engine_events
         );
-        if sites > 0 {
-            xs.push(sites as f64);
-            ys.push(results.wall_clock_s.max(1e-6));
-        }
     }
-    let exponent = scaling_exponent(&xs, &ys);
-    println!("\nscaling exponent (runtime ~ sites^k): k = {exponent:.2}");
+    let events = scaling_fit(&points, |r| r.engine_events as f64);
+    let wall = scaling_fit(&points, |r| r.wall_clock_s.max(1e-6));
+    println!("\nscaling exponent (events ~ sites^k): k = {events:.3} (wall clock: {wall:.2})");
     println!("paper expectation: near-linear (k ≈ 1)");
 }

@@ -2,25 +2,17 @@
 //! dataset (event id, job id, state, site, available cores, pending /
 //! assigned / finished job counts).
 
-use cgsim_bench::scenarios::event_snapshot_run;
-use cgsim_workload::JobState;
+use cgsim_bench::scenarios::table1;
 
 fn main() {
-    let results = event_snapshot_run(400, 42);
+    let (results, rows) = table1();
 
     println!("# Table 1 — representative event-level monitoring rows");
     println!(
         "{:>8} {:>14} {:>10} {:<10} {:>12} {:>12} {:>13} {:>13}",
         "Event ID", "Job ID", "State", "Site", "Avail.Cores", "Pending", "Assigned", "Finished"
     );
-    // The paper samples finished events from the middle of the run.
-    let finished: Vec<_> = results
-        .events
-        .iter()
-        .filter(|e| e.state == JobState::Finished)
-        .collect();
-    let start = finished.len() / 2;
-    for e in finished.iter().skip(start).take(6) {
+    for e in &rows {
         println!(
             "{:>8} {:>14} {:>10} {:<10} {:>12} {:>12} {:>13} {:>13}",
             e.event_id,

@@ -2,9 +2,10 @@
 //!
 //! Every table and figure of the paper's evaluation section has a binary
 //! under `src/bin/` that regenerates the numbers and prints the same rows or
-//! series the paper reports; each is a thin wrapper around a scenario
-//! function in [`scenarios`]. `fluid_perf_gate` times the [`fluid_hot`]
-//! topologies against the rows committed in `BENCH_fluid.json`.
+//! series the paper reports; each only prints what one function in
+//! [`scenarios`] returns. [`baseline`] is the coarse-grained simulator the
+//! §2 fidelity ablation compares against. `fluid_perf_gate` times the
+//! [`fluid_hot`] topologies against the rows committed in `BENCH_fluid.json`.
 //!
 //! This crate does not time the simulator end to end: `benchmark/` at the
 //! repository root is the one harness that does.
@@ -12,5 +13,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod baseline;
 pub mod fluid_hot;
 pub mod scenarios;

@@ -6,7 +6,7 @@
 //! real grid a job that is dispatched to a site does not start the moment
 //! cores are free: the batch system has to match it, a pilot has to claim it
 //! and the payload has to bootstrap. This module models that gap as a
-//! per-site dispatch delay
+//! dispatch delay
 //!
 //! ```text
 //! delay = base_overhead_s
@@ -14,14 +14,14 @@
 //!       + contention_coeff × base_overhead_s × (busy-core fraction)
 //! ```
 //!
-//! The three coefficients are per-site calibration parameters (see
-//! `cgsim-calibrate`'s queue-time objective); with the default configuration
-//! every coefficient is zero and the simulation behaves exactly as before —
-//! queue time then comes only from waiting for free cores.
+//! The three coefficients are one grid-wide setting,
+//! `ExecutionConfig::queue_model`, applied at every site; nothing calibrates
+//! them. With the default configuration every coefficient is zero and queue
+//! time comes only from waiting for free cores.
 
 use serde::{Deserialize, Serialize};
 
-/// Per-site (or grid-wide) queue-delay coefficients.
+/// Grid-wide queue-delay coefficients (`ExecutionConfig::queue_model`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct QueueModel {
     /// Fixed scheduling overhead applied to every job start (seconds).

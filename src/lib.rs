@@ -23,7 +23,9 @@
 //! | [`monitor`] | `cgsim-monitor` | event-level datasets, metrics, table store, dashboards, ML export |
 //! | [`obs`] | `cgsim-obs` | deterministic structured tracing and self-profiling |
 //! | [`calibrate`] | `cgsim-calibrate` | per-site random-search calibration and the sensitivity study of §4.2 |
-//! | [`baseline`] | `cgsim-baseline` | coarse-grained GridSim/CloudSim-style baseline simulator |
+//!
+//! The paper's reproduction binaries and the coarse-grained §2 baseline
+//! simulator live in `cgsim-bench`, which the façade does not re-export.
 //!
 //! The event-level ML dataset is [`monitor::mldataset`] (`ml_dataset.csv`
 //! under `cgsim simulate --output`); fitting a model on it is the user's job.
@@ -50,7 +52,6 @@
 
 #![warn(missing_docs)]
 
-pub use cgsim_baseline as baseline;
 pub use cgsim_calibrate as calibrate;
 pub use cgsim_core as core;
 pub use cgsim_data as data;
@@ -64,7 +65,6 @@ pub use cgsim_workload as workload;
 
 /// Convenience re-exports of the types most applications need.
 pub mod prelude {
-    pub use cgsim_baseline::BaselineSimulator;
     pub use cgsim_calibrate::{Calibrator, SensitivityStudy};
     pub use cgsim_core::{
         serve_loop, CheckpointConfig, CheckpointTarget, ComputeMode, ExecutionConfig, QueueModel,

@@ -88,7 +88,7 @@ change simulation results — results.json stays byte-identical either way):
     --trace-format jsonl|chrome   trace file format (default jsonl; chrome
                              loads in Perfetto / chrome://tracing)
     --trace-filter CATS      comma-separated categories to keep, from:
-                             job,fault,ckpt,fluid,broker (default: all)
+                             job,fault,ckpt,fluid,broker,repair (default: all)
     --profile [path]         print a per-subsystem wall-clock table and write
                              machine-readable profile JSON to <path> (default
                              <output>/profile.json when --output is given)

@@ -4,7 +4,8 @@
 //! an execution file holding a duration the flags would refuse each exit
 //! non-zero with a one-line `error:` — the
 //! simulator never silently runs something other than what was asked. And
-//! when a run outlasts its fault plan, stderr says so.
+//! when a run outlasts its fault plan, stderr says so; the usage text lists
+//! every `--trace-filter` category the parser accepts.
 
 use std::process::{Command, Output, Stdio};
 
@@ -234,4 +235,20 @@ fn a_run_that_outlasts_its_fault_horizon_warns_on_stderr_only() {
     assert!(!short_files.is_empty());
     assert!(short_files == long_files, "output directories differ");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_usage_text_lists_every_trace_category() {
+    let out = cgsim(&["help"]);
+    assert!(out.status.success(), "{out:?}");
+    let labels: Vec<&str> = cgsim::obs::ALL_CATEGORIES
+        .iter()
+        .map(|c| c.label())
+        .collect();
+    let list = labels.join(",");
+    let usage = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        usage.contains(&list),
+        "`cgsim help` does not list the --trace-filter categories {list}"
+    );
 }

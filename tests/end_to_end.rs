@@ -148,21 +148,3 @@ fn ml_dataset_is_generated_from_any_run() {
     let columns = mldataset::CSV_HEADER.split(',').count();
     assert!(csv.lines().all(|row| row.split(',').count() == columns));
 }
-
-#[test]
-fn baseline_and_core_run_the_same_trace() {
-    let platform = example_platform();
-    let trace = TraceGenerator::new(TraceConfig::with_jobs(150, 51)).generate(&platform);
-    let baseline = BaselineSimulator::new().run(&platform, &trace);
-    let results = Simulation::builder()
-        .platform_spec(&platform)
-        .unwrap()
-        .trace(trace)
-        .execution(ExecutionConfig::with_policy("historical-panda"))
-        .run()
-        .unwrap();
-    assert_eq!(baseline.outcomes.len(), results.outcomes.len());
-    // Both mispredict the hidden-truth walltimes when uncalibrated.
-    assert!(baseline.relative_walltime_error() > 0.05);
-    assert!(results.geometric_mean_walltime_error().unwrap() > 0.05);
-}
