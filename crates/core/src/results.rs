@@ -3,9 +3,9 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use cgsim_des::stats::relative_mae;
+use cgsim_des::stats::RelativeMae;
 use cgsim_monitor::dashboard::SitePanel;
-use cgsim_monitor::{mldataset, EventRecord, JobOutcome, MetricsReport, TableStore};
+use cgsim_monitor::{mldataset, EventRecord, MetricsReport, OutcomeTable, TableStore};
 use cgsim_workload::JobKind;
 use serde::{Deserialize, Serialize};
 
@@ -23,11 +23,12 @@ pub struct SiteWalltimeError {
     pub jobs: usize,
 }
 
-/// Everything a simulation run produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Everything a simulation run produces. Only its deterministic subset is
+/// ever serialised ([`SimulationResults::deterministic_json`]).
+#[derive(Debug, Clone)]
 pub struct SimulationResults {
-    /// Per-job outcomes.
-    pub outcomes: Vec<JobOutcome>,
+    /// Per-job outcomes, in completion order, over the run's trace.
+    pub outcomes: OutcomeTable,
     /// Event-level monitoring dataset (Table 1 rows).
     pub events: Vec<EventRecord>,
     /// Aggregated operational metrics.
@@ -48,47 +49,53 @@ pub struct SimulationResults {
     /// Self-profiling report (`None` unless profiling was requested).
     /// Wall-clock data lives here and in the separate `profile.json` the CLI
     /// writes — never in [`SimulationResults::deterministic_json`].
-    #[serde(default)]
     pub profile: Option<cgsim_obs::ProfileReport>,
     /// Windowed metrics (empty unless `MonitoringConfig::window_s` enabled
     /// them): per-window site/grid counter snapshots, bounded by the
     /// configured ring capacity.
-    #[serde(default)]
     pub windows: Vec<cgsim_monitor::WindowSnapshot>,
 }
 
 impl SimulationResults {
-    /// Per-site relative walltime error against the trace ground truth.
+    /// Per-site relative walltime error against the trace ground truth, in
+    /// site-name order. One pass over the outcomes feeds accumulators
+    /// indexed by site, in outcome order within each.
     pub fn walltime_error_by_site(&self) -> BTreeMap<String, SiteWalltimeError> {
-        let with_truth = self.outcomes.iter().filter(|o| o.hist_walltime.is_some());
-        cgsim_monitor::outcomes_by_site(with_truth)
-            .into_iter()
-            .map(|(site, jobs)| {
-                let split = |kind: JobKind| {
-                    let (sim, truth): (Vec<f64>, Vec<f64>) = jobs
-                        .iter()
-                        .filter(|o| o.kind == kind)
-                        .map(|o| (o.walltime, o.hist_walltime.expect("filtered")))
-                        .unzip();
-                    if sim.is_empty() {
-                        None
-                    } else {
-                        Some(relative_mae(&sim, &truth))
-                    }
+        #[derive(Clone, Default)]
+        struct SiteErrors {
+            single_core: Option<RelativeMae>,
+            multi_core: Option<RelativeMae>,
+            overall: RelativeMae,
+            jobs: usize,
+        }
+
+        let names = self.outcomes.site_names();
+        let mut sites = vec![SiteErrors::default(); names.len()];
+        for o in &self.outcomes {
+            let Some(truth) = o.hist_walltime() else {
+                continue;
+            };
+            let site = &mut sites[o.site_index()];
+            let class = match o.kind() {
+                JobKind::SingleCore => &mut site.single_core,
+                JobKind::MultiCore => &mut site.multi_core,
+            };
+            class.get_or_insert_default().add(o.walltime(), truth);
+            site.overall.add(o.walltime(), truth);
+            site.jobs += 1;
+        }
+        names
+            .iter()
+            .zip(sites)
+            .filter(|(_, site)| site.jobs > 0)
+            .map(|(name, site)| {
+                let error = SiteWalltimeError {
+                    single_core: site.single_core.map(|e| e.value()),
+                    multi_core: site.multi_core.map(|e| e.value()),
+                    overall: site.overall.value(),
+                    jobs: site.jobs,
                 };
-                let (sim_all, truth_all): (Vec<f64>, Vec<f64>) = jobs
-                    .iter()
-                    .map(|o| (o.walltime, o.hist_walltime.expect("filtered")))
-                    .unzip();
-                (
-                    site.to_string(),
-                    SiteWalltimeError {
-                        single_core: split(JobKind::SingleCore),
-                        multi_core: split(JobKind::MultiCore),
-                        overall: relative_mae(&sim_all, &truth_all),
-                        jobs: jobs.len(),
-                    },
-                )
+                (name.to_string(), error)
             })
             .collect()
     }
@@ -179,29 +186,33 @@ impl SimulationResults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgsim_workload::{JobId, JobState};
+    use std::sync::Arc;
 
-    fn outcome(id: u64, site: &str, kind: JobKind, sim: f64, truth: f64) -> JobOutcome {
-        JobOutcome {
-            id: JobId(id),
-            kind,
-            cores: if kind == JobKind::MultiCore { 8 } else { 1 },
-            work_hs23: sim * 10.0,
-            site: site.into(),
-            submit_time: 0.0,
-            assign_time: 1.0,
-            start_time: 2.0,
-            end_time: 2.0 + sim,
-            final_state: JobState::Finished,
-            staged_bytes: 100,
-            walltime: sim,
-            queue_time: 2.0,
-            hist_walltime: Some(truth),
-            hist_queue_time: Some(1.0),
+    use cgsim_monitor::OutcomeRow;
+    use cgsim_workload::{JobRecord, JobState, Trace};
+
+    /// One job per `(site, kind, simulated walltime, true walltime)`, on the
+    /// sites "A" and "B".
+    fn results(jobs: &[(&str, JobKind, f64, f64)]) -> SimulationResults {
+        let mut trace = Trace::default();
+        let mut rows = Vec::new();
+        for (i, &(site, kind, sim, truth)) in jobs.iter().enumerate() {
+            let cores = if kind == JobKind::MultiCore { 8 } else { 1 };
+            let mut record = JobRecord::new(i as u64 + 1, kind, cores, sim * 10.0);
+            (record.hist_walltime, record.hist_queue_time) = (Some(truth), Some(1.0));
+            trace.jobs.push(record);
+            rows.push(OutcomeRow {
+                job: i as u32,
+                site: if site == "A" { 0 } else { 1 },
+                final_state: JobState::Finished,
+                assign_time: 1.0,
+                start_time: 2.0,
+                end_time: 2.0 + sim,
+                staged_bytes: 100,
+            });
         }
-    }
-
-    fn results(outcomes: Vec<JobOutcome>) -> SimulationResults {
+        let names: Vec<Arc<str>> = vec!["A".into(), "B".into()];
+        let outcomes = OutcomeTable::new(rows, Arc::new(trace), names.into());
         let metrics = MetricsReport::from_outcomes(&outcomes);
         SimulationResults {
             outcomes,
@@ -220,10 +231,10 @@ mod tests {
 
     #[test]
     fn walltime_error_splits_by_site_and_kind() {
-        let r = results(vec![
-            outcome(1, "A", JobKind::SingleCore, 110.0, 100.0), // 10% error
-            outcome(2, "A", JobKind::MultiCore, 80.0, 100.0),   // 20% error
-            outcome(3, "B", JobKind::SingleCore, 100.0, 100.0), // exact
+        let r = results(&[
+            ("A", JobKind::SingleCore, 110.0, 100.0), // 10% error
+            ("A", JobKind::MultiCore, 80.0, 100.0),   // 20% error
+            ("B", JobKind::SingleCore, 100.0, 100.0), // exact
         ]);
         let errs = r.walltime_error_by_site();
         assert_eq!(errs.len(), 2);
@@ -239,18 +250,18 @@ mod tests {
 
     #[test]
     fn geometric_mean_error_aggregates_sites() {
-        let r = results(vec![
-            outcome(1, "A", JobKind::SingleCore, 200.0, 100.0), // 100% error
-            outcome(2, "B", JobKind::SingleCore, 101.0, 100.0), // 1% error
+        let r = results(&[
+            ("A", JobKind::SingleCore, 200.0, 100.0), // 100% error
+            ("B", JobKind::SingleCore, 101.0, 100.0), // 1% error
         ]);
         let gm = r.geometric_mean_walltime_error().unwrap();
         assert!((gm - (1.0f64 * 0.01).sqrt()).abs() < 1e-9);
-        assert!(results(vec![]).geometric_mean_walltime_error().is_none());
+        assert!(results(&[]).geometric_mean_walltime_error().is_none());
     }
 
     #[test]
     fn table_store_export_contains_all_tables() {
-        let r = results(vec![outcome(1, "A", JobKind::SingleCore, 10.0, 10.0)]);
+        let r = results(&[("A", JobKind::SingleCore, 10.0, 10.0)]);
         let store = r.to_table_store();
         assert_eq!(store.table_names(), ["events", "jobs", "site_summary"]);
         assert_eq!(store.get("jobs").unwrap().len(), 1);
@@ -259,7 +270,7 @@ mod tests {
 
     #[test]
     fn dashboards_render() {
-        let r = results(vec![outcome(1, "A", JobKind::SingleCore, 10.0, 10.0)]);
+        let r = results(&[("A", JobKind::SingleCore, 10.0, 10.0)]);
         assert!(r.ascii_dashboard().contains("CGSim dashboard"));
         assert!(r.html_dashboard().contains("<!DOCTYPE html>"));
     }

@@ -126,13 +126,13 @@ impl ResponseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgsim_monitor::MetricsReport;
+    use cgsim_monitor::{MetricsReport, OutcomeTable};
 
     fn response(makespan_s: f64) -> Response {
         let results = SimulationResults {
-            outcomes: Vec::new(),
+            outcomes: OutcomeTable::default(),
             events: Vec::new(),
-            metrics: MetricsReport::from_outcomes(&[]),
+            metrics: MetricsReport::from_outcomes(&OutcomeTable::default()),
             makespan_s,
             engine_events: 0,
             wall_clock_s: 0.0,

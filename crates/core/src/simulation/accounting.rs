@@ -3,7 +3,7 @@
 
 use cgsim_des::{Context, SimTime};
 use cgsim_monitor::dashboard::SitePanel;
-use cgsim_monitor::JobOutcome;
+use cgsim_monitor::OutcomeRow;
 use cgsim_obs::{SpanPhase, TraceCategory};
 use cgsim_workload::JobState;
 
@@ -86,32 +86,17 @@ impl GridModel {
             (attempt.start_time, attempt.staged_bytes)
         };
         self.attempts.release(attempt);
-        let (job, record) = (&self.jobs[idx], &self.trace.jobs[idx]);
-        // The engine clock starts at zero, so that is when a job submitted
-        // "before" it is delivered.
-        let submit_time = if record.submit_time < 0.0 {
-            0.0
-        } else {
-            record.submit_time
-        };
-        let outcome = JobOutcome {
-            id: record.id,
-            kind: record.kind,
-            cores: record.cores,
-            work_hs23: record.work_hs23,
-            site: self.collector.site_name(Some(site.index())),
-            submit_time,
-            assign_time: job.assign_time,
+        // The job's own columns stay in its trace record; the outcome table
+        // joins them (and derives walltime and queue time) when read.
+        self.collector.record_outcome(OutcomeRow {
+            job: idx as u32,
+            site: u16::try_from(site.index()).expect("`build` refuses platforms past u16 sites"),
+            final_state: state,
+            assign_time: self.jobs[idx].assign_time,
             start_time,
             end_time: now.as_secs(),
-            final_state: state,
             staged_bytes,
-            walltime: now.as_secs() - start_time,
-            queue_time: start_time - submit_time,
-            hist_walltime: record.hist_walltime,
-            hist_queue_time: record.hist_queue_time,
-        };
-        self.collector.record_outcome(outcome);
+        });
 
         self.consult_policy(now, idx, |policy, job, view| {
             policy.on_job_completed(job, site, view)

@@ -37,10 +37,16 @@
 //! | `attempts: Slots<AttemptRecord>` | start time, staged bytes, both retry counters, durable checkpoints | one per job that holds or has held cores, until it is terminal | taken in `admit_front`, returned in `finalize_no_restart`, reached through `attempt` / `attempt_mut` |
 //! | `running: Slots<RunState>` | timer, activities, running-list links, segment and checkpoint-write progress | one per job *holding cores* | taken in `admit_front`, returned in `release_cores`, reached through `run` / `run_mut` |
 //!
-//! Site names are a fifth, tiny store: one `Arc<str>` per site in the
-//! monitoring collector, cloned into every event row and outcome. Site
-//! queues, the pending list and the events address jobs by `u32`, which
-//! [`SimulationBuilder::build`] makes sure the trace fits.
+//! A job's outcome is not a fifth copy of it: the collector's outcome table
+//! holds a 40-byte `OutcomeRow` per terminal job (trace index, site index,
+//! final state, assign/start/end times, staged bytes), and the run hands the
+//! table the trace so that reads join each row to its record.
+//!
+//! Site names are a tiny store of their own: one `Arc<str>` per site in the
+//! monitoring collector, cloned into every event row and shared with the
+//! outcome table. Site queues, the pending list and the events address jobs
+//! by `u32`, and outcome rows address sites by `u16`;
+//! [`SimulationBuilder::build`] makes sure the trace and the platform fit.
 
 mod accounting;
 mod broker;
@@ -491,11 +497,12 @@ impl SimulationBuilder {
                     .ok_or(SimulationError::UnknownDataPolicy(name))?
             }
         };
+        check_indexable("the platform", platform.sites().len(), u16::MAX.into())?;
         if let TraceSource::Shared(trace) = &trace {
-            check_indexable("the trace", trace.jobs.len())?;
+            check_indexable("the trace", trace.jobs.len(), JOB_INDICES)?;
         }
         if let Some(plan) = &self.fault_plan {
-            check_indexable("the fault plan", plan.events.len())?;
+            check_indexable("the fault plan", plan.events.len(), JOB_INDICES)?;
         }
         Ok(Simulation {
             platform,
@@ -515,13 +522,16 @@ impl SimulationBuilder {
     }
 }
 
-/// Refuses a list of `len` jobs or fault events that the run's `u32`
-/// indices cannot address (`u32::MAX` itself means "no job").
-fn check_indexable(what: &str, len: usize) -> Result<(), SimulationError> {
-    if len > u32::MAX as usize {
+/// How many jobs or fault events the run's `u32` indices can address
+/// (`u32::MAX` itself means "no job").
+const JOB_INDICES: usize = u32::MAX as usize;
+
+/// Refuses a list of `len` jobs, fault events or sites when more than
+/// `limit` of them cannot all be indexed.
+fn check_indexable(what: &str, len: usize, limit: usize) -> Result<(), SimulationError> {
+    if len > limit {
         return Err(SimulationError::InvalidScenario(format!(
-            "{what} has {len} entries, more than the {} a run can index",
-            u32::MAX
+            "{what} has {len} entries, more than the {limit} a run can index"
         )));
     }
     Ok(())
@@ -565,7 +575,7 @@ impl Simulation {
             }),
         };
         // A shared trace was checked by `build`; a stream is known only now.
-        if let Err(e) = check_indexable("the trace stream", trace.jobs.len()) {
+        if let Err(e) = check_indexable("the trace stream", trace.jobs.len(), JOB_INDICES) {
             panic!("{e}");
         }
         // Submissions are known up front: they go through the engine's
@@ -650,7 +660,9 @@ impl Simulation {
 
         let site_panels = model.site_panels();
         // Post-processing builds N-long transients: the model's and the
-        // engine's per-job state goes first, only the collector stays.
+        // engine's per-job state goes first, only the collector and the
+        // trace its outcome rows index stay.
+        let trace = Arc::clone(&model.trace);
         let mut collector = { model }.collector;
         drop(engine);
         let grid_counters = collector.grid_counters;
@@ -659,7 +671,7 @@ impl Simulation {
             .windows()
             .map(|w| w.windows().cloned().collect())
             .unwrap_or_default();
-        let (events, outcomes) = collector.into_parts();
+        let (events, outcomes) = collector.into_parts(trace);
         let metrics = MetricsReport::from_outcomes(&outcomes);
         SimulationResults {
             outcomes,

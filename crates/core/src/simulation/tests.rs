@@ -42,7 +42,10 @@ fn run_with(policy: &str, jobs: usize, seed: u64) -> SimulationResults {
 fn all_jobs_reach_a_terminal_state() {
     let results = run_with("least-loaded", 200, 11);
     assert_eq!(results.outcomes.len(), 200);
-    assert!(results.outcomes.iter().all(|o| o.final_state.is_terminal()));
+    assert!(results
+        .outcomes
+        .iter()
+        .all(|o| o.final_state().is_terminal()));
     assert_eq!(results.metrics.total_jobs, 200);
     assert_eq!(results.metrics.failed_jobs, 0);
     assert!(results.makespan_s > 0.0);
@@ -53,11 +56,11 @@ fn all_jobs_reach_a_terminal_state() {
 fn timing_invariants_hold_for_every_job() {
     let results = run_with("least-loaded", 150, 3);
     for o in &results.outcomes {
-        assert!(o.assign_time >= o.submit_time - 1e-9, "{o:?}");
-        assert!(o.start_time >= o.assign_time - 1e-9, "{o:?}");
-        assert!(o.end_time >= o.start_time, "{o:?}");
-        assert!(o.walltime > 0.0);
-        assert!(o.queue_time >= 0.0);
+        assert!(o.assign_time() >= o.submit_time() - 1e-9, "{o:?}");
+        assert!(o.start_time() >= o.assign_time() - 1e-9, "{o:?}");
+        assert!(o.end_time() >= o.start_time(), "{o:?}");
+        assert!(o.walltime() > 0.0);
+        assert!(o.queue_time() >= 0.0);
     }
 }
 
@@ -67,10 +70,10 @@ fn simulation_is_deterministic() {
     let b = run_with("least-loaded", 100, 7);
     assert_eq!(a.outcomes.len(), b.outcomes.len());
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.id, y.id);
-        assert_eq!(x.site, y.site);
-        assert!((x.walltime - y.walltime).abs() < 1e-9);
-        assert!((x.end_time - y.end_time).abs() < 1e-9);
+        assert_eq!(x.id(), y.id());
+        assert_eq!(x.site(), y.site());
+        assert!((x.walltime() - y.walltime()).abs() < 1e-9);
+        assert!((x.end_time() - y.end_time()).abs() < 1e-9);
     }
     assert_eq!(a.engine_events, b.engine_events);
 }
@@ -79,8 +82,8 @@ fn simulation_is_deterministic() {
 fn different_policies_produce_different_schedules() {
     let a = run_with("least-loaded", 300, 5);
     let b = run_with("round-robin", 300, 5);
-    let sites_a: Vec<_> = a.outcomes.iter().map(|o| o.site.clone()).collect();
-    let sites_b: Vec<_> = b.outcomes.iter().map(|o| o.site.clone()).collect();
+    let sites_a: Vec<_> = a.outcomes.iter().map(|o| o.site()).collect();
+    let sites_b: Vec<_> = b.outcomes.iter().map(|o| o.site()).collect();
     assert_ne!(sites_a, sites_b);
     assert_eq!(a.policy, "least-loaded");
     assert_eq!(b.policy, "round-robin");
@@ -101,11 +104,11 @@ fn historical_policy_respects_trace_assignments() {
     let by_id: HashMap<_, _> = results
         .outcomes
         .iter()
-        .map(|o| (o.id, o.site.clone()))
+        .map(|o| (o.id(), o.site()))
         .collect();
     let platform_trace = TraceGenerator::new(TraceConfig::with_jobs(120, 2)).generate(&platform);
     for (job, hist) in platform_trace.jobs.iter().zip(expected) {
-        assert_eq!(by_id[&job.id], hist);
+        assert_eq!(by_id[&job.id], &*hist);
     }
 }
 
@@ -164,7 +167,7 @@ fn single_site_contention_causes_queueing() {
     let queued = results
         .outcomes
         .iter()
-        .filter(|o| o.queue_time > 1.0)
+        .filter(|o| o.queue_time() > 1.0)
         .count();
     assert!(queued > 100, "expected significant queueing, got {queued}");
     // Utilisation of the single site should be high.
@@ -225,7 +228,7 @@ fn custom_plugin_policy_is_honoured() {
         .execution(ExecutionConfig::default())
         .run()
         .unwrap();
-    assert!(results.outcomes.iter().all(|o| &*o.site == "BNL"));
+    assert!(results.outcomes.iter().all(|o| o.site() == "BNL"));
     assert_eq!(results.policy, "pin");
 }
 
@@ -264,7 +267,10 @@ fn out_of_range_policy_decision_is_counted_not_hidden() {
     assert_eq!(results.grid_counters.invalid_policy_decisions, 1);
     // The parked job was re-dispatched once capacity freed up: nothing lost.
     assert_eq!(results.outcomes.len(), 40);
-    assert!(results.outcomes.iter().all(|o| o.final_state.is_terminal()));
+    assert!(results
+        .outcomes
+        .iter()
+        .all(|o| o.final_state().is_terminal()));
 }
 
 #[test]
@@ -299,12 +305,16 @@ fn two_site_scenario_is_bit_identical_across_runs() {
         assert_eq!(a.outcomes.len(), 50);
         assert_eq!(a.outcomes.len(), b.outcomes.len());
         for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_eq!(x.id, y.id, "{mode:?}");
-            assert_eq!(x.site, y.site, "{mode:?}");
-            assert_eq!(x.walltime.to_bits(), y.walltime.to_bits(), "{mode:?}");
-            assert_eq!(x.queue_time.to_bits(), y.queue_time.to_bits(), "{mode:?}");
-            assert_eq!(x.end_time.to_bits(), y.end_time.to_bits(), "{mode:?}");
-            assert_eq!(x.staged_bytes, y.staged_bytes, "{mode:?}");
+            assert_eq!(x.id(), y.id(), "{mode:?}");
+            assert_eq!(x.site(), y.site(), "{mode:?}");
+            assert_eq!(x.walltime().to_bits(), y.walltime().to_bits(), "{mode:?}");
+            assert_eq!(
+                x.queue_time().to_bits(),
+                y.queue_time().to_bits(),
+                "{mode:?}"
+            );
+            assert_eq!(x.end_time().to_bits(), y.end_time().to_bits(), "{mode:?}");
+            assert_eq!(x.staged_bytes(), y.staged_bytes(), "{mode:?}");
         }
     }
 }
@@ -376,7 +386,10 @@ fn queue_model_overhead_delays_job_starts() {
         mean(&delayed)
     );
     assert_eq!(delayed.outcomes.len(), 120);
-    assert!(delayed.outcomes.iter().all(|o| o.final_state.is_terminal()));
+    assert!(delayed
+        .outcomes
+        .iter()
+        .all(|o| o.final_state().is_terminal()));
 }
 
 #[test]
@@ -459,7 +472,7 @@ fn multicore_jobs_use_more_cores_of_the_site() {
     assert!(results
         .outcomes
         .iter()
-        .any(|o| o.kind == JobKind::MultiCore && o.cores == 8));
+        .any(|o| o.kind() == JobKind::MultiCore && o.cores() == 8));
     // Dashboard panels reflect the platform.
     assert_eq!(results.site_panels.len(), 4);
     assert!(results.site_panels.iter().all(|p| p.busy_cores == 0));
@@ -612,19 +625,18 @@ fn a_site_keeps_its_staged_replicas_however_small_its_storage() {
         record.task_id = TaskId((i % tasks) as u64);
     }
     let task_of: HashMap<u64, u64> = trace.jobs.iter().map(|r| (r.id.0, r.task_id.0)).collect();
-    let mut results = run_on(&platform, trace, "least-loaded", ExecutionConfig::default());
+    let results = run_on(&platform, trace, "least-loaded", ExecutionConfig::default());
     assert_eq!(results.metrics.finished_jobs, 3 * tasks as u64);
-    results
-        .outcomes
-        .sort_by(|a, b| a.start_time.total_cmp(&b.start_time));
+    let mut outcomes: Vec<_> = results.outcomes.iter().collect();
+    outcomes.sort_by(|a, b| a.start_time().total_cmp(&b.start_time()));
     let mut ran = std::collections::HashSet::new();
-    for o in &results.outcomes {
-        let expected = if ran.insert(task_of[&o.id.0]) {
+    for o in outcomes {
+        let expected = if ran.insert(task_of[&o.id().0]) {
             2_000_000_000
         } else {
             0
         };
-        assert_eq!(o.staged_bytes, expected, "{o:?}");
+        assert_eq!(o.staged_bytes(), expected, "{o:?}");
     }
     assert_eq!(ran.len(), tasks);
 }
@@ -738,10 +750,26 @@ fn per_job_state_stays_small() {
 
 #[test]
 fn traces_the_u32_indices_cannot_address_are_refused() {
-    assert!(super::check_indexable("the trace", u32::MAX as usize).is_ok());
+    let limit = super::JOB_INDICES;
+    assert!(super::check_indexable("the trace", u32::MAX as usize, limit).is_ok());
     assert!(matches!(
-        super::check_indexable("the trace", u32::MAX as usize + 1),
+        super::check_indexable("the trace", u32::MAX as usize + 1, limit),
         Err(SimulationError::InvalidScenario(msg)) if msg.contains("the trace has 4294967296")
+    ));
+}
+
+#[test]
+fn platforms_the_u16_site_indices_cannot_address_are_refused() {
+    // `build` runs this check on the platform's site count: outcome rows
+    // hold a `u16` site index. A platform that size cannot be built to try
+    // it (it would route (sites + 1)² endpoint pairs), so the check is
+    // driven with the count alone.
+    let limit = u16::MAX.into();
+    assert!(super::check_indexable("the platform", 65_535, limit).is_ok());
+    assert!(matches!(
+        super::check_indexable("the platform", 65_536, limit),
+        Err(SimulationError::InvalidScenario(msg))
+            if msg == "the platform has 65536 entries, more than the 65535 a run can index"
     ));
 }
 

@@ -190,10 +190,10 @@ fn disk_fault_falls_back_to_older_checkpoint_then_scratch() {
         g.work_saved_s
     );
     // The job was pushed to Small after Big's node loss.
-    let outcome = &results.outcomes[0];
-    assert_eq!(&*outcome.site, "Small");
+    let outcome = results.outcomes.get(0).unwrap();
+    assert_eq!(outcome.site(), "Small");
     // Restores re-staged checkpoint bytes on top of the (re-staged) input.
-    assert!(outcome.staged_bytes >= 2 * 100_000_000);
+    assert!(outcome.staged_bytes() >= 2 * 100_000_000);
 }
 
 #[test]
@@ -255,10 +255,10 @@ fn zero_checkpoint_config_is_byte_identical_to_default() {
     assert_eq!(a.deterministic_json(), b.deterministic_json());
     assert_eq!(a.engine_events, b.engine_events);
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.site, y.site);
-        assert_eq!(x.final_state, y.final_state);
-        assert_eq!(x.walltime.to_bits(), y.walltime.to_bits());
-        assert_eq!(x.end_time.to_bits(), y.end_time.to_bits());
+        assert_eq!(x.site(), y.site());
+        assert_eq!(x.final_state(), y.final_state());
+        assert_eq!(x.walltime().to_bits(), y.walltime().to_bits());
+        assert_eq!(x.end_time().to_bits(), y.end_time().to_bits());
     }
     // The schedule actually produced churn, so the equality is meaningful.
     assert!(a.grid_counters.job_interruptions > 0);
@@ -289,11 +289,11 @@ fn checkpointed_faulted_double_run_is_bit_identical() {
     assert_eq!(a.deterministic_json(), b.deterministic_json());
     assert_eq!(a.engine_events, b.engine_events);
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.id, y.id);
-        assert_eq!(x.site, y.site);
-        assert_eq!(x.final_state, y.final_state);
-        assert_eq!(x.walltime.to_bits(), y.walltime.to_bits());
-        assert_eq!(x.staged_bytes, y.staged_bytes);
+        assert_eq!(x.id(), y.id());
+        assert_eq!(x.site(), y.site());
+        assert_eq!(x.final_state(), y.final_state());
+        assert_eq!(x.walltime().to_bits(), y.walltime().to_bits());
+        assert_eq!(x.staged_bytes(), y.staged_bytes());
     }
     // The checkpoint machinery was genuinely exercised.
     assert!(a.grid_counters.checkpoints_written > 0);
@@ -328,7 +328,7 @@ fn data_loss_replay_counters_are_pinned() {
     let results = run(Some(plan), exec, flat_trace(150, 5_000.0));
 
     let g = &results.grid_counters;
-    let staged_total: u64 = results.outcomes.iter().map(|o| o.staged_bytes).sum();
+    let staged_total: u64 = results.outcomes.iter().map(|o| o.staged_bytes()).sum();
     let pinned = (
         results.metrics.finished_jobs,
         results.metrics.failed_jobs,
@@ -413,10 +413,10 @@ fn staging_transfer_from_dying_site_is_replanned_while_job_survives() {
     // Job 1 was never killed: its cores were at Small the whole time.
     assert_eq!(results.grid_counters.job_interruptions, 0);
     assert_eq!(results.metrics.finished_jobs, 2);
-    let job1 = results.outcomes.iter().find(|o| o.id.0 == 1).unwrap();
-    assert_eq!(&*job1.site, "Small");
+    let job1 = results.outcomes.iter().find(|o| o.id().0 == 1).unwrap();
+    assert_eq!(job1.site(), "Small");
     // The aborted Big transfer was re-planned and re-transferred in full
     // from the main server: 2 x 20 GB staged in total.
-    assert_eq!(job1.staged_bytes, 40_000_000_000);
-    assert_eq!(job1.final_state, cgsim_workload::JobState::Finished);
+    assert_eq!(job1.staged_bytes(), 40_000_000_000);
+    assert_eq!(job1.final_state(), cgsim_workload::JobState::Finished);
 }

@@ -80,9 +80,9 @@ fn zero_fault_plan_is_bit_identical_to_no_plan() {
     assert_eq!(a.deterministic_json(), b.deterministic_json());
     assert_eq!(a.engine_events, b.engine_events);
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.site, y.site);
-        assert_eq!(x.walltime.to_bits(), y.walltime.to_bits());
-        assert_eq!(x.end_time.to_bits(), y.end_time.to_bits());
+        assert_eq!(x.site(), y.site());
+        assert_eq!(x.walltime().to_bits(), y.walltime().to_bits());
+        assert_eq!(x.end_time().to_bits(), y.end_time().to_bits());
     }
 }
 
@@ -110,10 +110,10 @@ fn same_seed_and_spec_twice_is_bit_identical() {
     assert_eq!(a.deterministic_json(), b.deterministic_json());
     assert_eq!(a.engine_events, b.engine_events);
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.id, y.id);
-        assert_eq!(x.site, y.site);
-        assert_eq!(x.final_state, y.final_state);
-        assert_eq!(x.walltime.to_bits(), y.walltime.to_bits());
+        assert_eq!(x.id(), y.id());
+        assert_eq!(x.site(), y.site());
+        assert_eq!(x.final_state(), y.final_state());
+        assert_eq!(x.walltime().to_bits(), y.walltime().to_bits());
     }
     // The churn actually did something, so the equality above is meaningful.
     assert!(a.grid_counters.site_outages > 0);
@@ -154,7 +154,7 @@ fn site_outage_kills_and_resubmits_affected_jobs() {
     // Interrupted jobs rerun somewhere: either back at Big after recovery or
     // at Small while Big was down — and their reruns end after the outage.
     for o in &results.outcomes {
-        assert!(o.end_time > 600.0);
+        assert!(o.end_time() > 600.0);
     }
 }
 
@@ -173,7 +173,7 @@ fn exhausted_fault_retries_fail_the_job() {
     assert!(results
         .outcomes
         .iter()
-        .all(|o| o.final_state == cgsim_workload::JobState::Failed));
+        .all(|o| o.final_state() == cgsim_workload::JobState::Failed));
 }
 
 #[test]
@@ -249,13 +249,13 @@ fn targeted_job_kill_interrupts_exactly_one_job() {
     assert_eq!(results.metrics.failed_jobs, 0);
     // The killed job reruns from scratch, so it finishes last (all jobs have
     // identical work and started together).
-    let victim = results.outcomes.iter().find(|o| o.id.0 == 3).unwrap();
+    let victim = results.outcomes.iter().find(|o| o.id().0 == 3).unwrap();
     let max_end = results
         .outcomes
         .iter()
-        .map(|o| o.end_time)
+        .map(|o| o.end_time())
         .fold(0.0f64, f64::max);
-    assert_eq!(victim.end_time, max_end);
+    assert_eq!(victim.end_time(), max_end);
 }
 
 #[test]

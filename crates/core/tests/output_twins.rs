@@ -8,19 +8,28 @@
 //! records chosen to be hostile to a CSV writer, and over every file a
 //! faulted + checkpointed run leaves in its output directory. A counting
 //! allocator holds the string renderers to their one up-front reservation.
+//!
+//! A run stores each job's outcome as a 40-byte row that the outcome table
+//! joins to the job's trace record when read. The reference side never
+//! reads through that join: it builds the owned outcome the run used to
+//! store, field by field from the trace and the row, and computes the
+//! metrics report and the ML examples from those owned outcomes, grouped by
+//! site name, as the code before the join did.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use cgsim_core::{CheckpointConfig, ExecutionConfig, Simulation, SimulationResults};
 use cgsim_faults::{parse_fault_spec, FaultPlan, FaultTopology};
 use cgsim_monitor::{
-    mldataset, EventRecord, JobOutcome, MetricsReport, MonitoringConfig, SiteMetrics, TableStore,
+    mldataset, EventRecord, MetricsReport, MonitoringConfig, OutcomeRow, OutcomeTable, SiteMetrics,
+    TableStore,
 };
 use cgsim_platform::presets::wlcg_platform;
 use cgsim_platform::Platform;
-use cgsim_workload::{JobId, JobKind, JobState, TraceConfig, TraceGenerator};
+use cgsim_workload::{JobId, JobKind, JobRecord, JobState, Trace, TraceConfig, TraceGenerator};
 use proptest::prelude::*;
 
 thread_local! {
@@ -61,9 +70,172 @@ fn allocations_during(work: impl FnOnce()) -> usize {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// The row-materialising renderer the streaming export replaced.
+/// The row-materialising renderer the streaming export replaced, over the
+/// owned outcomes the outcome table replaced.
 mod reference {
     use super::*;
+    use cgsim_des::stats::Summary;
+
+    /// Final outcome of one simulated job, as runs stored it before the
+    /// outcome table: every column owned, nothing joined at read time.
+    #[derive(Debug, Clone)]
+    pub struct JobOutcome {
+        pub id: JobId,
+        pub kind: JobKind,
+        pub cores: u32,
+        pub work_hs23: f64,
+        pub site: Arc<str>,
+        pub submit_time: f64,
+        pub assign_time: f64,
+        pub start_time: f64,
+        pub end_time: f64,
+        pub final_state: JobState,
+        pub staged_bytes: u64,
+        pub walltime: f64,
+        pub queue_time: f64,
+        pub hist_walltime: Option<f64>,
+        pub hist_queue_time: Option<f64>,
+    }
+
+    /// The owned outcome of every row of `table`, built field by field from
+    /// the row and its record in `trace` (the trace the table was made
+    /// over), as the run's terminal bookkeeping used to build it.
+    pub fn outcomes(table: &OutcomeTable, trace: &Trace) -> Vec<JobOutcome> {
+        table
+            .rows()
+            .iter()
+            .map(|row| {
+                let record = &trace.jobs[row.job as usize];
+                let submit_time = if record.submit_time < 0.0 {
+                    0.0
+                } else {
+                    record.submit_time
+                };
+                JobOutcome {
+                    id: record.id,
+                    kind: record.kind,
+                    cores: record.cores,
+                    work_hs23: record.work_hs23,
+                    site: Arc::clone(&table.site_names()[row.site as usize]),
+                    submit_time,
+                    assign_time: row.assign_time,
+                    start_time: row.start_time,
+                    end_time: row.end_time,
+                    final_state: row.final_state,
+                    staged_bytes: row.staged_bytes,
+                    walltime: row.end_time - row.start_time,
+                    queue_time: row.start_time - submit_time,
+                    hist_walltime: record.hist_walltime,
+                    hist_queue_time: record.hist_queue_time,
+                }
+            })
+            .collect()
+    }
+
+    /// The metrics report over owned outcomes: whole-grid samples first,
+    /// then the outcomes grouped by site name, each group in outcome order.
+    pub fn metrics(outcomes: &[JobOutcome]) -> MetricsReport {
+        if outcomes.is_empty() {
+            return MetricsReport::from_outcomes(&OutcomeTable::default());
+        }
+        let first_submit = outcomes
+            .iter()
+            .map(|o| o.submit_time)
+            .fold(f64::INFINITY, f64::min);
+        let last_end = outcomes.iter().map(|o| o.end_time).fold(0.0f64, f64::max);
+        let makespan = (last_end - first_submit).max(0.0);
+        let finished = outcomes
+            .iter()
+            .filter(|o| o.final_state == JobState::Finished)
+            .count() as u64;
+        let failed = outcomes.len() as u64 - finished;
+        let queue_times: Vec<f64> = outcomes.iter().map(|o| o.queue_time).collect();
+        let walltimes: Vec<f64> = outcomes.iter().map(|o| o.walltime).collect();
+        let staged: u64 = outcomes.iter().map(|o| o.staged_bytes).sum();
+        let throughput = |finished: u64| {
+            if makespan > 0.0 {
+                finished as f64 / (makespan / 3600.0)
+            } else {
+                0.0
+            }
+        };
+
+        let mut by_site: BTreeMap<&str, Vec<&JobOutcome>> = BTreeMap::new();
+        for o in outcomes {
+            by_site.entry(&o.site).or_default().push(o);
+        }
+        let per_site = by_site
+            .into_iter()
+            .map(|(site, jobs)| {
+                let fin = jobs
+                    .iter()
+                    .filter(|o| o.final_state == JobState::Finished)
+                    .count() as u64;
+                let fail = jobs.len() as u64 - fin;
+                let qt: Vec<f64> = jobs.iter().map(|o| o.queue_time).collect();
+                let wt: Vec<f64> = jobs.iter().map(|o| o.walltime).collect();
+                let core_seconds: f64 = jobs.iter().map(|o| o.walltime * o.cores as f64).sum();
+                let metrics = SiteMetrics {
+                    site: site.to_string(),
+                    finished_jobs: fin,
+                    failed_jobs: fail,
+                    failure_rate: fail as f64 / jobs.len() as f64,
+                    queue_time: Summary::of(&qt),
+                    walltime: Summary::of(&wt),
+                    core_seconds,
+                    throughput_per_hour: throughput(fin),
+                };
+                (site.to_string(), metrics)
+            })
+            .collect();
+
+        MetricsReport {
+            makespan_s: makespan,
+            total_jobs: outcomes.len() as u64,
+            finished_jobs: finished,
+            failed_jobs: failed,
+            failure_rate: failed as f64 / outcomes.len() as f64,
+            queue_time: Summary::of(&queue_times),
+            walltime: Summary::of(&walltimes),
+            throughput_per_hour: throughput(finished),
+            staged_bytes: staged,
+            per_site,
+        }
+    }
+
+    /// The ML examples over owned outcomes, joined to the last `Assigned`
+    /// event of each job.
+    pub fn ml_examples(
+        outcomes: &[JobOutcome],
+        events: &[EventRecord],
+    ) -> Vec<mldataset::MlExample> {
+        let mut assign_state = std::collections::HashMap::new();
+        for e in events.iter().filter(|e| e.state == JobState::Assigned) {
+            assign_state.insert(e.job_id, (e.available_cores, e.pending_jobs));
+        }
+        outcomes
+            .iter()
+            .map(|o| {
+                let (avail, queue) = assign_state.get(&o.id).copied().unwrap_or((0, 0));
+                mldataset::MlExample {
+                    job_id: o.id.0,
+                    is_multicore: if o.kind == JobKind::MultiCore {
+                        1.0
+                    } else {
+                        0.0
+                    },
+                    cores: o.cores as f64,
+                    work_hs23: o.work_hs23,
+                    staged_bytes: o.staged_bytes as f64,
+                    site_available_cores_at_assign: avail as f64,
+                    site_queue_at_assign: queue as f64,
+                    submit_time: o.submit_time,
+                    target_queue_time: o.queue_time,
+                    target_walltime: o.walltime,
+                }
+            })
+            .collect()
+    }
 
     pub enum Value {
         Int(i64),
@@ -390,36 +562,127 @@ fn events() -> impl Strategy<Value = Vec<EventRecord>> {
     })
 }
 
-fn outcomes() -> impl Strategy<Value = Vec<JobOutcome>> {
-    let record = (
-        (counters(), any::<bool>(), any::<u32>(), site_names()),
+/// An outcome table over `jobs` (row `i` names record `i`) and the trace it
+/// was made over, with the site list `names` rid of repeats (a platform's
+/// names are distinct) and each row's site index taken modulo its length.
+fn table(mut names: Vec<String>, jobs: Vec<(JobRecord, OutcomeRow)>) -> (Arc<Trace>, OutcomeTable) {
+    let mut seen = std::collections::HashSet::new();
+    names.retain(|name| seen.insert(name.clone()));
+    let sites: Vec<Arc<str>> = names.iter().map(|name| name.as_str().into()).collect();
+    let (records, rows): (Vec<_>, Vec<_>) = jobs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (record, row))| {
+            let site = row.site % sites.len() as u16;
+            (
+                record,
+                OutcomeRow {
+                    job: i as u32,
+                    site,
+                    ..row
+                },
+            )
+        })
+        .unzip();
+    let trace = Arc::new(Trace {
+        jobs: records,
+        ..Trace::default()
+    });
+    let outcomes = OutcomeTable::new(rows, Arc::clone(&trace), sites.into());
+    (trace, outcomes)
+}
+
+fn record(id: u64, multi: bool, cores: u32, work: f64, submit: f64) -> JobRecord {
+    let kind = if multi {
+        JobKind::MultiCore
+    } else {
+        JobKind::SingleCore
+    };
+    JobRecord {
+        submit_time: submit,
+        ..JobRecord::new(id, kind, cores, work)
+    }
+}
+
+/// Outcomes over records and rows of hostile values: any float in any time
+/// or work column, any counter, any state, sites a CSV writer can get wrong.
+fn outcomes() -> impl Strategy<Value = (Arc<Trace>, OutcomeTable)> {
+    let job = (
+        (counters(), any::<bool>(), any::<u32>(), floats()),
         (floats(), floats(), floats(), floats()),
-        (states(), counters()),
+        (any::<u16>(), states(), counters()),
     )
         .prop_map(
-            |((id, multi, cores, site), (submit, queue, wall, work), (state, staged))| JobOutcome {
-                id: JobId(id),
-                kind: if multi {
-                    JobKind::MultiCore
-                } else {
-                    JobKind::SingleCore
-                },
-                cores,
-                work_hs23: work,
-                site: site.into(),
-                submit_time: submit,
-                assign_time: submit,
-                start_time: submit,
-                end_time: submit,
-                final_state: state,
-                staged_bytes: staged,
-                walltime: wall,
-                queue_time: queue,
-                hist_walltime: None,
-                hist_queue_time: None,
+            |((id, multi, cores, work), (submit, assign, start, end), (site, state, staged))| {
+                let row = OutcomeRow {
+                    job: 0,
+                    site,
+                    final_state: state,
+                    assign_time: assign,
+                    start_time: start,
+                    end_time: end,
+                    staged_bytes: staged,
+                };
+                (record(id, multi, cores, work, submit), row)
             },
         );
-    prop::collection::vec(record, 0..12)
+    (
+        prop::collection::vec(site_names(), 1..6),
+        prop::collection::vec(job, 0..12),
+    )
+        .prop_map(|(names, jobs)| table(names, jobs))
+}
+
+/// Outcomes a run could hold: finite times at five sites whose index order
+/// is not their name order, submit times below zero now and then (clamped
+/// when read), ground truth on some jobs, failures on some, and an
+/// `Assigned` event for most jobs.
+fn run_like_outcomes() -> impl Strategy<Value = (Arc<Trace>, OutcomeTable, Vec<EventRecord>)> {
+    let job = (
+        (0u64..40, 1u32..9, 1.0f64..1e6),
+        (-100.0f64..1e5, 0.0f64..1e4, 0.0f64..1e5),
+        (0u16..5, any::<bool>(), 0u64..1_000_000_000_000, 0usize..4),
+    )
+        .prop_map(
+            |((id, cores, work), (submit, queue, wall), (site, failed, staged, pick))| {
+                let mut record = record(id, cores > 1, cores, work, submit);
+                record.hist_walltime = (pick > 0).then_some(wall * 0.9 + 1.0);
+                let start = submit.max(0.0) + queue;
+                let row = OutcomeRow {
+                    job: 0,
+                    site,
+                    final_state: if failed {
+                        JobState::Failed
+                    } else {
+                        JobState::Finished
+                    },
+                    assign_time: start - queue / 2.0,
+                    start_time: start,
+                    end_time: start + wall,
+                    staged_bytes: staged,
+                };
+                let assigned = (pick < 3).then(|| EventRecord {
+                    event_id: id,
+                    time_s: row.assign_time,
+                    job_id: JobId(id),
+                    state: JobState::Assigned,
+                    site: "".into(),
+                    available_cores: staged % 1_000,
+                    pending_jobs: pick as u64,
+                    assigned_jobs: 0,
+                    finished_jobs: 0,
+                });
+                ((record, row), assigned)
+            },
+        );
+    let names = ["T2_b", "T1_a", "T0", "T3,x", ""]
+        .map(String::from)
+        .to_vec();
+    prop::collection::vec(job, 0..60).prop_map(move |jobs| {
+        let (jobs, events): (Vec<_>, Vec<_>) = jobs.into_iter().unzip();
+        let (trace, outcomes) = table(names.clone(), jobs);
+        (trace, outcomes, events.into_iter().flatten().collect())
+    })
 }
 
 /// Per-site metrics built field by field (`MetricsReport::from_outcomes`
@@ -450,39 +713,90 @@ fn metrics() -> impl Strategy<Value = MetricsReport> {
         );
     prop::collection::vec(site, 0..8).prop_map(|sites| MetricsReport {
         per_site: sites.into_iter().map(|m| (m.site.clone(), m)).collect(),
-        ..MetricsReport::from_outcomes(&[])
+        ..MetricsReport::from_outcomes(&OutcomeTable::default())
     })
+}
+
+/// Every column an outcome view reads equals the owned outcome's, bit for
+/// bit.
+fn views_match(outcomes: &OutcomeTable, owned: &[reference::JobOutcome]) -> bool {
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    outcomes.len() == owned.len()
+        && outcomes.iter().zip(owned).all(|(v, o)| {
+            let floats = [
+                (v.work_hs23(), o.work_hs23),
+                (v.submit_time(), o.submit_time),
+                (v.assign_time(), o.assign_time),
+                (v.start_time(), o.start_time),
+                (v.end_time(), o.end_time),
+                (v.walltime(), o.walltime),
+                (v.queue_time(), o.queue_time),
+            ];
+            (v.id(), v.kind(), v.cores(), v.site()) == (o.id, o.kind, o.cores, &*o.site)
+                && (v.final_state(), v.staged_bytes()) == (o.final_state, o.staged_bytes)
+                && bits(v.hist_walltime()) == bits(o.hist_walltime)
+                && bits(v.hist_queue_time()) == bits(o.hist_queue_time)
+                && floats.iter().all(|(a, b)| a.to_bits() == b.to_bits())
+        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Every table, as a string and as a file, is byte for byte what the
-    /// row-materialising renderer produced; so is the ML dataset.
+    /// row-materialising renderer produced from owned outcomes; so is the
+    /// ML dataset.
     #[test]
     fn streamed_tables_match_the_materialised_renderer(
         events in events(),
-        outcomes in outcomes(),
+        traced in outcomes(),
         metrics in metrics(),
     ) {
+        let (trace, outcomes) = traced;
+        let owned = reference::outcomes(&outcomes, &trace);
+        prop_assert!(views_match(&outcomes, &owned));
         let store = TableStore::new(&events, &outcomes, &metrics);
-        let twin = reference::table_store(&events, &outcomes, &metrics);
+        let twin = reference::table_store(&events, &owned, &metrics);
         prop_assert_eq!(store.table_names().to_vec(), twin.keys().copied().collect::<Vec<_>>());
         for (name, table) in &twin {
             let streamed = store.get(name).unwrap();
             prop_assert_eq!(streamed.to_csv(), table.to_csv(), "table {}", name);
         }
         let examples = mldataset::build_examples(&outcomes, &events);
-        prop_assert_eq!(mldataset::to_csv(&examples), reference::ml_csv(&examples));
+        let owned_examples = reference::ml_examples(&owned, &events);
+        prop_assert_eq!(mldataset::to_csv(&examples), reference::ml_csv(&owned_examples));
+    }
+
+    /// Over outcomes a run could hold, the one-pass metrics report has the
+    /// bits of the report grouped by site name from owned outcomes, and so
+    /// do the site summary and the walltime targets built on it.
+    #[test]
+    fn the_metrics_report_matches_the_one_over_owned_outcomes(
+        run in run_like_outcomes(),
+    ) {
+        let (trace, outcomes, events) = run;
+        let owned = reference::outcomes(&outcomes, &trace);
+        prop_assert!(views_match(&outcomes, &owned));
+        let metrics = MetricsReport::from_outcomes(&outcomes);
+        let twin = reference::metrics(&owned);
+        prop_assert_eq!(format!("{metrics:?}"), format!("{twin:?}"));
+        let store = TableStore::new(&events, &outcomes, &metrics);
+        let tables = reference::table_store(&events, &owned, &twin);
+        prop_assert_eq!(store.get("site_summary").unwrap().to_csv(), tables["site_summary"].to_csv());
+        prop_assert_eq!(store.get("jobs").unwrap().to_csv(), tables["jobs"].to_csv());
+        let examples = mldataset::build_examples(&outcomes, &events);
+        let owned_examples = reference::ml_examples(&owned, &events);
+        prop_assert_eq!(format!("{examples:?}"), format!("{owned_examples:?}"));
     }
 }
 
 /// 400 jobs on 6 sites under outages, disk loss and kills, with 30-minute
 /// checkpoints and windowed metrics on: the scenario family of the CI
 /// determinism gates, with every output file present.
-fn faulted_checkpointed_run() -> SimulationResults {
+/// Returns the results and the trace the run was given.
+fn faulted_checkpointed_run() -> (SimulationResults, Arc<Trace>) {
     let spec = wlcg_platform(6, 7);
-    let trace = TraceGenerator::new(TraceConfig::with_jobs(400, 7)).generate(&spec);
+    let trace = Arc::new(TraceGenerator::new(TraceConfig::with_jobs(400, 7)).generate(&spec));
     let config =
         parse_fault_spec("outage:site=all,mttf=4h,mttr=30m;diskloss:site=all,mttf=8h;kill:rate=2")
             .unwrap();
@@ -498,19 +812,20 @@ fn faulted_checkpointed_run() -> SimulationResults {
         },
         ..ExecutionConfig::with_policy("least-loaded")
     };
-    Simulation::builder()
+    let results = Simulation::builder()
         .platform_spec(&spec)
         .unwrap()
-        .trace(trace)
+        .trace(Arc::clone(&trace))
         .execution(execution)
         .fault_plan(FaultPlan::generate(&config, &topology, 7))
         .run()
-        .unwrap()
+        .unwrap();
+    (results, trace)
 }
 
 #[test]
 fn every_file_of_an_output_directory_matches_its_reference() {
-    let results = faulted_checkpointed_run();
+    let (results, trace) = faulted_checkpointed_run();
     let counters = &results.grid_counters;
     assert!(counters.job_interruptions > 0 && counters.checkpoints_written > 0);
     assert!(!results.windows.is_empty());
@@ -519,7 +834,11 @@ fn every_file_of_an_output_directory_matches_its_reference() {
     std::fs::remove_dir_all(&dir).ok();
     results.save_output_dir(&dir).unwrap();
 
-    let examples = mldataset::build_examples(&results.outcomes, &results.events);
+    let owned = reference::outcomes(&results.outcomes, &trace);
+    assert!(views_match(&results.outcomes, &owned));
+    let metrics = reference::metrics(&owned);
+    assert_eq!(format!("{:?}", results.metrics), format!("{metrics:?}"));
+    let examples = reference::ml_examples(&owned, &results.events);
     let mut expected: BTreeMap<String, String> = BTreeMap::from([
         ("dashboard.html".into(), results.html_dashboard()),
         ("results.json".into(), results.deterministic_json()),
@@ -529,9 +848,7 @@ fn every_file_of_an_output_directory_matches_its_reference() {
         ),
         ("ml_dataset.csv".into(), reference::ml_csv(&examples)),
     ]);
-    for (name, table) in
-        reference::table_store(&results.events, &results.outcomes, &results.metrics)
-    {
+    for (name, table) in reference::table_store(&results.events, &owned, &metrics) {
         expected.insert(format!("{name}.csv"), table.to_csv());
     }
 
@@ -551,7 +868,7 @@ fn every_file_of_an_output_directory_matches_its_reference() {
 
 #[test]
 fn each_rendered_table_is_one_allocation() {
-    let results = faulted_checkpointed_run();
+    let (results, _) = faulted_checkpointed_run();
     let examples = mldataset::build_examples(&results.outcomes, &results.events);
     let store = results.to_table_store();
     let mut renders: Vec<(&str, usize)> = store

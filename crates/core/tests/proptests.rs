@@ -65,16 +65,16 @@ proptest! {
 
         // Every job reached a terminal state exactly once.
         prop_assert_eq!(results.outcomes.len(), jobs);
-        let ids: std::collections::HashSet<_> = results.outcomes.iter().map(|o| o.id).collect();
+        let ids: std::collections::HashSet<_> = results.outcomes.iter().map(|o| o.id()).collect();
         prop_assert_eq!(ids.len(), jobs);
         for o in &results.outcomes {
-            prop_assert!(o.final_state.is_terminal());
-            prop_assert!(o.assign_time >= o.submit_time - 1e-9);
-            prop_assert!(o.start_time >= o.assign_time - 1e-9);
-            prop_assert!(o.end_time >= o.start_time - 1e-9);
-            prop_assert!(o.walltime >= 0.0);
-            prop_assert!(o.queue_time >= -1e-9);
-            prop_assert!(o.end_time <= results.makespan_s + 1e-6);
+            prop_assert!(o.final_state().is_terminal());
+            prop_assert!(o.assign_time() >= o.submit_time() - 1e-9);
+            prop_assert!(o.start_time() >= o.assign_time() - 1e-9);
+            prop_assert!(o.end_time() >= o.start_time() - 1e-9);
+            prop_assert!(o.walltime() >= 0.0);
+            prop_assert!(o.queue_time() >= -1e-9);
+            prop_assert!(o.end_time() <= results.makespan_s + 1e-6);
         }
 
         // All cores returned: the final dashboard shows zero busy cores and
@@ -134,9 +134,9 @@ proptest! {
         let b = run();
         prop_assert_eq!(a.engine_events, b.engine_events);
         for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            prop_assert_eq!(x.id, y.id);
-            prop_assert_eq!(&x.site, &y.site);
-            prop_assert_eq!(x.walltime.to_bits(), y.walltime.to_bits());
+            prop_assert_eq!(x.id(), y.id());
+            prop_assert_eq!(x.site(), y.site());
+            prop_assert_eq!(x.walltime().to_bits(), y.walltime().to_bits());
         }
     }
 }
@@ -228,7 +228,7 @@ proptest! {
         // The workload drained: every job terminal, every core returned.
         prop_assert_eq!(a.outcomes.len(), jobs);
         for o in &a.outcomes {
-            prop_assert!(o.final_state.is_terminal());
+            prop_assert!(o.final_state().is_terminal());
         }
         for panel in &a.site_panels {
             prop_assert_eq!(panel.busy_cores, 0);
@@ -299,10 +299,10 @@ proptest! {
         prop_assert_eq!(a.engine_events, b.engine_events);
         prop_assert_eq!(a.grid_counters.repairs_started, 0);
         for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            prop_assert_eq!(x.id, y.id);
-            prop_assert_eq!(&x.site, &y.site);
-            prop_assert_eq!(x.walltime.to_bits(), y.walltime.to_bits());
-            prop_assert_eq!(x.staged_bytes, y.staged_bytes);
+            prop_assert_eq!(x.id(), y.id());
+            prop_assert_eq!(x.site(), y.site());
+            prop_assert_eq!(x.walltime().to_bits(), y.walltime().to_bits());
+            prop_assert_eq!(x.staged_bytes(), y.staged_bytes());
         }
     }
 }

@@ -310,10 +310,10 @@ fn disabled_features_are_byte_identical_to_absent_features() {
     assert_eq!(a.deterministic_json(), b.deterministic_json());
     assert_eq!(a.engine_events, b.engine_events);
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.site, y.site);
-        assert_eq!(x.final_state, y.final_state);
-        assert_eq!(x.walltime.to_bits(), y.walltime.to_bits());
-        assert_eq!(x.staged_bytes, y.staged_bytes);
+        assert_eq!(x.site(), y.site());
+        assert_eq!(x.final_state(), y.final_state());
+        assert_eq!(x.walltime().to_bits(), y.walltime().to_bits());
+        assert_eq!(x.staged_bytes(), y.staged_bytes());
     }
     // The schedule genuinely exercised the fault + checkpoint machinery.
     assert!(a.grid_counters.job_interruptions > 0);

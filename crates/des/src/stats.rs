@@ -170,18 +170,37 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 /// Fig. 3. Ground-truth values of zero are skipped.
 pub fn relative_mae(predicted: &[f64], truth: &[f64]) -> f64 {
     assert_eq!(predicted.len(), truth.len(), "length mismatch");
-    let mut total = 0.0;
-    let mut n = 0usize;
-    for (p, t) in predicted.iter().zip(truth) {
-        if t.abs() > f64::EPSILON {
-            total += (p - t).abs() / t.abs();
-            n += 1;
+    let mut mae = RelativeMae::default();
+    for (&p, &t) in predicted.iter().zip(truth) {
+        mae.add(p, t);
+    }
+    mae.value()
+}
+
+/// [`relative_mae`] accumulated one `(predicted, truth)` pair at a time, for
+/// callers that meet their pairs in one pass rather than in two slices.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RelativeMae {
+    total: f64,
+    terms: usize,
+}
+
+impl RelativeMae {
+    /// Adds one pair (skipped when `truth` is zero).
+    pub fn add(&mut self, predicted: f64, truth: f64) {
+        if truth.abs() > f64::EPSILON {
+            self.total += (predicted - truth).abs() / truth.abs();
+            self.terms += 1;
         }
     }
-    if n == 0 {
-        0.0
-    } else {
-        total / n as f64
+
+    /// The error over the pairs added so far (0 when none counted).
+    pub fn value(&self) -> f64 {
+        if self.terms == 0 {
+            0.0
+        } else {
+            self.total / self.terms as f64
+        }
     }
 }
 

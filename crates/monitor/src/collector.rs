@@ -9,10 +9,10 @@
 
 use std::sync::Arc;
 
-use cgsim_workload::{JobId, JobState};
+use cgsim_workload::{JobId, JobState, Trace};
 use serde::{Deserialize, Serialize};
 
-use crate::event::{EventRecord, JobOutcome};
+use crate::event::{EventRecord, OutcomeRow, OutcomeTable};
 use crate::window::WindowedAggregator;
 
 /// Collector configuration.
@@ -189,16 +189,18 @@ pub struct CacheCounters {
 #[derive(Debug, Clone)]
 pub struct MonitoringCollector {
     config: MonitoringConfig,
-    /// The run's one allocation of each site name, then the empty name of
-    /// main-server events: event rows and outcomes hold clones.
-    site_names: Vec<Arc<str>>,
+    /// The run's one allocation of each site name: event rows hold clones,
+    /// and the outcome table shares the list.
+    site_names: Arc<[Arc<str>]>,
+    /// The empty site name of main-server events.
+    server_name: Arc<str>,
     counters: Vec<SiteCounters>,
     /// Grid-level counters (faults, checkpoints, repairs, main-server
     /// anomalies). Single-counter events bump their field in place; the
     /// `record_*` methods below cover events that move several counters.
     pub grid_counters: GridCounters,
     events: Vec<EventRecord>,
-    outcomes: Vec<JobOutcome>,
+    outcomes: Vec<OutcomeRow>,
     next_event_id: u64,
     transitions_seen: u64,
     windows: Option<WindowedAggregator>,
@@ -210,15 +212,14 @@ impl MonitoringCollector {
         let counters = vec![SiteCounters::default(); site_names.len()];
         let site_names = site_names
             .iter()
-            .map(|name| name.as_str())
-            .chain([""])
-            .map(Arc::from)
+            .map(|name| Arc::from(name.as_str()))
             .collect();
         let windows = (config.window_s > 0.0)
             .then(|| WindowedAggregator::new(config.window_s, config.max_windows));
         MonitoringCollector {
             config,
             site_names,
+            server_name: Arc::from(""),
             counters,
             grid_counters: GridCounters::default(),
             events: Vec::new(),
@@ -327,9 +328,8 @@ impl MonitoringCollector {
 
     /// The shared name of site `site_index` (`None`: the empty name of the
     /// main server). A reference-count bump, no allocation.
-    pub fn site_name(&self, site_index: Option<usize>) -> Arc<str> {
-        let slot = site_index.unwrap_or(self.counters.len());
-        Arc::clone(&self.site_names[slot])
+    fn site_name(&self, site_index: Option<usize>) -> Arc<str> {
+        Arc::clone(site_index.map_or(&self.server_name, |s| &self.site_names[s]))
     }
 
     /// Reserves room for `jobs` more outcomes, so a run that knows its job
@@ -338,8 +338,10 @@ impl MonitoringCollector {
         self.outcomes.reserve_exact(jobs);
     }
 
-    /// Records the final outcome of a job.
-    pub fn record_outcome(&mut self, outcome: JobOutcome) {
+    /// Records the final outcome of a job (`site` indexes the site list
+    /// given at construction, `job` the trace handed to
+    /// [`MonitoringCollector::into_parts`]).
+    pub fn record_outcome(&mut self, outcome: OutcomeRow) {
         self.outcomes.push(outcome);
     }
 
@@ -366,14 +368,16 @@ impl MonitoringCollector {
         }
     }
 
-    /// Per-job outcomes collected so far.
-    pub fn outcomes(&self) -> &[JobOutcome] {
+    /// Per-job outcome rows collected so far, in completion order.
+    pub fn outcomes(&self) -> &[OutcomeRow] {
         &self.outcomes
     }
 
-    /// Consumes the collector, returning events and outcomes.
-    pub fn into_parts(self) -> (Vec<EventRecord>, Vec<JobOutcome>) {
-        (self.events, self.outcomes)
+    /// Consumes the collector, returning the events and the outcomes as a
+    /// table over `trace`, the records the rows' job indices address.
+    pub fn into_parts(self, trace: Arc<Trace>) -> (Vec<EventRecord>, OutcomeTable) {
+        let outcomes = OutcomeTable::new(self.outcomes, trace, self.site_names);
+        (self.events, outcomes)
     }
 
     /// Cumulative counters of a site.

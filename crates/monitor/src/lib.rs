@@ -8,7 +8,8 @@
 //!
 //! * [`event`] — the event-level record schema of Table 1 (event id, job id,
 //!   state, site, available cores, pending / assigned / finished job counts)
-//!   and the per-job outcome record used for metric computation,
+//!   and the per-job outcome table used for metric computation (40-byte
+//!   rows read together with the run's job records),
 //! * [`collector`] — the monitoring collector the simulation core feeds on
 //!   every job transition; it maintains per-site counters and the
 //!   event-level dataset,
@@ -40,7 +41,7 @@ pub mod window;
 pub use collector::{
     CacheCounters, GridCounters, MonitoringCollector, MonitoringConfig, SiteCounters,
 };
-pub use event::{EventRecord, JobOutcome};
-pub use metrics::{outcomes_by_site, MetricsReport, SiteMetrics};
+pub use event::{EventRecord, OutcomeRow, OutcomeTable, OutcomeView};
+pub use metrics::{MetricsReport, SiteMetrics};
 pub use store::{Table, TableStore};
 pub use window::{windows_csv, WindowSnapshot, WindowedAggregator};

@@ -3,15 +3,15 @@
 //! The paper's introduction lists the metrics operators actually watch:
 //! "queue time, CPU efficiency, job failure rate, and throughput, all derived
 //! from operational logs and monitoring data". [`MetricsReport`] computes
-//! those from the simulated [`JobOutcome`] records, both globally and per
-//! site.
+//! those from a run's [`OutcomeTable`], both globally and per site, in one
+//! pass that joins each outcome row to its job record once.
 
 use std::collections::BTreeMap;
 
 use cgsim_des::stats::Summary;
 use serde::{Deserialize, Serialize};
 
-use crate::event::JobOutcome;
+use crate::event::OutcomeTable;
 
 /// Metrics for one site.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -59,23 +59,24 @@ pub struct MetricsReport {
     pub per_site: BTreeMap<String, SiteMetrics>,
 }
 
-/// Groups outcomes by the site they ran at, in site-name order, each group
-/// in outcome order. The keys borrow the outcomes' names: a caller building
-/// a name-keyed map materialises one `String` per site, not per outcome.
-pub fn outcomes_by_site<'a>(
-    outcomes: impl IntoIterator<Item = &'a JobOutcome>,
-) -> BTreeMap<&'a str, Vec<&'a JobOutcome>> {
-    let mut grouped: BTreeMap<&str, Vec<&JobOutcome>> = BTreeMap::new();
-    for o in outcomes {
-        grouped.entry(&o.site).or_default().push(o);
-    }
-    grouped
-}
-
 impl MetricsReport {
     /// Computes the report from job outcomes. Returns a neutral report when
     /// no outcomes exist.
-    pub fn from_outcomes(outcomes: &[JobOutcome]) -> Self {
+    ///
+    /// One pass over the table reads each outcome once and feeds both the
+    /// grid-wide figures and its site's accumulators, indexed by site. Each
+    /// sample keeps outcome order, so every sum and [`Summary`] has the bits
+    /// a per-site regrouping of the outcomes would give; sites come out in
+    /// name order.
+    pub fn from_outcomes(outcomes: &OutcomeTable) -> Self {
+        /// One site's share of the pass.
+        struct SiteSample {
+            finished: u64,
+            queue_times: Vec<f64>,
+            walltimes: Vec<f64>,
+            core_seconds: f64,
+        }
+
         if outcomes.is_empty() {
             return MetricsReport {
                 makespan_s: 0.0,
@@ -90,44 +91,66 @@ impl MetricsReport {
                 per_site: BTreeMap::new(),
             };
         }
-        let first_submit = outcomes
+        let mut sites: Vec<SiteSample> = outcomes
+            .site_names()
             .iter()
-            .map(|o| o.submit_time)
-            .fold(f64::INFINITY, f64::min);
-        let last_end = outcomes.iter().map(|o| o.end_time).fold(0.0f64, f64::max);
+            .map(|_| SiteSample {
+                finished: 0,
+                queue_times: Vec::new(),
+                walltimes: Vec::new(),
+                // `Sum` for floats starts from -0.0.
+                core_seconds: -0.0,
+            })
+            .collect();
+        let (mut first_submit, mut last_end) = (f64::INFINITY, 0.0f64);
+        let (mut finished, mut staged) = (0u64, 0u64);
+        let mut queue_times = Vec::with_capacity(outcomes.len());
+        let mut walltimes = Vec::with_capacity(outcomes.len());
+        for o in outcomes {
+            let (queue_time, walltime) = (o.queue_time(), o.walltime());
+            first_submit = first_submit.min(o.submit_time());
+            last_end = last_end.max(o.end_time());
+            staged += o.staged_bytes();
+            queue_times.push(queue_time);
+            walltimes.push(walltime);
+            let site = &mut sites[o.site_index()];
+            site.queue_times.push(queue_time);
+            site.walltimes.push(walltime);
+            site.core_seconds += walltime * o.cores() as f64;
+            if o.succeeded() {
+                finished += 1;
+                site.finished += 1;
+            }
+        }
         let makespan = (last_end - first_submit).max(0.0);
-        let finished = outcomes.iter().filter(|o| o.succeeded()).count() as u64;
+        let throughput = |finished: u64| {
+            if makespan > 0.0 {
+                finished as f64 / (makespan / 3600.0)
+            } else {
+                0.0
+            }
+        };
         let failed = outcomes.len() as u64 - finished;
-        let queue_times: Vec<f64> = outcomes.iter().map(|o| o.queue_time).collect();
-        let walltimes: Vec<f64> = outcomes.iter().map(|o| o.walltime).collect();
-        let staged: u64 = outcomes.iter().map(|o| o.staged_bytes).sum();
 
-        let per_site = outcomes_by_site(outcomes)
-            .into_iter()
-            .map(|(site, jobs)| {
-                let site = site.to_string();
-                let fin = jobs.iter().filter(|o| o.succeeded()).count() as u64;
-                let fail = jobs.len() as u64 - fin;
-                let qt: Vec<f64> = jobs.iter().map(|o| o.queue_time).collect();
-                let wt: Vec<f64> = jobs.iter().map(|o| o.walltime).collect();
-                let core_seconds: f64 = jobs.iter().map(|o| o.core_seconds()).sum();
-                (
-                    site.clone(),
-                    SiteMetrics {
-                        site,
-                        finished_jobs: fin,
-                        failed_jobs: fail,
-                        failure_rate: fail as f64 / jobs.len() as f64,
-                        queue_time: Summary::of(&qt),
-                        walltime: Summary::of(&wt),
-                        core_seconds,
-                        throughput_per_hour: if makespan > 0.0 {
-                            fin as f64 / (makespan / 3600.0)
-                        } else {
-                            0.0
-                        },
-                    },
-                )
+        let per_site = outcomes
+            .site_names()
+            .iter()
+            .zip(sites)
+            .filter(|(_, sample)| !sample.queue_times.is_empty())
+            .map(|(name, sample)| {
+                let jobs = sample.queue_times.len() as u64;
+                let fail = jobs - sample.finished;
+                let metrics = SiteMetrics {
+                    site: name.to_string(),
+                    finished_jobs: sample.finished,
+                    failed_jobs: fail,
+                    failure_rate: fail as f64 / jobs as f64,
+                    queue_time: Summary::of(&sample.queue_times),
+                    walltime: Summary::of(&sample.walltimes),
+                    core_seconds: sample.core_seconds,
+                    throughput_per_hour: throughput(sample.finished),
+                };
+                (name.to_string(), metrics)
             })
             .collect();
 
@@ -139,11 +162,7 @@ impl MetricsReport {
             failure_rate: failed as f64 / outcomes.len() as f64,
             queue_time: Summary::of(&queue_times),
             walltime: Summary::of(&walltimes),
-            throughput_per_hour: if makespan > 0.0 {
-                finished as f64 / (makespan / 3600.0)
-            } else {
-                0.0
-            },
+            throughput_per_hour: throughput(finished),
             staged_bytes: staged,
             per_site,
         }
@@ -179,35 +198,35 @@ impl MetricsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgsim_workload::{JobId, JobKind, JobState};
+    use crate::event::tests::table;
+    use cgsim_workload::{JobKind, JobState};
 
-    fn outcome(id: u64, site: &str, submit: f64, end: f64, failed: bool) -> JobOutcome {
-        JobOutcome {
-            id: JobId(id),
-            kind: JobKind::SingleCore,
-            cores: 2,
-            work_hs23: 2.0 * (end - submit),
-            site: site.into(),
-            submit_time: submit,
-            assign_time: submit + 1.0,
-            start_time: submit + 10.0,
-            end_time: end,
-            final_state: if failed {
-                JobState::Failed
-            } else {
-                JobState::Finished
-            },
-            staged_bytes: 1_000,
-            walltime: end - submit - 10.0,
-            queue_time: 10.0,
-            hist_walltime: None,
-            hist_queue_time: None,
-        }
+    /// A two-core job at `site` that waits 10 s and fails or finishes.
+    fn job(
+        site: usize,
+        submit: f64,
+        end: f64,
+        failed: bool,
+    ) -> (JobKind, u32, usize, f64, f64, f64, JobState) {
+        let state = if failed {
+            JobState::Failed
+        } else {
+            JobState::Finished
+        };
+        (
+            JobKind::SingleCore,
+            2,
+            site,
+            submit,
+            submit + 10.0,
+            end,
+            state,
+        )
     }
 
     #[test]
     fn empty_outcomes_give_neutral_report() {
-        let report = MetricsReport::from_outcomes(&[]);
+        let report = MetricsReport::from_outcomes(&OutcomeTable::default());
         assert_eq!(report.total_jobs, 0);
         assert_eq!(report.failure_rate, 0.0);
         assert!(report.per_site.is_empty());
@@ -216,23 +235,30 @@ mod tests {
 
     #[test]
     fn global_and_per_site_metrics() {
-        let outcomes = vec![
-            outcome(1, "CERN", 0.0, 100.0, false),
-            outcome(2, "CERN", 0.0, 200.0, false),
-            outcome(3, "BNL", 50.0, 400.0, true),
-            outcome(4, "BNL", 10.0, 300.0, false),
-        ];
+        let outcomes = table(
+            &["CERN", "BNL", "idle"],
+            &[
+                job(0, 0.0, 100.0, false),
+                job(0, 0.0, 200.0, false),
+                job(1, 50.0, 400.0, true),
+                job(1, 10.0, 300.0, false),
+            ],
+        );
         let report = MetricsReport::from_outcomes(&outcomes);
         assert_eq!(report.total_jobs, 4);
         assert_eq!(report.finished_jobs, 3);
         assert_eq!(report.failed_jobs, 1);
         assert!((report.failure_rate - 0.25).abs() < 1e-12);
         assert_eq!(report.makespan_s, 400.0);
-        assert_eq!(report.per_site.len(), 2);
+        // Sites without outcomes are left out; the rest in name order.
+        let names: Vec<&str> = report.per_site.keys().map(String::as_str).collect();
+        assert_eq!(names, ["BNL", "CERN"]);
         let bnl = &report.per_site["BNL"];
         assert_eq!(bnl.finished_jobs, 1);
         assert_eq!(bnl.failed_jobs, 1);
         assert!((bnl.failure_rate - 0.5).abs() < 1e-12);
+        assert_eq!(bnl.core_seconds, 2.0 * (340.0 + 280.0));
+        assert_eq!(bnl.queue_time.as_ref().unwrap().mean, 10.0);
         assert!(report.throughput_per_hour > 0.0);
         assert_eq!(report.staged_bytes, 4_000);
         assert!(report.text_summary().contains("failure rate"));
@@ -240,7 +266,7 @@ mod tests {
 
     #[test]
     fn utilisation_is_bounded() {
-        let outcomes = vec![outcome(1, "X", 0.0, 100.0, false)];
+        let outcomes = table(&["X"], &[job(0, 0.0, 100.0, false)]);
         let report = MetricsReport::from_outcomes(&outcomes);
         let u = report.cpu_utilisation(4);
         assert!(u > 0.0 && u <= 1.0);

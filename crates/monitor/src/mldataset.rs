@@ -5,7 +5,11 @@
 //! companion work trains AI surrogate models on exactly this kind of data.
 //! This module flattens the event-level records and per-job outcomes into
 //! numeric feature rows suitable for supervised training (e.g. predicting
-//! walltime or queue time from job and site features).
+//! walltime or queue time from job and site features). The job features
+//! (class, cores, work, submit time) are read from each outcome's trace
+//! record through its [`OutcomeView`](crate::event::OutcomeView), the
+//! targets derived from its row, and the site state from the job's
+//! `Assigned` event.
 //!
 //! Rows are written by the crate's one CSV row encoder, the one behind the
 //! [`crate::store`] tables: cells go into a reused buffer of about 64 KB
@@ -21,7 +25,7 @@ use cgsim_workload::JobKind;
 use serde::{Deserialize, Serialize};
 
 use crate::csv::{render_rows, write_rows, Row};
-use crate::event::{EventRecord, JobOutcome};
+use crate::event::{EventRecord, OutcomeTable};
 
 /// One training example: numeric features plus the regression targets.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,8 +55,9 @@ pub struct MlExample {
 }
 
 /// Builds ML examples by joining job outcomes with the event-level dataset
-/// (the `Assigned` event provides the site-state features).
-pub fn build_examples(outcomes: &[JobOutcome], events: &[EventRecord]) -> Vec<MlExample> {
+/// (the `Assigned` event provides the site-state features), one per
+/// outcome in completion order.
+pub fn build_examples(outcomes: &OutcomeTable, events: &[EventRecord]) -> Vec<MlExample> {
     use std::collections::HashMap;
     let mut assign_state: HashMap<u64, (u64, u64)> = HashMap::with_capacity(outcomes.len());
     for e in events {
@@ -63,22 +68,23 @@ pub fn build_examples(outcomes: &[JobOutcome], events: &[EventRecord]) -> Vec<Ml
     outcomes
         .iter()
         .map(|o| {
-            let (avail, queue) = assign_state.get(&o.id.0).copied().unwrap_or((0, 0));
+            let id = o.id().0;
+            let (avail, queue) = assign_state.get(&id).copied().unwrap_or((0, 0));
             MlExample {
-                job_id: o.id.0,
-                is_multicore: if o.kind == JobKind::MultiCore {
+                job_id: id,
+                is_multicore: if o.kind() == JobKind::MultiCore {
                     1.0
                 } else {
                     0.0
                 },
-                cores: o.cores as f64,
-                work_hs23: o.work_hs23,
-                staged_bytes: o.staged_bytes as f64,
+                cores: o.cores() as f64,
+                work_hs23: o.work_hs23(),
+                staged_bytes: o.staged_bytes() as f64,
                 site_available_cores_at_assign: avail as f64,
                 site_queue_at_assign: queue as f64,
-                submit_time: o.submit_time,
-                target_queue_time: o.queue_time,
-                target_walltime: o.walltime,
+                submit_time: o.submit_time(),
+                target_queue_time: o.queue_time(),
+                target_walltime: o.walltime(),
             }
         })
         .collect()
@@ -120,26 +126,21 @@ pub fn to_csv(examples: &[MlExample]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::table;
     use cgsim_workload::{JobId, JobState};
 
-    fn outcome(id: u64) -> JobOutcome {
-        JobOutcome {
-            id: JobId(id),
-            kind: JobKind::MultiCore,
-            cores: 8,
-            work_hs23: 68_000.0,
-            site: "BNL".into(),
-            submit_time: 100.0,
-            assign_time: 110.0,
-            start_time: 150.0,
-            end_time: 1000.0,
-            final_state: JobState::Finished,
-            staged_bytes: 5_000,
-            walltime: 850.0,
-            queue_time: 50.0,
-            hist_walltime: None,
-            hist_queue_time: None,
-        }
+    /// Jobs 1..=n: 8-core, submitted at 100 s, run 150..1000 s at BNL.
+    fn outcomes(n: usize) -> OutcomeTable {
+        let job = (
+            JobKind::MultiCore,
+            8,
+            0,
+            100.0,
+            150.0,
+            1000.0,
+            JobState::Finished,
+        );
+        table(&["BNL"], &vec![job; n])
     }
 
     fn assign_event(id: u64) -> EventRecord {
@@ -158,26 +159,26 @@ mod tests {
 
     #[test]
     fn examples_join_outcomes_with_assign_events() {
-        let examples = build_examples(&[outcome(9)], &[assign_event(9)]);
+        let examples = build_examples(&outcomes(1), &[assign_event(1)]);
         assert_eq!(examples.len(), 1);
         let e = &examples[0];
-        assert_eq!(e.job_id, 9);
+        assert_eq!(e.job_id, 1);
         assert_eq!(e.is_multicore, 1.0);
-        assert_eq!(e.work_hs23, 68_000.0);
+        assert_eq!(e.work_hs23, 1_700.0);
         assert_eq!(e.site_available_cores_at_assign, 420.0);
         assert_eq!(e.site_queue_at_assign, 7.0);
-        assert_eq!(e.target_walltime, 850.0);
+        assert_eq!((e.target_queue_time, e.target_walltime), (50.0, 850.0));
     }
 
     #[test]
     fn missing_assign_event_defaults_to_zero_features() {
-        let examples = build_examples(&[outcome(9)], &[]);
+        let examples = build_examples(&outcomes(1), &[]);
         assert_eq!(examples[0].site_available_cores_at_assign, 0.0);
     }
 
     #[test]
     fn csv_has_header_and_matching_columns() {
-        let examples = build_examples(&[outcome(1), outcome(2)], &[assign_event(1)]);
+        let examples = build_examples(&outcomes(2), &[assign_event(1)]);
         let csv = to_csv(&examples);
         let lines: Vec<_> = csv.lines().collect();
         assert_eq!(lines.len(), 3);

@@ -5,7 +5,10 @@
 //! `events`, `jobs` and `site_summary` — but never materialises them:
 //! [`TableStore`] borrows the records a run already holds and each
 //! [`Table`] streams its rows as CSV straight into a writer, so exporting a
-//! dataset costs no per-row allocation and no second copy of the data.
+//! dataset costs no per-row allocation and no second copy of the data. A
+//! `jobs` row is one [`OutcomeView`]: the outcome row's site, times, state and
+//! staged bytes joined to the job's trace record for its id, class, cores and
+//! submit time, in completion order.
 //!
 //! Every row goes through the crate's one CSV row encoder (shared with
 //! [`crate::mldataset`] and [`crate::windows_csv`]): cells are appended to a
@@ -22,7 +25,7 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use crate::csv::{render_rows, write_rows, Row};
-use crate::event::{EventRecord, JobOutcome};
+use crate::event::{EventRecord, OutcomeTable, OutcomeView};
 use crate::metrics::{MetricsReport, SiteMetrics};
 
 fn event_row(r: &mut Row, e: &EventRecord) {
@@ -37,16 +40,16 @@ fn event_row(r: &mut Row, e: &EventRecord) {
     r.push_counter(e.finished_jobs);
 }
 
-fn job_row(r: &mut Row, o: &JobOutcome) {
-    r.push_counter(o.id.0);
-    r.push_label(o.kind.label());
-    r.push_u64(o.cores.into());
-    r.push_text(&o.site);
-    r.push_f64(o.submit_time);
-    r.push_f64(o.queue_time);
-    r.push_f64(o.walltime);
-    r.push_label(o.final_state.label());
-    r.push_counter(o.staged_bytes);
+fn job_row(r: &mut Row, o: OutcomeView<'_>) {
+    r.push_counter(o.id().0);
+    r.push_label(o.kind().label());
+    r.push_u64(o.cores().into());
+    r.push_text(o.site());
+    r.push_f64(o.submit_time());
+    r.push_f64(o.queue_time());
+    r.push_f64(o.walltime());
+    r.push_label(o.final_state().label());
+    r.push_counter(o.staged_bytes());
 }
 
 fn site_row(r: &mut Row, (name, m): (&String, &SiteMetrics)) {
@@ -64,8 +67,8 @@ fn site_row(r: &mut Row, (name, m): (&String, &SiteMetrics)) {
 pub enum Table<'a> {
     /// The event-level dataset (paper Table 1).
     Events(&'a [EventRecord]),
-    /// One row per job outcome.
-    Jobs(&'a [JobOutcome]),
+    /// One row per job outcome, in completion order.
+    Jobs(&'a OutcomeTable),
     /// One row per site, in site-name order.
     SiteSummary(&'a BTreeMap<String, SiteMetrics>),
 }
@@ -145,7 +148,7 @@ impl<'a> TableStore<'a> {
     /// A store over the given records (nothing is copied).
     pub fn new(
         events: &'a [EventRecord],
-        outcomes: &'a [JobOutcome],
+        outcomes: &'a OutcomeTable,
         metrics: &'a MetricsReport,
     ) -> Self {
         TableStore {
@@ -183,6 +186,7 @@ impl<'a> TableStore<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::table;
     use cgsim_workload::{JobId, JobKind, JobState};
 
     fn event(id: u64, site: &str) -> EventRecord {
@@ -199,30 +203,28 @@ mod tests {
         }
     }
 
-    fn outcome(id: u64, site: &str) -> JobOutcome {
-        JobOutcome {
-            id: JobId(id),
-            kind: JobKind::MultiCore,
-            cores: 8,
-            work_hs23: 68_000.0,
-            site: site.into(),
-            submit_time: 100.0,
-            assign_time: 110.0,
-            start_time: 150.0,
-            end_time: 1000.0,
-            final_state: JobState::Finished,
-            staged_bytes: 5_000,
-            walltime: 850.0,
-            queue_time: 50.0,
-            hist_walltime: None,
-            hist_queue_time: None,
-        }
+    /// Job 7 of the old fixtures, one per site: 8 cores, submitted at 100 s,
+    /// running 150..1000 s.
+    fn outcomes(sites: &[&str]) -> OutcomeTable {
+        let job = |site| {
+            (
+                JobKind::MultiCore,
+                8,
+                site,
+                100.0,
+                150.0,
+                1000.0,
+                JobState::Finished,
+            )
+        };
+        let jobs: Vec<_> = (0..sites.len()).map(job).collect();
+        table(sites, &jobs)
     }
 
     #[test]
     fn tables_are_named_sized_and_rendered() {
         let events = [event(1, "CERN"), event(2, "")];
-        let outcomes = [outcome(7, "CERN")];
+        let outcomes = outcomes(&["CERN"]);
         let metrics = MetricsReport::from_outcomes(&outcomes);
         let store = TableStore::new(&events, &outcomes, &metrics);
         assert_eq!(store.table_names(), ["events", "jobs", "site_summary"]);
@@ -239,7 +241,7 @@ mod tests {
         assert_eq!(
             store.get("jobs").unwrap().to_csv(),
             "job_id,kind,cores,site,submit_time,queue_time,walltime,final_state,staged_bytes\n\
-             7,multi,8,CERN,100,50,850,finished,5000\n"
+             1,multi,8,CERN,100,50,850,finished,1000\n"
         );
         let summary = store.get("site_summary").unwrap().to_csv();
         assert!(summary.ends_with("\nCERN,1,0,0,50,850,6800\n"), "{summary}");
@@ -250,7 +252,7 @@ mod tests {
         // Regression: the name used to be written bare, splitting the row.
         let name = "T2\nrogue,\"site\"";
         let events = [event(1, name)];
-        let outcomes = [outcome(7, name)];
+        let outcomes = outcomes(&[name]);
         let metrics = MetricsReport::from_outcomes(&outcomes);
         let store = TableStore::new(&events, &outcomes, &metrics);
         for table in store.table_names() {
@@ -272,7 +274,7 @@ mod tests {
     #[test]
     fn save_csv_dir_writes_what_to_csv_renders() {
         let events = [event(1, "CERN"), event(2, "BNL")];
-        let outcomes = [outcome(7, "CERN"), outcome(8, "BNL")];
+        let outcomes = outcomes(&["CERN", "BNL"]);
         let metrics = MetricsReport::from_outcomes(&outcomes);
         let store = TableStore::new(&events, &outcomes, &metrics);
         let dir = std::env::temp_dir().join("cgsim-store-test");

@@ -8,9 +8,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use cgsim_monitor::{mldataset, EventRecord, JobOutcome, MetricsReport, TableStore};
-use cgsim_workload::{JobId, JobKind, JobState};
+use cgsim_monitor::{mldataset, EventRecord, MetricsReport, OutcomeRow, OutcomeTable, TableStore};
+use cgsim_workload::{JobId, JobKind, JobRecord, JobState, Trace};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread. Const-initialised
@@ -53,7 +54,7 @@ fn allocations_during(work: impl FnOnce()) -> usize {
 
 const SITES: [&str; 4] = ["CERN", "BNL", "needs,\"quoting\"\n", ""];
 
-fn records(events: usize) -> (Vec<EventRecord>, Vec<JobOutcome>) {
+fn records(events: usize) -> (Vec<EventRecord>, OutcomeTable) {
     let event = |i: usize| EventRecord {
         event_id: i as u64,
         time_s: i as f64 * 1.37,
@@ -65,27 +66,31 @@ fn records(events: usize) -> (Vec<EventRecord>, Vec<JobOutcome>) {
         assigned_jobs: i as u64,
         finished_jobs: i as u64 / 2,
     };
-    let outcome = |i: usize| JobOutcome {
-        id: JobId(i as u64),
-        kind: JobKind::SingleCore,
-        cores: 1,
-        work_hs23: 36_000.5,
-        site: SITES[i % SITES.len()].into(),
+    let record = |i: usize| JobRecord {
         submit_time: i as f64 * 0.1,
+        ..JobRecord::new(i as u64, JobKind::SingleCore, 1, 36_000.5)
+    };
+    let outcome = |i: usize| OutcomeRow {
+        job: i as u32,
+        site: (i % SITES.len()) as u16,
+        final_state: JobState::Finished,
         assign_time: i as f64 * 0.1 + 1.0,
         start_time: i as f64 * 0.1 + 2.5,
         end_time: i as f64 * 0.1 + 3_602.5,
-        final_state: JobState::Finished,
         staged_bytes: 1_000_000 + i as u64,
-        walltime: 3_600.0,
-        queue_time: 2.5,
-        hist_walltime: None,
-        hist_queue_time: None,
     };
-    (
-        (0..events).map(event).collect(),
-        (0..events / 5).map(outcome).collect(),
-    )
+    let jobs = events / 5;
+    let trace = Trace {
+        jobs: (0..jobs).map(record).collect(),
+        ..Trace::default()
+    };
+    let sites: Vec<Arc<str>> = SITES.iter().map(|&name| name.into()).collect();
+    let outcomes = OutcomeTable::new(
+        (0..jobs).map(outcome).collect(),
+        Arc::new(trace),
+        sites.into(),
+    );
+    ((0..events).map(event).collect(), outcomes)
 }
 
 /// Allocations made while writing the whole dataset of `events` records.

@@ -1,55 +1,60 @@
 //! Property-based tests for the monitoring layer.
 
-use cgsim_monitor::event::JobOutcome;
-use cgsim_monitor::{MetricsReport, MonitoringCollector, MonitoringConfig, Table};
-use cgsim_workload::{JobId, JobKind, JobState};
+use std::sync::Arc;
+
+use cgsim_monitor::{
+    MetricsReport, MonitoringCollector, MonitoringConfig, OutcomeRow, OutcomeTable, Table,
+};
+use cgsim_workload::{JobId, JobKind, JobRecord, JobState, Trace};
 use proptest::prelude::*;
 
-fn arb_outcome() -> impl Strategy<Value = JobOutcome> {
-    (
+/// Outcomes at up to five sites, each a record and a row.
+fn arb_outcomes() -> impl Strategy<Value = OutcomeTable> {
+    let outcome = (
         any::<u64>(),
-        0usize..5,
+        0u16..5,
         1u32..9,
         0.0f64..1e5,
         0.0f64..1e4,
         0.0f64..1e5,
         any::<bool>(),
-    )
-        .prop_map(|(id, site, cores, submit, queue, wall, failed)| {
+    );
+    prop::collection::vec(outcome, 0..200).prop_map(|outcomes| {
+        let mut trace = Trace::default();
+        let mut rows = Vec::new();
+        for (id, site, cores, submit, queue, wall, failed) in outcomes {
+            let kind = if cores > 1 {
+                JobKind::MultiCore
+            } else {
+                JobKind::SingleCore
+            };
+            let mut record = JobRecord::new(id, kind, cores, wall * cores as f64);
+            record.submit_time = submit;
             let start = submit + queue;
-            let end = start + wall;
-            JobOutcome {
-                id: JobId(id),
-                kind: if cores > 1 {
-                    JobKind::MultiCore
-                } else {
-                    JobKind::SingleCore
-                },
-                cores,
-                work_hs23: wall * cores as f64,
-                site: format!("SITE-{site}").into(),
-                submit_time: submit,
-                assign_time: submit,
-                start_time: start,
-                end_time: end,
+            rows.push(OutcomeRow {
+                job: trace.jobs.len() as u32,
+                site,
                 final_state: if failed {
                     JobState::Failed
                 } else {
                     JobState::Finished
                 },
+                assign_time: submit,
+                start_time: start,
+                end_time: start + wall,
                 staged_bytes: 1_000,
-                walltime: wall,
-                queue_time: queue,
-                hist_walltime: None,
-                hist_queue_time: None,
-            }
-        })
+            });
+            trace.jobs.push(record);
+        }
+        let sites: Vec<Arc<str>> = (0..5).map(|s| format!("SITE-{s}").into()).collect();
+        OutcomeTable::new(rows, Arc::new(trace), sites.into())
+    })
 }
 
 proptest! {
     /// The metrics report is internally consistent for arbitrary outcome sets.
     #[test]
-    fn metrics_report_is_consistent(outcomes in prop::collection::vec(arb_outcome(), 0..200)) {
+    fn metrics_report_is_consistent(outcomes in arb_outcomes()) {
         let report = MetricsReport::from_outcomes(&outcomes);
         prop_assert_eq!(report.total_jobs as usize, outcomes.len());
         prop_assert_eq!(report.finished_jobs + report.failed_jobs, report.total_jobs);

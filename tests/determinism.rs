@@ -29,11 +29,11 @@ fn identical_seeds_give_identical_runs() {
         assert_eq!(a.engine_events, b.engine_events, "{policy}");
         assert_eq!(a.events.len(), b.events.len(), "{policy}");
         for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.site, y.site);
-            assert_eq!(x.final_state, y.final_state);
-            assert_eq!(x.walltime.to_bits(), y.walltime.to_bits());
-            assert_eq!(x.queue_time.to_bits(), y.queue_time.to_bits());
+            assert_eq!(x.id(), y.id());
+            assert_eq!(x.site(), y.site());
+            assert_eq!(x.final_state(), y.final_state());
+            assert_eq!(x.walltime().to_bits(), y.walltime().to_bits());
+            assert_eq!(x.queue_time().to_bits(), y.queue_time().to_bits());
         }
     }
 }
@@ -46,7 +46,7 @@ fn different_seeds_give_different_runs() {
         .outcomes
         .iter()
         .zip(&b.outcomes)
-        .filter(|(x, y)| x.site == y.site)
+        .filter(|(x, y)| x.site() == y.site())
         .count();
     assert!(
         same_placement < a.outcomes.len(),
@@ -76,6 +76,6 @@ fn trace_generation_is_reproducible_across_save_and_load() {
     let b = run_trace(loaded);
     assert_eq!(a.engine_events, b.engine_events);
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.walltime.to_bits(), y.walltime.to_bits());
+        assert_eq!(x.walltime().to_bits(), y.walltime().to_bits());
     }
 }

@@ -96,7 +96,7 @@ fn conservation_core_seconds_match_walltimes() {
     let from_outcomes: f64 = results
         .outcomes
         .iter()
-        .map(|o| o.walltime * o.cores as f64)
+        .map(|o| o.walltime() * o.cores() as f64)
         .sum();
     let from_metrics: f64 = results
         .metrics
@@ -118,18 +118,17 @@ fn policies_differ_but_both_complete_the_workload() {
     let a = small_run("fastest-available", 250, 31);
     let b = small_run("round-robin", 250, 31);
     assert_eq!(a.outcomes.len(), b.outcomes.len());
-    assert!(a.outcomes.iter().all(|o| o.final_state.is_terminal()));
-    assert!(b.outcomes.iter().all(|o| o.final_state.is_terminal()));
+    assert!(a.outcomes.iter().all(|o| o.final_state().is_terminal()));
+    assert!(b.outcomes.iter().all(|o| o.final_state().is_terminal()));
     let differing = a
         .outcomes
         .iter()
         .zip(&b.outcomes)
-        .filter(|(x, y)| x.site != y.site)
+        .filter(|(x, y)| x.site() != y.site())
         .count();
     assert!(differing > 0, "policies produced identical placements");
     // Round-robin spreads the workload over every site of the 4-site grid.
-    let sites_used: std::collections::HashSet<_> =
-        b.outcomes.iter().map(|o| o.site.clone()).collect();
+    let sites_used: std::collections::HashSet<_> = b.outcomes.iter().map(|o| o.site()).collect();
     assert_eq!(sites_used.len(), 4);
 }
 

@@ -64,7 +64,7 @@ fn multisite_scaling_is_near_linear() {
     );
     for (sites, results) in &points {
         assert_eq!(results.outcomes.len(), sites * 200);
-        let used: HashSet<_> = results.outcomes.iter().map(|o| &o.site).collect();
+        let used: HashSet<_> = results.outcomes.iter().map(|o| o.site()).collect();
         assert_eq!(
             used.len(),
             *sites,

@@ -42,7 +42,10 @@ fn run_smoke(seed: u64) -> SimulationResults {
 fn two_site_fifty_job_simulation_completes() {
     let results = run_smoke(2024);
     assert_eq!(results.outcomes.len(), 50, "every job must terminate");
-    assert!(results.outcomes.iter().all(|o| o.final_state.is_terminal()));
+    assert!(results
+        .outcomes
+        .iter()
+        .all(|o| o.final_state().is_terminal()));
     assert_eq!(results.metrics.total_jobs, 50);
     assert_eq!(results.metrics.failed_jobs, 0);
     assert!(results.makespan_s > 0.0);
@@ -58,9 +61,9 @@ fn two_site_fifty_job_simulation_is_deterministic() {
     assert_eq!(a.engine_events, b.engine_events);
     assert!((a.makespan_s - b.makespan_s).abs() < 1e-12);
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.id, y.id);
-        assert_eq!(x.site, y.site);
-        assert!((x.end_time - y.end_time).abs() < 1e-12);
-        assert!((x.walltime - y.walltime).abs() < 1e-12);
+        assert_eq!(x.id(), y.id());
+        assert_eq!(x.site(), y.site());
+        assert!((x.end_time() - y.end_time()).abs() < 1e-12);
+        assert!((x.walltime() - y.walltime()).abs() < 1e-12);
     }
 }
