@@ -75,13 +75,13 @@ impl SimulationResults {
             let Some(truth) = o.hist_walltime() else {
                 continue;
             };
-            let site = &mut sites[o.site_index()];
+            let (site, walltime) = (&mut sites[o.site_index()], o.walltime());
             let class = match o.kind() {
                 JobKind::SingleCore => &mut site.single_core,
                 JobKind::MultiCore => &mut site.multi_core,
             };
-            class.get_or_insert_default().add(o.walltime(), truth);
-            site.overall.add(o.walltime(), truth);
+            class.get_or_insert_default().add(walltime, truth);
+            site.overall.add(walltime, truth);
             site.jobs += 1;
         }
         names
