@@ -63,13 +63,18 @@ same_as plain ckpt-off "${DEMO[@]}" --checkpoint-interval 0
 # Background repair transfers, overlapped writes and delta shipping; and the
 # features disabled (repair knobs without --repair, zero delta rate,
 # synchronous writes) must not change one byte of the plain faulted +
-# checkpointed run.
+# checkpointed run. Restating the default of every checkpoint and repair
+# flag the heal run leaves unset changes nothing either, so a knob that
+# writes the wrong field fails here.
 echo "gate: determinism (self-healing data layer)"
 FAULTS="outage:site=all,mttf=4h,mttr=30m;diskloss:site=all,mttf=6h;kill:rate=2"
 HEAL=("${DEMO[@]}" --faults "$FAULTS" --fault-seed 7 --checkpoint-interval 30m)
-double_run heal "${HEAL[@]}" --checkpoint-overlap \
-  --checkpoint-delta-bytes-per-s 10000000 \
-  --repair --repair-target 2 --repair-concurrent 4
+HEALING=(--checkpoint-overlap --checkpoint-delta-bytes-per-s 10000000
+  --repair --repair-target 2 --repair-concurrent 4)
+double_run heal "${HEAL[@]}" "${HEALING[@]}"
+same_as heal heal-defaults "${HEAL[@]}" "${HEALING[@]}" \
+  --checkpoint-bytes 2000000000 --checkpoint-per-core-bytes 250000000 \
+  --checkpoint-target site --repair-backoff 300s --repair-retries 5
 cgsim "${HEAL[@]}" --output heal-base > /dev/null
 same_as heal-base heal-off "${HEAL[@]}" --checkpoint-delta-bytes-per-s 0 \
   --repair-target 3 --repair-concurrent 2 --repair-retries 9

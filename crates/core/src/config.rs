@@ -314,22 +314,105 @@ impl ExecutionConfig {
     }
 
     /// Applies the rule of the CLI's duration flags — finite and ≥ 0 — to
-    /// the durations a JSON file or a serve request can set past them:
-    /// `checkpoint.interval_s` and `repair.backoff_s`.
+    /// the durations a JSON file or a serve request can set past them: every
+    /// [`KnobField::Seconds`] row of [`KNOBS`].
     pub fn validate(&self) -> Result<(), SimulationError> {
-        for (knob, seconds) in [
-            ("checkpoint.interval_s", self.checkpoint.interval_s),
-            ("repair.backoff_s", self.repair.backoff_s),
-        ] {
-            if !seconds.is_finite() || seconds < 0.0 {
-                return Err(SimulationError::InvalidScenario(format!(
-                    "{knob} must be non-negative and finite, got {seconds}"
-                )));
+        // The accessors lend `&mut`, so the rows read a copy.
+        let mut copy = self.clone();
+        for knob in KNOBS.into_iter().flatten() {
+            if let KnobField::Seconds(&mut seconds) = (knob.field)(&mut copy) {
+                if !seconds.is_finite() || seconds < 0.0 {
+                    return Err(SimulationError::InvalidScenario(format!(
+                        "{} must be non-negative and finite, got {seconds}",
+                        knob.path
+                    )));
+                }
             }
         }
         Ok(())
     }
 }
+
+/// The field a [`Knob`] writes; the variant is the kind of value it parses.
+#[derive(Debug)]
+pub enum KnobField<'a> {
+    /// A duration with an optional `s`/`m`/`h`/`d` suffix, finite and ≥ 0.
+    Seconds(&'a mut f64),
+    /// A non-negative integer.
+    U64(&'a mut u64),
+    /// A non-negative 32-bit integer.
+    U32(&'a mut u32),
+    /// A switch: given without a value, it sets the field to `true`.
+    Switch(&'a mut bool),
+    /// `site` or `main`.
+    Target(&'a mut CheckpointTarget),
+}
+
+/// One execution knob: a `cgsim` flag and the field it overrides.
+#[derive(Debug)]
+pub struct Knob {
+    /// The flag name, without its `--`.
+    pub flag: &'static str,
+    /// The field's path in `execution.json`.
+    pub path: &'static str,
+    /// The field.
+    pub field: for<'a> fn(&'a mut ExecutionConfig) -> KnobField<'a>,
+}
+
+impl Knob {
+    /// Parses `value` by the knob's kind and writes it into `execution`; a
+    /// switch takes only the empty value, so a token after it is refused.
+    pub fn apply(&self, execution: &mut ExecutionConfig, value: &str) -> Result<(), String> {
+        let flag = self.flag;
+        let not = |kind: &str| format!("--{flag} '{value}' is not {kind}");
+        match (self.field)(execution) {
+            KnobField::Seconds(field) => {
+                *field =
+                    cgsim_faults::parse_duration(value).map_err(|e| format!("--{flag}: {e}"))?
+            }
+            KnobField::U64(field) => *field = value.parse().map_err(|_| not("a count"))?,
+            KnobField::U32(field) => *field = value.parse().map_err(|_| not("a 32-bit count"))?,
+            KnobField::Switch(field) if value.is_empty() => *field = true,
+            KnobField::Switch(_) => return Err(not("empty (the flag is a switch)")),
+            KnobField::Target(field) if value == "site" => *field = CheckpointTarget::SiteStorage,
+            KnobField::Target(field) if value == "main" => *field = CheckpointTarget::MainServer,
+            KnobField::Target(_) => return Err(not("site or main")),
+        }
+        Ok(())
+    }
+}
+
+/// Every execution knob, one row each, in the three groups of `cgsim`'s usage
+/// text: the checkpoint, repair and monitoring flags.
+#[rustfmt::skip]
+pub const KNOBS: [&[Knob]; 3] = {
+    use KnobField::*;
+    const fn knob(flag: &'static str, path: &'static str, field: for<'a> fn(&'a mut ExecutionConfig) -> KnobField<'a>) -> Knob {
+        Knob { flag, path, field }
+    }
+    [
+        &[
+            knob("checkpoint-interval", "checkpoint.interval_s", |e| Seconds(&mut e.checkpoint.interval_s)),
+            knob("checkpoint-bytes", "checkpoint.base_bytes", |e| U64(&mut e.checkpoint.base_bytes)),
+            knob("checkpoint-per-core-bytes", "checkpoint.bytes_per_core", |e| U64(&mut e.checkpoint.bytes_per_core)),
+            knob("checkpoint-target", "checkpoint.target", |e| Target(&mut e.checkpoint.target)),
+            knob("checkpoint-overlap", "checkpoint.overlap", |e| Switch(&mut e.checkpoint.overlap)),
+            knob("checkpoint-delta-bytes-per-s", "checkpoint.delta_bytes_per_s", |e| U64(&mut e.checkpoint.delta_bytes_per_s)),
+        ],
+        &[
+            knob("repair", "repair.enabled", |e| Switch(&mut e.repair.enabled)),
+            knob("repair-target", "repair.target_factor", |e| U32(&mut e.repair.target_factor)),
+            knob("repair-concurrent", "repair.max_concurrent", |e| U32(&mut e.repair.max_concurrent)),
+            knob("repair-backoff", "repair.backoff_s", |e| Seconds(&mut e.repair.backoff_s)),
+            knob("repair-retries", "repair.max_retries", |e| U32(&mut e.repair.max_retries)),
+        ],
+        &[
+            knob("max-events", "monitoring.max_events", |e| U64(&mut e.monitoring.max_events)),
+            knob("sample-stride", "monitoring.sample_stride", |e| U64(&mut e.monitoring.sample_stride)),
+            knob("window", "monitoring.window_s", |e| Seconds(&mut e.monitoring.window_s)),
+        ],
+    ]
+};
 
 /// The full three-part simulation configuration of the paper's input layer:
 /// infrastructure + network (both inside [`PlatformSpec`]) and execution
@@ -539,14 +622,74 @@ mod tests {
                 },
                 ..ExecutionConfig::default()
             };
+            let mut window = ExecutionConfig::default();
+            window.monitoring.window_s = bad;
             for (config, knob) in [
                 (checkpoint, "checkpoint.interval_s"),
                 (repair, "repair.backoff_s"),
+                (window, "monitoring.window_s"),
             ] {
                 let Err(SimulationError::InvalidScenario(msg)) = config.validate() else {
                     panic!("{knob} = {bad} accepted");
                 };
                 assert!(msg.starts_with(knob), "{msg}");
+            }
+        }
+    }
+
+    /// The `.`-joined paths of the leaves at which `a` and `b` differ.
+    fn changed_leaves(a: &serde_json::Value, b: &serde_json::Value, path: &str) -> Vec<String> {
+        match (a.as_object(), b.as_object()) {
+            (Some(a), Some(b)) => a
+                .iter()
+                .flat_map(|(key, value)| {
+                    let path = if path.is_empty() {
+                        key.clone()
+                    } else {
+                        format!("{path}.{key}")
+                    };
+                    changed_leaves(value, b.get(key).expect("same shape"), &path)
+                })
+                .collect(),
+            _ if a != b => vec![path.to_string()],
+            _ => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn every_knob_parses_its_kind_and_writes_only_its_own_path() {
+        assert_eq!(KNOBS.map(<[Knob]>::len), [6, 5, 3]);
+        let defaults = serde_json::to_value(&ExecutionConfig::default()).unwrap();
+        for knob in KNOBS.into_iter().flatten() {
+            // The kind's edge values; the last one differs from the default.
+            let u64_max = u64::MAX.to_string();
+            let u32_max = u32::MAX.to_string();
+            let edges: &[&str] = match (knob.field)(&mut ExecutionConfig::default()) {
+                KnobField::Seconds(_) => &["0", "1d"],
+                KnobField::U64(_) => &["0", &u64_max],
+                KnobField::U32(_) => &["0", &u32_max],
+                KnobField::Switch(_) => &[""],
+                KnobField::Target(_) => &["site", "main"],
+            };
+            let mut execution = ExecutionConfig::default();
+            for value in edges {
+                knob.apply(&mut execution, value)
+                    .unwrap_or_else(|e| panic!("--{} {value:?}: {e}", knob.flag));
+            }
+            let applied = serde_json::to_value(&execution).unwrap();
+            assert_eq!(
+                changed_leaves(&defaults, &applied, ""),
+                [knob.path],
+                "--{}",
+                knob.flag
+            );
+            for junk in ["x", "-1", "-1s"] {
+                let err = knob
+                    .apply(&mut ExecutionConfig::default(), junk)
+                    .expect_err(junk);
+                assert_eq!(err.lines().count(), 1, "{err}");
+                let named = err.split([' ', ':']).next().unwrap();
+                assert_eq!(named, format!("--{}", knob.flag), "{err}");
             }
         }
     }

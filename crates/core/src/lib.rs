@@ -52,8 +52,8 @@ pub mod scenario;
 pub mod simulation;
 
 pub use config::{
-    CheckpointConfig, CheckpointTarget, ComputeMode, ExecutionConfig, RepairConfig,
-    SimulationConfig,
+    CheckpointConfig, CheckpointTarget, ComputeMode, ExecutionConfig, Knob, KnobField,
+    RepairConfig, SimulationConfig, KNOBS,
 };
 pub use queue_model::QueueModel;
 pub use results::SimulationResults;

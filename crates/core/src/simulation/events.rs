@@ -30,7 +30,7 @@ pub(super) enum GridEvent {
     /// successor — so an exhausted workload stops fault processing by
     /// cancelling a single pending event.
     Fault(u32),
-    /// A repair-backoff timer for a dataset (by index) elapses; the repair
+    /// A repair backoff timer for a dataset (by index) elapses; the repair
     /// planner re-examines the dataset's replication deficit. Only scheduled
     /// when re-replication is enabled.
     RepairRetry(u32),

@@ -171,8 +171,8 @@ fn positive_duration(text: &str, key: &str) -> Result<f64, String> {
 }
 
 /// Parses a duration: a number with an optional `s`/`m`/`h`/`d` suffix
-/// (plain numbers are seconds). Shared with the CLI's checkpoint-interval
-/// flag, hence public.
+/// (plain numbers are seconds). Shared with the duration knobs of the
+/// `cgsim` command line, hence public.
 pub fn parse_duration(text: &str) -> Result<f64, String> {
     let text = text.trim();
     let (number, multiplier) = match text.chars().last() {

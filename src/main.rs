@@ -21,7 +21,7 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cgsim::core::{SimulationBuilder, SimulationError};
+use cgsim::core::{Knob, SimulationBuilder, SimulationError, KNOBS};
 use cgsim::obs::TraceTarget;
 use cgsim::prelude::*;
 
@@ -32,19 +32,20 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     type Command = fn(&HashMap<String, String>) -> Result<(), String>;
-    let (flags, run): (&[&str], Command) = match command.as_str() {
-        "init" => (INIT_FLAGS, cmd_init),
-        "simulate" => (SIMULATE_FLAGS, cmd_simulate),
-        "demo" => (DEMO_FLAGS, cmd_demo),
-        "serve" => (SERVE_FLAGS, cmd_serve),
-        "trace-check" => (TRACE_CHECK_FLAGS, cmd_trace_check),
-        "policies" => (&[], |_| {
+    let (flags, knobs, run): (&[&str], &[&[Knob]], Command) = match command.as_str() {
+        "init" => (INIT_FLAGS, &[], cmd_init),
+        "simulate" => (SIMULATE_FLAGS, &KNOBS, cmd_simulate),
+        "demo" => (DEMO_FLAGS, &KNOBS, cmd_demo),
+        // The checkpoint and repair groups: serve runs unmonitored.
+        "serve" => (SERVE_FLAGS, &KNOBS[..2], cmd_serve),
+        "trace-check" => (TRACE_CHECK_FLAGS, &[], cmd_trace_check),
+        "policies" => (&[], &[], |_| {
             for name in PolicyRegistry::with_builtins().names() {
                 println!("{name}");
             }
             Ok(())
         }),
-        "--help" | "-h" | "help" => (&[], |_| {
+        "--help" | "-h" | "help" => (&[], &[], |_| {
             println!("{USAGE}");
             Ok(())
         }),
@@ -53,7 +54,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = parse_options(command, &args[1..], flags).and_then(|options| run(&options));
+    let result = parse_options(command, &args[1..], flags, knobs).and_then(|options| run(&options));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
@@ -70,13 +71,14 @@ USAGE:
     cgsim simulate  --platform <platform.json> --execution <execution.json>
                     --trace <trace.jsonl> [--output <DIR>] [--policy NAME]
                     [--faults SPEC] [--fault-seed N] [CHECKPOINT FLAGS]
-                    [OBSERVABILITY FLAGS]
+                    [REPAIR FLAGS] [MONITORING FLAGS] [OBSERVABILITY FLAGS]
     cgsim demo      [--sites N] [--jobs N] [--policy NAME] [--seed N] [--output DIR]
                     [--faults SPEC] [--fault-seed N] [--stream] [CHECKPOINT FLAGS]
-                    [MONITORING FLAGS] [OBSERVABILITY FLAGS]
+                    [REPAIR FLAGS] [MONITORING FLAGS] [OBSERVABILITY FLAGS]
     cgsim serve     --platform <platform.json> --execution <execution.json>
                     --trace <trace.jsonl> [--listen HOST:PORT]
                     [--cache-capacity N] [--no-cache] [--serial]
+                    [CHECKPOINT FLAGS] [REPAIR FLAGS]
     cgsim trace-check  [--jsonl <trace.jsonl>] [--chrome <trace.json>]
                     validate trace files against the record schema (CI gate)
     cgsim policies            list the registered allocation policies
@@ -119,6 +121,8 @@ into the engine without materialising the trace):
                              0 = unbounded, the default)
     --sample-stride <n>      keep one of every n event records
     --window <dur>           windowed metrics of this width (e.g. 1h)
+    Either of the first two zeroes ml_dataset.csv's two *_at_assign features
+    for every job whose Assigned event record was dropped.
 
 CHECKPOINT FLAGS (override the execution config; interval 0 disables):
     --checkpoint-interval <dur>    checkpoint every <dur> of completed work
@@ -145,43 +149,23 @@ off and the results byte-identical):
                                    abandoned (default 5)
 ";
 
-// The flags each command declares, as groups of space-separated names (the
-// ones `USAGE` documents, plus the execution-config overrides `serve` shares
-// with `simulate`); anything else on its command line is an error, not a
-// silently ignored token.
-const CHECKPOINT_FLAGS: &str = "checkpoint-interval checkpoint-bytes checkpoint-per-core-bytes \
-    checkpoint-target checkpoint-overlap checkpoint-delta-bytes-per-s";
-const REPAIR_FLAGS: &str = "repair repair-target repair-concurrent repair-backoff repair-retries";
-const MONITORING_FLAGS: &str = "max-events sample-stride window";
+// The flags each command declares besides its execution knobs (`KNOBS`), as
+// groups of space-separated names; anything else on its command line is an
+// error, not a silently ignored token.
 const OBSERVABILITY_FLAGS: &str = "trace-out trace-format trace-filter profile";
 const INPUT_FLAGS: &str = "platform execution trace policy";
 const RESULT_FLAGS: &str = "output faults fault-seed";
 const INIT_FLAGS: &[&str] = &["dir sites jobs seed"];
-const SIMULATE_FLAGS: &[&str] = &[
-    INPUT_FLAGS,
-    RESULT_FLAGS,
-    CHECKPOINT_FLAGS,
-    REPAIR_FLAGS,
-    MONITORING_FLAGS,
-    OBSERVABILITY_FLAGS,
-];
+const SIMULATE_FLAGS: &[&str] = &[INPUT_FLAGS, RESULT_FLAGS, OBSERVABILITY_FLAGS];
 const DEMO_FLAGS: &[&str] = &[
     "sites jobs policy seed stream trace",
     RESULT_FLAGS,
-    CHECKPOINT_FLAGS,
-    REPAIR_FLAGS,
-    MONITORING_FLAGS,
     OBSERVABILITY_FLAGS,
 ];
-const SERVE_FLAGS: &[&str] = &[
-    INPUT_FLAGS,
-    "listen cache-capacity no-cache serial",
-    CHECKPOINT_FLAGS,
-    REPAIR_FLAGS,
-];
+const SERVE_FLAGS: &[&str] = &[INPUT_FLAGS, "listen cache-capacity no-cache serial"];
 const TRACE_CHECK_FLAGS: &[&str] = &["jsonl chrome"];
 /// Flags that never take a value, so a bare token after one is stray.
-const SWITCHES: &str = "stream repair checkpoint-overlap no-cache serial";
+const SWITCHES: &str = "stream no-cache serial";
 
 /// Whether `name` is one of the space-separated names in `group`.
 fn names(group: &str, name: &str) -> bool {
@@ -194,6 +178,7 @@ fn parse_options(
     command: &str,
     args: &[String],
     declared: &[&str],
+    knobs: &[&[Knob]],
 ) -> Result<HashMap<String, String>, String> {
     let mut options = HashMap::new();
     let mut iter = args.iter().peekable();
@@ -201,7 +186,8 @@ fn parse_options(
         let Some(name) = token.strip_prefix("--") else {
             return Err(format!("unexpected argument '{token}'"));
         };
-        if !declared.iter().any(|group| names(group, name)) {
+        let knob = |group: &&[Knob]| group.iter().any(|knob| knob.flag == name);
+        if !declared.iter().any(|group| names(group, name)) && !knobs.iter().any(knob) {
             return Err(format!("`cgsim {command}` has no flag --{name}"));
         }
         // A following `--token` is the next flag, not this one's value, so
@@ -294,69 +280,18 @@ fn build_platform(spec: &PlatformSpec) -> Result<Platform, String> {
     Platform::build(spec).map_err(|e| SimulationError::from(e).to_string())
 }
 
-/// Applies every execution-config override flag that is present: the
-/// `--checkpoint-*` flags; the `--repair*` flags, of which only the `--repair`
-/// switch enables the planner — the knob flags tune it without turning it on,
-/// so knobs passed alongside a disabled planner leave the simulation
-/// byte-identical (a CI determinism gate relies on this); and the
-/// bounded-monitoring flags (`--max-events`, `--sample-stride`, `--window`)
-/// that scale campaigns need, unbounded event records being the one per-job
-/// O(jobs) retention the simulator otherwise keeps.
-fn apply_execution_flags(
+/// `execution` with every knob flag on the command line applied, validated.
+fn with_knobs(
     options: &HashMap<String, String>,
-    execution: &mut ExecutionConfig,
-) -> Result<(), String> {
-    if let Some(interval) = options.get("checkpoint-interval") {
-        execution.checkpoint.interval_s = cgsim::faults::parse_duration(interval)?;
+    mut execution: ExecutionConfig,
+) -> Result<ExecutionConfig, String> {
+    for knob in KNOBS.into_iter().flatten() {
+        if let Some(value) = options.get(knob.flag) {
+            knob.apply(&mut execution, value)?;
+        }
     }
-    if let Some(bytes) = parsed(options, "checkpoint-bytes", "a byte count")? {
-        execution.checkpoint.base_bytes = bytes;
-    }
-    if let Some(bytes) = parsed(options, "checkpoint-per-core-bytes", "a byte count")? {
-        execution.checkpoint.bytes_per_core = bytes;
-    }
-    if let Some(target) = options.get("checkpoint-target") {
-        execution.checkpoint.target = match target.as_str() {
-            "site" => CheckpointTarget::SiteStorage,
-            "main" => CheckpointTarget::MainServer,
-            other => {
-                return Err(format!(
-                    "--checkpoint-target must be site or main, got {other}"
-                ))
-            }
-        };
-    }
-    if options.contains_key("checkpoint-overlap") {
-        execution.checkpoint.overlap = true;
-    }
-    if let Some(rate) = parsed(options, "checkpoint-delta-bytes-per-s", "a byte rate")? {
-        execution.checkpoint.delta_bytes_per_s = rate;
-    }
-    if let Some(cap) = parsed(options, "max-events", "a count")? {
-        execution.monitoring.max_events = cap;
-    }
-    if let Some(stride) = parsed(options, "sample-stride", "a count")? {
-        execution.monitoring.sample_stride = stride;
-    }
-    if let Some(window) = options.get("window") {
-        execution.monitoring.window_s = cgsim::faults::parse_duration(window)?;
-    }
-    if options.contains_key("repair") {
-        execution.repair.enabled = true;
-    }
-    if let Some(target) = parsed(options, "repair-target", "a replica count")? {
-        execution.repair.target_factor = target;
-    }
-    if let Some(limit) = parsed(options, "repair-concurrent", "a transfer count")? {
-        execution.repair.max_concurrent = limit;
-    }
-    if let Some(backoff) = options.get("repair-backoff") {
-        execution.repair.backoff_s = cgsim::faults::parse_duration(backoff)?;
-    }
-    if let Some(retries) = parsed(options, "repair-retries", "a retry count")? {
-        execution.repair.max_retries = retries;
-    }
-    Ok(())
+    execution.validate().map_err(|e| e.to_string())?;
+    Ok(execution)
 }
 
 /// `cgsim trace-check`: validate trace files for the CI trace gate.
@@ -381,7 +316,7 @@ fn cmd_trace_check(options: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Loads the three input files `simulate` and `serve` share; the returned
-/// execution config has the override flags applied and is validated.
+/// execution config has the knob flags applied and is validated.
 fn load_inputs(
     options: &HashMap<String, String>,
 ) -> Result<(SimulationConfig, Trace, ExecutionConfig), String> {
@@ -396,9 +331,7 @@ fn load_inputs(
     let config =
         SimulationConfig::load(platform_path, execution_path).map_err(|e| e.to_string())?;
     let trace = Trace::load_jsonl(trace_path).map_err(|e| e.to_string())?;
-    let mut execution = config.execution.clone();
-    apply_execution_flags(options, &mut execution)?;
-    execution.validate().map_err(|e| e.to_string())?;
+    let execution = with_knobs(options, config.execution.clone())?;
     Ok((config, trace, execution))
 }
 
@@ -482,8 +415,7 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
     );
     let platform = build_platform(&platform_spec)?;
     let faults = fault_plan(options, &platform, jobs)?;
-    let mut execution = ExecutionConfig::with_policy(&policy);
-    apply_execution_flags(options, &mut execution)?;
+    let execution = with_knobs(options, ExecutionConfig::with_policy(&policy))?;
     let builder = Simulation::builder().platform(platform);
     // `--stream` feeds the generator's iterator straight into the engine:
     // no trace is materialised, peak memory drops to one record per job.

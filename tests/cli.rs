@@ -5,9 +5,12 @@
 //! non-zero with a one-line `error:` — the
 //! simulator never silently runs something other than what was asked. And
 //! when a run outlasts its fault plan, stderr says so; the usage text lists
-//! every `--trace-filter` category the parser accepts.
+//! every `--trace-filter` category the parser accepts and every execution
+//! knob, and each command's synopsis names the knob groups it takes.
 
 use std::process::{Command, Output, Stdio};
+
+use cgsim::core::{ExecutionConfig, Knob, KnobField, KNOBS};
 
 fn cgsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cgsim"))
@@ -100,6 +103,7 @@ fn stray_positional_tokens_are_rejected() {
     assert_rejected(&["demo", "extra"], "'extra'");
     // A switch takes no value, so the token after it is stray too.
     assert_rejected(&["demo", "--stream", "500"], "'500'");
+    assert_rejected(&["demo", "--repair", "500"], "--repair '500' is not empty");
 }
 
 #[test]
@@ -119,13 +123,26 @@ fn every_documented_flag_is_still_accepted() {
     };
     let inputs = "--platform DIR/run/platform.json --execution DIR/run/execution.json \
                   --trace DIR/run/trace.jsonl";
-    let knobs = "--policy round-robin --faults kill:rate=2 --fault-seed 3 \
-                 --checkpoint-interval 10m --checkpoint-bytes 1000000 \
-                 --checkpoint-per-core-bytes 1000 --checkpoint-target main \
-                 --checkpoint-overlap --checkpoint-delta-bytes-per-s 1000 \
-                 --repair --repair-target 2 --repair-concurrent 2 --repair-backoff 60s \
-                 --repair-retries 3 --max-events 100 --sample-stride 2 --window 1h \
-                 --trace-format jsonl --trace-filter job,ckpt";
+    // Every execution knob of the given groups, with one value of its kind.
+    let knob_args = |groups: &[&[Knob]]| -> String {
+        let mut args = String::new();
+        for knob in groups.iter().copied().flatten() {
+            let value = match (knob.field)(&mut ExecutionConfig::default()) {
+                KnobField::Seconds(_) => " 10m",
+                KnobField::U64(_) => " 100",
+                KnobField::U32(_) => " 2",
+                KnobField::Switch(_) => "",
+                KnobField::Target(_) => " main",
+            };
+            args += &format!(" --{}{value}", knob.flag);
+        }
+        args
+    };
+    let knobs = format!(
+        "--policy round-robin --faults kill:rate=2 --fault-seed 3 \
+         --trace-format jsonl --trace-filter job,ckpt{}",
+        knob_args(&KNOBS)
+    );
     ok("init --dir DIR/run --sites 3 --jobs 40 --seed 5");
     ok(&format!(
         "simulate {inputs} {knobs} --trace-out DIR/sim.jsonl --output DIR/sim --profile"
@@ -138,39 +155,61 @@ fn every_documented_flag_is_still_accepted() {
     ok("policies");
     ok("help");
     // `serve` answers an empty stdin session and exits; `--listen` is left
-    // out because it would bind a socket and wait.
+    // out because it would bind a socket and wait. Serve runs unmonitored, so
+    // it takes the checkpoint and repair groups only.
     ok(&format!(
-        "serve {inputs} --cache-capacity 8 --serial --no-cache"
+        "serve {inputs} --cache-capacity 8 --serial --no-cache{}",
+        knob_args(&KNOBS[..2])
     ));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn an_execution_file_is_held_to_the_duration_flags_rule() {
-    // `--checkpoint-interval -60` is refused when parsed; the same value
-    // written into execution.json is refused before the run.
+    // `--checkpoint-interval -60` and `--window -1` are refused when parsed;
+    // the same values written into execution.json are refused before the run.
     let dir = std::env::temp_dir().join(format!("cgsim-cli-interval-{}", std::process::id()));
     let dir_arg = dir.to_string_lossy().into_owned();
     let init = cgsim(&["init", "--dir", &dir_arg, "--sites", "2", "--jobs", "10"]);
     assert!(init.status.success(), "{init:?}");
     let path = dir.join("execution.json");
-    let mut execution =
-        cgsim::core::ExecutionConfig::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    execution.checkpoint.interval_s = -60.0;
-    std::fs::write(&path, execution.to_json()).unwrap();
+    let defaults = std::fs::read_to_string(&path).unwrap();
     let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
-    assert_rejected(
-        &[
-            "simulate",
-            "--platform",
-            &file("platform.json"),
-            "--execution",
-            &file("execution.json"),
-            "--trace",
-            &file("trace.jsonl"),
-        ],
-        "checkpoint.interval_s must be non-negative and finite, got -60",
-    );
+    for (field, value, what) in [
+        (
+            "interval_s",
+            "-60",
+            "checkpoint.interval_s must be non-negative and finite, got -60",
+        ),
+        (
+            "window_s",
+            "-1",
+            "monitoring.window_s must be non-negative and finite, got -1",
+        ),
+        // No finite `f64` is this large: it parses as +inf.
+        (
+            "window_s",
+            "1e309",
+            "monitoring.window_s must be non-negative and finite, got inf",
+        ),
+    ] {
+        let default = format!("\"{field}\": 0.0");
+        assert_eq!(defaults.matches(&default).count(), 1, "{default}");
+        let text = defaults.replace(&default, &format!("\"{field}\": {value}"));
+        std::fs::write(&path, text).unwrap();
+        assert_rejected(
+            &[
+                "simulate",
+                "--platform",
+                &file("platform.json"),
+                "--execution",
+                &file("execution.json"),
+                "--trace",
+                &file("trace.jsonl"),
+            ],
+            what,
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -251,4 +290,48 @@ fn the_usage_text_lists_every_trace_category() {
         usage.contains(&list),
         "`cgsim help` does not list the --trace-filter categories {list}"
     );
+    // Every execution knob is documented, and each command's synopsis names
+    // exactly the knob groups the command declares.
+    for knob in KNOBS.into_iter().flatten() {
+        let flag = format!("--{}", knob.flag);
+        assert!(
+            usage.split_whitespace().any(|word| word == flag),
+            "`cgsim help` does not document {flag}"
+        );
+    }
+    // Each command's synopsis: its `cgsim <command>` line and the deeper
+    // indented lines that continue it, up to the end of the USAGE block.
+    let mut synopses: Vec<(String, String)> = Vec::new();
+    for line in usage
+        .lines()
+        .skip_while(|line| *line != "USAGE:")
+        .skip(1)
+        .take_while(|line| !line.is_empty())
+    {
+        match line.trim_start().strip_prefix("cgsim ") {
+            Some(rest) if line.starts_with("    cgsim") => {
+                let command = rest.split_whitespace().next().unwrap();
+                synopses.push((command.to_string(), line.to_string()));
+            }
+            _ => synopses.last_mut().unwrap().1 += line,
+        }
+    }
+    assert!(synopses.len() >= 6, "{synopses:?}");
+    for (command, synopsis) in &synopses {
+        // The usage text's names of the three `KNOBS` groups.
+        for (group, name) in KNOBS.iter().zip(["CHECKPOINT", "REPAIR", "MONITORING"]) {
+            // A command declares a group when the parser takes the group's
+            // first flag; the run then fails later, on the value "x".
+            let probe = cgsim(&[command, &format!("--{}", group[0].flag), "x"]);
+            let stderr = String::from_utf8_lossy(&probe.stderr);
+            let declared = !stderr.contains("has no flag");
+            let named = synopsis.contains(&format!("[{name} FLAGS]"));
+            assert_eq!(
+                declared, named,
+                "`cgsim {command}` declares {} FLAGS: {declared}, its synopsis names them: \
+                 {named}\n{synopsis}",
+                name
+            );
+        }
+    }
 }
