@@ -153,4 +153,14 @@ double_run scale demo --sites 12 --jobs 100000 --seed 42 --policy least-loaded -
   --checkpoint-interval 20m --checkpoint-overlap --checkpoint-delta-bytes-per-s 10000000 \
   --max-events 10000 --sample-stride 100 --window 1h
 
+# Bounding the event table thins events.csv and nothing else: each job's
+# outcome keeps the site state of its dispatch, so a bounded run's ML
+# dataset, jobs table and results are the unbounded run's, byte for byte.
+echo "gate: bounded monitoring keeps the per-job outputs"
+BOUNDED=(demo --sites 12 --jobs 20000 --seed 42 --policy least-loaded --stream)
+cgsim "${BOUNDED[@]}" --output unbounded > /dev/null
+cgsim "${BOUNDED[@]}" --max-events 1000 --sample-stride 10 --output bounded > /dev/null
+for file in ml_dataset.csv jobs.csv results.json; do cmp unbounded/$file bounded/$file; done
+rm -r unbounded bounded
+
 echo "all gates passed; deterministic outputs in $PWD"

@@ -58,7 +58,7 @@ pub use config::{
 pub use queue_model::QueueModel;
 pub use results::SimulationResults;
 pub use scenario::{
-    serve_loop, ResponseCache, ScenarioBase, ScenarioDelta, ScenarioEngine, ScenarioOutcome,
-    ScenarioSpec, ServeRequest,
+    serve_loop, ResponseCache, ScenarioBase, ScenarioEngine, ScenarioOutcome, ScenarioSpec,
+    ServeRequest,
 };
 pub use simulation::{Simulation, SimulationBuilder, SimulationError};

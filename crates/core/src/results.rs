@@ -205,7 +205,8 @@ mod tests {
                 job: i as u32,
                 site: if site == "A" { 0 } else { 1 },
                 final_state: JobState::Finished,
-                assign_time: 1.0,
+                available_cores_at_assign: 10,
+                queue_at_assign: 0,
                 start_time: 2.0,
                 end_time: 2.0 + sim,
                 staged_bytes: 100,

@@ -11,8 +11,8 @@
 //! * [`ScenarioSpec`] — one runnable scenario: a base reference plus the
 //!   cheap deltas (execution config, `--faults` spec text and fault seed —
 //!   the same fault input the CLI takes),
-//! * [`ScenarioDelta`] — the serialisable delta shape used by the JSONL
-//!   `cgsim serve` protocol: every field optional, resolved against the
+//! * [`ServeRequest`] — one request of the JSONL `cgsim serve` protocol:
+//!   a serialisable delta, every field optional, resolved against the
 //!   server's base execution config,
 //! * [`ScenarioEngine`] — batch evaluation over the self-scheduling worker
 //!   pool with exact response memoisation ([`ResponseCache`]),
@@ -34,13 +34,11 @@ pub mod serve;
 
 use std::sync::Arc;
 
+use crate::config::ExecutionConfig;
+use crate::simulation::SimulationError;
 use cgsim_faults::FaultPlan;
 use cgsim_platform::{Platform, PlatformSpec};
 use cgsim_workload::Trace;
-use serde::{Deserialize, Serialize};
-
-use crate::config::{CheckpointConfig, ExecutionConfig, RepairConfig};
-use crate::simulation::SimulationError;
 
 pub use cache::{Response, ResponseCache};
 pub use engine::{ScenarioEngine, ScenarioOutcome};
@@ -204,63 +202,10 @@ impl ScenarioSpec {
     }
 }
 
-/// The serialisable scenario delta of the `cgsim serve` JSONL protocol.
-///
-/// Every field is optional; absent (or `null`) fields inherit the server's
-/// base execution configuration. Because the canonical hash is computed from
-/// the *resolved* [`ScenarioSpec`] — never from the request text — two
-/// requests spelling the same scenario differently (field order, explicit
-/// `null`s, explicitly restating a default) share one cache entry.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioDelta {
-    /// Allocation policy name (registry key).
-    #[serde(default)]
-    pub policy: Option<String>,
-    /// Master RNG seed.
-    #[serde(default)]
-    pub seed: Option<u64>,
-    /// Fault spec text (CLI `--faults` grammar; empty string = no faults).
-    #[serde(default)]
-    pub faults: Option<String>,
-    /// Fault-generation seed (CLI `--fault-seed`).
-    #[serde(default)]
-    pub fault_seed: Option<u64>,
-    /// Checkpoint/restart policy override.
-    #[serde(default)]
-    pub checkpoint: Option<CheckpointConfig>,
-    /// Fault-aware re-replication (repair planner) override.
-    #[serde(default)]
-    pub repair: Option<RepairConfig>,
-}
-
-impl ScenarioDelta {
-    /// Resolves the delta against a shared base and a base execution config.
-    pub fn resolve(&self, base: &Arc<ScenarioBase>, execution: &ExecutionConfig) -> ScenarioSpec {
-        let mut execution = execution.clone();
-        if let Some(policy) = &self.policy {
-            execution.allocation_policy = policy.clone();
-        }
-        if let Some(seed) = self.seed {
-            execution.seed = seed;
-        }
-        if let Some(checkpoint) = &self.checkpoint {
-            execution.checkpoint = checkpoint.clone();
-        }
-        if let Some(repair) = &self.repair {
-            execution.repair = repair.clone();
-        }
-        let mut spec = ScenarioSpec::new(base.clone(), execution);
-        spec.faults = self.faults.clone();
-        if let Some(fault_seed) = self.fault_seed {
-            spec.fault_seed = fault_seed;
-        }
-        spec
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{CheckpointConfig, RepairConfig};
     use cgsim_faults::{parse_fault_spec, FaultTopology};
     use cgsim_platform::presets::example_platform;
     use cgsim_workload::{TraceConfig, TraceGenerator};
@@ -335,14 +280,14 @@ mod tests {
     fn canonical_hash_golden() {
         let base = base();
         let plain = ScenarioSpec::new(base.clone(), ExecutionConfig::default());
-        let delta = ScenarioDelta {
+        let delta = ServeRequest {
             policy: Some("round-robin".into()),
             checkpoint: Some(CheckpointConfig::every(600.0)),
             repair: Some(RepairConfig {
                 enabled: true,
                 ..RepairConfig::default()
             }),
-            ..ScenarioDelta::default()
+            ..ServeRequest::default()
         };
         let hashes = [
             plain.canonical_hash(),
@@ -374,10 +319,10 @@ mod tests {
             seed: 11,
             ..ExecutionConfig::default()
         };
-        let delta = ScenarioDelta {
+        let delta = ServeRequest {
             policy: Some("round-robin".into()),
             checkpoint: Some(CheckpointConfig::every(600.0)),
-            ..ScenarioDelta::default()
+            ..ServeRequest::default()
         };
         let spec = delta.resolve(&base, &execution);
         assert_eq!(spec.execution.allocation_policy, "round-robin");
@@ -385,7 +330,7 @@ mod tests {
         assert_eq!(spec.execution.checkpoint.interval_s, 600.0);
         assert_eq!(spec.fault_seed, DEFAULT_FAULT_SEED);
         // An empty delta is exactly the base scenario.
-        let identity = ScenarioDelta::default().resolve(&base, &execution);
+        let identity = ServeRequest::default().resolve(&base, &execution);
         assert_eq!(
             identity.canonical_hash(),
             ScenarioSpec::new(base.clone(), execution.clone()).canonical_hash()

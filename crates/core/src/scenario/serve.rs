@@ -7,7 +7,7 @@
 //! `BufRead`/`Write`, so the CLI drives it over stdin/stdout or a TCP
 //! stream and tests/examples drive it in-process.
 //!
-//! Request fields (all optional; see [`ScenarioDelta`]):
+//! Request fields (all optional; see [`ServeRequest`]):
 //!
 //! ```json
 //! {"id": "q1", "policy": "round-robin", "seed": 7,
@@ -62,9 +62,15 @@ use serde_json::{Map, Value};
 
 use crate::config::{CheckpointConfig, ExecutionConfig, RepairConfig};
 use crate::results::SimulationResults;
-use crate::scenario::{ScenarioBase, ScenarioDelta, ScenarioEngine, ScenarioOutcome, ScenarioSpec};
+use crate::scenario::{ScenarioBase, ScenarioEngine, ScenarioOutcome, ScenarioSpec};
 
 /// One JSONL request: a scenario delta plus protocol envelope fields.
+///
+/// Every field is optional; absent (or `null`) delta fields inherit the
+/// server's base execution configuration. Because the canonical hash is
+/// computed from the *resolved* [`ScenarioSpec`] — never from the request
+/// text — two requests spelling the same scenario differently (field order,
+/// explicit `null`s, explicitly restating a default) share one cache entry.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeRequest {
     /// Client-chosen identifier, echoed back in the response.
@@ -107,16 +113,35 @@ pub struct ServeRequest {
 }
 
 impl ServeRequest {
-    /// The scenario delta carried by this request.
-    pub fn delta(&self) -> ScenarioDelta {
-        ScenarioDelta {
-            policy: self.policy.clone(),
-            seed: self.seed,
-            faults: self.faults.clone(),
-            fault_seed: self.fault_seed,
-            checkpoint: self.checkpoint.clone(),
-            repair: self.repair.clone(),
+    /// The request itself: its delta fields are the scenario delta. Kept
+    /// for callers of the two-step `request.delta().resolve(..)` form (the
+    /// `benchmark/` package); new code calls [`ServeRequest::resolve`].
+    pub fn delta(&self) -> &Self {
+        self
+    }
+
+    /// Resolves the request's delta fields against a shared base and a base
+    /// execution config; the envelope fields play no part.
+    pub fn resolve(&self, base: &Arc<ScenarioBase>, execution: &ExecutionConfig) -> ScenarioSpec {
+        let mut execution = execution.clone();
+        if let Some(policy) = &self.policy {
+            execution.allocation_policy = policy.clone();
         }
+        if let Some(seed) = self.seed {
+            execution.seed = seed;
+        }
+        if let Some(checkpoint) = &self.checkpoint {
+            execution.checkpoint = checkpoint.clone();
+        }
+        if let Some(repair) = &self.repair {
+            execution.repair = repair.clone();
+        }
+        let mut spec = ScenarioSpec::new(base.clone(), execution);
+        spec.faults = self.faults.clone();
+        if let Some(fault_seed) = self.fault_seed {
+            spec.fault_seed = fault_seed;
+        }
+        spec
     }
 }
 
@@ -262,13 +287,13 @@ pub fn serve_loop<R: BufRead, W: Write>(
                         None => match trace_target(req) {
                             Err(message) => Planned::Error(message),
                             Ok(Some(target)) => {
-                                traced.push((req.delta().resolve(base, execution), target));
+                                traced.push((req.resolve(base, execution), target));
                                 Planned::Traced {
                                     index: traced.len() - 1,
                                 }
                             }
                             Ok(None) => {
-                                specs.push(req.delta().resolve(base, execution));
+                                specs.push(req.resolve(base, execution));
                                 Planned::Scenario {
                                     index: specs.len() - 1,
                                 }
@@ -702,9 +727,9 @@ not json
 
         let (base, execution) = setup();
         let results_of = |policy: Option<&str>| {
-            let delta = ScenarioDelta {
+            let delta = ServeRequest {
                 policy: policy.map(str::to_string),
-                ..ScenarioDelta::default()
+                ..ServeRequest::default()
             };
             ScenarioEngine::new()
                 .evaluate(&delta.resolve(&base, &execution))
@@ -860,13 +885,13 @@ true
                 "backoff_s":60.0,"max_retries":3}}"#,
         )
         .unwrap();
-        let spec = request.delta().resolve(&base, &execution);
+        let spec = request.resolve(&base, &execution);
         assert!(spec.execution.repair.enabled);
         assert_eq!(spec.execution.repair.target_factor, 3);
         assert_eq!(spec.execution.repair.backoff_s, 60.0);
         // Partial overrides inherit the remaining knob defaults.
         let partial: ServeRequest = serde_json::from_str(r#"{"repair":{"enabled":true}}"#).unwrap();
-        let partial = partial.delta().resolve(&base, &execution);
+        let partial = partial.resolve(&base, &execution);
         assert!(partial.execution.repair.enabled);
         assert_eq!(partial.execution.repair.max_concurrent, 4);
         // The override reaches the cache key: distinct scenario from the base.

@@ -5,6 +5,7 @@ use cgsim_des::{Context, SimTime};
 use cgsim_monitor::dashboard::SitePanel;
 use cgsim_monitor::OutcomeRow;
 use cgsim_obs::{SpanPhase, TraceCategory};
+use cgsim_platform::SiteId;
 use cgsim_workload::JobState;
 
 use super::events::GridEvent;
@@ -12,36 +13,36 @@ use super::job_runtime::NO_SLOT;
 use super::GridModel;
 
 impl GridModel {
-    /// Reports a job state transition to the monitoring collector.
-    pub(super) fn record(&mut self, now: SimTime, idx: usize, state: JobState) {
+    /// Reports a job state transition to the monitoring collector and the
+    /// tracer. Returns the site state the event row records: the cores free
+    /// at the job's site and the jobs queued there (at the main server for a
+    /// job at no site, with 0 cores).
+    pub(super) fn record(&mut self, now: SimTime, idx: usize, state: JobState) -> (u64, u64) {
         let job_id = self.trace.jobs[idx].id;
-        let (site_index, avail, queued) = match self.jobs[idx].site() {
+        let site = self.jobs[idx].site();
+        let (avail, queued) = match site {
             Some(site) => (
-                Some(site.index()),
                 self.sites[site.index()].available_cores,
                 self.sites[site.index()].queue.len() as u64,
             ),
-            None => (None, 0, self.pending.len() as u64),
+            None => (0, self.pending.len() as u64),
         };
+        let site_index = site.map(SiteId::index);
         self.collector
             .record_transition(now.as_secs(), job_id, state, site_index, avail, queued);
         if let (JobState::Finished, Some(s)) = (state, site_index) {
             self.view.sites[s].finished_jobs = self.collector.site_counters(s).finished;
         }
-        if let Some(t) = self.tracer.as_mut() {
-            if t.wants(TraceCategory::Job) {
-                let site = site_index.map(|s| self.platform.sites()[s].name.as_str());
-                t.emit(
-                    now.as_secs(),
-                    TraceCategory::Job,
-                    SpanPhase::Instant,
-                    &format!("state.{}", state.label()),
-                    Some(job_id.0),
-                    site,
-                    None,
-                );
-            }
-        }
+        self.trace(
+            now.as_secs(),
+            TraceCategory::Job,
+            SpanPhase::Instant,
+            state.trace_kind(),
+            Some(idx),
+            site,
+            |_| None,
+        );
+        (avail, queued)
     }
 
     /// Records the terminal state, outcome, and frees resources, then lets
@@ -67,7 +68,7 @@ impl GridModel {
         idx: usize,
         state: JobState,
         ctx: &mut Context<'_, GridEvent>,
-    ) -> cgsim_platform::SiteId {
+    ) -> SiteId {
         let now = ctx.now();
         let site = self.jobs[idx].site().expect("terminal job has a site");
         self.release_cores(idx, site);
@@ -92,7 +93,8 @@ impl GridModel {
             job: idx as u32,
             site: u16::try_from(site.index()).expect("`build` refuses platforms past u16 sites"),
             final_state: state,
-            assign_time: self.jobs[idx].assign_time,
+            available_cores_at_assign: self.jobs[idx].available_cores_at_assign,
+            queue_at_assign: self.jobs[idx].queue_at_assign,
             start_time,
             end_time: now.as_secs(),
             staged_bytes,

@@ -71,38 +71,31 @@ impl GridModel {
         self.handle_completed_activities(completed, ctx);
 
         let action = self.fault_plan[index].action;
-        if let Some(t) = self.tracer.as_mut() {
-            if t.wants(TraceCategory::Fault) {
-                let (kind, info) = match action {
-                    FaultAction::SiteDown { site } => ("fault.site_down", format!("site={site}")),
-                    FaultAction::SiteUp { site } => ("fault.site_up", format!("site={site}")),
-                    FaultAction::NodeLoss { site, fraction } => (
-                        "fault.node_loss",
-                        format!("site={site} fraction={fraction}"),
-                    ),
-                    FaultAction::NodeRestore { site } => {
-                        ("fault.node_restore", format!("site={site}"))
-                    }
-                    FaultAction::DiskLoss { site } => ("fault.disk_loss", format!("site={site}")),
-                    FaultAction::LinkDegrade { link, factor } => {
-                        ("fault.link_degrade", format!("link={link} factor={factor}"))
-                    }
-                    FaultAction::LinkRestore { link } => {
-                        ("fault.link_restore", format!("link={link}"))
-                    }
-                    FaultAction::KillJob { job } => ("fault.kill_job", format!("job={job}")),
-                };
-                t.emit(
-                    now.as_secs(),
-                    TraceCategory::Fault,
-                    SpanPhase::Instant,
-                    kind,
-                    None,
-                    None,
-                    Some(info),
-                );
-            }
-        }
+        let kind = match action {
+            FaultAction::SiteDown { .. } => "fault.site_down",
+            FaultAction::SiteUp { .. } => "fault.site_up",
+            FaultAction::NodeLoss { .. } => "fault.node_loss",
+            FaultAction::NodeRestore { .. } => "fault.node_restore",
+            FaultAction::DiskLoss { .. } => "fault.disk_loss",
+            FaultAction::LinkDegrade { .. } => "fault.link_degrade",
+            FaultAction::LinkRestore { .. } => "fault.link_restore",
+            FaultAction::KillJob { .. } => "fault.kill_job",
+        };
+        let (cat, ph) = (TraceCategory::Fault, SpanPhase::Instant);
+        self.trace(now.as_secs(), cat, ph, kind, None, None, |_| {
+            Some(match action {
+                FaultAction::SiteDown { site }
+                | FaultAction::SiteUp { site }
+                | FaultAction::NodeRestore { site }
+                | FaultAction::DiskLoss { site } => format!("site={site}"),
+                FaultAction::NodeLoss { site, fraction } => {
+                    format!("site={site} fraction={fraction}")
+                }
+                FaultAction::LinkDegrade { link, factor } => format!("link={link} factor={factor}"),
+                FaultAction::LinkRestore { link } => format!("link={link}"),
+                FaultAction::KillJob { job } => format!("job={job}"),
+            })
+        });
         match action {
             FaultAction::SiteDown { site } if site < self.sites.len() => {
                 let site = SiteId::new(site);

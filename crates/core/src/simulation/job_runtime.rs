@@ -10,7 +10,7 @@
 //! where a finished activity is routed to its owner's next step.
 //!
 //! A job's state is split by lifetime: [`JobRuntime`] lasts the run (one per
-//! job, beside its record in the shared trace) and is kept to 32 bytes;
+//! job, beside its record in the shared trace) and is kept to 28 bytes;
 //! [`AttemptRecord`] lasts from the job's first tenure of cores to its
 //! terminal state and holds what must survive a kill; [`RunState`] lasts one
 //! tenure of cores and an attempt's progress dies with it. The last two live
@@ -98,7 +98,11 @@ pub(super) struct JobRuntime {
     /// The job's attempt record: taken by its first `admit_front`, returned
     /// when it reaches a terminal state, [`NO_SLOT`] outside that span.
     pub(super) attempt: SlotId,
-    pub(super) assign_time: f64,
+    /// Cores free and jobs queued at the job's site when `dispatch` last
+    /// sent it there: the values of that dispatch's `Assigned` event row,
+    /// kept for the outcome whether or not the event table keeps the row.
+    pub(super) available_cores_at_assign: u32,
+    pub(super) queue_at_assign: u32,
 }
 
 impl JobRuntime {
@@ -110,7 +114,8 @@ impl JobRuntime {
             dataset: NO_DATASET,
             slot: NO_SLOT,
             attempt: NO_SLOT,
-            assign_time: 0.0,
+            available_cores_at_assign: 0,
+            queue_at_assign: 0,
         }
     }
 

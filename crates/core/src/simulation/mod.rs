@@ -33,7 +33,7 @@
 //! | store | holds | size | written by |
 //! |---|---|---|---|
 //! | `trace: Arc<Trace>` | the job records | one per job | nobody — borrowed for the run, possibly shared with other runs; a record stream is collected into one at `start` |
-//! | `jobs: Vec<JobRuntime>` | state, site, dataset, assign time, run and attempt slot ids (≤ 32 B) | one per job, same index | the lifecycle modules |
+//! | `jobs: Vec<JobRuntime>` | state, site, dataset, site state at assignment, run and attempt slot ids (≤ 28 B) | one per job, same index | the lifecycle modules |
 //! | `attempts: Slots<AttemptRecord>` | start time, staged bytes, both retry counters, durable checkpoints | one per job that holds or has held cores, until it is terminal | taken in `admit_front`, returned in `finalize_no_restart`, reached through `attempt` / `attempt_mut` |
 //! | `running: Slots<RunState>` | timer, activities, running-list links, segment and checkpoint-write progress | one per job *holding cores* | taken in `admit_front`, returned in `release_cores`, reached through `run` / `run_mut` |
 //!
@@ -498,6 +498,10 @@ impl SimulationBuilder {
             }
         };
         check_indexable("the platform", platform.sites().len(), u16::MAX.into())?;
+        // Outcomes keep the cores a site had free at assignment as a `u32`.
+        let cores = platform.sites().iter().map(|s| s.total_cores).max();
+        let cores = usize::try_from(cores.unwrap_or(0)).unwrap_or(usize::MAX);
+        check_indexable("the largest site's core pool", cores, u32::MAX as usize)?;
         if let TraceSource::Shared(trace) = &trace {
             check_indexable("the trace", trace.jobs.len(), JOB_INDICES)?;
         }
@@ -526,8 +530,8 @@ impl SimulationBuilder {
 /// (`u32::MAX` itself means "no job").
 const JOB_INDICES: usize = u32::MAX as usize;
 
-/// Refuses a list of `len` jobs, fault events or sites when more than
-/// `limit` of them cannot all be indexed.
+/// Refuses a list of `len` jobs, fault events, sites or a site's cores when
+/// more than `limit` of them cannot all be indexed.
 fn check_indexable(what: &str, len: usize, limit: usize) -> Result<(), SimulationError> {
     if len > limit {
         return Err(SimulationError::InvalidScenario(format!(

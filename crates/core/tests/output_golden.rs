@@ -129,7 +129,9 @@ fn a_streamed_run_with_bounded_monitoring_writes_the_recorded_bytes() {
         [
             0x8cc2_1d46_1e54_e21c,
             0xb695_bd57_2a1b_15b8,
-            0x3ea6_98ec_f8d9_729e,
+            // The unbounded run's `ml_dataset.csv`: each outcome keeps the
+            // site state of its dispatch whatever the event table drops.
+            0xd08e_cc74_10f0_e266,
             0xea5c_f9f2_c076_fd69,
             0xda0e_836d_dce3_d8d9,
             0x8745_a907_96e6_872d,

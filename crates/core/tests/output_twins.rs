@@ -15,10 +15,15 @@
 //! store, field by field from the trace and the row, and computes the
 //! metrics report and the ML examples from those owned outcomes, grouped by
 //! site name, as the code before the join did.
+//!
+//! The ML examples' site state used to come from joining each outcome to
+//! its job's last `Assigned` event row at export time; the run now captures
+//! it in the row at dispatch. On the faulted run, where every transition is
+//! recorded, that old join is the reference each captured pair is held to.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use cgsim_core::{CheckpointConfig, ExecutionConfig, Simulation, SimulationResults};
@@ -86,7 +91,8 @@ mod reference {
         pub work_hs23: f64,
         pub site: Arc<str>,
         pub submit_time: f64,
-        pub assign_time: f64,
+        pub available_cores_at_assign: u32,
+        pub queue_at_assign: u32,
         pub start_time: f64,
         pub end_time: f64,
         pub final_state: JobState,
@@ -118,7 +124,8 @@ mod reference {
                     work_hs23: record.work_hs23,
                     site: Arc::clone(&table.site_names()[row.site as usize]),
                     submit_time,
-                    assign_time: row.assign_time,
+                    available_cores_at_assign: row.available_cores_at_assign,
+                    queue_at_assign: row.queue_at_assign,
                     start_time: row.start_time,
                     end_time: row.end_time,
                     final_state: row.final_state,
@@ -203,37 +210,36 @@ mod reference {
         }
     }
 
-    /// The ML examples over owned outcomes, joined to the last `Assigned`
-    /// event of each job.
-    pub fn ml_examples(
-        outcomes: &[JobOutcome],
-        events: &[EventRecord],
-    ) -> Vec<mldataset::MlExample> {
-        let mut assign_state = std::collections::HashMap::new();
-        for e in events.iter().filter(|e| e.state == JobState::Assigned) {
-            assign_state.insert(e.job_id, (e.available_cores, e.pending_jobs));
-        }
+    /// The ML examples over owned outcomes.
+    pub fn ml_examples(outcomes: &[JobOutcome]) -> Vec<mldataset::MlExample> {
         outcomes
             .iter()
-            .map(|o| {
-                let (avail, queue) = assign_state.get(&o.id).copied().unwrap_or((0, 0));
-                mldataset::MlExample {
-                    job_id: o.id.0,
-                    is_multicore: if o.kind == JobKind::MultiCore {
-                        1.0
-                    } else {
-                        0.0
-                    },
-                    cores: o.cores as f64,
-                    work_hs23: o.work_hs23,
-                    staged_bytes: o.staged_bytes as f64,
-                    site_available_cores_at_assign: avail as f64,
-                    site_queue_at_assign: queue as f64,
-                    submit_time: o.submit_time,
-                    target_queue_time: o.queue_time,
-                    target_walltime: o.walltime,
-                }
+            .map(|o| mldataset::MlExample {
+                job_id: o.id.0,
+                is_multicore: if o.kind == JobKind::MultiCore {
+                    1.0
+                } else {
+                    0.0
+                },
+                cores: o.cores as f64,
+                work_hs23: o.work_hs23,
+                staged_bytes: o.staged_bytes as f64,
+                site_available_cores_at_assign: o.available_cores_at_assign as f64,
+                site_queue_at_assign: o.queue_at_assign as f64,
+                submit_time: o.submit_time,
+                target_queue_time: o.queue_time,
+                target_walltime: o.walltime,
             })
+            .collect()
+    }
+
+    /// Each job's last `Assigned` event row: where the ML dataset's site
+    /// state came from when the export joined the event table.
+    pub fn last_assigned(events: &[EventRecord]) -> HashMap<JobId, &EventRecord> {
+        events
+            .iter()
+            .filter(|e| e.state == JobState::Assigned)
+            .map(|e| (e.job_id, e))
             .collect()
     }
 
@@ -609,16 +615,22 @@ fn record(id: u64, multi: bool, cores: u32, work: f64, submit: f64) -> JobRecord
 fn outcomes() -> impl Strategy<Value = (Arc<Trace>, OutcomeTable)> {
     let job = (
         (counters(), any::<bool>(), any::<u32>(), floats()),
-        (floats(), floats(), floats(), floats()),
-        (any::<u16>(), states(), counters()),
+        (floats(), floats(), floats()),
+        (
+            any::<u16>(),
+            states(),
+            counters(),
+            (any::<u32>(), any::<u32>()),
+        ),
     )
         .prop_map(
-            |((id, multi, cores, work), (submit, assign, start, end), (site, state, staged))| {
+            |((id, multi, cores, work), (submit, start, end), (site, state, staged, at_assign))| {
                 let row = OutcomeRow {
                     job: 0,
                     site,
                     final_state: state,
-                    assign_time: assign,
+                    available_cores_at_assign: at_assign.0,
+                    queue_at_assign: at_assign.1,
                     start_time: start,
                     end_time: end,
                     staged_bytes: staged,
@@ -656,19 +668,20 @@ fn run_like_outcomes() -> impl Strategy<Value = (Arc<Trace>, OutcomeTable, Vec<E
                     } else {
                         JobState::Finished
                     },
-                    assign_time: start - queue / 2.0,
+                    available_cores_at_assign: (staged % 1_000) as u32,
+                    queue_at_assign: pick as u32,
                     start_time: start,
                     end_time: start + wall,
                     staged_bytes: staged,
                 };
                 let assigned = (pick < 3).then(|| EventRecord {
                     event_id: id,
-                    time_s: row.assign_time,
+                    time_s: start - queue / 2.0,
                     job_id: JobId(id),
                     state: JobState::Assigned,
                     site: "".into(),
-                    available_cores: staged % 1_000,
-                    pending_jobs: pick as u64,
+                    available_cores: row.available_cores_at_assign.into(),
+                    pending_jobs: row.queue_at_assign.into(),
                     assigned_jobs: 0,
                     finished_jobs: 0,
                 });
@@ -726,13 +739,14 @@ fn views_match(outcomes: &OutcomeTable, owned: &[reference::JobOutcome]) -> bool
             let floats = [
                 (v.work_hs23(), o.work_hs23),
                 (v.submit_time(), o.submit_time),
-                (v.assign_time(), o.assign_time),
                 (v.start_time(), o.start_time),
                 (v.end_time(), o.end_time),
                 (v.walltime(), o.walltime),
                 (v.queue_time(), o.queue_time),
             ];
             (v.id(), v.kind(), v.cores(), v.site()) == (o.id, o.kind, o.cores, &*o.site)
+                && (v.available_cores_at_assign(), v.queue_at_assign())
+                    == (o.available_cores_at_assign, o.queue_at_assign)
                 && (v.final_state(), v.staged_bytes()) == (o.final_state, o.staged_bytes)
                 && bits(v.hist_walltime()) == bits(o.hist_walltime)
                 && bits(v.hist_queue_time()) == bits(o.hist_queue_time)
@@ -763,7 +777,7 @@ proptest! {
             prop_assert_eq!(streamed.to_csv(), table.to_csv(), "table {}", name);
         }
         let examples = mldataset::build_examples(&outcomes, &events);
-        let owned_examples = reference::ml_examples(&owned, &events);
+        let owned_examples = reference::ml_examples(&owned);
         prop_assert_eq!(mldataset::to_csv(&examples), reference::ml_csv(&owned_examples));
     }
 
@@ -785,7 +799,7 @@ proptest! {
         prop_assert_eq!(store.get("site_summary").unwrap().to_csv(), tables["site_summary"].to_csv());
         prop_assert_eq!(store.get("jobs").unwrap().to_csv(), tables["jobs"].to_csv());
         let examples = mldataset::build_examples(&outcomes, &events);
-        let owned_examples = reference::ml_examples(&owned, &events);
+        let owned_examples = reference::ml_examples(&owned);
         prop_assert_eq!(format!("{examples:?}"), format!("{owned_examples:?}"));
     }
 }
@@ -838,7 +852,22 @@ fn every_file_of_an_output_directory_matches_its_reference() {
     assert!(views_match(&results.outcomes, &owned));
     let metrics = reference::metrics(&owned);
     assert_eq!(format!("{:?}", results.metrics), format!("{metrics:?}"));
-    let examples = reference::ml_examples(&owned, &results.events);
+    // Every transition is recorded, so each outcome's captured site state is
+    // its last `Assigned` event row's, and that row falls between the job's
+    // submission and its start.
+    let assigned = reference::last_assigned(&results.events);
+    for o in &owned {
+        let assign = assigned[&o.id];
+        let captured = (o.available_cores_at_assign, o.queue_at_assign);
+        assert_eq!(
+            (assign.available_cores, assign.pending_jobs),
+            (captured.0.into(), captured.1.into()),
+            "{o:?}"
+        );
+        assert!(assign.time_s >= o.submit_time - 1e-9, "{o:?}");
+        assert!(o.start_time >= assign.time_s - 1e-9, "{o:?}");
+    }
+    let examples = reference::ml_examples(&owned);
     let mut expected: BTreeMap<String, String> = BTreeMap::from([
         ("dashboard.html".into(), results.html_dashboard()),
         ("results.json".into(), results.deterministic_json()),

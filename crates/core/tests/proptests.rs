@@ -67,10 +67,19 @@ proptest! {
         prop_assert_eq!(results.outcomes.len(), jobs);
         let ids: std::collections::HashSet<_> = results.outcomes.iter().map(|o| o.id()).collect();
         prop_assert_eq!(ids.len(), jobs);
+        // Every transition is recorded, so a job's last `Assigned` row is
+        // its last dispatch.
+        let assigned: std::collections::HashMap<_, _> = results
+            .events
+            .iter()
+            .filter(|e| e.state == JobState::Assigned)
+            .map(|e| (e.job_id, e.time_s))
+            .collect();
         for o in &results.outcomes {
             prop_assert!(o.final_state().is_terminal());
-            prop_assert!(o.assign_time() >= o.submit_time() - 1e-9);
-            prop_assert!(o.start_time() >= o.assign_time() - 1e-9);
+            let assign_time = assigned[&o.id()];
+            prop_assert!(assign_time >= o.submit_time() - 1e-9);
+            prop_assert!(o.start_time() >= assign_time - 1e-9);
             prop_assert!(o.end_time() >= o.start_time() - 1e-9);
             prop_assert!(o.walltime() >= 0.0);
             prop_assert!(o.queue_time() >= -1e-9);

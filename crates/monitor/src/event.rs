@@ -52,8 +52,10 @@ pub struct OutcomeRow {
     pub site: u16,
     /// Terminal state (finished or failed).
     pub final_state: JobState,
-    /// Time the job was dispatched to a site (s).
-    pub assign_time: f64,
+    /// Cores free at the job's site when it was last dispatched there.
+    pub available_cores_at_assign: u32,
+    /// Jobs waiting in that site's queue at the same moment.
+    pub queue_at_assign: u32,
     /// Time execution started (s).
     pub start_time: f64,
     /// Time the job reached a terminal state (s).
@@ -228,9 +230,14 @@ impl<'a> OutcomeView<'a> {
         }
     }
 
-    /// Time the job was dispatched to a site (s).
-    pub fn assign_time(self) -> f64 {
-        self.row.assign_time
+    /// Cores free at the job's site when it was last dispatched there.
+    pub fn available_cores_at_assign(self) -> u32 {
+        self.row.available_cores_at_assign
+    }
+
+    /// Jobs waiting in that site's queue at the same moment.
+    pub fn queue_at_assign(self) -> u32 {
+        self.row.queue_at_assign
     }
 
     /// Time execution started (s).
@@ -289,8 +296,8 @@ pub(crate) mod tests {
     use super::*;
 
     /// A table of one outcome per `(kind, cores, site, submit, start, end,
-    /// state)`; job `i` is the table's `i`-th record, id `i + 1`, assigned a
-    /// second after submission, with 1000 staged bytes.
+    /// state)`; job `i` is the table's `i`-th record, id `i + 1`, assigned
+    /// with 420 cores free and 7 jobs queued, with 1000 staged bytes.
     #[allow(clippy::type_complexity)]
     pub(crate) fn table(
         sites: &[&str],
@@ -306,7 +313,8 @@ pub(crate) mod tests {
                 job: i as u32,
                 site: site as u16,
                 final_state: state,
-                assign_time: submit + 1.0,
+                available_cores_at_assign: 420,
+                queue_at_assign: 7,
                 start_time: start,
                 end_time: end,
                 staged_bytes: 1_000,
@@ -345,7 +353,11 @@ pub(crate) mod tests {
         );
         assert_eq!((o.site(), o.site_index()), ("DESY-ZN", 1));
         assert_eq!((o.walltime(), o.queue_time()), (3600.0, 65.0));
-        assert_eq!((o.assign_time(), o.staged_bytes()), (1.0, 1_000));
+        assert_eq!(
+            (o.available_cores_at_assign(), o.queue_at_assign()),
+            (420, 7)
+        );
+        assert_eq!(o.staged_bytes(), 1_000);
         assert!(o.succeeded());
         assert_eq!(o.core_seconds(), 3600.0);
         assert_eq!(t.iter().len(), 1);

@@ -3,13 +3,14 @@
 //! CGSim "automatically generates an event-level statistics dataset from each
 //! run that can be directly used to train machine learning models" (§1); the
 //! companion work trains AI surrogate models on exactly this kind of data.
-//! This module flattens the event-level records and per-job outcomes into
-//! numeric feature rows suitable for supervised training (e.g. predicting
-//! walltime or queue time from job and site features). The job features
-//! (class, cores, work, submit time) are read from each outcome's trace
-//! record through its [`OutcomeView`](crate::event::OutcomeView), the
-//! targets derived from its row, and the site state from the job's
-//! `Assigned` event.
+//! This module flattens the per-job outcomes into numeric feature rows
+//! suitable for supervised training (e.g. predicting walltime or queue time
+//! from job and site features). The job features (class, cores, work, submit
+//! time) are read from each outcome's trace record through its
+//! [`OutcomeView`](crate::event::OutcomeView), the targets derived from its
+//! row, and the site state from the pair its row captured when the job was
+//! last dispatched — the values of that dispatch's `Assigned` event, kept
+//! whether or not the event table keeps the event.
 //!
 //! Rows are written by the crate's one CSV row encoder, the one behind the
 //! [`crate::store`] tables: cells go into a reused buffer of about 64 KB
@@ -42,9 +43,9 @@ pub struct MlExample {
     pub work_hs23: f64,
     /// Bytes staged over the network.
     pub staged_bytes: f64,
-    /// Site available-core count at assignment time (0 when unknown).
+    /// Site available-core count at assignment time.
     pub site_available_cores_at_assign: f64,
-    /// Site queue depth at assignment time (0 when unknown).
+    /// Site queue depth at assignment time.
     pub site_queue_at_assign: f64,
     /// Submission time within the run (s).
     pub submit_time: f64,
@@ -54,38 +55,26 @@ pub struct MlExample {
     pub target_walltime: f64,
 }
 
-/// Builds ML examples by joining job outcomes with the event-level dataset
-/// (the `Assigned` event provides the site-state features), one per
-/// outcome in completion order.
-pub fn build_examples(outcomes: &OutcomeTable, events: &[EventRecord]) -> Vec<MlExample> {
-    use std::collections::HashMap;
-    let mut assign_state: HashMap<u64, (u64, u64)> = HashMap::with_capacity(outcomes.len());
-    for e in events {
-        if e.state == cgsim_workload::JobState::Assigned {
-            assign_state.insert(e.job_id.0, (e.available_cores, e.pending_jobs));
-        }
-    }
+/// Builds one ML example per outcome, in completion order. `_events` is
+/// not read: each outcome's row carries its site state at assignment.
+pub fn build_examples(outcomes: &OutcomeTable, _events: &[EventRecord]) -> Vec<MlExample> {
     outcomes
         .iter()
-        .map(|o| {
-            let id = o.id().0;
-            let (avail, queue) = assign_state.get(&id).copied().unwrap_or((0, 0));
-            MlExample {
-                job_id: id,
-                is_multicore: if o.kind() == JobKind::MultiCore {
-                    1.0
-                } else {
-                    0.0
-                },
-                cores: o.cores() as f64,
-                work_hs23: o.work_hs23(),
-                staged_bytes: o.staged_bytes() as f64,
-                site_available_cores_at_assign: avail as f64,
-                site_queue_at_assign: queue as f64,
-                submit_time: o.submit_time(),
-                target_queue_time: o.queue_time(),
-                target_walltime: o.walltime(),
-            }
+        .map(|o| MlExample {
+            job_id: o.id().0,
+            is_multicore: if o.kind() == JobKind::MultiCore {
+                1.0
+            } else {
+                0.0
+            },
+            cores: o.cores() as f64,
+            work_hs23: o.work_hs23(),
+            staged_bytes: o.staged_bytes() as f64,
+            site_available_cores_at_assign: o.available_cores_at_assign().into(),
+            site_queue_at_assign: o.queue_at_assign().into(),
+            submit_time: o.submit_time(),
+            target_queue_time: o.queue_time(),
+            target_walltime: o.walltime(),
         })
         .collect()
 }
@@ -127,9 +116,10 @@ pub fn to_csv(examples: &[MlExample]) -> String {
 mod tests {
     use super::*;
     use crate::event::tests::table;
-    use cgsim_workload::{JobId, JobState};
+    use cgsim_workload::JobState;
 
-    /// Jobs 1..=n: 8-core, submitted at 100 s, run 150..1000 s at BNL.
+    /// Jobs 1..=n: 8-core, submitted at 100 s, run 150..1000 s at BNL,
+    /// assigned with 420 cores free and 7 jobs queued.
     fn outcomes(n: usize) -> OutcomeTable {
         let job = (
             JobKind::MultiCore,
@@ -143,23 +133,9 @@ mod tests {
         table(&["BNL"], &vec![job; n])
     }
 
-    fn assign_event(id: u64) -> EventRecord {
-        EventRecord {
-            event_id: 1,
-            time_s: 110.0,
-            job_id: JobId(id),
-            state: JobState::Assigned,
-            site: "BNL".into(),
-            available_cores: 420,
-            pending_jobs: 7,
-            assigned_jobs: 1,
-            finished_jobs: 0,
-        }
-    }
-
     #[test]
-    fn examples_join_outcomes_with_assign_events() {
-        let examples = build_examples(&outcomes(1), &[assign_event(1)]);
+    fn examples_read_the_site_state_each_row_captured() {
+        let examples = build_examples(&outcomes(1), &[]);
         assert_eq!(examples.len(), 1);
         let e = &examples[0];
         assert_eq!(e.job_id, 1);
@@ -171,14 +147,8 @@ mod tests {
     }
 
     #[test]
-    fn missing_assign_event_defaults_to_zero_features() {
-        let examples = build_examples(&outcomes(1), &[]);
-        assert_eq!(examples[0].site_available_cores_at_assign, 0.0);
-    }
-
-    #[test]
     fn csv_has_header_and_matching_columns() {
-        let examples = build_examples(&outcomes(2), &[assign_event(1)]);
+        let examples = build_examples(&outcomes(2), &[]);
         let csv = to_csv(&examples);
         let lines: Vec<_> = csv.lines().collect();
         assert_eq!(lines.len(), 3);

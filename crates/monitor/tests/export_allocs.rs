@@ -74,7 +74,8 @@ fn records(events: usize) -> (Vec<EventRecord>, OutcomeTable) {
         job: i as u32,
         site: (i % SITES.len()) as u16,
         final_state: JobState::Finished,
-        assign_time: i as f64 * 0.1 + 1.0,
+        available_cores_at_assign: 0,
+        queue_at_assign: 0,
         start_time: i as f64 * 0.1 + 2.5,
         end_time: i as f64 * 0.1 + 3_602.5,
         staged_bytes: 1_000_000 + i as u64,

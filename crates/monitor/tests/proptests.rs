@@ -39,7 +39,8 @@ fn arb_outcomes() -> impl Strategy<Value = OutcomeTable> {
                 } else {
                     JobState::Finished
                 },
-                assign_time: submit,
+                available_cores_at_assign: 0,
+                queue_at_assign: 0,
                 start_time: start,
                 end_time: start + wall,
                 staged_bytes: 1_000,

@@ -83,13 +83,19 @@ impl JobState {
 
     /// Lower-case label as it appears in the event-level dataset (Table 1).
     pub fn label(self) -> &'static str {
+        &self.trace_kind()["state.".len()..]
+    }
+
+    /// Kind of the trace instant that records a transition to this state:
+    /// `state.` and the [`label`](Self::label).
+    pub fn trace_kind(self) -> &'static str {
         match self {
-            JobState::Pending => "pending",
-            JobState::Assigned => "assigned",
-            JobState::Staging => "staging",
-            JobState::Running => "running",
-            JobState::Finished => "finished",
-            JobState::Failed => "failed",
+            JobState::Pending => "state.pending",
+            JobState::Assigned => "state.assigned",
+            JobState::Staging => "state.staging",
+            JobState::Running => "state.running",
+            JobState::Finished => "state.finished",
+            JobState::Failed => "state.failed",
         }
     }
 }
@@ -214,6 +220,20 @@ mod tests {
         assert_eq!(JobState::Finished.label(), "finished");
         assert_eq!(JobState::Pending.to_string(), "pending");
         assert_eq!(JobKind::MultiCore.label(), "multi");
+    }
+
+    #[test]
+    fn each_trace_kind_is_the_state_label_prefixed() {
+        use JobState::*;
+        let states = [Pending, Assigned, Staging, Running, Finished, Failed];
+        let labels = states.map(JobState::label);
+        assert_eq!(
+            labels,
+            ["pending", "assigned", "staging", "running", "finished", "failed"]
+        );
+        for state in states {
+            assert_eq!(state.trace_kind(), format!("state.{}", state.label()));
+        }
     }
 
     #[test]

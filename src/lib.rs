@@ -68,8 +68,8 @@ pub mod prelude {
     pub use cgsim_calibrate::{Calibrator, SensitivityStudy};
     pub use cgsim_core::{
         serve_loop, CheckpointConfig, CheckpointTarget, ComputeMode, ExecutionConfig, QueueModel,
-        RepairConfig, ScenarioBase, ScenarioDelta, ScenarioEngine, ScenarioSpec, ServeRequest,
-        Simulation, SimulationConfig, SimulationResults,
+        RepairConfig, ScenarioBase, ScenarioEngine, ScenarioSpec, ServeRequest, Simulation,
+        SimulationConfig, SimulationResults,
     };
     pub use cgsim_data::SourceSelection;
     pub use cgsim_des::SimTime;

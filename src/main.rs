@@ -121,8 +121,6 @@ into the engine without materialising the trace):
                              0 = unbounded, the default)
     --sample-stride <n>      keep one of every n event records
     --window <dur>           windowed metrics of this width (e.g. 1h)
-    Either of the first two zeroes ml_dataset.csv's two *_at_assign features
-    for every job whose Assigned event record was dropped.
 
 CHECKPOINT FLAGS (override the execution config; interval 0 disables):
     --checkpoint-interval <dur>    checkpoint every <dur> of completed work
@@ -217,6 +215,16 @@ fn parsed<T: std::str::FromStr>(
                 .map_err(|_| format!("--{key} '{v}' is not {what}"))
         })
         .transpose()
+}
+
+/// The `--policy` name, if the flag was given; a bare `--policy` is an error.
+fn policy_flag(options: &HashMap<String, String>) -> Result<Option<&String>, String> {
+    match options.get("policy") {
+        Some(name) if name.is_empty() => {
+            Err("--policy needs a policy name (see `cgsim policies`)".to_string())
+        }
+        policy => Ok(policy),
+    }
 }
 
 /// `cgsim init`: write example platform/execution/trace files.
@@ -337,8 +345,9 @@ fn load_inputs(
 
 /// `cgsim simulate`: run the three input files through the simulator.
 fn cmd_simulate(options: &HashMap<String, String>) -> Result<(), String> {
+    let policy = policy_flag(options)?;
     let (config, trace, mut execution) = load_inputs(options)?;
-    if let Some(policy) = options.get("policy") {
+    if let Some(policy) = policy {
         execution.allocation_policy = policy.clone();
     }
     println!(
@@ -401,10 +410,7 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
     let sites = parsed(options, "sites", "a positive number")?.map_or(10, NonZeroUsize::get);
     let jobs: usize = parsed(options, "jobs", "a number")?.unwrap_or(1_000);
     let seed: u64 = parsed(options, "seed", "a number")?.unwrap_or(42);
-    let policy = options
-        .get("policy")
-        .cloned()
-        .unwrap_or_else(|| "least-loaded".to_string());
+    let policy = policy_flag(options)?.map_or("least-loaded", String::as_str);
 
     let platform_spec = wlcg_platform(sites, seed);
     let generator = TraceGenerator::new(TraceConfig::with_jobs(jobs, seed));
@@ -415,7 +421,7 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
     );
     let platform = build_platform(&platform_spec)?;
     let faults = fault_plan(options, &platform, jobs)?;
-    let execution = with_knobs(options, ExecutionConfig::with_policy(&policy))?;
+    let execution = with_knobs(options, ExecutionConfig::with_policy(policy))?;
     let builder = Simulation::builder().platform(platform);
     // `--stream` feeds the generator's iterator straight into the engine:
     // no trace is materialised, peak memory drops to one record per job.
@@ -437,11 +443,10 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
 /// human-readable chatter goes to stderr.
 fn cmd_serve(options: &HashMap<String, String>) -> Result<(), String> {
     let capacity = parsed::<NonZeroUsize>(options, "cache-capacity", "a positive number")?;
+    let policy = policy_flag(options)?;
     let (config, trace, mut execution) = load_inputs(options)?;
-    if let Some(policy) = options.get("policy") {
-        if !policy.is_empty() {
-            execution.allocation_policy = policy.clone();
-        }
+    if let Some(policy) = policy {
+        execution.allocation_policy = policy.clone();
     }
 
     let mut engine = ScenarioEngine::new();

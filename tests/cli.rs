@@ -1,8 +1,8 @@
 //! The `cgsim` binary refuses a command line it does not fully understand:
 //! an unparsable number, a flag the command does not declare, a token that
-//! belongs to no flag, a fault aimed at a site or link the platform lacks and
-//! an execution file holding a duration the flags would refuse each exit
-//! non-zero with a one-line `error:` — the
+//! belongs to no flag, a `--policy` without a name, a fault aimed at a site
+//! or link the platform lacks and an execution file holding a duration the
+//! flags would refuse each exit non-zero with a one-line `error:` — the
 //! simulator never silently runs something other than what was asked. And
 //! when a run outlasts its fault plan, stderr says so; the usage text lists
 //! every `--trace-filter` category the parser accepts and every execution
@@ -96,6 +96,26 @@ fn undeclared_flags_are_rejected_per_command() {
     assert_rejected(&["init", "--stream"], "--stream");
     assert_rejected(&["trace-check", "--output", "x"], "--output");
     assert_rejected(&["policies", "--sites", "3"], "--sites");
+}
+
+#[test]
+fn a_bare_policy_flag_is_a_usage_error_before_any_input_is_read() {
+    let inputs = [
+        "--platform",
+        "no.json",
+        "--execution",
+        "no.json",
+        "--trace",
+        "no.jsonl",
+    ];
+    for args in [
+        vec!["demo", "--jobs", "5", "--policy"],
+        [&["simulate", "--policy"][..], &inputs].concat(),
+        [&["serve", "--policy"][..], &inputs].concat(),
+    ] {
+        assert_rejected(&args, "--policy needs a policy name");
+        assert!(cgsim(&args).stdout.is_empty(), "{args:?} ran");
+    }
 }
 
 #[test]

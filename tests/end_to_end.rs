@@ -137,8 +137,8 @@ fn ml_dataset_is_generated_from_any_run() {
     let results = small_run("least-loaded", 120, 41);
     let examples = mldataset::build_examples(&results.outcomes, &results.events);
     assert_eq!(examples.len(), 120);
-    // The site features come from the run's `Assigned` events; without them
-    // every one would silently read 0.
+    // The site features are captured when each job is dispatched; were they
+    // lost, every one would read 0.
     assert!(examples
         .iter()
         .any(|e| e.site_available_cores_at_assign > 0.0));
@@ -146,4 +146,35 @@ fn ml_dataset_is_generated_from_any_run() {
     assert_eq!(csv.lines().count(), 121);
     let columns = mldataset::CSV_HEADER.split(',').count();
     assert!(csv.lines().all(|row| row.split(',').count() == columns));
+}
+
+#[test]
+fn bounded_monitoring_keeps_the_unbounded_runs_ml_dataset() {
+    let platform = wlcg_platform(6, 4);
+    let trace = std::sync::Arc::new(
+        TraceGenerator::new(TraceConfig::with_jobs(600, 4)).generate(&platform),
+    );
+    let run = |monitoring| {
+        Simulation::builder()
+            .platform_spec(&platform)
+            .unwrap()
+            .trace(std::sync::Arc::clone(&trace))
+            .execution(ExecutionConfig {
+                monitoring,
+                ..ExecutionConfig::with_policy("least-loaded")
+            })
+            .run()
+            .unwrap()
+    };
+    let full = run(MonitoringConfig::default());
+    let bounded = run(MonitoringConfig {
+        max_events: 100,
+        sample_stride: 10,
+        ..MonitoringConfig::default()
+    });
+    // The bound drops almost every `Assigned` event row of the run.
+    assert!(bounded.events.len() < 200 && full.events.len() > 2_400);
+    let examples = |r: &SimulationResults| mldataset::build_examples(&r.outcomes, &r.events);
+    assert_eq!(examples(&bounded), examples(&full));
+    assert_eq!(examples(&full).len(), 600);
 }
