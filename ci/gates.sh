@@ -128,10 +128,9 @@ cmp <(sed -n 1p serve-resp.jsonl) <(sed -n 4p serve-resp.jsonl)
 cgsim simulate "${INPUTS[@]}" --output serve-direct > /dev/null
 diff serve-out/results.json serve-direct/results.json
 
-# The CLI and serve resolve a faulted, traced run through the same steps
-# (spec text -> fault plan, format + filter -> trace sink), so a served run's
-# trace and saved results.json are exactly what `cgsim simulate` writes for
-# the same inputs.
+# The CLI and serve run a faulted, traced scenario through the same
+# `ScenarioSpec::run`, so a served run's trace and saved results.json are
+# exactly what `cgsim simulate` writes for the same inputs.
 FAULTS="kill:rate=1;outage:site=all,mttf=6h,mttr=30m"
 printf '{"id":"traced","faults":"%s","fault_seed":7,"trace":"%s","save":"%s"}\n' \
   "$FAULTS" serve-traced.jsonl serve-traced/results.json > serve-traced.req.jsonl
@@ -156,11 +155,15 @@ double_run scale demo --sites 12 --jobs 100000 --seed 42 --policy least-loaded -
 # Bounding the event table thins events.csv and nothing else: each job's
 # outcome keeps the site state of its dispatch, so a bounded run's ML
 # dataset, jobs table and results are the unbounded run's, byte for byte.
+# And, the streamed twin of `emptyplan`: an empty fault spec is no plan, so
+# every output file equals the run without one.
 echo "gate: bounded monitoring keeps the per-job outputs"
 BOUNDED=(demo --sites 12 --jobs 20000 --seed 42 --policy least-loaded --stream)
 cgsim "${BOUNDED[@]}" --output unbounded > /dev/null
 cgsim "${BOUNDED[@]}" --max-events 1000 --sample-stride 10 --output bounded > /dev/null
 for file in ml_dataset.csv jobs.csv results.json; do cmp unbounded/$file bounded/$file; done
-rm -r unbounded bounded
+cgsim "${BOUNDED[@]}" --faults "" --output unbounded-emptyplan > /dev/null
+for file in unbounded/*; do cmp "$file" "unbounded-emptyplan/${file#unbounded/}"; done
+rm -r unbounded bounded unbounded-emptyplan
 
 echo "all gates passed; deterministic outputs in $PWD"

@@ -58,7 +58,6 @@ pub use config::{
 pub use queue_model::QueueModel;
 pub use results::SimulationResults;
 pub use scenario::{
-    serve_loop, ResponseCache, ScenarioBase, ScenarioEngine, ScenarioOutcome, ScenarioSpec,
-    ServeRequest,
+    serve_loop, Observe, ScenarioBase, ScenarioEngine, ScenarioOutcome, ScenarioSpec, ServeRequest,
 };
 pub use simulation::{Simulation, SimulationBuilder, SimulationError};

@@ -19,7 +19,7 @@ use crate::results::SimulationResults;
 
 /// The memoised answer to one scenario.
 #[derive(Debug, Clone)]
-pub struct Response {
+pub(crate) struct Response {
     /// The simulation results.
     pub results: Arc<SimulationResults>,
     /// `SimulationResults::deterministic_json_compact` of `results`: the
@@ -29,7 +29,7 @@ pub struct Response {
 
 /// An LRU map from canonical scenario hash to the simulation response.
 #[derive(Debug, Default)]
-pub struct ResponseCache {
+pub(crate) struct ResponseCache {
     capacity: usize,
     /// hash → (recency tick, response).
     entries: HashMap<u64, (u64, Response)>,
@@ -77,26 +77,19 @@ impl ResponseCache {
     /// entries beyond the capacity.
     pub fn insert(&mut self, hash: u64, response: Response) {
         let tick = self.next_tick();
-        if let Some((old_tick, slot)) = self.entries.get_mut(&hash) {
-            self.recency.remove(old_tick);
-            self.recency.insert(tick, hash);
-            *old_tick = tick;
-            *slot = response;
-            return;
+        if let Some((old_tick, _)) = self.entries.remove(&hash) {
+            self.recency.remove(&old_tick);
         }
         while self.entries.len() >= self.capacity {
-            let (&oldest_tick, &victim) = self
+            let (_, victim) = self
                 .recency
-                .iter()
-                .next()
+                .pop_first()
                 .expect("recency index matches entries");
-            self.recency.remove(&oldest_tick);
             self.entries.remove(&victim);
             self.counters.evictions += 1;
         }
         self.entries.insert(hash, (tick, response));
         self.recency.insert(tick, hash);
-        self.counters.entries = self.entries.len() as u64;
     }
 
     /// Current counters (hits, misses, evictions, resident entries).
@@ -105,16 +98,6 @@ impl ResponseCache {
             entries: self.entries.len() as u64,
             ..self.counters
         }
-    }
-
-    /// Number of resident responses.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no responses are resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     fn next_tick(&mut self) -> u64 {
@@ -173,7 +156,7 @@ mod tests {
         assert!(cache.lookup(1).is_some());
         assert!(cache.lookup(3).is_some());
         assert_eq!(cache.counters().evictions, 1);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.counters().entries, 2);
     }
 
     #[test]
@@ -181,7 +164,7 @@ mod tests {
         let mut cache = ResponseCache::new(2);
         cache.insert(1, response(1.0));
         cache.insert(1, response(9.0));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.counters().entries, 1);
         assert_eq!(cache.lookup(1).unwrap().results.makespan_s, 9.0);
         assert_eq!(cache.counters().evictions, 0);
     }
@@ -190,9 +173,9 @@ mod tests {
     fn zero_capacity_is_clamped_to_one() {
         let mut cache = ResponseCache::new(0);
         cache.insert(1, response(1.0));
-        assert!(!cache.is_empty());
+        assert_eq!(cache.counters().entries, 1);
         cache.insert(2, response(2.0));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.counters().entries, 1);
         assert!(cache.lookup(2).is_some());
     }
 }

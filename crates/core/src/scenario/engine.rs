@@ -12,13 +12,12 @@ use std::sync::{Arc, Mutex};
 
 use cgsim_monitor::CacheCounters;
 use cgsim_obs::TraceSink;
-use cgsim_platform::Platform;
 use cgsim_policies::PolicyRegistry;
 
 use crate::results::SimulationResults;
 use crate::scenario::cache::{Response, ResponseCache};
-use crate::scenario::ScenarioSpec;
-use crate::simulation::{Simulation, SimulationError};
+use crate::scenario::{Observe, ScenarioSpec};
+use crate::simulation::SimulationError;
 
 /// Default number of responses the engine memoises.
 pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 256;
@@ -105,11 +104,6 @@ impl ScenarioEngine {
         self
     }
 
-    /// The policy registry the engine resolves names through.
-    pub fn registry(&self) -> &PolicyRegistry {
-        &self.registry
-    }
-
     /// Cache counters (all zero when caching is disabled).
     pub fn cache_counters(&self) -> CacheCounters {
         self.cache
@@ -176,7 +170,9 @@ impl ScenarioEngine {
 
         let to_run: Vec<&ScenarioSpec> = unique.iter().map(|&i| &specs[i]).collect();
         let runs: Vec<Result<Response, SimulationError>> =
-            run_self_scheduled(to_run, self.parallel, |spec| self.run_spec(spec));
+            run_self_scheduled(to_run, self.parallel, |spec| {
+                self.run_spec(spec, Observe::default())
+            });
 
         if let Some(cache) = &self.cache {
             let mut cache = cache.lock().expect("cache mutex poisoned");
@@ -212,7 +208,11 @@ impl ScenarioEngine {
         mask: u32,
     ) -> Result<ScenarioOutcome, SimulationError> {
         let hash = spec.canonical_hash();
-        let response = self.run_spec_with(spec, |b| b.trace_sink(sink, mask))?;
+        let observe = Observe {
+            trace: Some((sink, mask)),
+            profile: false,
+        };
+        let response = self.run_spec(spec, observe)?;
         if let Some(cache) = &self.cache {
             let mut cache = cache.lock().expect("cache mutex poisoned");
             cache.record_miss();
@@ -221,41 +221,10 @@ impl ScenarioEngine {
         Ok(ScenarioOutcome::new(response, false, hash))
     }
 
-    /// Runs one scenario unconditionally (no cache involvement), faithfully
-    /// reproducing the CLI's `simulate` pipeline: validate the execution
-    /// config, resolve the policy by name, build the platform from the
-    /// shared spec, generate the fault plan on it from the spec text and run.
-    fn run_spec(&self, spec: &ScenarioSpec) -> Result<Response, SimulationError> {
-        self.run_spec_with(spec, |b| b)
-    }
-
-    /// [`ScenarioEngine::run_spec`] with a builder customisation hook (used
-    /// to attach per-run observability options).
-    fn run_spec_with(
-        &self,
-        spec: &ScenarioSpec,
-        customise: impl FnOnce(
-            crate::simulation::SimulationBuilder,
-        ) -> crate::simulation::SimulationBuilder,
-    ) -> Result<Response, SimulationError> {
-        spec.execution.validate()?;
-        let policy = self
-            .registry
-            .create(&spec.execution.allocation_policy, spec.execution.seed)
-            .ok_or_else(|| {
-                SimulationError::UnknownPolicy(spec.execution.allocation_policy.clone())
-            })?;
-        let platform = Platform::build(spec.base.platform())?;
-        let fault_plan = spec.build_fault_plan(&platform)?;
-        let mut builder = Simulation::builder()
-            .platform(platform)
-            .trace(spec.base.trace().clone())
-            .policy(policy)
-            .execution(spec.execution.clone());
-        if let Some(plan) = fault_plan {
-            builder = builder.fault_plan(plan);
-        }
-        let results = customise(builder).run()?;
+    /// Runs one scenario unconditionally (no cache involvement) through
+    /// [`ScenarioSpec::run`], the CLI's own path.
+    fn run_spec(&self, spec: &ScenarioSpec, observe: Observe) -> Result<Response, SimulationError> {
+        let (results, _) = spec.run(&self.registry, observe)?;
         self.simulations_run.fetch_add(1, Ordering::Relaxed);
         Ok(self.encode(results))
     }

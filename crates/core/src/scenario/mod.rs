@@ -6,16 +6,17 @@
 //! topologies and traces. This module is the evaluation path for that shape:
 //!
 //! * [`ScenarioBase`] — the expensive, immutable part of a run (platform
-//!   spec + workload trace), held behind `Arc` and content-hashed once so a
-//!   thousand scenarios share one copy,
+//!   spec + workload trace), held behind `Arc` and content-hashed at most
+//!   once so a thousand scenarios share one copy,
 //! * [`ScenarioSpec`] — one runnable scenario: a base reference plus the
 //!   cheap deltas (execution config, `--faults` spec text and fault seed —
-//!   the same fault input the CLI takes),
+//!   the same fault input the CLI takes); [`ScenarioSpec::run`] is the one
+//!   way a scenario becomes a run, for the CLI, the engine and serve alike,
 //! * [`ServeRequest`] — one request of the JSONL `cgsim serve` protocol:
 //!   a serialisable delta, every field optional, resolved against the
 //!   server's base execution config,
 //! * [`ScenarioEngine`] — batch evaluation over the self-scheduling worker
-//!   pool with exact response memoisation ([`ResponseCache`]),
+//!   pool with exact response memoisation,
 //! * [`serve`] — the long-running JSONL request/response loop behind
 //!   `cgsim serve`.
 //!
@@ -27,20 +28,22 @@
 //! for the fault normalisation (an empty spec string is the same scenario as
 //! no faults; the fault seed only matters when a fault spec is present).
 
-pub mod cache;
+mod cache;
 pub mod engine;
 pub mod hash;
 pub mod serve;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::config::ExecutionConfig;
-use crate::simulation::SimulationError;
+use crate::results::SimulationResults;
+use crate::simulation::{Simulation, SimulationError};
 use cgsim_faults::FaultPlan;
+use cgsim_obs::TraceSink;
 use cgsim_platform::{Platform, PlatformSpec};
+use cgsim_policies::PolicyRegistry;
 use cgsim_workload::Trace;
 
-pub use cache::{Response, ResponseCache};
 pub use engine::{ScenarioEngine, ScenarioOutcome};
 pub use serve::{serve_loop, ServeRequest};
 
@@ -52,28 +55,25 @@ pub(crate) const DEFAULT_FAULT_SEED: u64 = 7;
 ///
 /// Both components live behind `Arc` — constructing scenarios, fanning a
 /// sweep out over worker threads and caching responses all share the same
-/// allocation. The content hashes are computed once here so hashing a
-/// [`ScenarioSpec`] never re-serialises the (potentially huge) trace.
+/// allocation. The content hashes are computed on first use and kept, so
+/// hashing a [`ScenarioSpec`] never re-serialises the (potentially huge)
+/// trace, and a base that is only run (a CLI run) never pays them.
 #[derive(Debug, Clone)]
 pub struct ScenarioBase {
     platform: Arc<PlatformSpec>,
     trace: Arc<Trace>,
-    platform_hash: u64,
-    trace_hash: u64,
+    platform_hash: OnceLock<u64>,
+    trace_hash: OnceLock<u64>,
 }
 
 impl ScenarioBase {
     /// Builds a base from a platform and a trace (owned values or `Arc`s).
     pub fn new(platform: impl Into<Arc<PlatformSpec>>, trace: impl Into<Arc<Trace>>) -> Self {
-        let platform = platform.into();
-        let trace = trace.into();
-        let platform_hash = hash::canonical_hash_of(&*platform);
-        let trace_hash = hash::canonical_hash_of(&*trace);
         ScenarioBase {
-            platform,
-            trace,
-            platform_hash,
-            trace_hash,
+            platform: platform.into(),
+            trace: trace.into(),
+            platform_hash: OnceLock::new(),
+            trace_hash: OnceLock::new(),
         }
     }
 
@@ -85,18 +85,14 @@ impl ScenarioBase {
         Arc::new(ScenarioBase::new(platform, trace))
     }
 
-    /// A base with a different platform but the same trace. Only the
-    /// platform hash is recomputed; the trace (and its hash) are reused —
-    /// this is the calibration path, which re-evaluates one site's speed
-    /// multiplier against a fixed historical trace.
+    /// A base with a different platform but the same trace. The trace (and
+    /// its hash, computed here if it was not yet) are reused — this is the
+    /// calibration path, which re-evaluates one site's speed multiplier
+    /// against a fixed historical trace.
     pub fn with_platform(&self, platform: impl Into<Arc<PlatformSpec>>) -> Self {
-        let platform = platform.into();
-        let platform_hash = hash::canonical_hash_of(&*platform);
         ScenarioBase {
-            platform,
-            trace: self.trace.clone(),
-            platform_hash,
-            trace_hash: self.trace_hash,
+            trace_hash: OnceLock::from(self.trace_hash()),
+            ..ScenarioBase::new(platform, self.trace.clone())
         }
     }
 
@@ -110,11 +106,31 @@ impl ScenarioBase {
         &self.trace
     }
 
+    fn trace_hash(&self) -> u64 {
+        *self
+            .trace_hash
+            .get_or_init(|| hash::canonical_hash_of(&*self.trace))
+    }
+
     /// Canonical hash of the base content (platform + trace).
     pub(crate) fn content_hash(&self) -> u64 {
-        let h = hash::fnv1a(0xcbf2_9ce4_8422_2325, &self.platform_hash.to_le_bytes());
-        hash::fnv1a(h, &self.trace_hash.to_le_bytes())
+        let platform_hash = self
+            .platform_hash
+            .get_or_init(|| hash::canonical_hash_of(&*self.platform));
+        let h = hash::fnv1a(0xcbf2_9ce4_8422_2325, &platform_hash.to_le_bytes());
+        hash::fnv1a(h, &self.trace_hash().to_le_bytes())
     }
+}
+
+/// How a run is observed. Never part of the scenario: it is not hashed, and
+/// by the observability determinism contract it never changes the results.
+#[derive(Default)]
+pub struct Observe {
+    /// A structured-trace sink and the categories it keeps (see
+    /// [`cgsim_obs::TraceTarget`]).
+    pub trace: Option<(Box<dyn TraceSink>, u32)>,
+    /// Wall-clock self-profiling into [`SimulationResults::profile`].
+    pub profile: bool,
 }
 
 /// One runnable scenario: a shared base plus its deltas.
@@ -126,7 +142,8 @@ pub struct ScenarioSpec {
     pub execution: ExecutionConfig,
     /// Optional `--faults` spec text (the CLI grammar); the plan is
     /// generated deterministically from it and [`ScenarioSpec::fault_seed`].
-    /// An empty string is the same scenario as no faults at all.
+    /// A spec that declares no fault process (`""`, `horizon=1h`) is the
+    /// same run as no faults at all.
     pub faults: Option<String>,
     /// Seed for fault-plan generation (ignored without a fault spec).
     pub fault_seed: u64,
@@ -180,25 +197,57 @@ impl ScenarioSpec {
     }
 
     /// Materialises the fault plan this scenario runs under on `platform`
-    /// (built from [`ScenarioBase::platform`]), through the CLI's own path,
-    /// [`FaultPlan::from_spec`]; `None` without a fault spec. A spec that
-    /// does not parse or names a site or link the platform lacks is
-    /// `InvalidScenario`.
+    /// (built from [`ScenarioBase::platform`]) through
+    /// [`FaultPlan::from_spec`], with the horizon it was generated to;
+    /// `None` without a fault spec or when the spec declares no fault
+    /// process. A spec that does not parse or names a site or link the
+    /// platform lacks is `InvalidScenario`.
     pub fn build_fault_plan(
         &self,
         platform: &Platform,
-    ) -> Result<Option<FaultPlan>, SimulationError> {
-        let Some(spec_text) = self.faults.as_deref().filter(|s| !s.is_empty()) else {
+    ) -> Result<Option<(FaultPlan, f64)>, SimulationError> {
+        let Some(spec_text) = self.faults.as_deref() else {
             return Ok(None);
         };
-        let (plan, _) = FaultPlan::from_spec(
-            spec_text,
-            self.fault_seed,
-            platform,
-            self.base.trace().len(),
-        )
-        .map_err(SimulationError::InvalidScenario)?;
-        Ok(Some(plan))
+        let jobs = self.base.trace().len();
+        FaultPlan::from_spec(spec_text, self.fault_seed, platform, jobs)
+            .map_err(SimulationError::InvalidScenario)
+    }
+
+    /// Runs the scenario: validate the execution config, resolve the policy
+    /// through `registry`, build the platform, generate the fault plan on
+    /// it, attach the observers and run. This is the one path from a
+    /// scenario to its results; the CLI, the engine and `cgsim serve` all
+    /// take it. Besides the results it returns the fault plan's event count
+    /// and horizon, `None` when the spec declares no fault process.
+    pub fn run(
+        &self,
+        registry: &PolicyRegistry,
+        observe: Observe,
+    ) -> Result<(SimulationResults, Option<(usize, f64)>), SimulationError> {
+        self.execution.validate()?;
+        let policy = registry
+            .create(&self.execution.allocation_policy, self.execution.seed)
+            .ok_or_else(|| {
+                SimulationError::UnknownPolicy(self.execution.allocation_policy.clone())
+            })?;
+        let platform = Platform::build(self.base.platform())?;
+        let fault_plan = self.build_fault_plan(&platform)?;
+        let mut builder = Simulation::builder()
+            .platform(platform)
+            .trace(self.base.trace().clone())
+            .policy(policy)
+            .execution(self.execution.clone());
+        let mut planned = None;
+        if let Some((plan, horizon_s)) = fault_plan {
+            planned = Some((plan.len(), horizon_s));
+            builder = builder.fault_plan(plan);
+        }
+        if let Some((sink, mask)) = observe.trace {
+            builder = builder.trace_sink(sink, mask);
+        }
+        let results = builder.profile(observe.profile).run()?;
+        Ok((results, planned))
     }
 }
 
@@ -249,7 +298,9 @@ mod tests {
         let mut modified = (**base.platform()).clone();
         modified.sites[0].speed_multiplier = 2.0;
         let rebased = base.with_platform(modified);
-        assert_eq!(rebased.trace_hash, base.trace_hash);
+        assert!(base.trace_hash.get().is_some());
+        assert_eq!(rebased.trace_hash.get(), base.trace_hash.get());
+        assert!(rebased.platform_hash.get().is_none());
         assert_ne!(rebased.content_hash(), base.content_hash());
         assert!(Arc::ptr_eq(rebased.trace(), base.trace()));
     }
@@ -344,20 +395,51 @@ mod tests {
             .with_faults("kill:rate=2;horizon=12h")
             .with_fault_seed(7);
         let platform = Platform::build(base.platform()).unwrap();
-        let plan = spec
+        let (plan, horizon_s) = spec
             .build_fault_plan(&platform)
             .unwrap()
             .expect("plan generated");
-        // The explicit pipeline `FaultPlan::from_spec` stands for.
+        // The explicit pipeline.
         let config = parse_fault_spec("kill:rate=2;horizon=12h").unwrap();
         let topology = FaultTopology::for_platform(&platform, base.trace().len());
         assert_eq!(plan, FaultPlan::generate(&config, &topology, 7));
+        assert_eq!(horizon_s, 12.0 * 3600.0);
 
+        // A spec without a fault process is no plan, whatever its horizon.
+        for text in ["", " ; ", "horizon=1h"] {
+            let spec = spec.clone().with_faults(text);
+            assert!(
+                spec.build_fault_plan(&platform).unwrap().is_none(),
+                "{text:?}"
+            );
+        }
         let bad = ScenarioSpec::new(base, ExecutionConfig::default()).with_faults("bogus:nope");
         assert!(matches!(
             bad.build_fault_plan(&platform),
             Err(SimulationError::InvalidScenario(_))
         ));
+    }
+
+    /// A run needs no cache key, so running a scenario — faults, trace sink
+    /// and profile included — computes neither content hash of its base.
+    #[test]
+    fn run_leaves_the_base_unhashed() {
+        let base = base();
+        let spec =
+            ScenarioSpec::new(base.clone(), ExecutionConfig::default()).with_faults("kill:rate=2");
+        let observe = Observe {
+            trace: Some((
+                Box::new(cgsim_obs::MemorySink::default()),
+                cgsim_obs::MASK_ALL,
+            )),
+            profile: true,
+        };
+        let (results, planned) = spec.run(&PolicyRegistry::with_builtins(), observe).unwrap();
+        assert_eq!(results.outcomes.len(), base.trace().len());
+        assert!(results.profile.is_some());
+        assert!(planned.is_some_and(|(events, _)| events > 0));
+        assert!(base.platform_hash.get().is_none());
+        assert!(base.trace_hash.get().is_none());
     }
 
     /// Deterministically permutes object key order throughout a value tree

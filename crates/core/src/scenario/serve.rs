@@ -56,6 +56,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
+use cgsim_des::stats::percentile_sorted;
 use cgsim_obs::TraceTarget;
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
@@ -203,30 +204,23 @@ impl ServeStats {
         self.requests += 1;
     }
 
-    fn percentile(sorted: &[f64], p: f64) -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let pos = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-        sorted[pos.min(sorted.len() - 1)]
-    }
-
+    /// p50 / p90 / p99 / max of the samples, interpolated between ranks
+    /// (`percentile_sorted`); all zero before the first sample.
     fn latency_value(&self) -> Value {
         let mut sorted = self.latencies_ms.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
         let mut map = Map::new();
-        for (label, p) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0)] {
+        for (label, p) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0), ("max", 100.0)] {
+            let value = if sorted.is_empty() {
+                0.0
+            } else {
+                percentile_sorted(&sorted, p)
+            };
             map.insert(
                 label.into(),
-                Value::Number(serde_json::Number::from_f64(Self::percentile(&sorted, p))),
+                Value::Number(serde_json::Number::from_f64(value)),
             );
         }
-        map.insert(
-            "max".into(),
-            Value::Number(serde_json::Number::from_f64(
-                sorted.last().copied().unwrap_or(0.0),
-            )),
-        );
         Value::Object(map)
     }
 }
@@ -646,6 +640,20 @@ not json
         assert!(lines[2].contains(r#""p50""#));
         assert!(lines[2].contains(r#""p99""#));
         assert!(lines[3].contains(r#""shutdown":true"#));
+    }
+
+    #[test]
+    fn latency_percentiles_interpolate_and_start_at_zero() {
+        let mut stats = ServeStats::new();
+        let zero = r#"{"p50":0.0,"p90":0.0,"p99":0.0,"max":0.0}"#;
+        assert_eq!(serde_json::to_string(&stats.latency_value()).unwrap(), zero);
+        for ms in [4.0, 1.0, 3.0, 2.0] {
+            stats.record(ms);
+        }
+        let value = stats.latency_value();
+        let at = |label: &str| value.get(label).and_then(Value::as_f64).unwrap();
+        assert_eq!((at("p50"), at("max")), (2.5, 4.0));
+        assert!((at("p90") - 3.7).abs() < 1e-12);
     }
 
     #[test]

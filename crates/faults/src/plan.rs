@@ -375,20 +375,27 @@ impl FaultPlan {
     /// `--faults` spec text `spec` and fault seed `seed`:
     /// [`parse_fault_spec`] → [`FaultTopology::for_platform`] →
     /// [`FaultTopology::check`] → [`FaultPlan::generate`]. This is the one
-    /// path from fault input to a plan, shared by the CLI and the scenario
-    /// engine. Returns the plan and the horizon it was generated to; a spec
-    /// that does not parse, or that names a site or link the platform lacks,
-    /// is an error.
+    /// path from fault input to a plan, which every run takes through
+    /// `ScenarioSpec::build_fault_plan`. Returns the plan and the horizon it
+    /// was generated to, or `None` when the spec declares no fault process
+    /// (`""`, `horizon=1h`): such a spec is no plan. A spec that does not
+    /// parse, or that names a site or link the platform lacks, is an error.
     pub fn from_spec(
         spec: &str,
         seed: u64,
         platform: &cgsim_platform::Platform,
         jobs: usize,
-    ) -> Result<(Self, f64), String> {
+    ) -> Result<Option<(Self, f64)>, String> {
         let config = parse_fault_spec(spec)?;
+        if config.is_empty() {
+            return Ok(None);
+        }
         let topology = FaultTopology::for_platform(platform, jobs);
         topology.check(&config)?;
-        Ok((Self::generate(&config, &topology, seed), config.horizon_s))
+        Ok(Some((
+            Self::generate(&config, &topology, seed),
+            config.horizon_s,
+        )))
     }
 
     /// Generates the deterministic schedule for `config` against `topo`.

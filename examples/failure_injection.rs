@@ -55,10 +55,10 @@ fn main() {
         .collect();
 
     let built = Platform::build(base.platform()).expect("platform builds");
-    let plan = specs[0]
+    let (plan, _) = specs[0]
         .build_fault_plan(&built)
         .expect("spec parses")
-        .expect("spec is not empty");
+        .expect("spec declares fault processes");
     let outages = plan
         .events
         .iter()

@@ -20,8 +20,9 @@ use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 
-use cgsim::core::{Knob, SimulationBuilder, SimulationError, KNOBS};
+use cgsim::core::{Knob, Observe, SimulationError, KNOBS};
 use cgsim::obs::TraceTarget;
 use cgsim::prelude::*;
 
@@ -260,34 +261,6 @@ fn cmd_init(options: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// The plan of `--faults` / `--fault-seed` for `jobs` jobs on `platform`
-/// (see [`FaultPlan::from_spec`]) and the horizon it was generated to;
-/// `None` when no `--faults` spec was given.
-fn fault_plan(
-    options: &HashMap<String, String>,
-    platform: &Platform,
-    jobs: usize,
-) -> Result<Option<(FaultPlan, f64)>, String> {
-    let fault_seed: u64 = parsed(options, "fault-seed", "a number")?.unwrap_or(7);
-    let Some(spec) = options.get("faults") else {
-        return Ok(None);
-    };
-    let (plan, horizon_s) = FaultPlan::from_spec(spec, fault_seed, platform, jobs)?;
-    println!(
-        "fault plan: {} events over {:.1} h (fault seed {})",
-        plan.len(),
-        horizon_s / 3600.0,
-        fault_seed
-    );
-    Ok(Some((plan, horizon_s)))
-}
-
-/// Builds the platform a run uses, once: the fault plan is resolved against
-/// it and then the builder takes it.
-fn build_platform(spec: &PlatformSpec) -> Result<Platform, String> {
-    Platform::build(spec).map_err(|e| SimulationError::from(e).to_string())
-}
-
 /// `execution` with every knob flag on the command line applied, validated.
 fn with_knobs(
     options: &HashMap<String, String>,
@@ -323,11 +296,13 @@ fn cmd_trace_check(options: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads the three input files `simulate` and `serve` share; the returned
-/// execution config has the knob flags applied and is validated.
+/// Loads the three input files `simulate` and `serve` share into a base;
+/// the returned execution config has `--policy` and the knob flags applied
+/// and is validated.
 fn load_inputs(
     options: &HashMap<String, String>,
-) -> Result<(SimulationConfig, Trace, ExecutionConfig), String> {
+) -> Result<(Arc<ScenarioBase>, ExecutionConfig), String> {
+    let policy = policy_flag(options)?;
     let path = |key: &str, file: &str| {
         options
             .get(key)
@@ -339,47 +314,45 @@ fn load_inputs(
     let config =
         SimulationConfig::load(platform_path, execution_path).map_err(|e| e.to_string())?;
     let trace = Trace::load_jsonl(trace_path).map_err(|e| e.to_string())?;
-    let execution = with_knobs(options, config.execution.clone())?;
-    Ok((config, trace, execution))
+    let mut execution = with_knobs(options, config.execution)?;
+    if let Some(policy) = policy {
+        execution.allocation_policy = policy.clone();
+    }
+    Ok((ScenarioBase::shared(config.platform, trace), execution))
 }
 
 /// `cgsim simulate`: run the three input files through the simulator.
 fn cmd_simulate(options: &HashMap<String, String>) -> Result<(), String> {
-    let policy = policy_flag(options)?;
-    let (config, trace, mut execution) = load_inputs(options)?;
-    if let Some(policy) = policy {
-        execution.allocation_policy = policy.clone();
-    }
+    let (base, execution) = load_inputs(options)?;
     println!(
         "simulating {} jobs on {} sites with policy '{}'",
-        trace.len(),
-        config.platform.sites.len(),
+        base.trace().len(),
+        base.platform().sites.len(),
         execution.allocation_policy
     );
-    let platform = build_platform(&config.platform)?;
-    let faults = fault_plan(options, &platform, trace.len())?;
-    let builder = Simulation::builder()
-        .platform(platform)
-        .trace(trace)
-        .execution(execution);
-    run_and_report(builder, faults, options, &["trace-out"])
+    run_and_report(base, execution, options, &["trace-out"])
 }
 
-/// Attaches the fault plan and the observability flags, runs, and reports.
+/// Runs the scenario of `base` under `execution` with the `--faults` spec,
+/// the `--fault-seed` and the observability flags, and reports.
 /// `trace_keys` lists the flag names that may carry the trace path
 /// (`simulate` only honours `--trace-out` because `--trace` is its workload
 /// input; `demo` takes both).
 fn run_and_report(
-    mut builder: SimulationBuilder,
-    faults: Option<(FaultPlan, f64)>,
+    base: Arc<ScenarioBase>,
+    execution: ExecutionConfig,
     options: &HashMap<String, String>,
     trace_keys: &[&str],
 ) -> Result<(), String> {
-    let mut fault_horizon_s = None;
-    if let Some((plan, horizon_s)) = faults {
-        builder = builder.fault_plan(plan);
-        fault_horizon_s = Some(horizon_s);
+    let mut spec = ScenarioSpec::new(base, execution);
+    spec.faults = options.get("faults").cloned();
+    if let Some(fault_seed) = parsed(options, "fault-seed", "a number")? {
+        spec.fault_seed = fault_seed;
     }
+    let mut observe = Observe {
+        trace: None,
+        profile: options.contains_key("profile"),
+    };
     let path = trace_keys
         .iter()
         .find_map(|k| options.get(*k))
@@ -396,13 +369,35 @@ fn run_and_report(
             .open()
             .map_err(|e| format!("cannot create trace file: {e}"))?;
         println!("tracing to {}", target.path.display());
-        builder = builder.trace_sink(sink, target.mask);
+        observe.trace = Some((sink, target.mask));
     }
-    let results = builder
-        .profile(options.contains_key("profile"))
-        .run()
-        .map_err(|e| e.to_string())?;
-    report(&results, options, fault_horizon_s)
+    let (results, planned) = spec
+        .run(&PolicyRegistry::with_builtins(), observe)
+        .map_err(|e| match e {
+            // A refused fault spec reads as its reason alone:
+            // `error: outage: site 7 does not exist`.
+            SimulationError::InvalidScenario(reason) => reason,
+            e => e.to_string(),
+        })?;
+    if let Some((events, horizon_s)) = planned {
+        println!(
+            "fault plan: {events} events over {:.1} h (fault seed {})",
+            horizon_s / 3600.0,
+            spec.fault_seed
+        );
+        // The plan was generated before the run, so a run that outlasts it
+        // is fault-free from there on, which stdout alone does not show.
+        let makespan_s = results.metrics.makespan_s;
+        if makespan_s > horizon_s {
+            eprintln!(
+                "warning: makespan {:.1} h exceeds the {:.1} h fault horizon: no fault was \
+                 injected after it; add a `horizon=<time>` clause to --faults that covers the run",
+                makespan_s / 3600.0,
+                horizon_s / 3600.0
+            );
+        }
+    }
+    report(&results, options)
 }
 
 /// `cgsim demo`: synthesise a platform + trace and run immediately.
@@ -412,30 +407,27 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
     let seed: u64 = parsed(options, "seed", "a number")?.unwrap_or(42);
     let policy = policy_flag(options)?.map_or("least-loaded", String::as_str);
 
-    let platform_spec = wlcg_platform(sites, seed);
+    let platform = wlcg_platform(sites, seed);
     let generator = TraceGenerator::new(TraceConfig::with_jobs(jobs, seed));
     let streamed = options.contains_key("stream");
     println!(
         "simulating {jobs} jobs on {sites} sites with policy '{policy}'{}",
         if streamed { " (streamed)" } else { "" }
     );
-    let platform = build_platform(&platform_spec)?;
-    let faults = fault_plan(options, &platform, jobs)?;
     let execution = with_knobs(options, ExecutionConfig::with_policy(policy))?;
-    let builder = Simulation::builder().platform(platform);
-    // `--stream` feeds the generator's iterator straight into the engine:
-    // no trace is materialised, peak memory drops to one record per job.
-    let builder = if streamed {
-        builder.trace_stream(generator.stream(&platform_spec))
+    // `--stream` keeps the generator's records in generation order, unsorted,
+    // as a streamed run always has: jobs submitted at the same instant
+    // tie-break in stream order.
+    let trace = if streamed {
+        Trace {
+            jobs: generator.stream(&platform).collect(),
+            ..Trace::default()
+        }
     } else {
-        builder.trace(generator.generate(&platform_spec))
+        generator.generate(&platform)
     };
-    run_and_report(
-        builder.execution(execution),
-        faults,
-        options,
-        &["trace-out", "trace"],
-    )
+    let base = ScenarioBase::shared(platform, trace);
+    run_and_report(base, execution, options, &["trace-out", "trace"])
 }
 
 /// `cgsim serve`: long-running JSONL scenario-evaluation service over the
@@ -443,11 +435,7 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
 /// human-readable chatter goes to stderr.
 fn cmd_serve(options: &HashMap<String, String>) -> Result<(), String> {
     let capacity = parsed::<NonZeroUsize>(options, "cache-capacity", "a positive number")?;
-    let policy = policy_flag(options)?;
-    let (config, trace, mut execution) = load_inputs(options)?;
-    if let Some(policy) = policy {
-        execution.allocation_policy = policy.clone();
-    }
+    let (base, execution) = load_inputs(options)?;
 
     let mut engine = ScenarioEngine::new();
     let cache_label = if options.contains_key("no-cache") {
@@ -462,7 +450,6 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), String> {
     if options.contains_key("serial") {
         engine = engine.parallel(false);
     }
-    let base = ScenarioBase::shared(config.platform, trace);
     eprintln!(
         "cgsim serve: {} jobs on {} sites, base policy '{}', cache {}",
         base.trace().len(),
@@ -498,25 +485,9 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints the run's summary and writes its outputs. `fault_horizon_s` is the
-/// horizon the `--faults` plan was generated to: fault plans are generated
-/// before the run, so a run that outlasts its plan is fault-free from there
-/// on, which stdout alone does not show.
-fn report(
-    results: &SimulationResults,
-    options: &HashMap<String, String>,
-    fault_horizon_s: Option<f64>,
-) -> Result<(), String> {
+/// Prints the run's summary and writes its outputs.
+fn report(results: &SimulationResults, options: &HashMap<String, String>) -> Result<(), String> {
     println!("\n{}", results.metrics.text_summary());
-    let makespan_s = results.metrics.makespan_s;
-    if let Some(horizon_s) = fault_horizon_s.filter(|&h| makespan_s > h) {
-        eprintln!(
-            "warning: makespan {:.1} h exceeds the {:.1} h fault horizon: no fault was injected \
-             after it; add a `horizon=<time>` clause to --faults that covers the run",
-            makespan_s / 3600.0,
-            horizon_s / 3600.0
-        );
-    }
     let faults = &results.grid_counters;
     if faults.site_outages + faults.node_losses + faults.link_degradations > 0
         || faults.job_interruptions > 0

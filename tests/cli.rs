@@ -296,6 +296,120 @@ fn a_run_that_outlasts_its_fault_horizon_warns_on_stderr_only() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What a run's stdout says about the simulation, without the lines that
+/// carry wall-clock time or name the output directory.
+fn simulated_lines(output: &Output) -> Vec<String> {
+    String::from_utf8_lossy(&output.stdout)
+        .lines()
+        .filter(|l| {
+            !["simulator wall-clock:", "output written to"]
+                .iter()
+                .any(|prefix| l.starts_with(prefix))
+        })
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn a_fault_spec_without_a_fault_process_is_no_plan() {
+    let dir = std::env::temp_dir().join(format!("cgsim-cli-noplan-{}", std::process::id()));
+    let run = |faults: Option<&str>, out: &str| {
+        let out_dir = dir.join(out).to_string_lossy().into_owned();
+        let mut args = vec!["demo", "--sites", "2", "--jobs", "40", "--output", &out_dir];
+        args.extend(faults.iter().flat_map(|spec| ["--faults", spec]));
+        let output = cgsim(&args);
+        assert!(output.status.success(), "{output:?}");
+        (output, out_dir)
+    };
+    let (plain, plain_dir) = run(None, "plain");
+    // The run lasts well past one hour, so a plan to 1 h would warn.
+    for (i, faults) in ["horizon=1h", "", " ; ;horizon=2d"].into_iter().enumerate() {
+        let (output, out_dir) = run(Some(faults), &i.to_string());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(stderr, "", "--faults {faults:?} warned");
+        assert_eq!(
+            simulated_lines(&output),
+            simulated_lines(&plain),
+            "{faults:?}"
+        );
+        assert!(output_files(out_dir.as_ref()) == output_files(plain_dir.as_ref()));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `demo --stream` is a scenario whose trace is the generator's records in
+/// stream order: exactly what the builder's streamed path runs.
+#[test]
+fn a_streamed_demo_is_the_builders_streamed_run() {
+    use cgsim::prelude::*;
+    let dir = std::env::temp_dir().join(format!("cgsim-cli-stream-{}", std::process::id()));
+    let out_dir = dir.to_string_lossy().into_owned();
+    let output = cgsim(&[
+        "demo", "--sites", "3", "--jobs", "300", "--seed", "5", "--stream", "--output", &out_dir,
+    ]);
+    assert!(output.status.success(), "{output:?}");
+    let platform = wlcg_platform(3, 5);
+    let stream = TraceGenerator::new(TraceConfig::with_jobs(300, 5)).stream(&platform);
+    let direct = Simulation::builder()
+        .platform_spec(&platform)
+        .unwrap()
+        .trace_stream(stream)
+        .execution(ExecutionConfig::with_policy("least-loaded"))
+        .run()
+        .unwrap();
+    let written = std::fs::read_to_string(dir.join("results.json")).unwrap();
+    assert!(
+        written == direct.deterministic_json(),
+        "results.json differs"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `cgsim simulate` on `cgsim init` files is the engine's evaluation of the
+/// same platform, trace and faults.
+#[test]
+fn simulate_is_the_engines_evaluation_of_the_same_scenario() {
+    use cgsim::prelude::*;
+    let dir = std::env::temp_dir().join(format!("cgsim-cli-engine-{}", std::process::id()));
+    let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let init = cgsim(&["init", "--dir", &file(""), "--sites", "4", "--jobs", "200"]);
+    assert!(init.status.success(), "{init:?}");
+    let faults = "kill:rate=2;outage:site=all,mttf=6h,mttr=30m";
+    let output = cgsim(&[
+        "simulate",
+        "--platform",
+        &file("platform.json"),
+        "--execution",
+        &file("execution.json"),
+        "--trace",
+        &file("trace.jsonl"),
+        "--faults",
+        faults,
+        "--fault-seed",
+        "3",
+        "--output",
+        &file("out"),
+    ]);
+    assert!(output.status.success(), "{output:?}");
+
+    let config = SimulationConfig::load(file("platform.json"), file("execution.json")).unwrap();
+    let trace = Trace::load_jsonl(file("trace.jsonl")).unwrap();
+    let spec = ScenarioSpec::new(
+        ScenarioBase::shared(config.platform, trace),
+        config.execution,
+    )
+    .with_faults(faults)
+    .with_fault_seed(3);
+    let outcome = ScenarioEngine::new().evaluate(&spec).unwrap();
+    assert!(outcome.results.grid_counters.job_interruptions > 0);
+    let written = std::fs::read_to_string(dir.join("out").join("results.json")).unwrap();
+    assert!(
+        written == outcome.results.deterministic_json(),
+        "results.json differs"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn the_usage_text_lists_every_trace_category() {
     let out = cgsim(&["help"]);
