@@ -12,7 +12,7 @@ fn main() {
         "{:>8} {:>14} {:>10} {:<10} {:>12} {:>12} {:>13} {:>13}",
         "Event ID", "Job ID", "State", "Site", "Avail.Cores", "Pending", "Assigned", "Finished"
     );
-    for e in &rows {
+    for e in rows.iter().filter_map(|&i| results.events.get(i)) {
         println!(
             "{:>8} {:>14} {:>10} {:<10} {:>12} {:>12} {:>13} {:>13}",
             e.event_id,

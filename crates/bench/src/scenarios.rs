@@ -6,7 +6,7 @@ use crate::baseline::{self, BaselineResults};
 use cgsim_calibrate::{CalibrationReport, Calibrator};
 use cgsim_core::{ExecutionConfig, Simulation, SimulationResults};
 use cgsim_des::stats::scaling_exponent;
-use cgsim_monitor::{EventRecord, MonitoringConfig};
+use cgsim_monitor::MonitoringConfig;
 use cgsim_platform::presets::{single_site_platform, wlcg_platform};
 use cgsim_platform::PlatformSpec;
 use cgsim_workload::{JobState, Trace, TraceConfig, TraceGenerator};
@@ -197,15 +197,19 @@ pub fn scaling_fit(curve: &[(usize, SimulationResults)], y: fn(&SimulationResult
 }
 
 /// Table 1 (at every scale): a 400-job run on the 4-site example grid and
-/// the six `Finished` rows from the middle of it. Returns `(results, rows)`.
-pub fn table1() -> (SimulationResults, Vec<EventRecord>) {
+/// the six `Finished` rows from the middle of it. Returns `(results, rows)`,
+/// the rows as positions in `results.events`.
+pub fn table1() -> (SimulationResults, Vec<usize>) {
     let results = event_snapshot_run(400, 42);
-    let finished = results
+    let finished: Vec<usize> = results
         .events
         .iter()
-        .filter(|e| e.state == JobState::Finished);
-    let middle = finished.clone().count() / 2;
-    let rows = finished.skip(middle).take(6).cloned().collect();
+        .enumerate()
+        .filter(|(_, e)| e.state == JobState::Finished)
+        .map(|(i, _)| i)
+        .collect();
+    let middle = finished.len() / 2;
+    let rows = finished.into_iter().skip(middle).take(6).collect();
     (results, rows)
 }
 

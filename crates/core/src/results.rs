@@ -5,7 +5,7 @@ use std::path::Path;
 
 use cgsim_des::stats::RelativeMae;
 use cgsim_monitor::dashboard::SitePanel;
-use cgsim_monitor::{mldataset, EventRecord, MetricsReport, OutcomeTable, TableStore};
+use cgsim_monitor::{mldataset, EventTable, MetricsReport, OutcomeTable, TableStore};
 use cgsim_workload::JobKind;
 use serde::{Deserialize, Serialize};
 
@@ -29,8 +29,8 @@ pub struct SiteWalltimeError {
 pub struct SimulationResults {
     /// Per-job outcomes, in completion order, over the run's trace.
     pub outcomes: OutcomeTable,
-    /// Event-level monitoring dataset (Table 1 rows).
-    pub events: Vec<EventRecord>,
+    /// Event-level monitoring dataset (Table 1 rows), over the run's trace.
+    pub events: EventTable,
     /// Aggregated operational metrics.
     pub metrics: MetricsReport,
     /// Virtual time at which the last event was processed (seconds).
@@ -217,7 +217,7 @@ mod tests {
         let metrics = MetricsReport::from_outcomes(&outcomes);
         SimulationResults {
             outcomes,
-            events: Vec::new(),
+            events: EventTable::default(),
             metrics,
             makespan_s: 100.0,
             engine_events: 10,

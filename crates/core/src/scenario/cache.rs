@@ -109,12 +109,12 @@ impl ResponseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgsim_monitor::{MetricsReport, OutcomeTable};
+    use cgsim_monitor::{EventTable, MetricsReport, OutcomeTable};
 
     fn response(makespan_s: f64) -> Response {
         let results = SimulationResults {
             outcomes: OutcomeTable::default(),
-            events: Vec::new(),
+            events: EventTable::default(),
             metrics: MetricsReport::from_outcomes(&OutcomeTable::default()),
             makespan_s,
             engine_events: 0,

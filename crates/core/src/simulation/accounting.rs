@@ -3,7 +3,7 @@
 
 use cgsim_des::{Context, SimTime};
 use cgsim_monitor::dashboard::SitePanel;
-use cgsim_monitor::OutcomeRow;
+use cgsim_monitor::{OutcomeRow, TraceIndex};
 use cgsim_obs::{SpanPhase, TraceCategory};
 use cgsim_platform::SiteId;
 use cgsim_workload::JobState;
@@ -17,19 +17,24 @@ impl GridModel {
     /// tracer. Returns the site state the event row records: the cores free
     /// at the job's site and the jobs queued there (at the main server for a
     /// job at no site, with 0 cores).
-    pub(super) fn record(&mut self, now: SimTime, idx: usize, state: JobState) -> (u64, u64) {
-        let job_id = self.trace.jobs[idx].id;
+    pub(super) fn record(&mut self, now: SimTime, idx: usize, state: JobState) -> (u32, u32) {
         let site = self.jobs[idx].site();
         let (avail, queued) = match site {
             Some(site) => (
                 self.sites[site.index()].available_cores,
-                self.sites[site.index()].queue.len() as u64,
+                self.sites[site.index()].queue.len(),
             ),
-            None => (0, self.pending.len() as u64),
+            None => (0, self.pending.len()),
         };
+        // invariant: `build` refuses site core pools past `u32::MAX`, and a
+        // queue holds fewer jobs than the trace, which a run refuses past
+        // `u32::MAX` jobs.
+        let avail = u32::try_from(avail).expect("`build` refuses sites past u32 cores");
+        let queued = u32::try_from(queued).expect("a queue holds fewer jobs than the trace");
         let site_index = site.map(SiteId::index);
+        let job = TraceIndex(idx as u32);
         self.collector
-            .record_transition(now.as_secs(), job_id, state, site_index, avail, queued);
+            .record_transition(now.as_secs(), job, state, site_index, avail, queued);
         if let (JobState::Finished, Some(s)) = (state, site_index) {
             self.view.sites[s].finished_jobs = self.collector.site_counters(s).finished;
         }

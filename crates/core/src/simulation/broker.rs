@@ -234,10 +234,7 @@ impl GridModel {
                 self.jobs[idx].state = JobState::Assigned;
                 let (available, queued) = self.record(now, idx, JobState::Assigned);
                 let job = &mut self.jobs[idx];
-                job.available_cores_at_assign =
-                    u32::try_from(available).expect("`build` refuses sites past u32 cores");
-                job.queue_at_assign =
-                    u32::try_from(queued).expect("a site queues fewer jobs than the trace holds");
+                (job.available_cores_at_assign, job.queue_at_assign) = (available, queued);
                 self.sites[site.index()].queue.push_back(idx as u32);
                 self.mirror_site(site);
                 self.try_start_site(site, ctx);

@@ -122,7 +122,7 @@ fn a_streamed_run_with_bounded_monitoring_writes_the_recorded_bytes() {
         .run()
         .unwrap();
     assert_eq!(results.outcomes.len(), 3_000);
-    assert!(results.events.len() < 1_000 && results.events[0].event_id > 0);
+    assert!(results.events.len() < 1_000 && results.events.first().unwrap().event_id > 0);
 
     assert_hashes(
         file_hashes(&results, "streamed"),

@@ -16,6 +16,13 @@
 //! metrics report and the ML examples from those owned outcomes, grouped by
 //! site name, as the code before the join did.
 //!
+//! Event rows are 32 bytes too: a job index, a site index and `u32`
+//! counters, which the event table widens and joins to the event id, the
+//! job's id and the site's name when read. The reference side renders owned
+//! 80-byte records built from each view, and a reference collector — the
+//! owned-row collector runs used to hold, fed every transition of a fully
+//! monitored run — is the lockstep twin of the same run thinned and ringed.
+//!
 //! The ML examples' site state used to come from joining each outcome to
 //! its job's last `Assigned` event row at export time; the run now captures
 //! it in the row at dispatch. On the faulted run, where every transition is
@@ -29,8 +36,8 @@ use std::sync::Arc;
 use cgsim_core::{CheckpointConfig, ExecutionConfig, Simulation, SimulationResults};
 use cgsim_faults::{parse_fault_spec, FaultPlan, FaultTopology};
 use cgsim_monitor::{
-    mldataset, EventRecord, MetricsReport, MonitoringConfig, OutcomeRow, OutcomeTable, SiteMetrics,
-    TableStore,
+    mldataset, EventRow, EventTable, MetricsReport, MonitoringConfig, OutcomeRow, OutcomeTable,
+    SiteMetrics, TableStore,
 };
 use cgsim_platform::presets::wlcg_platform;
 use cgsim_platform::Platform;
@@ -231,6 +238,98 @@ mod reference {
                 target_walltime: o.walltime,
             })
             .collect()
+    }
+
+    /// One row of the event-level dataset, as runs stored it before the
+    /// event table: every column owned, the site name a shared allocation.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EventRecord {
+        pub event_id: u64,
+        pub time_s: f64,
+        pub job_id: JobId,
+        pub state: JobState,
+        pub site: Arc<str>,
+        pub available_cores: u64,
+        pub pending_jobs: u64,
+        pub assigned_jobs: u64,
+        pub finished_jobs: u64,
+    }
+
+    /// The owned record of every view of `table`.
+    pub fn events(table: &EventTable) -> Vec<EventRecord> {
+        table
+            .iter()
+            .map(|e| EventRecord {
+                event_id: e.event_id,
+                time_s: e.time_s,
+                job_id: e.job_id,
+                state: e.state,
+                site: e.site.into(),
+                available_cores: e.available_cores,
+                pending_jobs: e.pending_jobs,
+                assigned_jobs: e.assigned_jobs,
+                finished_jobs: e.finished_jobs,
+            })
+            .collect()
+    }
+
+    /// The collector's event path before rows were narrowed: it counts a
+    /// site's assigned and finished jobs in `u64`, numbers the rows it keeps
+    /// and drains its ring the same way, and stores owned records.
+    pub struct Collector {
+        config: MonitoringConfig,
+        counters: HashMap<Arc<str>, (u64, u64)>,
+        pub events: Vec<EventRecord>,
+        next_event_id: u64,
+        transitions_seen: u64,
+    }
+
+    impl Collector {
+        pub fn new(config: MonitoringConfig) -> Self {
+            Collector {
+                config,
+                counters: HashMap::new(),
+                events: Vec::new(),
+                next_event_id: 0,
+                transitions_seen: 0,
+            }
+        }
+
+        /// Records the transition `t` (an event of a run that kept every
+        /// transition; its id and counters are not read).
+        pub fn record(&mut self, t: &EventRecord) {
+            let at_site = !t.site.is_empty();
+            if at_site {
+                let counters = self.counters.entry(Arc::clone(&t.site)).or_default();
+                match t.state {
+                    JobState::Assigned => counters.0 += 1,
+                    JobState::Finished => counters.1 += 1,
+                    _ => {}
+                }
+            }
+            self.transitions_seen += 1;
+            let stride = self.config.sample_stride.max(1);
+            if !self.config.enabled || !self.transitions_seen.is_multiple_of(stride) {
+                return;
+            }
+            let event_id = self.next_event_id;
+            self.next_event_id += 1;
+            let (assigned, finished) = match at_site {
+                true => self.counters[&t.site],
+                false => (0, 0),
+            };
+            self.events.push(EventRecord {
+                event_id,
+                assigned_jobs: assigned,
+                finished_jobs: finished,
+                ..t.clone()
+            });
+            let cap = self.config.max_events as usize;
+            if cap > 0 && self.events.len() >= cap * 2 {
+                let drop = self.events.len() - cap;
+                self.events.drain(..drop);
+            }
+        }
     }
 
     /// Each job's last `Assigned` event row: where the ML dataset's site
@@ -528,44 +627,84 @@ fn states() -> impl Strategy<Value = JobState> {
     ])
 }
 
-fn events() -> impl Strategy<Value = Vec<EventRecord>> {
-    let record = (
-        (counters(), floats(), counters(), states()),
-        site_names(),
-        (counters(), counters(), counters(), counters()),
+/// `u32` counters at the edges of their range, random ones and small ones.
+fn narrow_counters() -> impl Strategy<Value = u32> {
+    (0usize..4, any::<u32>()).prop_map(|(pick, random)| match pick {
+        0 => 0,
+        1 => u32::MAX,
+        2 => random,
+        _ => random % 100_000,
+    })
+}
+
+/// Event tables of hostile values: any float as a time, jobs of any id,
+/// sites a CSV writer can get wrong and the main server, counters at their
+/// edges, any first event id and up to three assigned-count crossings.
+fn events() -> impl Strategy<Value = EventTable> {
+    let row = (
+        (floats(), 0u32..4, any::<u16>(), states()),
+        (
+            narrow_counters(),
+            narrow_counters(),
+            narrow_counters(),
+            narrow_counters(),
+        ),
         repeats(),
     )
         .prop_map(
-            |(
-                (event_id, time_s, job, state),
-                site,
-                (avail, pending, assigned, finished),
-                repeat,
-            )| {
-                let record = EventRecord {
-                    event_id,
+            |((time_s, job, site, state), (avail, pending, assigned, finished), repeat)| {
+                let row = EventRow {
                     time_s,
-                    job_id: JobId(job),
+                    job,
+                    site,
                     state,
-                    site: site.into(),
                     available_cores: avail,
                     pending_jobs: pending,
                     assigned_jobs: assigned,
                     finished_jobs: finished,
                 };
-                (record, repeat)
+                (row, repeat)
             },
         );
-    prop::collection::vec(record, 0..12).prop_map(|rows| {
-        let mut events: Vec<EventRecord> = Vec::with_capacity(rows.len());
-        for (mut record, repeat) in rows {
-            if let Some(previous) = events.last().filter(|_| repeat) {
-                record.time_s = previous.time_s;
+    (
+        prop::collection::vec(site_names(), 1..4),
+        prop::collection::vec(counters(), 4),
+        prop::collection::vec(row, 0..12),
+        counters(),
+        prop::collection::vec((0u64..14, any::<u16>()), 0..4),
+    )
+        .prop_map(|(mut names, ids, rows, drained, crossings)| {
+            let mut seen = std::collections::HashSet::new();
+            names.retain(|name| seen.insert(name.clone()));
+            let sites = names.len() as u16;
+            // Every `sites + 1`-th site index is the main server's.
+            let site = |pick: u16| match pick % (sites + 1) {
+                s if s == sites => EventRow::SERVER,
+                s => s,
+            };
+            let mut events: Vec<EventRow> = Vec::with_capacity(rows.len());
+            for (mut row, repeat) in rows {
+                row.site = site(row.site);
+                if let Some(previous) = events.last().filter(|_| repeat) {
+                    row.time_s = previous.time_s;
+                }
+                events.push(row);
             }
-            events.push(record);
-        }
-        events
-    })
+            let drained = drained.min(u64::MAX - 12);
+            let crossings = crossings
+                .into_iter()
+                .map(|(id, pick)| (drained.saturating_add(id), pick % sites))
+                .collect();
+            let trace = Trace {
+                jobs: ids
+                    .into_iter()
+                    .map(|id| record(id, false, 1, 1.0, 0.0))
+                    .collect(),
+                ..Trace::default()
+            };
+            let names: Vec<Arc<str>> = names.iter().map(|name| name.as_str().into()).collect();
+            EventTable::new(events, drained, crossings, Arc::new(trace), names.into())
+        })
 }
 
 /// An outcome table over `jobs` (row `i` names record `i`) and the trace it
@@ -649,7 +788,7 @@ fn outcomes() -> impl Strategy<Value = (Arc<Trace>, OutcomeTable)> {
 /// is not their name order, submit times below zero now and then (clamped
 /// when read), ground truth on some jobs, failures on some, and an
 /// `Assigned` event for most jobs.
-fn run_like_outcomes() -> impl Strategy<Value = (Arc<Trace>, OutcomeTable, Vec<EventRecord>)> {
+fn run_like_outcomes() -> impl Strategy<Value = (Arc<Trace>, OutcomeTable, EventTable)> {
     let job = (
         (0u64..40, 1u32..9, 1.0f64..1e6),
         (-100.0f64..1e5, 0.0f64..1e4, 0.0f64..1e5),
@@ -674,14 +813,13 @@ fn run_like_outcomes() -> impl Strategy<Value = (Arc<Trace>, OutcomeTable, Vec<E
                     end_time: start + wall,
                     staged_bytes: staged,
                 };
-                let assigned = (pick < 3).then(|| EventRecord {
-                    event_id: id,
+                let assigned = (pick < 3).then_some(EventRow {
                     time_s: start - queue / 2.0,
-                    job_id: JobId(id),
+                    job: 0,
+                    site,
                     state: JobState::Assigned,
-                    site: "".into(),
-                    available_cores: row.available_cores_at_assign.into(),
-                    pending_jobs: row.queue_at_assign.into(),
+                    available_cores: row.available_cores_at_assign,
+                    pending_jobs: row.queue_at_assign,
                     assigned_jobs: 0,
                     finished_jobs: 0,
                 });
@@ -692,9 +830,15 @@ fn run_like_outcomes() -> impl Strategy<Value = (Arc<Trace>, OutcomeTable, Vec<E
         .map(String::from)
         .to_vec();
     prop::collection::vec(job, 0..60).prop_map(move |jobs| {
-        let (jobs, events): (Vec<_>, Vec<_>) = jobs.into_iter().unzip();
+        let (jobs, events): (Vec<_>, Vec<Option<EventRow>>) = jobs.into_iter().unzip();
         let (trace, outcomes) = table(names.clone(), jobs);
-        (trace, outcomes, events.into_iter().flatten().collect())
+        let rows = (0..)
+            .zip(events)
+            .filter_map(|(job, row)| Some(EventRow { job, ..row? }))
+            .collect();
+        let sites = outcomes.site_names().into();
+        let events = EventTable::new(rows, 0, Vec::new(), Arc::clone(&trace), sites);
+        (trace, outcomes, events)
     })
 }
 
@@ -770,7 +914,8 @@ proptest! {
         let owned = reference::outcomes(&outcomes, &trace);
         prop_assert!(views_match(&outcomes, &owned));
         let store = TableStore::new(&events, &outcomes, &metrics);
-        let twin = reference::table_store(&events, &owned, &metrics);
+        let owned_events = reference::events(&events);
+        let twin = reference::table_store(&owned_events, &owned, &metrics);
         prop_assert_eq!(store.table_names().to_vec(), twin.keys().copied().collect::<Vec<_>>());
         for (name, table) in &twin {
             let streamed = store.get(name).unwrap();
@@ -795,7 +940,7 @@ proptest! {
         let twin = reference::metrics(&owned);
         prop_assert_eq!(format!("{metrics:?}"), format!("{twin:?}"));
         let store = TableStore::new(&events, &outcomes, &metrics);
-        let tables = reference::table_store(&events, &owned, &twin);
+        let tables = reference::table_store(&reference::events(&events), &owned, &twin);
         prop_assert_eq!(store.get("site_summary").unwrap().to_csv(), tables["site_summary"].to_csv());
         prop_assert_eq!(store.get("jobs").unwrap().to_csv(), tables["jobs"].to_csv());
         let examples = mldataset::build_examples(&outcomes, &events);
@@ -809,6 +954,11 @@ proptest! {
 /// determinism gates, with every output file present.
 /// Returns the results and the trace the run was given.
 fn faulted_checkpointed_run() -> (SimulationResults, Arc<Trace>) {
+    faulted_run(MonitoringConfig::default())
+}
+
+/// [`faulted_checkpointed_run`] with the event rows of `monitoring`.
+fn faulted_run(monitoring: MonitoringConfig) -> (SimulationResults, Arc<Trace>) {
     let spec = wlcg_platform(6, 7);
     let trace = Arc::new(TraceGenerator::new(TraceConfig::with_jobs(400, 7)).generate(&spec));
     let config =
@@ -822,7 +972,7 @@ fn faulted_checkpointed_run() -> (SimulationResults, Arc<Trace>) {
         },
         monitoring: MonitoringConfig {
             window_s: 3_600.0,
-            ..MonitoringConfig::default()
+            ..monitoring
         },
         ..ExecutionConfig::with_policy("least-loaded")
     };
@@ -855,7 +1005,8 @@ fn every_file_of_an_output_directory_matches_its_reference() {
     // Every transition is recorded, so each outcome's captured site state is
     // its last `Assigned` event row's, and that row falls between the job's
     // submission and its start.
-    let assigned = reference::last_assigned(&results.events);
+    let events = reference::events(&results.events);
+    let assigned = reference::last_assigned(&events);
     for o in &owned {
         let assign = assigned[&o.id];
         let captured = (o.available_cores_at_assign, o.queue_at_assign);
@@ -877,7 +1028,7 @@ fn every_file_of_an_output_directory_matches_its_reference() {
         ),
         ("ml_dataset.csv".into(), reference::ml_csv(&examples)),
     ]);
-    for (name, table) in reference::table_store(&results.events, &owned, &metrics) {
+    for (name, table) in reference::table_store(&events, &owned, &metrics) {
         expected.insert(format!("{name}.csv"), table.to_csv());
     }
 
@@ -893,6 +1044,45 @@ fn every_file_of_an_output_directory_matches_its_reference() {
         assert!(on_disk.lines().count() > 1, "{name} has content");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The faulted run with every transition kept, thinned to every third and
+/// held in a ten-row ring: each event table reads back, id for id, the
+/// records the owned-row collector keeps when fed the full run's
+/// transitions, and its counters are the ones that collector counted.
+#[test]
+fn event_views_match_the_owned_row_collector_in_lockstep() {
+    let (full, _) = faulted_run(MonitoringConfig::default());
+    let transitions = reference::events(&full.events);
+    assert!(full.grid_counters.job_interruptions > 0);
+    assert_eq!(
+        transitions.len() as u64,
+        transitions.last().unwrap().event_id + 1
+    );
+    let configs = [
+        MonitoringConfig::default(),
+        MonitoringConfig {
+            sample_stride: 3,
+            ..MonitoringConfig::default()
+        },
+        MonitoringConfig {
+            max_events: 10,
+            ..MonitoringConfig::default()
+        },
+    ];
+    for config in configs {
+        let (run, _) = faulted_run(config.clone());
+        let mut twin = reference::Collector::new(config.clone());
+        for t in &transitions {
+            twin.record(t);
+        }
+        let got = reference::events(&run.events);
+        assert!(!got.is_empty());
+        assert!(
+            got == twin.events,
+            "{config:?}: the views differ from the owned rows"
+        );
+    }
 }
 
 #[test]

@@ -106,9 +106,9 @@ proptest! {
 
         // Event stream: ids strictly increasing, finished counter never
         // exceeds the assigned counter.
-        for pair in results.events.windows(2) {
-            prop_assert!(pair[0].event_id < pair[1].event_id);
-            prop_assert!(pair[0].time_s <= pair[1].time_s + 1e-9);
+        for (a, b) in results.events.iter().zip(results.events.iter().skip(1)) {
+            prop_assert!(a.event_id < b.event_id);
+            prop_assert!(a.time_s <= b.time_s + 1e-9);
         }
         for e in &results.events {
             if e.state == JobState::Finished {

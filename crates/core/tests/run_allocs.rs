@@ -121,24 +121,29 @@ fn doubling_the_jobs_adds_under_a_quarter_of_an_allocation_per_job() {
     }
 }
 
+/// The event rows of the benchmark's `grid_clean`: a 10k ring sampled every
+/// 100th transition, with hourly windows.
+fn bounded() -> MonitoringConfig {
+    MonitoringConfig {
+        enabled: true,
+        sample_stride: 100,
+        max_events: 10_000,
+        window_s: 3_600.0,
+        max_windows: 512,
+    }
+}
+
 /// High-water heap bytes of one run in the benchmark's `grid_clean` shape —
-/// 12 sites, `jobs` streamed jobs submitted over 6 h, least-loaded, a 10k
-/// event ring sampled every 100th transition — above what was live before it
-/// started.
-fn run_peak_bytes(jobs: usize) -> usize {
+/// 12 sites, `jobs` streamed jobs submitted over 6 h, least-loaded — with
+/// the event rows of `monitoring`, above what was live before it started.
+fn run_peak_bytes(jobs: usize, monitoring: MonitoringConfig) -> usize {
     let spec = wlcg_platform(12, 42);
     let generator = TraceGenerator::new(TraceConfig {
         submission_window_s: 6.0 * 3_600.0,
         ..TraceConfig::with_jobs(jobs, 42)
     });
     let execution = ExecutionConfig {
-        monitoring: MonitoringConfig {
-            enabled: true,
-            sample_stride: 100,
-            max_events: 10_000,
-            window_s: 3_600.0,
-            max_windows: 512,
-        },
+        monitoring,
         ..ExecutionConfig::default()
     };
     let sim = Simulation::builder()
@@ -166,21 +171,47 @@ fn run_peak_bytes(jobs: usize) -> usize {
 /// measured 485.9 B/job: a 96 B `JobRuntime`, a 24 B lane entry and an
 /// outcome table grown by doubling. It read 328.5 B/job while every site
 /// also kept an LRU index of the datasets it had staged, 313.4 B/job while
-/// each outcome was a 128 B copy of its job's record columns, and 225.4
-/// B/job while the `JobRuntime` held an `f64` assign time (32 B).
+/// each outcome was a 128 B copy of its job's record columns, 225.4 B/job
+/// while the `JobRuntime` held an `f64` assign time (32 B), and 221.4 B/job
+/// while the sampled event rows (one per 100 transitions, below the ring's
+/// bound at these sizes) were 80 B.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "debug builds rebuild the policy view (a Vec) at every policy call"
 )]
 fn the_peak_heap_holds_a_pinned_number_of_bytes_per_job() {
+    assert_peak_bytes_per_job(bounded(), 218.9);
+}
+
+/// The same run with every transition kept: the event table's per-job cost
+/// on top of the bounded run's. A job makes about 4.2 transitions, and the
+/// table grows by doubling; the parent of the change that added this gate
+/// stored 80 B event rows and measured 741.6 B/job.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds rebuild the policy view (a Vec) at every policy call"
+)]
+fn the_peak_heap_with_every_event_kept_holds_a_pinned_number_of_bytes_per_job() {
+    let unbounded = MonitoringConfig {
+        sample_stride: 1,
+        max_events: 0,
+        ..bounded()
+    };
+    assert_peak_bytes_per_job(unbounded, 427.0);
+}
+
+/// Fails when the heap's high-water mark grows by more than `measured` B
+/// + 5 % per extra job from 20k to 40k jobs under `monitoring`.
+fn assert_peak_bytes_per_job(monitoring: MonitoringConfig, measured: f64) {
     const N: usize = 20_000;
-    const MEASURED: f64 = 221.4;
-    let (small, large) = (run_peak_bytes(N), run_peak_bytes(2 * N));
+    let small = run_peak_bytes(N, monitoring.clone());
+    let large = run_peak_bytes(2 * N, monitoring);
     let per_job = (large - small) as f64 / N as f64;
     eprintln!("peak heap: {small} B for {N} jobs, {large} B for twice that: {per_job:.1} B/job");
     assert!(
-        per_job <= MEASURED * 1.05,
-        "{per_job:.1} B per extra job at the peak, pinned at {MEASURED}"
+        per_job <= measured * 1.05,
+        "{per_job:.1} B per extra job at the peak, pinned at {measured}"
     );
 }

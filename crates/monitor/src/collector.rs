@@ -2,17 +2,21 @@
 //!
 //! The collector receives every job state transition together with the
 //! concurrent state of the concerned site, maintains cumulative per-site
-//! counters, and appends one [`EventRecord`] per transition — the dual-level
-//! (job + site) tracking described in §4.3.2. It can be disabled entirely for
-//! maximum simulation speed, or thinned with a sampling stride for very large
-//! runs; the monitoring-overhead benchmark quantifies the cost.
+//! counters, and appends one 32-byte [`EventRow`] per transition — the
+//! dual-level (job + site) tracking described in §4.3.2. A row names its job
+//! by trace index and its site by list index; the collector holds the site
+//! names once, and [`MonitoringCollector::into_parts`] hands them and the
+//! rows to an [`EventTable`] that joins them back when a row is read. It can
+//! be disabled entirely for maximum simulation speed, or thinned with a
+//! sampling stride for very large runs; the monitoring-overhead benchmark
+//! quantifies the cost.
 
 use std::sync::Arc;
 
-use cgsim_workload::{JobId, JobState, Trace};
+use cgsim_workload::{JobState, Trace};
 use serde::{Deserialize, Serialize};
 
-use crate::event::{EventRecord, OutcomeRow, OutcomeTable};
+use crate::event::{EventRow, EventTable, OutcomeRow, OutcomeTable, TraceIndex};
 use crate::window::WindowedAggregator;
 
 /// Collector configuration.
@@ -189,26 +193,35 @@ pub struct CacheCounters {
 #[derive(Debug, Clone)]
 pub struct MonitoringCollector {
     config: MonitoringConfig,
-    /// The run's one allocation of each site name: event rows hold clones,
-    /// and the outcome table shares the list.
+    /// The run's one allocation of each site name, shared by the event and
+    /// outcome tables.
     site_names: Arc<[Arc<str>]>,
-    /// The empty site name of main-server events.
-    server_name: Arc<str>,
     counters: Vec<SiteCounters>,
     /// Grid-level counters (faults, checkpoints, repairs, main-server
     /// anomalies). Single-counter events bump their field in place; the
     /// `record_*` methods below cover events that move several counters.
     pub grid_counters: GridCounters,
-    events: Vec<EventRecord>,
+    events: Vec<EventRow>,
+    /// Rows the ring has dropped: the event id of `events[0]`.
+    drained: u64,
+    /// (next event id, site) each time a site's assigned count crossed a
+    /// multiple of 2³² (see [`EventTable`]).
+    crossings: Vec<(u64, u16)>,
     outcomes: Vec<OutcomeRow>,
-    next_event_id: u64,
     transitions_seen: u64,
     windows: Option<WindowedAggregator>,
 }
 
 impl MonitoringCollector {
     /// Creates a collector for the given sites.
+    ///
+    /// # Panics
+    /// With more than 65,535 sites, which event rows cannot index.
     pub fn new(site_names: Vec<String>, config: MonitoringConfig) -> Self {
+        assert!(
+            site_names.len() <= usize::from(EventRow::SERVER),
+            "event rows index at most 65,535 sites"
+        );
         let counters = vec![SiteCounters::default(); site_names.len()];
         let site_names = site_names
             .iter()
@@ -219,12 +232,12 @@ impl MonitoringCollector {
         MonitoringCollector {
             config,
             site_names,
-            server_name: Arc::from(""),
             counters,
             grid_counters: GridCounters::default(),
             events: Vec::new(),
+            drained: 0,
+            crossings: Vec::new(),
             outcomes: Vec::new(),
-            next_event_id: 0,
             transitions_seen: 0,
             windows,
         }
@@ -264,24 +277,31 @@ impl MonitoringCollector {
         }
     }
 
-    /// Records a job state transition at a site (`site_index` indexes the
-    /// site list given at construction; `None` marks main-server events).
-    #[allow(clippy::too_many_arguments)]
+    /// Records a job state transition at a site (`job` indexes the trace
+    /// handed to [`MonitoringCollector::into_parts`], `site_index` the site
+    /// list given at construction; `None` marks main-server events).
     pub fn record_transition(
         &mut self,
         time_s: f64,
-        job: JobId,
+        job: impl Into<TraceIndex>,
         state: JobState,
         site_index: Option<usize>,
-        available_cores: u64,
-        site_queued: u64,
+        available_cores: u32,
+        site_queued: u32,
     ) {
         // Counters are always maintained (cheap); event rows obey the config.
         if let Some(idx) = site_index {
+            let counters = &mut self.counters[idx];
             match state {
-                JobState::Assigned => self.counters[idx].assigned += 1,
-                JobState::Finished => self.counters[idx].finished += 1,
-                JobState::Failed => self.counters[idx].failed += 1,
+                JobState::Assigned => {
+                    counters.assigned += 1;
+                    if counters.assigned as u32 == 0 {
+                        let next_id = self.drained + self.events.len() as u64;
+                        self.crossings.push((next_id, idx as u16));
+                    }
+                }
+                JobState::Finished => counters.finished += 1,
+                JobState::Failed => counters.failed += 1,
                 _ => {}
             }
         }
@@ -298,19 +318,24 @@ impl MonitoringCollector {
         {
             return;
         }
-        let event_id = self.next_event_id;
-        self.next_event_id += 1;
-        let (assigned, finished) = match site_index {
-            Some(idx) => (self.counters[idx].assigned, self.counters[idx].finished),
-            None => (0, 0),
+        let (site, assigned, finished) = match site_index {
+            Some(idx) => {
+                let counters = self.counters[idx];
+                // invariant: a job finishes once, and a run refuses traces
+                // past `u32::MAX` jobs.
+                let finished = u32::try_from(counters.finished)
+                    .expect("a site finishes no more jobs than the trace holds");
+                // `new` keeps site indices below `SERVER`; the low 32 bits
+                // of `assigned`, as `crossings` keeps the rest.
+                (idx as u16, counters.assigned as u32, finished)
+            }
+            None => (EventRow::SERVER, 0, 0),
         };
-        let site = self.site_name(site_index);
-        self.events.push(EventRecord {
-            event_id,
+        self.events.push(EventRow {
             time_s,
-            job_id: job,
-            state,
+            job: job.into().0,
             site,
+            state,
             available_cores,
             pending_jobs: site_queued,
             assigned_jobs: assigned,
@@ -323,13 +348,8 @@ impl MonitoringCollector {
         if cap > 0 && self.events.len() >= cap * 2 {
             let drop = self.events.len() - cap;
             self.events.drain(..drop);
+            self.drained += drop as u64;
         }
-    }
-
-    /// The shared name of site `site_index` (`None`: the empty name of the
-    /// main server). A reference-count bump, no allocation.
-    fn site_name(&self, site_index: Option<usize>) -> Arc<str> {
-        Arc::clone(site_index.map_or(&self.server_name, |s| &self.site_names[s]))
     }
 
     /// Reserves room for `jobs` more outcomes, so a run that knows its job
@@ -345,11 +365,11 @@ impl MonitoringCollector {
         self.outcomes.push(outcome);
     }
 
-    /// Event-level dataset collected so far. With
+    /// Event-level rows collected so far. With
     /// [`MonitoringConfig::max_events`] set this is the most recent tail of
-    /// the dataset, not the full history: the first record's id is the number
-    /// of records dropped before it.
-    pub fn events(&self) -> &[EventRecord] {
+    /// the dataset, not the full history: the first row's id is the number
+    /// of rows dropped before it.
+    pub fn events(&self) -> &[EventRow] {
         &self.events
     }
 
@@ -373,11 +393,18 @@ impl MonitoringCollector {
         &self.outcomes
     }
 
-    /// Consumes the collector, returning the events and the outcomes as a
-    /// table over `trace`, the records the rows' job indices address.
-    pub fn into_parts(self, trace: Arc<Trace>) -> (Vec<EventRecord>, OutcomeTable) {
+    /// Consumes the collector, returning the events and the outcomes as
+    /// tables over `trace`, the records the rows' job indices address.
+    pub fn into_parts(self, trace: Arc<Trace>) -> (EventTable, OutcomeTable) {
+        let events = EventTable::new(
+            self.events,
+            self.drained,
+            self.crossings,
+            Arc::clone(&trace),
+            Arc::clone(&self.site_names),
+        );
         let outcomes = OutcomeTable::new(self.outcomes, trace, self.site_names);
-        (self.events, outcomes)
+        (events, outcomes)
     }
 
     /// Cumulative counters of a site.
@@ -394,6 +421,7 @@ impl MonitoringCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgsim_workload::{JobId, JobKind, JobRecord};
 
     fn collector() -> MonitoringCollector {
         MonitoringCollector::new(
@@ -402,28 +430,81 @@ mod tests {
         )
     }
 
+    /// The collector's event table over a trace of `jobs` records whose
+    /// ids are 1000 past their indices.
+    fn events(c: MonitoringCollector, jobs: u64) -> EventTable {
+        let jobs = (0..jobs)
+            .map(|i| JobRecord::new(1_000 + i, JobKind::SingleCore, 1, 1.0))
+            .collect();
+        let trace = Trace {
+            jobs,
+            ..Trace::default()
+        };
+        c.into_parts(Arc::new(trace)).0
+    }
+
     #[test]
     fn transitions_become_event_records() {
         let mut c = collector();
-        c.record_transition(1.0, JobId(1), JobState::Assigned, Some(0), 100, 0);
-        c.record_transition(2.0, JobId(1), JobState::Running, Some(0), 99, 0);
-        c.record_transition(5.0, JobId(1), JobState::Finished, Some(0), 100, 0);
+        c.record_transition(1.0, TraceIndex(1), JobState::Assigned, Some(0), 100, 0);
+        c.record_transition(2.0, TraceIndex(1), JobState::Running, Some(0), 99, 0);
+        c.record_transition(5.0, TraceIndex(1), JobState::Finished, Some(0), 100, 0);
         assert_eq!(c.events().len(), 3);
         assert_eq!(c.site_counters(0).assigned, 1);
         assert_eq!(c.site_counters(0).finished, 1);
         assert_eq!(c.site_counters(1), SiteCounters::default());
-        let last = &c.events()[2];
+        let events = events(c, 2);
+        let last = events.last().unwrap();
         assert_eq!(last.finished_jobs, 1);
-        assert_eq!(&*last.site, "CERN");
-        // Rows of one site share the collector's allocation of its name.
-        assert!(Arc::ptr_eq(&last.site, &c.events()[0].site));
+        assert_eq!((last.site, last.job_id), ("CERN", JobId(1_001)));
         assert_eq!(last.event_id, 2);
+    }
+
+    #[test]
+    fn an_assigned_count_past_u32_reads_back_whole() {
+        // Outages send queued jobs back without spending a retry, so a
+        // site's assigned count has no bound. Start it just below 2^32 and
+        // record across the boundary, thinned and through a small ring.
+        let config = MonitoringConfig {
+            sample_stride: 3,
+            max_events: 4,
+            ..MonitoringConfig::default()
+        };
+        let mut c = MonitoringCollector::new(vec!["A".into(), "B".into()], config);
+        let start = (1u64 << 32) - 25;
+        c.counters[1].assigned = start;
+        let mut expected = Vec::new();
+        for i in 0..40u64 {
+            let site = (i % 4 != 3).then_some(1);
+            c.record_transition(i as f64, TraceIndex(0), JobState::Assigned, site, 7, 0);
+            if (i + 1) % 3 == 0 {
+                expected.push(site.map_or(0, |_| c.site_counters(1).assigned));
+            }
+        }
+        let end = c.site_counters(1).assigned;
+        assert_eq!(end, start + 30);
+        assert_eq!(c.crossings.len(), 1);
+        let events = events(c, 1);
+        assert!(events.len() < 8, "bounded at twice the cap");
+        let got: Vec<(u64, u64)> = events
+            .iter()
+            .map(|e| (e.event_id, e.assigned_jobs))
+            .collect();
+        let tail = expected.len() - events.len();
+        let want: Vec<(u64, u64)> = (tail as u64..)
+            .zip(expected[tail..].iter().copied())
+            .collect();
+        assert_eq!(got, want);
+        // The ring keeps rows from both sides of the crossing.
+        let below = |&(_, a): &(u64, u64)| a > 0 && a <= u64::from(u32::MAX);
+        assert!(got.iter().any(below) && !got.iter().all(below));
+        assert_eq!(got.last().unwrap().1, end);
     }
 
     #[test]
     fn disabled_collector_keeps_counters_but_no_events() {
         let mut c = MonitoringCollector::new(vec!["X".into()], MonitoringConfig::disabled());
-        c.record_transition(1.0, JobId(1), JobState::Finished, Some(0), 10, 0);
+        c.record_transition(1.0, TraceIndex(1), JobState::Finished, Some(0), 10, 0);
         assert!(c.events().is_empty());
         assert_eq!(c.site_counters(0).finished, 1);
         assert_eq!(c.transitions_seen(), 1);
@@ -439,7 +520,7 @@ mod tests {
             },
         );
         for i in 0..100 {
-            c.record_transition(i as f64, JobId(i), JobState::Running, Some(0), 5, 0);
+            c.record_transition(i as f64, TraceIndex(i), JobState::Running, Some(0), 5, 0);
         }
         assert_eq!(c.events().len(), 10);
         assert_eq!(c.transitions_seen(), 100);
@@ -455,22 +536,24 @@ mod tests {
             },
         );
         for i in 0..95 {
-            c.record_transition(i as f64, JobId(i), JobState::Running, Some(0), 5, 0);
+            c.record_transition(i as f64, TraceIndex(i), JobState::Running, Some(0), 5, 0);
         }
-        assert!(c.events().len() < 20, "bounded at twice the cap");
+        let events = events(c, 95);
+        assert!(events.len() < 20, "bounded at twice the cap");
         // The retained rows are the newest, with their original ids: the
         // first one's id counts the rows dropped before it.
-        assert_eq!(c.events().last().unwrap().event_id, 94);
-        let first = c.events().first().unwrap().event_id;
-        assert_eq!(first + c.events().len() as u64, 95);
+        let last = events.last().unwrap();
+        assert_eq!((last.event_id, last.job_id), (94, JobId(1_094)));
+        let first = events.first().unwrap().event_id;
+        assert_eq!(first + events.len() as u64, 95);
     }
 
     #[test]
     fn windowed_metrics_follow_the_config() {
         let mut c = MonitoringCollector::new(vec!["X".into()], MonitoringConfig::windowed(100.0));
-        c.record_transition(10.0, JobId(1), JobState::Assigned, Some(0), 5, 0);
-        c.record_transition(50.0, JobId(1), JobState::Finished, Some(0), 5, 0);
-        c.record_transition(150.0, JobId(2), JobState::Assigned, Some(0), 5, 0);
+        c.record_transition(10.0, TraceIndex(1), JobState::Assigned, Some(0), 5, 0);
+        c.record_transition(50.0, TraceIndex(1), JobState::Finished, Some(0), 5, 0);
+        c.record_transition(150.0, TraceIndex(2), JobState::Assigned, Some(0), 5, 0);
         c.finish_windows();
         let windows: Vec<_> = c.windows().unwrap().windows().collect();
         assert_eq!(windows.len(), 2);
@@ -515,8 +598,10 @@ mod tests {
     #[test]
     fn main_server_events_have_empty_site() {
         let mut c = collector();
-        c.record_transition(0.5, JobId(9), JobState::Pending, None, 0, 3);
-        assert_eq!(&*c.events()[0].site, "");
-        assert_eq!(c.events()[0].pending_jobs, 3);
+        c.record_transition(0.5, TraceIndex(9), JobState::Pending, None, 0, 3);
+        assert_eq!(c.events()[0].site, EventRow::SERVER);
+        let events = events(c, 10);
+        let e = events.first().unwrap();
+        assert_eq!((e.site, e.pending_jobs, e.job_id), ("", 3, JobId(1_009)));
     }
 }

@@ -1,24 +1,255 @@
-//! Event-level records (Table 1) and per-job outcomes.
+//! Event-level rows (Table 1) and per-job outcomes.
 //!
-//! A run holds one [`EventRecord`] per recorded transition and one 40-byte
-//! [`OutcomeRow`] per terminal job. A row keeps what the run decided about
-//! the job and nothing the job's [`JobRecord`] already says: the
-//! [`OutcomeTable`] that owns the rows also holds the run's trace and site
-//! names, and reads each row as an [`OutcomeView`] that joins the record's
-//! columns and derives walltime and queue time.
+//! A run holds one 32-byte [`EventRow`] per recorded transition and one
+//! 40-byte [`OutcomeRow`] per terminal job. Neither row repeats what the
+//! job's [`JobRecord`] or the site list already says: a row names its job by
+//! trace index and its site by list index. The [`EventTable`] and the
+//! [`OutcomeTable`] that own the rows also hold the run's trace and site
+//! names, and read each row as an [`EventView`] or an [`OutcomeView`] that
+//! joins the job's id (and the outcome's other record columns) and the
+//! site's name.
 
 use std::sync::Arc;
 
 use cgsim_workload::{JobId, JobKind, JobRecord, JobState, Trace};
-use serde::{Deserialize, Serialize};
 
-/// One row of the event-level monitoring dataset.
+/// The job a transition concerns, as an [`EventRow`] names it: the job's
+/// index in the run's trace, which the [`EventTable`] joins back to the
+/// job's record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceIndex(pub u32);
+
+impl From<JobId> for TraceIndex {
+    /// A collector that is never joined to a trace (a micro-benchmark, a
+    /// test) may name its jobs by id, read as the index of a trace whose
+    /// ids number its jobs from zero.
+    ///
+    /// # Panics
+    /// If the id does not fit in 32 bits.
+    fn from(id: JobId) -> Self {
+        TraceIndex(u32::try_from(id.0).expect("a job named by id as a trace index fits in u32"))
+    }
+}
+
+/// One row of the event-level monitoring dataset as a run stores it: a job
+/// state transition and the concurrent state of the site it concerns
+/// (paper Table 1). The event id follows from the row's position, the job
+/// id and site name are joined from the table's trace and site list, and
+/// the counters are widened to `u64` when the row is read as an
+/// [`EventView`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EventRow {
+    /// Virtual time of the event, seconds.
+    pub time_s: f64,
+    /// Index of the job's record in the run's trace.
+    pub job: u32,
+    /// Index of the site in the run's site list, or [`EventRow::SERVER`]
+    /// for events at the main server (e.g. submission).
+    pub site: u16,
+    /// New state of the job.
+    pub state: JobState,
+    /// Cores not allocated at the site at event time.
+    pub available_cores: u32,
+    /// Jobs waiting in the site queue (or at the main server) at event time.
+    pub pending_jobs: u32,
+    /// Low 32 bits of the cumulative jobs dispatched to the site; the table's
+    /// crossing list holds the rest.
+    pub assigned_jobs: u32,
+    /// Cumulative jobs finished at the site.
+    pub finished_jobs: u32,
+}
+
+impl EventRow {
+    /// The `site` of an event at the main server. A run's platform has at
+    /// most 65,535 sites, so no site index takes this value.
+    pub const SERVER: u16 = u16::MAX;
+}
+
+/// A run's event-level dataset, in recording order: the rows, the number
+/// of older rows a bounded collector dropped before them (the first row's
+/// event id), the trace their `job` indices address and the site names
+/// their `site` indices address.
+///
+/// A row keeps the low 32 bits of its site's cumulative assigned-job count.
+/// An outage sends queued jobs back for a new dispatch without spending a
+/// retry, so that count has no bound; the table records each time a site's
+/// count crosses a multiple of 2³² as the id of the next event and the
+/// site, and a view adds 2³² for every crossing of its site at or before
+/// its own id.
+///
+/// Every read is an [`EventView`]; it allocates nothing and bumps no
+/// reference count.
+#[derive(Debug, Clone, Default)]
+pub struct EventTable {
+    rows: Vec<EventRow>,
+    drained: u64,
+    crossings: Vec<(u64, u16)>,
+    trace: Arc<Trace>,
+    site_names: Arc<[Arc<str>]>,
+}
+
+impl EventTable {
+    /// A table of `rows` whose first event id is `drained`, with the
+    /// assigned-count `crossings` (next event id, site) of its run, over the
+    /// trace and the site names the rows index.
+    ///
+    /// # Panics
+    /// If a row's job or site index is out of range, or the last event id
+    /// does not fit in a `u64`.
+    pub fn new(
+        rows: Vec<EventRow>,
+        drained: u64,
+        crossings: Vec<(u64, u16)>,
+        trace: Arc<Trace>,
+        site_names: Arc<[Arc<str>]>,
+    ) -> Self {
+        let (jobs, sites) = (trace.jobs.len(), site_names.len());
+        let indexed = |site: u16| site == EventRow::SERVER || usize::from(site) < sites;
+        assert!(
+            rows.iter()
+                .all(|r| (r.job as usize) < jobs && indexed(r.site)),
+            "an event row indexes past its trace or its site list"
+        );
+        assert!(
+            drained.checked_add(rows.len() as u64).is_some(),
+            "event ids overflow u64"
+        );
+        EventTable {
+            rows,
+            drained,
+            crossings,
+            trace,
+            site_names,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when the table holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The `index`-th row in recording order.
+    pub fn get(&self, index: usize) -> Option<EventView<'_>> {
+        let row = self.rows.get(index)?;
+        Some(self.view(index, row, self.job_id(row)))
+    }
+
+    /// The oldest row held.
+    pub fn first(&self) -> Option<EventView<'_>> {
+        self.get(0)
+    }
+
+    /// The newest row.
+    pub fn last(&self) -> Option<EventView<'_>> {
+        self.len().checked_sub(1).and_then(|i| self.get(i))
+    }
+
+    /// Every row, in recording order.
+    pub fn iter(&self) -> EventIter<'_> {
+        EventIter {
+            table: self,
+            next: 0,
+            batch: 0..0,
+            ids: [JobId(0); LOOKAHEAD],
+        }
+    }
+
+    fn job_id(&self, row: &EventRow) -> JobId {
+        self.trace.jobs[row.job as usize].id
+    }
+
+    fn view<'a>(&'a self, index: usize, row: &EventRow, job_id: JobId) -> EventView<'a> {
+        let event_id = self.drained + index as u64;
+        let crossed = self
+            .crossings
+            .iter()
+            .filter(|&&(id, site)| site == row.site && id <= event_id)
+            .count() as u64;
+        EventView {
+            event_id,
+            time_s: row.time_s,
+            job_id,
+            state: row.state,
+            site: match row.site {
+                EventRow::SERVER => "",
+                site => &self.site_names[usize::from(site)],
+            },
+            available_cores: row.available_cores.into(),
+            pending_jobs: row.pending_jobs.into(),
+            assigned_jobs: u64::from(row.assigned_jobs) + (crossed << 32),
+            finished_jobs: row.finished_jobs.into(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a EventTable {
+    type Item = EventView<'a>;
+    type IntoIter = EventIter<'a>;
+
+    fn into_iter(self) -> EventIter<'a> {
+        self.iter()
+    }
+}
+
+/// Rows whose job ids an [`EventIter`] looks up in one go.
+const LOOKAHEAD: usize = 32;
+
+/// Iterator over an [`EventTable`]'s views, in recording order.
+///
+/// Rows name jobs out of trace order, so each id lookup is likely a cache
+/// miss. The iterator looks up the ids of the next 32 rows in one loop of
+/// independent loads, whose misses overlap, instead of one per row between
+/// the encoding of two rows.
+#[derive(Debug, Clone)]
+pub struct EventIter<'a> {
+    table: &'a EventTable,
+    /// Position of the next row.
+    next: usize,
+    /// Positions of the rows whose ids `ids` holds, in order.
+    batch: std::ops::Range<usize>,
+    ids: [JobId; LOOKAHEAD],
+}
+
+impl<'a> Iterator for EventIter<'a> {
+    type Item = EventView<'a>;
+
+    fn next(&mut self) -> Option<EventView<'a>> {
+        let table = self.table;
+        let row = table.rows.get(self.next)?;
+        if !self.batch.contains(&self.next) {
+            let rows = &table.rows[self.next..];
+            let rows = &rows[..rows.len().min(LOOKAHEAD)];
+            for (id, row) in self.ids.iter_mut().zip(rows) {
+                *id = table.job_id(row);
+            }
+            self.batch = self.next..self.next + rows.len();
+        }
+        let view = table.view(self.next, row, self.ids[self.next - self.batch.start]);
+        self.next += 1;
+        Some(view)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.table.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for EventIter<'_> {}
+
+/// One row of the event-level monitoring dataset, read: an [`EventRow`]
+/// joined to its event id, its job's id and its site's name.
 ///
 /// The columns match the paper's Table 1: every job state transition is
 /// recorded together with the concurrent state of the site it concerns
 /// (available cores, queued jobs, cumulative assigned and finished counts).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EventRecord {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EventView<'a> {
     /// Monotonically increasing event id.
     pub event_id: u64,
     /// Virtual time of the event, seconds.
@@ -28,8 +259,7 @@ pub struct EventRecord {
     /// New state of the job.
     pub state: JobState,
     /// Site concerned (empty for events at the main server, e.g. submission).
-    /// A clone of the collector's one allocation of the name.
-    pub site: Arc<str>,
+    pub site: &'a str,
     /// Cores not allocated at the site at event time.
     pub available_cores: u64,
     /// Jobs waiting in the site queue at event time.
@@ -329,7 +559,7 @@ pub(crate) mod tests {
         // One outcome row per job and up to six events per job are held
         // until the run ends (README, "Every job is stored once").
         assert!(std::mem::size_of::<OutcomeRow>() <= 40);
-        assert!(std::mem::size_of::<EventRecord>() <= 80);
+        assert!(std::mem::size_of::<EventRow>() <= 32);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! §4.3.2 describes the event-level dataset captured at every timestep
 //! (Table 1). This crate reproduces that output layer:
 //!
-//! * [`event`] — the event-level record schema of Table 1 (event id, job id,
+//! * [`event`] — the event-level table of Table 1 (event id, job id,
 //!   state, site, available cores, pending / assigned / finished job counts)
-//!   and the per-job outcome table used for metric computation (40-byte
-//!   rows read together with the run's job records),
+//!   and the per-job outcome table used for metric computation (32- and
+//!   40-byte rows read together with the run's job records and site names),
 //! * [`collector`] — the monitoring collector the simulation core feeds on
 //!   every job transition; it maintains per-site counters and the
 //!   event-level dataset,
@@ -41,7 +41,9 @@ pub mod window;
 pub use collector::{
     CacheCounters, GridCounters, MonitoringCollector, MonitoringConfig, SiteCounters,
 };
-pub use event::{EventRecord, OutcomeRow, OutcomeTable, OutcomeView};
+pub use event::{
+    EventRow, EventTable, EventView, OutcomeRow, OutcomeTable, OutcomeView, TraceIndex,
+};
 pub use metrics::{MetricsReport, SiteMetrics};
 pub use store::{Table, TableStore};
 pub use window::{windows_csv, WindowSnapshot, WindowedAggregator};

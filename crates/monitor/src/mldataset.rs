@@ -26,7 +26,7 @@ use cgsim_workload::JobKind;
 use serde::{Deserialize, Serialize};
 
 use crate::csv::{render_rows, write_rows, Row};
-use crate::event::{EventRecord, OutcomeTable};
+use crate::event::{EventTable, OutcomeTable};
 
 /// One training example: numeric features plus the regression targets.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,8 +56,9 @@ pub struct MlExample {
 }
 
 /// Builds one ML example per outcome, in completion order. `_events` is
-/// not read: each outcome's row carries its site state at assignment.
-pub fn build_examples(outcomes: &OutcomeTable, _events: &[EventRecord]) -> Vec<MlExample> {
+/// not read: each outcome's row carries its site state at assignment. The
+/// parameter stays only so the benchmark's calls compile unchanged.
+pub fn build_examples(outcomes: &OutcomeTable, _events: &EventTable) -> Vec<MlExample> {
     outcomes
         .iter()
         .map(|o| MlExample {
@@ -135,7 +136,7 @@ mod tests {
 
     #[test]
     fn examples_read_the_site_state_each_row_captured() {
-        let examples = build_examples(&outcomes(1), &[]);
+        let examples = build_examples(&outcomes(1), &EventTable::default());
         assert_eq!(examples.len(), 1);
         let e = &examples[0];
         assert_eq!(e.job_id, 1);
@@ -148,7 +149,7 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_matching_columns() {
-        let examples = build_examples(&outcomes(2), &[]);
+        let examples = build_examples(&outcomes(2), &EventTable::default());
         let csv = to_csv(&examples);
         let lines: Vec<_> = csv.lines().collect();
         assert_eq!(lines.len(), 3);

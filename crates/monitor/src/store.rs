@@ -5,10 +5,13 @@
 //! `events`, `jobs` and `site_summary` — but never materialises them:
 //! [`TableStore`] borrows the records a run already holds and each
 //! [`Table`] streams its rows as CSV straight into a writer, so exporting a
-//! dataset costs no per-row allocation and no second copy of the data. A
-//! `jobs` row is one [`OutcomeView`]: the outcome row's site, times, state and
-//! staged bytes joined to the job's trace record for its id, class, cores and
-//! submit time, in completion order.
+//! dataset costs no per-row allocation and no second copy of the data. An
+//! `events` row is one [`EventView`]: the 32-byte event row's time, state and
+//! counters joined to its event id, its job's id from the trace and its
+//! site's name, in recording order. A `jobs` row is one [`OutcomeView`]: the
+//! outcome row's site, times, state and staged bytes joined to the job's
+//! trace record for its id, class, cores and submit time, in completion
+//! order.
 //!
 //! Every row goes through the crate's one CSV row encoder (shared with
 //! [`crate::mldataset`] and [`crate::windows_csv`]): cells are appended to a
@@ -25,15 +28,15 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use crate::csv::{render_rows, write_rows, Row};
-use crate::event::{EventRecord, OutcomeTable, OutcomeView};
+use crate::event::{EventTable, EventView, OutcomeTable, OutcomeView};
 use crate::metrics::{MetricsReport, SiteMetrics};
 
-fn event_row(r: &mut Row, e: &EventRecord) {
+fn event_row(r: &mut Row, e: EventView<'_>) {
     r.push_counter(e.event_id);
     r.push_time(e.time_s);
     r.push_counter(e.job_id.0);
     r.push_label(e.state.label());
-    r.push_text(&e.site);
+    r.push_text(e.site);
     r.push_counter(e.available_cores);
     r.push_counter(e.pending_jobs);
     r.push_counter(e.assigned_jobs);
@@ -66,7 +69,7 @@ fn site_row(r: &mut Row, (name, m): (&String, &SiteMetrics)) {
 #[derive(Debug, Clone, Copy)]
 pub enum Table<'a> {
     /// The event-level dataset (paper Table 1).
-    Events(&'a [EventRecord]),
+    Events(&'a EventTable),
     /// One row per job outcome, in completion order.
     Jobs(&'a OutcomeTable),
     /// One row per site, in site-name order.
@@ -147,7 +150,7 @@ pub struct TableStore<'a> {
 impl<'a> TableStore<'a> {
     /// A store over the given records (nothing is copied).
     pub fn new(
-        events: &'a [EventRecord],
+        events: &'a EventTable,
         outcomes: &'a OutcomeTable,
         metrics: &'a MetricsReport,
     ) -> Self {
@@ -186,21 +189,32 @@ impl<'a> TableStore<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::tests::table;
-    use cgsim_workload::{JobId, JobKind, JobState};
+    use std::sync::Arc;
 
-    fn event(id: u64, site: &str) -> EventRecord {
-        EventRecord {
-            event_id: id,
+    use crate::event::tests::table;
+    use crate::event::EventRow;
+    use cgsim_workload::{JobKind, JobRecord, JobState, Trace};
+
+    /// Events 1, 2, ... of job 7, one per entry of `sites` (indices into
+    /// `names`, or [`EventRow::SERVER`]).
+    fn events(names: &[&str], sites: &[u16]) -> EventTable {
+        let row = |&site: &u16| EventRow {
             time_s: 110.5,
-            job_id: JobId(7),
+            job: 0,
+            site,
             state: JobState::Assigned,
-            site: site.into(),
             available_cores: 420,
             pending_jobs: 7,
             assigned_jobs: 1,
             finished_jobs: 0,
-        }
+        };
+        let trace = Trace {
+            jobs: vec![JobRecord::new(7, JobKind::MultiCore, 8, 1.0)],
+            ..Trace::default()
+        };
+        let names: Vec<Arc<str>> = names.iter().map(|&s| s.into()).collect();
+        let rows = sites.iter().map(row).collect();
+        EventTable::new(rows, 1, Vec::new(), Arc::new(trace), names.into())
     }
 
     /// Job 7 of the old fixtures, one per site: 8 cores, submitted at 100 s,
@@ -223,7 +237,7 @@ mod tests {
 
     #[test]
     fn tables_are_named_sized_and_rendered() {
-        let events = [event(1, "CERN"), event(2, "")];
+        let events = events(&["CERN"], &[0, EventRow::SERVER]);
         let outcomes = outcomes(&["CERN"]);
         let metrics = MetricsReport::from_outcomes(&outcomes);
         let store = TableStore::new(&events, &outcomes, &metrics);
@@ -251,7 +265,7 @@ mod tests {
     fn a_site_name_with_a_line_break_stays_one_record() {
         // Regression: the name used to be written bare, splitting the row.
         let name = "T2\nrogue,\"site\"";
-        let events = [event(1, name)];
+        let events = events(&[name], &[0]);
         let outcomes = outcomes(&[name]);
         let metrics = MetricsReport::from_outcomes(&outcomes);
         let store = TableStore::new(&events, &outcomes, &metrics);
@@ -273,7 +287,7 @@ mod tests {
 
     #[test]
     fn save_csv_dir_writes_what_to_csv_renders() {
-        let events = [event(1, "CERN"), event(2, "BNL")];
+        let events = events(&["CERN", "BNL"], &[0, 1]);
         let outcomes = outcomes(&["CERN", "BNL"]);
         let metrics = MetricsReport::from_outcomes(&outcomes);
         let store = TableStore::new(&events, &outcomes, &metrics);

@@ -10,8 +10,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use cgsim_monitor::{mldataset, EventRecord, MetricsReport, OutcomeRow, OutcomeTable, TableStore};
-use cgsim_workload::{JobId, JobKind, JobRecord, JobState, Trace};
+use cgsim_monitor::{
+    mldataset, EventRow, EventTable, MetricsReport, OutcomeRow, OutcomeTable, TableStore,
+};
+use cgsim_workload::{JobKind, JobRecord, JobState, Trace};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread. Const-initialised
@@ -54,17 +56,16 @@ fn allocations_during(work: impl FnOnce()) -> usize {
 
 const SITES: [&str; 4] = ["CERN", "BNL", "needs,\"quoting\"\n", ""];
 
-fn records(events: usize) -> (Vec<EventRecord>, OutcomeTable) {
-    let event = |i: usize| EventRecord {
-        event_id: i as u64,
+fn records(events: usize) -> (EventTable, OutcomeTable) {
+    let event = |i: usize| EventRow {
         time_s: i as f64 * 1.37,
-        job_id: JobId(i as u64 / 5),
+        job: (i / 5) as u32,
+        site: (i % SITES.len()) as u16,
         state: JobState::Running,
-        site: SITES[i % SITES.len()].into(),
-        available_cores: 4_000 - (i as u64 % 4_000),
-        pending_jobs: i as u64 % 97,
-        assigned_jobs: i as u64,
-        finished_jobs: i as u64 / 2,
+        available_cores: 4_000 - (i as u32 % 4_000),
+        pending_jobs: i as u32 % 97,
+        assigned_jobs: i as u32,
+        finished_jobs: i as u32 / 2,
     };
     let record = |i: usize| JobRecord {
         submit_time: i as f64 * 0.1,
@@ -85,13 +86,14 @@ fn records(events: usize) -> (Vec<EventRecord>, OutcomeTable) {
         jobs: (0..jobs).map(record).collect(),
         ..Trace::default()
     };
-    let sites: Vec<Arc<str>> = SITES.iter().map(|&name| name.into()).collect();
-    let outcomes = OutcomeTable::new(
-        (0..jobs).map(outcome).collect(),
+    let (trace, sites): (Arc<Trace>, Arc<[Arc<str>]>) = (
         Arc::new(trace),
-        sites.into(),
+        SITES.iter().map(|&name| name.into()).collect(),
     );
-    ((0..events).map(event).collect(), outcomes)
+    let rows = (0..events).map(event).collect();
+    let events = EventTable::new(rows, 0, Vec::new(), trace.clone(), sites.clone());
+    let outcomes = OutcomeTable::new((0..jobs).map(outcome).collect(), trace, sites);
+    (events, outcomes)
 }
 
 /// Allocations made while writing the whole dataset of `events` records.

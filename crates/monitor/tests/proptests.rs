@@ -4,8 +4,9 @@ use std::sync::Arc;
 
 use cgsim_monitor::{
     MetricsReport, MonitoringCollector, MonitoringConfig, OutcomeRow, OutcomeTable, Table,
+    TraceIndex,
 };
-use cgsim_workload::{JobId, JobKind, JobRecord, JobState, Trace};
+use cgsim_workload::{JobKind, JobRecord, JobState, Trace};
 use proptest::prelude::*;
 
 /// Outcomes at up to five sites, each a record and a row.
@@ -98,7 +99,7 @@ proptest! {
             if state == JobState::Finished {
                 expected_finished[*site] += 1;
             }
-            collector.record_transition(i as f64, JobId(i as u64), state, Some(*site), 10, 0);
+            collector.record_transition(i as f64, TraceIndex(i as u32), state, Some(*site), 10, 0);
         }
         for site in 0..3 {
             prop_assert_eq!(collector.site_counters(site).finished, expected_finished[site]);
@@ -107,9 +108,17 @@ proptest! {
         prop_assert_eq!(collector.transitions_seen(), transitions.len() as u64);
         prop_assert!(collector.events().len() <= transitions.len());
         // The exported table always has a header plus one row per event.
+        let kept = collector.events().len();
+        let trace = Trace {
+            jobs: (0..transitions.len())
+                .map(|i| JobRecord::new(i as u64, JobKind::SingleCore, 1, 1.0))
+                .collect(),
+            ..Trace::default()
+        };
+        let (events, _) = collector.into_parts(Arc::new(trace));
         let mut csv = Vec::new();
-        Table::Events(collector.events()).write_csv(&mut csv).unwrap();
+        Table::Events(&events).write_csv(&mut csv).unwrap();
         let rows = csv.iter().filter(|&&b| b == b'\n').count();
-        prop_assert_eq!(rows, collector.events().len() + 1);
+        prop_assert_eq!(rows, kept + 1);
     }
 }

@@ -70,8 +70,8 @@ fn full_pipeline_produces_consistent_outputs() {
     assert_eq!(terminal_events, 300);
 
     // Monotone event ids and timestamps within the makespan.
-    for pair in results.events.windows(2) {
-        assert!(pair[0].event_id < pair[1].event_id);
+    for (a, b) in results.events.iter().zip(results.events.iter().skip(1)) {
+        assert!(a.event_id < b.event_id);
     }
     assert!(results
         .events

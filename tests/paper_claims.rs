@@ -114,7 +114,9 @@ fn baseline_and_core_run_the_same_trace() {
 fn event_snapshot_rows_are_consistent() {
     let (results, rows) = table1();
     assert_eq!(rows.len(), 6);
-    assert!(rows.iter().all(|e| e.state == JobState::Finished));
+    assert!(rows
+        .iter()
+        .all(|&i| results.events.get(i).unwrap().state == JobState::Finished));
     for e in &results.events {
         assert!(
             e.finished_jobs <= e.assigned_jobs,
