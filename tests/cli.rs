@@ -6,7 +6,9 @@
 //! simulator never silently runs something other than what was asked. And
 //! when a run outlasts its fault plan, stderr says so; the usage text lists
 //! every `--trace-filter` category the parser accepts and every execution
-//! knob, and each command's synopsis names the knob groups it takes.
+//! knob, and each command's synopsis names the knob groups it takes. The
+//! input files `init` writes are pinned byte for byte, and so is what the
+//! library writes after reading them back.
 
 use std::process::{Command, Output, Stdio};
 
@@ -468,4 +470,170 @@ fn the_usage_text_lists_every_trace_category() {
             );
         }
     }
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every key path of a JSON document, in first-seen order: `a.b` for a
+/// nested object, `a[].b` for an object inside an array.
+fn key_paths(json: &str) -> Vec<String> {
+    fn walk(value: &serde_json::Value, prefix: &str, out: &mut Vec<String>) {
+        match value {
+            serde_json::Value::Object(map) => {
+                for (key, item) in map.iter() {
+                    let path = if prefix.is_empty() {
+                        key.clone()
+                    } else {
+                        format!("{prefix}.{key}")
+                    };
+                    if !out.contains(&path) {
+                        out.push(path.clone());
+                    }
+                    walk(item, &path, out);
+                }
+            }
+            serde_json::Value::Array(items) => {
+                for item in items {
+                    walk(item, &format!("{prefix}[]"), out);
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    walk(
+        &serde_json::from_str(json).expect("valid JSON"),
+        "",
+        &mut out,
+    );
+    out
+}
+
+/// The input files `init` writes, what the library reads back from them and
+/// writes again, and the shape of `profile.json` and of a serve `stats`
+/// reply: every byte the (de)serialisers produce on these paths is pinned.
+#[test]
+fn init_files_and_json_shapes_are_pinned() {
+    use cgsim::core::ExecutionConfig;
+    use cgsim::platform::PlatformSpec;
+    use cgsim::workload::Trace;
+
+    let dir = std::env::temp_dir().join(format!("cgsim-cli-init-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let arg = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let init = cgsim(&[
+        "init",
+        "--dir",
+        &arg(""),
+        "--sites",
+        "3",
+        "--jobs",
+        "40",
+        "--seed",
+        "5",
+    ]);
+    assert!(init.status.success(), "{init:?}");
+    let read = |name: &str| std::fs::read(dir.join(name)).expect("init wrote the file");
+    let (platform, execution, trace) = (
+        read("platform.json"),
+        read("execution.json"),
+        read("trace.jsonl"),
+    );
+    assert_eq!(
+        [fnv1a(&platform), fnv1a(&execution), fnv1a(&trace)],
+        [
+            0xe7b1_32da_f76a_927d,
+            0x10d5_8580_713a_f3ee,
+            0x42c4_d79a_f934_7a52
+        ],
+        "init's platform.json, execution.json and trace.jsonl moved"
+    );
+
+    // Each file reads back and writes out byte for byte.
+    PlatformSpec::load(dir.join("platform.json"))
+        .unwrap()
+        .save(dir.join("platform-again.json"))
+        .unwrap();
+    assert!(read("platform-again.json") == platform);
+    let config = ExecutionConfig::from_json(std::str::from_utf8(&execution).unwrap()).unwrap();
+    assert!(config.to_json().as_bytes() == execution.as_slice());
+    Trace::load_jsonl(dir.join("trace.jsonl"))
+        .unwrap()
+        .save_jsonl(dir.join("trace-again.jsonl"))
+        .unwrap();
+    assert!(read("trace-again.jsonl") == trace);
+
+    let inputs = [
+        "--platform",
+        &arg("platform.json"),
+        "--execution",
+        &arg("execution.json"),
+        "--trace",
+        &arg("trace.jsonl"),
+    ];
+    let profiled = cgsim(
+        &[
+            &["simulate"],
+            &inputs[..],
+            &["--profile", &arg("profile.json")],
+        ]
+        .concat(),
+    );
+    assert!(profiled.status.success(), "{profiled:?}");
+    let profile = String::from_utf8(read("profile.json")).unwrap();
+    assert_eq!(
+        key_paths(&profile),
+        [
+            "bench",
+            "harness",
+            "scenario",
+            "results",
+            "results[].case",
+            "results[].wall_s",
+            "results[].count",
+            "counters",
+            "counters[].name",
+            "counters[].value",
+        ]
+    );
+
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_cgsim"))
+        .args([&["serve"], &inputs[..]].concat())
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("the cgsim binary runs");
+    std::io::Write::write_all(&mut serve.stdin.take().unwrap(), b"{\"cmd\":\"stats\"}\n").unwrap();
+    let served = serve.wait_with_output().unwrap();
+    assert!(served.status.success(), "{served:?}");
+    let reply = String::from_utf8(served.stdout).unwrap();
+    assert_eq!(reply.lines().count(), 1, "{reply}");
+    assert_eq!(
+        key_paths(&reply),
+        [
+            "ok",
+            "stats",
+            "stats.cache",
+            "stats.cache.hits",
+            "stats.cache.misses",
+            "stats.cache.evictions",
+            "stats.cache.entries",
+            "stats.simulations_run",
+            "stats.requests",
+            "stats.latency_ms",
+            "stats.latency_ms.p50",
+            "stats.latency_ms.p90",
+            "stats.latency_ms.p99",
+            "stats.latency_ms.max",
+            "stats.encodes",
+            "stats.reply_bytes",
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
