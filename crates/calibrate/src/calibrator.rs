@@ -5,12 +5,11 @@ use cgsim_des::rng::Rng;
 use cgsim_des::stats::geometric_mean;
 use cgsim_platform::PlatformSpec;
 use cgsim_workload::Trace;
-use serde::{Deserialize, Serialize};
 
 use crate::objective::SiteWalltimeObjective;
 
 /// Calibration outcome for one site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteCalibration {
     /// Site name.
     pub site: String,
@@ -27,7 +26,7 @@ pub struct SiteCalibration {
 }
 
 /// Grid-wide calibration report (the data behind Fig. 3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CalibrationReport {
     /// Per-site calibrations, sorted by site name.
     pub sites: Vec<SiteCalibration>,

@@ -16,10 +16,9 @@ use cgsim_core::{ExecutionConfig, SimulationResults};
 use cgsim_monitor::MonitoringConfig;
 use cgsim_platform::PlatformSpec;
 use cgsim_workload::Trace;
-use serde::{Deserialize, Serialize};
 
 /// The grid configuration parameters studied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Parameter {
     /// Per-core processing speed (the calibration parameter of Fig. 3).
     CpuSpeed,
@@ -54,7 +53,7 @@ impl Parameter {
 }
 
 /// Sensitivity of one parameter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParameterSensitivity {
     /// The parameter.
     pub parameter: Parameter,
@@ -65,7 +64,7 @@ pub struct ParameterSensitivity {
 }
 
 /// Full sensitivity report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SensitivityReport {
     /// Per-parameter results, sorted by decreasing impact.
     pub parameters: Vec<ParameterSensitivity>,

@@ -9,6 +9,7 @@ use crate::queue_model::QueueModel;
 use crate::simulation::SimulationError;
 
 /// How CPU cores are shared between jobs at a site.
+/// Format: `execution.json`'s `compute_mode`, read and written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ComputeMode {
     /// Jobs get dedicated cores (PanDA batch-slot semantics); jobs queue when
@@ -21,6 +22,7 @@ pub enum ComputeMode {
 }
 
 /// Where a job's periodic checkpoints are written.
+/// Format: `execution.json`'s `checkpoint.target`, read and written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CheckpointTarget {
     /// The storage element of the site the job executes at. Writes cross
@@ -46,6 +48,7 @@ pub enum CheckpointTarget {
 /// checkpoint — re-staging the checkpoint data through the fluid model when
 /// it lives at another endpoint — instead of rerunning from scratch.
 /// Fields missing from JSON take their [`Default`] values.
+/// Format: `checkpoint` in `execution.json` and in serve requests, read and written.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointConfig {
     /// Checkpoint interval in completed-work seconds: a job writes a
@@ -149,6 +152,7 @@ impl CheckpointConfig {
 /// chosen source dies mid-transfer retries with exponential backoff up to
 /// `max_retries` times before the deficit is abandoned — graceful
 /// degradation, never a livelock.
+/// Format: `repair` in `execution.json` and in serve requests, read and written.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RepairConfig {
     /// Master switch. `false` (the default) schedules no repair work at all.
@@ -211,6 +215,7 @@ impl RepairConfig {
 
 /// Execution parameters: everything about a run that is not the platform or
 /// the workload.
+/// Format: `execution.json`, read and written (and hashed into serve's cache key).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecutionConfig {
     /// Name of the allocation policy to instantiate from the registry.
@@ -417,7 +422,7 @@ pub const KNOBS: [&[Knob]; 3] = {
 /// The full three-part simulation configuration of the paper's input layer:
 /// infrastructure + network (both inside [`PlatformSpec`]) and execution
 /// parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationConfig {
     /// Platform (infrastructure + network topology).
     pub platform: PlatformSpec,
@@ -426,16 +431,6 @@ pub struct SimulationConfig {
 }
 
 impl SimulationConfig {
-    /// Serialises to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("simulation config serialises")
-    }
-
-    /// Parses from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
     /// Loads a configuration from two JSON files (platform and execution).
     pub fn load(
         platform_path: impl AsRef<std::path::Path>,
@@ -443,8 +438,7 @@ impl SimulationConfig {
     ) -> std::io::Result<Self> {
         let platform = PlatformSpec::load(platform_path)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let execution: ExecutionConfig =
-            serde_json::from_str(&std::fs::read_to_string(execution_path)?)?;
+        let execution = ExecutionConfig::from_json(&std::fs::read_to_string(execution_path)?)?;
         Ok(SimulationConfig {
             platform,
             execution,
@@ -587,9 +581,6 @@ mod tests {
             platform: example_platform(),
             execution: ExecutionConfig::default(),
         };
-        let back = SimulationConfig::from_json(&config.to_json()).unwrap();
-        assert_eq!(back.platform.sites.len(), 4);
-
         let dir = std::env::temp_dir().join("cgsim-config-test");
         std::fs::create_dir_all(&dir).unwrap();
         let platform_path = dir.join("platform.json");

@@ -22,6 +22,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Grid-wide queue-delay coefficients (`ExecutionConfig::queue_model`).
+/// Format: `execution.json`'s `queue_model` object, read and written.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct QueueModel {
     /// Fixed scheduling overhead applied to every job start (seconds).

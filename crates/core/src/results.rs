@@ -7,11 +7,11 @@ use cgsim_des::stats::RelativeMae;
 use cgsim_monitor::dashboard::SitePanel;
 use cgsim_monitor::{mldataset, EventTable, MetricsReport, OutcomeTable, TableStore};
 use cgsim_workload::JobKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Relative walltime error of one site, split by job class (the per-site
 /// quantity plotted in the paper's Fig. 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SiteWalltimeError {
     /// Relative MAE over single-core jobs (`None` when the site ran none).
     pub single_core: Option<f64>,
@@ -134,6 +134,7 @@ impl SimulationResults {
     }
 
     fn deterministic(&self) -> impl Serialize + '_ {
+        /// Format: `results.json` and a serve reply's `results`, written only.
         #[derive(Serialize)]
         struct Deterministic<'a> {
             policy: &'a str,

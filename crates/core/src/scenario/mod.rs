@@ -37,7 +37,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::config::ExecutionConfig;
 use crate::results::SimulationResults;
-use crate::simulation::{Simulation, SimulationError};
+use crate::simulation::{build_platform, Simulation, SimulationError};
 use cgsim_faults::FaultPlan;
 use cgsim_obs::TraceSink;
 use cgsim_platform::{Platform, PlatformSpec};
@@ -231,7 +231,7 @@ impl ScenarioSpec {
             .ok_or_else(|| {
                 SimulationError::UnknownPolicy(self.execution.allocation_policy.clone())
             })?;
-        let platform = Platform::build(self.base.platform())?;
+        let platform = build_platform(self.base.platform())?;
         let fault_plan = self.build_fault_plan(&platform)?;
         let mut builder = Simulation::builder()
             .platform(platform)

@@ -58,7 +58,7 @@ use std::sync::Arc;
 
 use cgsim_des::stats::percentile_sorted;
 use cgsim_obs::TraceTarget;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use serde_json::{Map, Value};
 
 use crate::config::{CheckpointConfig, ExecutionConfig, RepairConfig};
@@ -72,44 +72,33 @@ use crate::scenario::{ScenarioBase, ScenarioEngine, ScenarioOutcome, ScenarioSpe
 /// computed from the *resolved* [`ScenarioSpec`] — never from the request
 /// text — two requests spelling the same scenario differently (field order,
 /// explicit `null`s, explicitly restating a default) share one cache entry.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Format: one `cgsim serve` request line, read only.
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 pub struct ServeRequest {
     /// Client-chosen identifier, echoed back in the response.
-    #[serde(default)]
     pub id: Option<String>,
     /// Control command (`"stats"` or `"shutdown"`); mutually exclusive with
     /// scenario fields and only valid as a single (non-batch) request.
-    #[serde(default)]
     pub cmd: Option<String>,
     /// Allocation policy name.
-    #[serde(default)]
     pub policy: Option<String>,
     /// Master RNG seed.
-    #[serde(default)]
     pub seed: Option<u64>,
     /// Fault spec text (CLI `--faults` grammar).
-    #[serde(default)]
     pub faults: Option<String>,
     /// Fault-generation seed (CLI `--fault-seed`).
-    #[serde(default)]
     pub fault_seed: Option<u64>,
     /// Checkpoint/restart policy override.
-    #[serde(default)]
     pub checkpoint: Option<CheckpointConfig>,
     /// Fault-aware re-replication (repair planner) override.
-    #[serde(default)]
     pub repair: Option<RepairConfig>,
     /// Server-side path to write the pretty deterministic results to.
-    #[serde(default)]
     pub save: Option<String>,
     /// Server-side path for a structured execution trace of this run.
-    #[serde(default)]
     pub trace: Option<String>,
     /// Trace file format: `"jsonl"` (default) or `"chrome"`.
-    #[serde(default)]
     pub trace_format: Option<String>,
     /// Trace category filter (comma-separated, CLI `--trace-filter` grammar).
-    #[serde(default)]
     pub trace_filter: Option<String>,
 }
 

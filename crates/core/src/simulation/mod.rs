@@ -388,7 +388,7 @@ impl SimulationBuilder {
 
     /// Builds the platform from a specification.
     pub fn platform_spec(mut self, spec: &PlatformSpec) -> Result<Self, SimulationError> {
-        self.platform = Some(Platform::build(spec)?);
+        self.platform = Some(build_platform(spec)?);
         Ok(self)
     }
 
@@ -497,7 +497,7 @@ impl SimulationBuilder {
                     .ok_or(SimulationError::UnknownDataPolicy(name))?
             }
         };
-        check_indexable("the platform", platform.sites().len(), u16::MAX.into())?;
+        check_indexable("the platform", platform.sites().len(), SITE_INDICES)?;
         // Outcomes keep the cores a site had free at assignment as a `u32`.
         let cores = platform.sites().iter().map(|s| s.total_cores).max();
         let cores = usize::try_from(cores.unwrap_or(0)).unwrap_or(usize::MAX);
@@ -530,6 +530,9 @@ impl SimulationBuilder {
 /// (`u32::MAX` itself means "no job").
 const JOB_INDICES: usize = u32::MAX as usize;
 
+/// How many sites the run's `u16` site indices can address.
+const SITE_INDICES: usize = u16::MAX as usize;
+
 /// Refuses a list of `len` jobs, fault events, sites or a site's cores when
 /// more than `limit` of them cannot all be indexed.
 fn check_indexable(what: &str, len: usize, limit: usize) -> Result<(), SimulationError> {
@@ -539,6 +542,14 @@ fn check_indexable(what: &str, len: usize, limit: usize) -> Result<(), Simulatio
         )));
     }
     Ok(())
+}
+
+/// Builds the platform of `spec`, refusing it first if a run could not index
+/// its sites: the route table grows with the square of the site count, so
+/// such a platform is never built.
+pub(crate) fn build_platform(spec: &PlatformSpec) -> Result<Platform, SimulationError> {
+    check_indexable("the platform", spec.sites.len(), SITE_INDICES)?;
+    Ok(Platform::build(spec)?)
 }
 
 /// A fully configured simulation, ready to run.

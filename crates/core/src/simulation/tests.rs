@@ -777,10 +777,10 @@ fn traces_the_u32_indices_cannot_address_are_refused() {
 
 #[test]
 fn platforms_the_u16_site_indices_cannot_address_are_refused() {
-    // `build` runs this check on the platform's site count: outcome rows
-    // hold a `u16` site index. A platform that size cannot be built to try
-    // it (it would route (sites + 1)² endpoint pairs), so the check is
-    // driven with the count alone.
+    // Outcome rows hold a `u16` site index. `build_platform` runs this check
+    // on a spec's site count before building it (a platform that size would
+    // route (sites + 1)² endpoint pairs), `build` again on a built platform;
+    // the check is driven with the count alone.
     let limit = u16::MAX.into();
     assert!(super::check_indexable("the platform", 65_535, limit).is_ok());
     assert!(matches!(

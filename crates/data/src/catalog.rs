@@ -21,7 +21,7 @@ define_id!(
 );
 
 /// A logical dataset (a collection of files moved and replicated as a unit).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Dataset identifier.
     pub id: DatasetId,
@@ -34,6 +34,7 @@ pub struct Dataset {
 }
 
 /// How a source replica is chosen when a dataset must be staged to a site.
+/// Format: `execution.json`'s `source_selection`, read and written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SourceSelection {
     /// Always pull from the main server (the paper's default architecture,

@@ -1,9 +1,7 @@
 //! Per-site storage elements with capacity accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// A storage element (the disk/tape endpoint of a site).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageElement {
     /// Site (or endpoint) name this storage belongs to.
     pub name: String,

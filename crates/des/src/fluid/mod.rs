@@ -190,10 +190,7 @@ define_id!(
 /// handles: once an activity completes or is removed, its slot's generation
 /// is bumped, so every later lookup through the old id returns `None` even if
 /// the slot has been recycled for a new activity.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActivityId(u64);
 
 impl ActivityId {

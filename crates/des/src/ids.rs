@@ -27,10 +27,7 @@ macro_rules! define_id {
             PartialOrd,
             Ord,
             Hash,
-            serde::Serialize,
-            serde::Deserialize,
         )]
-        #[serde(transparent)]
         pub struct $name(pub usize);
 
         impl $name {

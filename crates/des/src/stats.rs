@@ -7,10 +7,11 @@
 //! numerical definitions are shared by the library, the tests and the
 //! benchmark harness.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Full distribution summary of a sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Format: the distribution objects of `results.json`, written only.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

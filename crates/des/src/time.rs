@@ -11,15 +11,12 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time (or a duration), in seconds.
 ///
 /// Invariants: the inner value is finite and never NaN. All constructors
 /// enforce this; arithmetic that would produce NaN panics in debug builds and
 /// saturates to zero in release builds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {
@@ -220,19 +217,5 @@ mod tests {
     fn only_zero_is_zero() {
         assert!(SimTime::ZERO.is_zero());
         assert!(!SimTime::from_secs(0.1).is_zero());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = SimTime::from_secs(1234.5);
-        let json = serde_json_roundtrip(&t);
-        assert_eq!(json, t);
-    }
-
-    fn serde_json_roundtrip(t: &SimTime) -> SimTime {
-        // serde_json is not a dependency of this crate; use the bincode-free
-        // trick of going through the serde f64 representation directly.
-        let secs: f64 = t.as_secs();
-        SimTime::from_secs(secs)
     }
 }

@@ -18,7 +18,6 @@
 //! practice of grid/cloud simulators.
 
 use cgsim_des::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::spec::parse_fault_spec;
 
@@ -26,7 +25,7 @@ use crate::spec::parse_fault_spec;
 pub(crate) const DEFAULT_HORIZON_S: f64 = 48.0 * 3600.0;
 
 /// Which sites a fault specification targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteSelector {
     /// Every site of the platform.
     All,
@@ -37,7 +36,7 @@ pub enum SiteSelector {
 /// Which links a degradation specification targets. Indices refer to the
 /// *eligible link list* of the [`FaultTopology`] (for the CLI this is the
 /// platform's WAN links, in platform order), not to raw platform link ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkSelector {
     /// Every eligible link.
     All,
@@ -46,7 +45,7 @@ pub enum LinkSelector {
 }
 
 /// Random whole-site outages with Weibull inter-failure times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutageSpec {
     /// Targeted site(s).
     pub site: SiteSelector,
@@ -60,7 +59,7 @@ pub struct OutageSpec {
 
 /// A fixed maintenance window (optionally periodic): the site is down for
 /// `duration_s` starting at `start_s`, repeating every `period_s` if set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaintenanceSpec {
     /// Targeted site.
     pub site: usize,
@@ -74,7 +73,7 @@ pub struct MaintenanceSpec {
 
 /// Correlated multi-site incidents: all listed sites fail together (a shared
 /// power/network domain), recover together after the repair time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncidentSpec {
     /// Sites failing together.
     pub sites: Vec<usize>,
@@ -88,7 +87,7 @@ pub struct IncidentSpec {
 
 /// Partial node loss: a fraction of a site's cores disappears (a rack or a
 /// worker-node group), later restored.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeLossSpec {
     /// Targeted site(s).
     pub site: SiteSelector,
@@ -105,7 +104,7 @@ pub struct NodeLossSpec {
 /// checkpoints — is lost, while the site itself keeps computing. Unlike an
 /// outage there is no repair event: the loss is instantaneous and the data
 /// is simply gone (the replacement hardware comes up empty).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskLossSpec {
     /// Targeted site(s).
     pub site: SiteSelector,
@@ -115,7 +114,7 @@ pub struct DiskLossSpec {
 
 /// Link bandwidth degradation: the link runs at `factor` of its nominal
 /// bandwidth until restored.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradationSpec {
     /// Targeted link(s).
     pub link: LinkSelector,
@@ -130,7 +129,7 @@ pub struct DegradationSpec {
 }
 
 /// Everything the plan generator needs to know about the fault processes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlanConfig {
     /// Generation horizon in seconds; no fault is scheduled past it.
     pub horizon_s: f64,
@@ -143,9 +142,6 @@ pub struct FaultPlanConfig {
     /// Partial node-loss processes.
     pub node_losses: Vec<NodeLossSpec>,
     /// Storage-media loss processes (data loss without a site outage).
-    /// Absent from configurations written before checkpoint/restart existed,
-    /// hence the serde default.
-    #[serde(default)]
     pub disk_losses: Vec<DiskLossSpec>,
     /// Link-degradation processes.
     pub degradations: Vec<DegradationSpec>,
@@ -183,7 +179,7 @@ impl FaultPlanConfig {
 }
 
 /// The scenario dimensions a plan is generated against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultTopology {
     /// Number of sites (`SiteId` indices `0..sites`).
     pub sites: usize,
@@ -269,7 +265,7 @@ impl FaultTopology {
 }
 
 /// One scheduled fault, applied by the simulation core at `time_s`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// The whole site goes down: running jobs are killed, queued jobs are
     /// bounced back to the main server, staged replicas are invalidated.
@@ -323,7 +319,7 @@ pub enum FaultAction {
 }
 
 /// A fault action bound to its virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Virtual time of the fault, seconds from simulation start.
     pub time_s: f64,
@@ -338,7 +334,7 @@ impl FaultEvent {
 }
 
 /// A deterministic, time-sorted schedule of fault events.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Events sorted by `time_s` (ties keep generation order).
     pub events: Vec<FaultEvent>,
@@ -937,13 +933,5 @@ mod tests {
             err,
             "outage: site 7 does not exist (the platform has 4 sites, numbered from 0)"
         );
-    }
-
-    #[test]
-    fn plan_serialises_and_roundtrips() {
-        let plan = FaultPlan::generate(&outage_config(), &topo(), 9);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
     }
 }

@@ -20,6 +20,7 @@ use crate::event::{EventRow, EventTable, OutcomeRow, OutcomeTable, TraceIndex};
 use crate::window::WindowedAggregator;
 
 /// Collector configuration.
+/// Format: `execution.json`'s `monitoring` object, read and written.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MonitoringConfig {
     /// Whether event-level records are collected at all.
@@ -79,7 +80,7 @@ impl MonitoringConfig {
 }
 
 /// Cumulative counters for one site.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SiteCounters {
     /// Jobs dispatched to the site so far.
     pub assigned: u64,
@@ -94,12 +95,12 @@ pub struct SiteCounters {
     pub checkpoints: u64,
     /// Re-replication repair transfers completed *into* the site (the site
     /// received a fresh replica from the repair planner).
-    #[serde(default)]
     pub repairs: u64,
 }
 
 /// Grid-level (main-server) counters not attributable to any single site.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// Format: `results.json`'s `grid_counters` object, written only.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct GridCounters {
     /// Allocation-policy decisions referencing a site outside the platform
     /// (a buggy plugin returning an out-of-range `SiteId`). The concerned
@@ -137,35 +138,27 @@ pub struct GridCounters {
     /// disabled this is the full progress of every killed attempt.
     pub work_lost_s: f64,
     /// Re-replication repair transfers admitted by the repair planner.
-    #[serde(default)]
     pub repairs_started: u64,
     /// Repair transfers that completed and (deficit permitting) landed a
     /// fresh replica.
-    #[serde(default)]
     pub repairs_completed: u64,
     /// Repair transfers cancelled mid-flight (an endpoint died, or the
     /// workload completed first).
-    #[serde(default)]
     pub repairs_cancelled: u64,
     /// Datasets whose repair-retry budget ran out (graceful degradation:
     /// the planner stops trying rather than livelock).
-    #[serde(default)]
     pub repairs_abandoned: u64,
     /// Bytes carried by completed repair transfers.
-    #[serde(default)]
     pub repair_bytes: u64,
     /// Segment boundaries where a job stalled because its previous
     /// asynchronous checkpoint write was still in flight.
-    #[serde(default)]
     pub ckpt_stalls: u64,
     /// Asynchronous checkpoint writes admitted concurrently with the next
     /// execution segment (the overlap actually happening).
-    #[serde(default)]
     pub ckpt_overlapped: u64,
     /// Bytes actually put on the wire by checkpoint writes — equals
     /// `checkpoint_bytes` for full-image shipping, less once incremental
     /// (`delta_bytes_per_s`) shipping kicks in.
-    #[serde(default)]
     pub ckpt_bytes_shipped: u64,
 }
 
@@ -175,7 +168,8 @@ pub struct GridCounters {
 /// fresh run; these counters are how operators see that short-circuiting
 /// happen (and size the cache: a high eviction rate means the working set of
 /// distinct what-if queries exceeds the configured capacity).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// Format: the `cache` object of serve's `stats` reply, written only.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct CacheCounters {
     /// Requests answered from the cache without running a simulation
     /// (including repeats *within* one batch, which share the first

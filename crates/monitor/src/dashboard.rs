@@ -7,10 +7,8 @@
 //! run and (b) a self-contained HTML page with inline SVG bar charts that can
 //! be opened in any browser — no server required.
 
-use serde::{Deserialize, Serialize};
-
 /// A point-in-time view of one site used by the dashboard renderers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SitePanel {
     /// Site name.
     pub site: String,
@@ -30,7 +28,6 @@ pub struct SitePanel {
     pub checkpoints: u64,
     /// Repair transfers that completed into the site (fresh replicas
     /// received from the re-replication planner) so far.
-    #[serde(default)]
     pub repairs: u64,
     /// True when the site is up (not taken down by fault injection) at the
     /// time the panel was rendered.

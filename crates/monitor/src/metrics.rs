@@ -9,12 +9,13 @@
 use std::collections::BTreeMap;
 
 use cgsim_des::stats::Summary;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::event::OutcomeTable;
 
 /// Metrics for one site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Format: one entry of `results.json`'s `metrics.per_site`, written only.
+#[derive(Debug, Clone, Serialize)]
 pub struct SiteMetrics {
     /// Site name.
     pub site: String,
@@ -35,7 +36,8 @@ pub struct SiteMetrics {
 }
 
 /// Grid-wide metrics report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Format: `results.json`'s `metrics` object, written only.
+#[derive(Debug, Clone, Serialize)]
 pub struct MetricsReport {
     /// Makespan: time from first submission to last completion (s).
     pub makespan_s: f64,

@@ -23,13 +23,12 @@
 //! rows do not use it.
 
 use cgsim_workload::JobKind;
-use serde::{Deserialize, Serialize};
 
 use crate::csv::{render_rows, write_rows, Row};
 use crate::event::{EventTable, OutcomeTable};
 
 /// One training example: numeric features plus the regression targets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlExample {
     /// Job id (kept for joining, not a feature).
     pub job_id: u64,

@@ -19,13 +19,12 @@
 use std::collections::VecDeque;
 
 use cgsim_workload::JobState;
-use serde::{Deserialize, Serialize};
 
 use crate::collector::{GridCounters, SiteCounters};
 use crate::csv::render_rows;
 
 /// Summary of one closed time window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowSnapshot {
     /// Window ordinal: the window covers `[index * width_s, (index+1) * width_s)`.
     pub index: u64,

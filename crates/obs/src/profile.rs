@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The instrumented subsystems.
 ///
@@ -161,7 +161,8 @@ impl Profiler {
 }
 
 /// One timing bucket of the report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Format: one entry of `profile.json`'s `results`, written only.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SubsystemReport {
     /// Subsystem label (BENCH-protocol `case`).
     pub case: String,
@@ -172,7 +173,8 @@ pub struct SubsystemReport {
 }
 
 /// One named counter of the report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Format: one entry of `profile.json`'s `counters`, written only.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CounterReport {
     /// Counter name (e.g. `fluid_fast_solves`).
     pub name: String,
@@ -182,7 +184,8 @@ pub struct CounterReport {
 
 /// The machine-readable profile, shaped after the BENCH perf-trajectory
 /// protocol so snapshots can be diffed across PRs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Format: `profile.json`, written only.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProfileReport {
     /// Always `"self-profile"`.
     pub bench: String,
@@ -193,7 +196,6 @@ pub struct ProfileReport {
     /// Per-subsystem timing buckets.
     pub results: Vec<SubsystemReport>,
     /// Named occurrence counters.
-    #[serde(default)]
     pub counters: Vec<CounterReport>,
 }
 
@@ -266,16 +268,20 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trips_and_renders() {
+    fn report_renders_as_json_and_table() {
         let mut p = Profiler::new(true);
         let t = p.start();
         p.stop(Subsystem::Checkpoint, t);
         p.add_counter("events", 42);
         let report = p.report("sites=6 jobs=500 seed=7");
         let json = report.to_json();
-        let back: ProfileReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.bench, "self-profile");
+        for field in [
+            r#""bench": "self-profile""#,
+            r#""name": "events""#,
+            r#""value": 42"#,
+        ] {
+            assert!(json.contains(field), "{field} not in {json}");
+        }
         let table = report.summary_table();
         assert!(table.contains("checkpoint"));
         assert!(table.contains("events"));

@@ -172,6 +172,7 @@ impl Deserialize for SpanPhase {
 /// Field order is the serialization order. `seq` is assigned in emission
 /// order by the tracer; `time_s` is simulated seconds. Neither depends on
 /// wall-clock, so records are byte-identical across runs.
+/// Format: a JSONL trace line, written by `JsonlSink`, read by `validate_jsonl`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceRecord {
     /// Monotonically increasing sequence number (stable id).

@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 
 use cgsim_des::define_id;
-use serde::{Deserialize, Serialize};
 
 use crate::error::PlatformError;
 use crate::spec::{gbps_to_bytes_per_sec, ms_to_secs, PlatformSpec, Tier, MAIN_SERVER};
@@ -34,7 +33,7 @@ define_id!(
 );
 
 /// A routable endpoint: a site or the central main server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeId {
     /// The central main server (job broker / data source).
     MainServer,
@@ -52,7 +51,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// A worker-node group inside a site (resolved form of `HostSpec`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Host {
     /// Host identifier.
     pub id: HostId,
@@ -71,7 +70,7 @@ pub struct Host {
 }
 
 /// A computing site (resolved form of `SiteSpec`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Site {
     /// Site identifier.
     pub id: SiteId,
@@ -94,7 +93,7 @@ pub struct Site {
 }
 
 /// A network link (resolved form of `LinkSpec`, plus generated LAN links).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// Link identifier.
     pub id: LinkId,
@@ -109,7 +108,7 @@ pub struct Link {
 }
 
 /// A resolved route between two endpoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Route {
     /// Links traversed, in order.
     pub links: Vec<LinkId>,

@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::PlatformError;
 
 /// WLCG tier of a computing site.
+/// Format: a site's `tier` in `platform.json`, read and written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum Tier {
     /// Tier-0 (CERN): the source of raw data, largest capacity.
@@ -40,6 +41,7 @@ impl Tier {
 }
 
 /// A homogeneous batch of worker nodes inside a site.
+/// Format: a `hosts` entry of `platform.json`, read and written.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HostSpec {
     /// Host (worker-node group) name, unique within its site.
@@ -77,6 +79,7 @@ impl HostSpec {
 }
 
 /// A computing site (a SimGrid netzone in the paper's architecture).
+/// Format: a `sites` entry of `platform.json`, read and written.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SiteSpec {
     /// Site name (e.g. `BNL`, `CERN`, `DESY-ZN`), globally unique.
@@ -145,6 +148,7 @@ pub const MAIN_SERVER: &str = "main-server";
 
 /// A wide-area network link between two endpoints (site names or
 /// [`MAIN_SERVER`]).
+/// Format: a `network.links` entry of `platform.json`, read and written.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkSpec {
     /// Link name; auto-generated as `from--to` if empty.
@@ -184,6 +188,7 @@ impl LinkSpec {
 /// on the main server is generated automatically (one 10 Gbit/s, 20 ms link
 /// per site), which matches the paper's default deployment where the main
 /// server is "linked to all sites in the platform".
+/// Format: `platform.json`'s `network` object, read and written.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct NetworkSpec {
     /// WAN links.
@@ -192,6 +197,7 @@ pub struct NetworkSpec {
 }
 
 /// Full platform specification (infrastructure + network).
+/// Format: `platform.json`, read and written (and hashed into serve's cache key).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlatformSpec {
     /// Human-readable platform name.

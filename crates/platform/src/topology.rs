@@ -6,10 +6,8 @@
 //! (Dijkstra), which mirrors how SimGrid resolves netzone-to-netzone routes
 //! from the platform description.
 
-use serde::{Deserialize, Serialize};
-
 /// Properties of a network edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeProps {
     /// One-way latency in seconds.
     pub latency_s: f64,

@@ -8,10 +8,9 @@
 //! every dispatch decision.
 
 use cgsim_platform::{Platform, SiteId, Tier};
-use serde::{Deserialize, Serialize};
 
 /// Static description of one site (available at simulation start).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteInfo {
     /// Site identifier.
     pub id: SiteId,
@@ -29,7 +28,7 @@ pub struct SiteInfo {
 
 /// Static description of the whole grid, handed to
 /// `AllocationPolicy::get_resource_information` once before the first job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GridInfo {
     /// One entry per site, indexed by `SiteId`.
     pub sites: Vec<SiteInfo>,
@@ -66,7 +65,7 @@ impl GridInfo {
 }
 
 /// Dynamic load of one site at dispatch time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteLoad {
     /// Site identifier.
     pub site: SiteId,
@@ -88,12 +87,11 @@ pub struct SiteLoad {
     /// (0 unless the repair planner is enabled). Repair-aware policies avoid
     /// sites with deep repair queues, whose storage and LAN are busy
     /// reconstructing replicas.
-    #[serde(default)]
     pub active_repairs: u64,
 }
 
 /// Dynamic snapshot of the grid at dispatch time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GridView {
     /// Virtual time of the snapshot, in seconds.
     pub now_s: f64,

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 /// Unique job identifier (PanDA id).
+/// Format: the `id` of a `trace.jsonl` line, read and written.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
@@ -23,6 +24,7 @@ impl std::fmt::Display for JobId {
 }
 
 /// Identifier of the task (production campaign / analysis) a job belongs to.
+/// Format: the `task_id` of a `trace.jsonl` line, read and written.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
@@ -36,6 +38,7 @@ impl std::fmt::Display for TaskId {
 }
 
 /// Job class, mirroring the single-core / multi-core split of Fig. 3.
+/// Format: the `kind` of a `trace.jsonl` line, read and written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum JobKind {
     /// Single-core user analysis job.
@@ -59,7 +62,7 @@ impl JobKind {
 /// These are exactly the states the paper's monitoring layer records
 /// ("pending, assigned, running, finished, failed", §4.3.2), with an explicit
 /// staging state for input transfers so data-movement policies are observable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum JobState {
     /// Submitted to the main server but not yet dispatched to a site.
     Pending,
@@ -112,6 +115,7 @@ impl std::fmt::Display for JobState {
 /// take on a single reference core of speed 1.0 HS23 unit. A site with
 /// per-core speed `s` therefore executes the same work in `work_hs23 / s`
 /// core-seconds.
+/// Format: one line of `trace.jsonl`, read and written.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobRecord {
     /// Unique job id (PanDA id).
@@ -140,11 +144,9 @@ pub struct JobRecord {
     #[serde(default)]
     pub hist_site: Arc<str>,
     /// Ground-truth walltime (actual processing duration) in seconds, if known.
-    #[serde(default)]
     pub hist_walltime: Option<f64>,
     /// Ground-truth queue time (scheduling + resource allocation delay) in
     /// seconds, if known.
-    #[serde(default)]
     pub hist_queue_time: Option<f64>,
 }
 

@@ -22,12 +22,12 @@ use std::sync::Arc;
 use cgsim_des::rng::Rng;
 use cgsim_des::stats::Summary;
 use cgsim_platform::spec::PlatformSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::job::{ideal_walltime, JobId, JobKind, JobRecord, TaskId};
 
 /// Configuration of the synthetic trace generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Number of jobs to generate.
     pub job_count: usize,
@@ -99,18 +99,18 @@ impl TraceConfig {
 
 /// A workload trace: the job records plus the hidden ground-truth site
 /// multipliers used to generate them (kept for validation of calibration).
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+/// Format: none of its own; its value tree is hashed into serve's cache key.
+#[derive(Debug, Clone, Serialize, Default)]
 pub struct Trace {
     /// Job records, sorted by submission time.
     pub jobs: Vec<JobRecord>,
     /// Hidden true speed multiplier per site name (what calibration should
     /// recover). Empty for traces loaded from external files.
-    #[serde(default)]
     pub hidden_site_multipliers: HashMap<String, f64>,
 }
 
 /// Aggregate statistics of a trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceSummary {
     /// Number of jobs.
     pub job_count: usize,

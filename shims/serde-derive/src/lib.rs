@@ -2,19 +2,22 @@
 //!
 //! The build environment has no crates.io access, so this proc macro parses
 //! the derive input by hand (no `syn`/`quote`) and emits impls of the shim's
-//! value-tree traits. It supports exactly the shapes used in this repository:
+//! value-tree traits. It supports exactly the shapes the workspace's file
+//! formats use, each represented as real serde represents it:
 //!
-//! * structs with named fields (external representation: JSON object),
-//! * tuple structs (JSON array; single-field + `#[serde(transparent)]`
-//!   serializes as the inner value),
-//! * enums with unit, tuple and struct variants (externally tagged, like
-//!   real serde: `"Variant"`, `{"Variant": payload}`),
+//! * structs with named fields (a JSON object),
+//! * one-field tuple structs marked `#[serde(transparent)]` (the inner
+//!   value),
+//! * enums whose variants are all unit variants (the variant name as a
+//!   string),
 //! * field attributes `#[serde(default)]` and `#[serde(default = "path")]`,
 //! * missing `Option<T>` fields deserialize as `None`.
 //!
 //! Lifetime parameters are supported on `Serialize` only (a struct of
-//! borrows, serialised without cloning what it points at); type parameters
-//! are intentionally unsupported (the repo has none).
+//! borrows, serialised without cloning what it points at). Any other shape
+//! (a unit struct, a tuple struct that is not a transparent newtype, an
+//! enum variant carrying data, a type parameter) fails to compile with a
+//! message naming it.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -40,19 +43,19 @@ struct Input {
     name: String,
     /// `<'a, 'b>` when the type has lifetime parameters, empty otherwise.
     lifetimes: String,
-    transparent: bool,
     kind: Kind,
 }
 
 enum Kind {
     NamedStruct(Vec<Field>),
-    TupleStruct(Vec<Field>),
-    Enum(Vec<Variant>),
+    /// A one-field tuple struct marked `#[serde(transparent)]`.
+    Newtype,
+    /// An enum of unit variants, by name.
+    UnitEnum(Vec<String>),
 }
 
 struct Field {
-    /// `None` for tuple fields.
-    name: Option<String>,
+    name: String,
     /// First path segment of the type (enough to special-case `Option`).
     type_head: String,
     default: Option<DefaultKind>,
@@ -65,26 +68,16 @@ enum DefaultKind {
     Path(String),
 }
 
-struct Variant {
-    name: String,
-    kind: VariantKind,
-}
-
-enum VariantKind {
-    Unit,
-    Tuple(Vec<Field>),
-    Named(Vec<Field>),
-}
-
 // ----- token-stream parsing -------------------------------------------------
 
+#[derive(Default)]
 struct Attrs {
     transparent: bool,
     default: Option<DefaultKind>,
 }
 
 fn parse_input(input: TokenStream) -> Input {
-    let mut tokens: Vec<TokenTree> = input.into_iter().collect();
+    let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut pos = 0;
 
     let attrs = parse_attrs(&tokens, &mut pos);
@@ -94,40 +87,36 @@ fn parse_input(input: TokenStream) -> Input {
     let name = expect_ident(&tokens, &mut pos);
     let lifetimes = parse_lifetimes(&tokens, &mut pos, &name);
 
-    match keyword.as_str() {
+    let kind = match keyword.as_str() {
         "struct" => match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Input {
-                name,
-                lifetimes,
-                transparent: attrs.transparent,
-                kind: Kind::NamedStruct(parse_named_fields(g.stream())),
-            },
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => Input {
-                name,
-                lifetimes,
-                transparent: attrs.transparent,
-                kind: Kind::TupleStruct(parse_tuple_fields(g.stream())),
-            },
-            _ => Input {
-                name,
-                lifetimes,
-                transparent: attrs.transparent,
-                kind: Kind::NamedStruct(Vec::new()),
-            },
-        },
-        "enum" => {
-            let body = match tokens.remove(pos) {
-                TokenTree::Group(g) if g.delimiter() == Delimiter::Brace => g.stream(),
-                other => panic!("expected enum body, found {other}"),
-            };
-            Input {
-                name,
-                lifetimes,
-                transparent: attrs.transparent,
-                kind: Kind::Enum(parse_variants(body)),
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+                Kind::NamedStruct(parse_named_fields(g.stream()))
             }
-        }
+            Some(TokenTree::Group(g))
+                if g.delimiter() == Delimiter::Parenthesis
+                    && attrs.transparent
+                    && has_one_field(g.stream()) =>
+            {
+                Kind::Newtype
+            }
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => panic!(
+                "serde shim derive supports a tuple struct only as a one-field \
+                 `#[serde(transparent)]` newtype, found `{name}`"
+            ),
+            _ => panic!("serde shim derive does not support unit struct `{name}`"),
+        },
+        "enum" => match tokens.get(pos) {
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+                Kind::UnitEnum(parse_unit_variants(g.stream(), &name))
+            }
+            other => panic!("expected enum body, found {other:?}"),
+        },
         other => panic!("serde shim derive supports struct/enum, found `{other}`"),
+    };
+    Input {
+        name,
+        lifetimes,
+        kind,
     }
 }
 
@@ -158,10 +147,7 @@ fn parse_lifetimes(tokens: &[TokenTree], pos: &mut usize, name: &str) -> String 
 
 /// Consumes leading attributes, returning the serde-relevant ones.
 fn parse_attrs(tokens: &[TokenTree], pos: &mut usize) -> Attrs {
-    let mut attrs = Attrs {
-        transparent: false,
-        default: None,
-    };
+    let mut attrs = Attrs::default();
     while let Some(TokenTree::Punct(p)) = tokens.get(*pos) {
         if p.as_char() != '#' {
             break;
@@ -292,7 +278,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
         }
         let type_head = skip_type(&tokens, &mut pos);
         fields.push(Field {
-            name: Some(name),
+            name,
             type_head,
             default: attrs.default,
         });
@@ -303,45 +289,32 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     fields
 }
 
-fn parse_tuple_fields(stream: TokenStream) -> Vec<Field> {
+/// True when a tuple struct's field list holds one field (and perhaps a
+/// trailing comma).
+fn has_one_field(stream: TokenStream) -> bool {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut pos = 0;
-    let mut fields = Vec::new();
-    while pos < tokens.len() {
-        let attrs = parse_attrs(&tokens, &mut pos);
-        skip_visibility(&tokens, &mut pos);
-        let type_head = skip_type(&tokens, &mut pos);
-        fields.push(Field {
-            name: None,
-            type_head,
-            default: attrs.default,
-        });
-        if matches!(peek_punct(&tokens, pos), Some(',')) {
-            pos += 1;
-        }
-    }
-    fields
+    parse_attrs(&tokens, &mut pos);
+    skip_visibility(&tokens, &mut pos);
+    skip_type(&tokens, &mut pos);
+    pos + 1 >= tokens.len()
 }
 
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
+/// The variant names of `enum_name`'s body, which must all be unit variants.
+fn parse_unit_variants(stream: TokenStream, enum_name: &str) -> Vec<String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut pos = 0;
     let mut variants = Vec::new();
     while pos < tokens.len() {
         let _attrs = parse_attrs(&tokens, &mut pos); // e.g. #[default], doc comments
         let name = expect_ident(&tokens, &mut pos);
-        let kind = match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                pos += 1;
-                VariantKind::Tuple(parse_tuple_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                pos += 1;
-                VariantKind::Named(parse_named_fields(g.stream()))
-            }
-            _ => VariantKind::Unit,
-        };
-        variants.push(Variant { name, kind });
+        if let Some(TokenTree::Group(_)) = tokens.get(pos) {
+            panic!(
+                "serde shim derive supports only unit variants, found `{enum_name}::{name}` \
+                 carrying data"
+            );
+        }
+        variants.push(name);
         if matches!(peek_punct(&tokens, pos), Some(',')) {
             pos += 1;
         }
@@ -358,7 +331,7 @@ fn gen_serialize(item: &Input) -> String {
         Kind::NamedStruct(fields) => {
             let mut out = String::from("let mut map = ::serde::Map::new();\n");
             for field in fields {
-                let fname = field.name.as_ref().unwrap();
+                let fname = &field.name;
                 out.push_str(&format!(
                     "map.insert(\"{fname}\".to_string(), ::serde::Serialize::serialize_value(&self.{fname}));\n"
                 ));
@@ -366,68 +339,13 @@ fn gen_serialize(item: &Input) -> String {
             out.push_str("::serde::Value::Object(map)");
             out
         }
-        Kind::TupleStruct(fields) if fields.len() == 1 && item.transparent => {
-            "::serde::Serialize::serialize_value(&self.0)".to_string()
-        }
-        Kind::TupleStruct(fields) => {
-            let items: Vec<String> = (0..fields.len())
-                .map(|i| format!("::serde::Serialize::serialize_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", items.join(", "))
-        }
-        Kind::Enum(variants) => {
+        Kind::Newtype => "::serde::Serialize::serialize_value(&self.0)".to_string(),
+        Kind::UnitEnum(variants) => {
             let mut arms = String::new();
-            for variant in variants {
-                let vname = &variant.name;
-                match &variant.kind {
-                    VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{vname} => ::serde::Value::String(\"{vname}\".to_string()),\n"
-                    )),
-                    VariantKind::Tuple(fields) => {
-                        let binders: Vec<String> =
-                            (0..fields.len()).map(|i| format!("__f{i}")).collect();
-                        let payload = if fields.len() == 1 {
-                            "::serde::Serialize::serialize_value(__f0)".to_string()
-                        } else {
-                            let items: Vec<String> = binders
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::serialize_value({b})"))
-                                .collect();
-                            format!("::serde::Value::Array(vec![{}])", items.join(", "))
-                        };
-                        arms.push_str(&format!(
-                            "{name}::{vname}({binds}) => {{\n\
-                             let mut map = ::serde::Map::new();\n\
-                             map.insert(\"{vname}\".to_string(), {payload});\n\
-                             ::serde::Value::Object(map)\n\
-                             }}\n",
-                            binds = binders.join(", ")
-                        ));
-                    }
-                    VariantKind::Named(fields) => {
-                        let fnames: Vec<&String> =
-                            fields.iter().map(|f| f.name.as_ref().unwrap()).collect();
-                        let mut inner = String::from("let mut inner = ::serde::Map::new();\n");
-                        for fname in &fnames {
-                            inner.push_str(&format!(
-                                "inner.insert(\"{fname}\".to_string(), ::serde::Serialize::serialize_value({fname}));\n"
-                            ));
-                        }
-                        arms.push_str(&format!(
-                            "{name}::{vname} {{ {binds} }} => {{\n\
-                             {inner}\
-                             let mut map = ::serde::Map::new();\n\
-                             map.insert(\"{vname}\".to_string(), ::serde::Value::Object(inner));\n\
-                             ::serde::Value::Object(map)\n\
-                             }}\n",
-                            binds = fnames
-                                .iter()
-                                .map(|s| s.as_str())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ));
-                    }
-                }
+            for vname in variants {
+                arms.push_str(&format!(
+                    "{name}::{vname} => ::serde::Value::String(\"{vname}\".to_string()),\n"
+                ));
             }
             format!("match self {{\n{arms}}}")
         }
@@ -439,22 +357,22 @@ fn gen_serialize(item: &Input) -> String {
     )
 }
 
-/// Expression deserializing named `fields` from the object expr `obj` into a
-/// `Ctor { ... }` literal.
-fn named_fields_ctor(ctor: &str, fields: &[Field], obj: &str, context: &str) -> String {
-    let mut out = format!("{ctor} {{\n");
+/// Expression deserializing named `fields` from the object `obj` into a
+/// `Name { ... }` literal.
+fn named_fields_ctor(name: &str, fields: &[Field]) -> String {
+    let mut out = format!("{name} {{\n");
     for field in fields {
-        let fname = field.name.as_ref().unwrap();
+        let fname = &field.name;
         let missing = match (&field.default, field.type_head.as_str()) {
             (Some(DefaultKind::Std), _) => "::std::default::Default::default()".to_string(),
             (Some(DefaultKind::Path(path)), _) => format!("{path}()"),
             (None, "Option") => "None".to_string(),
-            (None, _) => format!(
-                "return Err(::serde::Error::custom(\"missing field `{fname}` in {context}\"))"
-            ),
+            (None, _) => {
+                format!("return Err(::serde::Error::custom(\"missing field `{fname}` in {name}\"))")
+            }
         };
         out.push_str(&format!(
-            "{fname}: match {obj}.get(\"{fname}\") {{\n\
+            "{fname}: match obj.get(\"{fname}\") {{\n\
              Some(__v) => ::serde::Deserialize::deserialize_value(__v)?,\n\
              None => {missing},\n\
              }},\n"
@@ -472,82 +390,21 @@ fn gen_deserialize(item: &Input) -> String {
     );
     let body = match &item.kind {
         Kind::NamedStruct(fields) => {
-            let ctor = named_fields_ctor(name, fields, "obj", name);
+            let ctor = named_fields_ctor(name, fields);
             format!(
                 "let obj = v.as_object().ok_or_else(|| ::serde::Error::custom(\
                  format!(\"expected object for {name}, got {{v}}\")))?;\n\
                  Ok({ctor})"
             )
         }
-        Kind::TupleStruct(fields) if fields.len() == 1 && item.transparent => {
-            format!("Ok({name}(::serde::Deserialize::deserialize_value(v)?))")
-        }
-        Kind::TupleStruct(fields) => {
-            let n = fields.len();
-            let items: Vec<String> = (0..n)
-                .map(|i| format!("::serde::Deserialize::deserialize_value(&items[{i}])?"))
-                .collect();
-            format!(
-                "let items = v.as_array().ok_or_else(|| ::serde::Error::custom(\
-                 format!(\"expected array for {name}, got {{v}}\")))?;\n\
-                 if items.len() != {n} {{\n\
-                 return Err(::serde::Error::custom(\"wrong tuple length for {name}\"));\n\
-                 }}\n\
-                 Ok({name}({}))",
-                items.join(", ")
-            )
-        }
-        Kind::Enum(variants) => {
+        Kind::Newtype => format!("Ok({name}(::serde::Deserialize::deserialize_value(v)?))"),
+        Kind::UnitEnum(variants) => {
             let mut unit_arms = String::new();
-            let mut tagged_arms = String::new();
-            for variant in variants {
-                let vname = &variant.name;
-                match &variant.kind {
-                    VariantKind::Unit => {
-                        unit_arms.push_str(&format!("\"{vname}\" => Ok({name}::{vname}),\n"));
-                    }
-                    VariantKind::Tuple(fields) if fields.len() == 1 => {
-                        tagged_arms.push_str(&format!(
-                            "\"{vname}\" => Ok({name}::{vname}(\
-                             ::serde::Deserialize::deserialize_value(payload)?)),\n"
-                        ));
-                    }
-                    VariantKind::Tuple(fields) => {
-                        let n = fields.len();
-                        let items: Vec<String> = (0..n)
-                            .map(|i| {
-                                format!("::serde::Deserialize::deserialize_value(&items[{i}])?")
-                            })
-                            .collect();
-                        tagged_arms.push_str(&format!(
-                            "\"{vname}\" => {{\n\
-                             let items = payload.as_array().ok_or_else(|| \
-                             ::serde::Error::custom(\"expected array for {name}::{vname}\"))?;\n\
-                             if items.len() != {n} {{\n\
-                             return Err(::serde::Error::custom(\"wrong tuple length for {name}::{vname}\"));\n\
-                             }}\n\
-                             Ok({name}::{vname}({}))\n\
-                             }}\n",
-                            items.join(", ")
-                        ));
-                    }
-                    VariantKind::Named(fields) => {
-                        let ctor = named_fields_ctor(
-                            &format!("{name}::{vname}"),
-                            fields,
-                            "inner",
-                            &format!("{name}::{vname}"),
-                        );
-                        tagged_arms.push_str(&format!(
-                            "\"{vname}\" => {{\n\
-                             let inner = payload.as_object().ok_or_else(|| \
-                             ::serde::Error::custom(\"expected object for {name}::{vname}\"))?;\n\
-                             Ok({ctor})\n\
-                             }}\n"
-                        ));
-                    }
-                }
+            for vname in variants {
+                unit_arms.push_str(&format!("\"{vname}\" => Ok({name}::{vname}),\n"));
             }
+            // A single-key object is how serde spells a variant with data;
+            // this shim derives none, so every tag names an unknown variant.
             format!(
                 "match v {{\n\
                  ::serde::Value::String(tag) => match tag.as_str() {{\n\
@@ -559,7 +416,6 @@ fn gen_deserialize(item: &Input) -> String {
                  let (tag, payload) = map.iter().next().unwrap();\n\
                  let _ = payload;\n\
                  match tag.as_str() {{\n\
-                 {tagged_arms}\
                  other => Err(::serde::Error::custom(format!(\
                  \"unknown variant `{{other}}` of {name}\"))),\n\
                  }}\n\

@@ -59,16 +59,11 @@ pub trait Deserialize: Sized {
 
 // ----- primitive impls ------------------------------------------------------
 
-macro_rules! impl_int {
+macro_rules! impl_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize_value(&self) -> Value {
-                #[allow(unused_comparisons)]
-                if *self < 0 {
-                    Value::Number(Number::from_i64(*self as i64))
-                } else {
-                    Value::Number(Number::from_u64(*self as u64))
-                }
+                Value::Number(Number::from_u64(*self as u64))
             }
         }
         impl Deserialize for $t {
@@ -95,26 +90,21 @@ macro_rules! impl_int {
     )*};
 }
 
-impl_int!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
+impl_uint!(u32, u64, usize);
 
-macro_rules! impl_float {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize_value(&self) -> Value {
-                Value::Number(Number::from_f64(*self as f64))
-            }
-        }
-        impl Deserialize for $t {
-            fn deserialize_value(v: &Value) -> Result<Self, Error> {
-                v.as_number()
-                    .map(|n| n.as_f64() as $t)
-                    .ok_or_else(|| Error::custom(format!("expected number, got {v}")))
-            }
-        }
-    )*};
+impl Serialize for f64 {
+    fn serialize_value(&self) -> Value {
+        Value::Number(Number::from_f64(*self))
+    }
 }
 
-impl_float!(f32, f64);
+impl Deserialize for f64 {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        v.as_number()
+            .map(Number::as_f64)
+            .ok_or_else(|| Error::custom(format!("expected number, got {v}")))
+    }
+}
 
 impl Serialize for bool {
     fn serialize_value(&self) -> Value {
@@ -169,23 +159,6 @@ impl Deserialize for std::sync::Arc<str> {
     }
 }
 
-impl Serialize for char {
-    fn serialize_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(Error::custom(format!(
-                "expected single-char string, got {other}"
-            ))),
-        }
-    }
-}
-
 // ----- std container impls --------------------------------------------------
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -213,12 +186,6 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
     fn serialize_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize_value).collect())
     }
@@ -267,46 +234,6 @@ impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
         Value::Object(map)
     }
 }
-
-impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(map) => map
-                .iter()
-                .map(|(k, val)| Ok((k.clone(), V::deserialize_value(val)?)))
-                .collect(),
-            other => Err(Error::custom(format!("expected object, got {other}"))),
-        }
-    }
-}
-
-macro_rules! impl_tuple {
-    ($(($($name:ident . $idx:tt),+)),+ $(,)?) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.serialize_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn deserialize_value(v: &Value) -> Result<Self, Error> {
-                let items = match v {
-                    Value::Array(items) => items,
-                    other => return Err(Error::custom(format!("expected array, got {other}"))),
-                };
-                let expected = [$($idx),+].len();
-                if items.len() != expected {
-                    return Err(Error::custom(format!(
-                        "expected {expected}-tuple, got array of {}",
-                        items.len()
-                    )));
-                }
-                Ok(($($name::deserialize_value(&items[$idx])?,)+))
-            }
-        }
-    )+};
-}
-
-impl_tuple!((A.0), (A.0, B.1), (A.0, B.1, C.2), (A.0, B.1, C.2, D.3),);
 
 impl Serialize for Value {
     fn serialize_value(&self) -> Value {

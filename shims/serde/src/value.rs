@@ -36,23 +36,10 @@ impl Value {
         self.as_number().and_then(Number::as_u64)
     }
 
-    /// Returns the value as `i64` if it is an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        self.as_number().and_then(Number::as_i64)
-    }
-
     /// Returns the string slice if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Returns the boolean if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -110,15 +97,6 @@ pub enum Number {
 }
 
 impl Number {
-    /// Wraps an `i64` (normalised to `UInt` when non-negative).
-    pub fn from_i64(v: i64) -> Self {
-        if v >= 0 {
-            Number::UInt(v as u64)
-        } else {
-            Number::Int(v)
-        }
-    }
-
     /// Wraps a `u64`.
     pub fn from_u64(v: u64) -> Self {
         Number::UInt(v)
@@ -185,23 +163,10 @@ impl Map {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Looks up `key` mutably.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
-        self.entries
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-    }
-
     /// Removes and returns the entry under `key`.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
         let idx = self.entries.iter().position(|(k, _)| k == key)?;
         Some(self.entries.remove(idx).1)
-    }
-
-    /// True when `key` is present.
-    pub fn contains_key(&self, key: &str) -> bool {
-        self.get(key).is_some()
     }
 
     /// Number of entries.

@@ -1,14 +1,14 @@
 //! The `cgsim` binary refuses a command line it does not fully understand:
 //! an unparsable number, a flag the command does not declare, a token that
 //! belongs to no flag, a `--policy` without a name, a fault aimed at a site
-//! or link the platform lacks and an execution file holding a duration the
-//! flags would refuse each exit non-zero with a one-line `error:` — the
-//! simulator never silently runs something other than what was asked. And
-//! when a run outlasts its fault plan, stderr says so; the usage text lists
-//! every `--trace-filter` category the parser accepts and every execution
-//! knob, and each command's synopsis names the knob groups it takes. The
-//! input files `init` writes are pinned byte for byte, and so is what the
-//! library writes after reading them back.
+//! or link the platform lacks, a platform of more sites than a run can index
+//! and an execution file holding a duration the flags would refuse each exit
+//! non-zero with a one-line `error:` — the simulator never silently runs
+//! something other than what was asked. And when a run outlasts its fault
+//! plan, stderr says so; the usage text lists every `--trace-filter` category
+//! the parser accepts and every execution knob, and each command's synopsis
+//! names the knob groups it takes. The input files `init` writes are pinned
+//! byte for byte, and so is what the library writes after reading them back.
 
 use std::process::{Command, Output, Stdio};
 
@@ -50,6 +50,12 @@ fn unparsable_numbers_are_errors_not_defaults() {
         "--sites '0' is not a positive number",
     );
     assert!(!dir.exists(), "a rejected init writes nothing");
+    // More sites than a run can index is refused before the platform's
+    // (sites + 1)² routes are built, not aborted on their allocation.
+    assert_rejected(
+        &["demo", "--sites", "65536", "--jobs", "1"],
+        "the platform has 65536 entries, more than the 65535 a run can index",
+    );
     // Checked even without a `--faults` spec to apply it to.
     assert_rejected(
         &["demo", "--jobs", "5", "--fault-seed", "x"],
@@ -472,35 +478,23 @@ fn the_usage_text_lists_every_trace_category() {
     }
 }
 
-/// 64-bit FNV-1a of `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Every key path of a JSON document, in first-seen order: `a.b` for a
-/// nested object, `a[].b` for an object inside an array.
-fn key_paths(json: &str) -> Vec<String> {
+/// Every key path of a JSON document, in first-seen order and joined by
+/// spaces: `a.b` for a nested object, `a[].b` for an object inside an array.
+fn key_paths(json: &str) -> String {
     fn walk(value: &serde_json::Value, prefix: &str, out: &mut Vec<String>) {
         match value {
             serde_json::Value::Object(map) => {
                 for (key, item) in map.iter() {
-                    let path = if prefix.is_empty() {
-                        key.clone()
-                    } else {
-                        format!("{prefix}.{key}")
-                    };
+                    let path = format!("{prefix}{key}");
                     if !out.contains(&path) {
                         out.push(path.clone());
                     }
-                    walk(item, &path, out);
+                    walk(item, &format!("{path}."), out);
                 }
             }
             serde_json::Value::Array(items) => {
-                for item in items {
-                    walk(item, &format!("{prefix}[]"), out);
-                }
+                let prefix = format!("{}[].", prefix.trim_end_matches('.'));
+                items.iter().for_each(|item| walk(item, &prefix, out));
             }
             _ => {}
         }
@@ -511,41 +505,30 @@ fn key_paths(json: &str) -> Vec<String> {
         "",
         &mut out,
     );
-    out
+    out.join(" ")
 }
 
 /// The input files `init` writes, what the library reads back from them and
-/// writes again, and the shape of `profile.json` and of a serve `stats`
+/// writes again, the shape of `profile.json` and a fresh server's `stats`
 /// reply: every byte the (de)serialisers produce on these paths is pinned.
 #[test]
 fn init_files_and_json_shapes_are_pinned() {
-    use cgsim::core::ExecutionConfig;
+    use cgsim::core::{scenario::hash::fnv1a, ExecutionConfig};
     use cgsim::platform::PlatformSpec;
     use cgsim::workload::Trace;
 
     let dir = std::env::temp_dir().join(format!("cgsim-cli-init-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let arg = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let dir_arg = arg("");
     let init = cgsim(&[
-        "init",
-        "--dir",
-        &arg(""),
-        "--sites",
-        "3",
-        "--jobs",
-        "40",
-        "--seed",
-        "5",
+        "init", "--sites", "3", "--jobs", "40", "--seed", "5", "--dir", &dir_arg,
     ]);
     assert!(init.status.success(), "{init:?}");
     let read = |name: &str| std::fs::read(dir.join(name)).expect("init wrote the file");
-    let (platform, execution, trace) = (
-        read("platform.json"),
-        read("execution.json"),
-        read("trace.jsonl"),
-    );
+    let [platform, execution, trace] = ["platform.json", "execution.json", "trace.jsonl"].map(read);
     assert_eq!(
-        [fnv1a(&platform), fnv1a(&execution), fnv1a(&trace)],
+        [&platform, &execution, &trace].map(|bytes| fnv1a(0xcbf2_9ce4_8422_2325, bytes)),
         [
             0xe7b1_32da_f76a_927d,
             0x10d5_8580_713a_f3ee,
@@ -555,51 +538,36 @@ fn init_files_and_json_shapes_are_pinned() {
     );
 
     // Each file reads back and writes out byte for byte.
-    PlatformSpec::load(dir.join("platform.json"))
-        .unwrap()
-        .save(dir.join("platform-again.json"))
-        .unwrap();
+    let spec = PlatformSpec::load(dir.join("platform.json")).unwrap();
+    spec.save(dir.join("platform-again.json")).unwrap();
     assert!(read("platform-again.json") == platform);
     let config = ExecutionConfig::from_json(std::str::from_utf8(&execution).unwrap()).unwrap();
     assert!(config.to_json().as_bytes() == execution.as_slice());
-    Trace::load_jsonl(dir.join("trace.jsonl"))
-        .unwrap()
-        .save_jsonl(dir.join("trace-again.jsonl"))
-        .unwrap();
+    let jobs = Trace::load_jsonl(dir.join("trace.jsonl")).unwrap();
+    jobs.save_jsonl(dir.join("trace-again.jsonl")).unwrap();
     assert!(read("trace-again.jsonl") == trace);
 
+    let [platform, execution, trace, profile] = [
+        "platform.json",
+        "execution.json",
+        "trace.jsonl",
+        "profile.json",
+    ]
+    .map(arg);
     let inputs = [
         "--platform",
-        &arg("platform.json"),
+        &platform,
         "--execution",
-        &arg("execution.json"),
+        &execution,
         "--trace",
-        &arg("trace.jsonl"),
+        &trace,
     ];
-    let profiled = cgsim(
-        &[
-            &["simulate"],
-            &inputs[..],
-            &["--profile", &arg("profile.json")],
-        ]
-        .concat(),
-    );
+    let profiled = cgsim(&[&["simulate", "--profile", &profile], &inputs[..]].concat());
     assert!(profiled.status.success(), "{profiled:?}");
-    let profile = String::from_utf8(read("profile.json")).unwrap();
     assert_eq!(
-        key_paths(&profile),
-        [
-            "bench",
-            "harness",
-            "scenario",
-            "results",
-            "results[].case",
-            "results[].wall_s",
-            "results[].count",
-            "counters",
-            "counters[].name",
-            "counters[].value",
-        ]
+        key_paths(&String::from_utf8(read("profile.json")).unwrap()),
+        "bench harness scenario results results[].case results[].wall_s results[].count \
+         counters counters[].name counters[].value"
     );
 
     let mut serve = Command::new(env!("CARGO_BIN_EXE_cgsim"))
@@ -612,28 +580,11 @@ fn init_files_and_json_shapes_are_pinned() {
     std::io::Write::write_all(&mut serve.stdin.take().unwrap(), b"{\"cmd\":\"stats\"}\n").unwrap();
     let served = serve.wait_with_output().unwrap();
     assert!(served.status.success(), "{served:?}");
-    let reply = String::from_utf8(served.stdout).unwrap();
-    assert_eq!(reply.lines().count(), 1, "{reply}");
     assert_eq!(
-        key_paths(&reply),
-        [
-            "ok",
-            "stats",
-            "stats.cache",
-            "stats.cache.hits",
-            "stats.cache.misses",
-            "stats.cache.evictions",
-            "stats.cache.entries",
-            "stats.simulations_run",
-            "stats.requests",
-            "stats.latency_ms",
-            "stats.latency_ms.p50",
-            "stats.latency_ms.p90",
-            "stats.latency_ms.p99",
-            "stats.latency_ms.max",
-            "stats.encodes",
-            "stats.reply_bytes",
-        ]
+        String::from_utf8(served.stdout).unwrap(),
+        "{\"ok\":true,\"stats\":{\"cache\":{\"hits\":0,\"misses\":0,\"evictions\":0,\"entries\":0},\
+         \"simulations_run\":0,\"requests\":0,\"latency_ms\":{\"p50\":0.0,\"p90\":0.0,\"p99\":0.0,\
+         \"max\":0.0},\"encodes\":0,\"reply_bytes\":0}}\n"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
