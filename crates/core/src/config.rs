@@ -2,7 +2,6 @@
 
 use cgsim_data::SourceSelection;
 use cgsim_monitor::MonitoringConfig;
-use cgsim_platform::PlatformSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::queue_model::QueueModel;
@@ -360,6 +359,8 @@ pub struct Knob {
     pub flag: &'static str,
     /// The field's path in `execution.json`.
     pub path: &'static str,
+    /// One line of `cgsim help`.
+    pub doc: &'static str,
     /// The field.
     pub field: for<'a> fn(&'a mut ExecutionConfig) -> KnobField<'a>,
 }
@@ -387,69 +388,41 @@ impl Knob {
     }
 }
 
-/// Every execution knob, one row each, in the three groups of `cgsim`'s usage
+/// Every execution knob, one row each, in the three groups of `cgsim`'s help
 /// text: the checkpoint, repair and monitoring flags.
 #[rustfmt::skip]
 pub const KNOBS: [&[Knob]; 3] = {
     use KnobField::*;
-    const fn knob(flag: &'static str, path: &'static str, field: for<'a> fn(&'a mut ExecutionConfig) -> KnobField<'a>) -> Knob {
-        Knob { flag, path, field }
+    const fn knob(flag: &'static str, path: &'static str, doc: &'static str, field: for<'a> fn(&'a mut ExecutionConfig) -> KnobField<'a>) -> Knob {
+        Knob { flag, path, doc, field }
     }
     [
         &[
-            knob("checkpoint-interval", "checkpoint.interval_s", |e| Seconds(&mut e.checkpoint.interval_s)),
-            knob("checkpoint-bytes", "checkpoint.base_bytes", |e| U64(&mut e.checkpoint.base_bytes)),
-            knob("checkpoint-per-core-bytes", "checkpoint.bytes_per_core", |e| U64(&mut e.checkpoint.bytes_per_core)),
-            knob("checkpoint-target", "checkpoint.target", |e| Target(&mut e.checkpoint.target)),
-            knob("checkpoint-overlap", "checkpoint.overlap", |e| Switch(&mut e.checkpoint.overlap)),
-            knob("checkpoint-delta-bytes-per-s", "checkpoint.delta_bytes_per_s", |e| U64(&mut e.checkpoint.delta_bytes_per_s)),
+            knob("checkpoint-interval", "checkpoint.interval_s", "checkpoint every DUR of completed work", |e| Seconds(&mut e.checkpoint.interval_s)),
+            knob("checkpoint-bytes", "checkpoint.base_bytes", "fixed checkpoint size in bytes", |e| U64(&mut e.checkpoint.base_bytes)),
+            knob("checkpoint-per-core-bytes", "checkpoint.bytes_per_core", "extra bytes per job core", |e| U64(&mut e.checkpoint.bytes_per_core)),
+            knob("checkpoint-target", "checkpoint.target", "write to site storage or the main server", |e| Target(&mut e.checkpoint.target)),
+            knob("checkpoint-overlap", "checkpoint.overlap", "asynchronous writes: overlap each write with the next execution segment (stall only if the previous write is in flight)", |e| Switch(&mut e.checkpoint.overlap)),
+            knob("checkpoint-delta-bytes-per-s", "checkpoint.delta_bytes_per_s", "incremental checkpoints: ship N bytes per second of new progress instead of the full image (0 = full images)", |e| U64(&mut e.checkpoint.delta_bytes_per_s)),
         ],
         &[
-            knob("repair", "repair.enabled", |e| Switch(&mut e.repair.enabled)),
-            knob("repair-target", "repair.target_factor", |e| U32(&mut e.repair.target_factor)),
-            knob("repair-concurrent", "repair.max_concurrent", |e| U32(&mut e.repair.max_concurrent)),
-            knob("repair-backoff", "repair.backoff_s", |e| Seconds(&mut e.repair.backoff_s)),
-            knob("repair-retries", "repair.max_retries", |e| U32(&mut e.repair.max_retries)),
+            knob("repair", "repair.enabled", "enable background re-replication of task inputs lost to diskloss/outage eviction; without it the other repair flags change nothing", |e| Switch(&mut e.repair.enabled)),
+            knob("repair-target", "repair.target_factor", "replicas to maintain per dataset (default 2)", |e| U32(&mut e.repair.target_factor)),
+            knob("repair-concurrent", "repair.max_concurrent", "max in-flight repair transfers (default 4)", |e| U32(&mut e.repair.max_concurrent)),
+            knob("repair-backoff", "repair.backoff_s", "base retry backoff, doubled per failed attempt (default 300s)", |e| Seconds(&mut e.repair.backoff_s)),
+            knob("repair-retries", "repair.max_retries", "failed attempts before a dataset is abandoned (default 5)", |e| U32(&mut e.repair.max_retries)),
         ],
         &[
-            knob("max-events", "monitoring.max_events", |e| U64(&mut e.monitoring.max_events)),
-            knob("sample-stride", "monitoring.sample_stride", |e| U64(&mut e.monitoring.sample_stride)),
-            knob("window", "monitoring.window_s", |e| Seconds(&mut e.monitoring.window_s)),
+            knob("max-events", "monitoring.max_events", "cap retained event records (ring of the newest; 0 = unbounded, the default)", |e| U64(&mut e.monitoring.max_events)),
+            knob("sample-stride", "monitoring.sample_stride", "keep one of every N event records", |e| U64(&mut e.monitoring.sample_stride)),
+            knob("window", "monitoring.window_s", "windowed metrics of this width (e.g. 1h)", |e| Seconds(&mut e.monitoring.window_s)),
         ],
     ]
 };
 
-/// The full three-part simulation configuration of the paper's input layer:
-/// infrastructure + network (both inside [`PlatformSpec`]) and execution
-/// parameters.
-#[derive(Debug, Clone)]
-pub struct SimulationConfig {
-    /// Platform (infrastructure + network topology).
-    pub platform: PlatformSpec,
-    /// Execution parameters.
-    pub execution: ExecutionConfig,
-}
-
-impl SimulationConfig {
-    /// Loads a configuration from two JSON files (platform and execution).
-    pub fn load(
-        platform_path: impl AsRef<std::path::Path>,
-        execution_path: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<Self> {
-        let platform = PlatformSpec::load(platform_path)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let execution = ExecutionConfig::from_json(&std::fs::read_to_string(execution_path)?)?;
-        Ok(SimulationConfig {
-            platform,
-            execution,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgsim_platform::presets::example_platform;
 
     #[test]
     fn defaults_are_sane() {
@@ -573,24 +546,6 @@ mod tests {
         assert_eq!(back.allocation_policy, "round-robin");
         assert_eq!(back.failure_probability, 0.05);
         assert_eq!(back.horizon_s, Some(1e6));
-    }
-
-    #[test]
-    fn simulation_config_roundtrip_and_file_load() {
-        let config = SimulationConfig {
-            platform: example_platform(),
-            execution: ExecutionConfig::default(),
-        };
-        let dir = std::env::temp_dir().join("cgsim-config-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let platform_path = dir.join("platform.json");
-        let exec_path = dir.join("execution.json");
-        config.platform.save(&platform_path).unwrap();
-        std::fs::write(&exec_path, config.execution.to_json()).unwrap();
-        let loaded = SimulationConfig::load(&platform_path, &exec_path).unwrap();
-        assert_eq!(loaded.platform.sites.len(), 4);
-        assert_eq!(loaded.execution.allocation_policy, "least-loaded");
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

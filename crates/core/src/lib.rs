@@ -53,7 +53,7 @@ pub mod simulation;
 
 pub use config::{
     CheckpointConfig, CheckpointTarget, ComputeMode, ExecutionConfig, Knob, KnobField,
-    RepairConfig, SimulationConfig, KNOBS,
+    RepairConfig, KNOBS,
 };
 pub use queue_model::QueueModel;
 pub use results::SimulationResults;

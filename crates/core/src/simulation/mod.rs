@@ -648,7 +648,7 @@ impl Simulation {
             let (fast, slow) = model.fluid.solver_stats();
             let fluid = model.fluid.solver_counters();
             let queue = engine.queue();
-            for (name, value) in [
+            let counters = [
                 ("engine_events", report.events_processed),
                 ("fluid_fast_solves", fast),
                 ("fluid_slow_solves", slow),
@@ -665,10 +665,8 @@ impl Simulation {
                 ("run_slab_live", model.running.live() as u64),
                 ("attempt_slab_slots", model.attempts.high_water() as u64),
                 ("attempt_slab_live", model.attempts.live() as u64),
-            ] {
-                model.profiler.add_counter(name, value);
-            }
-            Some(model.profiler.report(&policy_name))
+            ];
+            Some(model.profiler.report(&policy_name, &counters))
         } else {
             None
         };

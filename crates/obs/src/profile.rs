@@ -75,7 +75,6 @@ struct Bucket {
 pub struct Profiler {
     enabled: bool,
     buckets: [Bucket; ALL_SUBSYSTEMS.len()],
-    counters: Vec<(String, u64)>,
 }
 
 impl Profiler {
@@ -115,23 +114,11 @@ impl Profiler {
         }
     }
 
-    /// Records a named occurrence count alongside the timing buckets (e.g.
-    /// fluid fast/slow solve counters sampled at the end of a run). Counts
-    /// accumulate across calls with the same name.
-    pub fn add_counter(&mut self, name: &str, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(entry) = self.counters.iter_mut().find(|(n, _)| n == name) {
-            entry.1 += value;
-        } else {
-            self.counters.push((name.to_string(), value));
-        }
-    }
-
     /// Builds the report. `scenario` describes what was run (policy, job
-    /// count, flags) in the same spirit as the BENCH files' scenario line.
-    pub fn report(&self, scenario: &str) -> ProfileReport {
+    /// count, flags) in the same spirit as the BENCH files' scenario line;
+    /// `counters` are named occurrence counts sampled at the end of the run
+    /// (e.g. fluid fast/slow solves), reported in the order given.
+    pub fn report(&self, scenario: &str, counters: &[(&str, u64)]) -> ProfileReport {
         ProfileReport {
             bench: "self-profile".to_string(),
             harness: "cgsim-obs Profiler; wall-clock per subsystem, buckets nest inside event_loop"
@@ -148,12 +135,11 @@ impl Profiler {
                     }
                 })
                 .collect(),
-            counters: self
-                .counters
+            counters: counters
                 .iter()
-                .map(|(name, value)| CounterReport {
-                    name: name.clone(),
-                    value: *value,
+                .map(|&(name, value)| CounterReport {
+                    name: name.to_string(),
+                    value,
                 })
                 .collect(),
         }
@@ -240,8 +226,7 @@ mod tests {
         let t = p.start();
         assert!(t.is_none());
         p.stop(Subsystem::Fluid, t);
-        p.add_counter("x", 5);
-        let report = p.report("test");
+        let report = p.report("test", &[]);
         assert!(report
             .results
             .iter()
@@ -257,14 +242,22 @@ mod tests {
             assert!(t.is_some());
             p.stop(Subsystem::EventLoop, t);
         }
-        p.add_counter("fluid_fast_solves", 7);
-        p.add_counter("fluid_fast_solves", 3);
-        let report = p.report("demo");
+        let report = p.report(
+            "demo",
+            &[("fluid_fast_solves", 7), ("fluid_slow_solves", 3)],
+        );
         let loop_row = &report.results[Subsystem::EventLoop as usize];
         assert_eq!(loop_row.case, "event_loop");
         assert_eq!(loop_row.count, 3);
-        assert_eq!(report.counters.len(), 1);
-        assert_eq!(report.counters[0].value, 10);
+        let counters: Vec<_> = report
+            .counters
+            .iter()
+            .map(|c| (&*c.name, c.value))
+            .collect();
+        assert_eq!(
+            counters,
+            [("fluid_fast_solves", 7), ("fluid_slow_solves", 3)]
+        );
     }
 
     #[test]
@@ -272,8 +265,7 @@ mod tests {
         let mut p = Profiler::new(true);
         let t = p.start();
         p.stop(Subsystem::Checkpoint, t);
-        p.add_counter("events", 42);
-        let report = p.report("sites=6 jobs=500 seed=7");
+        let report = p.report("sites=6 jobs=500 seed=7", &[("events", 42)]);
         let json = report.to_json();
         for field in [
             r#""bench": "self-profile""#,

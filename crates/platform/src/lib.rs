@@ -30,6 +30,6 @@ pub mod topology;
 
 pub use availability::{GridAvailability, SiteAvailability};
 pub use error::PlatformError;
-pub use platform::{Host, HostId, Link, LinkId, NodeId, Platform, Route, Site, SiteId};
+pub use platform::{Link, LinkId, NodeId, Platform, Route, Site, SiteId};
 pub use presets::{example_platform, wlcg_platform, PresetOptions};
 pub use spec::{HostSpec, LinkSpec, NetworkSpec, PlatformSpec, SiteSpec, Tier};

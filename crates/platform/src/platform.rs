@@ -1,12 +1,12 @@
 //! The resolved runtime platform.
 //!
 //! [`Platform::build`] validates a [`PlatformSpec`], assigns typed identifiers
-//! to sites, hosts and links, constructs the WAN graph (adding the main
-//! server and, when no links are configured, a default star topology), adds
-//! per-site LAN links, and precomputes lowest-latency routes between every
-//! pair of endpoints (one shortest-path tree per source endpoint, stored in
-//! a dense table). The simulation core only ever works with this resolved
-//! form.
+//! to sites and links, folds each site's hosts into its nominal speed,
+//! constructs the WAN graph (adding the main server and, when no links are
+//! configured, a default star topology), adds per-site LAN links, and
+//! precomputes lowest-latency routes between every pair of endpoints (one
+//! shortest-path tree per source endpoint, stored in a dense table). The
+//! simulation core only ever works with this resolved form.
 
 use std::collections::HashMap;
 
@@ -20,11 +20,6 @@ define_id!(
     /// Identifier of a computing site.
     SiteId,
     "site"
-);
-define_id!(
-    /// Identifier of a worker-node group.
-    HostId,
-    "host"
 );
 define_id!(
     /// Identifier of a network link (WAN or site LAN).
@@ -50,25 +45,6 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// A worker-node group inside a site (resolved form of `HostSpec`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Host {
-    /// Host identifier.
-    pub id: HostId,
-    /// Owning site.
-    pub site: SiteId,
-    /// Host name.
-    pub name: String,
-    /// Number of cores.
-    pub cores: u32,
-    /// Nominal per-core speed (HS23-like units).
-    pub speed_per_core: f64,
-    /// RAM in GB.
-    pub ram_gb: f64,
-    /// Scratch disk in TB.
-    pub disk_tb: f64,
-}
-
 /// A computing site (resolved form of `SiteSpec`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Site {
@@ -80,8 +56,9 @@ pub struct Site {
     pub tier: Tier,
     /// Country / region label.
     pub country: String,
-    /// Worker-node groups.
-    pub hosts: Vec<HostId>,
+    /// Core-weighted average of the hosts' nominal per-core speeds (0 for a
+    /// site without cores).
+    pub(crate) nominal_speed: f64,
     /// Total core count.
     pub total_cores: u64,
     /// Storage capacity in TB.
@@ -123,7 +100,6 @@ pub struct Route {
 pub struct Platform {
     name: String,
     sites: Vec<Site>,
-    hosts: Vec<Host>,
     links: Vec<Link>,
     site_names: HashMap<String, SiteId>,
     /// Route of every ordered endpoint pair, row-major by
@@ -143,7 +119,6 @@ fn endpoint_index(node: NodeId) -> usize {
 /// A specification resolved up to, but not including, routing.
 struct Resolved {
     sites: Vec<Site>,
-    hosts: Vec<Host>,
     links: Vec<Link>,
     site_names: HashMap<String, SiteId>,
     /// The WAN graph; node [`endpoint_index`]`(e)` is endpoint `e`.
@@ -219,19 +194,17 @@ impl Platform {
         Ok(Platform {
             name: spec.name.clone(),
             sites: resolved.sites,
-            hosts: resolved.hosts,
             links: resolved.links,
             site_names: resolved.site_names,
             routes,
         })
     }
 
-    /// Validates `spec` and resolves its sites, hosts, links and WAN graph.
+    /// Validates `spec` and resolves its sites, links and WAN graph.
     fn resolve(spec: &PlatformSpec) -> Result<Resolved, PlatformError> {
         spec.validate()?;
 
         let mut sites = Vec::with_capacity(spec.sites.len());
-        let mut hosts = Vec::new();
         let mut links = Vec::new();
         let mut site_names = HashMap::new();
 
@@ -246,26 +219,18 @@ impl Platform {
                 latency_s: ms_to_secs(s.internal_latency_ms),
                 is_lan: true,
             });
-            let mut host_ids = Vec::with_capacity(s.hosts.len());
+            let mut weighted = 0.0;
+            let mut cores = 0.0;
             for h in &s.hosts {
-                let host_id = HostId::new(hosts.len());
-                hosts.push(Host {
-                    id: host_id,
-                    site: site_id,
-                    name: h.name.clone(),
-                    cores: h.cores,
-                    speed_per_core: h.speed_per_core,
-                    ram_gb: h.ram_gb,
-                    disk_tb: h.disk_tb,
-                });
-                host_ids.push(host_id);
+                weighted += h.speed_per_core * h.cores as f64;
+                cores += h.cores as f64;
             }
             sites.push(Site {
                 id: site_id,
                 name: s.name.clone(),
                 tier: s.tier,
                 country: s.country.clone(),
-                hosts: host_ids,
+                nominal_speed: if cores == 0.0 { 0.0 } else { weighted / cores },
                 total_cores: s.total_cores(),
                 storage_tb: s.storage_tb,
                 lan_link,
@@ -331,7 +296,6 @@ impl Platform {
 
         Ok(Resolved {
             sites,
-            hosts,
             links,
             site_names,
             graph,
@@ -364,24 +328,6 @@ impl Platform {
         self.site_names.get(name).copied()
     }
 
-    /// All hosts.
-    pub fn hosts(&self) -> &[Host] {
-        &self.hosts
-    }
-
-    /// A host by identifier.
-    pub fn host(&self, id: HostId) -> &Host {
-        &self.hosts[id.index()]
-    }
-
-    /// Hosts belonging to a site.
-    pub(crate) fn hosts_of(&self, site: SiteId) -> impl Iterator<Item = &Host> {
-        self.sites[site.index()]
-            .hosts
-            .iter()
-            .map(move |&h| &self.hosts[h.index()])
-    }
-
     /// All links (WAN + LAN).
     pub fn links(&self) -> &[Link] {
         &self.links
@@ -412,17 +358,7 @@ impl Platform {
     /// CPU core processing speed as the dominant calibration parameter).
     pub fn effective_speed(&self, site: SiteId) -> f64 {
         let s = &self.sites[site.index()];
-        let mut weighted = 0.0;
-        let mut cores = 0.0;
-        for h in self.hosts_of(site) {
-            weighted += h.speed_per_core * h.cores as f64;
-            cores += h.cores as f64;
-        }
-        if cores == 0.0 {
-            0.0
-        } else {
-            (weighted / cores) * s.speed_multiplier
-        }
+        s.nominal_speed * s.speed_multiplier
     }
 
     /// Current calibration multiplier of a site.
@@ -448,7 +384,7 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{LinkSpec, PlatformSpec, SiteSpec};
+    use crate::spec::{HostSpec, LinkSpec, PlatformSpec, SiteSpec};
 
     fn three_site_spec() -> PlatformSpec {
         PlatformSpec::new("test")
@@ -465,7 +401,6 @@ mod tests {
     fn build_resolves_sites_hosts_links() {
         let platform = Platform::build(&three_site_spec()).unwrap();
         assert_eq!(platform.site_count(), 3);
-        assert_eq!(platform.hosts().len(), 3);
         // 3 LAN + 4 WAN links.
         assert_eq!(platform.links().len(), 7);
         assert_eq!(platform.total_cores(), 3400);
@@ -604,13 +539,23 @@ mod tests {
     }
 
     #[test]
-    fn hosts_of_iterates_site_hosts() {
-        let platform = Platform::build(&three_site_spec()).unwrap();
-        let cern = platform.site_by_name("CERN").unwrap();
-        let hosts: Vec<_> = platform.hosts_of(cern).collect();
-        assert_eq!(hosts.len(), 1);
-        assert_eq!(hosts[0].cores, 2000);
-        assert_eq!(hosts[0].site, cern);
+    fn effective_speed_weights_hosts_by_cores() {
+        let mut spec = three_site_spec();
+        let hosts = &mut spec.sites[1].hosts;
+        hosts[0] = HostSpec::new("old", 100, 7.3);
+        hosts.push(HostSpec::new("new", 300, 11.9));
+        let mut platform = Platform::build(&spec).unwrap();
+        let bnl = platform.site_by_name("BNL").unwrap();
+        let nominal: f64 = (7.3 * 100.0 + 11.9 * 300.0) / 400.0;
+        assert_eq!(
+            platform.site(bnl).nominal_speed.to_bits(),
+            nominal.to_bits()
+        );
+        platform.set_speed_multiplier(bnl, 0.7);
+        assert_eq!(
+            platform.effective_speed(bnl).to_bits(),
+            (nominal * 0.7).to_bits()
+        );
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use cgsim_core::{
         serve_loop, CheckpointConfig, CheckpointTarget, ComputeMode, ExecutionConfig, QueueModel,
         RepairConfig, ScenarioBase, ScenarioEngine, ScenarioSpec, ServeRequest, Simulation,
-        SimulationConfig, SimulationResults,
+        SimulationResults,
     };
     pub use cgsim_data::SourceSelection;
     pub use cgsim_des::SimTime;

@@ -3,18 +3,9 @@
 //! Mirrors the paper's workflow: point the simulator at the JSON input files
 //! (platform/infrastructure + execution parameters) and a workload trace,
 //! pick an allocation policy, and get the output layer (metrics, CSV tables,
-//! event-level dataset, dashboard) written to a directory.
-//!
-//! ```bash
-//! # generate example configuration + trace, then simulate them
-//! cgsim init      --dir /tmp/cgsim-run
-//! cgsim simulate  --platform /tmp/cgsim-run/platform.json \
-//!                 --execution /tmp/cgsim-run/execution.json \
-//!                 --trace /tmp/cgsim-run/trace.jsonl \
-//!                 --output /tmp/cgsim-run/out
-//! # or synthesise everything in one go
-//! cgsim demo --sites 20 --jobs 2000 --policy least-loaded
-//! ```
+//! event-level dataset, dashboard) written to a directory. Every command is
+//! a row of [`COMMANDS`] and every flag a row of [`FLAGS`] or of
+//! [`KNOBS`]; the parser reads them and `cgsim help` is rendered from them.
 
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
@@ -22,87 +13,101 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use cgsim::core::{Knob, Observe, SimulationError, KNOBS};
-use cgsim::obs::TraceTarget;
+use cgsim::core::{Knob, KnobField, Observe, SimulationError, KNOBS};
+use cgsim::obs::{TraceTarget, ALL_CATEGORIES};
 use cgsim::prelude::*;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    type Command = fn(&HashMap<String, String>) -> Result<(), String>;
-    let (flags, knobs, run): (&[&str], &[&[Knob]], Command) = match command.as_str() {
-        "init" => (INIT_FLAGS, &[], cmd_init),
-        "simulate" => (SIMULATE_FLAGS, &KNOBS, cmd_simulate),
-        "demo" => (DEMO_FLAGS, &KNOBS, cmd_demo),
-        // The checkpoint and repair groups: serve runs unmonitored.
-        "serve" => (SERVE_FLAGS, &KNOBS[..2], cmd_serve),
-        "trace-check" => (TRACE_CHECK_FLAGS, &[], cmd_trace_check),
-        "policies" => (&[], &[], |_| {
-            for name in PolicyRegistry::with_builtins().names() {
-                println!("{name}");
-            }
-            Ok(())
-        }),
-        "--help" | "-h" | "help" => (&[], &[], |_| {
-            println!("{USAGE}");
-            Ok(())
-        }),
-        other => {
-            eprintln!("error: unknown command: {other}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = parse_options(command, &args[1..], flags, knobs).and_then(|options| run(&options));
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
+/// The flags of one command line, by name; a flag given without a value
+/// maps to the empty string.
+type Options = HashMap<String, String>;
+
+/// One `cgsim` command.
+struct Command {
+    name: &'static str,
+    /// One line of help.
+    about: &'static str,
+    /// How many of the `KNOBS` groups, from the first, the command takes.
+    knobs: usize,
+    run: fn(&Options) -> Result<(), String>,
 }
 
-const USAGE: &str = "cgsim — simulation framework for large-scale distributed computing
+/// One flag of one or more commands, besides the execution knobs (`KNOBS`).
+struct Flag {
+    /// The name, without its `--`.
+    name: &'static str,
+    /// The value's placeholder: empty for a switch, which takes no value (a
+    /// token after it is stray); in brackets for a value that may be left
+    /// out.
+    value: &'static str,
+    /// One line of help; `{categories}` stands for the trace categories.
+    doc: &'static str,
+    /// The commands that take it.
+    commands: &'static [&'static str],
+}
 
-USAGE:
-    cgsim init      --dir <DIR> [--sites N] [--jobs N] [--seed N]
-    cgsim simulate  --platform <platform.json> --execution <execution.json>
-                    --trace <trace.jsonl> [--output <DIR>] [--policy NAME]
-                    [--faults SPEC] [--fault-seed N] [CHECKPOINT FLAGS]
-                    [REPAIR FLAGS] [MONITORING FLAGS] [OBSERVABILITY FLAGS]
-    cgsim demo      [--sites N] [--jobs N] [--policy NAME] [--seed N] [--output DIR]
-                    [--faults SPEC] [--fault-seed N] [--stream] [CHECKPOINT FLAGS]
-                    [REPAIR FLAGS] [MONITORING FLAGS] [OBSERVABILITY FLAGS]
-    cgsim serve     --platform <platform.json> --execution <execution.json>
-                    --trace <trace.jsonl> [--listen HOST:PORT]
-                    [--cache-capacity N] [--no-cache] [--serial]
-                    [CHECKPOINT FLAGS] [REPAIR FLAGS]
-    cgsim trace-check  [--jsonl <trace.jsonl>] [--chrome <trace.json>]
-                    validate trace files against the record schema (CI gate)
-    cgsim policies            list the registered allocation policies
+#[rustfmt::skip]
+const COMMANDS: [Command; 7] = [
+    Command { name: "init", about: "write example platform.json, execution.json and trace.jsonl", knobs: 0, run: cmd_init },
+    Command { name: "simulate", about: "run the three input files through the simulator", knobs: 3, run: cmd_simulate },
+    Command { name: "demo", about: "synthesise a platform and a trace and run them", knobs: 3, run: cmd_demo },
+    // The checkpoint and repair groups: serve runs unmonitored.
+    Command { name: "serve", about: "answer scenario requests over the three input files (see SERVE)", knobs: 2, run: cmd_serve },
+    Command { name: "trace-check", about: "validate trace files against the record schema (CI gate)", knobs: 0, run: cmd_trace_check },
+    Command { name: "policies", about: "list the registered allocation policies", knobs: 0, run: cmd_policies },
+    Command { name: "help", about: "print this text (also --help, -h)", knobs: 0, run: cmd_help },
+];
 
-OBSERVABILITY FLAGS (see README \"Observability\"; tracing and profiling never
-change simulation results — results.json stays byte-identical either way):
-    --trace-out <path>       write a structured execution trace (sim-time
-                             spans/events; on demo, --trace works too)
-    --trace-format jsonl|chrome   trace file format (default jsonl; chrome
-                             loads in Perfetto / chrome://tracing)
-    --trace-filter CATS      comma-separated categories to keep, from:
-                             job,fault,ckpt,fluid,broker,repair (default: all)
-    --profile [path]         print a per-subsystem wall-clock table and write
-                             machine-readable profile JSON to <path> (default
-                             <output>/profile.json when --output is given)
+#[rustfmt::skip]
+const FLAGS: &[Flag] = {
+    const INPUTS: &[&str] = &["simulate", "serve"];
+    const GENERATED: &[&str] = &["init", "demo"];
+    const RUNS: &[&str] = &["simulate", "demo"];
+    const fn flag(name: &'static str, value: &'static str, doc: &'static str, commands: &'static [&'static str]) -> Flag {
+        Flag { name, value, doc, commands }
+    }
+    &[
+        flag("dir", "DIR", "directory to write to (default cgsim-run)", &["init"]),
+        flag("platform", "<platform.json>", "sites, hosts and network links", INPUTS),
+        flag("execution", "<execution.json>", "execution parameters", INPUTS),
+        flag("trace", "<trace.jsonl>", "the workload, one job record per line", INPUTS),
+        flag("sites", "N", "number of generated sites (default 10)", GENERATED),
+        flag("jobs", "N", "number of generated jobs (default 1000)", GENERATED),
+        flag("seed", "N", "seed of the generated platform and jobs (default 42)", GENERATED),
+        flag("policy", "NAME", "allocation policy (see `cgsim policies`)", &["simulate", "demo", "serve"]),
+        flag("stream", "", "keep the generated jobs in generation order, unsorted: jobs submitted at the same instant tie-break in that order (the trace is still held in memory)", &["demo"]),
+        flag("output", "DIR", "write results.json, the CSV tables, the ML dataset and the dashboard here", RUNS),
+        flag("faults", "SPEC", "inject faults (see FAULT SPECS)", RUNS),
+        flag("fault-seed", "N", "seed of the fault plan", RUNS),
+        flag("trace-out", "PATH", "write a structured execution trace of sim-time spans and events (results.json does not change; see README \"Observability\")", RUNS),
+        flag("trace", "PATH", "the same as --trace-out", &["demo"]),
+        flag("trace-format", "jsonl|chrome", "trace file format (default jsonl; chrome loads in Perfetto / chrome://tracing)", RUNS),
+        flag("trace-filter", "CATS", "comma-separated trace categories to keep, from {categories} (default: all)", RUNS),
+        flag("profile", "[PATH]", "print a per-subsystem wall-clock table and write profile JSON to PATH (default <output>/profile.json when there is an output directory); results.json does not change", RUNS),
+        flag("listen", "HOST:PORT", "read requests from sequential TCP connections, not stdin", &["serve"]),
+        flag("cache-capacity", "N", "response cache entries (default 256)", &["serve"]),
+        flag("no-cache", "", "answer every request with a run", &["serve"]),
+        flag("serial", "", "evaluate a batch's scenarios one after another", &["serve"]),
+        flag("jsonl", "<obs-trace.jsonl>", "a JSONL execution trace", &["trace-check"]),
+        flag("chrome", "<obs-trace.json>", "a Chrome trace_event file", &["trace-check"]),
+    ]
+};
 
-SERVE (simulation as a service):
-    Reads one JSONL request per line from stdin (or, with --listen, from
-    sequential TCP connections) and writes one JSON response line per
-    request. A line holding an array is a batch: evaluated as one engine
-    batch, one response line per element, in order. Repeated scenarios are
-    answered from a deterministic response cache; replies are byte-identical
-    across server restarts. See README \"Simulation as a service\".
+/// The `KNOBS` groups' names and one-line notes, in `KNOBS` order.
+#[rustfmt::skip]
+const KNOB_GROUPS: [(&str, &str); 3] = [
+    ("CHECKPOINT", "override the execution config; an interval of 0 disables"),
+    ("REPAIR", "fault-aware re-replication; see README \"Self-healing data layer\""),
+    ("MONITORING", "bound the monitoring state for scale campaigns; see README \"Scale campaigns\""),
+];
+
+/// The help text that documents no flag.
+const NOTES: &str = "SERVE (simulation as a service):
+    Reads one JSONL request per line from stdin (or from each TCP connection
+    in turn) and writes one JSON response line per request. A line holding an
+    array is a batch: evaluated as one engine batch, one response line per
+    element, in order. Repeated scenarios are answered from a deterministic
+    response cache; replies are byte-identical across server restarts. See
+    README \"Simulation as a service\".
 
 FAULT SPECS (semicolon-separated clauses; durations take s/m/h/d suffixes):
     outage:site=2,mttf=4h,mttr=30m[,shape=1.5]   random outages (site=all for every site)
@@ -114,98 +119,118 @@ FAULT SPECS (semicolon-separated clauses; durations take s/m/h/d suffixes):
     degrade:link=all,factor=0.3,mttf=6h,mttr=15m  (link=<i> is the i-th WAN link)
     kill:rate=1.5                                 job kills per simulated hour
     horizon=48h                                   fault-generation horizon
-
-MONITORING FLAGS (bound the monitoring state for scale campaigns; see README
-\"Scale campaigns\" — demo also takes --stream to feed the generator straight
-into the engine without materialising the trace):
-    --max-events <n>         cap retained event records (ring of the newest;
-                             0 = unbounded, the default)
-    --sample-stride <n>      keep one of every n event records
-    --window <dur>           windowed metrics of this width (e.g. 1h)
-
-CHECKPOINT FLAGS (override the execution config; interval 0 disables):
-    --checkpoint-interval <dur>    checkpoint every <dur> of completed work
-    --checkpoint-bytes <n>         fixed checkpoint size in bytes
-    --checkpoint-per-core-bytes <n>  extra bytes per job core
-    --checkpoint-target site|main  write to site storage or the main server
-    --checkpoint-overlap           asynchronous writes: overlap each write
-                                   with the next execution segment (stall
-                                   only if the previous write is in flight)
-    --checkpoint-delta-bytes-per-s <n>  incremental checkpoints: ship n bytes
-                                   per second of new progress instead of the
-                                   full image (0 = full images)
-
-REPAIR FLAGS (fault-aware re-replication; see README \"Self-healing data
-layer\" — only --repair enables the planner, the knob flags alone leave it
-off and the results byte-identical):
-    --repair                       enable background re-replication of task
-                                   inputs lost to diskloss/outage eviction
-    --repair-target <n>            replicas to maintain per dataset (default 2)
-    --repair-concurrent <n>        max in-flight repair transfers (default 4)
-    --repair-backoff <dur>         base retry backoff, doubled per failed
-                                   attempt (default 300s)
-    --repair-retries <n>           failed attempts before a dataset is
-                                   abandoned (default 5)
 ";
 
-// The flags each command declares besides its execution knobs (`KNOBS`), as
-// groups of space-separated names; anything else on its command line is an
-// error, not a silently ignored token.
-const OBSERVABILITY_FLAGS: &str = "trace-out trace-format trace-filter profile";
-const INPUT_FLAGS: &str = "platform execution trace policy";
-const RESULT_FLAGS: &str = "output faults fault-seed";
-const INIT_FLAGS: &[&str] = &["dir sites jobs seed"];
-const SIMULATE_FLAGS: &[&str] = &[INPUT_FLAGS, RESULT_FLAGS, OBSERVABILITY_FLAGS];
-const DEMO_FLAGS: &[&str] = &[
-    "sites jobs policy seed stream trace",
-    RESULT_FLAGS,
-    OBSERVABILITY_FLAGS,
-];
-const SERVE_FLAGS: &[&str] = &[INPUT_FLAGS, "listen cache-capacity no-cache serial"];
-const TRACE_CHECK_FLAGS: &[&str] = &["jsonl chrome"];
-/// Flags that never take a value, so a bare token after one is stray.
-const SWITCHES: &str = "stream no-cache serial";
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(given) = args.first() else {
+        eprintln!("{}", usage());
+        return ExitCode::FAILURE;
+    };
+    let name = match given.as_str() {
+        "--help" | "-h" => "help",
+        name => name,
+    };
+    let Some(command) = COMMANDS.iter().find(|command| command.name == name) else {
+        eprintln!("error: unknown command: {given}\n{}", usage());
+        return ExitCode::FAILURE;
+    };
+    match parse_options(command, given, &args[1..]).and_then(|options| (command.run)(&options)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
-/// Whether `name` is one of the space-separated names in `group`.
-fn names(group: &str, name: &str) -> bool {
-    group.split_whitespace().any(|flag| flag == name)
+/// The knob's value placeholder, by the kind of value it parses.
+fn knob_value(knob: &Knob) -> &'static str {
+    match (knob.field)(&mut ExecutionConfig::default()) {
+        KnobField::Seconds(_) => "DUR",
+        KnobField::U64(_) | KnobField::U32(_) => "N",
+        KnobField::Switch(_) => "",
+        KnobField::Target(_) => "site|main",
+    }
+}
+
+/// The help text: each command with its flags, then each `KNOBS` group,
+/// then the notes.
+fn usage() -> String {
+    let categories: Vec<&str> = ALL_CATEGORIES.iter().map(|c| c.label()).collect();
+    let row = |name: &str, value: &str, doc: &str| {
+        let left = format!("--{name} {value}");
+        let doc = doc.replace("{categories}", &categories.join(","));
+        format!("    {:<32}  {doc}\n", left.trim_end())
+    };
+    let mut out = String::from(
+        "cgsim — simulation framework for large-scale distributed computing\n\n\
+         USAGE: cgsim <command> [flags]\n",
+    );
+    for command in &COMMANDS {
+        out += &format!("\ncgsim {}: {}\n", command.name, command.about);
+        for flag in FLAGS.iter().filter(|f| f.commands.contains(&command.name)) {
+            out += &row(flag.name, flag.value, flag.doc);
+        }
+        for (group, _) in &KNOB_GROUPS[..command.knobs] {
+            out += &format!("    [{group} FLAGS]\n");
+        }
+    }
+    for (knobs, (group, note)) in KNOBS.iter().zip(KNOB_GROUPS) {
+        out += &format!("\n{group} FLAGS ({note}):\n");
+        for knob in *knobs {
+            out += &row(knob.flag, knob_value(knob), knob.doc);
+        }
+    }
+    out + "\n" + NOTES
 }
 
 /// Splits a command line into `--flag [value]` pairs, rejecting flags the
-/// command does not declare and tokens that belong to no flag.
-fn parse_options(
-    command: &str,
-    args: &[String],
-    declared: &[&str],
-    knobs: &[&[Knob]],
-) -> Result<HashMap<String, String>, String> {
+/// command does not take and tokens that belong to no flag. `given` is the
+/// command as spelled.
+fn parse_options(command: &Command, given: &str, args: &[String]) -> Result<Options, String> {
     let mut options = HashMap::new();
     let mut iter = args.iter().peekable();
     while let Some(token) = iter.next() {
         let Some(name) = token.strip_prefix("--") else {
             return Err(format!("unexpected argument '{token}'"));
         };
-        let knob = |group: &&[Knob]| group.iter().any(|knob| knob.flag == name);
-        if !declared.iter().any(|group| names(group, name)) && !knobs.iter().any(knob) {
-            return Err(format!("`cgsim {command}` has no flag --{name}"));
-        }
-        // A following `--token` is the next flag, not this one's value, so
-        // an optional value (`--profile [path]`) may be left out.
-        let value = match iter.peek() {
-            Some(next) if !next.starts_with("--") && !names(SWITCHES, name) => {
-                iter.next().cloned().unwrap_or_default()
-            }
-            _ => String::new(),
+        let mut knobs = KNOBS[..command.knobs].iter().flat_map(|group| *group);
+        let switch = match FLAGS
+            .iter()
+            .find(|f| f.name == name && f.commands.contains(&command.name))
+        {
+            Some(flag) => flag.value.is_empty(),
+            // A knob switch reads a value too, which `Knob::apply` refuses.
+            None if knobs.any(|knob| knob.flag == name) => false,
+            None => return Err(format!("`cgsim {given}` has no flag --{name}")),
         };
-        options.insert(name.to_string(), value);
+        // A following `--token` is the next flag, not this one's value, so
+        // an optional value (`--profile [PATH]`) may be left out.
+        let value = iter.next_if(|next| !switch && !next.starts_with("--"));
+        options.insert(name.to_string(), value.cloned().unwrap_or_default());
     }
     Ok(options)
+}
+
+/// `cgsim policies`: list the registered allocation policies.
+fn cmd_policies(_: &Options) -> Result<(), String> {
+    for name in PolicyRegistry::with_builtins().names() {
+        println!("{name}");
+    }
+    Ok(())
+}
+
+/// `cgsim help`.
+fn cmd_help(_: &Options) -> Result<(), String> {
+    println!("{}", usage());
+    Ok(())
 }
 
 /// The parsed value of `--key`, if the flag was given; `what` names the
 /// expected kind of value in the error.
 fn parsed<T: std::str::FromStr>(
-    options: &HashMap<String, String>,
+    options: &Options,
     key: &str,
     what: &str,
 ) -> Result<Option<T>, String> {
@@ -219,7 +244,7 @@ fn parsed<T: std::str::FromStr>(
 }
 
 /// The `--policy` name, if the flag was given; a bare `--policy` is an error.
-fn policy_flag(options: &HashMap<String, String>) -> Result<Option<&String>, String> {
+fn policy_flag(options: &Options) -> Result<Option<&String>, String> {
     match options.get("policy") {
         Some(name) if name.is_empty() => {
             Err("--policy needs a policy name (see `cgsim policies`)".to_string())
@@ -229,7 +254,7 @@ fn policy_flag(options: &HashMap<String, String>) -> Result<Option<&String>, Str
 }
 
 /// `cgsim init`: write example platform/execution/trace files.
-fn cmd_init(options: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_init(options: &Options) -> Result<(), String> {
     let dir = PathBuf::from(
         options
             .get("dir")
@@ -263,7 +288,7 @@ fn cmd_init(options: &HashMap<String, String>) -> Result<(), String> {
 
 /// `execution` with every knob flag on the command line applied, validated.
 fn with_knobs(
-    options: &HashMap<String, String>,
+    options: &Options,
     mut execution: ExecutionConfig,
 ) -> Result<ExecutionConfig, String> {
     for knob in KNOBS.into_iter().flatten() {
@@ -276,7 +301,7 @@ fn with_knobs(
 }
 
 /// `cgsim trace-check`: validate trace files for the CI trace gate.
-fn cmd_trace_check(options: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_trace_check(options: &Options) -> Result<(), String> {
     let mut checked = false;
     if let Some(path) = options.get("jsonl").filter(|p| !p.is_empty()) {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -299,9 +324,7 @@ fn cmd_trace_check(options: &HashMap<String, String>) -> Result<(), String> {
 /// Loads the three input files `simulate` and `serve` share into a base;
 /// the returned execution config has `--policy` and the knob flags applied
 /// and is validated.
-fn load_inputs(
-    options: &HashMap<String, String>,
-) -> Result<(Arc<ScenarioBase>, ExecutionConfig), String> {
+fn load_inputs(options: &Options) -> Result<(Arc<ScenarioBase>, ExecutionConfig), String> {
     let policy = policy_flag(options)?;
     let path = |key: &str, file: &str| {
         options
@@ -311,18 +334,19 @@ fn load_inputs(
     let platform_path = path("platform", "platform.json")?;
     let execution_path = path("execution", "execution.json")?;
     let trace_path = path("trace", "trace.jsonl")?;
-    let config =
-        SimulationConfig::load(platform_path, execution_path).map_err(|e| e.to_string())?;
+    let platform = PlatformSpec::load(platform_path).map_err(|e| e.to_string())?;
+    let execution = std::fs::read_to_string(execution_path).map_err(|e| e.to_string())?;
+    let execution = ExecutionConfig::from_json(&execution).map_err(|e| e.to_string())?;
     let trace = Trace::load_jsonl(trace_path).map_err(|e| e.to_string())?;
-    let mut execution = with_knobs(options, config.execution)?;
+    let mut execution = with_knobs(options, execution)?;
     if let Some(policy) = policy {
         execution.allocation_policy = policy.clone();
     }
-    Ok((ScenarioBase::shared(config.platform, trace), execution))
+    Ok((ScenarioBase::shared(platform, trace), execution))
 }
 
 /// `cgsim simulate`: run the three input files through the simulator.
-fn cmd_simulate(options: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_simulate(options: &Options) -> Result<(), String> {
     let (base, execution) = load_inputs(options)?;
     println!(
         "simulating {} jobs on {} sites with policy '{}'",
@@ -341,7 +365,7 @@ fn cmd_simulate(options: &HashMap<String, String>) -> Result<(), String> {
 fn run_and_report(
     base: Arc<ScenarioBase>,
     execution: ExecutionConfig,
-    options: &HashMap<String, String>,
+    options: &Options,
     trace_keys: &[&str],
 ) -> Result<(), String> {
     let mut spec = ScenarioSpec::new(base, execution);
@@ -401,7 +425,7 @@ fn run_and_report(
 }
 
 /// `cgsim demo`: synthesise a platform + trace and run immediately.
-fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_demo(options: &Options) -> Result<(), String> {
     let sites = parsed(options, "sites", "a positive number")?.map_or(10, NonZeroUsize::get);
     let jobs: usize = parsed(options, "jobs", "a number")?.unwrap_or(1_000);
     let seed: u64 = parsed(options, "seed", "a number")?.unwrap_or(42);
@@ -433,7 +457,7 @@ fn cmd_demo(options: &HashMap<String, String>) -> Result<(), String> {
 /// `cgsim serve`: long-running JSONL scenario-evaluation service over the
 /// loaded platform + trace. stdout (or the TCP stream) carries the protocol;
 /// human-readable chatter goes to stderr.
-fn cmd_serve(options: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(options: &Options) -> Result<(), String> {
     let capacity = parsed::<NonZeroUsize>(options, "cache-capacity", "a positive number")?;
     let (base, execution) = load_inputs(options)?;
 
@@ -486,7 +510,7 @@ fn cmd_serve(options: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Prints the run's summary and writes its outputs.
-fn report(results: &SimulationResults, options: &HashMap<String, String>) -> Result<(), String> {
+fn report(results: &SimulationResults, options: &Options) -> Result<(), String> {
     println!("\n{}", results.metrics.text_summary());
     let faults = &results.grid_counters;
     if faults.site_outages + faults.node_losses + faults.link_degradations > 0

@@ -5,14 +5,15 @@
 //! and an execution file holding a duration the flags would refuse each exit
 //! non-zero with a one-line `error:` — the simulator never silently runs
 //! something other than what was asked. And when a run outlasts its fault
-//! plan, stderr says so; the usage text lists every `--trace-filter` category
-//! the parser accepts and every execution knob, and each command's synopsis
-//! names the knob groups it takes. The input files `init` writes are pinned
-//! byte for byte, and so is what the library writes after reading them back.
+//! plan, stderr says so; `cgsim help` lists every `--trace-filter` category
+//! the parser accepts and every execution knob, and exactly the commands that
+//! list a flag take it. The input files `init` writes are pinned byte for
+//! byte, and so is what the library writes after reading them back.
 
+use std::collections::BTreeSet;
 use std::process::{Command, Output, Stdio};
 
-use cgsim::core::{ExecutionConfig, Knob, KnobField, KNOBS};
+use cgsim::core::KNOBS;
 
 fn cgsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cgsim"))
@@ -94,16 +95,121 @@ fn fault_targets_outside_the_platform_are_errors_not_dropped() {
     assert!(out.status.success(), "{out:?}");
 }
 
+/// One flag row as `cgsim help` lists it: name (without `--`) and value
+/// placeholder, empty for a switch.
+type Row = (String, String);
+
+/// `cgsim help` read back into its two tables: each command with the rows it
+/// lists, the rows of the `KNOBS` groups it names included, and each group's
+/// rows.
+struct Help {
+    commands: Vec<(String, Vec<Row>)>,
+    groups: Vec<(String, Vec<Row>)>,
+}
+
+impl Help {
+    fn read() -> Help {
+        let out = cgsim(&["help"]);
+        assert!(out.status.success(), "{out:?}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let (mut commands, mut groups) = (Vec::new(), Vec::new());
+        // The names of the groups each command takes.
+        let mut takes: Vec<Vec<String>> = Vec::new();
+        let mut in_group = false;
+        for line in text.lines() {
+            if let Some((command, _)) = line.strip_prefix("cgsim ").and_then(|l| l.split_once(':'))
+            {
+                commands.push((command.to_string(), Vec::new()));
+                takes.push(Vec::new());
+                in_group = false;
+            } else if let Some((group, _)) = line.split_once(" FLAGS (") {
+                groups.push((group.to_string(), Vec::new()));
+                in_group = true;
+            } else if let Some(rest) = line.strip_prefix("    --") {
+                let left = rest.split("  ").next().unwrap();
+                let (name, value) = left.split_once(' ').unwrap_or((left, ""));
+                let section = if in_group { &mut groups } else { &mut commands };
+                let rows = &mut section.last_mut().unwrap().1;
+                rows.push((name.to_string(), value.to_string()));
+            } else if let Some(group) = line.strip_prefix("    [") {
+                let group = group.trim_end_matches(" FLAGS]").to_string();
+                takes.last_mut().unwrap().push(group);
+            }
+        }
+        for ((_, rows), takes) in commands.iter_mut().zip(takes) {
+            for group in takes {
+                let (_, knobs) = groups.iter().find(|(name, _)| *name == group).unwrap();
+                rows.extend(knobs.iter().cloned());
+            }
+        }
+        Help { commands, groups }
+    }
+}
+
+/// A value of the kind `value` names, for flag `name` of `command`: files
+/// the command writes go under `dir`, files it reads are `dir/in/<file>`.
+fn sample(value: &str, command: &str, name: &str, dir: &str) -> Option<String> {
+    Some(match value {
+        "" => return None,
+        "N" => "3".to_string(),
+        "DUR" => "10m".to_string(),
+        "NAME" => "round-robin".to_string(),
+        "SPEC" => "kill:rate=2".to_string(),
+        "CATS" => "job,ckpt".to_string(),
+        "jsonl|chrome" => "jsonl".to_string(),
+        "site|main" => "main".to_string(),
+        "HOST:PORT" => "127.0.0.1:0".to_string(),
+        "DIR" | "PATH" | "[PATH]" => format!("{dir}/{command}-{name}"),
+        file => format!("{dir}/in/{}", file.trim_matches(['<', '>'])),
+    })
+}
+
 #[test]
-fn undeclared_flags_are_rejected_per_command() {
-    assert_rejected(
-        &["demo", "--checkpoint-intervall", "30m"],
-        "--checkpoint-intervall",
-    );
-    // Declared by `demo`, not by `init` or `trace-check`.
-    assert_rejected(&["init", "--stream"], "--stream");
-    assert_rejected(&["trace-check", "--output", "x"], "--output");
-    assert_rejected(&["policies", "--sites", "3"], "--sites");
+fn every_flag_row_is_taken_exactly_by_the_commands_that_list_it() {
+    let help = Help::read();
+    let knobs: Vec<&str> = KNOBS.into_iter().flatten().map(|knob| knob.flag).collect();
+    let listed: Vec<&str> = help
+        .groups
+        .iter()
+        .flat_map(|(_, rows)| rows)
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert_eq!(listed, knobs, "the help's group rows are the KNOBS rows");
+    let names: BTreeSet<&str> = help
+        .commands
+        .iter()
+        .flat_map(|(_, rows)| rows)
+        .map(|(name, _)| name.as_str())
+        .collect();
+    // A flag no command takes: listed rows are parsed up to it, and its
+    // refusal is the undeclared-flag error.
+    let unknown = "checkpoint-intervall";
+    for (command, rows) in &help.commands {
+        for name in &names {
+            let row = rows.iter().find(|(row, _)| row == name);
+            let value = row.and_then(|(_, value)| sample(value, command, name, "x"));
+            let line = format!(
+                "{command} --{name} {} --{unknown}",
+                value.unwrap_or_default()
+            );
+            let out = cgsim(&line.split_whitespace().collect::<Vec<_>>());
+            assert!(!out.status.success(), "{line} exited 0");
+            let refused = if row.is_some() { unknown } else { name };
+            let expected = format!("error: `cgsim {command}` has no flag --{refused}\n");
+            assert_eq!(String::from_utf8_lossy(&out.stderr), expected, "{line}");
+        }
+        // A switch row takes no value, so a token after it is stray. A knob
+        // switch reads one and refuses it (`stray_positional_tokens_are_rejected`).
+        for (name, _) in rows
+            .iter()
+            .filter(|(name, value)| value.is_empty() && !knobs.contains(&name.as_str()))
+        {
+            assert_rejected(
+                &[command, &format!("--{name}"), "500"],
+                "unexpected argument '500'",
+            );
+        }
+    }
 }
 
 #[test]
@@ -137,59 +243,35 @@ fn stray_positional_tokens_are_rejected() {
 #[test]
 fn every_documented_flag_is_still_accepted() {
     let dir = std::env::temp_dir().join(format!("cgsim-cli-test-{}", std::process::id()));
-    // Runs one whitespace-split command line, `DIR` standing for the scratch
-    // directory.
+    let dir = dir.to_string_lossy();
+    // Runs one whitespace-split command line.
     let ok = |line: &str| {
-        let dir = dir.to_string_lossy();
-        let args: Vec<String> = line
-            .split_whitespace()
-            .map(|arg| arg.replace("DIR", &dir))
-            .collect();
-        let out = cgsim(&args.iter().map(String::as_str).collect::<Vec<_>>());
+        let out = cgsim(&line.split_whitespace().collect::<Vec<_>>());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{line}: {stderr}");
     };
-    let inputs = "--platform DIR/run/platform.json --execution DIR/run/execution.json \
-                  --trace DIR/run/trace.jsonl";
-    // Every execution knob of the given groups, with one value of its kind.
-    let knob_args = |groups: &[&[Knob]]| -> String {
-        let mut args = String::new();
-        for knob in groups.iter().copied().flatten() {
-            let value = match (knob.field)(&mut ExecutionConfig::default()) {
-                KnobField::Seconds(_) => " 10m",
-                KnobField::U64(_) => " 100",
-                KnobField::U32(_) => " 2",
-                KnobField::Switch(_) => "",
-                KnobField::Target(_) => " main",
-            };
-            args += &format!(" --{}{value}", knob.flag);
+    // The files the `<file>` placeholders name.
+    ok(&format!("init --dir {dir}/in --sites 3 --jobs 40 --seed 5"));
+    ok(&format!(
+        "demo --jobs 20 --trace-out {dir}/in/obs-trace.jsonl"
+    ));
+    ok(&format!(
+        "demo --jobs 20 --trace-out {dir}/in/obs-trace.json --trace-format chrome"
+    ));
+    // Each command with every row it lists and one value of each row's kind.
+    // `--listen` is left out because it would bind a socket and wait; so
+    // `serve` answers an empty stdin session and exits.
+    for (command, rows) in Help::read().commands {
+        let mut line = command.clone();
+        for (name, value) in rows.iter().filter(|(_, value)| value != "HOST:PORT") {
+            line += &format!(" --{name}");
+            if let Some(value) = sample(value, &command, name, &dir) {
+                line += &format!(" {value}");
+            }
         }
-        args
-    };
-    let knobs = format!(
-        "--policy round-robin --faults kill:rate=2 --fault-seed 3 \
-         --trace-format jsonl --trace-filter job,ckpt{}",
-        knob_args(&KNOBS)
-    );
-    ok("init --dir DIR/run --sites 3 --jobs 40 --seed 5");
-    ok(&format!(
-        "simulate {inputs} {knobs} --trace-out DIR/sim.jsonl --output DIR/sim --profile"
-    ));
-    ok(&format!(
-        "demo --sites 3 --jobs 40 --seed 5 --stream {knobs} --trace DIR/demo.jsonl \
-         --output DIR/demo --profile DIR/demo-profile.json"
-    ));
-    ok("trace-check --jsonl DIR/sim.jsonl");
-    ok("policies");
-    ok("help");
-    // `serve` answers an empty stdin session and exits; `--listen` is left
-    // out because it would bind a socket and wait. Serve runs unmonitored, so
-    // it takes the checkpoint and repair groups only.
-    ok(&format!(
-        "serve {inputs} --cache-capacity 8 --serial --no-cache{}",
-        knob_args(&KNOBS[..2])
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+        ok(&line);
+    }
+    let _ = std::fs::remove_dir_all(&*dir);
 }
 
 #[test]
@@ -400,14 +482,14 @@ fn simulate_is_the_engines_evaluation_of_the_same_scenario() {
     ]);
     assert!(output.status.success(), "{output:?}");
 
-    let config = SimulationConfig::load(file("platform.json"), file("execution.json")).unwrap();
+    let platform = PlatformSpec::load(file("platform.json")).unwrap();
+    let execution =
+        ExecutionConfig::from_json(&std::fs::read_to_string(file("execution.json")).unwrap())
+            .unwrap();
     let trace = Trace::load_jsonl(file("trace.jsonl")).unwrap();
-    let spec = ScenarioSpec::new(
-        ScenarioBase::shared(config.platform, trace),
-        config.execution,
-    )
-    .with_faults(faults)
-    .with_fault_seed(3);
+    let spec = ScenarioSpec::new(ScenarioBase::shared(platform, trace), execution)
+        .with_faults(faults)
+        .with_fault_seed(3);
     let outcome = ScenarioEngine::new().evaluate(&spec).unwrap();
     assert!(outcome.results.grid_counters.job_interruptions > 0);
     let written = std::fs::read_to_string(dir.join("out").join("results.json")).unwrap();
@@ -432,50 +514,6 @@ fn the_usage_text_lists_every_trace_category() {
         usage.contains(&list),
         "`cgsim help` does not list the --trace-filter categories {list}"
     );
-    // Every execution knob is documented, and each command's synopsis names
-    // exactly the knob groups the command declares.
-    for knob in KNOBS.into_iter().flatten() {
-        let flag = format!("--{}", knob.flag);
-        assert!(
-            usage.split_whitespace().any(|word| word == flag),
-            "`cgsim help` does not document {flag}"
-        );
-    }
-    // Each command's synopsis: its `cgsim <command>` line and the deeper
-    // indented lines that continue it, up to the end of the USAGE block.
-    let mut synopses: Vec<(String, String)> = Vec::new();
-    for line in usage
-        .lines()
-        .skip_while(|line| *line != "USAGE:")
-        .skip(1)
-        .take_while(|line| !line.is_empty())
-    {
-        match line.trim_start().strip_prefix("cgsim ") {
-            Some(rest) if line.starts_with("    cgsim") => {
-                let command = rest.split_whitespace().next().unwrap();
-                synopses.push((command.to_string(), line.to_string()));
-            }
-            _ => synopses.last_mut().unwrap().1 += line,
-        }
-    }
-    assert!(synopses.len() >= 6, "{synopses:?}");
-    for (command, synopsis) in &synopses {
-        // The usage text's names of the three `KNOBS` groups.
-        for (group, name) in KNOBS.iter().zip(["CHECKPOINT", "REPAIR", "MONITORING"]) {
-            // A command declares a group when the parser takes the group's
-            // first flag; the run then fails later, on the value "x".
-            let probe = cgsim(&[command, &format!("--{}", group[0].flag), "x"]);
-            let stderr = String::from_utf8_lossy(&probe.stderr);
-            let declared = !stderr.contains("has no flag");
-            let named = synopsis.contains(&format!("[{name} FLAGS]"));
-            assert_eq!(
-                declared, named,
-                "`cgsim {command}` declares {} FLAGS: {declared}, its synopsis names them: \
-                 {named}\n{synopsis}",
-                name
-            );
-        }
-    }
 }
 
 /// Every key path of a JSON document, in first-seen order and joined by

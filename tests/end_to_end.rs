@@ -33,16 +33,18 @@ fn json_config_roundtrip_drives_a_simulation() {
     )
     .unwrap();
 
-    let config = SimulationConfig::load(&platform_path, &execution_path).unwrap();
-    assert_eq!(config.platform.sites.len(), 6);
-    assert_eq!(config.execution.allocation_policy, "round-robin");
+    let platform = PlatformSpec::load(&platform_path).unwrap();
+    let execution =
+        ExecutionConfig::from_json(&std::fs::read_to_string(&execution_path).unwrap()).unwrap();
+    assert_eq!(platform.sites.len(), 6);
+    assert_eq!(execution.allocation_policy, "round-robin");
 
-    let trace = TraceGenerator::new(TraceConfig::with_jobs(150, 5)).generate(&config.platform);
+    let trace = TraceGenerator::new(TraceConfig::with_jobs(150, 5)).generate(&platform);
     let results = Simulation::builder()
-        .platform_spec(&config.platform)
+        .platform_spec(&platform)
         .unwrap()
         .trace(trace)
-        .execution(config.execution)
+        .execution(execution)
         .run()
         .unwrap();
     assert_eq!(results.outcomes.len(), 150);
