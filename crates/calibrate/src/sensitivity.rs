@@ -7,7 +7,9 @@
 //! the dominant factor influencing job walltime accuracy." This module
 //! reproduces that study: each parameter is scaled across a range while the
 //! others stay nominal, the walltime error is measured, and the parameters
-//! are ranked by the spread of error they induce.
+//! are ranked by the spread of error they induce. Memory capacity is left
+//! out: no part of the model reads a host's memory size, so its row would
+//! be zero by construction.
 
 use std::sync::Arc;
 
@@ -26,18 +28,15 @@ pub enum Parameter {
     CoreCount,
     /// Intra-site network bandwidth.
     InternalBandwidth,
-    /// Memory capacity per worker node.
-    MemoryCapacity,
 }
 
 impl Parameter {
     /// All studied parameters.
-    pub fn all() -> [Parameter; 4] {
+    pub fn all() -> [Parameter; 3] {
         [
             Parameter::CpuSpeed,
             Parameter::CoreCount,
             Parameter::InternalBandwidth,
-            Parameter::MemoryCapacity,
         ]
     }
 
@@ -47,7 +46,6 @@ impl Parameter {
             Parameter::CpuSpeed => "cpu-speed",
             Parameter::CoreCount => "core-count",
             Parameter::InternalBandwidth => "internal-bandwidth",
-            Parameter::MemoryCapacity => "memory-capacity",
         }
     }
 }
@@ -119,11 +117,6 @@ impl SensitivityStudy {
                 }
                 Parameter::InternalBandwidth => {
                     site.internal_bandwidth_gbps = (site.internal_bandwidth_gbps * scale).max(0.01)
-                }
-                Parameter::MemoryCapacity => {
-                    for host in &mut site.hosts {
-                        host.ram_gb = (host.ram_gb * scale).max(1.0);
-                    }
                 }
             }
         }
@@ -208,15 +201,8 @@ mod tests {
             max_jobs: 150,
         };
         let report = study.run(&spec, &trace);
-        assert_eq!(report.parameters.len(), 4);
+        assert_eq!(report.parameters.len(), 3);
         assert_eq!(report.dominant(), Parameter::CpuSpeed);
-        // Memory has no effect on walltime in this model.
-        let memory = report
-            .parameters
-            .iter()
-            .find(|p| p.parameter == Parameter::MemoryCapacity)
-            .unwrap();
-        assert!(memory.impact < report.parameters[0].impact / 10.0);
         let csv = report.to_csv();
         assert!(csv.contains("cpu-speed"));
         assert!(csv.lines().count() > 4);
@@ -224,7 +210,9 @@ mod tests {
 
     #[test]
     fn parameter_labels_are_stable() {
-        assert_eq!(Parameter::CpuSpeed.label(), "cpu-speed");
-        assert_eq!(Parameter::all().len(), 4);
+        assert_eq!(
+            Parameter::all().map(Parameter::label),
+            ["cpu-speed", "core-count", "internal-bandwidth"]
+        );
     }
 }

@@ -20,8 +20,23 @@
 //!
 //! The hash itself is 64-bit FNV-1a: tiny, dependency-free and fully
 //! deterministic.
+//!
+//! Two functions compute it. `hash_value` walks a value tree; it hashes a
+//! scenario base's platform and trace, once per base. `hash_execution`
+//! visits an [`ExecutionConfig`] field by field, in sorted key order, and
+//! feeds FNV-1a exactly the bytes `hash_value` feeds it from the config's
+//! tree — the same tags and length prefixes, unit enums as their variant
+//! names, `horizon_s: None` dropped with its entry — without building the
+//! tree, so hashing a scenario (every serve request) allocates nothing.
+//! The tree walk is its reference twin: debug builds compare the two on
+//! every [`ScenarioSpec::canonical_hash`](super::ScenarioSpec::canonical_hash)
+//! call, so a config field added without a line here fails every debug test
+//! that hashes a scenario.
 
+use cgsim_data::SourceSelection;
 use serde_json::{Number, Value};
+
+use crate::config::{CheckpointTarget, ComputeMode, ExecutionConfig};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -51,23 +66,49 @@ pub(crate) fn canonical_value_hash(value: &Value) -> u64 {
     hash_value(FNV_OFFSET, value)
 }
 
+// One function per node kind of the value tree: the bytes each node feeds
+// FNV-1a, shared by both walks.
+
+fn boolean(h: u64, b: bool) -> u64 {
+    fnv1a(tag(h, 1), &[b as u8])
+}
+
+fn uint(h: u64, u: u64) -> u64 {
+    fnv1a(tag(h, 2), &u.to_le_bytes())
+}
+
+fn float(h: u64, f: f64) -> u64 {
+    fnv1a(tag(h, 4), &f.to_bits().to_le_bytes())
+}
+
+fn string(h: u64, s: &str) -> u64 {
+    key(tag(h, 5), s)
+}
+
+/// The head of an object of `entries` non-null entries.
+fn object(h: u64, entries: usize) -> u64 {
+    fnv1a(tag(h, 7), &(entries as u64).to_le_bytes())
+}
+
+/// An object entry's key; its value follows.
+fn key(h: u64, key: &str) -> u64 {
+    fnv1a(fnv1a(h, &(key.len() as u64).to_le_bytes()), key.as_bytes())
+}
+
 /// Folds `value` into the running FNV-1a state `h` in canonical form.
 pub(crate) fn hash_value(mut h: u64, value: &Value) -> u64 {
     match value {
         Value::Null => tag(h, 0),
-        Value::Bool(b) => fnv1a(tag(h, 1), &[*b as u8]),
+        Value::Bool(b) => boolean(h, *b),
         Value::Number(n) => match n {
             // Non-negative integers always parse as `UInt`, but normalise
             // anyway so a hand-built `Int(3)` and a parsed `UInt(3)` agree.
-            Number::Int(i) if *i >= 0 => fnv1a(tag(h, 2), &(*i as u64).to_le_bytes()),
-            Number::UInt(u) => fnv1a(tag(h, 2), &u.to_le_bytes()),
+            Number::Int(i) if *i >= 0 => uint(h, *i as u64),
+            Number::UInt(u) => uint(h, *u),
             Number::Int(i) => fnv1a(tag(h, 3), &i.to_le_bytes()),
-            Number::Float(f) => fnv1a(tag(h, 4), &f.to_bits().to_le_bytes()),
+            Number::Float(f) => float(h, *f),
         },
-        Value::String(s) => {
-            h = fnv1a(tag(h, 5), &(s.len() as u64).to_le_bytes());
-            fnv1a(h, s.as_bytes())
-        }
+        Value::String(s) => string(h, s),
         Value::Array(items) => {
             h = fnv1a(tag(h, 6), &(items.len() as u64).to_le_bytes());
             for item in items {
@@ -79,21 +120,82 @@ pub(crate) fn hash_value(mut h: u64, value: &Value) -> u64 {
             let mut entries: Vec<(&String, &Value)> =
                 map.iter().filter(|(_, v)| !v.is_null()).collect();
             entries.sort_by(|a, b| a.0.cmp(b.0));
-            h = fnv1a(tag(h, 7), &(entries.len() as u64).to_le_bytes());
-            for (key, item) in entries {
-                h = fnv1a(h, &(key.len() as u64).to_le_bytes());
-                h = fnv1a(h, key.as_bytes());
-                h = hash_value(h, item);
+            h = object(h, entries.len());
+            for (name, item) in entries {
+                h = hash_value(key(h, name), item);
             }
             h
         }
     }
 }
 
+/// Folds `e` into `h` as [`hash_value`] folds `serde_json::to_value(e)`,
+/// without building the tree: every object's entries in sorted key order.
+pub(crate) fn hash_execution(h: u64, e: &ExecutionConfig) -> u64 {
+    let compute_mode = match e.compute_mode {
+        ComputeMode::DedicatedCores => "DedicatedCores",
+        ComputeMode::TimeShared => "TimeShared",
+    };
+    let target = match e.checkpoint.target {
+        CheckpointTarget::SiteStorage => "SiteStorage",
+        CheckpointTarget::MainServer => "MainServer",
+    };
+    let source_selection = match e.source_selection {
+        SourceSelection::MainServer => "MainServer",
+        SourceSelection::LowestLatency => "LowestLatency",
+        SourceSelection::HighestBandwidth => "HighestBandwidth",
+    };
+    let (c, r, q, m) = (&e.checkpoint, &e.repair, &e.queue_model, &e.monitoring);
+
+    let mut h = object(h, 14 + usize::from(e.horizon_s.is_some()));
+    h = string(key(h, "allocation_policy"), &e.allocation_policy);
+    h = boolean(key(h, "cache_datasets"), e.cache_datasets);
+    h = object(key(h, "checkpoint"), 6);
+    h = uint(key(h, "base_bytes"), c.base_bytes);
+    h = uint(key(h, "bytes_per_core"), c.bytes_per_core);
+    h = uint(key(h, "delta_bytes_per_s"), c.delta_bytes_per_s);
+    h = float(key(h, "interval_s"), c.interval_s);
+    h = boolean(key(h, "overlap"), c.overlap);
+    h = string(key(h, "target"), target);
+    h = string(key(h, "compute_mode"), compute_mode);
+    h = string(key(h, "data_movement_policy"), &e.data_movement_policy);
+    h = boolean(key(h, "enable_output_transfers"), e.enable_output_transfers);
+    h = float(key(h, "failure_probability"), e.failure_probability);
+    h = uint(key(h, "fault_max_retries"), e.fault_max_retries.into());
+    if let Some(horizon_s) = e.horizon_s {
+        h = float(key(h, "horizon_s"), horizon_s);
+    }
+    h = uint(key(h, "max_retries"), e.max_retries.into());
+    h = object(key(h, "monitoring"), 5);
+    h = boolean(key(h, "enabled"), m.enabled);
+    h = uint(key(h, "max_events"), m.max_events);
+    h = uint(key(h, "max_windows"), m.max_windows as u64);
+    h = uint(key(h, "sample_stride"), m.sample_stride);
+    h = float(key(h, "window_s"), m.window_s);
+    h = object(key(h, "queue_model"), 3);
+    h = float(key(h, "base_overhead_s"), q.base_overhead_s);
+    h = float(key(h, "contention_coeff"), q.contention_coeff);
+    h = float(key(h, "per_queued_job_s"), q.per_queued_job_s);
+    h = object(key(h, "repair"), 5);
+    h = float(key(h, "backoff_s"), r.backoff_s);
+    h = boolean(key(h, "enabled"), r.enabled);
+    h = uint(key(h, "max_concurrent"), r.max_concurrent.into());
+    h = uint(key(h, "max_retries"), r.max_retries.into());
+    h = uint(key(h, "target_factor"), r.target_factor.into());
+    h = uint(key(h, "seed"), e.seed);
+    string(key(h, "source_selection"), source_selection)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{CheckpointConfig, RepairConfig};
+    use crate::queue_model::QueueModel;
+    use cgsim_monitor::MonitoringConfig;
+    use proptest::prelude::*;
     use serde_json::Map;
+    use std::collections::BTreeSet;
+    use std::num::FpCategory;
 
     fn obj(entries: &[(&str, Value)]) -> Value {
         let mut map = Map::new();
@@ -161,6 +263,190 @@ mod tests {
             canonical_value_hash(v.get("f").unwrap()),
             canonical_value_hash(v.get("u").unwrap())
         );
+    }
+
+    /// The floats a float field draws half the time; the other half are
+    /// random bit patterns (any NaN payload, any sign, subnormals).
+    const FLOATS: [f64; 9] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -2.2e-308,
+        f64::MAX,
+        600.0,
+    ];
+
+    /// Policy names, non-ASCII and JSON-escaped ones among them.
+    const NAMES: [&str; 5] = [
+        "least-loaded",
+        "",
+        "données-aware",
+        "最少负载",
+        "🚀 \"quoted\"\\\n",
+    ];
+
+    /// Field values drawn from a list of random words, one word per field.
+    struct Draw<'a>(std::slice::Iter<'a, u64>);
+
+    impl Draw<'_> {
+        fn word(&mut self) -> u64 {
+            *self.0.next().expect("one word per field")
+        }
+
+        fn pick<T: Copy>(&mut self, options: &[T]) -> T {
+            options[(self.word() % options.len() as u64) as usize]
+        }
+
+        fn float(&mut self) -> f64 {
+            let w = self.word();
+            match w % 2 {
+                0 => FLOATS[(w / 2 % FLOATS.len() as u64) as usize],
+                _ => f64::from_bits(w),
+            }
+        }
+
+        fn u64(&mut self) -> u64 {
+            let w = self.word();
+            [0, u64::MAX, w][(w % 3) as usize]
+        }
+
+        fn u32(&mut self) -> u32 {
+            let w = self.word();
+            [0, u32::MAX, w as u32][(w % 3) as usize]
+        }
+
+        fn bool(&mut self) -> bool {
+            self.word() & 1 == 0
+        }
+    }
+
+    /// An execution config with every field drawn from `words` (32 of them).
+    /// No field is left to `Default`, so a new field must be drawn here too.
+    fn random_config(words: &[u64]) -> ExecutionConfig {
+        let d = &mut Draw(words.iter());
+        ExecutionConfig {
+            allocation_policy: d.pick(&NAMES).to_string(),
+            seed: d.u64(),
+            failure_probability: d.float(),
+            max_retries: d.u32(),
+            fault_max_retries: d.u32(),
+            checkpoint: CheckpointConfig {
+                interval_s: d.float(),
+                base_bytes: d.u64(),
+                bytes_per_core: d.u64(),
+                target: d.pick(&[CheckpointTarget::SiteStorage, CheckpointTarget::MainServer]),
+                overlap: d.bool(),
+                delta_bytes_per_s: d.u64(),
+            },
+            repair: RepairConfig {
+                enabled: d.bool(),
+                target_factor: d.u32(),
+                max_concurrent: d.u32(),
+                backoff_s: d.float(),
+                max_retries: d.u32(),
+            },
+            source_selection: d.pick(&[
+                SourceSelection::MainServer,
+                SourceSelection::LowestLatency,
+                SourceSelection::HighestBandwidth,
+            ]),
+            data_movement_policy: d.pick(&NAMES).to_string(),
+            enable_output_transfers: d.bool(),
+            cache_datasets: d.bool(),
+            compute_mode: d.pick(&[ComputeMode::DedicatedCores, ComputeMode::TimeShared]),
+            queue_model: QueueModel {
+                base_overhead_s: d.float(),
+                per_queued_job_s: d.float(),
+                contention_coeff: d.float(),
+            },
+            monitoring: MonitoringConfig {
+                enabled: d.bool(),
+                sample_stride: d.u64(),
+                max_events: d.u64(),
+                window_s: d.float(),
+                max_windows: d.u64() as usize,
+            },
+            horizon_s: if d.bool() { Some(d.float()) } else { None },
+        }
+    }
+
+    /// Adds what the entry `key: value` of a config's tree exercises to
+    /// `seen`: each string (enum variants by name), each float's class and
+    /// sign, the integer extremes.
+    fn features(key: &str, value: &Value, seen: &mut BTreeSet<String>) {
+        let feature = match value {
+            Value::Object(map) => {
+                for (key, value) in map.iter() {
+                    features(key, value, seen);
+                }
+                return;
+            }
+            Value::String(s) if s.is_ascii() => format!("{key}={s}"),
+            Value::String(_) => format!("{key} non-ASCII"),
+            Value::Number(Number::Float(f)) => match f.classify() {
+                FpCategory::Nan => "NaN".to_string(),
+                class => format!("{class:?}{}", if f.is_sign_negative() { '-' } else { '+' }),
+            },
+            Value::Number(Number::UInt(u64::MAX)) => "u64::MAX".to_string(),
+            Value::Number(Number::UInt(u)) if *u == u64::from(u32::MAX) => "u32::MAX".to_string(),
+            Value::Null => format!("{key}=null"),
+            _ => return,
+        };
+        seen.insert(feature);
+    }
+
+    /// `hash_execution` agrees with the tree walk on 512 random configs from
+    /// random start states, and those configs drew every enum variant, both
+    /// horizons, a non-ASCII name, every float class of either sign and
+    /// both integer extremes.
+    #[test]
+    fn the_direct_execution_hash_equals_the_value_tree_hash() {
+        let mut rng = TestRng::for_test("the_direct_execution_hash_equals_the_value_tree_hash");
+        let words = prop::collection::vec(any::<u64>(), 32);
+        let mut seen = BTreeSet::new();
+        for _ in 0..512 {
+            let execution = random_config(&words.sample(&mut rng));
+            let start = FNV_OFFSET ^ rng.next_u64();
+            let tree = serde_json::to_value(&execution).unwrap();
+            assert_eq!(
+                hash_execution(start, &execution),
+                hash_value(start, &tree),
+                "{execution:?}"
+            );
+            features("", &tree, &mut seen);
+            if tree.get("horizon_s").is_some_and(|h| !h.is_null()) {
+                seen.insert("horizon_s set".into());
+            }
+        }
+        let wanted = [
+            "compute_mode=DedicatedCores",
+            "compute_mode=TimeShared",
+            "target=SiteStorage",
+            "target=MainServer",
+            "source_selection=MainServer",
+            "source_selection=LowestLatency",
+            "source_selection=HighestBandwidth",
+            "horizon_s=null",
+            "horizon_s set",
+            "allocation_policy non-ASCII",
+            "Zero+",
+            "Zero-",
+            "NaN",
+            "Infinite+",
+            "Infinite-",
+            "Subnormal+",
+            "Subnormal-",
+            "Normal+",
+            "Normal-",
+            "u64::MAX",
+            "u32::MAX",
+        ];
+        for feature in wanted {
+            assert!(seen.contains(feature), "no case drew {feature}");
+        }
     }
 
     #[test]

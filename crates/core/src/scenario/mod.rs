@@ -181,10 +181,22 @@ impl ScenarioSpec {
     /// only when a fault spec is actually present. The tag bytes (`0` no
     /// faults, `2` spec text) are part of every serve cache key;
     /// `canonical_hash_golden` pins them.
+    ///
+    /// Once the base's content hash is memoised this allocates nothing: the
+    /// execution config is hashed field by field ([`hash`]'s direct walk).
+    /// Debug builds also hash its value tree and assert the two agree.
     pub fn canonical_hash(&self) -> u64 {
-        let mut h = self.base.content_hash();
-        let execution = serde_json::to_value(&self.execution).expect("execution config serialises");
-        h = hash::hash_value(h, &execution);
+        let base = self.base.content_hash();
+        let mut h = hash::hash_execution(base, &self.execution);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            h,
+            hash::hash_value(
+                base,
+                &serde_json::to_value(&self.execution).expect("execution config serialises")
+            ),
+            "the direct execution-config hash diverged from its value tree's"
+        );
         match self.faults.as_deref() {
             Some(spec) if !spec.is_empty() => {
                 h = hash::fnv1a(h, &[2]);

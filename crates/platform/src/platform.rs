@@ -168,6 +168,18 @@ impl Resolved {
     }
 }
 
+/// An empty route table with room for the routes between `endpoints`
+/// endpoints, every ordered pair. A table the allocator refuses — or whose
+/// size does not even fit in a `usize` — is an error, not an abort.
+fn route_table(endpoints: usize) -> Result<Vec<Route>, PlatformError> {
+    let mut routes = Vec::new();
+    endpoints
+        .checked_mul(endpoints)
+        .and_then(|pairs| routes.try_reserve_exact(pairs).ok())
+        .ok_or(PlatformError::TooLarge { endpoints })?;
+    Ok(routes)
+}
+
 impl Platform {
     /// Builds a platform from its specification.
     ///
@@ -178,7 +190,7 @@ impl Platform {
     /// link for link the ones a per-pair Dijkstra yields.
     pub fn build(spec: &PlatformSpec) -> Result<Self, PlatformError> {
         let resolved = Self::resolve(spec)?;
-        let mut routes = Vec::with_capacity((resolved.sites.len() + 1).pow(2));
+        let mut routes = route_table(resolved.sites.len() + 1)?;
         for from in resolved.endpoints() {
             let paths = resolved.graph.shortest_paths_from(endpoint_index(from));
             for to in resolved.endpoints() {
@@ -395,6 +407,19 @@ mod tests {
             .with_link(LinkSpec::new("BNL", MAIN_SERVER, 40.0, 45.0))
             .with_link(LinkSpec::new("DESY-ZN", MAIN_SERVER, 20.0, 15.0))
             .with_link(LinkSpec::new("CERN", "DESY-ZN", 50.0, 8.0))
+    }
+
+    #[test]
+    fn a_route_table_too_large_to_address_is_an_error() {
+        // 2^62 routes of 40 B overflow the byte size, and (2^32)² routes
+        // overflow the count: both are refused before anything is allocated.
+        for endpoints in [1 << 31, 1 << 32] {
+            assert_eq!(
+                route_table(endpoints).unwrap_err(),
+                PlatformError::TooLarge { endpoints }
+            );
+        }
+        assert_eq!(route_table(3).unwrap().capacity(), 9);
     }
 
     #[test]

@@ -85,7 +85,7 @@ const FLAGS: &[Flag] = {
         flag("profile", "[PATH]", "print a per-subsystem wall-clock table and write profile JSON to PATH (default <output>/profile.json when there is an output directory); results.json does not change", RUNS),
         flag("listen", "HOST:PORT", "read requests from sequential TCP connections, not stdin", &["serve"]),
         flag("cache-capacity", "N", "response cache entries (default 256)", &["serve"]),
-        flag("no-cache", "", "answer every request with a run", &["serve"]),
+        flag("no-cache", "", "answer every request with a run (not with --cache-capacity)", &["serve"]),
         flag("serial", "", "evaluate a batch's scenarios one after another", &["serve"]),
         flag("jsonl", "<obs-trace.jsonl>", "a JSONL execution trace", &["trace-check"]),
         flag("chrome", "<obs-trace.json>", "a Chrome trace_event file", &["trace-check"]),
@@ -459,10 +459,14 @@ fn cmd_demo(options: &Options) -> Result<(), String> {
 /// human-readable chatter goes to stderr.
 fn cmd_serve(options: &Options) -> Result<(), String> {
     let capacity = parsed::<NonZeroUsize>(options, "cache-capacity", "a positive number")?;
+    let no_cache = options.contains_key("no-cache");
+    if no_cache && capacity.is_some() {
+        return Err("--no-cache and --cache-capacity contradict each other; give one".into());
+    }
     let (base, execution) = load_inputs(options)?;
 
     let mut engine = ScenarioEngine::new();
-    let cache_label = if options.contains_key("no-cache") {
+    let cache_label = if no_cache {
         engine = engine.no_cache();
         "off".to_string()
     } else if let Some(capacity) = capacity {

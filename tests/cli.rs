@@ -1,6 +1,7 @@
 //! The `cgsim` binary refuses a command line it does not fully understand:
-//! an unparsable number, a flag the command does not declare, a token that
-//! belongs to no flag, a `--policy` without a name, a fault aimed at a site
+//! an unparsable number, a flag the command does not declare, two flags that
+//! contradict each other, a token that belongs to no flag, a `--policy`
+//! without a name, a fault aimed at a site
 //! or link the platform lacks, a platform of more sites than a run can index
 //! and an execution file holding a duration the flags would refuse each exit
 //! non-zero with a one-line `error:` — the simulator never silently runs
@@ -66,6 +67,11 @@ fn unparsable_numbers_are_errors_not_defaults() {
     assert_rejected(
         &["serve", "--cache-capacity", "0"],
         "--cache-capacity '0' is not a positive number",
+    );
+    // A capacity for a cache that is switched off is refused, not dropped.
+    assert_rejected(
+        &["serve", "--no-cache", "--cache-capacity", "8"],
+        "--no-cache and --cache-capacity contradict each other",
     );
 }
 
@@ -260,16 +266,26 @@ fn every_documented_flag_is_still_accepted() {
     ));
     // Each command with every row it lists and one value of each row's kind.
     // `--listen` is left out because it would bind a socket and wait; so
-    // `serve` answers an empty stdin session and exits.
+    // `serve` answers an empty stdin session and exits. `serve` refuses
+    // `--no-cache` beside `--cache-capacity`, so it runs once without each.
     for (command, rows) in Help::read().commands {
-        let mut line = command.clone();
-        for (name, value) in rows.iter().filter(|(_, value)| value != "HOST:PORT") {
-            line += &format!(" --{name}");
-            if let Some(value) = sample(value, &command, name, &dir) {
-                line += &format!(" {value}");
+        let left_out: &[&str] = match command.as_str() {
+            "serve" => &["no-cache", "cache-capacity"],
+            _ => &[""],
+        };
+        for left_out in left_out {
+            let mut line = command.clone();
+            for (name, value) in rows
+                .iter()
+                .filter(|(name, value)| value != "HOST:PORT" && name != left_out)
+            {
+                line += &format!(" --{name}");
+                if let Some(value) = sample(value, &command, name, &dir) {
+                    line += &format!(" {value}");
+                }
             }
+            ok(&line);
         }
-        ok(&line);
     }
     let _ = std::fs::remove_dir_all(&*dir);
 }
