@@ -166,4 +166,12 @@ cgsim "${BOUNDED[@]}" --faults "" --output unbounded-emptyplan > /dev/null
 for file in unbounded/*; do cmp "$file" "unbounded-emptyplan/${file#unbounded/}"; done
 rm -r unbounded bounded unbounded-emptyplan
 
+# Routing grows one heap-Dijkstra tree per endpoint into a flat route table,
+# so a 3,000-site run of one job takes about 2 s on a 2-core VM (about 50 s
+# with the O(V^3) array-scan routing it replaced, 12-16 s at 2,000 sites).
+# The 20 s ceiling catches a return to cubic route construction, not runner
+# noise.
+echo "gate: 3,000-site platform"
+timeout 20 "$BIN" demo --sites 3000 --jobs 1 --output sites3000 > /dev/null
+
 echo "all gates passed; deterministic outputs in $PWD"

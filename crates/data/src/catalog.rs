@@ -7,6 +7,14 @@
 //! B-tree nodes. The `Vec` iterates in the same ascending order the set did,
 //! which is what keeps [`ReplicaCatalog::replicas`], `select_source`'s
 //! tie-breaks and `evict_node_reporting` deterministic.
+//!
+//! Once a site has been evicted, the catalog also lists, per site, the
+//! datasets the site holds (sorted ascending), so a later site outage or
+//! disk loss visits only that site's datasets instead of every dataset ever
+//! registered. The first site eviction builds the lists with one scan, so a
+//! run without faults never pays for them. The main server is not listed:
+//! the simulator never evicts it, and its list would take a mid-list
+//! removal per discarded checkpoint; evicting it scans.
 
 use std::collections::HashMap;
 
@@ -55,6 +63,10 @@ pub struct ReplicaCatalog {
     names: HashMap<String, DatasetId>,
     /// Replica locations per dataset, sorted ascending without duplicates.
     replicas: Vec<Vec<NodeId>>,
+    /// The datasets each site holds a replica of, by site index, sorted
+    /// ascending without duplicates (sites past the end hold none); `None`
+    /// until the first site eviction.
+    site_holdings: Option<Vec<Vec<DatasetId>>>,
 }
 
 impl ReplicaCatalog {
@@ -87,6 +99,7 @@ impl ReplicaCatalog {
             bytes,
         });
         self.replicas.push(vec![origin]);
+        self.note_holding(id, origin);
         id
     }
 
@@ -115,12 +128,50 @@ impl ReplicaCatalog {
         let locations = &mut self.replicas[dataset.index()];
         if let Err(at) = locations.binary_search(&location) {
             locations.insert(at, location);
+            self.note_holding(dataset, location);
         }
     }
 
     /// Removes the replica of `dataset` at `location`; returns whether it existed.
     pub fn remove_replica(&mut self, dataset: DatasetId, location: NodeId) -> bool {
-        remove_sorted(&mut self.replicas[dataset.index()], location)
+        let removed = remove_sorted(&mut self.replicas[dataset.index()], location);
+        if let (true, NodeId::Site(site), Some(holdings)) =
+            (removed, location, &mut self.site_holdings)
+        {
+            remove_sorted(&mut holdings[site.index()], dataset);
+        }
+        removed
+    }
+
+    /// Lists `dataset` among the holdings of `location`, if it is a site and
+    /// the lists exist.
+    fn note_holding(&mut self, dataset: DatasetId, location: NodeId) {
+        let (NodeId::Site(site), Some(holdings)) = (location, &mut self.site_holdings) else {
+            return;
+        };
+        if holdings.len() <= site.index() {
+            holdings.resize_with(site.index() + 1, Vec::new);
+        }
+        let held = &mut holdings[site.index()];
+        if let Err(at) = held.binary_search(&dataset) {
+            held.insert(at, dataset);
+        }
+    }
+
+    /// Every site's holdings, by one scan over every dataset.
+    fn holdings_by_scan(replicas: &[Vec<NodeId>]) -> Vec<Vec<DatasetId>> {
+        let mut holdings: Vec<Vec<DatasetId>> = Vec::new();
+        for (index, locations) in replicas.iter().enumerate() {
+            for &location in locations {
+                if let NodeId::Site(site) = location {
+                    if holdings.len() <= site.index() {
+                        holdings.resize_with(site.index() + 1, Vec::new);
+                    }
+                    holdings[site.index()].push(DatasetId::new(index));
+                }
+            }
+        }
+        holdings
     }
 
     /// Removes every replica held at `location` (a site outage or disk loss
@@ -128,13 +179,40 @@ impl ReplicaCatalog {
     /// one, in dataset-id order, so a repair planner can inspect the
     /// resulting replication-factor deficits. Datasets whose only replica
     /// lived at `location` keep their catalog entry but become sourceless
-    /// until re-replicated.
+    /// until re-replicated. A site's datasets come from its holdings list,
+    /// O(datasets held there); the main server's from a scan over every
+    /// dataset.
     pub fn evict_node_reporting(&mut self, location: NodeId) -> Vec<DatasetId> {
-        let mut affected = Vec::new();
-        for (index, locations) in self.replicas.iter_mut().enumerate() {
-            if remove_sorted(locations, location) {
-                affected.push(DatasetId::new(index));
+        let NodeId::Site(site) = location else {
+            let mut affected = Vec::new();
+            for (index, locations) in self.replicas.iter_mut().enumerate() {
+                if remove_sorted(locations, location) {
+                    affected.push(DatasetId::new(index));
+                }
             }
+            return affected;
+        };
+        let replicas = &self.replicas;
+        let holdings = self
+            .site_holdings
+            .get_or_insert_with(|| Self::holdings_by_scan(replicas));
+        #[cfg(debug_assertions)]
+        {
+            let scan = Self::holdings_by_scan(replicas);
+            for site in 0..holdings.len().max(scan.len()) {
+                debug_assert_eq!(
+                    held(holdings, site),
+                    held(&scan, site),
+                    "site holdings diverged from the scan at {location}"
+                );
+            }
+        }
+        let affected = holdings
+            .get_mut(site.index())
+            .map(std::mem::take)
+            .unwrap_or_default();
+        for dataset in &affected {
+            remove_sorted(&mut self.replicas[dataset.index()], location);
         }
         affected
     }
@@ -180,25 +258,39 @@ impl ReplicaCatalog {
             // The main server sorts before every site, so it is `first`
             // whenever it holds a replica; otherwise the lowest site is.
             SourceSelection::MainServer => Some(first),
-            SourceSelection::LowestLatency => locations.iter().copied().min_by(|&a, &b| {
-                let la = platform.route(a, destination).latency_s;
-                let lb = platform.route(b, destination).latency_s;
-                la.partial_cmp(&lb).expect("latencies are finite")
-            }),
-            SourceSelection::HighestBandwidth => locations.iter().copied().max_by(|&a, &b| {
-                let ba = platform.route(a, destination).bottleneck_bps;
-                let bb = platform.route(b, destination).bottleneck_bps;
-                ba.partial_cmp(&bb).expect("bandwidths are finite")
-            }),
+            // One read per candidate from the destination's column; std's
+            // `min_by` keeps the first minimum and `max_by` the last maximum.
+            SourceSelection::LowestLatency => {
+                let into = platform.routes_into(destination);
+                locations
+                    .iter()
+                    .map(|&node| (node, into.latency_s(node)))
+                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("latencies are finite"))
+                    .map(|(node, _)| node)
+            }
+            SourceSelection::HighestBandwidth => {
+                let into = platform.routes_into(destination);
+                locations
+                    .iter()
+                    .map(|&node| (node, into.bottleneck_bps(node)))
+                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect("bandwidths are finite"))
+                    .map(|(node, _)| node)
+            }
         }
     }
 }
 
-/// Removes `location` from a sorted replica list; returns whether it was there.
-fn remove_sorted(locations: &mut Vec<NodeId>, location: NodeId) -> bool {
-    let found = locations.binary_search(&location);
+/// The holdings list of site index `site` (empty past the end).
+#[cfg(debug_assertions)]
+fn held(holdings: &[Vec<DatasetId>], site: usize) -> &[DatasetId] {
+    holdings.get(site).map_or(&[], Vec::as_slice)
+}
+
+/// Removes `item` from a sorted list; returns whether it was there.
+fn remove_sorted<T: Ord>(list: &mut Vec<T>, item: T) -> bool {
+    let found = list.binary_search(&item);
     if let Ok(at) = found {
-        locations.remove(at);
+        list.remove(at);
     }
     found.is_ok()
 }
@@ -264,6 +356,14 @@ mod tests {
         // Main-server copies survive; re-evicting is a no-op.
         assert!(cat.has_replica(a, NodeId::MainServer));
         assert!(cat.evict_node_reporting(cern).is_empty());
+        // The first eviction built the per-site lists; later replica moves
+        // keep them, so the next eviction at CERN names exactly `b` and `c`.
+        let d = cat.register("d", 1, 10, cern);
+        cat.add_replica(c, cern);
+        cat.add_replica(b, cern);
+        assert!(cat.remove_replica(d, cern));
+        assert_eq!(cat.evict_node_reporting(cern), vec![b, c]);
+        assert_eq!(cat.evict_node_reporting(bnl), vec![b]);
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Lockstep equivalence tests: the data layer's optimised structures against
 //! naive reference twins.
 //!
-//! * [`ReplicaCatalog`] keeps each dataset's replicas in a sorted `Vec`; its
-//!   twin keeps a `BTreeSet<NodeId>` per dataset and selects sources by the
-//!   obvious scans. Random `register` / `add_replica` / `remove_replica` /
+//! * [`ReplicaCatalog`] keeps each dataset's replicas in a sorted `Vec` and
+//!   each site's datasets in a sorted holdings list, which site evictions
+//!   walk; its twin keeps a `BTreeSet<NodeId>` per dataset, evicts by a scan
+//!   over every dataset and selects sources by the obvious scans over
+//!   per-pair `route()` reads (the catalog reads the destination's column).
+//!   Random `register` / `add_replica` / `remove_replica` /
 //!   `evict_node_reporting` sequences must agree on every
 //!   return value, on `replicas()` order, `has_replica`, `replicas_of`,
 //!   `replica_count`, and on `select_source` under all three strategies for
-//!   every destination of a 12-site WLCG platform.
+//!   every destination of a 12-site WLCG platform. Debug builds also check
+//!   the holdings list against the scan inside every site eviction.
 //! * [`LruCache`] is a slab-backed intrusive recency list with a hash index;
 //!   its twin is a `VecDeque` scanned linearly, least recently used at the
 //!   front. Random `lookup` / `insert` / `clear` sequences must agree on

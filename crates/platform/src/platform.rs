@@ -4,17 +4,27 @@
 //! to sites and links, folds each site's hosts into its nominal speed,
 //! constructs the WAN graph (adding the main server and, when no links are
 //! configured, a default star topology), adds per-site LAN links, and
-//! precomputes lowest-latency routes between every pair of endpoints (one
-//! shortest-path tree per source endpoint, stored in a dense table). The
+//! precomputes lowest-latency routes between every pair of endpoints. The
 //! simulation core only ever works with this resolved form.
+//!
+//! Routing grows one heap-Dijkstra shortest-path tree per source endpoint
+//! (see [`topology`](crate::topology)) and writes that source's
+//! routes straight into one flat table: every route's links back to back in
+//! one `LinkId` arena, one `u32` arena offset per ordered pair (a route is
+//! the arena between its offset and the next), and each pair's latency and
+//! bottleneck in two destination-major `f64` arrays, so the routes into one
+//! endpoint ([`Platform::routes_into`]) are one contiguous column each. A
+//! build allocates a fixed number of buffers, not one per route. The unit
+//! tests twin every route against the test-only per-pair array-scan
+//! Dijkstra, link for link and bit for bit.
 
 use std::collections::HashMap;
 
 use cgsim_des::define_id;
 
 use crate::error::PlatformError;
-use crate::spec::{gbps_to_bytes_per_sec, ms_to_secs, PlatformSpec, Tier, MAIN_SERVER};
-use crate::topology::{EdgeProps, Graph, Path};
+use crate::spec::{gbps_to_bytes_per_sec, ms_to_secs, LinkSpec, PlatformSpec, Tier, MAIN_SERVER};
+use crate::topology::{EdgeProps, Graph, PathTree};
 
 define_id!(
     /// Identifier of a computing site.
@@ -84,15 +94,185 @@ pub struct Link {
     pub is_lan: bool,
 }
 
-/// A resolved route between two endpoints.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Route {
+/// A resolved route between two endpoints: a view into the platform's route
+/// table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Route<'a> {
     /// Links traversed, in order.
-    pub links: Vec<LinkId>,
+    pub links: &'a [LinkId],
     /// Total one-way latency in seconds.
     pub latency_s: f64,
     /// Nominal bottleneck bandwidth in bytes/s (minimum over links).
     pub bottleneck_bps: f64,
+}
+
+/// The latency and bottleneck of every route into one endpoint, read from
+/// the route table's destination-major columns.
+#[derive(Debug, Clone, Copy)]
+pub struct RoutesInto<'a> {
+    latency_s: &'a [f64],
+    bottleneck_bps: &'a [f64],
+}
+
+impl RoutesInto<'_> {
+    /// Latency of the route from `from`, in seconds.
+    ///
+    /// # Panics
+    /// If `from` is not part of the platform.
+    pub fn latency_s(&self, from: NodeId) -> f64 {
+        self.latency_s[endpoint_index(from)]
+    }
+
+    /// Bottleneck bandwidth of the route from `from`, in bytes/s.
+    ///
+    /// # Panics
+    /// If `from` is not part of the platform.
+    pub fn bottleneck_bps(&self, from: NodeId) -> f64 {
+        self.bottleneck_bps[endpoint_index(from)]
+    }
+}
+
+/// Every ordered endpoint pair's route, flat. Pair `(from, to)` of
+/// [`endpoint_index`]es is `from * endpoints + to` in `starts` (row-major,
+/// the order the routes are written) and `to * endpoints + from` in the two
+/// `f64` columns (destination-major).
+#[derive(Debug, Clone)]
+struct RouteTable {
+    endpoints: usize,
+    /// The links of every route, back to back in row-major pair order.
+    links: Vec<LinkId>,
+    /// Arena offset of each row-major pair's first link, plus the arena's
+    /// end, so pair `p` is `links[starts[p]..starts[p + 1]]`: 0, then the
+    /// arena's length after each route.
+    starts: Vec<u32>,
+    latency_s: Vec<f64>,
+    bottleneck_bps: Vec<f64>,
+}
+
+impl RouteTable {
+    /// An empty table with room for the routes between `endpoints`
+    /// endpoints, every ordered pair. A table the allocator refuses — or
+    /// whose size does not even fit in a `usize` — is an error, not an abort.
+    fn with_capacity(endpoints: usize) -> Result<Self, PlatformError> {
+        let too_large = || PlatformError::TooLarge { endpoints };
+        let pairs = endpoints.checked_mul(endpoints).ok_or_else(too_large)?;
+        let mut table = RouteTable {
+            endpoints,
+            links: Vec::new(),
+            starts: Vec::new(),
+            latency_s: Vec::new(),
+            bottleneck_bps: Vec::new(),
+        };
+        // A route between two sites holds at least three links (the two
+        // LANs and a WAN link), one between a site and the main server two,
+        // so the arena is reserved at that floor up front too.
+        let sites = endpoints.saturating_sub(1);
+        let min_links = sites
+            .checked_mul(sites.saturating_sub(1))
+            .and_then(|site_pairs| site_pairs.checked_mul(3))
+            .and_then(|links| links.checked_add(sites.checked_mul(4)?));
+        let reserved = table
+            .starts
+            .try_reserve_exact(pairs.saturating_add(1))
+            .is_ok()
+            && table.latency_s.try_reserve_exact(pairs).is_ok()
+            && table.bottleneck_bps.try_reserve_exact(pairs).is_ok()
+            && min_links.is_some_and(|links| table.links.try_reserve_exact(links).is_ok());
+        if !reserved {
+            return Err(too_large());
+        }
+        table.starts.push(0);
+        // Written column by column as each source's tree is read; the
+        // reservation above already holds them.
+        table.latency_s.resize(pairs, 0.0);
+        table.bottleneck_bps.resize(pairs, 0.0);
+        Ok(table)
+    }
+
+    /// Appends the routes from `from` — the next row — to every endpoint,
+    /// read off `tree`, the shortest-path tree grown from `from`. Fails on
+    /// the first destination the tree does not reach.
+    fn push_row(
+        &mut self,
+        resolved: &Resolved,
+        from: NodeId,
+        tree: &PathTree,
+    ) -> Result<(), PlatformError> {
+        let row = endpoint_index(from);
+        for to in resolved.endpoints() {
+            let column = endpoint_index(to);
+            if !tree.reaches(column) {
+                return Err(PlatformError::Unreachable {
+                    from: from.to_string(),
+                    to: to.to_string(),
+                });
+            }
+            // A route is at most every WAN edge of a simple path plus two
+            // LAN links: `endpoints + 1` links.
+            self.links
+                .try_reserve(self.endpoints + 1)
+                .map_err(|_| self.too_large())?;
+            let start = self.links.len();
+            let (latency, bottleneck) = if from == to {
+                (0.0, f64::INFINITY)
+            } else {
+                // Transfers terminating (or originating) at a site also
+                // cross that site's LAN link.
+                if let NodeId::Site(s) = from {
+                    self.links.push(resolved.sites[s.index()].lan_link);
+                }
+                let wan = self.links.len();
+                let edges = tree.edges_back(column);
+                self.links.extend(edges.map(|e| resolved.edge_links[e]));
+                self.links[wan..].reverse();
+                if let NodeId::Site(s) = to {
+                    self.links.push(resolved.sites[s.index()].lan_link);
+                }
+                let route = &self.links[start..];
+                let latency: f64 = route
+                    .iter()
+                    .map(|l| resolved.links[l.index()].latency_s)
+                    .sum();
+                let bottleneck = route
+                    .iter()
+                    .map(|l| resolved.links[l.index()].bandwidth_bps)
+                    .fold(f64::INFINITY, f64::min);
+                (latency, bottleneck)
+            };
+            let end = u32::try_from(self.links.len()).map_err(|_| self.too_large())?;
+            self.starts.push(end);
+            let pair = column * self.endpoints + row;
+            self.latency_s[pair] = latency;
+            self.bottleneck_bps[pair] = bottleneck;
+        }
+        Ok(())
+    }
+
+    /// The table outgrew what the allocator grants or a `u32` offset holds.
+    fn too_large(&self) -> PlatformError {
+        PlatformError::TooLarge {
+            endpoints: self.endpoints,
+        }
+    }
+
+    fn route(&self, from: usize, to: usize) -> Route<'_> {
+        let pair = from * self.endpoints + to;
+        let links = self.starts[pair] as usize..self.starts[pair + 1] as usize;
+        let column = to * self.endpoints + from;
+        Route {
+            links: &self.links[links],
+            latency_s: self.latency_s[column],
+            bottleneck_bps: self.bottleneck_bps[column],
+        }
+    }
+
+    fn routes_into(&self, to: usize) -> RoutesInto<'_> {
+        let column = to * self.endpoints..(to + 1) * self.endpoints;
+        RoutesInto {
+            latency_s: &self.latency_s[column.clone()],
+            bottleneck_bps: &self.bottleneck_bps[column],
+        }
+    }
 }
 
 /// The resolved, validated platform.
@@ -102,9 +282,7 @@ pub struct Platform {
     sites: Vec<Site>,
     links: Vec<Link>,
     site_names: HashMap<String, SiteId>,
-    /// Route of every ordered endpoint pair, row-major by
-    /// [`endpoint_index`]: `routes[from * endpoints + to]`.
-    routes: Vec<Route>,
+    routes: RouteTable,
 }
 
 /// Dense index of an endpoint — its WAN-graph node and its row/column in the
@@ -132,76 +310,28 @@ impl Resolved {
     fn endpoints(&self) -> impl Iterator<Item = NodeId> + Clone + '_ {
         std::iter::once(NodeId::MainServer).chain(self.sites.iter().map(|s| NodeId::Site(s.id)))
     }
-
-    /// The route `from -> to` that follows WAN path `path`.
-    fn route_along(&self, from: NodeId, to: NodeId, path: &Path) -> Route {
-        if from == to {
-            return Route {
-                links: Vec::new(),
-                latency_s: 0.0,
-                bottleneck_bps: f64::INFINITY,
-            };
-        }
-        let mut route_links: Vec<LinkId> = Vec::with_capacity(path.edges.len() + 2);
-        // Transfers terminating (or originating) at a site also cross that
-        // site's LAN link.
-        if let NodeId::Site(s) = from {
-            route_links.push(self.sites[s.index()].lan_link);
-        }
-        route_links.extend(path.edges.iter().map(|&e| self.edge_links[e]));
-        if let NodeId::Site(s) = to {
-            route_links.push(self.sites[s.index()].lan_link);
-        }
-        let latency: f64 = route_links
-            .iter()
-            .map(|l| self.links[l.index()].latency_s)
-            .sum();
-        let bottleneck = route_links
-            .iter()
-            .map(|l| self.links[l.index()].bandwidth_bps)
-            .fold(f64::INFINITY, f64::min);
-        Route {
-            links: route_links,
-            latency_s: latency,
-            bottleneck_bps: bottleneck,
-        }
-    }
-}
-
-/// An empty route table with room for the routes between `endpoints`
-/// endpoints, every ordered pair. A table the allocator refuses — or whose
-/// size does not even fit in a `usize` — is an error, not an abort.
-fn route_table(endpoints: usize) -> Result<Vec<Route>, PlatformError> {
-    let mut routes = Vec::new();
-    endpoints
-        .checked_mul(endpoints)
-        .and_then(|pairs| routes.try_reserve_exact(pairs).ok())
-        .ok_or(PlatformError::TooLarge { endpoints })?;
-    Ok(routes)
 }
 
 impl Platform {
     /// Builds a platform from its specification.
     ///
-    /// Routing runs one O(V²) shortest-path tree per source endpoint —
-    /// O(V³) for V = sites + 1, against the O(V⁴) of one Dijkstra per
-    /// endpoint pair — and stores the V² routes in a dense table, so
-    /// [`route`](Self::route) is an index, not a hash probe. The routes are
-    /// link for link the ones a per-pair Dijkstra yields.
+    /// Routing grows one binary-heap Dijkstra tree per source endpoint —
+    /// O((V + E) log V) each, O(V (V + E) log V) in all for V = sites + 1
+    /// endpoints and E WAN links, where the array-scan Dijkstra it replaced
+    /// was O(V³) — and writes each tree's V routes into the flat route
+    /// table, so [`route`](Self::route) is an index, not a hash probe or a
+    /// search. Every route is link for link and bit for bit the one a
+    /// per-pair Dijkstra yields. Every V²-sized buffer is reserved through
+    /// `try_reserve*`: a table the allocator refuses is
+    /// [`PlatformError::TooLarge`], and the first endpoint pair (source
+    /// major) without a path is [`PlatformError::Unreachable`].
     pub fn build(spec: &PlatformSpec) -> Result<Self, PlatformError> {
         let resolved = Self::resolve(spec)?;
-        let mut routes = route_table(resolved.sites.len() + 1)?;
+        let mut routes = RouteTable::with_capacity(resolved.sites.len() + 1)?;
+        let mut tree = PathTree::default();
         for from in resolved.endpoints() {
-            let paths = resolved.graph.shortest_paths_from(endpoint_index(from));
-            for to in resolved.endpoints() {
-                let path = paths[endpoint_index(to)].as_ref().ok_or_else(|| {
-                    PlatformError::Unreachable {
-                        from: from.to_string(),
-                        to: to.to_string(),
-                    }
-                })?;
-                routes.push(resolved.route_along(from, to, path));
-            }
+            resolved.graph.grow_tree(endpoint_index(from), &mut tree);
+            routes.push_row(&resolved, from, &tree)?;
         }
         Ok(Platform {
             name: spec.name.clone(),
@@ -260,17 +390,20 @@ impl Platform {
         // edge index -> LinkId
         let mut edge_links: Vec<LinkId> = Vec::new();
 
-        let wan_links: Vec<crate::spec::LinkSpec> = if spec.network.links.is_empty() {
+        let default_star: Vec<LinkSpec>;
+        let wan_links = if spec.network.links.is_empty() {
             // Default star topology: every site connected to the main server.
-            spec.sites
+            default_star = spec
+                .sites
                 .iter()
-                .map(|s| crate::spec::LinkSpec::new(s.name.clone(), MAIN_SERVER, 10.0, 20.0))
-                .collect()
+                .map(|s| LinkSpec::new(s.name.clone(), MAIN_SERVER, 10.0, 20.0))
+                .collect();
+            &default_star
         } else {
-            spec.network.links.clone()
+            &spec.network.links
         };
 
-        for l in &wan_links {
+        for l in wan_links {
             let link_id = LinkId::new(links.len());
             links.push(Link {
                 id: link_id,
@@ -350,18 +483,35 @@ impl Platform {
         &self.links[id.index()]
     }
 
-    /// The precomputed route between two endpoints (a table index).
+    /// The precomputed route between two endpoints: O(1) and
+    /// allocation-free, a view of two table reads and a slice of the link
+    /// arena.
     ///
     /// # Panics
     /// If either endpoint is not part of this platform.
-    pub fn route(&self, from: NodeId, to: NodeId) -> &Route {
-        let endpoints = self.sites.len() + 1;
+    pub fn route(&self, from: NodeId, to: NodeId) -> Route<'_> {
+        let endpoints = self.routes.endpoints;
         let (from, to) = (endpoint_index(from), endpoint_index(to));
         assert!(
             from < endpoints && to < endpoints,
             "route endpoint outside the platform"
         );
-        &self.routes[from * endpoints + to]
+        self.routes.route(from, to)
+    }
+
+    /// The latency and bottleneck of every route into `to`, one contiguous
+    /// column each: comparing many sources for one destination reads one
+    /// row of memory instead of one table row per source.
+    ///
+    /// # Panics
+    /// If `to` is not part of this platform.
+    pub fn routes_into(&self, to: NodeId) -> RoutesInto<'_> {
+        let to = endpoint_index(to);
+        assert!(
+            to < self.routes.endpoints,
+            "route endpoint outside the platform"
+        );
+        self.routes.routes_into(to)
     }
 
     /// Effective per-core speed of a site: the core-weighted average of its
@@ -396,7 +546,8 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{HostSpec, LinkSpec, PlatformSpec, SiteSpec};
+    use crate::spec::{HostSpec, SiteSpec};
+    use crate::topology::Path;
 
     fn three_site_spec() -> PlatformSpec {
         PlatformSpec::new("test")
@@ -411,15 +562,20 @@ mod tests {
 
     #[test]
     fn a_route_table_too_large_to_address_is_an_error() {
-        // 2^62 routes of 40 B overflow the byte size, and (2^32)² routes
+        // 2^62 offsets of 4 B overflow the byte size, and (2^32)² pairs
         // overflow the count: both are refused before anything is allocated.
         for endpoints in [1 << 31, 1 << 32] {
             assert_eq!(
-                route_table(endpoints).unwrap_err(),
+                RouteTable::with_capacity(endpoints).unwrap_err(),
                 PlatformError::TooLarge { endpoints }
             );
         }
-        assert_eq!(route_table(3).unwrap().capacity(), 9);
+        let table = RouteTable::with_capacity(3).unwrap();
+        assert_eq!(table.starts.capacity(), 10);
+        // Two site-to-site routes of three links or more, four routes
+        // between a site and the main server of two or more.
+        assert_eq!(table.links.capacity(), 14);
+        assert_eq!((table.latency_s.len(), table.bottleneck_bps.len()), (9, 9));
     }
 
     #[test]
@@ -502,14 +658,58 @@ mod tests {
         let spec = PlatformSpec::new("broken")
             .with_site(SiteSpec::uniform("A", Tier::Tier2, 100, 10.0))
             .with_site(SiteSpec::uniform("B", Tier::Tier2, 100, 10.0))
-            .with_link(LinkSpec::new("A", MAIN_SERVER, 10.0, 10.0));
+            .with_site(SiteSpec::uniform("C", Tier::Tier2, 100, 10.0))
+            .with_link(LinkSpec::new("A", MAIN_SERVER, 10.0, 10.0))
+            .with_link(LinkSpec::new("B", "C", 10.0, 10.0));
+        // The first pair without a path, sources major and destinations
+        // minor in endpoint order, names the error.
         let err = Platform::build(&spec).unwrap_err();
-        assert!(matches!(err, PlatformError::Unreachable { .. }));
+        assert_eq!(
+            err,
+            PlatformError::Unreachable {
+                from: "main-server".to_string(),
+                to: "site#1".to_string(),
+            }
+        );
+        assert_eq!(err.to_string(), "no route between main-server and site#1");
     }
 
-    /// The reference the route table replaced: one early-exit Dijkstra per
-    /// endpoint pair. Every route must match it link for link and bit for
-    /// bit (same tie-breaks, same summation order).
+    /// The links, latency and bottleneck of the route `from -> to` that
+    /// follows WAN path `path`: how the routes were built, one owned route
+    /// per pair, before the flat table.
+    fn route_along(
+        resolved: &Resolved,
+        from: NodeId,
+        to: NodeId,
+        path: &Path,
+    ) -> (Vec<LinkId>, f64, f64) {
+        if from == to {
+            return (Vec::new(), 0.0, f64::INFINITY);
+        }
+        let mut route_links: Vec<LinkId> = Vec::with_capacity(path.edges.len() + 2);
+        if let NodeId::Site(s) = from {
+            route_links.push(resolved.sites[s.index()].lan_link);
+        }
+        route_links.extend(path.edges.iter().map(|&e| resolved.edge_links[e]));
+        if let NodeId::Site(s) = to {
+            route_links.push(resolved.sites[s.index()].lan_link);
+        }
+        let latency: f64 = route_links
+            .iter()
+            .map(|l| resolved.links[l.index()].latency_s)
+            .sum();
+        let bottleneck = route_links
+            .iter()
+            .map(|l| resolved.links[l.index()].bandwidth_bps)
+            .fold(f64::INFINITY, f64::min);
+        (route_links, latency, bottleneck)
+    }
+
+    /// The reference the route table replaced: one early-exit array-scan
+    /// Dijkstra per endpoint pair. Every route must match it link for link
+    /// and bit for bit (same tie-breaks, same summation order), and the
+    /// destination-major columns [`Platform::routes_into`] reads must hold
+    /// the same bits as the pair's [`Platform::route`] view.
     fn assert_routes_match_per_pair_dijkstra(spec: &PlatformSpec) {
         let platform = Platform::build(spec).unwrap();
         let resolved = Platform::resolve(spec).unwrap();
@@ -519,16 +719,32 @@ mod tests {
                     .graph
                     .shortest_path(endpoint_index(from), endpoint_index(to))
                     .unwrap();
-                let expected = resolved.route_along(from, to, &path);
+                let (links, latency, bottleneck) = route_along(&resolved, from, to, &path);
                 let route = platform.route(from, to);
-                assert_eq!(route.links, expected.links, "{from} -> {to}");
-                assert_eq!(route.latency_s.to_bits(), expected.latency_s.to_bits());
+                assert_eq!(route.links, links, "{from} -> {to}");
+                assert_eq!(route.latency_s.to_bits(), latency.to_bits());
+                assert_eq!(route.bottleneck_bps.to_bits(), bottleneck.to_bits());
+                let into = platform.routes_into(to);
+                assert_eq!(into.latency_s(from).to_bits(), route.latency_s.to_bits());
                 assert_eq!(
-                    route.bottleneck_bps.to_bits(),
-                    expected.bottleneck_bps.to_bits()
+                    into.bottleneck_bps(from).to_bits(),
+                    route.bottleneck_bps.to_bits()
                 );
             }
         }
+        let endpoints = resolved.sites.len() + 1;
+        let arena: usize = (0..endpoints * endpoints)
+            .map(|pair| {
+                let (from, to) = (pair / endpoints, pair % endpoints);
+                platform.routes.route(from, to).links.len()
+            })
+            .sum();
+        assert_eq!(arena, platform.routes.links.len(), "routes tile the arena");
+        let sites = resolved.sites.len();
+        assert!(
+            arena >= 3 * sites * (sites - 1) + 4 * sites,
+            "the reserved floor"
+        );
     }
 
     #[test]

@@ -5,6 +5,19 @@
 //! links. Routing between two nodes follows the lowest-latency path
 //! (Dijkstra), which mirrors how SimGrid resolves netzone-to-netzone routes
 //! from the platform description.
+//!
+//! `Graph::grow_tree` grows the shortest-path tree of one source with a
+//! binary heap: O((V + E) log V) per source, so routing every ordered pair
+//! costs O(V (V + E) log V) where the array-scan Dijkstra it replaced cost
+//! O(V³). The heap settles nodes in the scan's order — smallest distance
+//! first, lowest index among equals — and relaxes edges in the same
+//! adjacency order, so every distance bit and predecessor is the scan's.
+//! The scan and the per-pair early-exit search it was checked against stay
+//! as test-only reference twins, and a property test compares the heap with
+//! the scan on random graphs.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Properties of a network edge.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,6 +28,14 @@ pub struct EdgeProps {
     pub bandwidth_bps: f64,
 }
 
+impl EdgeProps {
+    /// Dijkstra weight: latency plus 1 ns per hop, so zero-latency edges
+    /// still count and fewer hops win ties.
+    fn weight(self) -> f64 {
+        self.latency_s.max(0.0) + 1e-9
+    }
+}
+
 /// An undirected weighted graph with stable node and edge indices.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
@@ -22,15 +43,33 @@ pub struct Graph {
     edges: Vec<(usize, usize, EdgeProps)>,
 }
 
-/// A path through the graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Path {
-    /// Edge indices along the path, in traversal order.
-    pub edges: Vec<usize>,
-    /// Sum of edge latencies.
-    pub latency_s: f64,
-    /// Minimum bandwidth along the path (the nominal bottleneck).
-    pub min_bandwidth_bps: f64,
+/// The shortest-path tree of one source, reused from source to source so
+/// that routing every pair allocates its buffers once.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PathTree {
+    /// Distance from the source (infinite when unreached).
+    dist: Vec<f64>,
+    /// `(parent, edge)` through which each node was reached; `None` for the
+    /// source and for unreached nodes.
+    prev: Vec<Option<(usize, usize)>>,
+    settled: Vec<bool>,
+    /// Frontier keyed by `(distance bits, node)`, smallest first. Distances
+    /// are non-negative, and non-negative floats order as their bit
+    /// patterns do, so the key breaks distance ties by the lower index.
+    frontier: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl PathTree {
+    /// True when `node` is reachable from the tree's source.
+    pub(crate) fn reaches(&self, node: usize) -> bool {
+        !self.dist[node].is_infinite()
+    }
+
+    /// The edges of the path from the source to `node`, last edge first.
+    pub(crate) fn edges_back(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.prev[node], |&(parent, _)| self.prev[parent])
+            .map(|(_, edge)| edge)
+    }
 }
 
 impl Graph {
@@ -65,34 +104,85 @@ impl Graph {
         self.edges[idx].2
     }
 
-    /// Lowest-latency path from `from` to `to` (Dijkstra, stopping as soon as
-    /// `to` is settled). Returns `None` when the nodes are disconnected. A
-    /// path from a node to itself is the empty path. The reference the
-    /// single-source [`Graph::shortest_paths_from`] is checked against.
-    #[cfg(test)]
+    /// Overwrites `tree` with the lowest-latency paths from `from` to every
+    /// node: a binary-heap Dijkstra over latency plus 1 ns per hop. A node's
+    /// first pop settles it; later pops of the same node are stale entries
+    /// left by a relaxation and are skipped.
+    pub(crate) fn grow_tree(&self, from: usize, tree: &mut PathTree) {
+        let n = self.adjacency.len();
+        tree.dist.clear();
+        tree.dist.resize(n, f64::INFINITY);
+        tree.prev.clear();
+        tree.prev.resize(n, None);
+        tree.settled.clear();
+        tree.settled.resize(n, false);
+        tree.frontier.clear();
+        tree.dist[from] = 0.0;
+        tree.frontier.push(Reverse((0.0f64.to_bits(), from)));
+        while let Some(Reverse((_, u))) = tree.frontier.pop() {
+            if std::mem::replace(&mut tree.settled[u], true) {
+                continue;
+            }
+            for &(v, edge_idx) in &self.adjacency[u] {
+                let through = tree.dist[u] + self.edges[edge_idx].2.weight();
+                if through < tree.dist[v] {
+                    tree.dist[v] = through;
+                    tree.prev[v] = Some((u, edge_idx));
+                    tree.frontier.push(Reverse((through.to_bits(), v)));
+                }
+            }
+        }
+    }
+}
+
+/// A path through the graph, as the per-pair reference search reports it.
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Path {
+    /// Edge indices along the path, in traversal order.
+    pub(crate) edges: Vec<usize>,
+    /// Sum of edge latencies.
+    pub(crate) latency_s: f64,
+    /// Minimum bandwidth along the path (the nominal bottleneck).
+    pub(crate) min_bandwidth_bps: f64,
+}
+
+/// The reference twins of [`Graph::grow_tree`].
+#[cfg(test)]
+impl Graph {
+    /// Lowest-latency path from `from` to `to` (the array scan, stopping as
+    /// soon as `to` is settled). Returns `None` when the nodes are
+    /// disconnected. A path from a node to itself is the empty path.
     pub(crate) fn shortest_path(&self, from: usize, to: usize) -> Option<Path> {
-        let (dist, prev) = self.dijkstra(from, Some(to));
-        self.trace_back(from, to, &dist, &prev)
+        let (dist, prev) = self.dijkstra_scan(from, Some(to));
+        if dist[to].is_infinite() {
+            return None;
+        }
+        let mut edges = Vec::new();
+        let mut latency = 0.0;
+        let mut min_bw = f64::INFINITY;
+        let mut cursor = to;
+        while cursor != from {
+            let (parent, edge_idx) = prev[cursor]?;
+            edges.push(edge_idx);
+            let props = self.edges[edge_idx].2;
+            latency += props.latency_s;
+            min_bw = min_bw.min(props.bandwidth_bps);
+            cursor = parent;
+        }
+        edges.reverse();
+        Some(Path {
+            edges,
+            latency_s: latency,
+            min_bandwidth_bps: min_bw,
+        })
     }
 
-    /// Lowest-latency paths from `from` to every node, indexed by
-    /// destination: one Dijkstra run (O(V²)) instead of one per destination.
-    /// Entry `to` equals the per-pair early-exit Dijkstra's path edge for
-    /// edge — a node's predecessor is final once the node is
-    /// settled, so running past it changes nothing — which is what lets
-    /// `Platform::build` route all V² endpoint pairs in O(V³).
-    pub(crate) fn shortest_paths_from(&self, from: usize) -> Vec<Option<Path>> {
-        let (dist, prev) = self.dijkstra(from, None);
-        (0..self.adjacency.len())
-            .map(|to| self.trace_back(from, to, &dist, &prev))
-            .collect()
-    }
-
-    /// Dijkstra from `from` over latency (+1 ns per hop, so zero-latency
-    /// edges still count and fewer hops win ties), settling the
-    /// lowest-indexed node among equals. Stops once `stop_at` is settled.
+    /// The O(V²)-per-source Dijkstra the heap replaced: each round scans
+    /// every node for the unsettled one with the smallest distance (the
+    /// lowest index among equals). Stops once `stop_at` is settled.
     /// Returns the distance and `(parent, edge)` predecessor of every node.
-    fn dijkstra(
+    pub(crate) fn dijkstra_scan(
         &self,
         from: usize,
         stop_at: Option<usize>,
@@ -118,7 +208,7 @@ impl Graph {
             }
             visited[u] = true;
             for &(v, edge_idx) in &self.adjacency[u] {
-                let weight = self.edges[edge_idx].2.latency_s.max(0.0) + 1e-9;
+                let weight = self.edges[edge_idx].2.weight();
                 if dist[u] + weight < dist[v] {
                     dist[v] = dist[u] + weight;
                     prev[v] = Some((u, edge_idx));
@@ -127,42 +217,12 @@ impl Graph {
         }
         (dist, prev)
     }
-
-    /// Walks the predecessor chain of `to` back to `from`.
-    fn trace_back(
-        &self,
-        from: usize,
-        to: usize,
-        dist: &[f64],
-        prev: &[Option<(usize, usize)>],
-    ) -> Option<Path> {
-        if dist[to].is_infinite() {
-            return None;
-        }
-        let mut edges = Vec::new();
-        let mut latency = 0.0;
-        let mut min_bw = f64::INFINITY;
-        let mut cursor = to;
-        while cursor != from {
-            let (parent, edge_idx) = prev[cursor]?;
-            edges.push(edge_idx);
-            let props = self.edges[edge_idx].2;
-            latency += props.latency_s;
-            min_bw = min_bw.min(props.bandwidth_bps);
-            cursor = parent;
-        }
-        edges.reverse();
-        Some(Path {
-            edges,
-            latency_s: latency,
-            min_bandwidth_bps: min_bw,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn props(latency_ms: f64, bw: f64) -> EdgeProps {
         EdgeProps {
@@ -171,11 +231,47 @@ mod tests {
         }
     }
 
+    /// The lowest-latency path `from -> to` read off the heap tree, checked
+    /// against the per-pair reference search.
+    fn path(g: &Graph, from: usize, to: usize) -> Option<Path> {
+        let mut tree = PathTree::default();
+        g.grow_tree(from, &mut tree);
+        let from_tree = tree.reaches(to).then(|| {
+            // Summed last edge first, as the reference walks its chain.
+            let mut edges: Vec<usize> = tree.edges_back(to).collect();
+            let (latency_s, min_bandwidth_bps) =
+                edges.iter().fold((0.0, f64::INFINITY), |(l, b), &e| {
+                    (
+                        l + g.edge(e).latency_s,
+                        f64::min(b, g.edge(e).bandwidth_bps),
+                    )
+                });
+            edges.reverse();
+            Path {
+                edges,
+                latency_s,
+                min_bandwidth_bps,
+            }
+        });
+        assert_eq!(from_tree, g.shortest_path(from, to), "{from} -> {to}");
+        from_tree
+    }
+
+    /// The heap tree and the array scan run to completion from `from` agree
+    /// on every distance bit and every predecessor.
+    fn assert_tree_matches_scan(g: &Graph, from: usize, tree: &mut PathTree) {
+        g.grow_tree(from, tree);
+        let (dist, prev) = g.dijkstra_scan(from, None);
+        let bits = |d: &[f64]| d.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tree.dist), bits(&dist), "distances from {from}");
+        assert_eq!(tree.prev, prev, "predecessors from {from}");
+    }
+
     #[test]
     fn empty_and_trivial_paths() {
         let mut g = Graph::new();
         let a = g.add_node();
-        let path = g.shortest_path(a, a).unwrap();
+        let path = path(&g, a, a).unwrap();
         assert!(path.edges.is_empty());
         assert_eq!(path.latency_s, 0.0);
     }
@@ -188,7 +284,7 @@ mod tests {
         let c = g.add_node();
         let e1 = g.add_edge(a, b, props(10.0, 100.0));
         let e2 = g.add_edge(b, c, props(20.0, 50.0));
-        let path = g.shortest_path(a, c).unwrap();
+        let path = path(&g, a, c).unwrap();
         assert_eq!(path.edges, vec![e1, e2]);
         assert!((path.latency_s - 0.03).abs() < 1e-12);
         assert_eq!(path.min_bandwidth_bps, 50.0);
@@ -204,7 +300,7 @@ mod tests {
         g.add_edge(a, b, props(100.0, 10.0));
         let e_fast1 = g.add_edge(a, hub, props(5.0, 1000.0));
         let e_fast2 = g.add_edge(hub, b, props(5.0, 1000.0));
-        let path = g.shortest_path(a, b).unwrap();
+        let path = path(&g, a, b).unwrap();
         assert_eq!(path.edges, vec![e_fast1, e_fast2]);
     }
 
@@ -213,7 +309,7 @@ mod tests {
         let mut g = Graph::new();
         let a = g.add_node();
         let b = g.add_node();
-        assert!(g.shortest_path(a, b).is_none());
+        assert!(path(&g, a, b).is_none());
     }
 
     #[test]
@@ -224,13 +320,13 @@ mod tests {
         for &leaf in &leaves {
             g.add_edge(hub, leaf, props(10.0, 1e9));
         }
-        let path = g.shortest_path(leaves[0], leaves[9]).unwrap();
+        let path = path(&g, leaves[0], leaves[9]).unwrap();
         assert_eq!(path.edges.len(), 2);
     }
 
     /// A ring with chords where every edge has the same latency: many
-    /// equal-cost paths, so any drift in tie-breaking between the early-exit
-    /// and the run-to-completion Dijkstra would show.
+    /// equal-cost paths, so any drift in tie-breaking between the heap tree,
+    /// the full scan and the early-exit scan would show.
     #[test]
     fn single_source_paths_equal_per_pair_paths_under_ties() {
         let mut g = Graph::new();
@@ -240,12 +336,13 @@ mod tests {
             g.add_edge(nodes[i], nodes[(i + 3) % 9], props(10.0, 5e8));
         }
         let island = g.add_node();
+        let mut tree = PathTree::default();
         for &from in &nodes {
-            let tree = g.shortest_paths_from(from);
+            assert_tree_matches_scan(&g, from, &mut tree);
             for &to in &nodes {
-                assert_eq!(tree[to], g.shortest_path(from, to), "{from}->{to}");
+                path(&g, from, to).unwrap();
             }
-            assert_eq!(tree[island], None);
+            assert_eq!(path(&g, from, island), None);
         }
     }
 
@@ -255,7 +352,32 @@ mod tests {
         let a = g.add_node();
         let b = g.add_node();
         g.add_edge(a, b, props(0.0, 1e9));
-        let path = g.shortest_path(a, b).unwrap();
+        let path = path(&g, a, b).unwrap();
         assert_eq!(path.edges.len(), 1);
+    }
+
+    proptest! {
+        /// Random multigraphs — latencies from a five-value menu, so ties are
+        /// everywhere; zero-latency edges; parallel edges and self-loops from
+        /// repeated endpoint draws; islands wherever the edges leave nodes
+        /// out. One tree is reused across every source, as routing does.
+        #[test]
+        fn heap_tree_matches_the_array_scan_from_every_source(
+            nodes in 1usize..16,
+            edges in prop::collection::vec((0usize..16, 0usize..16, 0usize..5, 1u32..4), 0..30),
+        ) {
+            const LATENCY_MS: [f64; 5] = [0.0, 1.0, 1.0, 2.0, 5.0];
+            let mut g = Graph::new();
+            for _ in 0..nodes {
+                g.add_node();
+            }
+            for &(a, b, latency, bandwidth) in &edges {
+                g.add_edge(a % nodes, b % nodes, props(LATENCY_MS[latency], f64::from(bandwidth)));
+            }
+            let mut tree = PathTree::default();
+            for from in 0..nodes {
+                assert_tree_matches_scan(&g, from, &mut tree);
+            }
+        }
     }
 }
