@@ -258,24 +258,18 @@ impl ReplicaCatalog {
             // The main server sorts before every site, so it is `first`
             // whenever it holds a replica; otherwise the lowest site is.
             SourceSelection::MainServer => Some(first),
-            // One read per candidate from the destination's column; std's
-            // `min_by` keeps the first minimum and `max_by` the last maximum.
-            SourceSelection::LowestLatency => {
-                let into = platform.routes_into(destination);
-                locations
-                    .iter()
-                    .map(|&node| (node, into.latency_s(node)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("latencies are finite"))
-                    .map(|(node, _)| node)
-            }
-            SourceSelection::HighestBandwidth => {
-                let into = platform.routes_into(destination);
-                locations
-                    .iter()
-                    .map(|&node| (node, into.bottleneck_bps(node)))
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect("bandwidths are finite"))
-                    .map(|(node, _)| node)
-            }
+            // One route read per candidate; std's `min_by` keeps the first
+            // minimum and `max_by` the last maximum.
+            SourceSelection::LowestLatency => locations
+                .iter()
+                .map(|&node| (node, platform.route(node, destination).latency_s))
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("latencies are finite"))
+                .map(|(node, _)| node),
+            SourceSelection::HighestBandwidth => locations
+                .iter()
+                .map(|&node| (node, platform.route(node, destination).bottleneck_bps))
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("bandwidths are finite"))
+                .map(|(node, _)| node),
         }
     }
 }

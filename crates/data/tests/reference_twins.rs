@@ -4,8 +4,9 @@
 //! * [`ReplicaCatalog`] keeps each dataset's replicas in a sorted `Vec` and
 //!   each site's datasets in a sorted holdings list, which site evictions
 //!   walk; its twin keeps a `BTreeSet<NodeId>` per dataset, evicts by a scan
-//!   over every dataset and selects sources by the obvious scans over
-//!   per-pair `route()` reads (the catalog reads the destination's column).
+//!   over every dataset and selects sources by the obvious scans, reading
+//!   both routes of every comparison (the catalog reads each candidate's
+//!   route once).
 //!   Random `register` / `add_replica` / `remove_replica` /
 //!   `evict_node_reporting` sequences must agree on every
 //!   return value, on `replicas()` order, `has_replica`, `replicas_of`,

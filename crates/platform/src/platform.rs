@@ -10,11 +10,10 @@
 //! Routing grows one heap-Dijkstra shortest-path tree per source endpoint
 //! (see [`topology`](crate::topology)) and writes that source's
 //! routes straight into one flat table: every route's links back to back in
-//! one `LinkId` arena, one `u32` arena offset per ordered pair (a route is
-//! the arena between its offset and the next), and each pair's latency and
-//! bottleneck in two destination-major `f64` arrays, so the routes into one
-//! endpoint ([`Platform::routes_into`]) are one contiguous column each. A
-//! build allocates a fixed number of buffers, not one per route. The unit
+//! one `LinkId` arena, and per ordered pair, in row-major order, a `u32`
+//! arena offset (a route is the arena between its offset and the next) and
+//! the route's latency and bottleneck as `f64`s. A build allocates a fixed
+//! number of buffers plus the arena's doublings, not one per route. The unit
 //! tests twin every route against the test-only per-pair array-scan
 //! Dijkstra, link for link and bit for bit.
 
@@ -106,47 +105,37 @@ pub struct Route<'a> {
     pub bottleneck_bps: f64,
 }
 
-/// The latency and bottleneck of every route into one endpoint, read from
-/// the route table's destination-major columns.
-#[derive(Debug, Clone, Copy)]
-pub struct RoutesInto<'a> {
-    latency_s: &'a [f64],
-    bottleneck_bps: &'a [f64],
-}
-
-impl RoutesInto<'_> {
-    /// Latency of the route from `from`, in seconds.
-    ///
-    /// # Panics
-    /// If `from` is not part of the platform.
-    pub fn latency_s(&self, from: NodeId) -> f64 {
-        self.latency_s[endpoint_index(from)]
-    }
-
-    /// Bottleneck bandwidth of the route from `from`, in bytes/s.
-    ///
-    /// # Panics
-    /// If `from` is not part of the platform.
-    pub fn bottleneck_bps(&self, from: NodeId) -> f64 {
-        self.bottleneck_bps[endpoint_index(from)]
-    }
-}
-
 /// Every ordered endpoint pair's route, flat. Pair `(from, to)` of
-/// [`endpoint_index`]es is `from * endpoints + to` in `starts` (row-major,
-/// the order the routes are written) and `to * endpoints + from` in the two
-/// `f64` columns (destination-major).
+/// [`endpoint_index`]es is `p = from * endpoints + to` (row-major, the order
+/// the routes are written).
 #[derive(Debug, Clone)]
 struct RouteTable {
     endpoints: usize,
-    /// The links of every route, back to back in row-major pair order.
+    /// The links of every route, back to back in pair order.
     links: Vec<LinkId>,
-    /// Arena offset of each row-major pair's first link, plus the arena's
-    /// end, so pair `p` is `links[starts[p]..starts[p + 1]]`: 0, then the
-    /// arena's length after each route.
+    /// Arena offset of each pair's first link, plus the arena's end, so pair
+    /// `p` is `links[starts[p]..starts[p + 1]]`: 0, then the arena's length
+    /// after each route.
     starts: Vec<u32>,
     latency_s: Vec<f64>,
     bottleneck_bps: Vec<f64>,
+}
+
+/// The fewest bytes a route table between `endpoints` endpoints holds: per
+/// ordered pair a `u32` offset and two `f64`s, plus the arena at its floor —
+/// a route between two sites crosses at least three links (both LANs and a
+/// WAN link), one between a site and the main server at least two. `None`
+/// when that does not fit in a `usize`.
+fn table_bytes(endpoints: usize) -> Option<usize> {
+    let pairs = endpoints.checked_mul(endpoints)?;
+    let sites = endpoints.saturating_sub(1);
+    let links = sites
+        .checked_mul(sites.saturating_sub(1))?
+        .checked_mul(3)?
+        .checked_add(sites.checked_mul(4)?)?;
+    pairs
+        .checked_mul(size_of::<u32>() + 2 * size_of::<f64>())?
+        .checked_add(links.checked_mul(size_of::<LinkId>())?)
 }
 
 impl RouteTable {
@@ -155,7 +144,19 @@ impl RouteTable {
     /// whose size does not even fit in a `usize` — is an error, not an abort.
     fn with_capacity(endpoints: usize) -> Result<Self, PlatformError> {
         let too_large = || PlatformError::TooLarge { endpoints };
-        let pairs = endpoints.checked_mul(endpoints).ok_or_else(too_large)?;
+        // Each buffer below is smaller than the whole table, so the
+        // allocator could grant them one by one where memory cannot hold
+        // them all. Ask for the whole table in one request first, untouched
+        // and handed back at once, so such a table is refused here.
+        let bytes = table_bytes(endpoints).ok_or_else(too_large)?;
+        let mut probe: Vec<u8> = Vec::new();
+        let granted = probe.try_reserve_exact(bytes).is_ok();
+        // The probe is never read; keep the request from being elided.
+        drop(std::hint::black_box(probe));
+        if !granted {
+            return Err(too_large());
+        }
+        let pairs = endpoints * endpoints;
         let mut table = RouteTable {
             endpoints,
             links: Vec::new(),
@@ -163,42 +164,26 @@ impl RouteTable {
             latency_s: Vec::new(),
             bottleneck_bps: Vec::new(),
         };
-        // A route between two sites holds at least three links (the two
-        // LANs and a WAN link), one between a site and the main server two,
-        // so the arena is reserved at that floor up front too.
-        let sites = endpoints.saturating_sub(1);
-        let min_links = sites
-            .checked_mul(sites.saturating_sub(1))
-            .and_then(|site_pairs| site_pairs.checked_mul(3))
-            .and_then(|links| links.checked_add(sites.checked_mul(4)?));
-        let reserved = table
-            .starts
-            .try_reserve_exact(pairs.saturating_add(1))
-            .is_ok()
+        let reserved = table.starts.try_reserve_exact(pairs + 1).is_ok()
             && table.latency_s.try_reserve_exact(pairs).is_ok()
-            && table.bottleneck_bps.try_reserve_exact(pairs).is_ok()
-            && min_links.is_some_and(|links| table.links.try_reserve_exact(links).is_ok());
+            && table.bottleneck_bps.try_reserve_exact(pairs).is_ok();
         if !reserved {
             return Err(too_large());
         }
         table.starts.push(0);
-        // Written column by column as each source's tree is read; the
-        // reservation above already holds them.
-        table.latency_s.resize(pairs, 0.0);
-        table.bottleneck_bps.resize(pairs, 0.0);
         Ok(table)
     }
 
     /// Appends the routes from `from` — the next row — to every endpoint,
     /// read off `tree`, the shortest-path tree grown from `from`. Fails on
-    /// the first destination the tree does not reach.
+    /// the first destination the tree does not reach, and with `TooLarge`
+    /// when the arena cannot grow.
     fn push_row(
         &mut self,
         resolved: &Resolved,
         from: NodeId,
         tree: &PathTree,
     ) -> Result<(), PlatformError> {
-        let row = endpoint_index(from);
         for to in resolved.endpoints() {
             let column = endpoint_index(to);
             if !tree.reaches(column) {
@@ -241,9 +226,8 @@ impl RouteTable {
             };
             let end = u32::try_from(self.links.len()).map_err(|_| self.too_large())?;
             self.starts.push(end);
-            let pair = column * self.endpoints + row;
-            self.latency_s[pair] = latency;
-            self.bottleneck_bps[pair] = bottleneck;
+            self.latency_s.push(latency);
+            self.bottleneck_bps.push(bottleneck);
         }
         Ok(())
     }
@@ -258,19 +242,10 @@ impl RouteTable {
     fn route(&self, from: usize, to: usize) -> Route<'_> {
         let pair = from * self.endpoints + to;
         let links = self.starts[pair] as usize..self.starts[pair + 1] as usize;
-        let column = to * self.endpoints + from;
         Route {
             links: &self.links[links],
-            latency_s: self.latency_s[column],
-            bottleneck_bps: self.bottleneck_bps[column],
-        }
-    }
-
-    fn routes_into(&self, to: usize) -> RoutesInto<'_> {
-        let column = to * self.endpoints..(to + 1) * self.endpoints;
-        RoutesInto {
-            latency_s: &self.latency_s[column.clone()],
-            bottleneck_bps: &self.bottleneck_bps[column],
+            latency_s: self.latency_s[pair],
+            bottleneck_bps: self.bottleneck_bps[pair],
         }
     }
 }
@@ -317,12 +292,12 @@ impl Platform {
     ///
     /// Routing grows one binary-heap Dijkstra tree per source endpoint —
     /// O((V + E) log V) each, O(V (V + E) log V) in all for V = sites + 1
-    /// endpoints and E WAN links, where the array-scan Dijkstra it replaced
-    /// was O(V³) — and writes each tree's V routes into the flat route
-    /// table, so [`route`](Self::route) is an index, not a hash probe or a
-    /// search. Every route is link for link and bit for bit the one a
-    /// per-pair Dijkstra yields. Every V²-sized buffer is reserved through
-    /// `try_reserve*`: a table the allocator refuses is
+    /// endpoints and E WAN links — and writes each tree's V routes into the
+    /// flat route table, so [`route`](Self::route) is an index, not a hash
+    /// probe or a search. Every route is link for link and bit for bit the
+    /// one a per-pair Dijkstra yields. The table's least size is asked of
+    /// the allocator in one request and every V²-sized buffer is reserved
+    /// through `try_reserve*`: a table the allocator refuses is
     /// [`PlatformError::TooLarge`], and the first endpoint pair (source
     /// major) without a path is [`PlatformError::Unreachable`].
     pub fn build(spec: &PlatformSpec) -> Result<Self, PlatformError> {
@@ -484,8 +459,8 @@ impl Platform {
     }
 
     /// The precomputed route between two endpoints: O(1) and
-    /// allocation-free, a view of two table reads and a slice of the link
-    /// arena.
+    /// allocation-free, a view of one pair's table entries and a slice of
+    /// the link arena.
     ///
     /// # Panics
     /// If either endpoint is not part of this platform.
@@ -497,21 +472,6 @@ impl Platform {
             "route endpoint outside the platform"
         );
         self.routes.route(from, to)
-    }
-
-    /// The latency and bottleneck of every route into `to`, one contiguous
-    /// column each: comparing many sources for one destination reads one
-    /// row of memory instead of one table row per source.
-    ///
-    /// # Panics
-    /// If `to` is not part of this platform.
-    pub fn routes_into(&self, to: NodeId) -> RoutesInto<'_> {
-        let to = endpoint_index(to);
-        assert!(
-            to < self.routes.endpoints,
-            "route endpoint outside the platform"
-        );
-        self.routes.routes_into(to)
     }
 
     /// Effective per-core speed of a site: the core-weighted average of its
@@ -562,20 +522,28 @@ mod tests {
 
     #[test]
     fn a_route_table_too_large_to_address_is_an_error() {
-        // 2^62 offsets of 4 B overflow the byte size, and (2^32)² pairs
+        // 2^62 pairs of 20 B overflow the byte size, and (2^32)² pairs
         // overflow the count: both are refused before anything is allocated.
         for endpoints in [1 << 31, 1 << 32] {
+            assert_eq!(table_bytes(endpoints), None);
             assert_eq!(
                 RouteTable::with_capacity(endpoints).unwrap_err(),
                 PlatformError::TooLarge { endpoints }
             );
         }
+        // Three endpoints: 9 pairs of 20 B, plus two site-to-site routes of
+        // three links or more and four routes between a site and the main
+        // server of two or more, 14 links of 8 B.
+        assert_eq!(table_bytes(3), Some(9 * 20 + 14 * 8));
+        assert_eq!(table_bytes(1), Some(20));
+        assert_eq!(table_bytes(0), Some(0));
+        // 20,000 sites ask for 17.6 GB in the one request, 44 B per pair.
+        assert_eq!(table_bytes(20_001), Some(17_600_960_020));
         let table = RouteTable::with_capacity(3).unwrap();
+        assert_eq!(table.starts, [0]);
         assert_eq!(table.starts.capacity(), 10);
-        // Two site-to-site routes of three links or more, four routes
-        // between a site and the main server of two or more.
-        assert_eq!(table.links.capacity(), 14);
-        assert_eq!((table.latency_s.len(), table.bottleneck_bps.len()), (9, 9));
+        assert_eq!(table.latency_s.capacity(), 9);
+        assert_eq!(table.bottleneck_bps.capacity(), 9);
     }
 
     #[test]
@@ -675,8 +643,7 @@ mod tests {
     }
 
     /// The links, latency and bottleneck of the route `from -> to` that
-    /// follows WAN path `path`: how the routes were built, one owned route
-    /// per pair, before the flat table.
+    /// follows WAN path `path`, one owned route per pair.
     fn route_along(
         resolved: &Resolved,
         from: NodeId,
@@ -705,11 +672,11 @@ mod tests {
         (route_links, latency, bottleneck)
     }
 
-    /// The reference the route table replaced: one early-exit array-scan
-    /// Dijkstra per endpoint pair. Every route must match it link for link
+    /// The route table's reference twin: one early-exit array-scan Dijkstra
+    /// per endpoint pair. Every route must match it link for link
     /// and bit for bit (same tie-breaks, same summation order), and the
-    /// destination-major columns [`Platform::routes_into`] reads must hold
-    /// the same bits as the pair's [`Platform::route`] view.
+    /// routes must tile the link arena with at least the links
+    /// [`table_bytes`] counts on.
     fn assert_routes_match_per_pair_dijkstra(spec: &PlatformSpec) {
         let platform = Platform::build(spec).unwrap();
         let resolved = Platform::resolve(spec).unwrap();
@@ -724,12 +691,6 @@ mod tests {
                 assert_eq!(route.links, links, "{from} -> {to}");
                 assert_eq!(route.latency_s.to_bits(), latency.to_bits());
                 assert_eq!(route.bottleneck_bps.to_bits(), bottleneck.to_bits());
-                let into = platform.routes_into(to);
-                assert_eq!(into.latency_s(from).to_bits(), route.latency_s.to_bits());
-                assert_eq!(
-                    into.bottleneck_bps(from).to_bits(),
-                    route.bottleneck_bps.to_bits()
-                );
             }
         }
         let endpoints = resolved.sites.len() + 1;
@@ -743,7 +704,7 @@ mod tests {
         let sites = resolved.sites.len();
         assert!(
             arena >= 3 * sites * (sites - 1) + 4 * sites,
-            "the reserved floor"
+            "the floor table_bytes counts"
         );
     }
 

@@ -8,13 +8,12 @@
 //!
 //! `Graph::grow_tree` grows the shortest-path tree of one source with a
 //! binary heap: O((V + E) log V) per source, so routing every ordered pair
-//! costs O(V (V + E) log V) where the array-scan Dijkstra it replaced cost
-//! O(V³). The heap settles nodes in the scan's order — smallest distance
-//! first, lowest index among equals — and relaxes edges in the same
-//! adjacency order, so every distance bit and predecessor is the scan's.
-//! The scan and the per-pair early-exit search it was checked against stay
-//! as test-only reference twins, and a property test compares the heap with
-//! the scan on random graphs.
+//! costs O(V (V + E) log V). The heap settles nodes in the order of an
+//! O(V²) array-scan Dijkstra — smallest distance first, lowest index among
+//! equals — and relaxes edges in the same adjacency order, so every
+//! distance bit and predecessor is the scan's. The scan and a per-pair
+//! early-exit search are test-only reference twins, and a property test
+//! compares the heap with the scan on random graphs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -178,7 +177,7 @@ impl Graph {
         })
     }
 
-    /// The O(V²)-per-source Dijkstra the heap replaced: each round scans
+    /// The heap's O(V²)-per-source reference twin: each round scans
     /// every node for the unsettled one with the smallest distance (the
     /// lowest index among equals). Stops once `stop_at` is settled.
     /// Returns the distance and `(parent, edge)` predecessor of every node.

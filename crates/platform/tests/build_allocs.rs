@@ -3,8 +3,8 @@
 //! A counting global allocator (std only) counts the allocator calls of
 //! `Platform::build(&wlcg_platform(200, 42))`. Routing writes every route
 //! into one flat table from one reused shortest-path tree, so what is left
-//! is resolving the specification (names, links, the WAN graph) plus a fixed
-//! number of table buffers. Owning each of the 40,401 routes, as a `Path`
+//! is resolving the specification (names, links, the WAN graph), a fixed
+//! number of table buffers and the link arena's doublings. Owning each of the 40,401 routes, as a `Path`
 //! and then a `Route`, took 84,013 calls; a per-route allocation coming back
 //! fails this gate by tens of thousands.
 
@@ -47,7 +47,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocator calls the build may make: the measured figure, no margin.
-const BUILD_CALLS: usize = 2_102;
+const BUILD_CALLS: usize = 2_112;
 
 #[test]
 fn building_a_200_site_platform_makes_a_pinned_number_of_allocator_calls() {
