@@ -95,12 +95,12 @@ echo "gate: trace (observability)"
 FAULTS="outage:site=all,mttf=4h,mttr=30m;kill:rate=2"
 OBS=("${DEMO[@]}" --faults "$FAULTS" --fault-seed 7 --checkpoint-interval 30m)
 cgsim "${OBS[@]}" --output obs-plain > /dev/null
-cgsim "${OBS[@]}" --trace obs-trace.jsonl --profile --output obs-traced > /dev/null
+cgsim "${OBS[@]}" --trace-out obs-trace.jsonl --profile --output obs-traced > /dev/null
 diff obs-plain/results.json obs-traced/results.json
-cgsim "${OBS[@]}" --trace obs-trace.again.jsonl > /dev/null
+cgsim "${OBS[@]}" --trace-out obs-trace.again.jsonl > /dev/null
 cmp obs-trace.jsonl obs-trace.again.jsonl
 rm obs-trace.again.jsonl
-cgsim "${OBS[@]}" --trace obs-trace.chrome.json --trace-format chrome > /dev/null
+cgsim "${OBS[@]}" --trace-out obs-trace.chrome.json --trace-format chrome > /dev/null
 cgsim trace-check --jsonl obs-trace.jsonl --chrome obs-trace.chrome.json
 grep -q '"traceEvents"' obs-trace.chrome.json
 grep -A2 '"case": "event_loop"' obs-traced/profile.json \

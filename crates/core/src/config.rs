@@ -1,6 +1,5 @@
 //! Execution parameters (the third JSON input file).
 
-use cgsim_data::SourceSelection;
 use cgsim_monitor::MonitoringConfig;
 use serde::{Deserialize, Serialize};
 
@@ -240,22 +239,16 @@ pub struct ExecutionConfig {
     /// configurations written before the feature existed).
     #[serde(default)]
     pub repair: RepairConfig,
-    /// Replica-source selection strategy for input staging.
-    pub source_selection: SourceSelection,
     /// Name of the data-movement policy to instantiate from the data-policy
-    /// registry (replica-source selection and cache admission). The default
-    /// policy defers source selection to `source_selection` and admits every
-    /// staged input as a site replica.
+    /// registry: it alone picks the replica a job's input is staged from
+    /// (the lowest-latency replica when it declines) and decides whether the
+    /// execution site keeps the staged input as a replica, so later jobs of
+    /// the same task skip the WAN transfer. Such a replica is kept without a
+    /// byte bound and is lost only to an outage or disk loss at the site.
+    /// The default policy declines every source choice and keeps every
+    /// input; `main-server-source` and `never-cache` change one each.
     #[serde(default = "default_data_movement_policy")]
     pub data_movement_policy: String,
-    /// Whether finished jobs ship their output back to the main server.
-    pub enable_output_transfers: bool,
-    /// Whether staged task datasets are registered as replicas at the
-    /// execution site (when the data-movement policy's `cache_decision`
-    /// admits them) so later jobs of the same task skip the WAN transfer.
-    /// Such a replica is kept without a byte bound and is lost only to an
-    /// outage or disk loss at the site.
-    pub cache_datasets: bool,
     /// Core sharing mode.
     pub compute_mode: ComputeMode,
     /// Scheduling-overhead / contention model applied when a site picks a job
@@ -286,10 +279,7 @@ impl Default for ExecutionConfig {
             fault_max_retries: default_fault_max_retries(),
             checkpoint: CheckpointConfig::default(),
             repair: RepairConfig::default(),
-            source_selection: SourceSelection::LowestLatency,
             data_movement_policy: default_data_movement_policy(),
-            enable_output_transfers: true,
-            cache_datasets: true,
             compute_mode: ComputeMode::DedicatedCores,
             queue_model: QueueModel::default(),
             monitoring: MonitoringConfig::default(),
@@ -312,9 +302,14 @@ impl ExecutionConfig {
         serde_json::to_string_pretty(self).expect("execution config serialises")
     }
 
-    /// Parses from JSON.
+    /// Parses from JSON. A key the default config's tree lacks at its
+    /// nesting level — a typo, or a field that no longer exists — is an
+    /// error naming its `.`-joined path, not a line silently ignored; an
+    /// absent key takes its default.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+        let tree: serde_json::Value = serde_json::from_str(json)?;
+        refuse_unknown_keys(&tree, &serde_json::to_value(&Self::default())?, "")?;
+        serde_json::from_value(tree)
     }
 
     /// Applies the rule of the CLI's duration flags — finite and ≥ 0 — to
@@ -335,6 +330,27 @@ impl ExecutionConfig {
         }
         Ok(())
     }
+}
+
+/// Refuses the first key of `tree` that `known` does not have, at any depth
+/// where both are objects; `prefix` is the `.`-joined path of `tree` and a
+/// `.`, empty at the top.
+fn refuse_unknown_keys(
+    tree: &serde_json::Value,
+    known: &serde_json::Value,
+    prefix: &str,
+) -> Result<(), serde_json::Error> {
+    let (Some(tree), Some(known)) = (tree.as_object(), known.as_object()) else {
+        return Ok(());
+    };
+    for (key, value) in tree.iter() {
+        let path = format!("{prefix}{key}");
+        let known = known.get(key).ok_or_else(|| {
+            serde_json::Error::custom(format!("unknown key `{path}` in execution.json"))
+        })?;
+        refuse_unknown_keys(value, known, &format!("{path}."))?;
+    }
+    Ok(())
 }
 
 /// The field a [`Knob`] writes; the variant is the kind of value it parses.
@@ -429,7 +445,6 @@ mod tests {
         let cfg = ExecutionConfig::default();
         assert_eq!(cfg.allocation_policy, "least-loaded");
         assert_eq!(cfg.failure_probability, 0.0);
-        assert!(cfg.cache_datasets);
         assert_eq!(cfg.compute_mode, ComputeMode::DedicatedCores);
         assert_eq!(cfg.data_movement_policy, "default-data-movement");
         assert!(cfg.queue_model.is_zero());
@@ -642,7 +657,36 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_rejected_gracefully() {
-        // Missing required field -> error, not panic.
-        assert!(ExecutionConfig::from_json("{\"bogus\": 1}").is_err());
+        // An unknown key is an error naming it, not a panic or a default.
+        let refused = |json: &str, key: &str| {
+            let err = ExecutionConfig::from_json(json).expect_err(key);
+            assert_eq!(
+                err.to_string(),
+                format!("unknown key `{key}` in execution.json")
+            );
+        };
+        refused("{\"bogus\": 1}", "bogus");
+        let defaults = ExecutionConfig::default().to_json();
+        // The retired data-movement fields: their policies replace them.
+        for (key, value) in [
+            ("source_selection", "\"MainServer\""),
+            ("cache_datasets", "false"),
+            ("enable_output_transfers", "true"),
+        ] {
+            refused(
+                &defaults.replacen('{', &format!("{{\"{key}\": {value},"), 1),
+                key,
+            );
+        }
+        // Typos, at the top level and inside a block.
+        for (key, typo, path) in [
+            ("allocation_policy", "allocation_polcy", "allocation_polcy"),
+            ("interval_s", "intervl_s", "checkpoint.intervl_s"),
+            ("window_s", "window", "monitoring.window"),
+        ] {
+            let quoted = format!("\"{key}\"");
+            assert_eq!(defaults.matches(&quoted).count(), 1, "{key}");
+            refused(&defaults.replace(&quoted, &format!("\"{typo}\"")), path);
+        }
     }
 }

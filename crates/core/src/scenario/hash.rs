@@ -33,7 +33,6 @@
 //! call, so a config field added without a line here fails every debug test
 //! that hashes a scenario.
 
-use cgsim_data::SourceSelection;
 use serde_json::{Number, Value};
 
 use crate::config::{CheckpointTarget, ComputeMode, ExecutionConfig};
@@ -140,16 +139,10 @@ pub(crate) fn hash_execution(h: u64, e: &ExecutionConfig) -> u64 {
         CheckpointTarget::SiteStorage => "SiteStorage",
         CheckpointTarget::MainServer => "MainServer",
     };
-    let source_selection = match e.source_selection {
-        SourceSelection::MainServer => "MainServer",
-        SourceSelection::LowestLatency => "LowestLatency",
-        SourceSelection::HighestBandwidth => "HighestBandwidth",
-    };
     let (c, r, q, m) = (&e.checkpoint, &e.repair, &e.queue_model, &e.monitoring);
 
-    let mut h = object(h, 14 + usize::from(e.horizon_s.is_some()));
+    let mut h = object(h, 11 + usize::from(e.horizon_s.is_some()));
     h = string(key(h, "allocation_policy"), &e.allocation_policy);
-    h = boolean(key(h, "cache_datasets"), e.cache_datasets);
     h = object(key(h, "checkpoint"), 6);
     h = uint(key(h, "base_bytes"), c.base_bytes);
     h = uint(key(h, "bytes_per_core"), c.bytes_per_core);
@@ -159,7 +152,6 @@ pub(crate) fn hash_execution(h: u64, e: &ExecutionConfig) -> u64 {
     h = string(key(h, "target"), target);
     h = string(key(h, "compute_mode"), compute_mode);
     h = string(key(h, "data_movement_policy"), &e.data_movement_policy);
-    h = boolean(key(h, "enable_output_transfers"), e.enable_output_transfers);
     h = float(key(h, "failure_probability"), e.failure_probability);
     h = uint(key(h, "fault_max_retries"), e.fault_max_retries.into());
     if let Some(horizon_s) = e.horizon_s {
@@ -182,8 +174,7 @@ pub(crate) fn hash_execution(h: u64, e: &ExecutionConfig) -> u64 {
     h = uint(key(h, "max_concurrent"), r.max_concurrent.into());
     h = uint(key(h, "max_retries"), r.max_retries.into());
     h = uint(key(h, "target_factor"), r.target_factor.into());
-    h = uint(key(h, "seed"), e.seed);
-    string(key(h, "source_selection"), source_selection)
+    uint(key(h, "seed"), e.seed)
 }
 
 #[cfg(test)]
@@ -323,7 +314,7 @@ mod tests {
         }
     }
 
-    /// An execution config with every field drawn from `words` (32 of them).
+    /// An execution config with every field drawn from `words` (28 of them).
     /// No field is left to `Default`, so a new field must be drawn here too.
     fn random_config(words: &[u64]) -> ExecutionConfig {
         let d = &mut Draw(words.iter());
@@ -348,14 +339,7 @@ mod tests {
                 backoff_s: d.float(),
                 max_retries: d.u32(),
             },
-            source_selection: d.pick(&[
-                SourceSelection::MainServer,
-                SourceSelection::LowestLatency,
-                SourceSelection::HighestBandwidth,
-            ]),
             data_movement_policy: d.pick(&NAMES).to_string(),
-            enable_output_transfers: d.bool(),
-            cache_datasets: d.bool(),
             compute_mode: d.pick(&[ComputeMode::DedicatedCores, ComputeMode::TimeShared]),
             queue_model: QueueModel {
                 base_overhead_s: d.float(),
@@ -405,7 +389,7 @@ mod tests {
     #[test]
     fn the_direct_execution_hash_equals_the_value_tree_hash() {
         let mut rng = TestRng::for_test("the_direct_execution_hash_equals_the_value_tree_hash");
-        let words = prop::collection::vec(any::<u64>(), 32);
+        let words = prop::collection::vec(any::<u64>(), 28);
         let mut seen = BTreeSet::new();
         for _ in 0..512 {
             let execution = random_config(&words.sample(&mut rng));
@@ -426,9 +410,6 @@ mod tests {
             "compute_mode=TimeShared",
             "target=SiteStorage",
             "target=MainServer",
-            "source_selection=MainServer",
-            "source_selection=LowestLatency",
-            "source_selection=HighestBandwidth",
             "horizon_s=null",
             "horizon_s set",
             "allocation_policy non-ASCII",

@@ -367,10 +367,10 @@ mod tests {
         assert_eq!(
             hashes,
             [
-                13728694417304163428,
-                10499893755508755294,
-                13728694417304163428,
-                10873736596840504284,
+                3795320186142470070,
+                10127808193134304392,
+                3795320186142470070,
+                16062320037783044018,
             ]
         );
     }

@@ -360,9 +360,7 @@ impl GridModel {
         // Register the input as a replica at the execution site for later
         // jobs of the same task, subject to the data-movement policy's
         // admission decision. It stays until an outage or disk loss there.
-        if self.execution.cache_datasets
-            && self.data_policy.cache_decision(&self.trace.jobs[idx], site)
-                == CachePolicy::CacheAtSite
+        if self.data_policy.cache_decision(&self.trace.jobs[idx], site) == CachePolicy::CacheAtSite
         {
             let dataset = self.task_dataset(idx);
             self.catalog.add_replica(dataset, NodeId::Site(site));
@@ -440,7 +438,7 @@ impl GridModel {
             return;
         }
         let record = &self.trace.jobs[idx];
-        if self.execution.enable_output_transfers && record.output_bytes > 0 {
+        if record.output_bytes > 0 {
             // Ship the output back to the main server; completion finalizes.
             let bytes = record.output_bytes as f64;
             let path = Path::Net(NodeId::Site(site), NodeId::MainServer);

@@ -11,7 +11,7 @@
 //! record is the only place that says which nodes the activity touches, so
 //! the per-node `transfer_touch` index is written by exactly that pair.
 
-use cgsim_data::DatasetId;
+use cgsim_data::{DatasetId, SourceSelection};
 use cgsim_des::fluid::ActivityId;
 use cgsim_des::{Context, SimTime};
 use cgsim_obs::{SpanPhase, Subsystem, TraceCategory};
@@ -299,8 +299,8 @@ impl GridModel {
             return;
         }
 
-        // The data-movement policy may override the replica source; otherwise
-        // the configured source-selection strategy plans the transfer.
+        // The data-movement policy picks the replica source; when it
+        // declines, the lowest-latency replica serves.
         let mut candidates = std::mem::take(&mut self.source_scratch);
         candidates.clear();
         candidates.extend(self.catalog.replicas(dataset));
@@ -321,7 +321,7 @@ impl GridModel {
                     dataset,
                     destination,
                     &self.platform,
-                    self.execution.source_selection,
+                    SourceSelection::LowestLatency,
                 )
                 .unwrap_or(NodeId::MainServer),
         };

@@ -192,23 +192,6 @@ fn single_site_contention_causes_queueing() {
 }
 
 #[test]
-fn dataset_caching_reduces_staged_bytes() {
-    let platform = example_platform();
-    let trace = TraceGenerator::new(TraceConfig::with_jobs(150, 17)).generate(&platform);
-    let cached_exec = ExecutionConfig {
-        cache_datasets: true,
-        ..Default::default()
-    };
-    let uncached_exec = ExecutionConfig {
-        cache_datasets: false,
-        ..Default::default()
-    };
-    let cached = run_on(&platform, trace.clone(), "historical-panda", cached_exec);
-    let uncached = run_on(&platform, trace, "historical-panda", uncached_exec);
-    assert!(cached.metrics.staged_bytes < uncached.metrics.staged_bytes);
-}
-
-#[test]
 fn time_shared_mode_completes_all_jobs() {
     let platform = single_site_platform(64, 10.0);
     let mut cfg = TraceConfig::with_jobs(80, 6);

@@ -20,7 +20,6 @@ use std::collections::HashMap;
 
 use cgsim_des::define_id;
 use cgsim_platform::{NodeId, Platform};
-use serde::{Deserialize, Serialize};
 
 define_id!(
     /// Identifier of a dataset.
@@ -42,15 +41,13 @@ pub struct Dataset {
 }
 
 /// How a source replica is chosen when a dataset must be staged to a site.
-/// Format: `execution.json`'s `source_selection`, read and written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourceSelection {
     /// Always pull from the main server (the paper's default architecture,
     /// where the main server distributes workloads and their inputs).
     MainServer,
     /// Prefer a replica already at the destination, otherwise the replica
     /// with the lowest route latency to the destination.
-    #[default]
     LowestLatency,
     /// Prefer the replica with the highest bottleneck bandwidth.
     HighestBandwidth,

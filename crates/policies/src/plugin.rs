@@ -73,7 +73,7 @@ pub trait DataMovementPolicy: Send {
 
     /// Chooses the source endpoint for staging `job`'s input to `destination`
     /// among `candidates` (all endpoints currently holding a replica).
-    /// Returning `None` lets the core fall back to its default selection.
+    /// Returning `None` lets the core stage from the lowest-latency replica.
     fn select_source(
         &mut self,
         _job: &JobRecord,
@@ -89,7 +89,8 @@ pub trait DataMovementPolicy: Send {
     }
 }
 
-/// Default data-movement behaviour: lowest-latency source, always cache.
+/// Default data-movement behaviour: declines every source choice, so the
+/// core stages from the lowest-latency replica, and caches every staged input.
 #[derive(Debug, Clone, Default)]
 pub struct DefaultDataMovement;
 

@@ -71,7 +71,6 @@ pub mod prelude {
         RepairConfig, ScenarioBase, ScenarioEngine, ScenarioSpec, ServeRequest, Simulation,
         SimulationResults,
     };
-    pub use cgsim_data::SourceSelection;
     pub use cgsim_des::SimTime;
     pub use cgsim_faults::{parse_fault_spec, FaultPlan, FaultPlanConfig, FaultTopology};
     pub use cgsim_monitor::{MetricsReport, MonitoringConfig};

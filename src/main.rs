@@ -79,7 +79,6 @@ const FLAGS: &[Flag] = {
         flag("faults", "SPEC", "inject faults (see FAULT SPECS)", RUNS),
         flag("fault-seed", "N", "seed of the fault plan", RUNS),
         flag("trace-out", "PATH", "write a structured execution trace of sim-time spans and events (results.json does not change; see README \"Observability\")", RUNS),
-        flag("trace", "PATH", "the same as --trace-out", &["demo"]),
         flag("trace-format", "jsonl|chrome", "trace file format (default jsonl; chrome loads in Perfetto / chrome://tracing)", RUNS),
         flag("trace-filter", "CATS", "comma-separated trace categories to keep, from {categories} (default: all)", RUNS),
         flag("profile", "[PATH]", "print a per-subsystem wall-clock table and write profile JSON to PATH (default <output>/profile.json when there is an output directory); results.json does not change", RUNS),
@@ -354,19 +353,15 @@ fn cmd_simulate(options: &Options) -> Result<(), String> {
         base.platform().sites.len(),
         execution.allocation_policy
     );
-    run_and_report(base, execution, options, &["trace-out"])
+    run_and_report(base, execution, options)
 }
 
 /// Runs the scenario of `base` under `execution` with the `--faults` spec,
 /// the `--fault-seed` and the observability flags, and reports.
-/// `trace_keys` lists the flag names that may carry the trace path
-/// (`simulate` only honours `--trace-out` because `--trace` is its workload
-/// input; `demo` takes both).
 fn run_and_report(
     base: Arc<ScenarioBase>,
     execution: ExecutionConfig,
     options: &Options,
-    trace_keys: &[&str],
 ) -> Result<(), String> {
     let mut spec = ScenarioSpec::new(base, execution);
     spec.faults = options.get("faults").cloned();
@@ -377,11 +372,7 @@ fn run_and_report(
         trace: None,
         profile: options.contains_key("profile"),
     };
-    let path = trace_keys
-        .iter()
-        .find_map(|k| options.get(*k))
-        .filter(|p| !p.is_empty());
-    if let Some(path) = path {
+    if let Some(path) = options.get("trace-out").filter(|p| !p.is_empty()) {
         let option = |key: &str| options.get(key).map(String::as_str);
         let target = TraceTarget::new(
             path,
@@ -451,7 +442,7 @@ fn cmd_demo(options: &Options) -> Result<(), String> {
         generator.generate(&platform)
     };
     let base = ScenarioBase::shared(platform, trace);
-    run_and_report(base, execution, options, &["trace-out", "trace"])
+    run_and_report(base, execution, options)
 }
 
 /// `cgsim serve`: long-running JSONL scenario-evaluation service over the

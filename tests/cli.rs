@@ -1,9 +1,9 @@
 //! The `cgsim` binary refuses a command line it does not fully understand:
 //! an unparsable number, a flag the command does not declare, two flags that
 //! contradict each other, a token that belongs to no flag, a `--policy`
-//! without a name, a fault aimed at a site
-//! or link the platform lacks, a platform of more sites than a run can index
-//! and an execution file holding a duration the flags would refuse each exit
+//! without a name, a fault aimed at a site or link the platform lacks, a
+//! platform of more sites than a run can index and an execution file holding
+//! a duration the flags would refuse or a key it does not know each exit
 //! non-zero with a one-line `error:` — the simulator never silently runs
 //! something other than what was asked. And when a run outlasts its fault
 //! plan, stderr says so; `cgsim help` lists every `--trace-filter` category
@@ -290,53 +290,104 @@ fn every_documented_flag_is_still_accepted() {
     let _ = std::fs::remove_dir_all(&*dir);
 }
 
+/// Runs `cgsim simulate --output` on `cgsim init` files whose execution.json
+/// has, per case, its one `from` replaced by `to`: each run exits 1 with one
+/// `error:` line holding `what`, and writes no output directory.
+fn assert_execution_edits_rejected(name: &str, cases: &[(&str, &str, &str)]) {
+    let dir = std::env::temp_dir().join(format!("cgsim-cli-{name}-{}", std::process::id()));
+    let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let init = cgsim(&["init", "--dir", &file(""), "--sites", "2", "--jobs", "10"]);
+    assert!(init.status.success(), "{init:?}");
+    let defaults = std::fs::read_to_string(file("execution.json")).unwrap();
+    for (from, to, what) in cases {
+        assert_eq!(defaults.matches(from).count(), 1, "{from}");
+        std::fs::write(file("execution.json"), defaults.replace(from, to)).unwrap();
+        let out = cgsim(&[
+            "simulate",
+            "--platform",
+            &file("platform.json"),
+            "--execution",
+            &file("execution.json"),
+            "--trace",
+            &file("trace.jsonl"),
+            "--output",
+            &file("out"),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{to}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{to}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(what),
+            "{to}: {stderr}"
+        );
+        assert!(
+            !dir.join("out").exists(),
+            "{to}: a refused run wrote output"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn an_execution_file_is_held_to_the_duration_flags_rule() {
     // `--checkpoint-interval -60` and `--window -1` are refused when parsed;
     // the same values written into execution.json are refused before the run.
-    let dir = std::env::temp_dir().join(format!("cgsim-cli-interval-{}", std::process::id()));
-    let dir_arg = dir.to_string_lossy().into_owned();
-    let init = cgsim(&["init", "--dir", &dir_arg, "--sites", "2", "--jobs", "10"]);
-    assert!(init.status.success(), "{init:?}");
-    let path = dir.join("execution.json");
-    let defaults = std::fs::read_to_string(&path).unwrap();
-    let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
-    for (field, value, what) in [
-        (
-            "interval_s",
-            "-60",
-            "checkpoint.interval_s must be non-negative and finite, got -60",
-        ),
-        (
-            "window_s",
-            "-1",
-            "monitoring.window_s must be non-negative and finite, got -1",
-        ),
-        // No finite `f64` is this large: it parses as +inf.
-        (
-            "window_s",
-            "1e309",
-            "monitoring.window_s must be non-negative and finite, got inf",
-        ),
-    ] {
-        let default = format!("\"{field}\": 0.0");
-        assert_eq!(defaults.matches(&default).count(), 1, "{default}");
-        let text = defaults.replace(&default, &format!("\"{field}\": {value}"));
-        std::fs::write(&path, text).unwrap();
-        assert_rejected(
-            &[
-                "simulate",
-                "--platform",
-                &file("platform.json"),
-                "--execution",
-                &file("execution.json"),
-                "--trace",
-                &file("trace.jsonl"),
-            ],
-            what,
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    let bad = "must be non-negative and finite, got";
+    assert_execution_edits_rejected(
+        "interval",
+        &[
+            (
+                "\"interval_s\": 0.0",
+                "\"interval_s\": -60",
+                &format!("checkpoint.interval_s {bad} -60"),
+            ),
+            (
+                "\"window_s\": 0.0",
+                "\"window_s\": -1",
+                &format!("monitoring.window_s {bad} -1"),
+            ),
+            // No finite `f64` is this large: it parses as +inf.
+            (
+                "\"window_s\": 0.0",
+                "\"window_s\": 1e309",
+                &format!("monitoring.window_s {bad} inf"),
+            ),
+        ],
+    );
+}
+
+#[test]
+fn an_execution_file_with_an_unknown_key_is_refused_before_the_run() {
+    // A retired field or a misspelt one is named and refused, not ignored.
+    assert_execution_edits_rejected(
+        "unknown-key",
+        &[
+            (
+                "\"seed\"",
+                "\"cache_datasets\": false, \"seed\"",
+                "unknown key `cache_datasets` in execution.json",
+            ),
+            (
+                "\"interval_s\"",
+                "\"intervl_s\"",
+                "unknown key `checkpoint.intervl_s` in execution.json",
+            ),
+        ],
+    );
+}
+
+#[test]
+fn demo_writes_its_execution_trace_only_through_trace_out() {
+    // `--trace` names the workload input of `simulate` and `serve`; `demo`
+    // generates its workload and does not take the flag.
+    let path =
+        std::env::temp_dir().join(format!("cgsim-cli-demo-trace-{}.jsonl", std::process::id()));
+    let path = path.to_string_lossy();
+    assert_rejected(
+        &["demo", "--jobs", "5", "--trace", &path],
+        "`cgsim demo` has no flag --trace",
+    );
+    assert!(!std::path::Path::new(&*path).exists(), "{path} written");
 }
 
 /// The files of an `--output` directory (it is flat) as sorted `(name, bytes)`.
@@ -585,7 +636,7 @@ fn init_files_and_json_shapes_are_pinned() {
         [&platform, &execution, &trace].map(|bytes| fnv1a(0xcbf2_9ce4_8422_2325, bytes)),
         [
             0xe7b1_32da_f76a_927d,
-            0x10d5_8580_713a_f3ee,
+            0xd7d2_54d6_3eec_c6cc,
             0x42c4_d79a_f934_7a52
         ],
         "init's platform.json, execution.json and trace.jsonl moved"
