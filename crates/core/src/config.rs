@@ -308,7 +308,11 @@ impl ExecutionConfig {
     /// absent key takes its default.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let tree: serde_json::Value = serde_json::from_str(json)?;
-        refuse_unknown_keys(&tree, &serde_json::to_value(&Self::default())?, "")?;
+        refuse_unknown_keys(
+            &tree,
+            &serde_json::to_value(&Self::default())?,
+            "execution.json",
+        )?;
         serde_json::from_value(tree)
     }
 
@@ -333,24 +337,35 @@ impl ExecutionConfig {
 }
 
 /// Refuses the first key of `tree` that `known` does not have, at any depth
-/// where both are objects; `prefix` is the `.`-joined path of `tree` and a
-/// `.`, empty at the top.
-fn refuse_unknown_keys(
+/// where both are objects, naming its `.`-joined path and the input it was
+/// found `in`. Makes no allocator call when every key is known.
+pub(crate) fn refuse_unknown_keys(
     tree: &serde_json::Value,
     known: &serde_json::Value,
-    prefix: &str,
+    input: &str,
 ) -> Result<(), serde_json::Error> {
+    match unknown_key(tree, known) {
+        None => Ok(()),
+        Some(path) => Err(serde_json::Error::custom(format!(
+            "unknown key `{path}` in {input}"
+        ))),
+    }
+}
+
+/// The `.`-joined path of the first key of `tree` that `known` lacks.
+fn unknown_key(tree: &serde_json::Value, known: &serde_json::Value) -> Option<String> {
     let (Some(tree), Some(known)) = (tree.as_object(), known.as_object()) else {
-        return Ok(());
+        return None;
     };
     for (key, value) in tree.iter() {
-        let path = format!("{prefix}{key}");
-        let known = known.get(key).ok_or_else(|| {
-            serde_json::Error::custom(format!("unknown key `{path}` in execution.json"))
-        })?;
-        refuse_unknown_keys(value, known, &format!("{path}."))?;
+        let Some(known) = known.get(key) else {
+            return Some(key.clone());
+        };
+        if let Some(path) = unknown_key(value, known) {
+            return Some(format!("{key}.{path}"));
+        }
     }
-    Ok(())
+    None
 }
 
 /// The field a [`Knob`] writes; the variant is the kind of value it parses.

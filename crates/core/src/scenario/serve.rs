@@ -17,8 +17,10 @@
 //!  "save": "/tmp/out/results.json"}
 //! ```
 //!
-//! Absent fields inherit the server's base execution configuration. `id` is
-//! echoed back verbatim. `save` additionally writes the pretty-printed
+//! Absent fields inherit the server's base execution configuration. A key
+//! the request does not define, at the top or inside `checkpoint` /
+//! `repair`, fails that request with an error naming its `.`-joined path,
+//! as in `execution.json`. `id` is echoed back verbatim. `save` additionally writes the pretty-printed
 //! deterministic results (the same bytes `cgsim simulate --output` writes to
 //! `results.json`) to the given path on the server side.
 //!
@@ -61,7 +63,7 @@ use cgsim_obs::TraceTarget;
 use serde::Deserialize;
 use serde_json::{Map, Value};
 
-use crate::config::{CheckpointConfig, ExecutionConfig, RepairConfig};
+use crate::config::{refuse_unknown_keys, CheckpointConfig, ExecutionConfig, RepairConfig};
 use crate::results::SimulationResults;
 use crate::scenario::{ScenarioBase, ScenarioEngine, ScenarioOutcome, ScenarioSpec};
 
@@ -100,6 +102,37 @@ pub struct ServeRequest {
     pub trace_format: Option<String>,
     /// Trace category filter (comma-separated, CLI `--trace-filter` grammar).
     pub trace_filter: Option<String>,
+}
+
+/// Every field of [`ServeRequest`]: the keys a request object may carry.
+const REQUEST_FIELDS: [&str; 12] = [
+    "id",
+    "cmd",
+    "policy",
+    "seed",
+    "faults",
+    "fault_seed",
+    "checkpoint",
+    "repair",
+    "save",
+    "trace",
+    "trace_format",
+    "trace_filter",
+];
+
+/// The key tree a request object is checked against: [`REQUEST_FIELDS`],
+/// with `checkpoint` and `repair` holding their configs' keys.
+fn request_keys() -> Value {
+    let mut keys = Map::new();
+    for field in REQUEST_FIELDS {
+        let known = match field {
+            "checkpoint" => serde_json::to_value(&CheckpointConfig::default()),
+            "repair" => serde_json::to_value(&RepairConfig::default()),
+            _ => Ok(Value::Null),
+        };
+        keys.insert(field.into(), known.expect("a default config serialises"));
+    }
+    Value::Object(keys)
 }
 
 impl ServeRequest {
@@ -224,6 +257,8 @@ pub fn serve_loop<R: BufRead, W: Write>(
     mut output: W,
 ) -> std::io::Result<bool> {
     let mut stats = ServeStats::new();
+    let keys = request_keys();
+    let parse = |value| parse_request(value, &keys);
     // One reply line at a time is assembled here and written in one call.
     let mut reply = String::new();
     for line in input.lines() {
@@ -242,8 +277,8 @@ pub fn serve_loop<R: BufRead, W: Write>(
                 output.flush()?;
                 continue;
             }
-            Ok(Value::Array(items)) => (items.into_iter().map(parse_request).collect(), true),
-            Ok(value) => (vec![parse_request(value)], false),
+            Ok(Value::Array(items)) => (items.into_iter().map(parse).collect(), true),
+            Ok(value) => (vec![parse(value)], false),
         };
 
         // Plan every request, collecting the scenario specs into one batch.
@@ -348,11 +383,14 @@ pub fn serve_loop<R: BufRead, W: Write>(
     Ok(false)
 }
 
-/// Decodes one request object. A request that fails decoding still has its
-/// `id` echoed when the object carries a string one.
-fn parse_request(value: Value) -> Result<ServeRequest, (Option<String>, String)> {
+/// Decodes one request object after refusing any key `keys` (the
+/// [`request_keys`] tree) lacks. A request that fails still has its `id`
+/// echoed when the object carries a string one.
+fn parse_request(value: Value, keys: &Value) -> Result<ServeRequest, (Option<String>, String)> {
     let id = value.get("id").and_then(Value::as_str).map(str::to_string);
-    serde_json::from_value::<ServeRequest>(value).map_err(|e| (id, format!("invalid request: {e}")))
+    refuse_unknown_keys(&value, keys, "the request")
+        .and_then(|()| serde_json::from_value::<ServeRequest>(value))
+        .map_err(|e| (id, format!("invalid request: {e}")))
 }
 
 /// Terminates the assembled reply line, writes it out and empties `reply`
@@ -568,6 +606,93 @@ not json
         assert!(lines[3].starts_with(r#"{"id":"typed","ok":false,"error":"invalid request: "#));
         assert!(lines[4].contains("invalid JSON"));
         assert!(lines[5].starts_with(r#"{"id":"single","ok":false,"error":"invalid request: "#));
+    }
+
+    #[test]
+    fn unknown_keys_fail_their_request_at_any_depth() {
+        let input = r#"{"id":"b","checkpoint":{"intervl_s":600}}
+{"id":"c","polcy":"round-robin"}
+{"id":"r","repair":{"enabled":true,"backof_s":60}}
+[{"id":"ok1","seed":3},{"id":"typo","seeed":3},{"id":"ok2","policy":"round-robin"}]
+"#;
+        let (out, _) = drive(input);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 6);
+        let refused = |id: &str, path: &str| {
+            format!(
+                r#"{{"id":"{id}","ok":false,"error":"invalid request: unknown key `{path}` in the request"}}"#
+            )
+        };
+        assert_eq!(lines[0], refused("b", "checkpoint.intervl_s"));
+        assert_eq!(lines[1], refused("c", "polcy"));
+        assert_eq!(lines[2], refused("r", "repair.backof_s"));
+        // In a batch, only the bad member fails.
+        assert!(lines[3].starts_with(r#"{"id":"ok1","ok":true,"#));
+        assert_eq!(lines[4], refused("typo", "seeed"));
+        assert!(lines[5].starts_with(r#"{"id":"ok2","ok":true,"#));
+    }
+
+    #[test]
+    fn every_known_key_is_accepted() {
+        // A control command, and a line shaped like the benchmark's richest
+        // (a policy, a seed, faults and a whole checkpoint block).
+        let checkpoint =
+            serde_json::to_string(&CheckpointConfig::default()).expect("config serialises");
+        let repair = serde_json::to_string(&RepairConfig::default()).expect("config serialises");
+        let input = format!(
+            "{{\"cmd\":\"stats\"}}\n{{\"id\":\"d8\",\"policy\":\"least-loaded\",\"seed\":1,\
+             \"faults\":\"outage:site=all,mttf=12h,mttr=20m\",\"checkpoint\":{checkpoint},\
+             \"repair\":{repair}}}\n"
+        );
+        let (out, _) = drive(&input);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].starts_with(r#"{"ok":true,"stats":"#));
+        assert!(lines[1].starts_with(r#"{"id":"d8","ok":true,"#));
+        // Each of `REQUEST_FIELDS` lands in a field of its own, and together
+        // they fill every field: the literal below names all twelve.
+        let values = [
+            r#""a""#,
+            r#""stats""#,
+            r#""round-robin""#,
+            "7",
+            r#""kill:rate=1""#,
+            "3",
+            &checkpoint,
+            &repair,
+            r#""out.json""#,
+            r#""trace.jsonl""#,
+            r#""chrome""#,
+            r#""job""#,
+        ];
+        let mut all = Map::new();
+        for (field, value) in REQUEST_FIELDS.into_iter().zip(values) {
+            let value: Value = serde_json::from_str(value).unwrap();
+            let mut one = Map::new();
+            one.insert(field.into(), value.clone());
+            let decoded = parse_request(Value::Object(one), &request_keys()).unwrap();
+            assert_ne!(decoded, ServeRequest::default(), "{field}");
+            all.insert(field.into(), value);
+        }
+        let decoded = parse_request(Value::Object(all), &request_keys()).unwrap();
+        let some = |text: &str| Some(text.to_string());
+        assert_eq!(
+            decoded,
+            ServeRequest {
+                id: some("a"),
+                cmd: some("stats"),
+                policy: some("round-robin"),
+                seed: Some(7),
+                faults: some("kill:rate=1"),
+                fault_seed: Some(3),
+                checkpoint: Some(CheckpointConfig::default()),
+                repair: Some(RepairConfig::default()),
+                save: some("out.json"),
+                trace: some("trace.jsonl"),
+                trace_format: some("chrome"),
+                trace_filter: some("job"),
+            }
+        );
     }
 
     #[test]

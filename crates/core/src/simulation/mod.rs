@@ -545,8 +545,7 @@ fn check_indexable(what: &str, len: usize, limit: usize) -> Result<(), Simulatio
 }
 
 /// Builds the platform of `spec`, refusing it first if a run could not index
-/// its sites: the route table grows with the square of the site count, so
-/// such a platform is never built.
+/// its sites, so such a platform is never built.
 pub(crate) fn build_platform(spec: &PlatformSpec) -> Result<Platform, SimulationError> {
     check_indexable("the platform", spec.sites.len(), SITE_INDICES)?;
     Ok(Platform::build(spec)?)

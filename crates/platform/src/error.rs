@@ -22,12 +22,6 @@ pub enum PlatformError {
         /// Route destination.
         to: String,
     },
-    /// The route table between every pair of `endpoints` endpoints (the
-    /// sites and the main server) cannot be allocated.
-    TooLarge {
-        /// Sites + 1.
-        endpoints: usize,
-    },
     /// JSON (de)serialisation failure.
     Serde(String),
     /// I/O failure while reading or writing a configuration file.
@@ -45,10 +39,6 @@ impl fmt::Display for PlatformError {
             PlatformError::Unreachable { from, to } => {
                 write!(f, "no route between {from} and {to}")
             }
-            PlatformError::TooLarge { endpoints } => write!(
-                f,
-                "the route table of {endpoints} endpoints ({endpoints}² routes) cannot be allocated"
-            ),
             PlatformError::Serde(msg) => write!(f, "configuration parse error: {msg}"),
             PlatformError::Io(msg) => write!(f, "configuration I/O error: {msg}"),
         }

@@ -3,20 +3,22 @@
 //! [`Platform::build`] validates a [`PlatformSpec`], assigns typed identifiers
 //! to sites and links, folds each site's hosts into its nominal speed,
 //! constructs the WAN graph (adding the main server and, when no links are
-//! configured, a default star topology), adds per-site LAN links, and
-//! precomputes lowest-latency routes between every pair of endpoints. The
+//! configured, a default star topology) and adds per-site LAN links. The
 //! simulation core only ever works with this resolved form.
 //!
-//! Routing grows one heap-Dijkstra shortest-path tree per source endpoint
-//! (see [`topology`](crate::topology)) and writes that source's
-//! routes straight into one flat table: every route's links back to back in
-//! one `LinkId` arena, and per ordered pair, in row-major order, a `u32`
-//! arena offset (a route is the arena between its offset and the next) and
-//! the route's latency and bottleneck as `f64`s. A build allocates a fixed
-//! number of buffers plus the arena's doublings, not one per route. The unit
-//! tests twin every route against the test-only per-pair array-scan
-//! Dijkstra, link for link and bit for bit.
+//! Routes are built on demand, one source endpoint at a time. The first
+//! [`Platform::route`] from a source grows that source's heap-Dijkstra
+//! shortest-path tree (see [`topology`](crate::topology)) and writes its
+//! routes to every endpoint into the source's row: the routes' links back to
+//! back in one `LinkId` arena, and per destination a `u32` arena offset (a
+//! route is the arena between its offset and the next) and the route's
+//! latency and bottleneck as `f64`s. Set-up time and memory therefore grow
+//! with the sources a run reads from, not with the square of the platform.
+//! A row is a pure function of the graph, so it holds the same bits whenever
+//! it is grown. The unit tests twin every route against the test-only
+//! per-pair array-scan Dijkstra, link for link and bit for bit.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use cgsim_des::define_id;
@@ -63,8 +65,6 @@ pub struct Site {
     pub name: String,
     /// WLCG tier.
     pub tier: Tier,
-    /// Country / region label.
-    pub country: String,
     /// Core-weighted average of the hosts' nominal per-core speeds (0 for a
     /// site without cores).
     pub(crate) nominal_speed: f64,
@@ -93,8 +93,8 @@ pub struct Link {
     pub is_lan: bool,
 }
 
-/// A resolved route between two endpoints: a view into the platform's route
-/// table.
+/// A resolved route between two endpoints: a view into its source's row of
+/// routes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Route<'a> {
     /// Links traversed, in order.
@@ -105,86 +105,35 @@ pub struct Route<'a> {
     pub bottleneck_bps: f64,
 }
 
-/// Every ordered endpoint pair's route, flat. Pair `(from, to)` of
-/// [`endpoint_index`]es is `p = from * endpoints + to` (row-major, the order
-/// the routes are written).
+/// One source endpoint's routes to every endpoint, by destination
+/// [`endpoint_index`].
 #[derive(Debug, Clone)]
-struct RouteTable {
-    endpoints: usize,
-    /// The links of every route, back to back in pair order.
+struct RouteRow {
+    /// The links of every route, back to back in destination order.
     links: Vec<LinkId>,
-    /// Arena offset of each pair's first link, plus the arena's end, so pair
-    /// `p` is `links[starts[p]..starts[p + 1]]`: 0, then the arena's length
-    /// after each route.
+    /// Arena offset of each destination's first link, plus the arena's end,
+    /// so destination `d`'s route is `links[starts[d]..starts[d + 1]]`.
     starts: Vec<u32>,
     latency_s: Vec<f64>,
     bottleneck_bps: Vec<f64>,
 }
 
-/// The fewest bytes a route table between `endpoints` endpoints holds: per
-/// ordered pair a `u32` offset and two `f64`s, plus the arena at its floor —
-/// a route between two sites crosses at least three links (both LANs and a
-/// WAN link), one between a site and the main server at least two. `None`
-/// when that does not fit in a `usize`.
-fn table_bytes(endpoints: usize) -> Option<usize> {
-    let pairs = endpoints.checked_mul(endpoints)?;
-    let sites = endpoints.saturating_sub(1);
-    let links = sites
-        .checked_mul(sites.saturating_sub(1))?
-        .checked_mul(3)?
-        .checked_add(sites.checked_mul(4)?)?;
-    pairs
-        .checked_mul(size_of::<u32>() + 2 * size_of::<f64>())?
-        .checked_add(links.checked_mul(size_of::<LinkId>())?)
-}
-
-impl RouteTable {
-    /// An empty table with room for the routes between `endpoints`
-    /// endpoints, every ordered pair. A table the allocator refuses — or
-    /// whose size does not even fit in a `usize` — is an error, not an abort.
-    fn with_capacity(endpoints: usize) -> Result<Self, PlatformError> {
-        let too_large = || PlatformError::TooLarge { endpoints };
-        // Each buffer below is smaller than the whole table, so the
-        // allocator could grant them one by one where memory cannot hold
-        // them all. Ask for the whole table in one request first, untouched
-        // and handed back at once, so such a table is refused here.
-        let bytes = table_bytes(endpoints).ok_or_else(too_large)?;
-        let mut probe: Vec<u8> = Vec::new();
-        let granted = probe.try_reserve_exact(bytes).is_ok();
-        // The probe is never read; keep the request from being elided.
-        drop(std::hint::black_box(probe));
-        if !granted {
-            return Err(too_large());
-        }
-        let pairs = endpoints * endpoints;
-        let mut table = RouteTable {
-            endpoints,
+impl RouteRow {
+    /// Grows the shortest-path tree of `from` and writes the routes from
+    /// `from` to every endpoint, read off that tree. Fails on the first
+    /// destination the tree does not reach.
+    fn grow(platform: &Platform, from: NodeId) -> Result<Self, PlatformError> {
+        let mut tree = PathTree::default();
+        platform.graph.grow_tree(endpoint_index(from), &mut tree);
+        let endpoints = platform.rows.len();
+        let mut row = RouteRow {
             links: Vec::new(),
-            starts: Vec::new(),
-            latency_s: Vec::new(),
-            bottleneck_bps: Vec::new(),
+            starts: Vec::with_capacity(endpoints + 1),
+            latency_s: Vec::with_capacity(endpoints),
+            bottleneck_bps: Vec::with_capacity(endpoints),
         };
-        let reserved = table.starts.try_reserve_exact(pairs + 1).is_ok()
-            && table.latency_s.try_reserve_exact(pairs).is_ok()
-            && table.bottleneck_bps.try_reserve_exact(pairs).is_ok();
-        if !reserved {
-            return Err(too_large());
-        }
-        table.starts.push(0);
-        Ok(table)
-    }
-
-    /// Appends the routes from `from` — the next row — to every endpoint,
-    /// read off `tree`, the shortest-path tree grown from `from`. Fails on
-    /// the first destination the tree does not reach, and with `TooLarge`
-    /// when the arena cannot grow.
-    fn push_row(
-        &mut self,
-        resolved: &Resolved,
-        from: NodeId,
-        tree: &PathTree,
-    ) -> Result<(), PlatformError> {
-        for to in resolved.endpoints() {
+        row.starts.push(0);
+        for to in platform.endpoints() {
             let column = endpoint_index(to);
             if !tree.reaches(column) {
                 return Err(PlatformError::Unreachable {
@@ -192,60 +141,49 @@ impl RouteTable {
                     to: to.to_string(),
                 });
             }
-            // A route is at most every WAN edge of a simple path plus two
-            // LAN links: `endpoints + 1` links.
-            self.links
-                .try_reserve(self.endpoints + 1)
-                .map_err(|_| self.too_large())?;
-            let start = self.links.len();
+            let start = row.links.len();
             let (latency, bottleneck) = if from == to {
                 (0.0, f64::INFINITY)
             } else {
                 // Transfers terminating (or originating) at a site also
                 // cross that site's LAN link.
                 if let NodeId::Site(s) = from {
-                    self.links.push(resolved.sites[s.index()].lan_link);
+                    row.links.push(platform.sites[s.index()].lan_link);
                 }
-                let wan = self.links.len();
+                let wan = row.links.len();
                 let edges = tree.edges_back(column);
-                self.links.extend(edges.map(|e| resolved.edge_links[e]));
-                self.links[wan..].reverse();
+                row.links.extend(edges.map(|e| platform.edge_links[e]));
+                row.links[wan..].reverse();
                 if let NodeId::Site(s) = to {
-                    self.links.push(resolved.sites[s.index()].lan_link);
+                    row.links.push(platform.sites[s.index()].lan_link);
                 }
-                let route = &self.links[start..];
+                let route = &row.links[start..];
                 let latency: f64 = route
                     .iter()
-                    .map(|l| resolved.links[l.index()].latency_s)
+                    .map(|l| platform.links[l.index()].latency_s)
                     .sum();
                 let bottleneck = route
                     .iter()
-                    .map(|l| resolved.links[l.index()].bandwidth_bps)
+                    .map(|l| platform.links[l.index()].bandwidth_bps)
                     .fold(f64::INFINITY, f64::min);
                 (latency, bottleneck)
             };
-            let end = u32::try_from(self.links.len()).map_err(|_| self.too_large())?;
-            self.starts.push(end);
-            self.latency_s.push(latency);
-            self.bottleneck_bps.push(bottleneck);
+            // The tree's paths to V nodes hold at most V(V - 1)/2 edges, and
+            // each route adds at most two LAN links.
+            let end = u32::try_from(row.links.len()).expect("a row holds fewer than 2³² links");
+            row.starts.push(end);
+            row.latency_s.push(latency);
+            row.bottleneck_bps.push(bottleneck);
         }
-        Ok(())
+        Ok(row)
     }
 
-    /// The table outgrew what the allocator grants or a `u32` offset holds.
-    fn too_large(&self) -> PlatformError {
-        PlatformError::TooLarge {
-            endpoints: self.endpoints,
-        }
-    }
-
-    fn route(&self, from: usize, to: usize) -> Route<'_> {
-        let pair = from * self.endpoints + to;
-        let links = self.starts[pair] as usize..self.starts[pair + 1] as usize;
+    fn route(&self, to: usize) -> Route<'_> {
+        let links = self.starts[to] as usize..self.starts[to + 1] as usize;
         Route {
             links: &self.links[links],
-            latency_s: self.latency_s[pair],
-            bottleneck_bps: self.bottleneck_bps[pair],
+            latency_s: self.latency_s[to],
+            bottleneck_bps: self.bottleneck_bps[to],
         }
     }
 }
@@ -257,11 +195,17 @@ pub struct Platform {
     sites: Vec<Site>,
     links: Vec<Link>,
     site_names: HashMap<String, SiteId>,
-    routes: RouteTable,
+    /// The WAN graph; node [`endpoint_index`]`(e)` is endpoint `e`.
+    graph: Graph,
+    /// Graph edge index -> WAN link.
+    edge_links: Vec<LinkId>,
+    /// The routes from each endpoint, by [`endpoint_index`], each grown the
+    /// first time a route from its source is read.
+    rows: Box<[OnceCell<RouteRow>]>,
 }
 
-/// Dense index of an endpoint — its WAN-graph node and its row/column in the
-/// route table: the main server first, then the sites by id.
+/// Dense index of an endpoint — its WAN-graph node and its route row: the
+/// main server first, then the sites by id.
 fn endpoint_index(node: NodeId) -> usize {
     match node {
         NodeId::MainServer => 0,
@@ -269,56 +213,38 @@ fn endpoint_index(node: NodeId) -> usize {
     }
 }
 
-/// A specification resolved up to, but not including, routing.
-struct Resolved {
-    sites: Vec<Site>,
-    links: Vec<Link>,
-    site_names: HashMap<String, SiteId>,
-    /// The WAN graph; node [`endpoint_index`]`(e)` is endpoint `e`.
-    graph: Graph,
-    /// Graph edge index -> WAN link.
-    edge_links: Vec<LinkId>,
-}
-
-impl Resolved {
-    /// Every endpoint, in [`endpoint_index`] order.
-    fn endpoints(&self) -> impl Iterator<Item = NodeId> + Clone + '_ {
-        std::iter::once(NodeId::MainServer).chain(self.sites.iter().map(|s| NodeId::Site(s.id)))
-    }
-}
-
 impl Platform {
     /// Builds a platform from its specification.
     ///
-    /// Routing grows one binary-heap Dijkstra tree per source endpoint —
-    /// O((V + E) log V) each, O(V (V + E) log V) in all for V = sites + 1
-    /// endpoints and E WAN links — and writes each tree's V routes into the
-    /// flat route table, so [`route`](Self::route) is an index, not a hash
-    /// probe or a search. Every route is link for link and bit for bit the
-    /// one a per-pair Dijkstra yields. The table's least size is asked of
-    /// the allocator in one request and every V²-sized buffer is reserved
-    /// through `try_reserve*`: a table the allocator refuses is
-    /// [`PlatformError::TooLarge`], and the first endpoint pair (source
-    /// major) without a path is [`PlatformError::Unreachable`].
+    /// The build grows one binary-heap Dijkstra tree, the main server's —
+    /// O((V + E) log V) for V = sites + 1 endpoints and E WAN links — and
+    /// writes its V routes into the main server's row. The graph is
+    /// undirected, so the main server reaching every endpoint connects every
+    /// pair; the first endpoint it does not reach is
+    /// [`PlatformError::Unreachable`]. Every other source's row is grown by
+    /// its first [`route`](Self::route).
     pub fn build(spec: &PlatformSpec) -> Result<Self, PlatformError> {
-        let resolved = Self::resolve(spec)?;
-        let mut routes = RouteTable::with_capacity(resolved.sites.len() + 1)?;
-        let mut tree = PathTree::default();
-        for from in resolved.endpoints() {
-            resolved.graph.grow_tree(endpoint_index(from), &mut tree);
-            routes.push_row(&resolved, from, &tree)?;
-        }
-        Ok(Platform {
-            name: spec.name.clone(),
-            sites: resolved.sites,
-            links: resolved.links,
-            site_names: resolved.site_names,
-            routes,
+        let mut platform = Self::resolve(spec)?;
+        let main = RouteRow::grow(&platform, NodeId::MainServer)?;
+        platform.rows[endpoint_index(NodeId::MainServer)] = main.into();
+        Ok(platform)
+    }
+
+    /// Every endpoint, in [`endpoint_index`] order.
+    fn endpoints(&self) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::once(NodeId::MainServer).chain(self.sites.iter().map(|s| NodeId::Site(s.id)))
+    }
+
+    /// The routes from `from`, grown on first read.
+    fn row(&self, from: NodeId) -> &RouteRow {
+        self.rows[endpoint_index(from)].get_or_init(|| {
+            RouteRow::grow(self, from).expect("`build` found every endpoint pair connected")
         })
     }
 
-    /// Validates `spec` and resolves its sites, links and WAN graph.
-    fn resolve(spec: &PlatformSpec) -> Result<Resolved, PlatformError> {
+    /// Validates `spec` and resolves its sites, links and WAN graph; no
+    /// route row is grown yet.
+    fn resolve(spec: &PlatformSpec) -> Result<Self, PlatformError> {
         spec.validate()?;
 
         let mut sites = Vec::with_capacity(spec.sites.len());
@@ -346,7 +272,6 @@ impl Platform {
                 id: site_id,
                 name: s.name.clone(),
                 tier: s.tier,
-                country: s.country.clone(),
                 nominal_speed: if cores == 0.0 { 0.0 } else { weighted / cores },
                 total_cores: s.total_cores(),
                 storage_tb: s.storage_tb,
@@ -414,7 +339,9 @@ impl Platform {
             edge_links.push(link_id);
         }
 
-        Ok(Resolved {
+        Ok(Platform {
+            name: spec.name.clone(),
+            rows: (0..=sites.len()).map(|_| OnceCell::new()).collect(),
             sites,
             links,
             site_names,
@@ -458,20 +385,20 @@ impl Platform {
         &self.links[id.index()]
     }
 
-    /// The precomputed route between two endpoints: O(1) and
-    /// allocation-free, a view of one pair's table entries and a slice of
-    /// the link arena.
+    /// The lowest-latency route between two endpoints, a view of one entry
+    /// of `from`'s row and a slice of that row's link arena. The first read
+    /// from a source grows its row, O((V + E) log V) for V endpoints and E
+    /// WAN links; every later read is O(1) and allocation-free.
     ///
     /// # Panics
     /// If either endpoint is not part of this platform.
     pub fn route(&self, from: NodeId, to: NodeId) -> Route<'_> {
-        let endpoints = self.routes.endpoints;
-        let (from, to) = (endpoint_index(from), endpoint_index(to));
+        let endpoints = self.rows.len();
         assert!(
-            from < endpoints && to < endpoints,
+            endpoint_index(from) < endpoints && endpoint_index(to) < endpoints,
             "route endpoint outside the platform"
         );
-        self.routes.route(from, to)
+        self.row(from).route(endpoint_index(to))
     }
 
     /// Effective per-core speed of a site: the core-weighted average of its
@@ -518,32 +445,6 @@ mod tests {
             .with_link(LinkSpec::new("BNL", MAIN_SERVER, 40.0, 45.0))
             .with_link(LinkSpec::new("DESY-ZN", MAIN_SERVER, 20.0, 15.0))
             .with_link(LinkSpec::new("CERN", "DESY-ZN", 50.0, 8.0))
-    }
-
-    #[test]
-    fn a_route_table_too_large_to_address_is_an_error() {
-        // 2^62 pairs of 20 B overflow the byte size, and (2^32)² pairs
-        // overflow the count: both are refused before anything is allocated.
-        for endpoints in [1 << 31, 1 << 32] {
-            assert_eq!(table_bytes(endpoints), None);
-            assert_eq!(
-                RouteTable::with_capacity(endpoints).unwrap_err(),
-                PlatformError::TooLarge { endpoints }
-            );
-        }
-        // Three endpoints: 9 pairs of 20 B, plus two site-to-site routes of
-        // three links or more and four routes between a site and the main
-        // server of two or more, 14 links of 8 B.
-        assert_eq!(table_bytes(3), Some(9 * 20 + 14 * 8));
-        assert_eq!(table_bytes(1), Some(20));
-        assert_eq!(table_bytes(0), Some(0));
-        // 20,000 sites ask for 17.6 GB in the one request, 44 B per pair.
-        assert_eq!(table_bytes(20_001), Some(17_600_960_020));
-        let table = RouteTable::with_capacity(3).unwrap();
-        assert_eq!(table.starts, [0]);
-        assert_eq!(table.starts.capacity(), 10);
-        assert_eq!(table.latency_s.capacity(), 9);
-        assert_eq!(table.bottleneck_bps.capacity(), 9);
     }
 
     #[test]
@@ -645,7 +546,7 @@ mod tests {
     /// The links, latency and bottleneck of the route `from -> to` that
     /// follows WAN path `path`, one owned route per pair.
     fn route_along(
-        resolved: &Resolved,
+        platform: &Platform,
         from: NodeId,
         to: NodeId,
         path: &Path,
@@ -655,57 +556,77 @@ mod tests {
         }
         let mut route_links: Vec<LinkId> = Vec::with_capacity(path.edges.len() + 2);
         if let NodeId::Site(s) = from {
-            route_links.push(resolved.sites[s.index()].lan_link);
+            route_links.push(platform.sites[s.index()].lan_link);
         }
-        route_links.extend(path.edges.iter().map(|&e| resolved.edge_links[e]));
+        route_links.extend(path.edges.iter().map(|&e| platform.edge_links[e]));
         if let NodeId::Site(s) = to {
-            route_links.push(resolved.sites[s.index()].lan_link);
+            route_links.push(platform.sites[s.index()].lan_link);
         }
         let latency: f64 = route_links
             .iter()
-            .map(|l| resolved.links[l.index()].latency_s)
+            .map(|l| platform.links[l.index()].latency_s)
             .sum();
         let bottleneck = route_links
             .iter()
-            .map(|l| resolved.links[l.index()].bandwidth_bps)
+            .map(|l| platform.links[l.index()].bandwidth_bps)
             .fold(f64::INFINITY, f64::min);
         (route_links, latency, bottleneck)
     }
 
-    /// The route table's reference twin: one early-exit array-scan Dijkstra
-    /// per endpoint pair. Every route must match it link for link
-    /// and bit for bit (same tie-breaks, same summation order), and the
-    /// routes must tile the link arena with at least the links
-    /// [`table_bytes`] counts on.
+    /// Rows grown so far.
+    fn rows_grown(platform: &Platform) -> usize {
+        platform
+            .rows
+            .iter()
+            .filter(|row| row.get().is_some())
+            .count()
+    }
+
+    /// Every endpoint of `platform`, in an order shuffled by `seed`.
+    fn shuffled_endpoints(platform: &Platform, seed: u64) -> Vec<NodeId> {
+        let mut endpoints: Vec<NodeId> = platform.endpoints().collect();
+        let mut rng = cgsim_des::rng::Rng::new(seed);
+        for i in (1..endpoints.len()).rev() {
+            endpoints.swap(i, rng.index(i + 1));
+        }
+        endpoints
+    }
+
+    /// The route rows' reference twin: one early-exit array-scan Dijkstra
+    /// per endpoint pair. Sources are read in shuffled order, so rows grow
+    /// out of endpoint order, and every route must match the twin link for
+    /// link and bit for bit (same tie-breaks, same summation order). Each
+    /// row's routes must tile its link arena.
     fn assert_routes_match_per_pair_dijkstra(spec: &PlatformSpec) {
         let platform = Platform::build(spec).unwrap();
-        let resolved = Platform::resolve(spec).unwrap();
-        for from in resolved.endpoints() {
-            for to in resolved.endpoints() {
-                let path = resolved
+        assert_eq!(
+            rows_grown(&platform),
+            1,
+            "the build grows the main server's row"
+        );
+        for from in shuffled_endpoints(&platform, spec.sites.len() as u64) {
+            for to in platform.endpoints() {
+                let path = platform
                     .graph
                     .shortest_path(endpoint_index(from), endpoint_index(to))
                     .unwrap();
-                let (links, latency, bottleneck) = route_along(&resolved, from, to, &path);
+                let (links, latency, bottleneck) = route_along(&platform, from, to, &path);
                 let route = platform.route(from, to);
                 assert_eq!(route.links, links, "{from} -> {to}");
                 assert_eq!(route.latency_s.to_bits(), latency.to_bits());
                 assert_eq!(route.bottleneck_bps.to_bits(), bottleneck.to_bits());
             }
+            let row = platform.row(from);
+            let arena: usize = (0..platform.rows.len())
+                .map(|to| row.route(to).links.len())
+                .sum();
+            assert_eq!(
+                arena,
+                row.links.len(),
+                "the routes from {from} tile its arena"
+            );
         }
-        let endpoints = resolved.sites.len() + 1;
-        let arena: usize = (0..endpoints * endpoints)
-            .map(|pair| {
-                let (from, to) = (pair / endpoints, pair % endpoints);
-                platform.routes.route(from, to).links.len()
-            })
-            .sum();
-        assert_eq!(arena, platform.routes.links.len(), "routes tile the arena");
-        let sites = resolved.sites.len();
-        assert!(
-            arena >= 3 * sites * (sites - 1) + 4 * sites,
-            "the floor table_bytes counts"
-        );
+        assert_eq!(rows_grown(&platform), platform.rows.len());
     }
 
     #[test]
@@ -731,6 +652,33 @@ mod tests {
             }
         }
         assert_routes_match_per_pair_dijkstra(&mesh);
+    }
+
+    #[test]
+    fn reading_from_k_sources_grows_k_rows_besides_the_main_servers() {
+        let platform = Platform::build(&crate::presets::wlcg_platform(30, 7)).unwrap();
+        let sites = |ids: &[usize]| ids.iter().map(|&i| NodeId::Site(SiteId::new(i))).collect();
+        let sources: Vec<NodeId> = sites(&[17, 3, 29, 3, 17]);
+        let destinations: Vec<NodeId> = sites(&[0, 9, 29]);
+        let read = |from: &[NodeId]| {
+            for &from in from {
+                platform.route(from, NodeId::MainServer);
+                for &to in &destinations {
+                    platform.route(from, to);
+                }
+            }
+        };
+        read(&sources);
+        // Three distinct sources, plus the main server's row from the build.
+        assert_eq!(rows_grown(&platform), 4);
+        read(&sources);
+        read(&[NodeId::MainServer]);
+        assert_eq!(rows_grown(&platform), 4, "reading again grows nothing");
+        // A clone keeps the rows grown so far and grows its own from there.
+        let clone = platform.clone();
+        assert_eq!(rows_grown(&clone), 4);
+        clone.route(NodeId::Site(SiteId::new(5)), NodeId::MainServer);
+        assert_eq!((rows_grown(&clone), rows_grown(&platform)), (5, 4));
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub struct Graph {
     edges: Vec<(usize, usize, EdgeProps)>,
 }
 
-/// The shortest-path tree of one source, reused from source to source so
-/// that routing every pair allocates its buffers once.
+/// The shortest-path tree of one source; [`Graph::grow_tree`] overwrites it,
+/// so one tree can serve source after source.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PathTree {
     /// Distance from the source (infinite when unreached).
