@@ -128,6 +128,24 @@ cmp <(sed -n 1p serve-resp.jsonl) <(sed -n 4p serve-resp.jsonl)
 cgsim simulate "${INPUTS[@]}" --output serve-direct > /dev/null
 diff serve-out/results.json serve-direct/results.json
 
+# Every input format refuses a key no field takes: in a batch only the
+# member with the typo fails, and `simulate` on a platform.json with one
+# exits 1 naming its path.
+echo "gate: strict input formats"
+printf '%s\n' '[{"id":"ok1"},{"id":"typo","seeed":3},{"id":"ok2","policy":"round-robin"}]' \
+  > serve-typo.jsonl
+cgsim serve "${INPUTS[@]}" < serve-typo.jsonl > serve-typo.resp.jsonl
+[ "$(grep -c '"ok":false' serve-typo.resp.jsonl)" = 1 ]
+grep -q '^{"id":"typo","ok":false,"error":"invalid request: unknown key `seeed`' serve-typo.resp.jsonl
+[ "$(grep -c '"ok":true' serve-typo.resp.jsonl)" = 2 ]
+sed 's/"speed_multiplier"/"speed_multiplyer"/' serve-run/platform.json > typo-platform.json
+status=0
+cgsim simulate --platform typo-platform.json --execution serve-run/execution.json \
+  --trace serve-run/trace.jsonl --output typo-out > /dev/null 2> typo-platform.err || status=$?
+[ "$status" = 1 ]
+[ ! -e typo-out ]
+grep -q 'unknown key `sites\[0\].speed_multiplyer` in platform.json' typo-platform.err
+
 # The CLI and serve run a faulted, traced scenario through the same
 # `ScenarioSpec::run`, so a served run's trace and saved results.json are
 # exactly what `cgsim simulate` writes for the same inputs.

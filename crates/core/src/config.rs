@@ -302,18 +302,11 @@ impl ExecutionConfig {
         serde_json::to_string_pretty(self).expect("execution config serialises")
     }
 
-    /// Parses from JSON. A key the default config's tree lacks at its
-    /// nesting level — a typo, or a field that no longer exists — is an
-    /// error naming its `.`-joined path, not a line silently ignored; an
-    /// absent key takes its default.
+    /// Parses from JSON. A key no field takes — a typo, or a field that no
+    /// longer exists — is an error naming its `.`-joined path, not a line
+    /// silently ignored; an absent key takes its default.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let tree: serde_json::Value = serde_json::from_str(json)?;
-        refuse_unknown_keys(
-            &tree,
-            &serde_json::to_value(&Self::default())?,
-            "execution.json",
-        )?;
-        serde_json::from_value(tree)
+        serde_json::from_str(json).map_err(|e| e.found_in("execution.json"))
     }
 
     /// Applies the rule of the CLI's duration flags — finite and ≥ 0 — to
@@ -334,38 +327,6 @@ impl ExecutionConfig {
         }
         Ok(())
     }
-}
-
-/// Refuses the first key of `tree` that `known` does not have, at any depth
-/// where both are objects, naming its `.`-joined path and the input it was
-/// found `in`. Makes no allocator call when every key is known.
-pub(crate) fn refuse_unknown_keys(
-    tree: &serde_json::Value,
-    known: &serde_json::Value,
-    input: &str,
-) -> Result<(), serde_json::Error> {
-    match unknown_key(tree, known) {
-        None => Ok(()),
-        Some(path) => Err(serde_json::Error::custom(format!(
-            "unknown key `{path}` in {input}"
-        ))),
-    }
-}
-
-/// The `.`-joined path of the first key of `tree` that `known` lacks.
-fn unknown_key(tree: &serde_json::Value, known: &serde_json::Value) -> Option<String> {
-    let (Some(tree), Some(known)) = (tree.as_object(), known.as_object()) else {
-        return None;
-    };
-    for (key, value) in tree.iter() {
-        let Some(known) = known.get(key) else {
-            return Some(key.clone());
-        };
-        if let Some(path) = unknown_key(value, known) {
-            return Some(format!("{key}.{path}"));
-        }
-    }
-    None
 }
 
 /// The field a [`Knob`] writes; the variant is the kind of value it parses.

@@ -17,10 +17,14 @@
 //!  "save": "/tmp/out/results.json"}
 //! ```
 //!
-//! Absent fields inherit the server's base execution configuration. A key
-//! the request does not define, at the top or inside `checkpoint` /
-//! `repair`, fails that request with an error naming its `.`-joined path,
-//! as in `execution.json`. `id` is echoed back verbatim. `save` additionally writes the pretty-printed
+//! Absent fields inherit the server's base execution configuration. Each
+//! request is decoded straight from the line's text into [`ServeRequest`] by
+//! its derived decoder; no value tree is built on the way. A key the request
+//! does not define, at the top or inside `checkpoint` / `repair`, fails that
+//! request with an error naming its `.`-joined path, as in `execution.json`.
+//! A repeated key's last value wins. A request with several problems is
+//! refused for the first one in document order. `id` is echoed back
+//! verbatim. `save` additionally writes the pretty-printed
 //! deterministic results (the same bytes `cgsim simulate --output` writes to
 //! `results.json`) to the given path on the server side.
 //!
@@ -50,9 +54,12 @@
 //! cache, within one server process or across restarts. The `results` text
 //! is encoded once, by the run that produced it, and every reply for that
 //! scenario is the envelope written around those bytes. Failures reply
-//! `{"id": …, "ok": false, "error": "…"}` and fail only their own request.
-//! A line nested deeper than the JSON parser's limit (128 levels) is one
-//! such failure (`invalid JSON: …`), not a crash.
+//! `{"id": …, "ok": false, "error": "…"}` and fail only their own request:
+//! `invalid request: …`, with the `id` when the object carries a string
+//! one. Malformed JSON anywhere on a line — a line nested deeper than the
+//! parser's limit (128 levels) included — is answered by one
+//! `invalid JSON: …` line without an `id`, not a crash. A line that is not
+//! UTF-8 ends the loop with an `InvalidData` error.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
@@ -60,10 +67,10 @@ use std::sync::Arc;
 
 use cgsim_des::stats::percentile_sorted;
 use cgsim_obs::TraceTarget;
-use serde::Deserialize;
+use serde::{Deserialize, Reader};
 use serde_json::{Map, Value};
 
-use crate::config::{refuse_unknown_keys, CheckpointConfig, ExecutionConfig, RepairConfig};
+use crate::config::{CheckpointConfig, ExecutionConfig, RepairConfig};
 use crate::results::SimulationResults;
 use crate::scenario::{ScenarioBase, ScenarioEngine, ScenarioOutcome, ScenarioSpec};
 
@@ -102,37 +109,6 @@ pub struct ServeRequest {
     pub trace_format: Option<String>,
     /// Trace category filter (comma-separated, CLI `--trace-filter` grammar).
     pub trace_filter: Option<String>,
-}
-
-/// Every field of [`ServeRequest`]: the keys a request object may carry.
-const REQUEST_FIELDS: [&str; 12] = [
-    "id",
-    "cmd",
-    "policy",
-    "seed",
-    "faults",
-    "fault_seed",
-    "checkpoint",
-    "repair",
-    "save",
-    "trace",
-    "trace_format",
-    "trace_filter",
-];
-
-/// The key tree a request object is checked against: [`REQUEST_FIELDS`],
-/// with `checkpoint` and `repair` holding their configs' keys.
-fn request_keys() -> Value {
-    let mut keys = Map::new();
-    for field in REQUEST_FIELDS {
-        let known = match field {
-            "checkpoint" => serde_json::to_value(&CheckpointConfig::default()),
-            "repair" => serde_json::to_value(&RepairConfig::default()),
-            _ => Ok(Value::Null),
-        };
-        keys.insert(field.into(), known.expect("a default config serialises"));
-    }
-    Value::Object(keys)
 }
 
 impl ServeRequest {
@@ -253,21 +229,30 @@ pub fn serve_loop<R: BufRead, W: Write>(
     engine: &ScenarioEngine,
     base: &Arc<ScenarioBase>,
     execution: &ExecutionConfig,
-    input: R,
+    mut input: R,
     mut output: W,
 ) -> std::io::Result<bool> {
     let mut stats = ServeStats::new();
-    let keys = request_keys();
-    let parse = |value| parse_request(value, &keys);
-    // One reply line at a time is assembled here and written in one call.
+    // Each input line is read into `line`, and one reply line at a time is
+    // assembled in `reply` and written in one call; both are reused.
+    let mut line = Vec::new();
     let mut reply = String::new();
-    for line in input.lines() {
-        let line = line?;
-        let text = line.trim();
+    loop {
+        line.clear();
+        if input.read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        let text = std::str::from_utf8(&line).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        let text = text.trim();
         if text.is_empty() {
             continue;
         }
-        let (requests, is_batch) = match serde_json::from_str::<Value>(text) {
+        let (requests, is_batch) = match read_requests(text) {
             Err(e) => {
                 push_value(
                     &mut reply,
@@ -277,8 +262,7 @@ pub fn serve_loop<R: BufRead, W: Write>(
                 output.flush()?;
                 continue;
             }
-            Ok(Value::Array(items)) => (items.into_iter().map(parse).collect(), true),
-            Ok(value) => (vec![parse(value)], false),
+            Ok(read) => read,
         };
 
         // Plan every request, collecting the scenario specs into one batch.
@@ -383,14 +367,38 @@ pub fn serve_loop<R: BufRead, W: Write>(
     Ok(false)
 }
 
-/// Decodes one request object after refusing any key `keys` (the
-/// [`request_keys`] tree) lacks. A request that fails still has its `id`
-/// echoed when the object carries a string one.
-fn parse_request(value: Value, keys: &Value) -> Result<ServeRequest, (Option<String>, String)> {
-    let id = value.get("id").and_then(Value::as_str).map(str::to_string);
-    refuse_unknown_keys(&value, keys, "the request")
-        .and_then(|()| serde_json::from_value::<ServeRequest>(value))
-        .map_err(|e| (id, format!("invalid request: {e}")))
+/// A request as decoded: the request, or the `id` to echo (when the object
+/// carries a string one) and the error to reply with.
+type Decoded = Result<ServeRequest, (Option<String>, String)>;
+
+/// Decodes one input line: a request object, or a batch of them (a line
+/// starting with `[`), flagged `true`. Each request is decoded straight from
+/// the text; one that fails is read again as a tree for its `id`, and fails
+/// alone. `Err` is malformed JSON anywhere on the line.
+fn read_requests(text: &str) -> Result<(Vec<Decoded>, bool), serde::Error> {
+    let mut reader = Reader::new(text);
+    let mut requests = Vec::new();
+    let is_batch = reader.peek() == Some(b'[');
+    if is_batch {
+        reader.array(|r| {
+            requests.push(read_request(r)?);
+            Ok(())
+        })?;
+    } else {
+        requests.push(read_request(&mut reader)?);
+    }
+    reader.finish()?;
+    Ok((requests, is_batch))
+}
+
+fn read_request(reader: &mut Reader<'_>) -> Result<Decoded, serde::Error> {
+    Ok(reader.try_read::<ServeRequest>()?.map_err(|(e, value)| {
+        let id = value.get("id").and_then(Value::as_str).map(str::to_string);
+        (
+            id,
+            format!("invalid request: {}", e.found_in("the request")),
+        )
+    }))
 }
 
 /// Terminates the assembled reply line, writes it out and empties `reply`
@@ -649,32 +657,35 @@ not json
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with(r#"{"ok":true,"stats":"#));
         assert!(lines[1].starts_with(r#"{"id":"d8","ok":true,"#));
-        // Each of `REQUEST_FIELDS` lands in a field of its own, and together
-        // they fill every field: the literal below names all twelve.
-        let values = [
-            r#""a""#,
-            r#""stats""#,
-            r#""round-robin""#,
-            "7",
-            r#""kill:rate=1""#,
-            "3",
-            &checkpoint,
-            &repair,
-            r#""out.json""#,
-            r#""trace.jsonl""#,
-            r#""chrome""#,
-            r#""job""#,
+        // Each key lands in a field of its own, and together they fill every
+        // field: the literal below names all twelve.
+        let fields = [
+            ("id", r#""a""#),
+            ("cmd", r#""stats""#),
+            ("policy", r#""round-robin""#),
+            ("seed", "7"),
+            ("faults", r#""kill:rate=1""#),
+            ("fault_seed", "3"),
+            ("checkpoint", &checkpoint),
+            ("repair", &repair),
+            ("save", r#""out.json""#),
+            ("trace", r#""trace.jsonl""#),
+            ("trace_format", r#""chrome""#),
+            ("trace_filter", r#""job""#),
         ];
-        let mut all = Map::new();
-        for (field, value) in REQUEST_FIELDS.into_iter().zip(values) {
-            let value: Value = serde_json::from_str(value).unwrap();
-            let mut one = Map::new();
-            one.insert(field.into(), value.clone());
-            let decoded = parse_request(Value::Object(one), &request_keys()).unwrap();
+        let decode = |text: &str| match read_requests(text) {
+            Ok((mut requests, false)) if requests.len() == 1 => requests.remove(0).unwrap(),
+            other => panic!("{text}: {other:?}"),
+        };
+        for (field, value) in fields {
+            let decoded = decode(&format!("{{\"{field}\":{value}}}"));
             assert_ne!(decoded, ServeRequest::default(), "{field}");
-            all.insert(field.into(), value);
         }
-        let decoded = parse_request(Value::Object(all), &request_keys()).unwrap();
+        let all: Vec<String> = fields
+            .iter()
+            .map(|(field, value)| format!("\"{field}\":{value}"))
+            .collect();
+        let decoded = decode(&format!("{{{}}}", all.join(",")));
         let some = |text: &str| Some(text.to_string());
         assert_eq!(
             decoded,
@@ -920,6 +931,104 @@ not json
             lines[0]
         );
         assert!(lines[1].starts_with(r#"{"id":"after","ok":true,"results":{"#));
+    }
+
+    #[test]
+    fn unusual_spellings_and_malformed_lines_get_pinned_replies() {
+        let engine = ScenarioEngine::new();
+        let reply = |line: &str| drive_on(&engine, &format!("{line}\n")).0;
+        // Spellings a tree decode accepted, each answered as its plain twin.
+        for (line, plain) in [
+            (r#"{"\u0069d":"esc","seed":4}"#, r#"{"id":"esc","seed":4}"#),
+            (
+                r#"{"id":"dup","seed":5,"seed":4}"#,
+                r#"{"id":"dup","seed":4}"#,
+            ),
+            (
+                r#"{"id":null,"cmd":null,"policy":null,"seed":null,"faults":null,"fault_seed":null,"checkpoint":null,"repair":null,"save":null,"trace":null,"trace_format":null,"trace_filter":null}"#,
+                "{}",
+            ),
+            (r#"{"id":"f","seed":7.0}"#, r#"{"id":"f","seed":7}"#),
+            (r#"{"id":"z","seed":-0}"#, r#"{"id":"z","seed":0}"#),
+            // Past `u64::MAX` the literal is a float, which saturates.
+            (
+                r#"{"id":"big","seed":18446744073709551616}"#,
+                r#"{"id":"big","seed":18446744073709551615}"#,
+            ),
+        ] {
+            assert_eq!(reply(line), reply(plain), "{line}");
+        }
+        let deep = format!("{}{}", "[".repeat(129), "]".repeat(129));
+        let invalid = |id: &str, error: &str| {
+            format!(r#"{{"id":"{id}","ok":false,"error":"invalid request: {error}"}}"#)
+        };
+        for (line, expected) in [
+            (
+                r#"{"id":"neg","fault_seed":-5}"#.to_string(),
+                invalid("neg", "integer -5 out of range"),
+            ),
+            (
+                r#"{"id":"inf","seed":1e400}"#.into(),
+                invalid("inf", "expected integer, got inf"),
+            ),
+            (
+                r#"{"id":"ck","checkpoint":5}"#.into(),
+                invalid("ck", "expected object for CheckpointConfig, got 5"),
+            ),
+            // A repeated key is decoded each time it appears, so a bad
+            // first value fails the request although a good one follows.
+            (
+                r#"{"id":"dup","seed":"x","seed":4}"#.into(),
+                invalid("dup", r#"expected number, got \"x\""#),
+            ),
+            // The first problem in document order is the one reported.
+            (
+                r#"{"id":"both","seed":"x","polcy":1}"#.into(),
+                invalid("both", r#"expected number, got \"x\""#),
+            ),
+            (
+                r#"{"id":"both","polcy":1,"seed":"x"}"#.into(),
+                invalid("both", "unknown key `polcy` in the request"),
+            ),
+            (
+                r#"{"id":"trunc","seed":"#.into(),
+                r#"{"ok":false,"error":"invalid JSON: unexpected end of input"}"#.into(),
+            ),
+            (
+                r#"{"id":"tail"} x"#.into(),
+                r#"{"ok":false,"error":"invalid JSON: trailing characters at offset 14"}"#.into(),
+            ),
+            (
+                format!(r#"{{"id":"deep","x":{deep}}}"#),
+                r#"{"ok":false,"error":"invalid JSON: nesting deeper than 128 levels at offset 144"}"#
+                    .into(),
+            ),
+            (
+                r#"[{"id":"a"},{"id":"b","seed":"x"},{"id":"c",]"#.into(),
+                r#"{"ok":false,"error":"invalid JSON: expected '\"' at offset 44, found ']'"}"#
+                    .into(),
+            ),
+        ] {
+            assert_eq!(reply(&line), format!("{expected}\n"), "{line}");
+        }
+        // In a batch, a typo fails its own member only.
+        let batch = reply(r#"[{"id":"a","seed":4},{"id":"t","sed":1},{"id":"c","seed":4}]"#);
+        let lines: Vec<&str> = batch.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert_eq!(format!("{}\n", lines[0]), reply(r#"{"id":"a","seed":4}"#));
+        assert_eq!(lines[1], invalid("t", "unknown key `sed` in the request"));
+        assert_eq!(format!("{}\n", lines[2]), reply(r#"{"id":"c","seed":4}"#));
+        // A line that is not UTF-8 ends the loop; earlier replies are out.
+        let (base, execution) = setup();
+        let mut output = Vec::new();
+        let input: &[u8] = b"{\"id\":\"before\"}\n\xff\xfe\n{\"id\":\"after\"}\n";
+        let err = serve_loop(&engine, &base, &execution, input, &mut output).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "stream did not contain valid UTF-8");
+        assert_eq!(
+            String::from_utf8(output).unwrap(),
+            reply(r#"{"id":"before"}"#)
+        );
     }
 
     #[test]

@@ -81,14 +81,13 @@ impl Serialize for TraceCategory {
 }
 
 impl Deserialize for TraceCategory {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::String(s) => TraceCategory::from_label(s)
-                .ok_or_else(|| serde::Error::custom(format!("unknown trace category `{s}`"))),
-            other => Err(serde::Error::custom(format!(
-                "expected trace category string, got {other}"
-            ))),
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        if r.peek() != Some(b'"') {
+            return Err(r.unexpected("trace category string"));
         }
+        let s = r.string()?;
+        TraceCategory::from_label(&s)
+            .ok_or_else(|| serde::Error::custom(format!("unknown trace category `{s}`")))
     }
 }
 
@@ -156,14 +155,13 @@ impl Serialize for SpanPhase {
 }
 
 impl Deserialize for SpanPhase {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::String(s) => SpanPhase::from_label(s)
-                .ok_or_else(|| serde::Error::custom(format!("unknown span phase `{s}`"))),
-            other => Err(serde::Error::custom(format!(
-                "expected span phase string, got {other}"
-            ))),
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        if r.peek() != Some(b'"') {
+            return Err(r.unexpected("span phase string"));
         }
+        let s = r.string()?;
+        SpanPhase::from_label(&s)
+            .ok_or_else(|| serde::Error::custom(format!("unknown span phase `{s}`")))
     }
 }
 

@@ -237,9 +237,10 @@ impl PlatformSpec {
         Ok(serde_json::to_string_pretty(self)?)
     }
 
-    /// Parses from JSON.
+    /// Parses from JSON. A key no field takes, at any depth, is an error
+    /// naming its path (`sites[0].corez`).
     pub fn from_json(json: &str) -> Result<Self, PlatformError> {
-        Ok(serde_json::from_str(json)?)
+        Ok(serde_json::from_str(json).map_err(|e| e.found_in("platform.json"))?)
     }
 
     /// Writes to a JSON file.

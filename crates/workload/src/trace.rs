@@ -241,19 +241,27 @@ impl Trace {
     }
 
     /// Loads a trace saved by [`Trace::save_jsonl`]. Site names are
-    /// interned: the loaded records of one site share one allocation.
+    /// interned: the loaded records of one site share one allocation. A
+    /// line that does not decode — a key no field takes included — is an
+    /// error naming its line number.
     pub fn load_jsonl(path: impl AsRef<Path>) -> std::io::Result<Trace> {
         let text = std::fs::read_to_string(path)?;
         let mut trace = Trace::default();
         let mut names: HashSet<Arc<str>> = HashSet::new();
-        for line in text.lines() {
+        for (index, line) in text.lines().enumerate() {
             if line.is_empty() {
                 continue;
             }
+            let at_line = |e: serde_json::Error| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("trace.jsonl line {}: {e}", index + 1),
+                )
+            };
             if let Some(meta) = line.strip_prefix("#meta ") {
-                trace.hidden_site_multipliers = serde_json::from_str(meta)?;
+                trace.hidden_site_multipliers = serde_json::from_str(meta).map_err(at_line)?;
             } else {
-                let mut job: JobRecord = serde_json::from_str(line)?;
+                let mut job: JobRecord = serde_json::from_str(line).map_err(at_line)?;
                 if let Some(shared) = names.get(&*job.hist_site) {
                     job.hist_site = shared.clone();
                 } else {

@@ -2,10 +2,13 @@
 //!
 //! The build environment has no crates.io access, so this proc macro parses
 //! the derive input by hand (no `syn`/`quote`) and emits impls of the shim's
-//! value-tree traits. It supports exactly the shapes the workspace's file
-//! formats use, each represented as real serde represents it:
+//! traits: `Serialize` builds a value tree, `Deserialize` reads JSON text
+//! through `serde::Reader`. It supports exactly the shapes the workspace's
+//! file formats use, each represented as real serde represents it:
 //!
-//! * structs with named fields (a JSON object),
+//! * structs with named fields (a JSON object; decoding refuses a key
+//!   outside the field list, naming its path, and a repeated key's last
+//!   value wins),
 //! * one-field tuple structs marked `#[serde(transparent)]` (the inner
 //!   value),
 //! * enums whose variants are all unit variants (the variant name as a
@@ -56,6 +59,8 @@ enum Kind {
 
 struct Field {
     name: String,
+    /// The field's type as written.
+    ty: String,
     /// First path segment of the type (enough to special-case `Option`).
     type_head: String,
     default: Option<DefaultKind>,
@@ -276,9 +281,12 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => pos += 1,
             other => panic!("expected ':' after field `{name}`, found {other:?}"),
         }
+        let start = pos;
         let type_head = skip_type(&tokens, &mut pos);
+        let ty = tokens[start..pos].iter().cloned().collect::<TokenStream>();
         fields.push(Field {
             name,
+            ty: ty.to_string(),
             type_head,
             default: attrs.default,
         });
@@ -357,12 +365,22 @@ fn gen_serialize(item: &Input) -> String {
     )
 }
 
-/// Expression deserializing named `fields` from the object `obj` into a
-/// `Name { ... }` literal.
-fn named_fields_ctor(name: &str, fields: &[Field]) -> String {
-    let mut out = format!("{name} {{\n");
+/// Body of a named struct's decoder: one slot per field, filled while the
+/// object is read (a repeated key overwrites its slot), then the struct
+/// built from the slots, each absent field taking its default.
+fn named_fields_body(name: &str, fields: &[Field]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut ctor = String::new();
     for field in fields {
-        let fname = &field.name;
+        let (fname, ty) = (&field.name, &field.ty);
+        slots.push_str(&format!(
+            "let mut __field_{fname}: ::std::option::Option<{ty}> = None;\n"
+        ));
+        arms.push_str(&format!(
+            "\"{fname}\" => __field_{fname} = Some(::serde::Deserialize::deserialize(r)\
+             .map_err(|e| e.at_key(\"{fname}\"))?),\n"
+        ));
         let missing = match (&field.default, field.type_head.as_str()) {
             (Some(DefaultKind::Std), _) => "::std::default::Default::default()".to_string(),
             (Some(DefaultKind::Path(path)), _) => format!("{path}()"),
@@ -371,15 +389,27 @@ fn named_fields_ctor(name: &str, fields: &[Field]) -> String {
                 format!("return Err(::serde::Error::custom(\"missing field `{fname}` in {name}\"))")
             }
         };
-        out.push_str(&format!(
-            "{fname}: match obj.get(\"{fname}\") {{\n\
-             Some(__v) => ::serde::Deserialize::deserialize_value(__v)?,\n\
+        ctor.push_str(&format!(
+            "{fname}: match __field_{fname} {{\n\
+             Some(__v) => __v,\n\
              None => {missing},\n\
              }},\n"
         ));
     }
-    out.push('}');
-    out
+    format!(
+        "if r.peek() != Some(b'{{') {{\n\
+         return Err(r.unexpected(\"object for {name}\"));\n\
+         }}\n\
+         {slots}\
+         r.object(|r, key| {{\n\
+         match &*key {{\n\
+         {arms}\
+         other => return Err(::serde::Error::unknown_key(other)),\n\
+         }}\n\
+         Ok(())\n\
+         }})?;\n\
+         Ok({name} {{\n{ctor}}})"
+    )
 }
 
 fn gen_deserialize(item: &Input) -> String {
@@ -389,15 +419,8 @@ fn gen_deserialize(item: &Input) -> String {
         "serde shim derive cannot deserialize borrowed type `{name}`"
     );
     let body = match &item.kind {
-        Kind::NamedStruct(fields) => {
-            let ctor = named_fields_ctor(name, fields);
-            format!(
-                "let obj = v.as_object().ok_or_else(|| ::serde::Error::custom(\
-                 format!(\"expected object for {name}, got {{v}}\")))?;\n\
-                 Ok({ctor})"
-            )
-        }
-        Kind::Newtype => format!("Ok({name}(::serde::Deserialize::deserialize_value(v)?))"),
+        Kind::NamedStruct(fields) => named_fields_body(name, fields),
+        Kind::Newtype => format!("Ok({name}(::serde::Deserialize::deserialize(r)?))"),
         Kind::UnitEnum(variants) => {
             let mut unit_arms = String::new();
             for vname in variants {
@@ -406,19 +429,18 @@ fn gen_deserialize(item: &Input) -> String {
             // A single-key object is how serde spells a variant with data;
             // this shim derives none, so every tag names an unknown variant.
             format!(
-                "match v {{\n\
-                 ::serde::Value::String(tag) => match tag.as_str() {{\n\
+                "if r.peek() == Some(b'\"') {{\n\
+                 return match &*r.string()? {{\n\
                  {unit_arms}\
                  other => Err(::serde::Error::custom(format!(\
                  \"unknown variant `{{other}}` of {name}\"))),\n\
-                 }},\n\
-                 ::serde::Value::Object(map) if map.len() == 1 => {{\n\
-                 let (tag, payload) = map.iter().next().unwrap();\n\
-                 let _ = payload;\n\
-                 match tag.as_str() {{\n\
-                 other => Err(::serde::Error::custom(format!(\
-                 \"unknown variant `{{other}}` of {name}\"))),\n\
+                 }};\n\
                  }}\n\
+                 match r.value()? {{\n\
+                 ::serde::Value::Object(map) if map.len() == 1 => {{\n\
+                 let tag = map.keys().next().unwrap();\n\
+                 Err(::serde::Error::custom(format!(\
+                 \"unknown variant `{{tag}}` of {name}\")))\n\
                  }}\n\
                  other => Err(::serde::Error::custom(format!(\
                  \"expected string or single-key object for {name}, got {{other}}\"))),\n\
@@ -428,7 +450,7 @@ fn gen_deserialize(item: &Input) -> String {
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
-         fn deserialize_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
+         fn deserialize(r: &mut ::serde::Reader<'_>) -> ::std::result::Result<Self, ::serde::Error> {{\n\
          {body}\n}}\n\
          }}\n"
     )

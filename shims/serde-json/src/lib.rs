@@ -1,12 +1,17 @@
-//! Offline stand-in for `serde_json`, backed by the shimmed `serde` crate's
-//! value tree and hand-written JSON parser/printer.
+//! Offline stand-in for `serde_json` over the shimmed `serde` crate: text
+//! is decoded by the types' own [`serde::Reader`]-based decoders and printed
+//! from their [`Value`] trees.
 
 pub use serde::{Error, Map, Number, Value};
 
-/// Parses JSON text into any [`serde::Deserialize`] type.
+/// Decodes JSON text into any [`serde::Deserialize`] type. Malformed text
+/// is reported as such even where a decode error comes first in it, as if
+/// the text had been parsed whole before decoding.
 pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
-    let value = serde::parse(text)?;
-    T::deserialize_value(&value)
+    let mut reader = serde::Reader::new(text);
+    let decoded = reader.try_read::<T>()?;
+    reader.finish()?;
+    decoded.map_err(|(e, _)| e)
 }
 
 /// Renders any [`serde::Serialize`] type as compact JSON.
@@ -24,9 +29,11 @@ pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value, Error>
     Ok(value.serialize_value())
 }
 
-/// Reconstructs a type from a [`Value`] tree.
+/// Decodes a type from a [`Value`] tree by formatting the tree and reading
+/// the text back (a non-finite float formats as `null`). Decoders read text
+/// only; this adapter serves callers that already hold a tree.
 pub fn from_value<T: serde::Deserialize>(value: Value) -> Result<T, Error> {
-    T::deserialize_value(&value)
+    from_str(&serde::format_compact(&value))
 }
 
 #[cfg(test)]

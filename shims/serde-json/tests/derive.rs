@@ -121,6 +121,65 @@ fn decode_errors_name_the_field_the_variant_or_the_type() {
     assert_eq!(kind(r#"{"Small":1}"#), "unknown variant `Small` of Kind");
 }
 
+/// Named structs nested every way a format nests them.
+#[derive(Debug, Deserialize)]
+struct Nest {
+    #[serde(default)]
+    named: Option<Named>,
+    #[serde(default)]
+    list: Vec<Vec<Named>>,
+    #[serde(default)]
+    by_name: std::collections::HashMap<String, Named>,
+}
+
+#[test]
+fn a_key_no_field_takes_is_refused_with_its_path() {
+    let nest: Nest = serde_json::from_str(&format!(
+        r#"{{"named":{NAMED_JSON},"list":[[{NAMED_JSON}]],"by_name":{{"x":{NAMED_JSON}}}}}"#
+    ))
+    .unwrap();
+    assert_eq!(nest.named, Some(named()));
+    assert_eq!(nest.list, vec![vec![named()]]);
+    assert_eq!(nest.by_name["x"], named());
+    let bogus = NAMED_JSON.replacen('{', r#"{"bogus":1,"#, 1);
+    let err = |text: &str| serde_json::from_str::<Nest>(text).unwrap_err();
+    assert_eq!(
+        serde_json::from_str::<Named>(&bogus)
+            .unwrap_err()
+            .to_string(),
+        "unknown key `bogus`"
+    );
+    assert_eq!(
+        err(&format!(r#"{{"named":{bogus}}}"#)).to_string(),
+        "unknown key `named.bogus`"
+    );
+    assert_eq!(
+        err(&format!(
+            r#"{{"list":[[{NAMED_JSON}],[{NAMED_JSON},{bogus}]]}}"#
+        ))
+        .to_string(),
+        "unknown key `list[1][1].bogus`"
+    );
+    let in_map = err(&format!(r#"{{"by_name":{{"x":{bogus}}}}}"#));
+    assert_eq!(in_map.to_string(), "unknown key `by_name.x.bogus`");
+    assert_eq!(
+        in_map.found_in("the test").to_string(),
+        "unknown key `by_name.x.bogus` in the test"
+    );
+    // Naming the input changes no other error.
+    let other = serde_json::from_str::<Named>("[1]").unwrap_err();
+    assert_eq!(other.clone().found_in("the test"), other);
+    assert_eq!(err(r#"{"nest":{}}"#).to_string(), "unknown key `nest`");
+}
+
+#[test]
+fn escaped_and_repeated_keys_decode_like_their_plain_spelling() {
+    let escaped = NAMED_JSON.replacen(r#""count":3"#, r#""c\u006funt":3"#, 1);
+    assert_eq!(serde_json::from_str::<Named>(&escaped).unwrap(), named());
+    let repeated = NAMED_JSON.replacen(r#""count":3"#, r#""count":8,"count":3"#, 1);
+    assert_eq!(serde_json::from_str::<Named>(&repeated).unwrap(), named());
+}
+
 /// Each shape the derive does not support stops the build with a message
 /// that names the type, rather than expanding to an impl that misbehaves.
 /// Checks a throwaway crate with `cargo check --offline` against the shims.

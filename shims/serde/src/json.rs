@@ -1,6 +1,9 @@
-//! JSON text parsing and printing for the shimmed [`Value`] tree.
+//! JSON text: printing a [`Value`], and the [`Reader`] every
+//! [`Deserialize`](crate::Deserialize) impl decodes from.
 
-use crate::{Error, Map, Number, Value};
+use std::borrow::Cow;
+
+use crate::{Deserialize, Error, Map, Number, Value};
 
 /// Renders `v` as compact JSON (no whitespace).
 pub fn format_compact(v: &Value) -> String {
@@ -110,50 +113,221 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Deepest array/object nesting [`parse`] accepts (serde_json's limit).
-/// The parser recurses once per level, so unbounded input nesting would
+/// Deepest array/object nesting a [`Reader`] accepts (serde_json's limit).
+/// Containers are read recursively, so unbounded input nesting would
 /// overflow the stack — an abort no caller can catch.
 const MAX_DEPTH: usize = 128;
 
-/// Parses JSON text into a [`Value`].
-pub fn parse(text: &str) -> Result<Value, Error> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    parser.skip_whitespace();
-    let value = parser.parse_value()?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::custom(format!(
-            "trailing characters at offset {}",
-            parser.pos
-        )));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A cursor over JSON text that typed decoders read from directly.
+///
+/// Strings without escapes come back borrowed from the text, so decoding
+/// builds no intermediate tree and copies each string at most once, into the
+/// field that owns it. Every method skips leading whitespace. A decoder
+/// that succeeds has read well-formed JSON: the same rules hold whether the
+/// text is read as a type or as a [`Value`].
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open around `pos`.
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// The next byte after whitespace, not consumed.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_whitespace();
+        self.byte()
+    }
+
+    /// Checks that only whitespace follows the value read.
+    pub fn finish(&mut self) -> Result<(), Error> {
+        if self.peek().is_some() {
+            return Err(Error::custom(format!(
+                "trailing characters at offset {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+
+    /// Decodes one `T`. On a decode error the same text is read again as a
+    /// [`Value`], returned beside the error so the caller can still look
+    /// into it; the outer `Err` is malformed JSON, which takes precedence
+    /// over any decode error inside it, as it would for a parse-then-decode.
+    pub fn try_read<T: Deserialize>(&mut self) -> Result<Result<T, (Error, Value)>, Error> {
+        let (pos, depth) = (self.pos, self.depth);
+        match T::deserialize(self) {
+            Ok(decoded) => Ok(Ok(decoded)),
+            Err(e) => {
+                (self.pos, self.depth) = (pos, depth);
+                Ok(Err((e, self.value()?)))
+            }
+        }
+    }
+
+    /// The error for a value of the wrong type: `expected {what}, got …`,
+    /// with the offending value read (and so consumed) to render it.
+    pub fn unexpected(&mut self, what: &str) -> Error {
+        match self.value() {
+            Ok(v) => Error::custom(format!("expected {what}, got {v}")),
+            Err(e) => e,
+        }
+    }
+
+    /// Consumes a `null`, returning whether there was one.
+    pub fn null(&mut self) -> Result<bool, Error> {
+        if self.peek() != Some(b'n') {
+            return Ok(false);
+        }
+        self.expect_literal("null")?;
+        Ok(true)
+    }
+
+    /// Reads a boolean.
+    pub fn bool(&mut self) -> Result<bool, Error> {
+        match self.peek() {
+            Some(b't') => self.expect_literal("true").map(|()| true),
+            Some(b'f') => self.expect_literal("false").map(|()| false),
+            _ => Err(self.unexpected("bool")),
+        }
+    }
+
+    /// Reads a number: an integer when the literal has no fraction or
+    /// exponent and fits 64 bits, a float otherwise.
+    pub fn number(&mut self) -> Result<Number, Error> {
+        match self.peek() {
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
+            _ => Err(self.unexpected("number")),
+        }
+    }
+
+    /// Reads a string, borrowed from the text unless it has escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+        match self.peek() {
+            Some(b'"') => self.parse_string(),
+            _ => Err(self.unexpected("string")),
+        }
+    }
+
+    /// Reads any value into a tree.
+    pub fn value(&mut self) -> Result<Value, Error> {
+        match self.peek() {
+            Some(b'n') => self.expect_literal("null").map(|()| Value::Null),
+            Some(b't' | b'f') => self.bool().map(Value::Bool),
+            Some(b'"') => Ok(Value::String(self.parse_string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'{') => {
+                let mut map = Map::new();
+                self.object(|r, key| {
+                    let value = r.value()?;
+                    map.insert(key.into_owned(), value);
+                    Ok(())
+                })?;
+                Ok(Value::Object(map))
+            }
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number().map(Value::Number),
+            Some(b) => Err(Error::custom(format!(
+                "unexpected character '{}' at offset {}",
+                b as char, self.pos
+            ))),
+            None => Err(Error::custom("unexpected end of input")),
+        }
+    }
+
+    /// Reads an array, calling `item` to read each element in turn. The
+    /// caller has peeked its `[`.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.enter()?;
+        self.expect(b'[')?;
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+        } else {
+            loop {
+                item(self)?;
+                self.skip_whitespace();
+                match self.bump() {
+                    Some(b',') => continue,
+                    Some(b']') => break,
+                    _ => return Err(Error::custom("expected ',' or ']' in array")),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Reads an object, calling `entry` with each key to read its value.
+    /// The caller has peeked its `{`.
+    pub fn object(
+        &mut self,
+        mut entry: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.enter()?;
+        self.expect(b'{')?;
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+        } else {
+            loop {
+                self.skip_whitespace();
+                let key = self.parse_string()?;
+                self.skip_whitespace();
+                self.expect(b':')?;
+                entry(self, key)?;
+                self.skip_whitespace();
+                match self.bump() {
+                    Some(b',') => continue,
+                    Some(b'}') => break,
+                    _ => return Err(Error::custom("expected ',' or '}' in object")),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Opens one container a level deeper, refusing to pass [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
+        let b = self.byte()?;
         self.pos += 1;
         Some(b)
     }
 
     fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
@@ -178,144 +352,68 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.skip_whitespace();
-        match self.peek() {
-            Some(b'n') => {
-                self.expect_literal("null")?;
-                Ok(Value::Null)
-            }
-            Some(b't') => {
-                self.expect_literal("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') => {
-                self.expect_literal("false")?;
-                Ok(Value::Bool(false))
-            }
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.nested(Self::parse_array),
-            Some(b'{') => self.nested(Self::parse_object),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            Some(b) => Err(Error::custom(format!(
-                "unexpected character '{}' at offset {}",
-                b as char, self.pos
-            ))),
-            None => Err(Error::custom("unexpected end of input")),
-        }
-    }
-
-    /// Parses one container a level deeper, refusing to pass [`MAX_DEPTH`].
-    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
-        if self.depth == MAX_DEPTH {
-            return Err(Error::custom(format!(
-                "nesting deeper than {MAX_DEPTH} levels at offset {}",
-                self.pos
-            )));
-        }
-        self.depth += 1;
-        let value = container(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Array(items)),
-                _ => return Err(Error::custom("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut map = Map::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            map.insert(key, value);
-            self.skip_whitespace();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
-                _ => return Err(Error::custom("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
+            // Quotes and backslashes are ASCII, so every run between them
+            // is whole UTF-8 and can be sliced out of the text as it is.
+            let run = self.pos;
+            while !matches!(self.byte(), Some(b'"' | b'\\') | None) {
+                self.pos += 1;
+            }
+            let text = &self.text[run..self.pos];
             match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{08}'),
-                    Some(b'f') => out.push('\u{0c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let code = self.parse_hex4()?;
-                        // Surrogate pairs for astral-plane characters.
-                        let c = if (0xD800..0xDC00).contains(&code) {
-                            self.expect(b'\\')?;
-                            self.expect(b'u')?;
-                            let low = self.parse_hex4()?;
-                            if !(0xDC00..0xE000).contains(&low) {
-                                return Err(Error::custom(
-                                    "expected low surrogate after high surrogate",
-                                ));
-                            }
-                            let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                            char::from_u32(combined)
-                        } else {
-                            char::from_u32(code)
-                        };
-                        out.push(c.ok_or_else(|| Error::custom("invalid \\u escape"))?);
-                    }
-                    _ => return Err(Error::custom("invalid escape sequence")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-decode multi-byte UTF-8 starting at the byte we took.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    let slice = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| Error::custom("truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(slice)
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
+                Some(b'"') => {
+                    return Ok(match owned {
+                        None => Cow::Borrowed(text),
+                        Some(mut out) => {
+                            out.push_str(text);
+                            Cow::Owned(out)
+                        }
+                    })
+                }
+                Some(_) => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(text);
+                    let c = self.parse_escape()?;
+                    out.push(c);
                 }
                 None => return Err(Error::custom("unterminated string")),
             }
         }
+    }
+
+    /// The character an escape stands for; the `\` is consumed.
+    fn parse_escape(&mut self) -> Result<char, Error> {
+        Ok(match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let code = self.parse_hex4()?;
+                // Surrogate pairs for astral-plane characters.
+                let c = if (0xD800..0xDC00).contains(&code) {
+                    self.expect(b'\\')?;
+                    self.expect(b'u')?;
+                    let low = self.parse_hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(Error::custom("expected low surrogate after high surrogate"));
+                    }
+                    let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    char::from_u32(combined)
+                } else {
+                    char::from_u32(code)
+                };
+                c.ok_or_else(|| Error::custom("invalid \\u escape"))?
+            }
+            _ => return Err(Error::custom("invalid escape sequence")),
+        })
     }
 
     fn parse_hex4(&mut self) -> Result<u32, Error> {
@@ -332,52 +430,42 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    fn parse_number(&mut self) -> Result<Number, Error> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let digits = |r: &mut Self| {
+            while matches!(r.byte(), Some(b) if b.is_ascii_digit()) {
+                r.pos += 1;
+            }
+        };
+        if self.byte() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        digits(self);
         let mut is_float = false;
-        if self.peek() == Some(b'.') {
+        if self.byte() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            digits(self);
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        if matches!(self.byte(), Some(b'e' | b'E')) {
             is_float = true;
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
+            if matches!(self.byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            digits(self);
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::UInt(u)));
+                return Ok(Number::UInt(u));
             }
             if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Number(Number::Int(i)));
+                return Ok(Number::Int(i));
             }
         }
         text.parse::<f64>()
-            .map(|f| Value::Number(Number::Float(f)))
+            .map(Number::Float)
             .map_err(|_| Error::custom(format!("invalid number literal: {text}")))
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }

@@ -1,39 +1,100 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! The build environment has no access to crates.io, so this workspace ships
-//! a small API-compatible subset of serde: the [`Serialize`] / [`Deserialize`]
-//! traits are backed by a JSON-like [`Value`] tree instead of serde's
-//! visitor machinery, and the companion `serde_derive` proc-macro crate
+//! a small API-compatible subset of serde. [`Serialize`] builds a JSON-like
+//! [`Value`] tree, which the printers in `serde_json` (also shimmed) render.
+//! [`Deserialize`] reads JSON text directly through a [`Reader`]: no tree is
+//! built on the way in, and a string without escapes is copied once, into
+//! the field that keeps it. The companion `serde_derive` proc-macro crate
 //! generates impls for the `#[derive(Serialize, Deserialize)]` and
 //! `#[serde(...)]` attribute forms used in this repository (`default`,
-//! `default = "path"`, `transparent`).
-//!
-//! `serde_json` (also shimmed) provides the text format on top of this tree.
+//! `default = "path"`, `transparent`); a derived struct decoder refuses any
+//! key outside its field list.
 
 pub use serde_derive::{Deserialize, Serialize};
 
 mod json;
 mod value;
 
-pub use json::{format_compact, format_pretty, parse};
+pub use json::{format_compact, format_pretty, Reader};
 pub use value::{Map, Number, Value};
 
 /// Error raised by (de)serialization and by JSON parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
-    msg: String,
+    kind: ErrorKind,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum ErrorKind {
+    Message(String),
+    /// A key no field of the struct it sits in takes: its path from the
+    /// outermost value decoded, and the input that value came from once a
+    /// caller names it.
+    UnknownKey {
+        path: String,
+        input: Option<&'static str>,
+    },
 }
 
 impl Error {
     /// Creates an error carrying `msg`.
     pub fn custom(msg: impl Into<String>) -> Self {
-        Error { msg: msg.into() }
+        Error {
+            kind: ErrorKind::Message(msg.into()),
+        }
+    }
+
+    /// The error for an object key that no field takes.
+    pub fn unknown_key(key: &str) -> Self {
+        Error {
+            kind: ErrorKind::UnknownKey {
+                path: key.to_string(),
+                input: None,
+            },
+        }
+    }
+
+    /// Prefixes an unknown key's path with the field `key` it was found
+    /// under: `corez` becomes `hosts.corez`, `[0].corez` becomes
+    /// `sites[0].corez`. Other errors are returned as they are.
+    pub fn at_key(self, key: &str) -> Self {
+        self.prefixed(key)
+    }
+
+    /// Prefixes an unknown key's path with the array index it was found at.
+    pub fn at_index(self, index: usize) -> Self {
+        self.prefixed(&format!("[{index}]"))
+    }
+
+    fn prefixed(mut self, prefix: &str) -> Self {
+        if let ErrorKind::UnknownKey { path, .. } = &mut self.kind {
+            let dot = if path.starts_with('[') { "" } else { "." };
+            *path = format!("{prefix}{dot}{path}");
+        }
+        self
+    }
+
+    /// Names the input an unknown key was found in (`unknown key `…` in
+    /// {input}`). Other errors are returned as they are.
+    pub fn found_in(mut self, name: &'static str) -> Self {
+        if let ErrorKind::UnknownKey { input, .. } = &mut self.kind {
+            *input = Some(name);
+        }
+        self
     }
 }
 
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.msg)
+        match &self.kind {
+            ErrorKind::Message(msg) => f.write_str(msg),
+            ErrorKind::UnknownKey { path, input: None } => write!(f, "unknown key `{path}`"),
+            ErrorKind::UnknownKey {
+                path,
+                input: Some(input),
+            } => write!(f, "unknown key `{path}` in {input}"),
+        }
     }
 }
 
@@ -41,7 +102,7 @@ impl std::error::Error for Error {}
 
 impl From<Error> for std::io::Error {
     fn from(e: Error) -> Self {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e.msg)
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
     }
 }
 
@@ -51,10 +112,10 @@ pub trait Serialize {
     fn serialize_value(&self) -> Value;
 }
 
-/// A type that can be reconstructed from a [`Value`] tree.
+/// A type that can be decoded from JSON text.
 pub trait Deserialize: Sized {
-    /// Reconstructs `Self` from `v`.
-    fn deserialize_value(v: &Value) -> Result<Self, Error>;
+    /// Reads one value of `Self` from `r`, leaving `r` just past it.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
 // ----- primitive impls ------------------------------------------------------
@@ -67,10 +128,8 @@ macro_rules! impl_uint {
             }
         }
         impl Deserialize for $t {
-            fn deserialize_value(v: &Value) -> Result<Self, Error> {
-                let n = v
-                    .as_number()
-                    .ok_or_else(|| Error::custom(format!("expected number, got {v}")))?;
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let n = r.number()?;
                 if let Some(i) = n.as_i64() {
                     return <$t>::try_from(i)
                         .map_err(|_| Error::custom(format!("integer {i} out of range")));
@@ -99,10 +158,8 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        v.as_number()
-            .map(Number::as_f64)
-            .ok_or_else(|| Error::custom(format!("expected number, got {v}")))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.number().map(|n| n.as_f64())
     }
 }
 
@@ -113,11 +170,8 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!("expected bool, got {other}"))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.bool()
     }
 }
 
@@ -128,11 +182,8 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!("expected string, got {other}"))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.string().map(std::borrow::Cow::into_owned)
     }
 }
 
@@ -151,11 +202,8 @@ impl Serialize for std::sync::Arc<str> {
 }
 
 impl Deserialize for std::sync::Arc<str> {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) => Ok(s.as_str().into()),
-            other => Err(Error::custom(format!("expected string, got {other}"))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.string().map(|s| s.as_ref().into())
     }
 }
 
@@ -177,10 +225,11 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::deserialize_value(other).map(Some),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
@@ -192,11 +241,17 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::deserialize_value).collect(),
-            other => Err(Error::custom(format!("expected array, got {other}"))),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.peek() != Some(b'[') {
+            return Err(r.unexpected("array"));
         }
+        let mut items = Vec::new();
+        r.array(|r| {
+            let index = items.len();
+            items.push(T::deserialize(r).map_err(|e| e.at_index(index))?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
@@ -214,14 +269,17 @@ impl<V: Serialize> Serialize for std::collections::HashMap<String, V> {
 }
 
 impl<V: Deserialize> Deserialize for std::collections::HashMap<String, V> {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(map) => map
-                .iter()
-                .map(|(k, val)| Ok((k.clone(), V::deserialize_value(val)?)))
-                .collect(),
-            other => Err(Error::custom(format!("expected object, got {other}"))),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.peek() != Some(b'{') {
+            return Err(r.unexpected("object"));
         }
+        let mut map = Self::new();
+        r.object(|r, key| {
+            let value = V::deserialize(r).map_err(|e| e.at_key(&key))?;
+            map.insert(key.into_owned(), value);
+            Ok(())
+        })?;
+        Ok(map)
     }
 }
 
@@ -242,7 +300,7 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.value()
     }
 }

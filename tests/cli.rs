@@ -290,18 +290,18 @@ fn every_documented_flag_is_still_accepted() {
     let _ = std::fs::remove_dir_all(&*dir);
 }
 
-/// Runs `cgsim simulate --output` on `cgsim init` files whose execution.json
-/// has, per case, its one `from` replaced by `to`: each run exits 1 with one
-/// `error:` line holding `what`, and writes no output directory.
-fn assert_execution_edits_rejected(name: &str, cases: &[(&str, &str, &str)]) {
+/// Runs `cgsim simulate --output` on `cgsim init` files whose `input` file
+/// has, per case, its first `from` replaced by `to`: each run exits 1 with
+/// one `error:` line holding `what`, and writes no output directory.
+fn assert_input_edits_rejected(name: &str, input: &str, cases: &[(&str, &str, &str)]) {
     let dir = std::env::temp_dir().join(format!("cgsim-cli-{name}-{}", std::process::id()));
     let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
     let init = cgsim(&["init", "--dir", &file(""), "--sites", "2", "--jobs", "10"]);
     assert!(init.status.success(), "{init:?}");
-    let defaults = std::fs::read_to_string(file("execution.json")).unwrap();
+    let written = std::fs::read_to_string(file(input)).unwrap();
     for (from, to, what) in cases {
-        assert_eq!(defaults.matches(from).count(), 1, "{from}");
-        std::fs::write(file("execution.json"), defaults.replace(from, to)).unwrap();
+        assert!(written.contains(from), "{from}");
+        std::fs::write(file(input), written.replacen(from, to, 1)).unwrap();
         let out = cgsim(&[
             "simulate",
             "--platform",
@@ -333,8 +333,9 @@ fn an_execution_file_is_held_to_the_duration_flags_rule() {
     // `--checkpoint-interval -60` and `--window -1` are refused when parsed;
     // the same values written into execution.json are refused before the run.
     let bad = "must be non-negative and finite, got";
-    assert_execution_edits_rejected(
+    assert_input_edits_rejected(
         "interval",
+        "execution.json",
         &[
             (
                 "\"interval_s\": 0.0",
@@ -359,8 +360,9 @@ fn an_execution_file_is_held_to_the_duration_flags_rule() {
 #[test]
 fn an_execution_file_with_an_unknown_key_is_refused_before_the_run() {
     // A retired field or a misspelt one is named and refused, not ignored.
-    assert_execution_edits_rejected(
+    assert_input_edits_rejected(
         "unknown-key",
+        "execution.json",
         &[
             (
                 "\"seed\"",
@@ -373,6 +375,42 @@ fn an_execution_file_with_an_unknown_key_is_refused_before_the_run() {
                 "unknown key `checkpoint.intervl_s` in execution.json",
             ),
         ],
+    );
+}
+
+#[test]
+fn a_platform_or_trace_file_with_an_unknown_key_is_refused_before_the_run() {
+    // The decoders of every input format refuse a key no field takes,
+    // naming its path (and, in a trace, its line).
+    assert_input_edits_rejected(
+        "platform-key",
+        "platform.json",
+        &[
+            (
+                "\"sites\": [",
+                "\"bogus\": 1, \"sites\": [",
+                "unknown key `bogus` in platform.json",
+            ),
+            (
+                "\"name\": \"CERN\",",
+                "\"name\": \"CERN\", \"corez\": 5,",
+                "unknown key `sites[0].corez` in platform.json",
+            ),
+            (
+                "\"speed_per_core\"",
+                "\"speed_per_cor\"",
+                "unknown key `sites[0].hosts[0].speed_per_cor` in platform.json",
+            ),
+        ],
+    );
+    assert_input_edits_rejected(
+        "trace-key",
+        "trace.jsonl",
+        &[(
+            "\"hist_site\"",
+            "\"hist_sitee\"",
+            "trace.jsonl line 2: unknown key `hist_sitee`",
+        )],
     );
 }
 
